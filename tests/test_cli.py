@@ -160,6 +160,22 @@ class TestGoldenReports:
         assert out == (GOLDEN / "bound_cnot_plus.json").read_text()
 
 
+class TestSweepGoldens:
+    """Sweep CSVs and stdout reports are pinned byte for byte."""
+
+    @pytest.mark.parametrize("kind, n1, n2", [("bound-audit", 2, 3), ("counterexample", 3, 5)])
+    def test_byte_identical(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
+        name = f"sweep_{kind.replace('-', '_')}_{n1}x{n2}"
+        monkeypatch.chdir(tmp_path)  # the report echoes the relative --out path
+        code, out, _ = run(
+            capsys, "sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2),
+            "--count", "40", "--seed", "7", "--format", "csv", "--out", f"{name}.csv",
+        )
+        assert code == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 class TestModelEcho:
     def test_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, PLUS, X, Z, E0
+from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.linalg import (
     ToleranceConfig,
     anti_hermitian_exp,
@@ -22,6 +23,7 @@ from wayaudit.linalg import (
     validate,
     variance,
 )
+from wayaudit.model import ConservedQuantity
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -254,6 +256,65 @@ class TestHaar:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(random_haar_unitary(3, 0), random_haar_unitary(3, 1))
+
+
+def _diag_quantity(la, lb):
+    return ConservedQuantity(
+        "multiplicative", np.diag(la).astype(complex), np.diag(lb).astype(complex)
+    )
+
+
+def _reference_commutant_unitary(d, rng):
+    """Per-block Haar draw and assembly, one QR per block, in block order."""
+    u = np.zeros((d.total_dim, d.total_dim), dtype=complex)
+    for block in d.blocks:
+        dim = block.basis.shape[1]
+        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        absd = np.abs(diag)
+        phases = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
+        u += block.basis @ (q * phases) @ dagger(block.basis)
+    return u
+
+
+class TestBitIdentity:
+    """The kernels the sweeps rely on reproduce the reference computations bit for bit."""
+
+    @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])
+    def test_tensor_product_matches_kron(self, n1, n2):
+        rng = np.random.default_rng(n1 * n2)
+        a, b = random_hermitian(n1, rng), random_hermitian(n2, rng)
+        for left, right in ((a, b), (np.eye(n1), b), (a, np.eye(n2)), (np.eye(n1), np.eye(n2))):
+            expected = np.kron(np.asarray(left, dtype=complex), np.asarray(right, dtype=complex))
+            assert tensor_product(left, right).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stacked_qr_matches_per_matrix(self, d):
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        q, r = np.linalg.qr(z)
+        for i in range(len(z)):
+            qi, ri = np.linalg.qr(z[i])
+            assert q[i].tobytes() == qi.tobytes()
+            assert r[i].tobytes() == ri.tobytes()
+
+    @pytest.mark.parametrize(
+        "la, lb",
+        [
+            ([1.0, 2.0], [1.0, 2.0, 4.0]),            # blocks (1, 2, 2, 1)
+            ([1.0, 1.0, 2.0], [1.0, 2.0]),            # blocks (2, 3, 1)
+            ([1.0, 2.0], [1.0, 1.0, 3.0, 3.0]),       # four blocks of size 2
+            ([1.0, 5.0], [1.0, 1.0, 1.0]),            # two blocks of size 3
+            ([1.1, 1.7, 2.3], [0.6, 0.9, 1.3, 1.9, 2.9]),  # fifteen singletons
+        ],
+    )
+    def test_commutant_unitary_matches_reference(self, la, lb):
+        d = conserved_eigenspaces(_diag_quantity(la, lb))
+        for seed in range(3):
+            u = commutant_unitary(d, np.random.default_rng(seed))
+            ref = _reference_commutant_unitary(d, np.random.default_rng(seed))
+            assert u.tobytes() == ref.tobytes()
 
 
 class TestAntiHermitianExp:
