@@ -9,6 +9,7 @@ digits), so identical runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -152,11 +153,16 @@ def emit_report(report, format: str = "json", path: str | None = None) -> None:
 # model files
 
 
+def _is_number(x) -> bool:
+    """JSON numbers only: booleans are ints to Python but not numbers in a model file."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_entry(obj, field: str) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {obj!r}")
     re, im = obj
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not _is_number(re) or not _is_number(im):
         raise ModelFileError(field, f"complex entries must be numeric, got {obj!r}")
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ModelFileError(field, "complex entries must be finite")
@@ -214,7 +220,8 @@ def _load_document(doc: dict) -> LoadedModel:
     if not isinstance(doc, dict):
         raise ModelFileError("file", "top level must be an object")
     for key in ("n1", "n2"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        value = doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ModelFileError(key, "must be a positive integer")
     n1, n2 = doc["n1"], doc["n2"]
 
@@ -486,18 +493,7 @@ def _cmd_sweep(args) -> int:
         raise ModelFileError("usage", "sweep requires --n1, --n2 and --count")
     if args.kind == "counterexample":
         sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol)
-        rows = [
-            {
-                "trial": t.trial,
-                "leakage": t.leakage,
-                "deficit": t.deficit,
-                "commutator_norm": t.commutator_norm,
-                "degenerate_pointer": t.degenerate_pointer,
-                "conforming": t.conforming,
-                "counterexample": t.counterexample,
-            }
-            for t in sweep.trials
-        ]
+        rows = [{c: getattr(t, c) for c in COUNTEREXAMPLE_COLUMNS} for t in sweep.trials]
         csv_report = {"columns": COUNTEREXAMPLE_COLUMNS, "rows": rows}
         report = _base_report(args, "sweep", seed, args.tol)
         report["results"] = {
@@ -513,26 +509,7 @@ def _cmd_sweep(args) -> int:
         failed = sweep.counterexamples > 0
     else:
         audit = bound_audit_sweep(AuditConfig(args.n1, args.n2, args.count, seed, args.tol))
-        rows = [
-            {
-                "trial": r.trial,
-                "n1": r.n1,
-                "n2": r.n2,
-                "epsilon_sq": r.epsilon_sq,
-                "robertson_bound": r.robertson_bound,
-                "paper_bound": r.paper_bound,
-                "paper_defined": r.paper_defined,
-                "yanase_applicable": r.yanase_applicable,
-                "yanase_bound": r.yanase_bound,
-                "simplified_applicable": r.simplified_applicable,
-                "simplified_bound": r.simplified_bound,
-                "robertson_valid": r.robertson_valid,
-                "paper_valid": r.paper_valid,
-                "yanase_valid": r.yanase_valid,
-                "simplified_valid": r.simplified_valid,
-            }
-            for r in audit.records
-        ]
+        rows = [{c: getattr(r, c) for c in BOUND_AUDIT_COLUMNS} for r in audit.records]
         s = audit.summary
         # Summary row reuses the schema: *_bound columns carry violation
         # fractions, *_defined/_applicable carry counts, *_valid carry
@@ -563,21 +540,7 @@ def _cmd_sweep(args) -> int:
             "n1": args.n1,
             "n2": args.n2,
             "count": args.count,
-            "robertson_violations": s.robertson_violations,
-            "robertson_degenerate": s.robertson_degenerate,
-            "robertson_violation_fraction": s.robertson_violation_fraction,
-            "paper_defined": s.paper_defined,
-            "paper_undefined": s.paper_undefined,
-            "paper_violations": s.paper_violations,
-            "paper_violation_fraction": s.paper_violation_fraction,
-            "yanase_applicable": s.yanase_applicable,
-            "yanase_degenerate": s.yanase_degenerate,
-            "yanase_violations": s.yanase_violations,
-            "yanase_violation_fraction": s.yanase_violation_fraction,
-            "simplified_applicable": s.simplified_applicable,
-            "simplified_degenerate": s.simplified_degenerate,
-            "simplified_violations": s.simplified_violations,
-            "simplified_violation_fraction": s.simplified_violation_fraction,
+            **dataclasses.asdict(s),
         }
         failed = s.robertson_violations > 0
 

@@ -20,9 +20,13 @@ from .linalg import (
     as_state,
     dagger,
     frobenius_norm,
-    haar_unitary,
+    ginibre,
+    haar_from_ginibre,
+    haar_unitary,  # noqa: F401  (re-exported convenience)
     hermitian_eigensystem,
+    product_state,
     random_state_vector,
+    tensor_product,
 )
 from .model import ConservedQuantity, conserved_operator
 
@@ -87,11 +91,28 @@ def conserved_eigenspaces(
     return BlockDecomposition(tuple(blocks), joint.shape[0])
 
 
+def _block_unitaries(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
+    """One Haar unitary per block: Ginibre draws in block order, one stacked QR per size."""
+    draws = [ginibre(dim, rng) for dim in dims]
+    unitaries = [None] * len(dims)
+    for size in set(dims):
+        members = [i for i, dim in enumerate(dims) if dim == size]
+        for i, v in zip(members, haar_from_ginibre(np.stack([draws[i] for i in members]))):
+            unitaries[i] = v
+    return unitaries
+
+
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
-    """Haar block unitary assembled in the original basis; conserves L by construction."""
+    """Haar block unitary assembled in the original basis; conserves L by construction.
+
+    Draw-order invariant: each block's Ginibre matrix is drawn from ``rng`` in
+    block order, as one ``haar_unitary`` call per block would draw it, and
+    ``u`` is summed in block order. Only the QR is batched (one stacked call
+    per block size, bit-identical per matrix), so ``u`` matches the per-block
+    loop bit for bit.
+    """
     u = np.zeros((d.total_dim, d.total_dim), dtype=complex)
-    for block in d.blocks:
-        v = haar_unitary(block.basis.shape[1], rng)
+    for block, v in zip(d.blocks, _block_unitaries(d.dims, rng)):
         u += block.basis @ v @ dagger(block.basis)
     return u
 
@@ -229,7 +250,7 @@ class _BlockPoint:
 def _descend(decomposition, objective, rng, config: SearchConfig):
     """One restart of projected finite-difference descent. Returns (f, U, trace, converged)."""
     dims = decomposition.dims
-    point = _BlockPoint(decomposition, [haar_unitary(d, rng) for d in dims])
+    point = _BlockPoint(decomposition, _block_unitaries(dims, rng))
     f = objective(point.joint)
     trace = [(0, f)]
     step = config.step
@@ -338,9 +359,9 @@ def minimize_epsilon(
         raise ValueError(f"probe states must have dimension {n1}")
 
     decomposition = conserved_eigenspaces(q)
-    probe_joint = np.kron(np.eye(n1), probe)
-    obs_joint = np.kron(observable, np.eye(n2))
-    joints = [np.kron(s, ready) for s in states]
+    probe_joint = tensor_product(np.eye(n1), probe)
+    obs_joint = tensor_product(observable, np.eye(n2))
+    joints = [product_state(s, ready) for s in states]
 
     def make_objective(rng):
         def objective(u):
@@ -386,7 +407,7 @@ def feasibility_search(
 
     def make_objective(rng):
         ready = random_state_vector(n2, rng)
-        inputs = [np.kron(basis[j], ready) for j in range(n1)]
+        inputs = [product_state(basis[j], ready) for j in range(n1)]
         eye = np.eye(n1)
 
         def objective(u):

@@ -23,6 +23,7 @@ from .linalg import (
     commutator,  # noqa: F401  (re-exported convenience)
     dagger,
     frobenius_norm,
+    product_state,
     tensor_product,
     unitary_completion,
 )
@@ -143,7 +144,7 @@ def joint_blocks(m: MeasurementModel) -> np.ndarray:
     """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>), as an (n1, n1, n2) array."""
     out = np.empty((m.n1, m.n1, m.n2), dtype=complex)
     for j in range(m.n1):
-        col = m.interaction @ np.kron(m.system_basis[j], m.ready_state)
+        col = m.interaction @ product_state(m.system_basis[j], m.ready_state)
         out[:, j, :] = m.system_basis.conj() @ col.reshape(m.n1, m.n2)
     return out
 
@@ -271,8 +272,8 @@ def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
         if abs(norm - 1.0) > POINTER_NORM_TOL:
             raise ValueError(f"pointer {j} has norm {norm!r}, expected 1")
 
-    inputs = [np.kron(basis[j], ready) for j in range(n1)]
-    outputs = [np.kron(basis[j], ptrs[j]) for j in range(n1)]
+    inputs = [product_state(basis[j], ready) for j in range(n1)]
+    outputs = [product_state(basis[j], ptrs[j]) for j in range(n1)]
     a = unitary_completion(inputs)
     b = unitary_completion(outputs)
     return MeasurementModel(n1, n2, basis, ready, b @ dagger(a))

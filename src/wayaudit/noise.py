@@ -25,6 +25,7 @@ from .linalg import (
     dagger,
     frobenius_norm,
     haar_unitary,
+    product_state,
     random_hermitian,
     random_positive_operator,
     random_state_vector,
@@ -76,22 +77,11 @@ def _hermitian_arg(a, dim: int, name: str) -> np.ndarray:
     return a
 
 
-def noise_operator(m: MeasurementModel, observable, probe) -> np.ndarray:
-    """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space."""
-    observable = _hermitian_arg(observable, m.n1, "observable")
-    probe = _hermitian_arg(probe, m.n2, "probe")
-    evolved = dagger(m.interaction) @ tensor_product(np.eye(m.n1), probe) @ m.interaction
-    return evolved - tensor_product(observable, np.eye(m.n2))
-
-
-def epsilon_sq(m: MeasurementModel, observable, probe, psi) -> float:
-    """<N^2> on psi (x) ready_state; the squared state-dependent noise."""
+def _state_arg(psi, dim: int) -> np.ndarray:
     psi = as_state(psi)
-    if psi.shape[0] != m.n1:
-        raise ValueError(f"psi must have dimension {m.n1}")
-    n = noise_operator(m, observable, probe)
-    w = n @ np.kron(psi, m.ready_state)
-    return float(np.vdot(w, w).real)
+    if psi.shape[0] != dim:
+        raise ValueError(f"psi must have dimension {dim}")
+    return psi
 
 
 def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) -> None:
@@ -102,6 +92,73 @@ def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) ->
         raise PreconditionError(
             "check_conserved", f"residual {report.residual:.3e} exceeds {tol:.3e}"
         )
+
+
+def _noise_operator(m: MeasurementModel, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    evolved = dagger(m.interaction) @ tensor_product(np.eye(m.n1), probe) @ m.interaction
+    return evolved - tensor_product(observable, np.eye(m.n2))
+
+
+def noise_operator(m: MeasurementModel, observable, probe) -> np.ndarray:
+    """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space."""
+    observable = _hermitian_arg(observable, m.n1, "observable")
+    probe = _hermitian_arg(probe, m.n2, "probe")
+    return _noise_operator(m, observable, probe)
+
+
+# Input checks in the order each entry point runs them; the first failure raises.
+_REPORT_CHECKS = ("psi", "observable", "probe", "conserved")
+_EPSILON_CHECKS = ("psi", "observable", "probe")
+_ROBERTSON_CHECKS = ("conserved", "psi", "observable", "probe")
+_FACTORED_CHECKS = ("conserved", "observable", "probe", "psi")
+_SIMPLIFIED_CHECKS = ("conserved", "observable", "psi", "probe")
+
+
+class _Instance:
+    """One instance: each input validated once, each intermediate computed once.
+
+    Every bound formula reads from here. Without a probe only ``epsilon_sq``
+    (None) of the noise intermediates is set; without a quantity (for
+    ``epsilon_sq`` alone) none of the conserved-quantity ones are.
+    """
+
+    def __init__(self, m, q, observable, probe, psi, tol, checks):
+        run = {
+            "conserved": lambda: _require_conserved(m, q, tol),
+            "psi": lambda: _state_arg(psi, m.n1),
+            "observable": lambda: _hermitian_arg(observable, m.n1, "observable"),
+            "probe": lambda: _hermitian_arg(probe, m.n2, "probe"),
+        }
+        checked = {name: run[name]() for name in checks}
+        observable, probe = checked["observable"], checked.get("probe")
+        self.m, self.q, self.psi = m, q, checked["psi"]
+        self.joint_state = product_state(self.psi, m.ready_state)
+        self.epsilon_sq = None
+        if probe is not None:
+            self.noise = _noise_operator(m, observable, probe)
+            self.noise_state = self.noise @ self.joint_state
+            self.epsilon_sq = float(np.vdot(self.noise_state, self.noise_state).real)
+        if q is None:
+            return
+        la, lb = q.system_op, q.apparatus_op
+        self.conserved = conserved_operator(q)
+        self.var_conserved = variance(self.conserved, self.joint_state)
+        self.var_la = variance(la, self.psi)
+        self.var_lb = variance(lb, m.ready_state)
+        self.factored_denominator = 4.0 * self.var_la * self.var_lb
+        self.observable_commutator = commutator(observable, la)
+        self.observable_term = tensor_product(self.observable_commutator, lb)
+        if probe is not None:
+            self.probe_commutator = commutator(probe, lb)
+
+
+def _valid(bound: float, eps: float | None) -> bool | None:
+    return None if eps is None else bound <= eps + VALIDITY_SLACK
+
+
+def epsilon_sq(m: MeasurementModel, observable, probe, psi) -> float:
+    """<N^2> on psi (x) ready_state; the squared state-dependent noise."""
+    return _Instance(m, None, observable, probe, psi, None, _EPSILON_CHECKS).epsilon_sq
 
 
 @dataclass(frozen=True)
@@ -118,20 +175,20 @@ class RobertsonReport:
     degenerate: bool
 
 
+def _robertson(x: _Instance) -> RobertsonReport:
+    comm_expect = complex(
+        np.vdot(x.joint_state, (x.noise @ (x.conserved @ x.joint_state)) - (x.conserved @ x.noise_state))
+    )
+    numerator = abs(comm_expect) ** 2 / 4.0
+    degenerate = x.var_conserved <= DEGENERACY_TOL
+    bound = 0.0 if degenerate else numerator / x.var_conserved
+    return RobertsonReport(bound, numerator, x.var_conserved, degenerate)
+
+
 def robertson_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> RobertsonReport:
-    _require_conserved(m, q, tol)
-    psi = as_state(psi)
-    joint_state = np.kron(psi, m.ready_state)
-    n = noise_operator(m, observable, probe)
-    joint_op = conserved_operator(q)
-    comm_expect = complex(np.vdot(joint_state, (n @ (joint_op @ joint_state)) - (joint_op @ (n @ joint_state))))
-    numerator = abs(comm_expect) ** 2 / 4.0
-    var_conserved = variance(joint_op, joint_state)
-    degenerate = var_conserved <= DEGENERACY_TOL
-    bound = 0.0 if degenerate else numerator / var_conserved
-    return RobertsonReport(bound, numerator, var_conserved, degenerate)
+    return _robertson(_Instance(m, q, observable, probe, psi, tol, _ROBERTSON_CHECKS))
 
 
 @dataclass(frozen=True)
@@ -150,28 +207,22 @@ class PaperBoundReport:
     denominator: float
 
 
-def paper_bound(
-    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
-) -> PaperBoundReport:
-    _require_conserved(m, q, tol)
-    observable = _hermitian_arg(observable, m.n1, "observable")
-    probe = _hermitian_arg(probe, m.n2, "probe")
-    psi = as_state(psi)
-    la, lb = q.system_op, q.apparatus_op
-    joint_state = np.kron(psi, m.ready_state)
-    evolved_term = (
-        dagger(m.interaction)
-        @ tensor_product(la, commutator(probe, lb))
-        @ m.interaction
-    )
-    term = tensor_product(commutator(observable, la), lb) - evolved_term
-    numerator = abs(complex(np.vdot(joint_state, term @ joint_state))) ** 2
-    denominator = 4.0 * variance(la, psi) * variance(lb, m.ready_state)
+def _paper(x: _Instance) -> PaperBoundReport:
+    u = x.m.interaction
+    evolved_term = dagger(u) @ tensor_product(x.q.system_op, x.probe_commutator) @ u
+    term = x.observable_term - evolved_term
+    numerator = abs(complex(np.vdot(x.joint_state, term @ x.joint_state))) ** 2
+    denominator = x.factored_denominator
     if denominator <= DEGENERACY_TOL:
         return PaperBoundReport(None, False, None, numerator, denominator)
     bound = numerator / denominator
-    eps = epsilon_sq(m, observable, probe, psi)
-    return PaperBoundReport(bound, True, bound <= eps + VALIDITY_SLACK, numerator, denominator)
+    return PaperBoundReport(bound, True, _valid(bound, x.epsilon_sq), numerator, denominator)
+
+
+def paper_bound(
+    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
+) -> PaperBoundReport:
+    return _paper(_Instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS))
 
 
 @dataclass(frozen=True)
@@ -188,25 +239,21 @@ class YanaseBoundReport:
     valid: bool | None
 
 
-def yanase_bound(
-    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
-) -> YanaseBoundReport:
-    _require_conserved(m, q, tol)
-    observable = _hermitian_arg(observable, m.n1, "observable")
-    probe = _hermitian_arg(probe, m.n2, "probe")
-    psi = as_state(psi)
-    la, lb = q.system_op, q.apparatus_op
-    if frobenius_norm(commutator(probe, lb)) > YANASE_COMMUTATOR_TOL:
+def _yanase(x: _Instance) -> YanaseBoundReport:
+    if frobenius_norm(x.probe_commutator) > YANASE_COMMUTATOR_TOL:
         return YanaseBoundReport(False, None, None, None)
-    joint_state = np.kron(psi, m.ready_state)
-    term = tensor_product(commutator(observable, la), lb)
-    numerator = abs(complex(np.vdot(joint_state, term @ joint_state))) ** 2
-    denominator = 4.0 * variance(la, psi) * variance(lb, m.ready_state)
+    numerator = abs(complex(np.vdot(x.joint_state, x.observable_term @ x.joint_state))) ** 2
+    denominator = x.factored_denominator
     if denominator <= DEGENERACY_TOL:
         return YanaseBoundReport(True, None, False, None)
     bound = numerator / denominator
-    eps = epsilon_sq(m, observable, probe, psi)
-    return YanaseBoundReport(True, bound, True, bound <= eps + VALIDITY_SLACK)
+    return YanaseBoundReport(True, bound, True, _valid(bound, x.epsilon_sq))
+
+
+def yanase_bound(
+    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
+) -> YanaseBoundReport:
+    return _yanase(_Instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS))
 
 
 @dataclass(frozen=True)
@@ -219,6 +266,18 @@ class SimplifiedBoundReport:
     valid: bool | None
 
 
+def _simplified(x: _Instance) -> SimplifiedBoundReport:
+    ready, lb = x.m.ready_state, x.q.apparatus_op
+    if abs(complex(np.vdot(ready, lb @ ready))) > ZERO_EXPECTATION_TOL:
+        return SimplifiedBoundReport(False, None, None, None)
+    numerator = abs(complex(np.vdot(x.psi, x.observable_commutator @ x.psi))) ** 2
+    denominator = 4.0 * x.var_la
+    if denominator <= DEGENERACY_TOL:
+        return SimplifiedBoundReport(True, None, False, None)
+    bound = numerator / denominator
+    return SimplifiedBoundReport(True, bound, True, _valid(bound, x.epsilon_sq))
+
+
 def simplified_bound(
     m: MeasurementModel, observable, q: ConservedQuantity, psi, probe=None, tol: float = 1e-9
 ) -> SimplifiedBoundReport:
@@ -227,22 +286,8 @@ def simplified_bound(
     The validity flag needs epsilon^2 and therefore a probe; without one the
     flag is None and only the bound is reported.
     """
-    _require_conserved(m, q, tol)
-    observable = _hermitian_arg(observable, m.n1, "observable")
-    psi = as_state(psi)
-    la, lb = q.system_op, q.apparatus_op
-    ready_expect = complex(np.vdot(m.ready_state, lb @ m.ready_state))
-    if abs(ready_expect) > ZERO_EXPECTATION_TOL:
-        return SimplifiedBoundReport(False, None, None, None)
-    numerator = abs(complex(np.vdot(psi, commutator(observable, la) @ psi))) ** 2
-    denominator = 4.0 * variance(la, psi)
-    if denominator <= DEGENERACY_TOL:
-        return SimplifiedBoundReport(True, None, False, None)
-    bound = numerator / denominator
-    if probe is None:
-        return SimplifiedBoundReport(True, bound, True, None)
-    eps = epsilon_sq(m, observable, probe, psi)
-    return SimplifiedBoundReport(True, bound, True, bound <= eps + VALIDITY_SLACK)
+    checks = _SIMPLIFIED_CHECKS if probe is not None else _SIMPLIFIED_CHECKS[:-1]
+    return _simplified(_Instance(m, q, observable, probe, psi, tol, checks))
 
 
 @dataclass(frozen=True)
@@ -267,7 +312,7 @@ def variance_identity_audit(a, b, psi_a, psi_b, tol: float = 1e-10) -> VarianceA
     psi_b = as_state(psi_b)
     a = _hermitian_arg(a, a.shape[0], "a")
     b = _hermitian_arg(b, b.shape[0], "b")
-    lhs = variance(tensor_product(a, b), np.kron(psi_a, psi_b))
+    lhs = variance(tensor_product(a, b), product_state(psi_a, psi_b))
     var_a = variance(a, psi_a)
     var_b = variance(b, psi_b)
     mean_a = float(np.vdot(psi_a, a @ psi_a).real)
@@ -299,23 +344,16 @@ class NoiseReport:
 def noise_report(
     m: MeasurementModel, q: ConservedQuantity, observable, probe, psi, tol: float = 1e-9
 ) -> NoiseReport:
-    psi = as_state(psi)
-    eps = epsilon_sq(m, observable, probe, psi)
-    robertson = robertson_bound(m, observable, probe, q, psi, tol)
-    paper = paper_bound(m, observable, probe, q, psi, tol)
-    yanase = yanase_bound(m, observable, probe, q, psi, tol)
-    simplified = simplified_bound(m, observable, q, psi, probe=probe, tol=tol)
-    joint_state = np.kron(psi, m.ready_state)
-    var_exact = variance(conserved_operator(q), joint_state)
-    var_claim = variance(q.system_op, psi) * variance(q.apparatus_op, m.ready_state)
+    """All four bounds from one pass over the instance's intermediates."""
+    x = _Instance(m, q, observable, probe, psi, tol, _REPORT_CHECKS)
     return NoiseReport(
-        epsilon_sq=eps,
-        robertson=robertson,
-        paper=paper,
-        yanase=yanase,
-        simplified=simplified,
-        var_conserved_exact=var_exact,
-        var_product_claim=var_claim,
+        epsilon_sq=x.epsilon_sq,
+        robertson=_robertson(x),
+        paper=_paper(x),
+        yanase=_yanase(x),
+        simplified=_simplified(x),
+        var_conserved_exact=x.var_conserved,
+        var_product_claim=x.var_la * x.var_lb,
     )
 
 
@@ -328,6 +366,10 @@ class AuditConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if self.n1 < 1:
+            raise ValueError("n1 must be at least 1")
+        if self.n2 < 2:
+            raise ValueError("n2 must be at least 2: the zero-expectation regime needs two eigenvalues")
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if self.seed < 0:
@@ -421,11 +463,6 @@ def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
     """
     n1, n2 = config.n1, config.n2
     records = []
-    robertson_violations = robertson_degenerate = 0
-    paper_defined_count = paper_violations = 0
-    yanase_applicable_count = yanase_degenerate_count = yanase_violations = 0
-    simplified_applicable_count = simplified_degenerate_count = simplified_violations = 0
-
     eye_basis = np.eye(n1, dtype=complex)
     for trial in range(config.count):
         rng = np.random.default_rng((config.seed, trial))
@@ -450,29 +487,6 @@ def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
 
         report = noise_report(m, q, observable, probe, psi, config.tol)
         eps = report.epsilon_sq
-        robertson_valid = report.robertson.bound <= eps + VALIDITY_SLACK
-
-        if not robertson_valid:
-            robertson_violations += 1
-        if report.robertson.degenerate:
-            robertson_degenerate += 1
-        if report.paper.defined:
-            paper_defined_count += 1
-            if report.paper.valid is False:
-                paper_violations += 1
-        if report.yanase.applicable:
-            yanase_applicable_count += 1
-            if report.yanase.defined is False:
-                yanase_degenerate_count += 1
-            elif report.yanase.valid is False:
-                yanase_violations += 1
-        if report.simplified.applicable:
-            simplified_applicable_count += 1
-            if report.simplified.defined is False:
-                simplified_degenerate_count += 1
-            elif report.simplified.valid is False:
-                simplified_violations += 1
-
         records.append(
             BoundAuditRecord(
                 trial=trial,
@@ -489,33 +503,44 @@ def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
                 simplified_applicable=report.simplified.applicable,
                 simplified_bound=report.simplified.bound,
                 simplified_defined=report.simplified.defined,
-                robertson_valid=robertson_valid,
+                robertson_valid=report.robertson.bound <= eps + VALIDITY_SLACK,
                 paper_valid=report.paper.valid,
                 yanase_valid=report.yanase.valid,
                 simplified_valid=report.simplified.valid,
             )
         )
 
+    def tally(field: str, value: bool) -> int:
+        # a flag is False only where its bound applies and is defined
+        return sum(getattr(r, field) == value for r in records)
+
     def fraction(violations: int, denominator: int) -> float:
         return violations / denominator if denominator else 0.0
 
-    yanase_defined = yanase_applicable_count - yanase_degenerate_count
-    simplified_defined = simplified_applicable_count - simplified_degenerate_count
+    robertson_violations = tally("robertson_valid", False)
+    paper_defined, paper_violations = tally("paper_defined", True), tally("paper_valid", False)
+    yanase_applicable, yanase_degenerate = tally("yanase_applicable", True), tally("yanase_defined", False)
+    yanase_violations = tally("yanase_valid", False)
+    simplified_applicable = tally("simplified_applicable", True)
+    simplified_degenerate = tally("simplified_defined", False)
+    simplified_violations = tally("simplified_valid", False)
     summary = BoundAuditSummary(
         robertson_violations=robertson_violations,
-        robertson_degenerate=robertson_degenerate,
+        robertson_degenerate=tally("robertson_degenerate", True),
         robertson_violation_fraction=fraction(robertson_violations, config.count),
-        paper_defined=paper_defined_count,
-        paper_undefined=config.count - paper_defined_count,
+        paper_defined=paper_defined,
+        paper_undefined=config.count - paper_defined,
         paper_violations=paper_violations,
-        paper_violation_fraction=fraction(paper_violations, paper_defined_count),
-        yanase_applicable=yanase_applicable_count,
-        yanase_degenerate=yanase_degenerate_count,
+        paper_violation_fraction=fraction(paper_violations, paper_defined),
+        yanase_applicable=yanase_applicable,
+        yanase_degenerate=yanase_degenerate,
         yanase_violations=yanase_violations,
-        yanase_violation_fraction=fraction(yanase_violations, yanase_defined),
-        simplified_applicable=simplified_applicable_count,
-        simplified_degenerate=simplified_degenerate_count,
+        yanase_violation_fraction=fraction(yanase_violations, yanase_applicable - yanase_degenerate),
+        simplified_applicable=simplified_applicable,
+        simplified_degenerate=simplified_degenerate,
         simplified_violations=simplified_violations,
-        simplified_violation_fraction=fraction(simplified_violations, simplified_defined),
+        simplified_violation_fraction=fraction(
+            simplified_violations, simplified_applicable - simplified_degenerate
+        ),
     )
     return BoundAuditReport(config=config, records=tuple(records), summary=summary)

@@ -54,6 +54,24 @@ class TestLoadModel:
         with pytest.raises(ModelFileError, match=r"\[re, im\]"):
             load_model(str(path))
 
+    def test_boolean_dimension_rejected(self, capsys, tmp_path):
+        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc["n1"] = True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert "n1" in err
+
+    def test_boolean_complex_entry_rejected(self, capsys, tmp_path):
+        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc["ready_state"][0] = [True, 0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert "ready_state" in err
+
     def test_default_basis_is_computational(self, tmp_path):
         doc = json.load(open(FIXTURES / "cnot.json"))
         assert "system_basis" not in doc
@@ -81,6 +99,23 @@ class TestStateParsing:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("n1, n2, field", [("2", "1", "n2"), ("1", "1", "n2"), ("0", "3", "n1")])
+    def test_bound_audit_small_dimensions_are_usage_errors(self, capsys, n1, n2, field):
+        code, _, err = run(
+            capsys, "sweep", "--kind", "bound-audit", "--n1", n1, "--n2", n2,
+            "--count", "8", "--seed", "1", "--format", "json",
+        )
+        assert code == 2
+        assert field in err
+
+    def test_bound_audit_single_system_level(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--kind", "bound-audit", "--n1", "1", "--n2", "2",
+            "--count", "8", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["robertson_violations"] == 0
+
     def test_verdict_consistent(self, capsys):
         code, out, _ = run(capsys, "verdict", "--model", "tests/fixtures/cnot.json", "--tol", "1e-9")
         assert code == 0

@@ -13,7 +13,10 @@ from wayaudit.linalg import (
     expectation,
     haar_unitary,
     hermitian_eigensystem,
+    ginibre,
+    haar_from_ginibre,
     numerical_rank,
+    product_state,
     random_haar_unitary,
     random_hermitian,
     random_positive_operator,
@@ -121,6 +124,20 @@ class TestExpectationVariance:
     def test_variance_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             variance(np.array([[0, 1], [0, 0]], dtype=complex), E0)
+
+    def test_variance_rejects_negative_beyond_rounding(self):
+        # a state at the edge of the norm tolerance gives <a^2> - <a>^2 = -8e-5
+        s = np.array([1.0 + 4e-11, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="negative variance"):
+            variance(1e3 * np.eye(2), s)
+
+    def test_variance_clamps_rounding_relative_to_scale(self):
+        # eigenstates of a large operator round to about -1e-8; that is noise, not a bug
+        rng = np.random.default_rng(3)
+        a = 1e3 * random_hermitian(6, rng)
+        _, vectors = np.linalg.eigh(a)
+        for i in range(6):
+            assert 0.0 <= variance(a, vectors[:, i]) <= 1e-6
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -288,6 +305,20 @@ class TestBitIdentity:
         for left, right in ((a, b), (np.eye(n1), b), (a, np.eye(n2)), (np.eye(n1), np.eye(n2))):
             expected = np.kron(np.asarray(left, dtype=complex), np.asarray(right, dtype=complex))
             assert tensor_product(left, right).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])
+    def test_product_state_matches_kron(self, n1, n2):
+        rng = np.random.default_rng(n1 + n2)
+        psi, v = random_state_vector(n1, rng), random_state_vector(n2, rng)
+        for left, right in ((psi, v), (np.eye(n1, dtype=complex)[0], v), (psi, np.eye(n2)[1])):
+            assert product_state(left, right).tobytes() == np.kron(left, right).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stacked_haar_matches_haar_unitary(self, d):
+        draws = [ginibre(d, np.random.default_rng(seed)) for seed in range(4)]
+        stacked = haar_from_ginibre(np.stack(draws))
+        for seed in range(4):
+            assert stacked[seed].tobytes() == haar_unitary(d, np.random.default_rng(seed)).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stacked_qr_matches_per_matrix(self, d):
