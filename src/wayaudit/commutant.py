@@ -22,7 +22,7 @@ from .linalg import (
     frobenius_norm,
     ginibre,
     haar_from_ginibre,
-    haar_unitary,  # noqa: F401  (re-exported convenience)
+    haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_eigensystem,
     product_state,
     random_state_vector,

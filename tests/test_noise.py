@@ -276,12 +276,3 @@ class TestBoundAuditSweep:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             AuditConfig(2, 2, 0, seed=1)
-
-    @pytest.mark.parametrize("n1, n2, field", [(2, 1, "n2"), (1, 1, "n2"), (0, 3, "n1")])
-    def test_rejects_small_dimensions(self, n1, n2, field):
-        with pytest.raises(ValueError, match=field):
-            AuditConfig(n1, n2, 4, seed=1)
-
-    def test_single_system_level(self):
-        report = bound_audit_sweep(AuditConfig(1, 2, 8, seed=1))
-        assert report.summary.robertson_violations == 0
