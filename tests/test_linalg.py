@@ -11,10 +11,10 @@ from wayaudit.linalg import (
     commutator,
     dagger,
     expectation,
-    haar_unitary,
-    hermitian_eigensystem,
     ginibre,
     haar_from_ginibre,
+    haar_unitary,
+    hermitian_eigensystem,
     numerical_rank,
     product_state,
     random_haar_unitary,
