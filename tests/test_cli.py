@@ -358,3 +358,23 @@ class TestCanonicalSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_json(float("nan"))
+
+
+class TestOptimizeGoldens:
+    """Optimizer reports are pinned byte for byte: trajectories, floors and the best unitary."""
+
+    @pytest.mark.parametrize(
+        "name, model, kind, seed",
+        [
+            # LA=diag(1,2), LB=diag(1,2,4): commutant blocks (1,2,2,1), two block sizes
+            ("optimize_feasibility_blocks_2x3", "blocks_2x3", "feasibility", "6"),
+            ("optimize_epsilon_cnot", "cnot", "epsilon", "0"),
+        ],
+    )
+    def test_byte_identical(self, capsys, name, model, kind, seed):
+        code, out, _ = run(
+            capsys, "optimize", "--model", f"tests/fixtures/{model}.json",
+            "--kind", kind, "--count", "2", "--seed", seed,
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text()

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from wayaudit.linalg import anti_hermitian_exp, commutator, frobenius_norm, rand
 from wayaudit.model import ConservedQuantity, conserved_operator
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def quantity(la, lb, kind="multiplicative"):
@@ -207,3 +212,34 @@ class TestFeasibilitySearch:
         q = quantity(LA_DIAG, I2)
         with pytest.raises(ValueError, match="n2"):
             feasibility_search(q, X, 3, config=SearchConfig(seed=1))
+
+
+def _pinned(result: SearchResult) -> dict:
+    """Every bit of a search result: floats as hex, the best unitary as a digest of its bytes."""
+    return {
+        "best_objective": result.best_objective.hex(),
+        "best_unitary_sha256": hashlib.sha256(result.best_unitary.tobytes()).hexdigest(),
+        "objective_trace": [[it, value.hex()] for it, value in result.objective_trace],
+        "restart_objectives": [value.hex() for value in result.restart_objectives],
+        "restarts_used": result.restarts_used,
+        "converged": result.converged,
+    }
+
+
+def _pinned_searches() -> dict:
+    """Both objectives on two block sizes, short enough to stop at max_iter."""
+    config = SearchConfig(seed=11, restarts=2, max_iter=25)
+    return {
+        "feasibility_blocks_1221": _pinned(
+            feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, 3, config=config)
+        ),
+        "epsilon_blocks_121": _pinned(
+            minimize_epsilon(quantity(LA_DIAG, np.diag([1.0, 2.0])), X, Z, E0, config=config)
+        ),
+    }
+
+
+class TestSearchGoldens:
+    def test_search_results_bit_identical(self):
+        expected = json.loads((GOLDEN / "search_results.json").read_text())
+        assert _pinned_searches() == expected
