@@ -10,12 +10,14 @@ empirical floors of measurement-noise or scheme-quality objectives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    anti_hermitian_exp_stack,
     as_operator,
     as_state,
     dagger,
@@ -46,6 +48,9 @@ __all__ = [
 FD_STEP = 1e-6
 MIN_STEP = 1e-13
 CONVERGENCE_STREAK = 10
+# Line-search steps tried per objective call. At the step cap the first try
+# usually fails and its half succeeds, so two cover most iterations.
+LINE_SEARCH_BATCH = 2
 
 
 @dataclass(frozen=True)
@@ -91,15 +96,83 @@ def conserved_eigenspaces(
     return BlockDecomposition(tuple(blocks), joint.shape[0])
 
 
-def _block_unitaries(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
-    """One Haar unitary per block: Ginibre draws in block order, one stacked QR per size."""
-    draws = [ginibre(dim, rng) for dim in dims]
-    unitaries = [None] * len(dims)
-    for size in set(dims):
-        members = [i for i, dim in enumerate(dims) if dim == size]
-        for i, v in zip(members, haar_from_ginibre(np.stack([draws[i] for i in members]))):
-            unitaries[i] = v
-    return unitaries
+class _SizeGroup:
+    """The blocks of one size as stacks, with the FD factors and generator layout of that size."""
+
+    def __init__(self, decomposition: BlockDecomposition, size: int):
+        self.size = size
+        self.members = [i for i, dim in enumerate(decomposition.dims) if dim == size]
+        self.bases = np.stack([decomposition.blocks[i].basis for i in self.members])
+        self.bases_dag = dagger(self.bases)
+
+    @cached_property
+    def layout(self) -> np.ndarray:
+        """Row-major entry order of the values listed by ``generators``: diagonal, upper, lower."""
+        diag, (a, b) = np.arange(self.size), np.triu_indices(self.size, 1)
+        return np.argsort(np.concatenate([diag * (self.size + 1), a * self.size + b, b * self.size + a]))
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """exp(+-FD_STEP * G_p) for each canonical generator, (2, 1, size**2, size, size), without
+        eigh: a phase for p < size, then per pair G = E_ab - E_ba and G = i (E_ab + E_ba)."""
+        diag, (a, b) = np.arange(self.size), np.triu_indices(self.size, 1)
+        pairs = len(a)
+        params, a, b = self.size + np.arange(2 * pairs), np.repeat(a, 2), np.repeat(b, 2)
+        factors = np.zeros((2, self.size**2, self.size, self.size), dtype=complex)
+        factors[:, :, diag, diag] = 1.0
+        for f, t in zip(factors, (FD_STEP, -FD_STEP)):
+            c, s = np.cos(t), np.sin(t)
+            f[diag, diag, diag] = np.exp(1j * t)
+            f[params, a, a] = f[params, b, b] = c
+            f[params, a, b] = np.tile([s, 1j * s], pairs)
+            f[params, b, a] = np.tile([-s, 1j * s], pairs)
+        return factors[:, None]
+
+    def generators(self, thetas: np.ndarray) -> np.ndarray:
+        """Anti-Hermitian generators (..., size, size) from parameter rows (..., size**2).
+
+        A row holds size diagonal phases, then the real and the imaginary part
+        of the (a, b) entry for each pair a < b in row-major order.
+        """
+        t_re, t_im = thetas[..., self.size::2], thetas[..., self.size + 1::2]
+        im = 1j * t_im
+        # off-diagonal entries as 0 + value: zero parts get the sign that adding into zeros gives
+        values = np.concatenate([1j * thetas[..., : self.size], 0j + (t_re + im), 0j + (-t_re + im)], axis=-1)
+        return values[..., self.layout].reshape(*thetas.shape[:-1], self.size, self.size)
+
+
+class _BlockPoint:
+    """Block unitaries stacked per size as (..., m, d, d), with the joint (..., D, D) assembled.
+
+    A leading batch axis holds line-search candidates; ``point[i]`` is one of them.
+    """
+
+    def __init__(self, groups: list[_SizeGroup], unitaries: list[np.ndarray], parts=None, joint=None):
+        self.groups = groups
+        self.unitaries = unitaries
+        self.parts = parts or [g.bases @ v @ g.bases_dag for g, v in zip(groups, unitaries)]
+        if joint is None:
+            by_block = {i: p[..., k, :, :] for g, p in zip(groups, self.parts) for k, i in enumerate(g.members)}
+            joint = sum(by_block[i] for i in range(len(by_block)))
+        self.joint = joint
+
+    def __getitem__(self, i: int) -> "_BlockPoint":
+        return _BlockPoint(self.groups, [v[i] for v in self.unitaries], [p[i] for p in self.parts], self.joint[i])
+
+    def fd_joints(self) -> np.ndarray:
+        """Joints with one block's unitary times one FD factor each, (2 * sum d**2, D, D):
+        all + steps, then all - steps, each by group, block and parameter."""
+        stacks = [
+            ((self.joint - parts)[:, None] + g.bases[:, None] @ (v[:, None] @ g.factors) @ g.bases_dag[:, None])
+            .reshape(2, -1, *self.joint.shape)
+            for g, v, parts in zip(self.groups, self.unitaries, self.parts)
+        ]
+        return np.concatenate(stacks, axis=1).reshape(-1, *self.joint.shape)
+
+    def stepped(self, thetas: list[np.ndarray]) -> "_BlockPoint":
+        """A batch of c points from (c, m, d**2) parameters per group, one stacked exp per group."""
+        steps = [anti_hermitian_exp_stack(g.generators(theta)) for g, theta in zip(self.groups, thetas)]
+        return _BlockPoint(self.groups, [v @ step for v, step in zip(self.unitaries, steps)])
 
 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
@@ -107,14 +180,18 @@ def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.nda
 
     Draw-order invariant: each block's Ginibre matrix is drawn from ``rng`` in
     block order, as one ``haar_unitary`` call per block would draw it, and
-    ``u`` is summed in block order. Only the QR is batched (one stacked call
-    per block size, bit-identical per matrix), so ``u`` matches the per-block
-    loop bit for bit.
+    ``u`` is summed in block order. The QR and the assembly products are
+    stacked per block size (bit-identical per matrix), so ``u`` matches the
+    per-block loop bit for bit.
     """
-    u = np.zeros((d.total_dim, d.total_dim), dtype=complex)
-    for block, v in zip(d.blocks, _block_unitaries(d.dims, rng)):
-        u += block.basis @ v @ dagger(block.basis)
-    return u
+    return _random_point(d, rng).joint
+
+
+def _random_point(d: BlockDecomposition, rng: np.random.Generator) -> _BlockPoint:
+    """Haar block unitaries: Ginibre draws in block order, then one stacked QR per block size."""
+    groups = [_SizeGroup(d, size) for size in sorted(set(d.dims))]
+    draws = [ginibre(dim, rng) for dim in d.dims]
+    return _BlockPoint(groups, [haar_from_ginibre(np.stack([draws[i] for i in g.members])) for g in groups])
 
 
 def random_commutant_unitary(d: BlockDecomposition, seed: int) -> np.ndarray:
@@ -151,6 +228,10 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be positive and finite")
+        if not (np.isfinite(self.ftol) and self.ftol >= 0):
+            raise ValueError("ftol must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -170,121 +251,39 @@ class SearchResult:
     restart_objectives: tuple[float, ...]
 
 
-def _block_exp(theta: np.ndarray, dim: int) -> np.ndarray:
-    """exp of the anti-Hermitian generator parametrized by theta (length dim**2)."""
-    k = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for a in range(dim):
-        k[a, a] = 1j * theta[idx]
-        idx += 1
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            t_re, t_im = theta[idx], theta[idx + 1]
-            idx += 2
-            k[a, b] += t_re + 1j * t_im
-            k[b, a] += -t_re + 1j * t_im
-    h = -1j * k
-    values, vectors = np.linalg.eigh((h + dagger(h)) / 2.0)
-    return (vectors * np.exp(1j * values)) @ dagger(vectors)
-
-
-def _single_factor(dim: int, param: int, t: float) -> np.ndarray:
-    """exp(t * G_param) for one canonical block generator; analytic, no eigh."""
-    f = np.eye(dim, dtype=complex)
-    if param < dim:
-        f[param, param] = np.exp(1j * t)
-        return f
-    p = param - dim
-    # enumerate pairs (a, b), a < b, two generators each: real and imaginary part
-    pair, kind = divmod(p, 2)
-    a, b = _pair_from_index(dim, pair)
-    c, s = np.cos(t), np.sin(t)
-    if kind == 0:  # G = E_ab - E_ba
-        f[a, a] = c
-        f[b, b] = c
-        f[a, b] = s
-        f[b, a] = -s
-    else:  # G = i (E_ab + E_ba)
-        f[a, a] = c
-        f[b, b] = c
-        f[a, b] = 1j * s
-        f[b, a] = 1j * s
-    return f
-
-
-def _pair_from_index(dim: int, pair: int) -> tuple[int, int]:
-    idx = 0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            if idx == pair:
-                return a, b
-            idx += 1
-    raise IndexError(pair)
-
-
-class _BlockPoint:
-    """Current iterate: one unitary per block, with cached joint assembly."""
-
-    def __init__(self, decomposition: BlockDecomposition, block_unitaries):
-        self.decomposition = decomposition
-        self.block_unitaries = list(block_unitaries)
-        self.parts = [
-            block.basis @ v @ dagger(block.basis)
-            for block, v in zip(decomposition.blocks, self.block_unitaries)
-        ]
-        self.joint = sum(self.parts)
-
-    def perturbed_joint(self, block_index: int, factor: np.ndarray) -> np.ndarray:
-        block = self.decomposition.blocks[block_index]
-        part = block.basis @ (self.block_unitaries[block_index] @ factor) @ dagger(block.basis)
-        return self.joint - self.parts[block_index] + part
-
-    def stepped(self, thetas) -> "_BlockPoint":
-        new = [
-            v @ _block_exp(theta, v.shape[0])
-            for v, theta in zip(self.block_unitaries, thetas)
-        ]
-        return _BlockPoint(self.decomposition, new)
-
-
 def _descend(decomposition, objective, rng, config: SearchConfig):
-    """One restart of projected finite-difference descent. Returns (f, U, trace, converged)."""
-    dims = decomposition.dims
-    point = _BlockPoint(decomposition, _block_unitaries(dims, rng))
-    f = objective(point.joint)
+    """One restart of projected finite-difference descent. Returns (f, U, trace, converged).
+
+    ``objective`` maps a (n, D, D) stack of joints to n values. The central
+    differences of every block parameter come from one stacked call, and the
+    line search tries ``LINE_SEARCH_BATCH`` halvings of the step per call,
+    taking the first that improves, as trying them one by one would.
+    """
+    point = _random_point(decomposition, rng)
+    splits = np.cumsum([len(g.members) * g.size**2 for g in point.groups])[:-1]
+    f = float(objective(point.joint[None])[0])
     trace = [(0, f)]
     step = config.step
     streak = 0
     converged = False
-    param_counts = [d * d for d in dims]
 
     for it in range(1, config.max_iter + 1):
-        grads = []
-        gmax = 0.0
-        for bi, d in enumerate(dims):
-            g = np.zeros(param_counts[bi])
-            for p in range(param_counts[bi]):
-                plus = objective(point.perturbed_joint(bi, _single_factor(d, p, FD_STEP)))
-                minus = objective(point.perturbed_joint(bi, _single_factor(d, p, -FD_STEP)))
-                g[p] = (plus - minus) / (2.0 * FD_STEP)
-            grads.append(g)
-            gmax = max(gmax, float(np.max(np.abs(g))) if g.size else 0.0)
+        plus, minus = objective(point.fd_joints()).reshape(2, -1)
+        gradient = (plus - minus) / (2.0 * FD_STEP)
+        grads = [g.reshape(len(group.members), -1) for g, group in zip(np.split(gradient, splits), point.groups)]
+        gmax = float(np.max(np.abs(gradient)))
 
         accepted = False
-        if gmax > 0.0:
-            while step >= MIN_STEP:
-                scale = step / gmax
-                candidate = point.stepped([-scale * g for g in grads])
-                f_new = objective(candidate.joint)
+        while not accepted and gmax > 0.0 and step >= MIN_STEP:
+            steps = [step / 2.0**k for k in range(LINE_SEARCH_BATCH) if step / 2.0**k >= MIN_STEP]
+            candidates = point.stepped([np.stack([-(s / gmax) * g for s in steps]) for g in grads])
+            for i, (s, f_new) in enumerate(zip(steps, objective(candidates.joint).tolist())):
+                step = s / 2.0
                 if f_new < f:
-                    improvement = f - f_new
-                    point, f = candidate, f_new
+                    streak = streak + 1 if f - f_new < config.ftol else 0
+                    point, f, step, accepted = candidates[i], f_new, min(s * 2.0, config.step), True
                     trace.append((it, f))
-                    streak = streak + 1 if improvement < config.ftol else 0
-                    step = min(step * 2.0, config.step)
-                    accepted = True
                     break
-                step /= 2.0
         if not accepted:
             streak += 1
         if streak >= CONVERGENCE_STREAK:
@@ -366,10 +365,10 @@ def minimize_epsilon(
     def make_objective(rng):
         def objective(u):
             evolved = dagger(u) @ probe_joint @ u - obs_joint
-            total = 0.0
+            total = np.zeros(len(u))
             for psi in joints:
                 w = evolved @ psi
-                total += float(np.vdot(w, w).real)
+                total += np.vecdot(w, w).real  # bit-identical to np.vdot per row
             return total / len(joints)
 
         return objective
@@ -407,23 +406,24 @@ def feasibility_search(
 
     def make_objective(rng):
         ready = random_state_vector(n2, rng)
-        inputs = [product_state(basis[j], ready) for j in range(n1)]
+        inputs = np.stack([product_state(basis[j], ready) for j in range(n1)])[..., None]
         eye = np.eye(n1)
+        diag = np.arange(n1)
 
         def objective(u):
-            pointers = np.zeros((n1, n2), dtype=complex)
-            leakage_sq = 0.0
-            for j in range(n1):
-                w = basis_conj @ (u @ inputs[j]).reshape(n1, n2)
-                norms_sq = np.einsum("ik,ik->i", w.conj(), w).real
-                diag_sq = norms_sq[j]
-                norms_sq[j] = 0.0
-                leakage_sq = max(leakage_sq, float(norms_sq.max()))
-                if diag_sq > 1e-24:
-                    pointers[j] = w[j] / np.sqrt(diag_sq)
-            gram = pointers.conj() @ pointers.T
-            deficit_sq = float(np.linalg.norm(gram - eye) ** 2)
-            return leakage_sq + deficit_sq
+            # w[b, j, i] = row i of basis^dag U_b (basis_j (x) ready), one (n2,) pointer each
+            w = basis_conj @ (u[:, None] @ inputs).reshape(len(u), n1, n1, n2)
+            norms_sq = np.einsum("bjik,bjik->bji", w.conj(), w).real
+            diag_sq = norms_sq[:, diag, diag]
+            norms_sq[:, diag, diag] = 0.0
+            leakage_sq = norms_sq.max(axis=(1, 2))
+            found = (diag_sq > 1e-24)[..., None]
+            pointers = np.divide(w[:, diag, diag], np.sqrt(diag_sq)[..., None], out=np.zeros_like(w[:, 0]), where=found)
+            defect = (pointers.conj() @ pointers.mT - eye).reshape(len(u), -1)
+            # np.linalg.norm(defect_row) ** 2 exactly: the same two strided dot
+            # products, and the scalar power (an array power would square instead)
+            norms = np.sqrt(np.vecdot(defect.real, defect.real) + np.vecdot(defect.imag, defect.imag))
+            return leakage_sq + [norm ** 2 for norm in norms]
 
         return objective
 

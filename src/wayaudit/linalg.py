@@ -17,6 +17,7 @@ __all__ = [
     "ToleranceConfig",
     "ValidationReport",
     "anti_hermitian_exp",
+    "anti_hermitian_exp_stack",
     "as_operator",
     "as_state",
     "commutator",
@@ -91,7 +92,8 @@ def as_state(v) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., m, n) stack."""
+    return a.conj().mT
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -301,13 +303,21 @@ def random_positive_operator(
     return (h + dagger(h)) / 2.0
 
 
+def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:
+    """exp(k) for each anti-Hermitian matrix of a (..., d, d) stack, unvalidated.
+
+    Uses the eigensystem of the Hermitian part of -i*k; one stacked ``eigh``
+    gives each matrix the same bits as its own call would.
+    """
+    h = -1j * k
+    values, vectors = np.linalg.eigh((h + dagger(h)) / 2.0)
+    return (vectors * np.exp(1j * values)[..., None, :]) @ dagger(vectors)
+
+
 def anti_hermitian_exp(k: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """exp(k) for anti-Hermitian k, via the eigensystem of the Hermitian -i*k."""
+    """exp(k) for one anti-Hermitian matrix: ``anti_hermitian_exp_stack`` after validation."""
     k = as_operator(k)
     defect = frobenius_norm(k + dagger(k))
     if defect > tol.hermiticity_tol:
         raise ValueError(f"matrix is not anti-Hermitian: residual {defect:.3e}")
-    h = -1j * k
-    h = (h + dagger(h)) / 2.0
-    values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(1j * values)) @ dagger(vectors)
+    return anti_hermitian_exp_stack(k)

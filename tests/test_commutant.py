@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, LA_DIAG, X, Z, E0
+from wayaudit import commutant
 from wayaudit.commutant import (
+    FD_STEP,
     SearchConfig,
     SearchResult,
     conserved_eigenspaces,
@@ -18,7 +20,13 @@ from wayaudit.commutant import (
     project_generator,
     random_commutant_unitary,
 )
-from wayaudit.linalg import anti_hermitian_exp, commutator, frobenius_norm, random_hermitian
+from wayaudit.linalg import (
+    anti_hermitian_exp,
+    commutator,
+    frobenius_norm,
+    random_hermitian,
+    random_state_vector,
+)
 from wayaudit.model import ConservedQuantity, conserved_operator
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -243,3 +251,188 @@ class TestSearchGoldens:
     def test_search_results_bit_identical(self):
         expected = json.loads((GOLDEN / "search_results.json").read_text())
         assert _pinned_searches() == expected
+
+
+# Per-matrix reference versions of the optimizer's stacked computations.
+
+
+def _reference_pairs(dim):
+    return [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+
+
+def _reference_factor(dim, param, t):
+    """exp(t * G_param), one canonical generator at a time."""
+    f = np.eye(dim, dtype=complex)
+    if param < dim:
+        f[param, param] = np.exp(1j * t)
+        return f
+    pair, kind = divmod(param - dim, 2)
+    a, b = _reference_pairs(dim)[pair]
+    c, s = np.cos(t), np.sin(t)
+    f[a, a] = c
+    f[b, b] = c
+    f[a, b] = s if kind == 0 else 1j * s
+    f[b, a] = -s if kind == 0 else 1j * s
+    return f
+
+
+def _reference_generator(theta, dim):
+    """The anti-Hermitian generator with parameter row theta, entry by entry."""
+    k = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        k[a, a] = 1j * theta[a]
+    for idx, (a, b) in enumerate(_reference_pairs(dim)):
+        t_re, t_im = theta[dim + 2 * idx], theta[dim + 2 * idx + 1]
+        k[a, b] += t_re + 1j * t_im
+        k[b, a] += -t_re + 1j * t_im
+    return k
+
+
+def _reference_block_exp(theta, dim):
+    h = -1j * _reference_generator(theta, dim)
+    values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (vectors * np.exp(1j * values)) @ vectors.conj().T
+
+
+def _reference_parts(d, unitaries):
+    return [block.basis @ v @ block.basis.conj().T for block, v in zip(d.blocks, unitaries)]
+
+
+def _block_unitaries(point):
+    """The point's unitaries in block order."""
+    out = {}
+    for group, stack in zip(point.groups, point.unitaries):
+        out.update(zip(group.members, stack))
+    return [out[i] for i in range(len(out))]
+
+
+def _reference_feasibility(observable, n2, rng):
+    """The feasibility objective for one joint unitary, pointer by pointer."""
+    n1 = observable.shape[0]
+    basis = np.linalg.eigh(observable)[1].T
+    ready = random_state_vector(n2, rng)
+    inputs = [np.kron(basis[j], ready) for j in range(n1)]
+
+    def objective(u):
+        pointers = np.zeros((n1, n2), dtype=complex)
+        leakage_sq = 0.0
+        for j in range(n1):
+            w = basis.conj() @ (u @ inputs[j]).reshape(n1, n2)
+            norms_sq = np.einsum("ik,ik->i", w.conj(), w).real
+            diag_sq = norms_sq[j]
+            norms_sq[j] = 0.0
+            leakage_sq = max(leakage_sq, float(norms_sq.max()))
+            if diag_sq > 1e-24:
+                pointers[j] = w[j] / np.sqrt(diag_sq)
+        gram = pointers.conj() @ pointers.T
+        return leakage_sq + float(np.linalg.norm(gram - np.eye(n1)) ** 2)
+
+    return objective
+
+
+def _reference_epsilon(observable, probe, ready, states):
+    n1, n2 = observable.shape[0], probe.shape[0]
+    probe_joint = np.kron(np.eye(n1), probe)
+    obs_joint = np.kron(observable, np.eye(n2))
+    joints = [np.kron(s, ready) for s in states]
+
+    def objective(u):
+        evolved = u.conj().T @ probe_joint @ u - obs_joint
+        total = 0.0
+        for psi in joints:
+            w = evolved @ psi
+            total += float(np.vdot(w, w).real)
+        return total / len(joints)
+
+    return objective
+
+
+def _objective(monkeypatch, search, *args):
+    """The stacked objective a search builds for its first restart."""
+    captured = {}
+
+    def capture(decomposition, make_objective, config):
+        captured["objective"] = make_objective(np.random.default_rng((config.seed, 0)))
+
+    monkeypatch.setattr(commutant, "_search", capture)
+    search(*args, config=SearchConfig(seed=0))
+    return captured["objective"]
+
+
+BLOCK_CASES = [
+    ([1.0, 2.0], [1.0, 2.0, 4.0]),        # blocks (1, 2, 2, 1)
+    ([1.0, 1.0, 2.0], [1.0, 2.0]),        # blocks (2, 3, 1)
+    ([1.0, 5.0], [1.0, 1.0, 1.0]),        # two blocks of size 3
+    ([1.0, 1.0, 1.0], [1.0, 1.0]),        # one block of size 6
+]
+
+
+class TestOptimizerBitIdentity:
+    """The stacked descent steps reproduce the per-parameter reference loops bit for bit."""
+
+    @pytest.mark.parametrize("la, lb", BLOCK_CASES)
+    def test_fd_joints_match_per_parameter_loop(self, la, lb):
+        d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
+        point = commutant._random_point(d, np.random.default_rng(1))
+        unitaries = _block_unitaries(point)
+        parts = _reference_parts(d, unitaries)
+        joint = sum(parts)
+        assert point.joint.tobytes() == joint.tobytes()
+        expected = {FD_STEP: [], -FD_STEP: []}
+        for group in point.groups:
+            for i in group.members:
+                basis = d.blocks[i].basis
+                for t, joints in expected.items():
+                    for p in range(group.size**2):
+                        part = basis @ (unitaries[i] @ _reference_factor(group.size, p, t)) @ basis.conj().T
+                        joints.append(joint - parts[i] + part)
+        reference = np.stack(expected[FD_STEP] + expected[-FD_STEP])
+        assert point.fd_joints().tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("la, lb", BLOCK_CASES)
+    def test_stepped_batch_matches_per_block_exp(self, la, lb):
+        d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
+        point = commutant._random_point(d, np.random.default_rng(2))
+        rng = np.random.default_rng(3)
+        thetas = [rng.standard_normal((3, len(g.members), g.size**2)) * 0.1 for g in point.groups]
+        for theta in thetas:  # zero steps keep the reference's signed zeros
+            theta[0, 0] = -0.0
+            theta[1, 0] = 0.0
+        for group, theta in zip(point.groups, thetas):
+            expected = [_reference_generator(row, group.size) for row in theta.reshape(-1, group.size**2)]
+            assert group.generators(theta).tobytes() == np.stack(expected).tobytes()
+        batch = point.stepped(thetas)
+        for c in range(3):
+            by_block = {}
+            for group, theta in zip(point.groups, thetas):
+                by_block.update(zip(group.members, theta[c]))
+            expected = [
+                v @ _reference_block_exp(by_block[i], v.shape[0])
+                for i, v in enumerate(_block_unitaries(point))
+            ]
+            candidate = batch[c]
+            assert [v.tobytes() for v in _block_unitaries(candidate)] == [v.tobytes() for v in expected]
+            assert candidate.joint.tobytes() == sum(_reference_parts(d, expected)).tobytes()
+
+    def test_feasibility_objective_matches_reference(self, monkeypatch):
+        q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
+        for observable in (X, Z):
+            objective = _objective(monkeypatch, feasibility_search, q, observable, 3)
+            reference = _reference_feasibility(observable, 3, np.random.default_rng((0, 0)))
+            d = conserved_eigenspaces(q)
+            stack = [random_commutant_unitary(d, seed) for seed in range(6)]
+            stack.append(np.kron(X, np.eye(3)))  # moves every pointer off its diagonal
+            stack = np.stack(stack)
+            values = objective(stack)
+            for i, u in enumerate(stack):
+                assert values[i] == objective(u[None])[0] == reference(u)
+
+    def test_epsilon_objective_matches_reference(self, monkeypatch):
+        q = quantity(LA_DIAG, np.diag([1.0, 2.0]))
+        objective = _objective(monkeypatch, minimize_epsilon, q, X, Z, E0)
+        reference = _reference_epsilon(X, Z, E0, default_probe_states(LA_DIAG))
+        d = conserved_eigenspaces(q)
+        stack = np.stack([random_commutant_unitary(d, seed) for seed in range(6)])
+        values = objective(stack)
+        for i, u in enumerate(stack):
+            assert values[i] == objective(u[None])[0] == reference(u)

@@ -8,6 +8,7 @@ from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.linalg import (
     ToleranceConfig,
     anti_hermitian_exp,
+    anti_hermitian_exp_stack,
     commutator,
     dagger,
     expectation,
@@ -346,6 +347,37 @@ class TestBitIdentity:
             u = commutant_unitary(d, np.random.default_rng(seed))
             ref = _reference_commutant_unitary(d, np.random.default_rng(seed))
             assert u.tobytes() == ref.tobytes()
+
+
+class TestStackedKernelBitIdentity:
+    """Stacked kernels the optimizer evaluates many candidates with, against per-matrix calls."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_stacked_exp_matches_anti_hermitian_exp(self, d):
+        rng = np.random.default_rng(d)
+        k = np.stack([1j * random_hermitian(d, rng) * scale for scale in (1e-9, 1e-3, 0.1, 1.0, 3.0)])
+        stacked = anti_hermitian_exp_stack(k)
+        for i in range(len(k)):
+            assert stacked[i].tobytes() == anti_hermitian_exp(k[i]).tobytes()
+        assert anti_hermitian_exp_stack(k.reshape(5, 1, d, d))[:, 0].tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 45])
+    def test_vecdot_matches_vdot(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+        stacked = np.vecdot(w, w)
+        for i in range(len(w)):
+            assert stacked[i] == np.vdot(w[i], w[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_strided_real_vecdot_matches_norm(self, n):
+        # the feasibility deficit's norm ** 2, row by row: the real and the
+        # imaginary part each through a strided dot, then the scalar power
+        rng = np.random.default_rng(n)
+        x = (rng.standard_normal((500, n, n)) + 1j * rng.standard_normal((500, n, n))).reshape(500, -1)
+        norms = np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+        for i in range(len(x)):
+            assert norms[i] ** 2 == np.linalg.norm(x[i].reshape(n, n)) ** 2
 
 
 class TestAntiHermitianExp:
