@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a falsifiable scientific assertion fails (a
 theorem contradiction or a Robertson-bound violation), 2 on usage or input
-errors. Reports serialize canonically (sorted keys, floats at 17 significant
+errors, 3 on an internal error (a crash never reads as a falsified
+assertion). Reports serialize canonically (sorted keys, floats at 17 significant
 digits), so identical runs produce byte-identical output.
 """
 
@@ -12,13 +13,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
+import traceback
 
 import numpy as np
 
 from . import __version__
 from .commutant import SearchConfig, feasibility_search, minimize_epsilon
-from .errors import PreconditionError
 from .linalg import ToleranceConfig, dagger, frobenius_norm
 from .model import (
     ConservedQuantity,
@@ -662,16 +664,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ModelFileError("tol", f"must be nonnegative and finite, got {args.tol!r}")
         return args.func(args)
-    except ModelFileError as exc:
+    except ValueError as exc:  # ModelFileError and PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"({os.path.basename(where.filename)}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return 3
 
 
 if __name__ == "__main__":

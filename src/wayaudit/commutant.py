@@ -5,6 +5,12 @@ of L. This module eigendecomposes L into blocks, samples block unitaries
 uniformly, projects anti-Hermitian generators onto the block structure, and
 runs a projected finite-difference descent over the blocks to measure
 empirical floors of measurement-noise or scheme-quality objectives.
+
+Blocks of one size are handled as stacks: a descent iteration scores all its
+central differences in one objective call, and each line-search call scores
+``LINE_SEARCH_BATCH`` step halvings from one stacked exp per block size. Stacked
+kernels give each matrix the bits of its own call and reductions keep their
+order, so every result is bit-identical to the one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -142,10 +148,8 @@ class _SizeGroup:
 
 
 class _BlockPoint:
-    """Block unitaries stacked per size as (..., m, d, d), with the joint (..., D, D) assembled.
-
-    A leading batch axis holds line-search candidates; ``point[i]`` is one of them.
-    """
+    """Block unitaries stacked per size as (..., m, d, d), with their joint (..., D, D).
+    A leading batch axis holds line-search candidates; ``point[i]`` is one of them."""
 
     def __init__(self, groups: list[_SizeGroup], unitaries: list[np.ndarray], parts=None, joint=None):
         self.groups = groups
@@ -254,10 +258,8 @@ class SearchResult:
 def _descend(decomposition, objective, rng, config: SearchConfig):
     """One restart of projected finite-difference descent. Returns (f, U, trace, converged).
 
-    ``objective`` maps a (n, D, D) stack of joints to n values. The central
-    differences of every block parameter come from one stacked call, and the
-    line search tries ``LINE_SEARCH_BATCH`` halvings of the step per call,
-    taking the first that improves, as trying them one by one would.
+    ``objective`` maps a (n, D, D) stack of joints to n values. The line search
+    takes the first improving step of each batch, as trying them one by one would.
     """
     point = _random_point(decomposition, rng)
     splits = np.cumsum([len(g.members) * g.size**2 for g in point.groups])[:-1]
@@ -295,23 +297,18 @@ def _descend(decomposition, objective, rng, config: SearchConfig):
 def _search(decomposition, make_objective, config: SearchConfig) -> SearchResult:
     """Multi-restart descent; restarts use independent seeded streams and the
     best result is picked by (objective, restart index)."""
-    finals = []
-    best = None
+    runs = []
     for r in range(config.restarts):
         rng = np.random.default_rng((config.seed, r))
-        objective = make_objective(rng)
-        f, u, trace, converged = _descend(decomposition, objective, rng, config)
-        finals.append(f)
-        if best is None or f < best[0]:
-            best = (f, u, trace, converged)
-    f, u, trace, converged = best
+        runs.append(_descend(decomposition, make_objective(rng), rng, config))
+    f, u, trace, converged = min(runs, key=lambda run: run[0])  # the first of equal floors
     return SearchResult(
         best_unitary=u,
         best_objective=f,
         objective_trace=tuple(trace),
         restarts_used=config.restarts,
         converged=converged,
-        restart_objectives=tuple(finals),
+        restart_objectives=tuple(run[0] for run in runs),
     )
 
 

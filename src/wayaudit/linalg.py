@@ -61,8 +61,9 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be nonnegative and finite")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

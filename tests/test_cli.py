@@ -177,6 +177,30 @@ class TestExitCodes:
         assert '"outcome":"contradiction"' in out
 
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "check", "--model", "tests/fixtures/cnot.json", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol:") and err.count("\n") == 1
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, _, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "0")
+        assert code == 0
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()])
+    def test_crash_exits_three(self, capsys, monkeypatch, exc):
+        # a crash must not read as a falsified assertion (exit 1)
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "check_conserved", crash)
+        code, out, err = run(capsys, "check", "--model", "tests/fixtures/cnot.json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"internal error: {type(exc).__name__}") and err.count("\n") == 1
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("name", ["cnot", "identity", "nonconserving"])
     def test_check(self, capsys, name):

@@ -195,6 +195,22 @@ class TestSearchInvariants:
         assert len(result.restart_objectives) == 3
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("step", 0.0), ("step", -0.1), ("step", float("nan")), ("step", float("inf")),
+            ("ftol", -1e-12), ("ftol", float("nan")), ("ftol", float("inf")),
+        ],
+    )
+    def test_rejects_bad_step_and_ftol(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(seed=0, **{field: value})
+
+    def test_accepts_zero_ftol(self):
+        assert SearchConfig(seed=0, ftol=0.0).ftol == 0.0
+
+
 class TestFeasibilitySearch:
     def test_commuting_observable_feasible(self):
         q = quantity(LA_DIAG, I2)
