@@ -222,17 +222,41 @@ class TestGoldenReports:
 class TestSweepGoldens:
     """Sweep CSVs and stdout reports are pinned byte for byte."""
 
-    @pytest.mark.parametrize("kind, n1, n2", [("bound-audit", 2, 3), ("counterexample", 3, 5)])
-    def test_byte_identical(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
-        name = f"sweep_{kind.replace('-', '_')}_{n1}x{n2}"
+    @staticmethod
+    def _check(capsys, monkeypatch, tmp_path, name, kind, n1, n2, count, seed):
         monkeypatch.chdir(tmp_path)  # the report echoes the relative --out path
         code, out, _ = run(
             capsys, "sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2),
-            "--count", "40", "--seed", "7", "--format", "csv", "--out", f"{name}.csv",
+            "--count", str(count), "--seed", str(seed), "--format", "csv", "--out", f"{name}.csv",
         )
         assert code == 0
         assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
         assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize(
+        "kind, n1, n2",
+        [
+            ("bound-audit", 2, 3),
+            ("counterexample", 3, 5),
+            ("bound-audit", 1, 2),
+            ("bound-audit", 3, 5),
+            ("bound-audit", 5, 9),  # 40 trials of dimension 45: more than one chunk
+            ("counterexample", 2, 2),
+            ("counterexample", 2, 3),
+        ],
+    )
+    def test_byte_identical(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
+        name = f"sweep_{kind.replace('-', '_')}_{n1}x{n2}"
+        self._check(capsys, monkeypatch, tmp_path, name, kind, n1, n2, 40, 7)
+
+    def test_python_float_square(self, capsys, monkeypatch, tmp_path):
+        # Trial 29 squares <a> in `variance`: as a Python float (libm pow) its
+        # robertson_bound is 0.26799134892545035; an array square (x * x)
+        # would give 0.2679913489254507.
+        name = "sweep_bound_audit_2x3_count80_seed123456789"
+        self._check(capsys, monkeypatch, tmp_path, name, "bound-audit", 2, 3, 80, 123456789)
+        row = (tmp_path / f"{name}.csv").read_text().splitlines()[30].split(",")
+        assert row[0] == "29" and row[4] == "0.26799134892545035"
 
 
 class TestModelEcho:

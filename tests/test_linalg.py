@@ -355,6 +355,47 @@ class TestBitIdentity:
             assert u.tobytes() == ref.tobytes()
 
 
+    @staticmethod
+    def _stack(d, n=7):
+        rng = np.random.default_rng(100 + d)
+        return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+    @pytest.mark.parametrize("d", [3, 6, 15])
+    def test_stacked_eigh_matches_per_matrix(self, d):
+        a = self._stack(d)
+        h = (a + dagger(a)) / 2.0
+        values, vectors = np.linalg.eigh(h)
+        for i in range(len(h)):
+            vi, wi = np.linalg.eigh(h[i])
+            assert values[i].tobytes() == vi.tobytes()
+            assert vectors[i].tobytes() == wi.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 6, 15])
+    def test_stacked_matvec_matches_per_matrix(self, d):
+        a = self._stack(d)
+        v = self._stack(d)[:, 0]
+        stacked = (a @ v[..., None])[..., 0]
+        for i in range(len(a)):
+            assert stacked[i].tobytes() == (a[i] @ v[i]).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 6, 15])
+    def test_stacked_matmul_with_dagger_views_matches_per_matrix(self, d):
+        a, b = self._stack(d), self._stack(d, 8)[1:]
+        sandwich = dagger(a) @ b @ a
+        right = a @ dagger(b)
+        for i in range(len(a)):
+            assert sandwich[i].tobytes() == (dagger(a[i]) @ b[i] @ a[i]).tobytes()
+            assert right[i].tobytes() == (a[i] @ dagger(b[i])).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 6, 15])
+    def test_strided_frobenius_norm_matches_norm(self, d):
+        a = self._stack(d)
+        x = a.reshape(len(a), -1)
+        norms = np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+        for i in range(len(a)):
+            assert norms[i] == np.linalg.norm(a[i])
+
+
 class TestStackedKernelBitIdentity:
     """Stacked kernels the optimizer evaluates many candidates with, against per-matrix calls."""
 

@@ -276,3 +276,11 @@ class TestBoundAuditSweep:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             AuditConfig(2, 2, 0, seed=1)
+
+    @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
+    def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
+        # the first records of a long sweep are those of a short one
+        long = bound_audit_sweep(AuditConfig(n1, n2, count, 5)).records
+        short = bound_audit_sweep(AuditConfig(n1, n2, prefix, 5)).records
+        assert repr(long[:prefix]) == repr(short)
+

@@ -201,3 +201,10 @@ class TestCounterexampleSweep:
         for t in report.trials:
             assert t.leakage >= 0.0 and t.deficit >= 0.0
             assert t.counterexample == (t.conforming and t.commutator_norm > 1e-6)
+
+    @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
+    def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
+        long = counterexample_sweep(n1, n2, count, 5).trials
+        short = counterexample_sweep(n1, n2, prefix, 5).trials
+        assert repr(long[:prefix]) == repr(short)
+
