@@ -11,6 +11,13 @@ central differences in one objective call, and each line-search call scores
 ``LINE_SEARCH_BATCH`` step halvings from one stacked exp per block size. Stacked
 kernels give each matrix the bits of its own call and reductions keep their
 order, so every result is bit-identical to the one-at-a-time loop.
+
+Sweeps sample commutants for a whole chunk of trials at once
+(``commutant_unitary_stack``): one stacked ``eigh`` of the conserved
+operators reveals each trial's block sizes, trials are grouped by them, and
+each group draws its blocks from the trials' own streams and assembles them
+on (group, D, D) stacks. ``conserved_eigenspaces`` and ``commutant_unitary``
+are its batches of one.
 """
 
 from __future__ import annotations
@@ -28,13 +35,13 @@ from .linalg import (
     as_state,
     dagger,
     frobenius_norm,
-    ginibre,
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_eigensystem,
     product_state,
     random_state_vector,
     tensor_product,
+    tensor_product_stack,
 )
 from .model import ConservedQuantity, conserved_operator
 
@@ -43,6 +50,8 @@ __all__ = [
     "BlockDecomposition",
     "SearchConfig",
     "SearchResult",
+    "block_sizes",
+    "commutant_unitary_stack",
     "conserved_eigenspaces",
     "default_probe_states",
     "feasibility_search",
@@ -92,14 +101,83 @@ def conserved_eigenspaces(
             raise ValueError(f"dims {tuple(dims)} do not match quantity dims {expected}")
     joint = conserved_operator(q)
     values, vectors = hermitian_eigensystem(joint, tol)
-    blocks = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol.grouping_tol:
-            group = slice(start, i)
-            blocks.append(Block(float(values[group].mean()), vectors[:, group]))
-            start = i
+    blocks, start = [], 0
+    (dims,) = block_sizes(values[None], tol)
+    for dim in dims:
+        group = slice(start, start + dim)
+        blocks.append(Block(float(values[group].mean()), vectors[:, group]))
+        start += dim
     return BlockDecomposition(tuple(blocks), joint.shape[0])
+
+
+def block_sizes(values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Yield the block sizes of each row of a (k, D) stack of ascending eigenvalues.
+
+    A block ends where the next eigenvalue lies more than ``grouping_tol``
+    above it, so eigenvalues inside a block are closer than the gap between blocks.
+    """
+    dim, sizes = values.shape[-1], {}
+    for gaps in map(tuple, (np.diff(values, axis=-1) > tol.grouping_tol).tolist()):
+        if gaps not in sizes:
+            starts = [0] + [i + 1 for i, gap in enumerate(gaps) if gap]
+            sizes[gaps] = tuple(b - a for a, b in zip(starts, starts[1:] + [dim]))
+        yield sizes[gaps]
+
+
+def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
+    """Haar unitaries of blocks of sizes ``dims``, (len(rngs), m, size, size) per size.
+
+    Each stream draws its blocks' Ginibre matrices in block order, real parts
+    before imaginary ones, as one ``ginibre`` call per block would; then one
+    stacked QR per block size.
+    """
+    count = 2 * sum(d * d for d in dims)
+    raw = np.stack([rng.standard_normal(count) for rng in rngs])
+    ginibres, start = [], 0
+    for d in dims:
+        block = raw[:, start : start + 2 * d * d].reshape(len(rngs), 2, d, d)
+        ginibres.append((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0))
+        start += 2 * d * d
+    return {
+        size: haar_from_ginibre(np.stack([z for z, d in zip(ginibres, dims) if d == size], axis=1))
+        for size in sorted(set(dims))
+    }
+
+
+def commutant_unitary_stack(
+    la: np.ndarray, lb: np.ndarray, rngs, tol: ToleranceConfig = DEFAULT_TOLERANCES
+) -> np.ndarray:
+    """Haar unitaries from the commutants of la[i] (x) lb[i], one per stream, (k, D, D);
+    the factors are taken as valid (see ``ConservedQuantity``).
+
+    One stacked ``eigh`` of the conserved operators gives each trial its block
+    sizes; trials with equal sizes draw and assemble together. Each unitary is
+    summed block by block in block order, bit-identical to ``commutant_unitary``
+    on the trial's own decomposition.
+    """
+    joint = tensor_product_stack(la, lb)
+    values, vectors = np.linalg.eigh(joint)
+    groups = {}
+    for i, dims in enumerate(block_sizes(values, tol)):
+        groups.setdefault(dims, []).append(i)
+    u = np.empty_like(joint)
+    for dims, members in groups.items():
+        u[members] = _assemble(vectors[members], dims, [rngs[i] for i in members])
+    return u
+
+
+def _assemble(columns: np.ndarray, dims: tuple[int, ...], rngs) -> np.ndarray:
+    """Sum over blocks, in block order, of basis @ V @ basis^dag; ``columns`` holds the
+    (k, D, sum(dims)) block bases side by side."""
+    unitaries = _block_unitaries(dims, rngs)
+    seen = {size: 0 for size in unitaries}
+    u, start = 0, 0
+    for d in dims:
+        basis = columns[..., start : start + d]
+        u = u + basis @ unitaries[d][:, seen[d]] @ dagger(basis)
+        seen[d] += 1
+        start += d
+    return u
 
 
 class _SizeGroup:
@@ -184,18 +262,19 @@ def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.nda
 
     Draw-order invariant: each block's Ginibre matrix is drawn from ``rng`` in
     block order, as one ``haar_unitary`` call per block would draw it, and
-    ``u`` is summed in block order. The QR and the assembly products are
-    stacked per block size (bit-identical per matrix), so ``u`` matches the
-    per-block loop bit for bit.
+    ``u`` is summed in block order. The QR is stacked per block size
+    (bit-identical per matrix), so ``u`` matches the per-block loop bit for
+    bit. A batch of one of the sweeps' kernel.
     """
-    return _random_point(d, rng).joint
+    columns = np.concatenate([b.basis for b in d.blocks], axis=1)
+    return _assemble(columns[None], d.dims, [rng])[0]
 
 
 def _random_point(d: BlockDecomposition, rng: np.random.Generator) -> _BlockPoint:
-    """Haar block unitaries: Ginibre draws in block order, then one stacked QR per block size."""
+    """Haar block unitaries drawn as ``commutant_unitary`` draws them, kept per block size."""
     groups = [_SizeGroup(d, size) for size in sorted(set(d.dims))]
-    draws = [ginibre(dim, rng) for dim in d.dims]
-    return _BlockPoint(groups, [haar_from_ginibre(np.stack([draws[i] for i in g.members])) for g in groups])
+    unitaries = _block_unitaries(d.dims, [rng])
+    return _BlockPoint(groups, [unitaries[g.size][0] for g in groups])
 
 
 def random_commutant_unitary(d: BlockDecomposition, seed: int) -> np.ndarray:

@@ -4,6 +4,15 @@ Operators are plain square complex ``numpy`` arrays; states are one-dimensional
 complex unit vectors. Every function is pure (inputs are never mutated), and
 every seeded sampler is bit-reproducible for a fixed seed on a fixed
 floating-point environment.
+
+The ``*_stack`` kernels take (..., n, n) stacks of operators and (..., n)
+stacks of states, unvalidated, and give each member the bits of its own
+call: matrix products go through one BLAS call per matrix (``matvec_stack``
+keeps a mat-vec a gemv), norms through the strided dot products
+``np.linalg.norm`` takes, and a Python float's square through libm ``pow``
+(``squares``). The scalar functions are their validated batches of one.
+Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
+chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack.
 """
 
 from __future__ import annotations
@@ -21,23 +30,36 @@ __all__ = [
     "as_operator",
     "as_state",
     "commutator",
+    "commutator_stack",
     "dagger",
     "expectation",
     "frobenius_norm",
+    "frobenius_norm_stack",
     "ginibre",
+    "ginibre_stack",
     "haar_from_ginibre",
     "haar_unitary",
     "hermitian_eigensystem",
+    "hermitian_from_spectrum",
+    "matvec_stack",
+    "normalized_stack",
     "numerical_rank",
     "product_state",
     "random_haar_unitary",
     "random_hermitian",
+    "random_hermitian_stack",
     "random_positive_operator",
+    "random_positive_operator_stack",
     "random_state_vector",
+    "random_state_vector_stack",
+    "squares",
+    "sweep_chunks",
     "tensor_product",
+    "tensor_product_stack",
     "unitary_completion",
     "validate",
     "variance",
+    "variance_stack",
 ]
 
 # Negative variances of larger magnitude than this, relative to max(1, <a^2>),
@@ -47,6 +69,9 @@ VARIANCE_CLAMP = 1e-14
 
 STATE_NORM_TOL = 1e-10
 COLUMN_ORTHO_TOL = 1e-8
+# Byte budget of one (chunk, D, D) complex stack in a sweep; it sets the chunk
+# size from D and bounds the memory a chunk's intermediates take.
+SWEEP_CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,27 +126,65 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; joint index (i, j) maps to i * b.dim + j.
+def frobenius_norm_stack(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-ordered (..., m, n) stack.
+
+    The two strided dot products ``np.linalg.norm`` takes (real parts, then
+    imaginary parts), one pair per matrix, so each norm has its bits.
+    """
+    x = a.reshape(*a.shape[:-2], -1)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 for each float, through libm ``pow`` as a Python float squares.
+
+    An array ``** 2`` multiplies ``x * x`` instead, which differs in the last
+    bit now and then.
+    """
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def matvec_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for each matrix and vector of (..., m, n) and (..., n) stacks; one gemv each."""
+    return (a @ v[..., None])[..., 0]
+
+
+def tensor_product_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each pair of (..., n1, n1) and (..., n2, n2) stacks, unvalidated.
 
     The same single elementwise multiply as ``np.kron``, so bit-identical to
     it, without its call overhead.
     """
-    a, b = as_operator(a), as_operator(b)
-    dim = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
+    dim = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], dim, dim)
+
+
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product; joint index (i, j) maps to i * b.dim + j."""
+    return tensor_product_stack(as_operator(a), as_operator(b))
 
 
 def product_state(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Joint vector a (x) b, index (i, j) -> i * len(b) + j; bit-identical to ``np.kron``."""
-    return np.multiply.outer(a, b).reshape(-1)
+    """Joint vector a (x) b, index (i, j) -> i * len(b) + j, for vectors or (..., n) stacks.
+
+    The single multiply ``np.kron`` does, so bit-identical to it.
+    """
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(*out.shape[:-2], -1)
+
+
+def commutator_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] for each pair of matrices of two (..., n, n) stacks, unvalidated."""
+    return a @ b - b @ a
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = as_operator(a), as_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b - b @ a
+    return commutator_stack(a, b)
 
 
 def expectation(a: np.ndarray, s: np.ndarray) -> complex:
@@ -138,13 +201,22 @@ def variance(a: np.ndarray, s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERA
     if a.shape[0] != s.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {s.shape[0]}")
     _require_hermitian(a, tol.hermiticity_tol)
-    w = a @ s
-    second_moment = float(np.vdot(w, w).real)
-    value = second_moment - float(np.vdot(s, w).real) ** 2
-    if value < 0.0:
-        if value <= -VARIANCE_CLAMP * max(1.0, second_moment):
-            raise ValueError(f"negative variance {value:.3e}: operator and state are inconsistent")
-        value = 0.0
+    return float(variance_stack(a[None], s[None])[0])
+
+
+def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``variance`` for each Hermitian matrix and state of (k, n, n) and (k, n) stacks, unvalidated."""
+    w = matvec_stack(a, s)
+    second_moment = np.vecdot(w, w).real
+    value = second_moment - squares(np.vecdot(s, w).real)
+    negative = value < 0.0
+    if negative.any():
+        inconsistent = value <= -VARIANCE_CLAMP * np.maximum(1.0, second_moment)
+        if inconsistent.any():
+            raise ValueError(
+                f"negative variance {value[inconsistent][0]:.3e}: operator and state are inconsistent"
+            )
+        value[negative] = 0.0
     return value
 
 
@@ -251,11 +323,33 @@ def unitary_completion(columns) -> np.ndarray:
     return np.stack(collected, axis=1)
 
 
-def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Ginibre matrix: real parts drawn first, then imaginary parts."""
+def sweep_chunks(seed: int, count: int, dim: int):
+    """Yield (trials, streams) for a sweep of ``count`` trials of joint dimension ``dim``.
+
+    Chunks hold as many trials as fit one (chunk, dim, dim) complex stack in
+    ``SWEEP_CHUNK_BYTES``; each trial gets its own ``default_rng((seed, trial))``.
+    """
+    size = max(1, SWEEP_CHUNK_BYTES // (16 * dim * dim))
+    for start in range(0, count, size):
+        trials = range(start, min(start + size, count))
+        yield trials, [np.random.default_rng((seed, trial)) for trial in trials]
+
+
+def _complex_draws(raw: np.ndarray) -> np.ndarray:
+    """re + 1j * im from draws stacked as (..., 2, ...): real parts first, then imaginary."""
+    return raw[:, 0] + 1j * raw[:, 1]
+
+
+def ginibre_stack(dim: int, rngs) -> np.ndarray:
+    """One Ginibre matrix per stream, (len(rngs), dim, dim); see ``ginibre``."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    return _complex_draws(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs])) / np.sqrt(2.0)
+
+
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre matrix: real parts drawn first, then imaginary parts."""
+    return ginibre_stack(dim, [rng])[0]
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -281,27 +375,51 @@ def random_haar_unitary(dim: int, seed: int) -> np.ndarray:
     return haar_unitary(dim, np.random.default_rng(seed))
 
 
-def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector."""
+def normalized_stack(z: np.ndarray) -> np.ndarray:
+    """Each vector of a C-ordered (k, n) stack divided by its norm, as ``z / np.linalg.norm(z)``."""
+    return z / frobenius_norm_stack(z[..., None])[..., None]
+
+
+def random_state_vector_stack(dim: int, rngs) -> np.ndarray:
+    """One Haar-random unit vector per stream, (len(rngs), dim)."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    return normalized_stack(_complex_draws(np.stack([rng.standard_normal((2, dim)) for rng in rngs])))
+
+
+def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit vector."""
+    return random_state_vector_stack(dim, [rng])[0]
+
+
+def random_hermitian_stack(dim: int, rngs) -> np.ndarray:
+    """One random Hermitian matrix per stream, (len(rngs), dim, dim)."""
+    z = _complex_draws(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+    return (z + dagger(z)) / 2.0
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + dagger(z)) / 2.0
+    return random_hermitian_stack(dim, [rng])[0]
+
+
+def hermitian_from_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w diag(d) w^dag, symmetrized, for each row of (k, n) spectra and (k, n, n) unitaries."""
+    h = (w * d[..., None, :]) @ dagger(w)
+    return (h + dagger(h)) / 2.0
+
+
+def random_positive_operator_stack(dim: int, rngs, low: float = 0.5, high: float = 2.0) -> np.ndarray:
+    """One random positive operator per stream, (len(rngs), dim, dim); each stream
+    draws its spectrum, then its Haar unitary."""
+    d = np.stack([rng.uniform(low, high, dim) for rng in rngs])
+    return hermitian_from_spectrum(d, haar_from_ginibre(ginibre_stack(dim, rngs)))
 
 
 def random_positive_operator(
     dim: int, rng: np.random.Generator, low: float = 0.5, high: float = 2.0
 ) -> np.ndarray:
     """Random positive-spectrum Hermitian with eigenvalues uniform in [low, high]."""
-    d = rng.uniform(low, high, dim)
-    w = haar_unitary(dim, rng)
-    h = (w * d) @ dagger(w)
-    return (h + dagger(h)) / 2.0
+    return random_positive_operator_stack(dim, [rng], low, high)[0]
 
 
 def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:

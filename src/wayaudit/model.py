@@ -6,6 +6,11 @@ starts in a ready state v, and a joint unitary correlates the two. The checks
 here decide whether a model is nondestructive (each u(j) survives the
 interaction), exact (the induced apparatus pointer states are orthonormal),
 and whether it conserves a given additive or multiplicative quantity.
+
+The structural checks and the pointer analysis run on (k, ...) stacks of
+models for the sweeps (``require_model_stack``, ``require_hermitian_factors``,
+``pointer_stack``); the dataclasses and ``pointer_analysis`` use them as
+batches of one.
 """
 
 from __future__ import annotations
@@ -18,11 +23,14 @@ from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    STATE_NORM_TOL,
     as_operator,
     as_state,
     commutator,  # noqa: F401  (re-exported convenience)
     dagger,
     frobenius_norm,
+    frobenius_norm_stack,
+    matvec_stack,
     product_state,
     tensor_product,
     unitary_completion,
@@ -39,10 +47,15 @@ __all__ = [
     "check_conserved",
     "check_exact",
     "check_nondestructive",
+    "conservation_residual_stack",
     "conserved_operator",
     "joint_blocks",
     "measured_observable",
+    "observable_in_basis",
     "pointer_analysis",
+    "pointer_stack",
+    "require_hermitian_factors",
+    "require_model_stack",
     "synthesize_unitary",
 ]
 
@@ -79,12 +92,41 @@ class MeasurementModel:
         u = as_operator(self.interaction)
         if u.shape[0] != self.n1 * self.n2:
             raise ValueError(f"interaction must have dimension {self.n1 * self.n2}")
-        residual = frobenius_norm(dagger(u) @ u - np.eye(u.shape[0]))
-        if residual > DEFAULT_TOLERANCES.unitarity_tol:
-            raise ValueError(f"interaction is not unitary: residual {residual:.3e}")
+        _require_unitary(u[None])
         object.__setattr__(self, "system_basis", basis)
         object.__setattr__(self, "ready_state", ready)
         object.__setattr__(self, "interaction", u)
+
+
+def _first(values: np.ndarray, failed: np.ndarray):
+    """The first of ``values`` where ``failed`` holds, or None."""
+    return values[failed][0] if failed.any() else None
+
+
+def _require_unitary(u: np.ndarray) -> None:
+    residual = frobenius_norm_stack(dagger(u) @ u - np.eye(u.shape[-1]))
+    bad = _first(residual, residual > DEFAULT_TOLERANCES.unitarity_tol)
+    if bad is not None:
+        raise ValueError(f"interaction is not unitary: residual {bad:.3e}")
+
+
+def require_model_stack(ready: np.ndarray, u: np.ndarray) -> None:
+    """``MeasurementModel``'s checks of ready states and interactions, for (k, n2) and
+    (k, D, D) stacks of finite sampled arrays measured in the computational basis."""
+    norms = frobenius_norm_stack(ready[..., None])
+    bad = _first(norms, np.abs(norms - 1.0) > STATE_NORM_TOL)
+    if bad is not None:
+        raise ValueError(f"state norm {float(bad)!r} is not 1 within {STATE_NORM_TOL}")
+    _require_unitary(u)
+
+
+def require_hermitian_factors(**factors: np.ndarray) -> None:
+    """``ConservedQuantity``'s Hermiticity check for (k, n, n) stacks of factors, by name."""
+    for name, op in factors.items():
+        defect = frobenius_norm_stack(op - dagger(op))
+        bad = _first(defect, defect > DEFAULT_TOLERANCES.hermiticity_tol)
+        if bad is not None:
+            raise ValueError(f"{name} is not Hermitian: residual {bad:.3e}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +142,7 @@ class ConservedQuantity:
             raise ValueError(f"kind must be 'additive' or 'multiplicative', got {self.kind!r}")
         for name in ("system_op", "apparatus_op"):
             op = as_operator(getattr(self, name))
-            defect = frobenius_norm(op - dagger(op))
-            if defect > DEFAULT_TOLERANCES.hermiticity_tol:
-                raise ValueError(f"{name} is not Hermitian: residual {defect:.3e}")
+            require_hermitian_factors(**{name: op[None]})
             object.__setattr__(self, name, op)
 
 
@@ -140,32 +180,52 @@ class PointerAnalysis:
     deficit: float              # ||gram - I||_F
 
 
+def _joint_blocks(basis: np.ndarray, ready: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``joint_blocks`` for (k, n2) ready states and (k, D, D) interactions; one gemv per column."""
+    n1, n2 = basis.shape[0], ready.shape[-1]
+    inputs = product_state(basis, ready[:, None, :])  # (k, n1, D): u(j) (x) v
+    cols = matvec_stack(u[:, None], inputs).reshape(-1, n1, n1, n2)
+    return np.ascontiguousarray((basis.conj() @ cols).swapaxes(1, 2))
+
+
 def joint_blocks(m: MeasurementModel) -> np.ndarray:
     """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>), as an (n1, n1, n2) array."""
-    out = np.empty((m.n1, m.n1, m.n2), dtype=complex)
-    for j in range(m.n1):
-        col = m.interaction @ product_state(m.system_basis[j], m.ready_state)
-        out[:, j, :] = m.system_basis.conj() @ col.reshape(m.n1, m.n2)
-    return out
+    return _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])[0]
+
+
+def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerate_tol: float) -> dict:
+    """``PointerAnalysis`` fields for (k, n2) ready states and (k, D, D) interactions
+    sharing one measured basis, as (k, ...) arrays; ``degenerate`` is a (k, n1) mask."""
+    n1 = basis.shape[0]
+    blocks = _joint_blocks(basis, ready, u)
+    norms = np.linalg.norm(blocks, axis=-1)
+    diag_index = np.arange(n1)
+    diag = norms[:, diag_index, diag_index]
+    off = norms.copy()
+    off[:, diag_index, diag_index] = 0.0
+    leakage = off.max(axis=(1, 2)) if n1 > 1 else np.zeros(len(u))
+    found = diag > degenerate_tol
+    pointers = np.zeros(blocks.shape[:2] + blocks.shape[3:], dtype=complex)
+    np.divide(blocks[:, diag_index, diag_index], diag[..., None], out=pointers, where=found[..., None])
+    gram = pointers.conj() @ pointers.mT
+    deficit = frobenius_norm_stack(gram - np.eye(n1))
+    return dict(blocks=blocks, leakage=leakage, diagonal_norms=diag, pointers=pointers,
+                degenerate=~found, gram=gram, deficit=deficit)
 
 
 def pointer_analysis(m: MeasurementModel, degenerate_tol: float = 1e-12) -> PointerAnalysis:
-    blocks = joint_blocks(m)
-    norms = np.linalg.norm(blocks, axis=2)
-    off = norms.copy()
-    np.fill_diagonal(off, 0.0)
-    leakage = float(off.max()) if m.n1 > 1 else 0.0
-    diag = np.array([norms[j, j] for j in range(m.n1)])
-    pointers = np.zeros((m.n1, m.n2), dtype=complex)
-    degenerate = []
-    for j in range(m.n1):
-        if diag[j] > degenerate_tol:
-            pointers[j] = blocks[j, j] / diag[j]
-        else:
-            degenerate.append(j)
-    gram = pointers.conj() @ pointers.T
-    deficit = frobenius_norm(gram - np.eye(m.n1))
-    return PointerAnalysis(blocks, leakage, diag, pointers, tuple(degenerate), gram, deficit)
+    """``pointer_stack`` for one model."""
+    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None],
+                                          degenerate_tol).items()}
+    return PointerAnalysis(
+        blocks=a["blocks"],
+        leakage=float(a["leakage"]),
+        diagonal_norms=a["diagonal_norms"],
+        pointers=a["pointers"],
+        degenerate=tuple(np.flatnonzero(a["degenerate"]).tolist()),
+        gram=a["gram"],
+        deficit=float(a["deficit"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -242,9 +302,13 @@ def check_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
             f"conserved quantity dims ({q.system_op.shape[0]}, {q.apparatus_op.shape[0]}) "
             f"do not match model ({m.n1}, {m.n2})"
         )
-    joint = conserved_operator(q)
-    residual = frobenius_norm(dagger(m.interaction) @ joint @ m.interaction - joint)
+    residual = float(conservation_residual_stack(m.interaction, conserved_operator(q)))
     return ConservationReport(kind=q.kind, residual=residual, verdict=residual <= tol)
+
+
+def conservation_residual_stack(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """||U^dag L U - L||_F for each interaction and joint operator of two (..., D, D) stacks."""
+    return frobenius_norm_stack(dagger(u) @ joint @ u - joint)
 
 
 def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
@@ -285,9 +349,16 @@ def measured_observable(m: MeasurementModel, eigenvalues=None) -> np.ndarray:
     The default eigenvalues are distinct and positive; verdicts about
     commutation with a conserved quantity depend only on the eigenbasis.
     """
+    return observable_in_basis(m.system_basis, eigenvalues)
+
+
+def observable_in_basis(basis: np.ndarray, eigenvalues=None) -> np.ndarray:
+    """The observable with eigenvectors the rows of ``basis``; ``measured_observable``
+    for a model measuring in ``basis``."""
+    n1 = basis.shape[0]
     if eigenvalues is None:
-        eigenvalues = np.arange(1.0, m.n1 + 1.0)
+        eigenvalues = np.arange(1.0, n1 + 1.0)
     vals = np.asarray(eigenvalues, dtype=float)
-    if vals.shape != (m.n1,):
-        raise ValueError(f"need {m.n1} eigenvalues")
-    return m.system_basis.T @ (vals[:, None] * m.system_basis.conj())
+    if vals.shape != (n1,):
+        raise ValueError(f"need {n1} eigenvalues")
+    return basis.T @ (vals[:, None] * basis.conj())

@@ -16,23 +16,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import commutant_unitary, conserved_eigenspaces
+from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
+from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
     as_operator,
     as_state,
-    commutator,
+    commutator_stack,
     dagger,
     frobenius_norm,
-    haar_unitary,
+    frobenius_norm_stack,
+    ginibre_stack,
+    haar_from_ginibre,
+    haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
+    hermitian_from_spectrum,
+    matvec_stack,
+    normalized_stack,
     product_state,
-    random_hermitian,
-    random_positive_operator,
-    random_state_vector,
+    random_hermitian_stack,
+    random_positive_operator_stack,
+    random_state_vector_stack,
+    squares,
+    sweep_chunks,
     tensor_product,
+    tensor_product_stack,
     variance,
+    variance_stack,
 )
-from .model import ConservedQuantity, MeasurementModel, check_conserved, conserved_operator
+from .model import (
+    ConservedQuantity,
+    MeasurementModel,
+    check_conserved,
+    conservation_residual_stack,
+    require_hermitian_factors,
+    require_model_stack,
+)
 
 __all__ = [
     "AuditConfig",
@@ -94,16 +112,17 @@ def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) ->
         )
 
 
-def _noise_operator(m: MeasurementModel, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    evolved = dagger(m.interaction) @ tensor_product(np.eye(m.n1), probe) @ m.interaction
-    return evolved - tensor_product(observable, np.eye(m.n2))
+def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    n1, n2 = observable.shape[-1], probe.shape[-1]
+    evolved = dagger(u) @ tensor_product_stack(np.eye(n1, dtype=complex), probe) @ u
+    return evolved - tensor_product_stack(observable, np.eye(n2, dtype=complex))
 
 
 def noise_operator(m: MeasurementModel, observable, probe) -> np.ndarray:
     """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space."""
     observable = _hermitian_arg(observable, m.n1, "observable")
     probe = _hermitian_arg(probe, m.n2, "probe")
-    return _noise_operator(m, observable, probe)
+    return _noise_operator_stack(m.interaction, observable, probe)
 
 
 # Input checks in the order each entry point runs them; the first failure raises.
@@ -114,51 +133,86 @@ _FACTORED_CHECKS = ("conserved", "observable", "probe", "psi")
 _SIMPLIFIED_CHECKS = ("conserved", "observable", "psi", "probe")
 
 
-class _Instance:
-    """One instance: each input validated once, each intermediate computed once.
+class _Stack:
+    """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
-    Every bound formula reads from here. Without a probe only ``epsilon_sq``
-    (None) of the noise intermediates is set; without a quantity (for
-    ``epsilon_sq`` alone) none of the conserved-quantity ones are.
+    Every bound formula reads from here. Without probes only ``epsilon_sq``
+    (None) of the noise intermediates is set; without factors (for
+    ``epsilon_sq`` alone) none of the conserved-quantity ones are. Inputs are
+    taken as valid: ``_instance`` checks them for one instance, and the audit
+    sampler builds them valid.
     """
 
-    def __init__(self, m, q, observable, probe, psi, tol, checks):
-        run = {
-            "conserved": lambda: _require_conserved(m, q, tol),
-            "psi": lambda: _state_arg(psi, m.n1),
-            "observable": lambda: _hermitian_arg(observable, m.n1, "observable"),
-            "probe": lambda: _hermitian_arg(probe, m.n2, "probe"),
-        }
-        checked = {name: run[name]() for name in checks}
-        observable, probe = checked["observable"], checked.get("probe")
-        self.m, self.q, self.psi = m, q, checked["psi"]
-        self.joint_state = product_state(self.psi, m.ready_state)
+    def __init__(self, u, ready, observable, psi, probe=None, la=None, lb=None):
+        self.u, self.ready, self.psi, self.la, self.lb = u, ready, psi, la, lb
+        self.joint_state = product_state(psi, ready)
         self.epsilon_sq = None
         if probe is not None:
-            self.noise = _noise_operator(m, observable, probe)
-            self.noise_state = self.noise @ self.joint_state
-            self.epsilon_sq = float(np.vdot(self.noise_state, self.noise_state).real)
-        if q is None:
+            self.noise = _noise_operator_stack(u, observable, probe)
+            self.noise_state = matvec_stack(self.noise, self.joint_state)
+            self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
+        if la is None:
             return
-        la, lb = q.system_op, q.apparatus_op
-        self.conserved = conserved_operator(q)
-        self.var_conserved = variance(self.conserved, self.joint_state)
-        self.var_la = variance(la, self.psi)
-        self.var_lb = variance(lb, m.ready_state)
+        self.conserved = tensor_product_stack(la, lb)
+        self.var_conserved = variance_stack(self.conserved, self.joint_state)
+        self.var_la = variance_stack(la, psi)
+        self.var_lb = variance_stack(lb, ready)
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
-        self.observable_commutator = commutator(observable, la)
-        self.observable_term = tensor_product(self.observable_commutator, lb)
+        self.observable_commutator = commutator_stack(observable, la)
+        self.observable_term = tensor_product_stack(self.observable_commutator, lb)
         if probe is not None:
-            self.probe_commutator = commutator(probe, lb)
+            self.probe_commutator = commutator_stack(probe, lb)
 
 
-def _valid(bound: float, eps: float | None) -> bool | None:
-    return None if eps is None else bound <= eps + VALIDITY_SLACK
+def _instance(m, q, observable, probe, psi, tol, checks) -> _Stack:
+    """One instance as a stack of one, after its input checks in the given order."""
+    run = {
+        "conserved": lambda: _require_conserved(m, q, tol),
+        "psi": lambda: _state_arg(psi, m.n1),
+        "observable": lambda: _hermitian_arg(observable, m.n1, "observable"),
+        "probe": lambda: _hermitian_arg(probe, m.n2, "probe"),
+    }
+    checked = {name: run[name]() for name in checks}
+    probe = checked.get("probe")
+    factors = {} if q is None else {"la": q.system_op[None], "lb": q.apparatus_op[None]}
+    return _Stack(
+        m.interaction[None], m.ready_state[None], checked["observable"][None], checked["psi"][None],
+        None if probe is None else probe[None], **factors,
+    )
+
+
+def _one(report, columns: dict):
+    """The report of a stack of one from its per-instance columns."""
+    return report(**{name: column[0] for name, column in columns.items()})
+
+
+def _abs_squares(z: np.ndarray) -> np.ndarray:
+    """abs(z) ** 2 per entry as for a Python complex: libm ``hypot``, then ``pow``."""
+    return squares(np.hypot(z.real, z.imag))
+
+
+def _expectations(op: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """<s|op|s> for each operator and state of a stack."""
+    return np.vecdot(state, matvec_stack(op, state))
+
+
+def _masked(values: np.ndarray, keep: np.ndarray) -> list:
+    return [v if k else None for v, k in zip(values.tolist(), keep.tolist())]
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=defined)
+
+
+def _validity(x: _Stack, bound: np.ndarray, keep: np.ndarray) -> list:
+    if x.epsilon_sq is None:
+        return [None] * len(bound)
+    return _masked(bound <= x.epsilon_sq + VALIDITY_SLACK, keep)
 
 
 def epsilon_sq(m: MeasurementModel, observable, probe, psi) -> float:
     """<N^2> on psi (x) ready_state; the squared state-dependent noise."""
-    return _Instance(m, None, observable, probe, psi, None, _EPSILON_CHECKS).epsilon_sq
+    return float(_instance(m, None, observable, probe, psi, None, _EPSILON_CHECKS).epsilon_sq[0])
 
 
 @dataclass(frozen=True)
@@ -175,20 +229,26 @@ class RobertsonReport:
     degenerate: bool
 
 
-def _robertson(x: _Instance) -> RobertsonReport:
-    comm_expect = complex(
-        np.vdot(x.joint_state, (x.noise @ (x.conserved @ x.joint_state)) - (x.conserved @ x.noise_state))
+def _robertson(x: _Stack) -> dict:
+    js = x.joint_state
+    comm_expect = np.vecdot(
+        js, matvec_stack(x.noise, matvec_stack(x.conserved, js)) - matvec_stack(x.conserved, x.noise_state)
     )
-    numerator = abs(comm_expect) ** 2 / 4.0
+    numerator = _abs_squares(comm_expect) / 4.0
     degenerate = x.var_conserved <= DEGENERACY_TOL
-    bound = 0.0 if degenerate else numerator / x.var_conserved
-    return RobertsonReport(bound, numerator, x.var_conserved, degenerate)
+    bound = _ratio(numerator, x.var_conserved, ~degenerate)
+    return {
+        "bound": bound.tolist(),
+        "numerator": numerator.tolist(),
+        "var_conserved": x.var_conserved.tolist(),
+        "degenerate": degenerate.tolist(),
+    }
 
 
 def robertson_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> RobertsonReport:
-    return _robertson(_Instance(m, q, observable, probe, psi, tol, _ROBERTSON_CHECKS))
+    return _one(RobertsonReport, _robertson(_instance(m, q, observable, probe, psi, tol, _ROBERTSON_CHECKS)))
 
 
 @dataclass(frozen=True)
@@ -207,22 +267,24 @@ class PaperBoundReport:
     denominator: float
 
 
-def _paper(x: _Instance) -> PaperBoundReport:
-    u = x.m.interaction
-    evolved_term = dagger(u) @ tensor_product(x.q.system_op, x.probe_commutator) @ u
-    term = x.observable_term - evolved_term
-    numerator = abs(complex(np.vdot(x.joint_state, term @ x.joint_state))) ** 2
-    denominator = x.factored_denominator
-    if denominator <= DEGENERACY_TOL:
-        return PaperBoundReport(None, False, None, numerator, denominator)
-    bound = numerator / denominator
-    return PaperBoundReport(bound, True, _valid(bound, x.epsilon_sq), numerator, denominator)
+def _paper(x: _Stack) -> dict:
+    evolved_term = dagger(x.u) @ tensor_product_stack(x.la, x.probe_commutator) @ x.u
+    numerator = _abs_squares(_expectations(x.observable_term - evolved_term, x.joint_state))
+    defined = x.factored_denominator > DEGENERACY_TOL
+    bound = _ratio(numerator, x.factored_denominator, defined)
+    return {
+        "bound": _masked(bound, defined),
+        "defined": defined.tolist(),
+        "valid": _validity(x, bound, defined),
+        "numerator": numerator.tolist(),
+        "denominator": x.factored_denominator.tolist(),
+    }
 
 
 def paper_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> PaperBoundReport:
-    return _paper(_Instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS))
+    return _one(PaperBoundReport, _paper(_instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS)))
 
 
 @dataclass(frozen=True)
@@ -239,21 +301,29 @@ class YanaseBoundReport:
     valid: bool | None
 
 
-def _yanase(x: _Instance) -> YanaseBoundReport:
-    if frobenius_norm(x.probe_commutator) > YANASE_COMMUTATOR_TOL:
-        return YanaseBoundReport(False, None, None, None)
-    numerator = abs(complex(np.vdot(x.joint_state, x.observable_term @ x.joint_state))) ** 2
-    denominator = x.factored_denominator
-    if denominator <= DEGENERACY_TOL:
-        return YanaseBoundReport(True, None, False, None)
-    bound = numerator / denominator
-    return YanaseBoundReport(True, bound, True, _valid(bound, x.epsilon_sq))
+def _conditional(x: _Stack, applicable, numerator, denominator) -> dict:
+    """Columns of a bound that applies only where ``applicable`` holds."""
+    defined = denominator > DEGENERACY_TOL
+    bound = _ratio(numerator, denominator, defined)
+    kept = applicable & defined
+    return {
+        "applicable": applicable.tolist(),
+        "bound": _masked(bound, kept),
+        "defined": _masked(defined, applicable),
+        "valid": _validity(x, bound, kept),
+    }
+
+
+def _yanase(x: _Stack) -> dict:
+    applicable = ~(frobenius_norm_stack(x.probe_commutator) > YANASE_COMMUTATOR_TOL)
+    numerator = _abs_squares(_expectations(x.observable_term, x.joint_state))
+    return _conditional(x, applicable, numerator, x.factored_denominator)
 
 
 def yanase_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> YanaseBoundReport:
-    return _yanase(_Instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS))
+    return _one(YanaseBoundReport, _yanase(_instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS)))
 
 
 @dataclass(frozen=True)
@@ -266,16 +336,11 @@ class SimplifiedBoundReport:
     valid: bool | None
 
 
-def _simplified(x: _Instance) -> SimplifiedBoundReport:
-    ready, lb = x.m.ready_state, x.q.apparatus_op
-    if abs(complex(np.vdot(ready, lb @ ready))) > ZERO_EXPECTATION_TOL:
-        return SimplifiedBoundReport(False, None, None, None)
-    numerator = abs(complex(np.vdot(x.psi, x.observable_commutator @ x.psi))) ** 2
-    denominator = 4.0 * x.var_la
-    if denominator <= DEGENERACY_TOL:
-        return SimplifiedBoundReport(True, None, False, None)
-    bound = numerator / denominator
-    return SimplifiedBoundReport(True, bound, True, _valid(bound, x.epsilon_sq))
+def _simplified(x: _Stack) -> dict:
+    ready_expect = _expectations(x.lb, x.ready)
+    applicable = ~(np.hypot(ready_expect.real, ready_expect.imag) > ZERO_EXPECTATION_TOL)
+    numerator = _abs_squares(_expectations(x.observable_commutator, x.psi))
+    return _conditional(x, applicable, numerator, 4.0 * x.var_la)
 
 
 def simplified_bound(
@@ -287,7 +352,7 @@ def simplified_bound(
     flag is None and only the bound is reported.
     """
     checks = _SIMPLIFIED_CHECKS if probe is not None else _SIMPLIFIED_CHECKS[:-1]
-    return _simplified(_Instance(m, q, observable, probe, psi, tol, checks))
+    return _one(SimplifiedBoundReport, _simplified(_instance(m, q, observable, probe, psi, tol, checks)))
 
 
 @dataclass(frozen=True)
@@ -345,15 +410,15 @@ def noise_report(
     m: MeasurementModel, q: ConservedQuantity, observable, probe, psi, tol: float = 1e-9
 ) -> NoiseReport:
     """All four bounds from one pass over the instance's intermediates."""
-    x = _Instance(m, q, observable, probe, psi, tol, _REPORT_CHECKS)
+    x = _instance(m, q, observable, probe, psi, tol, _REPORT_CHECKS)
     return NoiseReport(
-        epsilon_sq=x.epsilon_sq,
-        robertson=_robertson(x),
-        paper=_paper(x),
-        yanase=_yanase(x),
-        simplified=_simplified(x),
-        var_conserved_exact=x.var_conserved,
-        var_product_claim=x.var_la * x.var_lb,
+        epsilon_sq=float(x.epsilon_sq[0]),
+        robertson=_one(RobertsonReport, _robertson(x)),
+        paper=_one(PaperBoundReport, _paper(x)),
+        yanase=_one(YanaseBoundReport, _yanase(x)),
+        simplified=_one(SimplifiedBoundReport, _simplified(x)),
+        var_conserved_exact=float(x.var_conserved[0]),
+        var_product_claim=float(x.var_la[0] * x.var_lb[0]),
     )
 
 
@@ -426,29 +491,104 @@ class BoundAuditReport:
     summary: BoundAuditSummary
 
 
-def _zero_expectation_state(lb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector v with <v|lb|v> = 0, mixing the extreme eigenvectors."""
-    values, vectors = np.linalg.eigh(lb)
-    low, high = float(values[0]), float(values[-1])
-    span = high - low
-    weight_low = high / span
-    weight_high = -low / span
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    v = np.sqrt(weight_low) * vectors[:, 0] + phase * np.sqrt(weight_high) * vectors[:, -1]
-    return v / np.linalg.norm(v)
+def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
+    """Apparatus factors: positive ones, or where ``zero`` holds traceless ones with a
+    sign-indefinite spectrum. Both draw a spectrum, then a Haar unitary."""
+    d = np.stack([rng.uniform(0.5, 2.0, n2) for rng in rngs])
+    w = haar_from_ginibre(ginibre_stack(n2, rngs))
+    centered = d - d.mean(axis=1, keepdims=True)
+    for i in np.flatnonzero(zero & ((centered.max(axis=1) < 1e-6) | (centered.min(axis=1) > -1e-6))):
+        row = centered[i]  # ruled out a.s.; keep the spectrum indefinite
+        row[0] -= 1.0
+        row[-1] += 1.0
+        centered[i] = row - row.mean()
+    return hermitian_from_spectrum(np.where(zero[:, None], centered, d), w)
 
 
-def _traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian with zero trace and a guaranteed sign-indefinite spectrum."""
-    d = rng.uniform(0.5, 2.0, dim)
-    d = d - d.mean()
-    if d.max() < 1e-6 or d.min() > -1e-6:  # ruled out a.s.; keep the spectrum indefinite
-        d[0] -= 1.0
-        d[-1] += 1.0
-        d = d - d.mean()
-    w = haar_unitary(dim, rng)
-    h = (w * d) @ dagger(w)
-    return (h + dagger(h)) / 2.0
+def _ready_states(values: np.ndarray, vectors: np.ndarray, rngs, zero: np.ndarray) -> np.ndarray:
+    """Random ready states, or where ``zero`` holds a unit vector v with <v|lb|v> = 0
+    mixing lb's extreme eigenvectors with a drawn phase."""
+    ready = np.empty(values.shape, dtype=complex)
+    mixed, plain = np.flatnonzero(zero), np.flatnonzero(~zero)
+    if len(mixed):
+        phase = np.exp(1j * np.array([rngs[i].uniform(0.0, 2.0 * np.pi) for i in mixed]))
+        low, high = values[mixed, 0], values[mixed, -1]
+        span = high - low
+        v = np.sqrt(high / span)[:, None] * vectors[mixed, :, 0]
+        ready[mixed] = normalized_stack(v + (phase * np.sqrt(-low / span))[:, None] * vectors[mixed, :, -1])
+    if len(plain):
+        ready[plain] = random_state_vector_stack(values.shape[1], [rngs[i] for i in plain])
+    return ready
+
+
+def _probes(vectors: np.ndarray, rngs, yanase: np.ndarray) -> np.ndarray:
+    """Random Hermitian probes, or where ``yanase`` holds probes diagonal in lb's
+    eigenbasis (so they commute with lb) with a drawn spectrum in [-1, 1]."""
+    probes = np.empty(vectors.shape, dtype=complex)
+    diagonal, plain = np.flatnonzero(yanase), np.flatnonzero(~yanase)
+    n2 = vectors.shape[1]
+    if len(diagonal):
+        spectra = np.stack([rngs[i].uniform(-1.0, 1.0, n2) for i in diagonal])
+        probes[diagonal] = hermitian_from_spectrum(spectra, vectors[diagonal])
+    if len(plain):
+        probes[plain] = random_hermitian_stack(n2, [rngs[i] for i in plain])
+    return probes
+
+
+def _require_conserved_stack(x: _Stack, tol: float) -> None:
+    """``_require_conserved`` for a stack; the first failing instance raises."""
+    residual = conservation_residual_stack(x.u, x.conserved)
+    failed = ~(residual <= tol)
+    if failed.any():
+        raise PreconditionError("check_conserved", f"residual {residual[failed][0]:.3e} exceeds {tol:.3e}")
+
+
+def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRecord]:
+    """The records of one chunk of trials, drawn and evaluated as stacks.
+
+    Draw-order invariant: each trial's stream draws exactly what, and in the
+    order, a trial-by-trial loop would. Phase A draws the factors' spectra and
+    Haar matrices; one stacked ``eigh`` of la (x) lb then fixes each trial's
+    block sizes, and phase B draws the blocks' Ginibre matrices, the ready
+    state, the observable, the probe and psi.
+    """
+    n1, n2 = config.n1, config.n2
+    index = np.asarray(trials)
+    zero_mode, yanase_mode = index % 4 >= 2, index % 2 == 1
+    la = random_positive_operator_stack(n1, rngs)
+    lb = _apparatus_factors(n2, rngs, zero_mode)
+    require_hermitian_factors(system_op=la, apparatus_op=lb)
+    interaction = commutant_unitary_stack(la, lb, rngs)
+    lb_values, lb_vectors = np.linalg.eigh(lb)
+    ready = _ready_states(lb_values, lb_vectors, rngs, zero_mode)
+    require_model_stack(ready, interaction)
+    observable = random_hermitian_stack(n1, rngs)
+    probe = _probes(lb_vectors, rngs, yanase_mode)
+    psi = random_state_vector_stack(n1, rngs)
+
+    x = _Stack(interaction, ready, observable, psi, probe, la, lb)
+    _require_conserved_stack(x, config.tol)
+    eps = x.epsilon_sq.tolist()
+    robertson, paper, yanase, simplified = _robertson(x), _paper(x), _yanase(x), _simplified(x)
+    columns = {
+        "trial": list(trials),
+        "epsilon_sq": eps,
+        "robertson_bound": robertson["bound"],
+        "robertson_degenerate": robertson["degenerate"],
+        "paper_bound": paper["bound"],
+        "paper_defined": paper["defined"],
+        "yanase_applicable": yanase["applicable"],
+        "yanase_bound": yanase["bound"],
+        "yanase_defined": yanase["defined"],
+        "simplified_applicable": simplified["applicable"],
+        "simplified_bound": simplified["bound"],
+        "simplified_defined": simplified["defined"],
+        "robertson_valid": [b <= e + VALIDITY_SLACK for b, e in zip(robertson["bound"], eps)],
+        "paper_valid": paper["valid"],
+        "yanase_valid": yanase["valid"],
+        "simplified_valid": simplified["valid"],
+    }
+    return [BoundAuditRecord(n1=n1, n2=n2, **dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
@@ -459,56 +599,13 @@ def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
     factor (Yanase condition), and trials with index 2 or 3 mod 4 use a
     traceless apparatus factor together with a ready state of zero
     expectation (the simplified regime; positivity is not required here).
-    Each trial derives its stream from (seed, index).
+    Each trial derives its stream from (seed, index); trials run in chunks,
+    as stacks (see ``_audit_chunk``), so a record does not depend on the
+    chunk it falls in.
     """
-    n1, n2 = config.n1, config.n2
     records = []
-    eye_basis = np.eye(n1, dtype=complex)
-    for trial in range(config.count):
-        rng = np.random.default_rng((config.seed, trial))
-        yanase_mode = trial % 2 == 1
-        zero_mode = trial % 4 >= 2
-
-        la = random_positive_operator(n1, rng)
-        lb = _traceless_hermitian(n2, rng) if zero_mode else random_positive_operator(n2, rng)
-        q = ConservedQuantity("multiplicative", la, lb)
-        interaction = commutant_unitary(conserved_eigenspaces(q), rng)
-        ready = _zero_expectation_state(lb, rng) if zero_mode else random_state_vector(n2, rng)
-        m = MeasurementModel(n1, n2, eye_basis, ready, interaction)
-
-        observable = random_hermitian(n1, rng)
-        if yanase_mode:
-            _, lb_vecs = np.linalg.eigh(lb)
-            probe = (lb_vecs * rng.uniform(-1.0, 1.0, n2)) @ dagger(lb_vecs)
-            probe = (probe + dagger(probe)) / 2.0
-        else:
-            probe = random_hermitian(n2, rng)
-        psi = random_state_vector(n1, rng)
-
-        report = noise_report(m, q, observable, probe, psi, config.tol)
-        eps = report.epsilon_sq
-        records.append(
-            BoundAuditRecord(
-                trial=trial,
-                n1=n1,
-                n2=n2,
-                epsilon_sq=eps,
-                robertson_bound=report.robertson.bound,
-                robertson_degenerate=report.robertson.degenerate,
-                paper_bound=report.paper.bound,
-                paper_defined=report.paper.defined,
-                yanase_applicable=report.yanase.applicable,
-                yanase_bound=report.yanase.bound,
-                yanase_defined=report.yanase.defined,
-                simplified_applicable=report.simplified.applicable,
-                simplified_bound=report.simplified.bound,
-                simplified_defined=report.simplified.defined,
-                robertson_valid=report.robertson.bound <= eps + VALIDITY_SLACK,
-                paper_valid=report.paper.valid,
-                yanase_valid=report.yanase.valid,
-                simplified_valid=report.simplified.valid,
-            )
-        )
+    for trials, rngs in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
+        records += _audit_chunk(config, trials, rngs)
 
     def tally(field: str, value: bool) -> int:
         # a flag is False only where its bound applies and is defined

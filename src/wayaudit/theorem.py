@@ -8,6 +8,12 @@ each hypothesis and the conclusion into a residual check, reproduces the
 matrix-element identity and the pointer-Gram rank argument numerically, and
 runs seeded randomized sweeps that look for counterexamples (and must find
 none).
+
+The counterexample sweep evaluates its trials in chunks, as (chunk, ...)
+stacks: sampling (``sample_instance_stack``), the model checks, the pointer
+analysis and the commutator all run once per chunk, and every trial keeps
+its own stream and draw order, so each record is the one a trial-by-trial
+loop would give. ``sample_conserving_instance`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,17 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import commutant_unitary, conserved_eigenspaces
+from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
+from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     as_operator,
     commutator,
+    commutator_stack,
     frobenius_norm,
+    frobenius_norm_stack,
     numerical_rank,
-    random_positive_operator,
-    random_state_vector,
+    random_positive_operator_stack,
+    random_state_vector_stack,
+    sweep_chunks,
 )
 from .model import (
     ConservationReport,
@@ -36,7 +46,11 @@ from .model import (
     check_conserved,
     check_nondestructive,
     measured_observable,
+    observable_in_basis,
     pointer_analysis,
+    pointer_stack,
+    require_hermitian_factors,
+    require_model_stack,
 )
 
 __all__ = [
@@ -52,6 +66,7 @@ __all__ = [
     "matrix_element_identity",
     "pointer_gram_rank",
     "sample_conserving_instance",
+    "sample_instance_stack",
     "theorem_verdict",
 ]
 
@@ -213,18 +228,30 @@ def additive_conservation_check(
     return check_conserved(m, q, tol)
 
 
+def sample_instance_stack(n1: int, n2: int, rngs) -> tuple[np.ndarray, ...]:
+    """Random sweep instances, one per stream, as (la, lb, interaction, ready) stacks.
+
+    Each stream draws la's spectrum and Haar matrix, then lb's, then (once a
+    stacked ``eigh`` of la (x) lb has fixed its block sizes) its commutant
+    blocks, then the ready state: the draws of one trial-by-trial sample.
+    """
+    la = random_positive_operator_stack(n1, rngs)
+    lb = random_positive_operator_stack(n2, rngs)
+    require_hermitian_factors(system_op=la, apparatus_op=lb)
+    interaction = commutant_unitary_stack(la, lb, rngs)
+    ready = random_state_vector_stack(n2, rngs)
+    require_model_stack(ready, interaction)
+    return la, lb, interaction, ready
+
+
 def sample_conserving_instance(
     n1: int, n2: int, rng: np.random.Generator
 ) -> tuple[MeasurementModel, ConservedQuantity]:
     """One random sweep instance: positive factors, a unitary from their
     commutant, a random ready state, and the computational measured basis."""
-    la = random_positive_operator(n1, rng)
-    lb = random_positive_operator(n2, rng)
+    la, lb, interaction, ready = (a[0] for a in sample_instance_stack(n1, n2, [rng]))
     q = ConservedQuantity("multiplicative", la, lb)
-    interaction = commutant_unitary(conserved_eigenspaces(q), rng)
-    ready = random_state_vector(n2, rng)
-    m = MeasurementModel(n1, n2, np.eye(n1, dtype=complex), ready, interaction)
-    return m, q
+    return MeasurementModel(n1, n2, np.eye(n1, dtype=complex), ready, interaction), q
 
 
 @dataclass(frozen=True)
@@ -269,6 +296,10 @@ def counterexample_sweep(
     streams from (seed, index), so the report is reproducible and
     order-independent.
     """
+    if n1 < 1:
+        raise ValueError("n1 must be at least 1")
+    if n2 < 1:
+        raise ValueError("n2 must be at least 1")
     if not n2 < 2 * n1:
         raise ValueError(f"dimension precondition violated: n2 = {n2} must be < 2*n1 = {2 * n1}")
     if count < 1:
@@ -276,32 +307,18 @@ def counterexample_sweep(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
 
+    basis = np.eye(n1, dtype=complex)
+    observable = observable_in_basis(basis)
     trials = []
-    conforming_count = 0
-    counterexamples = 0
-    max_conforming = 0.0
-    for trial in range(count):
-        m, q = sample_conserving_instance(n1, n2, np.random.default_rng((seed, trial)))
-        analysis = pointer_analysis(m, degenerate_tol=1e-12)
-        comm = frobenius_norm(commutator(measured_observable(m), q.system_op))
-        conforming = analysis.leakage <= tol and analysis.deficit <= tol
-        counterexample = conforming and comm > COUNTEREXAMPLE_COMMUTATOR_TOL
-        if conforming:
-            conforming_count += 1
-            max_conforming = max(max_conforming, comm)
-        if counterexample:
-            counterexamples += 1
-        trials.append(
-            SweepTrial(
-                trial=trial,
-                leakage=analysis.leakage,
-                deficit=analysis.deficit,
-                commutator_norm=comm,
-                degenerate_pointer=bool(analysis.degenerate),
-                conforming=conforming,
-                counterexample=counterexample,
-            )
-        )
+    for indices, rngs in sweep_chunks(seed, count, n1 * n2):
+        la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
+        a = pointer_stack(basis, ready, interaction, degenerate_tol=1e-12)
+        comm = frobenius_norm_stack(commutator_stack(observable, la))
+        conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
+        counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
+        columns = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
+        trials += map(SweepTrial, indices, *(column.tolist() for column in columns))
+    conforming_norms = [t.commutator_norm for t in trials if t.conforming]
     return CounterexampleSweepReport(
         n1=n1,
         n2=n2,
@@ -309,7 +326,7 @@ def counterexample_sweep(
         seed=seed,
         tol=tol,
         trials=tuple(trials),
-        conforming_count=conforming_count,
-        counterexamples=counterexamples,
-        max_conforming_commutator=max_conforming,
+        conforming_count=len(conforming_norms),
+        counterexamples=sum(t.counterexample for t in trials),
+        max_conforming_commutator=max(conforming_norms, default=0.0),
     )

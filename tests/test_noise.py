@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import CNOT, E0, I2, LA_DIAG, PLUS, X, Z
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
+from wayaudit.linalg import SWEEP_CHUNK_BYTES
 from wayaudit.linalg import (
     commutator,
     dagger,
@@ -283,4 +284,9 @@ class TestBoundAuditSweep:
         long = bound_audit_sweep(AuditConfig(n1, n2, count, 5)).records
         short = bound_audit_sweep(AuditConfig(n1, n2, prefix, 5)).records
         assert repr(long[:prefix]) == repr(short)
+
+    def test_multi_chunk_golden_spans_chunks(self):
+        # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
+        # golden that crosses chunk boundaries
+        assert 40 > SWEEP_CHUNK_BYTES // (16 * 45 * 45)
 

@@ -191,6 +191,11 @@ class TestCounterexampleSweep:
         with pytest.raises(ValueError, match="count"):
             counterexample_sweep(2, 2, 0, seed=0)
 
+    @pytest.mark.parametrize("n1, n2, field", [(1, 0, "n2"), (1, -1, "n2"), (0, -1, "n1")])
+    def test_rejects_nonpositive_dimensions(self, n1, n2, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+            counterexample_sweep(n1, n2, 3, seed=0)
+
     def test_deterministic(self):
         a = counterexample_sweep(2, 3, 50, seed=9)
         b = counterexample_sweep(2, 3, 50, seed=9)
