@@ -657,10 +657,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_tol(argv: list[str]) -> list[str]:
+    """Join "--tol VALUE" into "--tol=VALUE": argparse would take a value such as
+    -inf, -nan or -1e-3 for an option and reject it before it is validated."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--tol" else None
+        out.append(arg if value is None else f"--tol={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_tol(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,34 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: tol:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["-inf", "-nan", "-1e-3"])
+    def test_bad_tolerance_as_separate_argument(self, capsys, tol):
+        # argparse would read these values as options; they must reach the validation
+        for argv in (
+            ("check", "--model", "tests/fixtures/cnot.json", "--tol", tol),
+            ("sweep", "--kind", "counterexample", "--n1", "2", "--n2", "2", "--count", "3",
+             "--seed", "1", "--format", "json", "--tol", tol),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: tol:") and err.count("\n") == 1
+
+    def test_tolerance_flag_without_value_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol")
+        assert code == 2
+        assert out == "" and "--tol" in err
+
+    @pytest.mark.parametrize("n1, n2, field", [("1", "0", "n2"), ("1", "-1", "n2"), ("0", "-1", "n1")])
+    def test_counterexample_nonpositive_dimensions_are_usage_errors(self, capsys, n1, n2, field):
+        code, out, err = run(
+            capsys, "sweep", "--kind", "counterexample", "--n1", n1, "--n2", n2,
+            "--count", "3", "--seed", "1", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} must be at least 1\n"
+
     def test_zero_tolerance_accepted(self, capsys):
         code, _, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "0")
         assert code == 0
@@ -345,12 +374,15 @@ class TestDeterminism:
             sys.executable, "-m", "wayaudit.cli", "sweep", "--kind", "counterexample",
             "--n1", "2", "--n2", "2", "--count", "10", "--seed", "13",
         ]
-        first = subprocess.run(argv, cwd=REPO, capture_output=True)
-        second = subprocess.run(argv, cwd=REPO, capture_output=True)
+        # the package is imported from this checkout, installed or not
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        first = subprocess.run(argv, cwd=REPO, capture_output=True, env=env)
+        second = subprocess.run(argv, cwd=REPO, capture_output=True, env=env)
         assert first.returncode == second.returncode == 2  # csv needs --out
         argv_json = argv + ["--format", "json"]
-        first = subprocess.run(argv_json, cwd=REPO, capture_output=True)
-        second = subprocess.run(argv_json, cwd=REPO, capture_output=True)
+        first = subprocess.run(argv_json, cwd=REPO, capture_output=True, env=env)
+        second = subprocess.run(argv_json, cwd=REPO, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
