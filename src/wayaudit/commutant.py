@@ -13,10 +13,13 @@ kernels give each matrix the bits of its own call and reductions keep their
 order, so every result is bit-identical to the one-at-a-time loop.
 
 Sweeps sample commutants for a whole chunk of trials at once
-(``commutant_unitary_stack``): one stacked ``eigh`` of the conserved
-operators reveals each trial's block sizes, trials are grouped by them, and
-each group draws its blocks from the trials' own streams and assembles them
-on (group, D, D) stacks. ``conserved_eigenspaces`` and ``commutant_unitary``
+(``commutant_unitary_stack``; chunks are sized from D by
+``linalg.SWEEP_CHUNK_BYTES``). It is the seam of the sweeps' two-phase draw
+order: once phase A has drawn each trial's factors, one stacked ``eigh`` of
+the conserved operators reveals each trial's block sizes, and phase B opens
+with every trial drawing its blocks' Ginibre matrices from its own stream,
+in block order. Trials with equal block sizes are assembled together on
+(group, D, D) stacks. ``conserved_eigenspaces`` and ``commutant_unitary``
 are its batches of one.
 """
 

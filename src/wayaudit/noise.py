@@ -8,6 +8,14 @@ for a conserved L and is enforced as such. The factored bounds that replace
 Var(L) with the product of single-factor variances are treated as hypotheses:
 they are computed, compared against epsilon^2, and their violation fractions
 are reported rather than asserted.
+
+One engine evaluates instances as (k, ...) stacks: ``_Stack`` computes every
+intermediate once for k instances and the four bound kernels read from it.
+``noise_report``, the four bound functions and ``epsilon_sq`` check their
+inputs in their own order and run it on a stack of one. The bound audit
+runs it on chunks of trials, sized from D by ``linalg.SWEEP_CHUNK_BYTES``,
+and keeps a two-phase draw order per trial stream (see ``_audit_chunk``), so
+every record is the one a trial-by-trial loop would give, bit for bit.
 """
 
 from __future__ import annotations

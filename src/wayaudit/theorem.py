@@ -9,11 +9,14 @@ matrix-element identity and the pointer-Gram rank argument numerically, and
 runs seeded randomized sweeps that look for counterexamples (and must find
 none).
 
-The counterexample sweep evaluates its trials in chunks, as (chunk, ...)
-stacks: sampling (``sample_instance_stack``), the model checks, the pointer
-analysis and the commutator all run once per chunk, and every trial keeps
-its own stream and draw order, so each record is the one a trial-by-trial
-loop would give. ``sample_conserving_instance`` is a batch of one.
+The counterexample sweep evaluates its trials in chunks sized from D by
+``linalg.SWEEP_CHUNK_BYTES``, as (chunk, ...) stacks: sampling
+(``sample_instance_stack``), the model checks, the pointer analysis and the
+commutator run once per chunk. Every trial keeps its own stream and draws in
+two phases, its factors first, then its commutant blocks and ready state
+once a stacked ``eigh`` has fixed its block sizes; so each record is the one
+a trial-by-trial loop would give, bit for bit. ``sample_conserving_instance``
+and ``pointer_analysis`` are batches of one over the same kernels.
 """
 
 from __future__ import annotations
