@@ -113,11 +113,14 @@ def _state_arg(psi, dim: int) -> np.ndarray:
 def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) -> None:
     if q.kind != "multiplicative":
         raise PreconditionError("kind", "noise bounds require a multiplicative quantity")
-    report = check_conserved(m, q, tol)
-    if not report.verdict:
-        raise PreconditionError(
-            "check_conserved", f"residual {report.residual:.3e} exceeds {tol:.3e}"
-        )
+    _require_residuals(np.array([check_conserved(m, q, tol).residual]), tol)
+
+
+def _require_residuals(residual: np.ndarray, tol: float) -> None:
+    """The conservation precondition for a stack of residuals; the first failure raises."""
+    failed = ~(residual <= tol)
+    if failed.any():
+        raise PreconditionError("check_conserved", f"residual {residual[failed][0]:.3e} exceeds {tol:.3e}")
 
 
 def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -543,14 +546,6 @@ def _probes(vectors: np.ndarray, rngs, yanase: np.ndarray) -> np.ndarray:
     return probes
 
 
-def _require_conserved_stack(x: _Stack, tol: float) -> None:
-    """``_require_conserved`` for a stack; the first failing instance raises."""
-    residual = conservation_residual_stack(x.u, x.conserved)
-    failed = ~(residual <= tol)
-    if failed.any():
-        raise PreconditionError("check_conserved", f"residual {residual[failed][0]:.3e} exceeds {tol:.3e}")
-
-
 def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRecord]:
     """The records of one chunk of trials, drawn and evaluated as stacks.
 
@@ -575,7 +570,7 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRec
     psi = random_state_vector_stack(n1, rngs)
 
     x = _Stack(interaction, ready, observable, psi, probe, la, lb)
-    _require_conserved_stack(x, config.tol)
+    _require_residuals(conservation_residual_stack(interaction, x.conserved), config.tol)
     eps = x.epsilon_sq.tolist()
     robertson, paper, yanase, simplified = _robertson(x), _paper(x), _yanase(x), _simplified(x)
     columns = {

@@ -213,6 +213,15 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {field} must be at least 1\n"
 
+    def test_bound_audit_reports_first_failing_conservation(self, capsys):
+        # with --tol 0 the rounding residual of trial 0 fails the precondition
+        code, out, err = run(
+            capsys, "sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3",
+            "--count", "5", "--seed", "1", "--tol", "0", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: check_conserved: residual 7.642e-15 exceeds 0.000e+00\n"
+
     def test_zero_tolerance_accepted(self, capsys):
         code, _, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "0")
         assert code == 0
