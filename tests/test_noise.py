@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import CNOT, E0, I2, LA_DIAG, PLUS, X, Z
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
-from wayaudit.linalg import SWEEP_CHUNK_BYTES
 from wayaudit.linalg import (
+    SWEEP_CHUNK_BYTES,
     commutator,
     dagger,
     random_hermitian,
@@ -289,4 +289,3 @@ class TestBoundAuditSweep:
         # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
         # golden that crosses chunk boundaries
         assert 40 > SWEEP_CHUNK_BYTES // (16 * 45 * 45)
-

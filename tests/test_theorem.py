@@ -212,4 +212,3 @@ class TestCounterexampleSweep:
         long = counterexample_sweep(n1, n2, count, 5).trials
         short = counterexample_sweep(n1, n2, prefix, 5).trials
         assert repr(long[:prefix]) == repr(short)
-
