@@ -171,7 +171,7 @@ def product_state(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The single multiply ``np.kron`` does, so bit-identical to it.
     """
-    out = a[..., :, None] * b[..., None, :]
+    out = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
     return out.reshape(*out.shape[:-2], -1)
 
 

@@ -319,6 +319,7 @@ class TestBitIdentity:
         psi, v = random_state_vector(n1, rng), random_state_vector(n2, rng)
         for left, right in ((psi, v), (np.eye(n1, dtype=complex)[0], v), (psi, np.eye(n2)[1])):
             assert product_state(left, right).tobytes() == np.kron(left, right).tobytes()
+        assert product_state(list(psi), list(v)).tobytes() == np.kron(psi, v).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stacked_haar_matches_haar_unitary(self, d):
