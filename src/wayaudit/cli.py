@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .commutant import SearchConfig, feasibility_search, minimize_epsilon
-from .linalg import ToleranceConfig, dagger, frobenius_norm
+from .errors import PreconditionError
+from .linalg import DEFAULT_TOLERANCES, as_state, require_hermitian
 from .model import (
     ConservedQuantity,
     MeasurementModel,
@@ -218,6 +219,19 @@ class LoadedModel:
         return doc
 
 
+# Model-file fields of the dataclass fields and arguments the structural checks name.
+_FILE_FIELDS = {"interaction": "unitary", "system_op": "conserved.LA", "apparatus_op": "conserved.LB"}
+
+
+def _checked(build, *args):
+    """``build(*args)``; a failed structural check is reported for the model-file field it names."""
+    try:
+        return build(*args)
+    except PreconditionError as exc:
+        detail = str(exc).removeprefix(f"{exc.check}: ")
+        raise ModelFileError(_FILE_FIELDS.get(exc.check, exc.check), detail) from exc
+
+
 def _load_document(doc: dict) -> LoadedModel:
     if not isinstance(doc, dict):
         raise ModelFileError("file", "top level must be an object")
@@ -227,27 +241,16 @@ def _load_document(doc: dict) -> LoadedModel:
             raise ModelFileError(key, "must be a positive integer")
     n1, n2 = doc["n1"], doc["n2"]
 
-    if "system_basis" in doc:
-        basis = _matrix(doc["system_basis"], n1, n1, "system_basis")
-    else:
-        basis = np.eye(n1, dtype=complex)
-    defect = frobenius_norm(basis @ dagger(basis) - np.eye(n1))
-    if defect > 1e-8:
-        raise ModelFileError("system_basis", f"not orthonormal (defect {defect:.3e})")
-
+    basis = _matrix(doc["system_basis"], n1, n1, "system_basis") if "system_basis" in doc else None
     if "ready_state" not in doc:
         raise ModelFileError("ready_state", "missing")
     ready = _vector(doc["ready_state"], n2, "ready_state")
-    norm = float(np.linalg.norm(ready))
-    if abs(norm - 1.0) > 1e-10:
-        raise ModelFileError("ready_state", f"norm {norm!r} is not 1")
-
     if "unitary" not in doc:
         raise ModelFileError("unitary", "missing")
     interaction = _matrix(doc["unitary"], n1 * n2, n1 * n2, "unitary")
-    residual = frobenius_norm(dagger(interaction) @ interaction - np.eye(n1 * n2))
-    if residual > 1e-10:
-        raise ModelFileError("unitary", f"not unitary (residual {residual:.3e})")
+    if basis is None:  # built only now that the unitary has bounded n1
+        basis = np.eye(n1, dtype=complex)
+    model = _checked(MeasurementModel, n1, n2, basis, ready, interaction)
 
     conserved = doc.get("conserved")
     if not isinstance(conserved, dict):
@@ -257,26 +260,14 @@ def _load_document(doc: dict) -> LoadedModel:
         raise ModelFileError("conserved.kind", f"must be 'additive' or 'multiplicative', got {kind!r}")
     la = _matrix(conserved.get("LA"), n1, n1, "conserved.LA")
     lb = _matrix(conserved.get("LB"), n2, n2, "conserved.LB")
-    for name, op in (("conserved.LA", la), ("conserved.LB", lb)):
-        h = frobenius_norm(op - dagger(op))
-        if h > 1e-10:
-            raise ModelFileError(name, f"not Hermitian (residual {h:.3e})")
+    quantity = _checked(ConservedQuantity, kind, la, lb)
 
-    observable = probe = None
-    if "observable" in doc:
-        observable = _matrix(doc["observable"], n1, n1, "observable")
-        h = frobenius_norm(observable - dagger(observable))
-        if h > 1e-10:
-            raise ModelFileError("observable", f"not Hermitian (residual {h:.3e})")
-    if "probe" in doc:
-        probe = _matrix(doc["probe"], n2, n2, "probe")
-        h = frobenius_norm(probe - dagger(probe))
-        if h > 1e-10:
-            raise ModelFileError("probe", f"not Hermitian (residual {h:.3e})")
-
-    model = MeasurementModel(n1, n2, basis, ready, interaction)
-    quantity = ConservedQuantity(kind, la, lb)
-    return LoadedModel(model, quantity, observable, probe)
+    operators = {}
+    for field, dim in (("observable", n1), ("probe", n2)):
+        if field in doc:
+            operators[field] = _matrix(doc[field], dim, dim, field)
+            _checked(require_hermitian, operators[field], field)
+    return LoadedModel(model, quantity, operators.get("observable"), operators.get("probe"))
 
 
 def load_model(path: str) -> LoadedModel:
@@ -306,11 +297,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
             literal = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise ModelFileError("state", f"parse error: {exc}") from exc
-        v = _vector(literal, dim, "state")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
-            raise ModelFileError("state", f"norm {norm!r} is not 1")
-        return v
+        return _checked(as_state, _vector(literal, dim, "state"))
     raise ModelFileError("state", f"unknown state {spec!r}")
 
 
@@ -319,15 +306,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
 
 
 def _tolerances_dict(tol: float) -> dict:
-    cfg = ToleranceConfig()
-    return {
-        "tol": tol,
-        "hermiticity_tol": cfg.hermiticity_tol,
-        "unitarity_tol": cfg.unitarity_tol,
-        "rank_tol": cfg.rank_tol,
-        "conservation_tol": cfg.conservation_tol,
-        "grouping_tol": cfg.grouping_tol,
-    }
+    return {"tol": tol, **dataclasses.asdict(DEFAULT_TOLERANCES)}
 
 
 def _base_report(args, command: str, seed: int | None, tol: float) -> dict:
@@ -419,7 +398,6 @@ def _cmd_bound(args) -> int:
         raise ModelFileError("conserved.kind", "bound requires a multiplicative quantity")
     psi = _parse_state(args.state, loaded.model.n1)
     nr = noise_report(loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
-    robertson_valid = nr.robertson.bound <= nr.epsilon_sq + 1e-9
     report = _base_report(args, "bound", None, args.tol)
     report["model"] = loaded.echo()
     report["results"] = {
@@ -435,14 +413,14 @@ def _cmd_bound(args) -> int:
         "var_conserved_exact": nr.var_conserved_exact,
         "var_product_claim": nr.var_product_claim,
         "flags": {
-            "robertson_valid": robertson_valid,
+            "robertson_valid": nr.robertson.valid,
             "paper_valid": nr.paper.valid,
             "yanase_valid": nr.yanase.valid,
             "simplified_valid": nr.simplified.valid,
         },
     }
     _emit(args, report)
-    return 0 if robertson_valid else 1
+    return 0 if nr.robertson.valid else 1
 
 
 def _cmd_rank(args) -> int:

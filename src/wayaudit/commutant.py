@@ -32,21 +32,20 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOLERANCES,
-    ToleranceConfig,
     anti_hermitian_exp_stack,
     as_operator,
     as_state,
     dagger,
-    frobenius_norm,
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_eigensystem,
     product_state,
     random_state_vector,
+    require_anti_hermitian,
     tensor_product,
     tensor_product_stack,
 )
-from .model import ConservedQuantity, conserved_operator
+from .model import POINTER_DEGENERACY_TOL, ConservedQuantity, conserved_operator
 
 __all__ = [
     "Block",
@@ -89,10 +88,7 @@ class BlockDecomposition:
         return tuple(b.basis.shape[1] for b in self.blocks)
 
 
-def conserved_eigenspaces(
-    q: ConservedQuantity, dims: tuple[int, int] | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> BlockDecomposition:
+def conserved_eigenspaces(q: ConservedQuantity, dims: tuple[int, int] | None = None) -> BlockDecomposition:
     """Eigenvalue groups of the joint conserved operator.
 
     Sorted eigenvalues are clustered by gaps larger than ``grouping_tol``, so
@@ -103,9 +99,9 @@ def conserved_eigenspaces(
         if tuple(dims) != expected:
             raise ValueError(f"dims {tuple(dims)} do not match quantity dims {expected}")
     joint = conserved_operator(q)
-    values, vectors = hermitian_eigensystem(joint, tol)
+    values, vectors = hermitian_eigensystem(joint)
     blocks, start = [], 0
-    (dims,) = block_sizes(values[None], tol)
+    (dims,) = block_sizes(values[None])
     for dim in dims:
         group = slice(start, start + dim)
         blocks.append(Block(float(values[group].mean()), vectors[:, group]))
@@ -113,14 +109,14 @@ def conserved_eigenspaces(
     return BlockDecomposition(tuple(blocks), joint.shape[0])
 
 
-def block_sizes(values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+def block_sizes(values: np.ndarray):
     """Yield the block sizes of each row of a (k, D) stack of ascending eigenvalues.
 
     A block ends where the next eigenvalue lies more than ``grouping_tol``
     above it, so eigenvalues inside a block are closer than the gap between blocks.
     """
     dim, sizes = values.shape[-1], {}
-    for gaps in map(tuple, (np.diff(values, axis=-1) > tol.grouping_tol).tolist()):
+    for gaps in map(tuple, (np.diff(values, axis=-1) > DEFAULT_TOLERANCES.grouping_tol).tolist()):
         if gaps not in sizes:
             starts = [0] + [i + 1 for i, gap in enumerate(gaps) if gap]
             sizes[gaps] = tuple(b - a for a, b in zip(starts, starts[1:] + [dim]))
@@ -147,9 +143,7 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     }
 
 
-def commutant_unitary_stack(
-    la: np.ndarray, lb: np.ndarray, rngs, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def commutant_unitary_stack(la: np.ndarray, lb: np.ndarray, rngs) -> np.ndarray:
     """Haar unitaries from the commutants of la[i] (x) lb[i], one per stream, (k, D, D);
     the factors are taken as valid (see ``ConservedQuantity``).
 
@@ -161,7 +155,7 @@ def commutant_unitary_stack(
     joint = tensor_product_stack(la, lb)
     values, vectors = np.linalg.eigh(joint)
     groups = {}
-    for i, dims in enumerate(block_sizes(values, tol)):
+    for i, dims in enumerate(block_sizes(values)):
         groups.setdefault(dims, []).append(i)
     u = np.empty_like(joint)
     for dims, members in groups.items():
@@ -284,17 +278,13 @@ def random_commutant_unitary(d: BlockDecomposition, seed: int) -> np.ndarray:
     return commutant_unitary(d, np.random.default_rng(seed))
 
 
-def project_generator(
-    k: np.ndarray, d: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def project_generator(k: np.ndarray, d: BlockDecomposition) -> np.ndarray:
     """Zero the cross-block components of an anti-Hermitian generator.
 
     The projected generator exponentiates to a conserving unitary.
     """
     k = as_operator(k)
-    defect = frobenius_norm(k + dagger(k))
-    if defect > tol.hermiticity_tol:
-        raise ValueError(f"generator is not anti-Hermitian: residual {defect:.3e}")
+    require_anti_hermitian(k, "generator")
     out = np.zeros_like(k)
     for block in d.blocks:
         out += block.basis @ (dagger(block.basis) @ k @ block.basis) @ dagger(block.basis)
@@ -496,7 +486,7 @@ def feasibility_search(
             diag_sq = norms_sq[:, diag, diag]
             norms_sq[:, diag, diag] = 0.0
             leakage_sq = norms_sq.max(axis=(1, 2))
-            found = (diag_sq > 1e-24)[..., None]
+            found = (diag_sq > POINTER_DEGENERACY_TOL**2)[..., None]
             pointers = np.divide(w[:, diag, diag], np.sqrt(diag_sq)[..., None], out=np.zeros_like(w[:, 0]), where=found)
             defect = (pointers.conj() @ pointers.mT - eye).reshape(len(u), -1)
             # np.linalg.norm(defect_row) ** 2 exactly: the same two strided dot

@@ -5,7 +5,9 @@ class PreconditionError(ValueError):
     """A named precondition of an operation failed.
 
     ``check`` carries the machine-readable name of the failing check so
-    callers (and the CLI) can report which gate tripped.
+    callers (and the CLI) can report which gate tripped; for the structural
+    checks of ``linalg`` (Hermitian, unitary, ...) it names the checked
+    argument or dataclass field.
     """
 
     def __init__(self, check: str, message: str = ""):

@@ -11,6 +11,15 @@ call: matrix products go through one BLAS call per matrix (``matvec_stack``
 keeps a mat-vec a gemv), norms through the strided dot products
 ``np.linalg.norm`` takes, and a Python float's square through libm ``pow``
 (``squares``). The scalar functions are their validated batches of one.
+
+Each structural hypothesis has one stack-aware check here, which raises a
+``PreconditionError`` named after the checked argument for the first failing
+member: ``require_hermitian``, ``require_anti_hermitian``, ``require_unitary``
+(thresholds from ``DEFAULT_TOLERANCES``), ``require_orthonormal_rows``
+(``ORTHONORMAL_TOL``) and ``require_unit_norm`` (``STATE_NORM_TOL``).
+Every caller in the package, the model dataclasses, the samplers and the CLI
+loader included, goes through them.
+
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
 chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack.
 """
@@ -20,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import PreconditionError
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -52,6 +63,11 @@ __all__ = [
     "random_positive_operator_stack",
     "random_state_vector",
     "random_state_vector_stack",
+    "require_anti_hermitian",
+    "require_hermitian",
+    "require_orthonormal_rows",
+    "require_unit_norm",
+    "require_unitary",
     "squares",
     "sweep_chunks",
     "tensor_product",
@@ -68,7 +84,7 @@ __all__ = [
 VARIANCE_CLAMP = 1e-14
 
 STATE_NORM_TOL = 1e-10
-COLUMN_ORTHO_TOL = 1e-8
+ORTHONORMAL_TOL = 1e-8
 # Byte budget of one (chunk, D, D) complex stack in a sweep; it sets the chunk
 # size from D and bounds the memory a chunk's intermediates take.
 SWEEP_CHUNK_BYTES = 1 << 16
@@ -111,10 +127,53 @@ def as_state(v) -> np.ndarray:
         raise ValueError(f"state must be a nonempty vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state amplitudes must be finite")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
+    require_unit_norm(v, "state")
     return v
+
+
+def _require(name: str, residual: np.ndarray, passed: np.ndarray, detail: str) -> None:
+    """Raise for the first member of a stack that failed; ``detail`` formats its residual."""
+    if not np.all(passed):
+        raise PreconditionError(name, detail.format(float(np.ravel(residual)[~np.ravel(passed)][0])))
+
+
+def _hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    residual = frobenius_norm_stack(a - dagger(a))
+    return residual, residual <= DEFAULT_TOLERANCES.hermiticity_tol
+
+
+def _unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    residual = frobenius_norm_stack(dagger(u) @ u - np.eye(u.shape[-1]))
+    return residual, residual <= DEFAULT_TOLERANCES.unitarity_tol
+
+
+def require_hermitian(a: np.ndarray, name: str) -> None:
+    """Each matrix of a (..., n, n) stack is Hermitian within ``hermiticity_tol``."""
+    _require(name, *_hermitian(a), "not Hermitian (residual {:.3e})")
+
+
+def require_anti_hermitian(k: np.ndarray, name: str) -> None:
+    """Each matrix of a (..., n, n) stack is anti-Hermitian within ``hermiticity_tol``."""
+    residual = frobenius_norm_stack(k + dagger(k))
+    _require(name, residual, residual <= DEFAULT_TOLERANCES.hermiticity_tol, "not anti-Hermitian (residual {:.3e})")
+
+
+def require_unitary(u: np.ndarray, name: str) -> None:
+    """Each matrix of a (..., n, n) stack is unitary within ``unitarity_tol``."""
+    _require(name, *_unitary(u), "not unitary (residual {:.3e})")
+
+
+def require_orthonormal_rows(a: np.ndarray, name: str) -> None:
+    """The rows of each matrix of a (..., m, n) stack are orthonormal within ``ORTHONORMAL_TOL``."""
+    residual = frobenius_norm_stack(a @ dagger(a) - np.eye(a.shape[-2]))
+    _require(name, residual, residual <= ORTHONORMAL_TOL, "not orthonormal (defect {:.3e})")
+
+
+def require_unit_norm(v: np.ndarray, name: str) -> None:
+    """Each vector of a (..., n) stack has unit norm within ``STATE_NORM_TOL``; a
+    non-finite vector fails."""
+    norms = frobenius_norm_stack(v[..., None])
+    _require(name, norms, abs(norms - 1.0) <= STATE_NORM_TOL, "norm {!r} is not 1")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -195,12 +254,12 @@ def expectation(a: np.ndarray, s: np.ndarray) -> complex:
     return complex(np.vdot(s, a @ s))
 
 
-def variance(a: np.ndarray, s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def variance(a: np.ndarray, s: np.ndarray) -> float:
     """<a^2> - <a>^2 for Hermitian ``a``; tiny negative rounding is clamped to 0."""
     a, s = as_operator(a), as_state(s)
     if a.shape[0] != s.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {s.shape[0]}")
-    _require_hermitian(a, tol.hermiticity_tol)
+    require_hermitian(a, "operator")
     return float(variance_stack(a[None], s[None])[0])
 
 
@@ -220,12 +279,6 @@ def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return value
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    residual = frobenius_norm(a - dagger(a))
-    if residual > tol:
-        raise ValueError(f"matrix is not Hermitian: residual {residual:.3e} > {tol:.3e}")
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a structural matrix check.
@@ -241,32 +294,28 @@ class ValidationReport:
     rank: int | None = None
 
 
-def validate(a: np.ndarray, kind: str, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ValidationReport:
+def validate(a: np.ndarray, kind: str) -> ValidationReport:
     a = as_operator(a)
     dim = a.shape[0]
-    if kind == "hermitian":
-        residual = frobenius_norm(a - dagger(a))
-        return ValidationReport(kind, residual, residual <= tol.hermiticity_tol)
-    if kind == "unitary":
-        residual = frobenius_norm(dagger(a) @ a - np.eye(dim))
-        return ValidationReport(kind, residual, residual <= tol.unitarity_tol)
+    if kind in ("hermitian", "unitary"):
+        residual, passed = (_hermitian if kind == "hermitian" else _unitary)(a)
+        return ValidationReport(kind, float(residual), bool(passed))
+    rank_tol = DEFAULT_TOLERANCES.rank_tol
     if kind == "positive_spectrum":
-        _require_hermitian(a, tol.hermiticity_tol)
+        require_hermitian(a, "operator")
         smallest = float(np.linalg.eigvalsh(a)[0])
-        return ValidationReport(kind, smallest, smallest > tol.rank_tol)
+        return ValidationReport(kind, smallest, smallest > rank_tol)
     if kind == "full_rank":
         singulars = np.linalg.svd(a, compute_uv=False)
-        rank = numerical_rank(a, tol.rank_tol)
+        rank = numerical_rank(a, rank_tol)
         return ValidationReport(kind, float(singulars[-1]), rank == dim, rank=rank)
     raise ValueError(f"unknown validation kind {kind!r}")
 
 
-def hermitian_eigensystem(
-    a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvector columns of Hermitian ``a``."""
     a = as_operator(a)
-    _require_hermitian(a, tol.hermiticity_tol)
+    require_hermitian(a, "operator")
     values, vectors = np.linalg.eigh(a)
     return values, vectors
 
@@ -296,10 +345,8 @@ def unitary_completion(columns) -> np.ndarray:
     k = len(cols)
     if k > dim:
         raise ValueError(f"{k} columns cannot fit in dimension {dim}")
+    require_orthonormal_rows(np.stack(cols), "columns")
     q = np.stack(cols, axis=1)
-    gram_defect = frobenius_norm(dagger(q) @ q - np.eye(k))
-    if gram_defect > COLUMN_ORTHO_TOL:
-        raise ValueError(f"input columns are not orthonormal: defect {gram_defect:.3e}")
     if k == dim:
         return q
 
@@ -433,10 +480,8 @@ def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:
     return (vectors * np.exp(1j * values)[..., None, :]) @ dagger(vectors)
 
 
-def anti_hermitian_exp(k: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def anti_hermitian_exp(k: np.ndarray) -> np.ndarray:
     """exp(k) for one anti-Hermitian matrix: ``anti_hermitian_exp_stack`` after validation."""
     k = as_operator(k)
-    defect = frobenius_norm(k + dagger(k))
-    if defect > tol.hermiticity_tol:
-        raise ValueError(f"matrix is not anti-Hermitian: residual {defect:.3e}")
+    require_anti_hermitian(k, "generator")
     return anti_hermitian_exp_stack(k)

@@ -7,10 +7,14 @@ here decide whether a model is nondestructive (each u(j) survives the
 interaction), exact (the induced apparatus pointer states are orthonormal),
 and whether it conserves a given additive or multiplicative quantity.
 
-The structural checks and the pointer analysis run on (k, ...) stacks of
-models for the sweeps (``require_model_stack``, ``require_hermitian_factors``,
-``pointer_stack``); the dataclasses and ``pointer_analysis`` use them as
-batches of one.
+The dataclasses check their hypotheses (orthonormal measured basis,
+unit-norm ready state, unitary interaction, Hermitian factors) through the
+shared stack-aware checks of ``linalg`` (``require_orthonormal_rows``,
+``require_unit_norm``, ``require_unitary``, ``require_hermitian``), which the
+sweep samplers call on whole stacks. A failure raises a ``PreconditionError``
+named after the dataclass field. The pointer analysis runs on (k, ...) stacks
+of models for the sweeps (``pointer_stack``); ``pointer_analysis`` is its
+batch of one.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ import numpy as np
 
 from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-    STATE_NORM_TOL,
     as_operator,
     as_state,
     commutator,  # noqa: F401  (re-exported convenience)
@@ -32,6 +33,10 @@ from .linalg import (
     frobenius_norm_stack,
     matvec_stack,
     product_state,
+    require_hermitian,
+    require_orthonormal_rows,
+    require_unit_norm,
+    require_unitary,
     tensor_product,
     unitary_completion,
 )
@@ -54,13 +59,12 @@ __all__ = [
     "observable_in_basis",
     "pointer_analysis",
     "pointer_stack",
-    "require_hermitian_factors",
-    "require_model_stack",
     "synthesize_unitary",
 ]
 
-BASIS_ORTHO_TOL = 1e-8
-POINTER_NORM_TOL = 1e-8
+# A pointer whose diagonal block norm is at or below this is degenerate: it
+# cannot be normalized.
+POINTER_DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,50 +87,18 @@ class MeasurementModel:
         basis = np.asarray(self.system_basis, dtype=complex)
         if basis.shape != (self.n1, self.n1):
             raise ValueError(f"system_basis must have shape ({self.n1}, {self.n1})")
-        defect = frobenius_norm(basis @ dagger(basis) - np.eye(self.n1))
-        if defect > BASIS_ORTHO_TOL:
-            raise ValueError(f"system_basis is not orthonormal: defect {defect:.3e}")
-        ready = as_state(self.ready_state)
-        if ready.shape[0] != self.n2:
+        require_orthonormal_rows(basis, "system_basis")
+        ready = np.asarray(self.ready_state, dtype=complex)
+        if ready.shape != (self.n2,):
             raise ValueError(f"ready_state must have dimension {self.n2}")
+        require_unit_norm(ready, "ready_state")
         u = as_operator(self.interaction)
         if u.shape[0] != self.n1 * self.n2:
             raise ValueError(f"interaction must have dimension {self.n1 * self.n2}")
-        _require_unitary(u[None])
+        require_unitary(u, "interaction")
         object.__setattr__(self, "system_basis", basis)
         object.__setattr__(self, "ready_state", ready)
         object.__setattr__(self, "interaction", u)
-
-
-def _first(values: np.ndarray, failed: np.ndarray):
-    """The first of ``values`` where ``failed`` holds, or None."""
-    return values[failed][0] if failed.any() else None
-
-
-def _require_unitary(u: np.ndarray) -> None:
-    residual = frobenius_norm_stack(dagger(u) @ u - np.eye(u.shape[-1]))
-    bad = _first(residual, residual > DEFAULT_TOLERANCES.unitarity_tol)
-    if bad is not None:
-        raise ValueError(f"interaction is not unitary: residual {bad:.3e}")
-
-
-def require_model_stack(ready: np.ndarray, u: np.ndarray) -> None:
-    """``MeasurementModel``'s checks of ready states and interactions, for (k, n2) and
-    (k, D, D) stacks of finite sampled arrays measured in the computational basis."""
-    norms = frobenius_norm_stack(ready[..., None])
-    bad = _first(norms, np.abs(norms - 1.0) > STATE_NORM_TOL)
-    if bad is not None:
-        raise ValueError(f"state norm {float(bad)!r} is not 1 within {STATE_NORM_TOL}")
-    _require_unitary(u)
-
-
-def require_hermitian_factors(**factors: np.ndarray) -> None:
-    """``ConservedQuantity``'s Hermiticity check for (k, n, n) stacks of factors, by name."""
-    for name, op in factors.items():
-        defect = frobenius_norm_stack(op - dagger(op))
-        bad = _first(defect, defect > DEFAULT_TOLERANCES.hermiticity_tol)
-        if bad is not None:
-            raise ValueError(f"{name} is not Hermitian: residual {bad:.3e}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +114,7 @@ class ConservedQuantity:
             raise ValueError(f"kind must be 'additive' or 'multiplicative', got {self.kind!r}")
         for name in ("system_op", "apparatus_op"):
             op = as_operator(getattr(self, name))
-            require_hermitian_factors(**{name: op[None]})
+            require_hermitian(op, name)
             object.__setattr__(self, name, op)
 
 
@@ -213,7 +185,7 @@ def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerat
                 degenerate=~found, gram=gram, deficit=deficit)
 
 
-def pointer_analysis(m: MeasurementModel, degenerate_tol: float = 1e-12) -> PointerAnalysis:
+def pointer_analysis(m: MeasurementModel, degenerate_tol: float = POINTER_DEGENERACY_TOL) -> PointerAnalysis:
     """``pointer_stack`` for one model."""
     a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None],
                                           degenerate_tol).items()}
@@ -323,18 +295,13 @@ def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise ValueError("system_basis must be a square array with one basis vector per row")
     n1 = basis.shape[0]
-    defect = frobenius_norm(basis @ dagger(basis) - np.eye(n1))
-    if defect > BASIS_ORTHO_TOL:
-        raise ValueError(f"system_basis is not orthonormal: defect {defect:.3e}")
+    require_orthonormal_rows(basis, "system_basis")
     ready = as_state(ready_state)
     n2 = ready.shape[0]
     ptrs = np.asarray(pointers, dtype=complex)
     if ptrs.shape != (n1, n2):
         raise ValueError(f"pointers must have shape ({n1}, {n2})")
-    for j in range(n1):
-        norm = np.linalg.norm(ptrs[j])
-        if abs(norm - 1.0) > POINTER_NORM_TOL:
-            raise ValueError(f"pointer {j} has norm {norm!r}, expected 1")
+    require_unit_norm(ptrs, "pointers")
 
     inputs = [product_state(basis[j], ready) for j in range(n1)]
     outputs = [product_state(basis[j], ptrs[j]) for j in range(n1)]

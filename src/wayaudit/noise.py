@@ -32,7 +32,6 @@ from .linalg import (
     as_state,
     commutator_stack,
     dagger,
-    frobenius_norm,
     frobenius_norm_stack,
     ginibre_stack,
     haar_from_ginibre,
@@ -44,6 +43,9 @@ from .linalg import (
     random_hermitian_stack,
     random_positive_operator_stack,
     random_state_vector_stack,
+    require_hermitian,
+    require_unit_norm,
+    require_unitary,
     squares,
     sweep_chunks,
     tensor_product,
@@ -56,8 +58,6 @@ from .model import (
     MeasurementModel,
     check_conserved,
     conservation_residual_stack,
-    require_hermitian_factors,
-    require_model_stack,
 )
 
 __all__ = [
@@ -93,21 +93,17 @@ YANASE_COMMUTATOR_TOL = 1e-10
 ZERO_EXPECTATION_TOL = 1e-10
 
 
-def _hermitian_arg(a, dim: int, name: str) -> np.ndarray:
-    a = as_operator(a)
+def _sized(a: np.ndarray, dim: int, name: str) -> np.ndarray:
     if a.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}")
-    defect = frobenius_norm(a - dagger(a))
-    if defect > 1e-10:
-        raise ValueError(f"{name} is not Hermitian: residual {defect:.3e}")
     return a
 
 
-def _state_arg(psi, dim: int) -> np.ndarray:
-    psi = as_state(psi)
-    if psi.shape[0] != dim:
-        raise ValueError(f"psi must have dimension {dim}")
-    return psi
+def _operator_arg(m: MeasurementModel, name: str, a) -> np.ndarray:
+    """The observable (on the system) or the probe (on the apparatus), coerced and checked."""
+    a = _sized(as_operator(a), m.n1 if name == "observable" else m.n2, name)
+    require_hermitian(a, name)
+    return a
 
 
 def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) -> None:
@@ -131,8 +127,7 @@ def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarr
 
 def noise_operator(m: MeasurementModel, observable, probe) -> np.ndarray:
     """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space."""
-    observable = _hermitian_arg(observable, m.n1, "observable")
-    probe = _hermitian_arg(probe, m.n2, "probe")
+    observable, probe = _operator_arg(m, "observable", observable), _operator_arg(m, "probe", probe)
     return _noise_operator_stack(m.interaction, observable, probe)
 
 
@@ -179,9 +174,9 @@ def _instance(m, q, observable, probe, psi, tol, checks) -> _Stack:
     """One instance as a stack of one, after its input checks in the given order."""
     run = {
         "conserved": lambda: _require_conserved(m, q, tol),
-        "psi": lambda: _state_arg(psi, m.n1),
-        "observable": lambda: _hermitian_arg(observable, m.n1, "observable"),
-        "probe": lambda: _hermitian_arg(probe, m.n2, "probe"),
+        "psi": lambda: _sized(as_state(psi), m.n1, "psi"),
+        "observable": lambda: _operator_arg(m, "observable", observable),
+        "probe": lambda: _operator_arg(m, "probe", probe),
     }
     checked = {name: run[name]() for name in checks}
     probe = checked.get("probe")
@@ -232,12 +227,14 @@ class RobertsonReport:
 
     ``degenerate`` marks Var(L) <= 1e-12, where the bound is set to zero: an
     eigenstate of the conserved quantity forces the numerator to zero as well.
+    ``valid`` compares the bound against epsilon^2; False falsifies the chain.
     """
 
     bound: float
     numerator: float
     var_conserved: float
     degenerate: bool
+    valid: bool
 
 
 def _robertson(x: _Stack) -> dict:
@@ -253,6 +250,7 @@ def _robertson(x: _Stack) -> dict:
         "numerator": numerator.tolist(),
         "var_conserved": x.var_conserved.tolist(),
         "degenerate": degenerate.tolist(),
+        "valid": _validity(x, bound, np.ones_like(degenerate)),
     }
 
 
@@ -386,8 +384,8 @@ def variance_identity_audit(a, b, psi_a, psi_b, tol: float = 1e-10) -> VarianceA
     b = as_operator(b)
     psi_a = as_state(psi_a)
     psi_b = as_state(psi_b)
-    a = _hermitian_arg(a, a.shape[0], "a")
-    b = _hermitian_arg(b, b.shape[0], "b")
+    require_hermitian(a, "a")
+    require_hermitian(b, "b")
     lhs = variance(tensor_product(a, b), product_state(psi_a, psi_b))
     var_a = variance(a, psi_a)
     var_b = variance(b, psi_b)
@@ -560,11 +558,13 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRec
     zero_mode, yanase_mode = index % 4 >= 2, index % 2 == 1
     la = random_positive_operator_stack(n1, rngs)
     lb = _apparatus_factors(n2, rngs, zero_mode)
-    require_hermitian_factors(system_op=la, apparatus_op=lb)
+    require_hermitian(la, "system_op")
+    require_hermitian(lb, "apparatus_op")
     interaction = commutant_unitary_stack(la, lb, rngs)
     lb_values, lb_vectors = np.linalg.eigh(lb)
     ready = _ready_states(lb_values, lb_vectors, rngs, zero_mode)
-    require_model_stack(ready, interaction)
+    require_unit_norm(ready, "ready_state")
+    require_unitary(interaction, "interaction")
     observable = random_hermitian_stack(n1, rngs)
     probe = _probes(lb_vectors, rngs, yanase_mode)
     psi = random_state_vector_stack(n1, rngs)
@@ -586,7 +586,7 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRec
         "simplified_applicable": simplified["applicable"],
         "simplified_bound": simplified["bound"],
         "simplified_defined": simplified["defined"],
-        "robertson_valid": [b <= e + VALIDITY_SLACK for b, e in zip(robertson["bound"], eps)],
+        "robertson_valid": robertson["valid"],
         "paper_valid": paper["valid"],
         "yanase_valid": yanase["valid"],
         "simplified_valid": simplified["valid"],

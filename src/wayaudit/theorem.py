@@ -30,7 +30,6 @@ from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
     DEFAULT_TOLERANCES,
-    ToleranceConfig,
     as_operator,
     commutator,
     commutator_stack,
@@ -39,9 +38,13 @@ from .linalg import (
     numerical_rank,
     random_positive_operator_stack,
     random_state_vector_stack,
+    require_hermitian,
+    require_unit_norm,
+    require_unitary,
     sweep_chunks,
 )
 from .model import (
+    POINTER_DEGENERACY_TOL,
     ConservationReport,
     ConservedQuantity,
     MeasurementModel,
@@ -52,8 +55,6 @@ from .model import (
     observable_in_basis,
     pointer_analysis,
     pointer_stack,
-    require_hermitian_factors,
-    require_model_stack,
 )
 
 __all__ = [
@@ -117,29 +118,25 @@ class TheoremVerdict:
         raise KeyError(name)
 
 
-def theorem_verdict(
-    m: MeasurementModel,
-    q: ConservedQuantity,
-    tol: float = 1e-9,
-    config: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> TheoremVerdict:
+def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9) -> TheoremVerdict:
     if q.kind != "multiplicative":
         raise PreconditionError("kind", "theorem_verdict requires a multiplicative quantity")
     la, lb = q.system_op, q.apparatus_op
     if la.shape[0] != m.n1 or lb.shape[0] != m.n2:
         raise ValueError("conserved quantity dimensions do not match the model")
 
+    rank_tol = DEFAULT_TOLERANCES.rank_tol
     conserved = check_conserved(m, q, tol)
-    rank = numerical_rank(lb, config.rank_tol)
+    rank = numerical_rank(lb, rank_tol)
     la_min = float(np.linalg.eigvalsh(la)[0])
     lb_min = float(np.linalg.eigvalsh(lb)[0])
-    analysis = pointer_analysis(m, degenerate_tol=1e-12)
+    analysis = pointer_analysis(m)
 
     checks = (
         AssumptionCheck("conservation", conserved.residual, conserved.verdict),
         AssumptionCheck("lb_full_rank", float(m.n2 - rank), rank == m.n2),
-        AssumptionCheck("la_positive", la_min, la_min > config.rank_tol),
-        AssumptionCheck("lb_positive", lb_min, lb_min > config.rank_tol),
+        AssumptionCheck("la_positive", la_min, la_min > rank_tol),
+        AssumptionCheck("lb_positive", lb_min, lb_min > rank_tol),
         AssumptionCheck("dimension_bound", float(2 * m.n1 - m.n2), m.n2 < 2 * m.n1),
         AssumptionCheck("nondestructive", analysis.leakage, analysis.leakage <= tol),
         AssumptionCheck("exact", analysis.deficit, analysis.deficit <= tol),
@@ -201,12 +198,7 @@ class GramRankReport:
     constant_case: bool
 
 
-def pointer_gram_rank(
-    lb: np.ndarray,
-    pointers: PointerFamily,
-    tol: float = 1e-9,
-    config: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> GramRankReport:
+def pointer_gram_rank(lb: np.ndarray, pointers: PointerFamily, tol: float = 1e-9) -> GramRankReport:
     """Rank analysis of B(i,j) = <v(i)|lb|v(j)>.
 
     ``constant_case`` flags an all-entries-equal table, in which case the rank
@@ -215,7 +207,7 @@ def pointer_gram_rank(
     lb = as_operator(lb)
     ptrs = np.asarray(pointers.pointers, dtype=complex)
     gram_lb = ptrs.conj() @ lb @ ptrs.T
-    rank = numerical_rank(gram_lb, config.rank_tol)
+    rank = numerical_rank(gram_lb, DEFAULT_TOLERANCES.rank_tol)
     constant_case = bool(np.abs(gram_lb - gram_lb[0, 0]).max() <= tol)
     if constant_case:
         assert rank <= 1, f"constant table reported rank {rank}"
@@ -240,10 +232,12 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple[np.ndarray, ...]:
     """
     la = random_positive_operator_stack(n1, rngs)
     lb = random_positive_operator_stack(n2, rngs)
-    require_hermitian_factors(system_op=la, apparatus_op=lb)
+    require_hermitian(la, "system_op")
+    require_hermitian(lb, "apparatus_op")
     interaction = commutant_unitary_stack(la, lb, rngs)
     ready = random_state_vector_stack(n2, rngs)
-    require_model_stack(ready, interaction)
+    require_unit_norm(ready, "ready_state")
+    require_unitary(interaction, "interaction")
     return la, lb, interaction, ready
 
 
@@ -315,7 +309,7 @@ def counterexample_sweep(
     trials = []
     for indices, rngs in sweep_chunks(seed, count, n1 * n2):
         la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
-        a = pointer_stack(basis, ready, interaction, degenerate_tol=1e-12)
+        a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
         comm = frobenius_norm_stack(commutator_stack(observable, la))
         conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
         counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)

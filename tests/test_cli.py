@@ -9,6 +9,9 @@ import pytest
 
 import wayaudit.cli as cli
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
+from wayaudit.linalg import DEFAULT_TOLERANCES, STATE_NORM_TOL, variance
+from wayaudit.model import ConservedQuantity, MeasurementModel
+from wayaudit.noise import noise_report
 from wayaudit.theorem import AssumptionCheck, TheoremVerdict
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,6 +81,132 @@ class TestLoadModel:
         assert "system_basis" not in doc
         loaded = load_model(str(FIXTURES / "cnot.json"))
         np.testing.assert_array_equal(loaded.model.system_basis, np.eye(2))
+
+
+def _cnot_doc() -> dict:
+    return json.load(open(FIXTURES / "cnot.json"))
+
+
+def _non_hermitian(doc: dict, field: str) -> None:
+    """Make the 2x2 operator at ``field`` (dotted path) non-Hermitian."""
+    owner = doc["conserved"] if field.startswith("conserved.") else doc
+    owner[field.removeprefix("conserved.")][0][1] = [1.0, 0.0]
+
+
+def _corrupt_system_basis(doc):
+    doc["system_basis"] = [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
+
+def _corrupt_ready_state(doc):
+    doc["ready_state"] = [[1.0, 0.0], [1.0, 0.0]]
+
+
+def _corrupt_unitary(doc):
+    doc["unitary"][0][0] = [2.0, 0.0]
+
+
+def _corrupt_kind(doc):
+    doc["conserved"]["kind"] = "bogus"
+
+
+CORRUPTIONS = {
+    "system_basis": _corrupt_system_basis,
+    "ready_state": _corrupt_ready_state,
+    "unitary": _corrupt_unitary,
+    "conserved.kind": _corrupt_kind,
+    **{field: (lambda doc, f=field: _non_hermitian(doc, f))
+       for field in ("conserved.LA", "conserved.LB", "observable", "probe")},
+}
+
+
+class TestLoaderFields:
+    def check(self, capsys, tmp_path, doc) -> str:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("field", list(CORRUPTIONS))
+    def test_each_field_is_named(self, capsys, tmp_path, field):
+        doc = _cnot_doc()
+        CORRUPTIONS[field](doc)
+        assert self.check(capsys, tmp_path, doc).startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("first, second", [
+        ("system_basis", "probe"), ("ready_state", "conserved.LA"), ("unitary", "conserved.kind"),
+        ("conserved.LA", "conserved.LB"), ("conserved.LB", "observable"), ("observable", "probe"),
+    ])
+    def test_earlier_field_reported_first(self, capsys, tmp_path, first, second):
+        doc = _cnot_doc()
+        CORRUPTIONS[second](doc)
+        CORRUPTIONS[first](doc)
+        assert self.check(capsys, tmp_path, doc).startswith(f"error: {first}: ")
+
+    def test_large_n1_without_basis_is_an_input_error(self, capsys, tmp_path):
+        # the default basis must not be built before the unitary bounds n1
+        doc = _cnot_doc()
+        doc["n1"] = 10**9
+        assert self.check(capsys, tmp_path, doc).startswith("error: unitary: ")
+
+
+class TestThresholds:
+    """Inputs just inside and just outside each structural tolerance are accepted
+    and rejected alike by the loader, the dataclasses, noise_report and variance."""
+
+    def load(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return load_model(str(path))
+
+    def expect(self, accepted, call):
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+    def test_hermiticity(self, tmp_path, scale, accepted):
+        # [[1, e], [0, -1]] has Hermiticity residual sqrt(2) * e
+        eps = scale * DEFAULT_TOLERANCES.hermiticity_tol / np.sqrt(2.0)
+        op = np.array([[1.0, eps], [0.0, -1.0]], dtype=complex)
+        cnot = load_model(str(FIXTURES / "cnot.json"))
+        for field in ("conserved.LA", "conserved.LB", "observable", "probe"):
+            doc = _cnot_doc()
+            owner = doc["conserved"] if field.startswith("conserved.") else doc
+            owner[field.removeprefix("conserved.")] = cli.encode_matrix(op)
+            self.expect(accepted, lambda: self.load(tmp_path, doc))
+        self.expect(accepted, lambda: ConservedQuantity("multiplicative", op, np.eye(2)))
+        self.expect(accepted, lambda: noise_report(
+            cnot.model, cnot.quantity, op, cnot.probe, np.array([1.0, 0.0]), 1e-9))
+        self.expect(accepted, lambda: variance(op, np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+    def test_unitarity(self, tmp_path, scale, accepted):
+        # (1 + d) U for unitary U of dimension 4 has residual 2 * ((1 + d)**2 - 1)
+        cnot = load_model(str(FIXTURES / "cnot.json"))
+        d = np.sqrt(1.0 + scale * DEFAULT_TOLERANCES.unitarity_tol / 2.0) - 1.0
+        u = (1.0 + d) * cnot.model.interaction
+        doc = _cnot_doc()
+        doc["unitary"] = cli.encode_matrix(u)
+        self.expect(accepted, lambda: self.load(tmp_path, doc))
+        self.expect(accepted, lambda: MeasurementModel(2, 2, np.eye(2), cnot.model.ready_state, u))
+
+    @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+    def test_state_norm(self, tmp_path, scale, accepted):
+        cnot = load_model(str(FIXTURES / "cnot.json"))
+        # not an eigenstate of any operator below: a variance that rounds negative raises
+        state = (1.0 + scale * STATE_NORM_TOL) * np.full(2, np.sqrt(0.5), dtype=complex)
+        doc = _cnot_doc()
+        doc["ready_state"] = cli.encode_vector(state)
+        self.expect(accepted, lambda: self.load(tmp_path, doc))
+        self.expect(accepted, lambda: _parse_state(json.dumps(cli.encode_vector(state)), 2))
+        self.expect(accepted, lambda: MeasurementModel(2, 2, np.eye(2), state, cnot.model.interaction))
+        self.expect(accepted, lambda: noise_report(
+            cnot.model, cnot.quantity, cnot.observable, cnot.probe, state, 1e-9))
+        self.expect(accepted, lambda: variance(np.diag([1.0, -1.0]), state))
 
 
 class TestStateParsing:

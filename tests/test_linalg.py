@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import I2, PLUS, X, Z, E0
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
+from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
     ToleranceConfig,
     anti_hermitian_exp,
@@ -22,6 +25,11 @@ from wayaudit.linalg import (
     random_hermitian,
     random_positive_operator,
     random_state_vector,
+    require_anti_hermitian,
+    require_hermitian,
+    require_orthonormal_rows,
+    require_unit_norm,
+    require_unitary,
     tensor_product,
     unitary_completion,
     validate,
@@ -179,6 +187,37 @@ class TestValidate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             validate(I2, "bogus")
+
+
+class TestStructuralChecks:
+    """One stack-aware check per hypothesis; the first failing member is reported."""
+
+    @pytest.mark.parametrize("check, good, bad", [
+        (require_hermitian, Z, np.array([[0, 1], [0, 0]], dtype=complex)),
+        (require_anti_hermitian, 1j * Z, Z),
+        (require_unitary, X, 2.0 * X),
+        (require_orthonormal_rows, np.eye(2, 3), np.ones((2, 3))),
+        (require_unit_norm, PLUS, 2.0 * PLUS),
+    ])
+    def test_first_failing_member(self, check, good, bad):
+        check(np.stack([good, good]), "x")
+        with pytest.raises(PreconditionError) as info:
+            check(np.stack([good, bad, 3.0 * bad]), "x")
+        assert info.value.check == "x"
+        with pytest.raises(PreconditionError, match=re.escape(str(info.value))):
+            check(bad, "x")
+
+    def test_non_finite_state_fails(self):
+        with pytest.raises(PreconditionError, match="nan"):
+            require_unit_norm(np.array([np.nan, 0.0]), "state")
+
+    @pytest.mark.parametrize("kind, value", [("hermitian", np.array([[0, 1], [0, 0]])), ("unitary", 2.0 * X)])
+    def test_validate_shares_the_check(self, kind, value):
+        report = validate(value, kind)
+        check = require_hermitian if kind == "hermitian" else require_unitary
+        with pytest.raises(PreconditionError, match=re.escape(f"(residual {report.residual:.3e})")):
+            check(value, "x")
+        assert not report.verdict
 
 
 class TestEigensystem:
