@@ -87,35 +87,23 @@ def _cnot_doc() -> dict:
     return json.load(open(FIXTURES / "cnot.json"))
 
 
-def _non_hermitian(doc: dict, field: str) -> None:
-    """Make the 2x2 operator at ``field`` (dotted path) non-Hermitian."""
+def _set(doc: dict, field: str, value) -> None:
+    """Set a top-level field of a model document, or entry X of its conserved block for conserved.X."""
     owner = doc["conserved"] if field.startswith("conserved.") else doc
-    owner[field.removeprefix("conserved.")][0][1] = [1.0, 0.0]
+    owner[field.removeprefix("conserved.")] = value
 
 
-def _corrupt_system_basis(doc):
-    doc["system_basis"] = [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
-
-
-def _corrupt_ready_state(doc):
-    doc["ready_state"] = [[1.0, 0.0], [1.0, 0.0]]
-
-
-def _corrupt_unitary(doc):
-    doc["unitary"][0][0] = [2.0, 0.0]
-
-
-def _corrupt_kind(doc):
-    doc["conserved"]["kind"] = "bogus"
-
-
-CORRUPTIONS = {
-    "system_basis": _corrupt_system_basis,
-    "ready_state": _corrupt_ready_state,
-    "unitary": _corrupt_unitary,
-    "conserved.kind": _corrupt_kind,
-    **{field: (lambda doc, f=field: _non_hermitian(doc, f))
-       for field in ("conserved.LA", "conserved.LB", "observable", "probe")},
+NON_HERMITIAN = cli.encode_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+# One invalid value per model-file field of cnot.json, in the order the loader reads them.
+BAD_FIELDS = {
+    "system_basis": cli.encode_matrix(np.ones((2, 2))),
+    "ready_state": cli.encode_vector(np.ones(2)),
+    "unitary": cli.encode_matrix(np.diag([2.0, 1.0, 1.0, 1.0])),
+    "conserved.kind": "bogus",
+    "conserved.LA": NON_HERMITIAN,
+    "conserved.LB": NON_HERMITIAN,
+    "observable": NON_HERMITIAN,
+    "probe": NON_HERMITIAN,
 }
 
 
@@ -128,20 +116,17 @@ class TestLoaderFields:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
-    @pytest.mark.parametrize("field", list(CORRUPTIONS))
+    @pytest.mark.parametrize("field", list(BAD_FIELDS))
     def test_each_field_is_named(self, capsys, tmp_path, field):
         doc = _cnot_doc()
-        CORRUPTIONS[field](doc)
+        _set(doc, field, BAD_FIELDS[field])
         assert self.check(capsys, tmp_path, doc).startswith(f"error: {field}: ")
 
-    @pytest.mark.parametrize("first, second", [
-        ("system_basis", "probe"), ("ready_state", "conserved.LA"), ("unitary", "conserved.kind"),
-        ("conserved.LA", "conserved.LB"), ("conserved.LB", "observable"), ("observable", "probe"),
-    ])
+    @pytest.mark.parametrize("first, second", zip(list(BAD_FIELDS)[:-1], list(BAD_FIELDS)[1:]))
     def test_earlier_field_reported_first(self, capsys, tmp_path, first, second):
         doc = _cnot_doc()
-        CORRUPTIONS[second](doc)
-        CORRUPTIONS[first](doc)
+        _set(doc, first, BAD_FIELDS[first])
+        _set(doc, second, BAD_FIELDS[second])
         assert self.check(capsys, tmp_path, doc).startswith(f"error: {first}: ")
 
     def test_large_n1_without_basis_is_an_input_error(self, capsys, tmp_path):
@@ -155,16 +140,18 @@ class TestThresholds:
     """Inputs just inside and just outside each structural tolerance are accepted
     and rejected alike by the loader, the dataclasses, noise_report and variance."""
 
-    def load(self, tmp_path, doc):
+    def load(self, tmp_path, field, value):
+        doc = _cnot_doc()
+        _set(doc, field, value)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         return load_model(str(path))
 
-    def expect(self, accepted, call):
+    def expect(self, accepted, match, call):
         if accepted:
             call()
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 call()
 
     @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
@@ -174,14 +161,12 @@ class TestThresholds:
         op = np.array([[1.0, eps], [0.0, -1.0]], dtype=complex)
         cnot = load_model(str(FIXTURES / "cnot.json"))
         for field in ("conserved.LA", "conserved.LB", "observable", "probe"):
-            doc = _cnot_doc()
-            owner = doc["conserved"] if field.startswith("conserved.") else doc
-            owner[field.removeprefix("conserved.")] = cli.encode_matrix(op)
-            self.expect(accepted, lambda: self.load(tmp_path, doc))
-        self.expect(accepted, lambda: ConservedQuantity("multiplicative", op, np.eye(2)))
-        self.expect(accepted, lambda: noise_report(
+            self.expect(accepted, f"^{field}: not Hermitian",
+                        lambda: self.load(tmp_path, field, cli.encode_matrix(op)))
+        self.expect(accepted, "Hermitian", lambda: ConservedQuantity("multiplicative", op, np.eye(2)))
+        self.expect(accepted, "Hermitian", lambda: noise_report(
             cnot.model, cnot.quantity, op, cnot.probe, np.array([1.0, 0.0]), 1e-9))
-        self.expect(accepted, lambda: variance(op, np.array([1.0, 0.0])))
+        self.expect(accepted, "Hermitian", lambda: variance(op, np.array([1.0, 0.0])))
 
     @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
     def test_unitarity(self, tmp_path, scale, accepted):
@@ -189,24 +174,21 @@ class TestThresholds:
         cnot = load_model(str(FIXTURES / "cnot.json"))
         d = np.sqrt(1.0 + scale * DEFAULT_TOLERANCES.unitarity_tol / 2.0) - 1.0
         u = (1.0 + d) * cnot.model.interaction
-        doc = _cnot_doc()
-        doc["unitary"] = cli.encode_matrix(u)
-        self.expect(accepted, lambda: self.load(tmp_path, doc))
-        self.expect(accepted, lambda: MeasurementModel(2, 2, np.eye(2), cnot.model.ready_state, u))
+        self.expect(accepted, "^unitary: not unitary", lambda: self.load(tmp_path, "unitary", cli.encode_matrix(u)))
+        self.expect(accepted, "unitary", lambda: MeasurementModel(2, 2, np.eye(2), cnot.model.ready_state, u))
 
     @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
     def test_state_norm(self, tmp_path, scale, accepted):
         cnot = load_model(str(FIXTURES / "cnot.json"))
         # not an eigenstate of any operator below: a variance that rounds negative raises
         state = (1.0 + scale * STATE_NORM_TOL) * np.full(2, np.sqrt(0.5), dtype=complex)
-        doc = _cnot_doc()
-        doc["ready_state"] = cli.encode_vector(state)
-        self.expect(accepted, lambda: self.load(tmp_path, doc))
-        self.expect(accepted, lambda: _parse_state(json.dumps(cli.encode_vector(state)), 2))
-        self.expect(accepted, lambda: MeasurementModel(2, 2, np.eye(2), state, cnot.model.interaction))
-        self.expect(accepted, lambda: noise_report(
+        encoded = cli.encode_vector(state)
+        self.expect(accepted, "^ready_state: norm", lambda: self.load(tmp_path, "ready_state", encoded))
+        self.expect(accepted, "^state: norm", lambda: _parse_state(json.dumps(encoded), 2))
+        self.expect(accepted, "norm", lambda: MeasurementModel(2, 2, np.eye(2), state, cnot.model.interaction))
+        self.expect(accepted, "norm", lambda: noise_report(
             cnot.model, cnot.quantity, cnot.observable, cnot.probe, state, 1e-9))
-        self.expect(accepted, lambda: variance(np.diag([1.0, -1.0]), state))
+        self.expect(accepted, "norm", lambda: variance(np.diag([1.0, -1.0]), state))
 
 
 class TestStateParsing:
