@@ -219,7 +219,7 @@ class LoadedModel:
         return doc
 
 
-# Model-file fields of the dataclass fields and arguments the structural checks name.
+# The model-file field of each dataclass field a structural check names, where the two differ.
 _FILE_FIELDS = {"interaction": "unitary", "system_op": "conserved.LA", "apparatus_op": "conserved.LB"}
 
 
