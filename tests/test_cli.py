@@ -367,6 +367,16 @@ class TestGoldenReports:
         assert code == 0
         assert out == (GOLDEN / "bound_cnot_plus.json").read_text()
 
+    def test_rank(self, capsys):
+        code, out, _ = run(capsys, "rank", "--model", "tests/fixtures/cnot.json")
+        assert code == 0
+        assert out == (GOLDEN / "rank_cnot.json").read_text()
+
+    def test_audit_variance(self, capsys):
+        code, out, _ = run(capsys, "audit-variance", "--model", "tests/fixtures/cnot.json", "--state", "plus")
+        assert code == 0
+        assert out == (GOLDEN / "audit_variance_cnot_plus.json").read_text()
+
 
 class TestSweepGoldens:
     """Sweep CSVs and stdout reports are pinned byte for byte."""
