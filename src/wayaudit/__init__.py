@@ -38,8 +38,7 @@ from .model import (
     ConservedQuantity,
     ExactnessReport,
     MeasurementModel,
-    NondestructiveReport,
-    PointerFamily,
+    PointerReport,
     check_conserved,
     check_exact,
     check_nondestructive,

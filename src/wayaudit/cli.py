@@ -10,12 +10,12 @@ digits), so identical runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .model import (
     check_nondestructive,
 )
 from .noise import AuditConfig, bound_audit_sweep, noise_report, variance_identity_audit
-from .theorem import counterexample_sweep, pointer_gram_rank, theorem_verdict
+from .theorem import counterexample_sweep, pointer_gram_rank, require_sweep_inputs, theorem_verdict
 
 __all__ = ["LoadedModel", "ModelFileError", "emit_report", "load_model", "main"]
 
@@ -220,7 +220,12 @@ class LoadedModel:
 
 
 # The model-file field of each dataclass field a structural check names, where the two differ.
-_FILE_FIELDS = {"interaction": "unitary", "system_op": "conserved.LA", "apparatus_op": "conserved.LB"}
+_FILE_FIELDS = {
+    "interaction": "unitary",
+    "kind": "conserved.kind",
+    "system_op": "conserved.LA",
+    "apparatus_op": "conserved.LB",
+}
 
 
 def _checked(build, *args):
@@ -255,12 +260,9 @@ def _load_document(doc: dict) -> LoadedModel:
     conserved = doc.get("conserved")
     if not isinstance(conserved, dict):
         raise ModelFileError("conserved", "missing or not an object")
-    kind = conserved.get("kind")
-    if kind not in ("additive", "multiplicative"):
-        raise ModelFileError("conserved.kind", f"must be 'additive' or 'multiplicative', got {kind!r}")
     la = _matrix(conserved.get("LA"), n1, n1, "conserved.LA")
     lb = _matrix(conserved.get("LB"), n2, n2, "conserved.LB")
-    quantity = _checked(ConservedQuantity, kind, la, lb)
+    quantity = _checked(ConservedQuantity, conserved.get("kind"), la, lb)
 
     operators = {}
     for field, dim in (("observable", n1), ("probe", n2)):
@@ -305,33 +307,29 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
 # report assembly
 
 
-def _tolerances_dict(tol: float) -> dict:
-    return {"tol": tol, **dataclasses.asdict(DEFAULT_TOLERANCES)}
-
-
-def _base_report(args, command: str, seed: int | None, tol: float) -> dict:
-    echo = [command]
+def _base_report(args, seed: int | None) -> dict:
+    echo = [args.command]
     for name in ("model", "kind", "state", "n1", "n2", "count", "seed", "out", "format"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             echo.extend([f"--{name}", str(value)])
     return {
         "command": echo,
         "version": __version__,
         "seed": seed,
-        "tolerances": _tolerances_dict(tol),
+        "tolerances": {"tol": args.tol, **asdict(DEFAULT_TOLERANCES)},
     }
 
 
-def _search_result_dict(result) -> dict:
-    return {
-        "best_objective": result.best_objective,
-        "best_unitary": encode_matrix(result.best_unitary),
-        "objective_trace": [[it, val] for it, val in result.objective_trace],
-        "restarts_used": result.restarts_used,
-        "converged": result.converged,
-        "restart_objectives": list(result.restart_objectives),
-    }
+def _emit(args, loaded: LoadedModel, results: dict, seed: int | None = None) -> None:
+    """A single-model command's report: the command echo, the model and ``results``,
+    to stdout and to ``--out`` if given."""
+    report = _base_report(args, seed)
+    report["model"] = loaded.echo()
+    report["results"] = results
+    sys.stdout.write(canonical_json(report))
+    if args.out is not None:
+        emit_report(report, "json", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,51 +338,20 @@ def _search_result_dict(result) -> dict:
 
 def _cmd_check(args) -> int:
     loaded = load_model(args.model)
-    report = _base_report(args, "check", None, args.tol)
-    report["model"] = loaded.echo()
     conserved = check_conserved(loaded.model, loaded.quantity, args.tol)
     nd = check_nondestructive(loaded.model, args.tol)
-    results = {
-        "conserved": {"kind": conserved.kind, "residual": conserved.residual, "verdict": conserved.verdict},
-        "nondestructive": {
-            "leakage": nd.leakage,
-            "verdict": nd.verdict,
-            "degenerate": list(nd.degenerate),
-            "error": nd.error,
-            "pointers": encode_matrix(nd.pointers.pointers),
-        },
-    }
     if nd.error is None and nd.verdict:
-        exact = check_exact(loaded.model, args.tol, nondestructive=nd)
-        results["exact"] = {
-            "deficit": exact.deficit,
-            "verdict": exact.verdict,
-            "gram": encode_matrix(exact.gram),
-        }
+        exact = asdict(check_exact(loaded.model, args.tol, nondestructive=nd))
     else:
-        results["exact"] = {"error": nd.error or "precondition_failed: check_nondestructive"}
-    report["results"] = results
-    _emit(args, report)
+        exact = {"error": nd.error or "precondition_failed: check_nondestructive"}
+    _emit(args, loaded, {"conserved": asdict(conserved), "nondestructive": asdict(nd), "exact": exact})
     return 0
 
 
 def _cmd_verdict(args) -> int:
     loaded = load_model(args.model)
-    if loaded.quantity.kind != "multiplicative":
-        raise ModelFileError("conserved.kind", "verdict requires a multiplicative quantity")
-    verdict = theorem_verdict(loaded.model, loaded.quantity, args.tol)
-    report = _base_report(args, "verdict", None, args.tol)
-    report["model"] = loaded.echo()
-    report["results"] = {
-        "assumptions": [
-            {"name": c.name, "residual": c.residual, "passed": c.passed}
-            for c in verdict.assumptions
-        ],
-        "commutator_norm": verdict.commutator_norm,
-        "outcome": verdict.outcome,
-        "strict_dimension_ok": verdict.strict_dimension_ok,
-    }
-    _emit(args, report)
+    verdict = _checked(theorem_verdict, loaded.model, loaded.quantity, args.tol)
+    _emit(args, loaded, asdict(verdict))
     return 1 if verdict.outcome == "contradiction" else 0
 
 
@@ -394,32 +361,9 @@ def _cmd_bound(args) -> int:
         raise ModelFileError("observable", "bound requires an observable in the model file")
     if loaded.probe is None:
         raise ModelFileError("probe", "bound requires a probe in the model file")
-    if loaded.quantity.kind != "multiplicative":
-        raise ModelFileError("conserved.kind", "bound requires a multiplicative quantity")
     psi = _parse_state(args.state, loaded.model.n1)
-    nr = noise_report(loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
-    report = _base_report(args, "bound", None, args.tol)
-    report["model"] = loaded.echo()
-    report["results"] = {
-        "epsilon_sq": nr.epsilon_sq,
-        "robertson_bound": nr.robertson.bound,
-        "robertson_degenerate": nr.robertson.degenerate,
-        "paper_bound": nr.paper.bound,
-        "paper_defined": nr.paper.defined,
-        "yanase_applicable": nr.yanase.applicable,
-        "yanase_bound": nr.yanase.bound,
-        "simplified_applicable": nr.simplified.applicable,
-        "simplified_bound": nr.simplified.bound,
-        "var_conserved_exact": nr.var_conserved_exact,
-        "var_product_claim": nr.var_product_claim,
-        "flags": {
-            "robertson_valid": nr.robertson.valid,
-            "paper_valid": nr.paper.valid,
-            "yanase_valid": nr.yanase.valid,
-            "simplified_valid": nr.simplified.valid,
-        },
-    }
-    _emit(args, report)
+    nr = _checked(noise_report, loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
+    _emit(args, loaded, asdict(nr))
     return 0 if nr.robertson.valid else 1
 
 
@@ -428,15 +372,7 @@ def _cmd_rank(args) -> int:
     nd = check_nondestructive(loaded.model, args.tol)
     if nd.error is not None:
         raise ModelFileError("model", nd.error)
-    gram_rank = pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)
-    report = _base_report(args, "rank", None, args.tol)
-    report["model"] = loaded.echo()
-    report["results"] = {
-        "gram_lb": encode_matrix(gram_rank.gram_lb),
-        "rank": gram_rank.rank,
-        "constant_case": gram_rank.constant_case,
-    }
-    _emit(args, report)
+    _emit(args, loaded, asdict(pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)))
     return 0
 
 
@@ -446,16 +382,7 @@ def _cmd_audit_variance(args) -> int:
     audit = variance_identity_audit(
         loaded.quantity.system_op, loaded.quantity.apparatus_op, psi, loaded.model.ready_state
     )
-    report = _base_report(args, "audit-variance", None, args.tol)
-    report["model"] = loaded.echo()
-    report["results"] = {
-        "lhs": audit.lhs,
-        "paper_rhs": audit.paper_rhs,
-        "corrected_rhs": audit.corrected_rhs,
-        "paper_claim_holds": audit.paper_claim_holds,
-        "corrected_holds": audit.corrected_holds,
-    }
-    _emit(args, report)
+    _emit(args, loaded, asdict(audit))
     return 0
 
 
@@ -467,15 +394,28 @@ def _require_seed(args) -> int:
     return args.seed
 
 
+def _require_out(args) -> None:
+    """The --out usage errors of a sweep, found before any trial runs; creates and truncates nothing."""
+    if args.out is None:
+        if args.format == "csv":
+            raise ModelFileError("out", "--out is required for csv output")
+        return
+    target = args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+        raise ModelFileError("out", f"cannot write {args.out}")
+
+
 def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
         raise ModelFileError("usage", "sweep requires --n1, --n2 and --count")
+    report = _base_report(args, seed)
     if args.kind == "counterexample":
+        require_sweep_inputs(args.n1, args.n2, args.count, seed)
+        _require_out(args)
         sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol)
         rows = [{c: getattr(t, c) for c in COUNTEREXAMPLE_COLUMNS} for t in sweep.trials]
         csv_report = {"columns": COUNTEREXAMPLE_COLUMNS, "rows": rows}
-        report = _base_report(args, "sweep", seed, args.tol)
         report["results"] = {
             "kind": "counterexample",
             "n1": sweep.n1,
@@ -488,7 +428,9 @@ def _cmd_sweep(args) -> int:
         }
         failed = sweep.counterexamples > 0
     else:
-        audit = bound_audit_sweep(AuditConfig(args.n1, args.n2, args.count, seed, args.tol))
+        config = AuditConfig(args.n1, args.n2, args.count, seed, args.tol)
+        _require_out(args)
+        audit = bound_audit_sweep(config)
         rows = [{c: getattr(r, c) for c in BOUND_AUDIT_COLUMNS} for r in audit.records]
         s = audit.summary
         # Summary row reuses the schema: *_bound columns carry violation
@@ -514,25 +456,14 @@ def _cmd_sweep(args) -> int:
             }
         )
         csv_report = {"columns": BOUND_AUDIT_COLUMNS, "rows": rows}
-        report = _base_report(args, "sweep", seed, args.tol)
-        report["results"] = {
-            "kind": "bound-audit",
-            "n1": args.n1,
-            "n2": args.n2,
-            "count": args.count,
-            **dataclasses.asdict(s),
-        }
+        report["results"] = {"kind": "bound-audit", "n1": args.n1, "n2": args.n2, "count": args.count, **asdict(s)}
         failed = s.robertson_violations > 0
 
     if args.format == "csv":
-        if args.out is None:
-            raise ModelFileError("out", "--out is required for csv output")
         emit_report(csv_report, "csv", args.out)
-        sys.stdout.write(canonical_json(report))
-    else:
+    elif args.out is not None:
         emit_report(report, "json", args.out)
-        if args.out is not None:
-            sys.stdout.write(canonical_json(report))
+    sys.stdout.write(canonical_json(report))
     return 1 if failed else 0
 
 
@@ -555,19 +486,8 @@ def _cmd_optimize(args) -> int:
             loaded.model.ready_state,
             config=config,
         )
-    report = _base_report(args, "optimize", seed, args.tol)
-    report["model"] = loaded.echo()
-    report["results"] = {"kind": args.kind, **_search_result_dict(result)}
-    _emit(args, report)
+    _emit(args, loaded, {"kind": args.kind, **asdict(result)}, seed)
     return 0
-
-
-def _emit(args, report: dict) -> None:
-    if getattr(args, "format", "json") == "csv":
-        raise ModelFileError("format", "csv output is only available for sweep")
-    sys.stdout.write(canonical_json(report))
-    if getattr(args, "out", None) is not None:
-        emit_report(report, "json", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", required=True, help="system state: index, 'plus', or [[re,im],...]")
         p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance (default 1e-9)")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p = sub.add_parser("check", help="conservation / nondestructive / exactness checks")
     common(p)
@@ -629,7 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     p.set_defaults(func=_cmd_optimize)
 
     return parser

@@ -79,8 +79,10 @@ __all__ = [
 ]
 
 # Negative variances of larger magnitude than this, relative to max(1, <a^2>),
-# indicate an inconsistent operator or state and raise; anything smaller is
-# rounding noise and is clamped to zero.
+# plus 2 * STATE_NORM_TOL, indicate an inconsistent operator or state and
+# raise. Anything smaller is clamped to zero: rounding noise, or the deficit
+# -(|s|^2 - 1) <a^2> that a state within STATE_NORM_TOL of unit norm gives an
+# operator with <a^2> <= 1.
 VARIANCE_CLAMP = 1e-14
 
 STATE_NORM_TOL = 1e-10
@@ -97,7 +99,6 @@ class ToleranceConfig:
     hermiticity_tol: float = 1e-10
     unitarity_tol: float = 1e-10
     rank_tol: float = 1e-9
-    conservation_tol: float = 1e-9
     grouping_tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -270,7 +271,7 @@ def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     value = second_moment - squares(np.vecdot(s, w).real)
     negative = value < 0.0
     if negative.any():
-        inconsistent = value <= -VARIANCE_CLAMP * np.maximum(1.0, second_moment)
+        inconsistent = value <= -(VARIANCE_CLAMP * np.maximum(1.0, second_moment) + 2.0 * STATE_NORM_TOL)
         if inconsistent.any():
             raise ValueError(
                 f"negative variance {value[inconsistent][0]:.3e}: operator and state are inconsistent"

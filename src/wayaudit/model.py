@@ -29,7 +29,6 @@ from .linalg import (
     as_state,
     commutator,  # noqa: F401  (re-exported convenience)
     dagger,
-    frobenius_norm,
     frobenius_norm_stack,
     matvec_stack,
     product_state,
@@ -46,9 +45,7 @@ __all__ = [
     "ConservedQuantity",
     "ExactnessReport",
     "MeasurementModel",
-    "NondestructiveReport",
-    "PointerAnalysis",
-    "PointerFamily",
+    "PointerReport",
     "check_conserved",
     "check_exact",
     "check_nondestructive",
@@ -59,6 +56,7 @@ __all__ = [
     "observable_in_basis",
     "pointer_analysis",
     "pointer_stack",
+    "require_conserved",
     "synthesize_unitary",
 ]
 
@@ -111,7 +109,7 @@ class ConservedQuantity:
 
     def __post_init__(self):
         if self.kind not in ("additive", "multiplicative"):
-            raise ValueError(f"kind must be 'additive' or 'multiplicative', got {self.kind!r}")
+            raise PreconditionError("kind", f"must be 'additive' or 'multiplicative', got {self.kind!r}")
         for name in ("system_op", "apparatus_op"):
             op = as_operator(getattr(self, name))
             require_hermitian(op, name)
@@ -128,27 +126,21 @@ def conserved_operator(q: ConservedQuantity) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PointerFamily:
-    """Normalized pointer states, one row per system basis index.
+class PointerReport:
+    """A model's pointer states and the nondestructive and exactness figures read from them.
 
-    Rows whose underlying weight was numerically zero are left as zero vectors;
-    ``leakage`` is the largest cross-index block norm of the model.
+    Pointer j is the normalized diagonal block w(j, j); a block whose norm is
+    at most the analysis tolerance is degenerate and left as a zero row.
+    ``leakage`` is the largest cross-index block norm, and ``verdict`` holds
+    when it is at most the tolerance.
     """
 
-    pointers: np.ndarray
     leakage: float
-
-
-@dataclass(frozen=True)
-class PointerAnalysis:
-    """Raw pointer data for a model; tolerant of arbitrarily bad schemes."""
-
-    blocks: np.ndarray          # (n1, n1, n2); [i, j] = w(i, j)
-    leakage: float              # max over i != j of ||w(i, j)||
-    diagonal_norms: np.ndarray  # (n1,)
+    verdict: bool
     pointers: np.ndarray        # (n1, n2); normalized rows, zero where degenerate
     degenerate: tuple[int, ...]
-    gram: np.ndarray            # (n1, n1); <v(i)|v(j)> with zero rows for degenerates
+    error: str | None
+    gram: np.ndarray            # (n1, n1); <v(i)|v(j)>
     deficit: float              # ||gram - I||_F
 
 
@@ -166,8 +158,9 @@ def joint_blocks(m: MeasurementModel) -> np.ndarray:
 
 
 def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerate_tol: float) -> dict:
-    """``PointerAnalysis`` fields for (k, n2) ready states and (k, D, D) interactions
-    sharing one measured basis, as (k, ...) arrays; ``degenerate`` is a (k, n1) mask."""
+    """Leakage, pointers, gram and deficit for (k, n2) ready states and (k, D, D)
+    interactions sharing one measured basis, as (k, ...) arrays; ``degenerate``
+    is a (k, n1) mask."""
     n1 = basis.shape[0]
     blocks = _joint_blocks(basis, ready, u)
     norms = np.linalg.norm(blocks, axis=-1)
@@ -181,53 +174,34 @@ def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerat
     np.divide(blocks[:, diag_index, diag_index], diag[..., None], out=pointers, where=found[..., None])
     gram = pointers.conj() @ pointers.mT
     deficit = frobenius_norm_stack(gram - np.eye(n1))
-    return dict(blocks=blocks, leakage=leakage, diagonal_norms=diag, pointers=pointers,
-                degenerate=~found, gram=gram, deficit=deficit)
+    return dict(leakage=leakage, pointers=pointers, degenerate=~found, gram=gram, deficit=deficit)
 
 
-def pointer_analysis(m: MeasurementModel, degenerate_tol: float = POINTER_DEGENERACY_TOL) -> PointerAnalysis:
-    """``pointer_stack`` for one model."""
-    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None],
-                                          degenerate_tol).items()}
-    return PointerAnalysis(
-        blocks=a["blocks"],
-        leakage=float(a["leakage"]),
-        diagonal_norms=a["diagonal_norms"],
+def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -> PointerReport:
+    """``pointer_stack`` for one model; ``tol`` is both the degeneracy and the leakage threshold."""
+    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None], tol).items()}
+    leakage = float(a["leakage"])
+    degenerate = tuple(np.flatnonzero(a["degenerate"]).tolist())
+    return PointerReport(
+        leakage=leakage,
+        verdict=leakage <= tol,
         pointers=a["pointers"],
-        degenerate=tuple(np.flatnonzero(a["degenerate"]).tolist()),
+        degenerate=degenerate,
+        error=f"degenerate_pointer: indices {list(degenerate)}" if degenerate else None,
         gram=a["gram"],
         deficit=float(a["deficit"]),
     )
 
 
-@dataclass(frozen=True)
-class NondestructiveReport:
-    leakage: float
-    verdict: bool
-    pointers: PointerFamily
-    degenerate: tuple[int, ...]
-    error: str | None
-
-
-def check_nondestructive(m: MeasurementModel, tol: float = 1e-9) -> NondestructiveReport:
+def check_nondestructive(m: MeasurementModel, tol: float = 1e-9) -> PointerReport:
     """Does every measured basis state survive the interaction?
 
     ``leakage`` is the largest norm among the cross-index blocks w(i, j),
-    i != j; the verdict holds when it stays below ``tol``. Pointer j is the
-    normalized diagonal block w(j, j); a diagonal block with norm at most
-    ``tol`` is reported as a degenerate pointer rather than raising.
+    i != j; the verdict holds when it stays below ``tol``. A diagonal block
+    with norm at most ``tol`` is reported as a degenerate pointer rather than
+    raising.
     """
-    analysis = pointer_analysis(m, degenerate_tol=tol)
-    error = None
-    if analysis.degenerate:
-        error = f"degenerate_pointer: indices {list(analysis.degenerate)}"
-    return NondestructiveReport(
-        leakage=analysis.leakage,
-        verdict=analysis.leakage <= tol,
-        pointers=PointerFamily(analysis.pointers, analysis.leakage),
-        degenerate=analysis.degenerate,
-        error=error,
-    )
+    return pointer_analysis(m, tol)
 
 
 @dataclass(frozen=True)
@@ -240,7 +214,7 @@ class ExactnessReport:
 def check_exact(
     m: MeasurementModel,
     tol: float = 1e-9,
-    nondestructive: NondestructiveReport | None = None,
+    nondestructive: PointerReport | None = None,
 ) -> ExactnessReport:
     """Are the pointer states orthonormal (outcomes perfectly distinguishable)?
 
@@ -254,10 +228,7 @@ def check_exact(
         raise PreconditionError(
             "check_nondestructive", f"leakage {report.leakage:.3e} exceeds {tol:.3e}"
         )
-    pointers = report.pointers.pointers
-    gram = pointers.conj() @ pointers.T
-    deficit = frobenius_norm(gram - np.eye(m.n1))
-    return ExactnessReport(gram=gram, deficit=deficit, verdict=deficit <= tol)
+    return ExactnessReport(gram=report.gram, deficit=report.deficit, verdict=report.deficit <= tol)
 
 
 @dataclass(frozen=True)
@@ -281,6 +252,14 @@ def check_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
 def conservation_residual_stack(u: np.ndarray, joint: np.ndarray) -> np.ndarray:
     """||U^dag L U - L||_F for each interaction and joint operator of two (..., D, D) stacks."""
     return frobenius_norm_stack(dagger(u) @ joint @ u - joint)
+
+
+def require_conserved(residual, tol: float) -> None:
+    """The conservation precondition for a residual or a stack of them; the first failure raises."""
+    residual = np.atleast_1d(residual)
+    failed = ~(residual <= tol)
+    if failed.any():
+        raise PreconditionError("check_conserved", f"residual {residual[failed][0]:.3e} exceeds {tol:.3e}")
 
 
 def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:

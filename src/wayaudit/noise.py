@@ -58,6 +58,7 @@ from .model import (
     MeasurementModel,
     check_conserved,
     conservation_residual_stack,
+    require_conserved,
 )
 
 __all__ = [
@@ -109,14 +110,7 @@ def _operator_arg(m: MeasurementModel, name: str, a) -> np.ndarray:
 def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) -> None:
     if q.kind != "multiplicative":
         raise PreconditionError("kind", "noise bounds require a multiplicative quantity")
-    _require_residuals(np.array([check_conserved(m, q, tol).residual]), tol)
-
-
-def _require_residuals(residual: np.ndarray, tol: float) -> None:
-    """The conservation precondition for a stack of residuals; the first failure raises."""
-    failed = ~(residual <= tol)
-    if failed.any():
-        raise PreconditionError("check_conserved", f"residual {residual[failed][0]:.3e} exceeds {tol:.3e}")
+    require_conserved(check_conserved(m, q, tol).residual, tol)
 
 
 def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -570,7 +564,7 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRec
     psi = random_state_vector_stack(n1, rngs)
 
     x = _Stack(interaction, ready, observable, psi, probe, la, lb)
-    _require_residuals(conservation_residual_stack(interaction, x.conserved), config.tol)
+    require_conserved(conservation_residual_stack(interaction, x.conserved), config.tol)
     eps = x.epsilon_sq.tolist()
     robertson, paper, yanase, simplified = _robertson(x), _paper(x), _yanase(x), _simplified(x)
     columns = {

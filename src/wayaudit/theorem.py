@@ -48,13 +48,13 @@ from .model import (
     ConservationReport,
     ConservedQuantity,
     MeasurementModel,
-    PointerFamily,
     check_conserved,
     check_nondestructive,
     measured_observable,
     observable_in_basis,
     pointer_analysis,
     pointer_stack,
+    require_conserved,
 )
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "counterexample_sweep",
     "matrix_element_identity",
     "pointer_gram_rank",
+    "require_sweep_inputs",
     "sample_conserving_instance",
     "sample_instance_stack",
     "theorem_verdict",
@@ -178,14 +179,12 @@ def matrix_element_identity(
         raise PreconditionError(
             "check_nondestructive", nd.error or f"leakage {nd.leakage:.3e} exceeds {tol:.3e}"
         )
-    cons = check_conserved(m, q, tol)
-    if not cons.verdict:
-        raise PreconditionError("check_conserved", f"residual {cons.residual:.3e} exceeds {tol:.3e}")
+    require_conserved(check_conserved(m, q, tol).residual, tol)
 
     basis = m.system_basis
     la_elems = basis.conj() @ q.system_op @ basis.T
     ready_expect = complex(np.vdot(m.ready_state, q.apparatus_op @ m.ready_state))
-    pointers = nd.pointers.pointers
+    pointers = nd.pointers
     pointer_elems = pointers.conj() @ q.apparatus_op @ pointers.T
     residuals = la_elems * (ready_expect - pointer_elems)
     return IdentityResidualTable(residuals, float(np.abs(residuals).max()))
@@ -198,14 +197,14 @@ class GramRankReport:
     constant_case: bool
 
 
-def pointer_gram_rank(lb: np.ndarray, pointers: PointerFamily, tol: float = 1e-9) -> GramRankReport:
-    """Rank analysis of B(i,j) = <v(i)|lb|v(j)>.
+def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = 1e-9) -> GramRankReport:
+    """Rank analysis of B(i,j) = <v(i)|lb|v(j)> for (n1, n2) pointer rows v(i).
 
     ``constant_case`` flags an all-entries-equal table, in which case the rank
     can be at most one; that consistency is asserted.
     """
     lb = as_operator(lb)
-    ptrs = np.asarray(pointers.pointers, dtype=complex)
+    ptrs = np.asarray(pointers, dtype=complex)
     gram_lb = ptrs.conj() @ lb @ ptrs.T
     rank = numerical_rank(gram_lb, DEFAULT_TOLERANCES.rank_tol)
     constant_case = bool(np.abs(gram_lb - gram_lb[0, 0]).max() <= tol)
@@ -279,6 +278,20 @@ class CounterexampleSweepReport:
         return self.counterexamples == 0
 
 
+def require_sweep_inputs(n1: int, n2: int, count: int, seed: int) -> None:
+    """The input checks of ``counterexample_sweep``, in its order, for callers that check before sampling."""
+    if n1 < 1:
+        raise ValueError("n1 must be at least 1")
+    if n2 < 1:
+        raise ValueError("n2 must be at least 1")
+    if not n2 < 2 * n1:
+        raise ValueError(f"dimension precondition violated: n2 = {n2} must be < 2*n1 = {2 * n1}")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def counterexample_sweep(
     n1: int, n2: int, count: int, seed: int, tol: float = 1e-9
 ) -> CounterexampleSweepReport:
@@ -291,19 +304,9 @@ def counterexample_sweep(
     simultaneously nondestructive and exact within ``tol`` yet has commutator
     norm above ``COUNTEREXAMPLE_COMMUTATOR_TOL``. Trials derive independent
     streams from (seed, index), so the report is reproducible and
-    order-independent.
+    order-independent. Its inputs are checked by ``require_sweep_inputs``.
     """
-    if n1 < 1:
-        raise ValueError("n1 must be at least 1")
-    if n2 < 1:
-        raise ValueError("n2 must be at least 1")
-    if not n2 < 2 * n1:
-        raise ValueError(f"dimension precondition violated: n2 = {n2} must be < 2*n1 = {2 * n1}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-
+    require_sweep_inputs(n1, n2, count, seed)
     basis = np.eye(n1, dtype=complex)
     observable = observable_in_basis(basis)
     trials = []

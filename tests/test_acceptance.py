@@ -31,7 +31,6 @@ from wayaudit import (
     variance_identity_audit,
 )
 from wayaudit.cli import main
-from wayaudit.model import PointerFamily
 from wayaudit.theorem import sample_conserving_instance
 
 REPO = Path(__file__).resolve().parent.parent
@@ -121,7 +120,7 @@ def test_criterion_5_matrix_element_identity():
 
 
 def test_criterion_6_rank_argument():
-    constant = pointer_gram_rank(I2, PointerFamily(np.stack([E0, E0]), 0.0))
+    constant = pointer_gram_rank(I2, np.stack([E0, E0]))
     cnot_model = MeasurementModel(2, 2, I2, E0, CNOT)
     pointers = check_nondestructive(cnot_model).pointers
     distinct = pointer_gram_rank(I2, pointers)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 
 import wayaudit.cli as cli
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
+from wayaudit.commutant import SearchConfig, feasibility_search
 from wayaudit.linalg import DEFAULT_TOLERANCES, STATE_NORM_TOL, variance
-from wayaudit.model import ConservedQuantity, MeasurementModel
-from wayaudit.noise import noise_report
-from wayaudit.theorem import AssumptionCheck, TheoremVerdict
+from wayaudit.model import ConservedQuantity, MeasurementModel, check_conserved, check_exact, check_nondestructive
+from wayaudit.noise import noise_report, variance_identity_audit
+from wayaudit.theorem import AssumptionCheck, TheoremVerdict, pointer_gram_rank, theorem_verdict
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -274,6 +276,14 @@ class TestExitCodes:
         assert code == 2
         assert "out" in err
 
+    def test_bound_accepts_state_within_norm_tolerance(self, capsys):
+        # an eigenstate 9e-11 off unit norm: its variances round to -1.8e-10 and clamp to 0
+        state = "[[1.00000000009,0],[0,0]]"
+        code, out, _ = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", state)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["var_conserved_exact"] == 0 and results["robertson"]["var_conserved"] == 0
+
     def test_contradiction_exits_one(self, capsys, monkeypatch):
         # a contradiction cannot be produced by honest inputs, so force one to
         # pin the exit-code contract
@@ -376,6 +386,101 @@ class TestGoldenReports:
         code, out, _ = run(capsys, "audit-variance", "--model", "tests/fixtures/cnot.json", "--state", "plus")
         assert code == 0
         assert out == (GOLDEN / "audit_variance_cnot_plus.json").read_text()
+
+
+class TestSweepUsageFirst:
+    """A sweep finds its usage errors before any trial runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_sweeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran before its usage was checked")
+
+        monkeypatch.setattr(cli, "bound_audit_sweep", refuse)
+        monkeypatch.setattr(cli, "counterexample_sweep", refuse)
+
+    @staticmethod
+    def sweep(capsys, kind, n1, n2, seed, out):
+        argv = ["sweep", "--kind", kind, "--n1", n1, "--n2", n2, "--count", "3000", "--seed", seed]
+        code, stdout, err = run(capsys, *argv, *([] if out is None else ["--out", str(out)]))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("kind", ["counterexample", "bound-audit"])
+    @pytest.mark.parametrize("out", [None, "/nonexistent-dir/x.csv", "."])
+    def test_out_checked_before_sampling(self, capsys, kind, out):
+        assert self.sweep(capsys, kind, "2", "3", "1", out).startswith("error: out: ")
+
+    @pytest.mark.parametrize(
+        "kind, n1, n2, seed, message",
+        [
+            ("counterexample", "2", "4", "1", "dimension precondition"),
+            ("counterexample", "0", "1", "1", "n1 must be at least 1"),
+            ("bound-audit", "2", "1", "1", "n2 must be at least 2"),
+            ("bound-audit", "2", "3", "-1", "seed"),
+        ],
+    )
+    def test_input_errors_come_first_and_touch_no_file(self, capsys, tmp_path, kind, n1, n2, seed, message):
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_text("kept\n")
+        for out in (None, kept, absent, "/nonexistent-dir/x.csv"):
+            assert message in self.sweep(capsys, kind, n1, n2, seed, out)
+        assert kept.read_text() == "kept\n"
+        assert not absent.exists()
+
+
+class TestThinAdapter:
+    """Each single-model command's results are its library report's fields, canonically encoded."""
+
+    @staticmethod
+    def results(capsys, *argv) -> dict:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return json.loads(out)["results"]
+
+    def test_single_model_commands(self, capsys):
+        loaded = load_model("tests/fixtures/cnot.json")
+        m, q, tol = loaded.model, loaded.quantity, 1e-9
+        psi = _parse_state("plus", m.n1)
+        nd = check_nondestructive(m, tol)
+        expected = {
+            ("check",): {
+                "conserved": asdict(check_conserved(m, q, tol)),
+                "nondestructive": asdict(nd),
+                "exact": asdict(check_exact(m, tol, nondestructive=nd)),
+            },
+            ("verdict",): asdict(theorem_verdict(m, q, tol)),
+            ("bound", "--state", "plus"): asdict(noise_report(m, q, loaded.observable, loaded.probe, psi, tol)),
+            ("rank",): asdict(pointer_gram_rank(q.apparatus_op, nd.pointers, tol)),
+            ("audit-variance", "--state", "plus"): asdict(
+                variance_identity_audit(q.system_op, q.apparatus_op, psi, m.ready_state)
+            ),
+        }
+        for (command, *extra), report in expected.items():
+            results = self.results(capsys, command, "--model", "tests/fixtures/cnot.json", *extra)
+            assert canonical_json(results) == canonical_json(report), command
+
+    def test_optimize(self, capsys):
+        results = self.results(
+            capsys, "optimize", "--model", "tests/fixtures/cnot.json",
+            "--kind", "feasibility", "--seed", "4", "--count", "2",
+        )
+        assert results.pop("kind") == "feasibility"
+        loaded = load_model("tests/fixtures/cnot.json")
+        config = SearchConfig(seed=4, restarts=2)
+        search = feasibility_search(loaded.quantity, loaded.observable, loaded.model.n2, config)
+        assert canonical_json(results) == canonical_json(asdict(search))
+
+    @pytest.mark.parametrize("command", [("verdict",), ("bound", "--state", "plus")])
+    def test_additive_quantity_is_a_kind_error(self, capsys, tmp_path, command):
+        doc = _cnot_doc()
+        doc["conserved"]["kind"] = "additive"
+        path = tmp_path / "additive.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], "--model", str(path), *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: conserved.kind: ") and err.count("\n") == 1
 
 
 class TestSweepGoldens:

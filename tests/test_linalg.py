@@ -34,6 +34,7 @@ from wayaudit.linalg import (
     unitary_completion,
     validate,
     variance,
+    variance_stack,
 )
 from wayaudit.model import ConservedQuantity
 
@@ -145,6 +146,15 @@ class TestExpectationVariance:
         s = np.array([1.0 + 4e-11, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="negative variance"):
             variance(1e3 * np.eye(2), s)
+
+    def test_variance_accepts_states_within_the_norm_tolerance(self):
+        # an eigenstate 9e-11 off unit norm rounds to <a^2> - <a>^2 = -1.8e-10
+        assert variance(np.diag([1.0, -1.0]), np.array([1.0 + 9e-11, 0.0])) == 0.0
+
+    def test_variance_stack_rejects_an_inconsistent_state(self):
+        # the unvalidated kernel takes a state of norm 1.1: -0.2541 is no rounding
+        with pytest.raises(ValueError, match="negative variance"):
+            variance_stack(np.diag([1.0, -1.0]).astype(complex)[None], np.array([[1.1, 0.0]], dtype=complex))
 
     def test_variance_clamps_rounding_relative_to_scale(self):
         # eigenstates of a large operator round to about -1e-8; that is noise, not a bug

@@ -83,8 +83,8 @@ class TestNondestructive:
     def test_cnot(self, cnot_model):
         report = check_nondestructive(cnot_model)
         assert report.verdict and report.leakage == 0.0
-        np.testing.assert_allclose(report.pointers.pointers[0], E0)
-        np.testing.assert_allclose(report.pointers.pointers[1], E1)
+        np.testing.assert_allclose(report.pointers[0], E0)
+        np.testing.assert_allclose(report.pointers[1], E1)
 
     def test_population_moving_interaction(self):
         # oracle: X (x) I maps u(j) (x) v to u(1-j) (x) v, so all weight leaks
@@ -98,8 +98,8 @@ class TestNondestructive:
     def test_identity_interaction(self, identity_model):
         report = check_nondestructive(identity_model)
         assert report.verdict
-        np.testing.assert_allclose(report.pointers.pointers[0], E0)
-        np.testing.assert_allclose(report.pointers.pointers[1], E0)
+        np.testing.assert_allclose(report.pointers[0], E0)
+        np.testing.assert_allclose(report.pointers[1], E0)
 
 
 class TestExact:
@@ -219,7 +219,7 @@ class TestSynthesize:
         report = check_nondestructive(m)
         assert report.leakage <= 1e-10
         for j in range(n1):
-            overlap = abs(np.vdot(report.pointers.pointers[j], pointers[j]))
+            overlap = abs(np.vdot(report.pointers[j], pointers[j]))
             assert abs(overlap - 1.0) <= 1e-10
 
 
@@ -233,3 +233,14 @@ class TestMeasuredObservable:
         obs = measured_observable(m)
         expected = 1.0 * np.outer(PLUS, PLUS) + 2.0 * np.outer(basis[1], basis[1])
         np.testing.assert_allclose(obs, expected, atol=1e-12)
+
+
+def test_public_names_resolve():
+    import wayaudit
+    from wayaudit import cli, commutant, linalg, model, noise, theorem
+
+    for module in (wayaudit, cli, commutant, linalg, model, noise, theorem):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert "PointerFamily" not in wayaudit.__all__
+    assert "PointerReport" in wayaudit.__all__

@@ -8,7 +8,6 @@ from wayaudit.errors import PreconditionError
 from wayaudit.model import (
     ConservedQuantity,
     MeasurementModel,
-    PointerFamily,
     check_nondestructive,
 )
 from wayaudit.theorem import (
@@ -60,7 +59,7 @@ class TestMatrixElementIdentity:
 
 class TestPointerGramRank:
     def test_constant_table(self):
-        pointers = PointerFamily(np.stack([E0, E0]), 0.0)
+        pointers = np.stack([E0, E0])
         report = pointer_gram_rank(I2, pointers)
         assert report.rank == 1
         assert report.constant_case
@@ -80,7 +79,7 @@ class TestPointerGramRank:
         np.testing.assert_allclose(report.gram_lb, np.diag([1.0, 2.0]))
 
     def test_zero_table_is_constant_rank_zero(self):
-        pointers = PointerFamily(np.stack([E0, E1]), 0.0)
+        pointers = np.stack([E0, E1])
         report = pointer_gram_rank(np.zeros((2, 2)), pointers)
         assert report.constant_case
         assert report.rank == 0
