@@ -372,7 +372,8 @@ def _cmd_rank(args) -> int:
     nd = check_nondestructive(loaded.model, args.tol)
     if nd.error is not None:
         raise ModelFileError("model", nd.error)
-    _emit(args, loaded, asdict(pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)))
+    gram_rank = pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)
+    _emit(args, loaded, asdict(gram_rank))
     return 0
 
 
@@ -409,10 +410,13 @@ def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
         raise ModelFileError("usage", "sweep requires --n1, --n2 and --count")
-    report = _base_report(args, seed)
     if args.kind == "counterexample":
         require_sweep_inputs(args.n1, args.n2, args.count, seed)
-        _require_out(args)
+    else:
+        config = AuditConfig(args.n1, args.n2, args.count, seed, args.tol)
+    _require_out(args)
+    report = _base_report(args, seed)
+    if args.kind == "counterexample":
         sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol)
         rows = [{c: getattr(t, c) for c in COUNTEREXAMPLE_COLUMNS} for t in sweep.trials]
         csv_report = {"columns": COUNTEREXAMPLE_COLUMNS, "rows": rows}
@@ -428,8 +432,6 @@ def _cmd_sweep(args) -> int:
         }
         failed = sweep.counterexamples > 0
     else:
-        config = AuditConfig(args.n1, args.n2, args.count, seed, args.tol)
-        _require_out(args)
         audit = bound_audit_sweep(config)
         rows = [{c: getattr(r, c) for c in BOUND_AUDIT_COLUMNS} for r in audit.records]
         s = audit.summary
@@ -456,7 +458,13 @@ def _cmd_sweep(args) -> int:
             }
         )
         csv_report = {"columns": BOUND_AUDIT_COLUMNS, "rows": rows}
-        report["results"] = {"kind": "bound-audit", "n1": args.n1, "n2": args.n2, "count": args.count, **asdict(s)}
+        report["results"] = {
+            "kind": "bound-audit",
+            "n1": args.n1,
+            "n2": args.n2,
+            "count": args.count,
+            **asdict(s),
+        }
         failed = s.robertson_violations > 0
 
     if args.format == "csv":
@@ -502,33 +510,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, state=False):
-        if model:
-            p.add_argument("--model", required=True, help="model file (JSON)")
+    def common(p, state=False):
+        p.add_argument("--model", required=True, help="model file (JSON)")
         if state:
             p.add_argument("--state", required=True, help="system state: index, 'plus', or [[re,im],...]")
         p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance (default 1e-9)")
         p.add_argument("--out", default=None, help="write the report to this path")
 
-    p = sub.add_parser("check", help="conservation / nondestructive / exactness checks")
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("verdict", help="hypothesis checks plus the commutator conclusion")
-    common(p)
-    p.set_defaults(func=_cmd_verdict)
-
-    p = sub.add_parser("bound", help="noise figure and every lower bound for one state")
-    common(p, state=True)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("rank", help="pointer Gram-matrix rank analysis")
-    common(p)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("audit-variance", help="product-state variance claim audit")
-    common(p, state=True)
-    p.set_defaults(func=_cmd_audit_variance)
+    for name, func, state, summary in (
+        ("check", _cmd_check, False, "conservation / nondestructive / exactness checks"),
+        ("verdict", _cmd_verdict, False, "hypothesis checks plus the commutator conclusion"),
+        ("bound", _cmd_bound, True, "noise figure and every lower bound for one state"),
+        ("rank", _cmd_rank, False, "pointer Gram-matrix rank analysis"),
+        ("audit-variance", _cmd_audit_variance, True, "product-state variance claim audit"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        common(p, state)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="seeded randomized sweeps (CSV records)")
     p.add_argument("--kind", choices=("counterexample", "bound-audit"), required=True)
@@ -542,12 +540,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="search the commutant for low-noise or exact schemes")
-    p.add_argument("--model", required=True)
+    common(p)
     p.add_argument("--kind", choices=("epsilon", "feasibility"), default="epsilon")
     p.add_argument("--count", type=int, default=None, help="number of restarts (default 8)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_optimize)
 
     return parser

@@ -179,7 +179,8 @@ def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerat
 
 def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -> PointerReport:
     """``pointer_stack`` for one model; ``tol`` is both the degeneracy and the leakage threshold."""
-    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None], tol).items()}
+    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None],
+                                          tol).items()}
     leakage = float(a["leakage"])
     degenerate = tuple(np.flatnonzero(a["degenerate"]).tolist())
     return PointerReport(
