@@ -10,6 +10,7 @@ digits), so identical runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -502,7 +503,9 @@ def _cmd_optimize(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wayaudit",
         description="Verify measurement models against a multiplicative conservation law "

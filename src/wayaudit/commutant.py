@@ -3,14 +3,15 @@
 A joint unitary conserves L exactly iff it is block-unitary on the eigenspaces
 of L. This module eigendecomposes L into blocks, samples block unitaries
 uniformly, projects anti-Hermitian generators onto the block structure, and
-runs a projected finite-difference descent over the blocks to measure
-empirical floors of measurement-noise or scheme-quality objectives.
+minimizes sums of squares over the commutant to measure empirical floors of
+measurement-noise or scheme-quality objectives.
 
-Blocks of one size are handled as stacks: a descent iteration scores all its
-central differences in one objective call, and each line-search call scores
-``LINE_SEARCH_BATCH`` step halvings from one stacked exp per block size. Stacked
-kernels give each matrix the bits of its own call and reductions keep their
-order, so every result is bit-identical to the one-at-a-time loop.
+The optimizer is Levenberg-Marquardt on the exact residual Jacobian. Its
+parameters are the canonical generators of every block (d**2 per block of
+size d), and for the feasibility search also the tangent directions of the
+ready-state sphere. The Jacobian is one stacked directional derivative along
+dU = U K_p; an accepted step retracts with one stacked exp per block size and
+renormalizes the ready state. Each restart reports why it stopped.
 
 Sweeps sample commutants for a whole chunk of trials at once
 (``commutant_unitary_stack``; chunks are sized from D by
@@ -62,12 +63,8 @@ __all__ = [
     "random_commutant_unitary",
 ]
 
-FD_STEP = 1e-6
-MIN_STEP = 1e-13
-CONVERGENCE_STREAK = 10
-# Line-search steps tried per objective call. At the step cap the first try
-# usually fails and its half succeeds, so two cover most iterations.
-LINE_SEARCH_BATCH = 2
+ZERO_OBJECTIVE = POINTER_DEGENERACY_TOL**2  # far below any floor the searches report
+STOP_REASONS = ("zero", "no_decrease", "gradient", "max_iter")  # see _descend
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ def _assemble(columns: np.ndarray, dims: tuple[int, ...], rngs) -> np.ndarray:
 
 
 class _SizeGroup:
-    """The blocks of one size as stacks, with the FD factors and generator layout of that size."""
+    """The blocks of one size as stacks, with the generator layout of that size."""
 
     def __init__(self, decomposition: BlockDecomposition, size: int):
         self.size = size
@@ -192,23 +189,6 @@ class _SizeGroup:
         diag, (a, b) = np.arange(self.size), np.triu_indices(self.size, 1)
         return np.argsort(np.concatenate([diag * (self.size + 1), a * self.size + b, b * self.size + a]))
 
-    @cached_property
-    def factors(self) -> np.ndarray:
-        """exp(+-FD_STEP * G_p) for each canonical generator, (2, 1, size**2, size, size), without
-        eigh: a phase for p < size, then per pair G = E_ab - E_ba and G = i (E_ab + E_ba)."""
-        diag, (a, b) = np.arange(self.size), np.triu_indices(self.size, 1)
-        pairs = len(a)
-        params, a, b = self.size + np.arange(2 * pairs), np.repeat(a, 2), np.repeat(b, 2)
-        factors = np.zeros((2, self.size**2, self.size, self.size), dtype=complex)
-        factors[:, :, diag, diag] = 1.0
-        for f, t in zip(factors, (FD_STEP, -FD_STEP)):
-            c, s = np.cos(t), np.sin(t)
-            f[diag, diag, diag] = np.exp(1j * t)
-            f[params, a, a] = f[params, b, b] = c
-            f[params, a, b] = np.tile([s, 1j * s], pairs)
-            f[params, b, a] = np.tile([-s, 1j * s], pairs)
-        return factors[:, None]
-
     def generators(self, thetas: np.ndarray) -> np.ndarray:
         """Anti-Hermitian generators (..., size, size) from parameter rows (..., size**2).
 
@@ -221,35 +201,28 @@ class _SizeGroup:
         values = np.concatenate([1j * thetas[..., : self.size], 0j + (t_re + im), 0j + (-t_re + im)], axis=-1)
         return values[..., self.layout].reshape(*thetas.shape[:-1], self.size, self.size)
 
+    def joint_generators(self) -> np.ndarray:
+        """B G_p B^dag for each block B of the group and each canonical generator G_p
+        (a unit parameter row), (len(members) * size**2, D, D) in parameter order."""
+        canonical = self.generators(np.eye(self.size**2))
+        joint = self.bases[:, None] @ canonical @ self.bases_dag[:, None]
+        return joint.reshape(-1, *joint.shape[-2:])
+
 
 class _BlockPoint:
-    """Block unitaries stacked per size as (..., m, d, d), with their joint (..., D, D).
-    A leading batch axis holds line-search candidates; ``point[i]`` is one of them."""
+    """Block unitaries stacked per size as (..., m, d, d), with their joint (..., D, D)
+    summed block by block in block order."""
 
-    def __init__(self, groups: list[_SizeGroup], unitaries: list[np.ndarray], parts=None, joint=None):
+    def __init__(self, groups: list[_SizeGroup], unitaries: list[np.ndarray]):
         self.groups = groups
         self.unitaries = unitaries
-        self.parts = parts or [g.bases @ v @ g.bases_dag for g, v in zip(groups, unitaries)]
-        if joint is None:
-            by_block = {i: p[..., k, :, :] for g, p in zip(groups, self.parts) for k, i in enumerate(g.members)}
-            joint = sum(by_block[i] for i in range(len(by_block)))
-        self.joint = joint
-
-    def __getitem__(self, i: int) -> "_BlockPoint":
-        return _BlockPoint(self.groups, [v[i] for v in self.unitaries], [p[i] for p in self.parts], self.joint[i])
-
-    def fd_joints(self) -> np.ndarray:
-        """Joints with one block's unitary times one FD factor each, (2 * sum d**2, D, D):
-        all + steps, then all - steps, each by group, block and parameter."""
-        stacks = [
-            ((self.joint - parts)[:, None] + g.bases[:, None] @ (v[:, None] @ g.factors) @ g.bases_dag[:, None])
-            .reshape(2, -1, *self.joint.shape)
-            for g, v, parts in zip(self.groups, self.unitaries, self.parts)
-        ]
-        return np.concatenate(stacks, axis=1).reshape(-1, *self.joint.shape)
+        parts = [g.bases @ v @ g.bases_dag for g, v in zip(groups, unitaries)]
+        by_block = {i: p[..., k, :, :] for g, p in zip(groups, parts) for k, i in enumerate(g.members)}
+        self.joint = sum(by_block[i] for i in range(len(by_block)))
 
     def stepped(self, thetas: list[np.ndarray]) -> "_BlockPoint":
-        """A batch of c points from (c, m, d**2) parameters per group, one stacked exp per group."""
+        """The point moved by V <- V exp(G(theta)) in every block, from (..., m, d**2)
+        parameters per group; one stacked exp per group."""
         steps = [anti_hermitian_exp_stack(g.generators(theta)) for g, theta in zip(self.groups, thetas)]
         return _BlockPoint(self.groups, [v @ step for v, step in zip(self.unitaries, steps)])
 
@@ -293,19 +266,18 @@ def project_generator(k: np.ndarray, d: BlockDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Restart count and per-restart budget; ``_descend`` says how ``max_iter`` and ``ftol`` stop a restart."""
+
     seed: int
     restarts: int = 8
     max_iter: int = 2000
-    step: float = 0.1
-    ftol: float = 1e-12
+    ftol: float = 1e-15
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive and finite")
         if not (np.isfinite(self.ftol) and self.ftol >= 0):
             raise ValueError("ftol must be nonnegative and finite")
 
@@ -314,73 +286,109 @@ class SearchConfig:
 class SearchResult:
     """Best conserving unitary found, with the accepted-step objective trace.
 
-    ``restart_objectives`` holds the final objective of every restart in
-    restart order, so callers can reason about empirical floors rather than
-    just the single best point.
+    ``restart_objectives`` and ``stop_reasons`` (see ``STOP_REASONS``) hold the
+    final objective and stop reason of every restart in restart order, so callers
+    can reason about empirical floors rather than just the best point. The best
+    restart's ready state is ``best_ready_state``; ``converged`` means it stopped
+    before ``max_iter``.
     """
 
     best_unitary: np.ndarray
+    best_ready_state: np.ndarray
     best_objective: float
     objective_trace: tuple[tuple[int, float], ...]
     restarts_used: int
     converged: bool
     restart_objectives: tuple[float, ...]
+    stop_reasons: tuple[str, ...]
 
 
-def _descend(decomposition, objective, rng, config: SearchConfig):
-    """One restart of projected finite-difference descent. Returns (f, U, trace, converged).
+def _scored(problem, u: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, float]:
+    """The residual of one point as a real vector r (real and imaginary parts
+    interleaved) and the objective F = r . r, a plain sum of squares."""
+    residual = problem.residual(u, ready).ravel().view(np.float64)
+    return residual, float(residual @ residual)
 
-    ``objective`` maps a (n, D, D) stack of joints to n values. The line search
-    takes the first improving step of each batch, as trying them one by one would.
+
+def _descend(decomposition, problem, rng, config: SearchConfig):
+    """One restart of Levenberg-Marquardt on the residual of ``problem``.
+
+    The parameters are the canonical generators of every commutant block,
+    U <- U exp(B_k G_p B_k^dag), and the ``problem.tangents`` of the ready
+    state (none if it is fixed), v <- (v + dv) / |v + dv|. Each try
+    solves (J^T J + lam I) delta = -J^T r on the exact Jacobian, accepts the
+    step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. The
+    restart stops when F <= ZERO_OBJECTIVE, when the next step promises a
+    decrease of at most ``config.ftol * F`` (no damped step decreases F any
+    more), when J^T r is exactly zero, or after ``config.max_iter`` tries.
+    Returns (F, U, v, trace, stop reason).
     """
+    ready = problem.ready_state(rng)
     point = _random_point(decomposition, rng)
-    splits = np.cumsum([len(g.members) * g.size**2 for g in point.groups])[:-1]
-    f = float(objective(point.joint[None])[0])
+    generators = np.concatenate([g.joint_generators() for g in point.groups])
+    sizes = [len(g.members) * g.size**2 for g in point.groups]
+    residual, f = _scored(problem, point.joint, ready)
     trace = [(0, f)]
-    step = config.step
-    streak = 0
-    converged = False
-
+    lam, nu, fresh = None, 2.0, True
+    reason = "zero" if f <= ZERO_OBJECTIVE else "max_iter"
     for it in range(1, config.max_iter + 1):
-        plus, minus = objective(point.fd_joints()).reshape(2, -1)
-        gradient = (plus - minus) / (2.0 * FD_STEP)
-        grads = [g.reshape(len(group.members), -1) for g, group in zip(np.split(gradient, splits), point.groups)]
-        gmax = float(np.max(np.abs(gradient)))
-
-        accepted = False
-        while not accepted and gmax > 0.0 and step >= MIN_STEP:
-            steps = [step / 2.0**k for k in range(LINE_SEARCH_BATCH) if step / 2.0**k >= MIN_STEP]
-            candidates = point.stepped([np.stack([-(s / gmax) * g for s in steps]) for g in grads])
-            for i, (s, f_new) in enumerate(zip(steps, objective(candidates.joint).tolist())):
-                step = s / 2.0
-                if f_new < f:
-                    streak = streak + 1 if f - f_new < config.ftol else 0
-                    point, f, step, accepted = candidates[i], f_new, min(s * 2.0, config.step), True
-                    trace.append((it, f))
-                    break
-        if not accepted:
-            streak += 1
-        if streak >= CONVERGENCE_STREAK:
-            converged = True
+        if reason == "zero":
             break
-    return f, point.joint, trace, converged
+        if fresh:
+            tangents = problem.tangents(ready)
+            jac = problem.derivatives(point.joint, ready, generators, tangents)
+            jac = jac.reshape(len(jac), -1).view(np.float64)  # J^T, (parameters, residuals)
+            grad = jac @ residual
+            if not grad.any():
+                reason = "gradient"
+                break
+            curvature, axes = np.linalg.eigh(jac @ jac.T)
+            curvature = np.maximum(curvature, 0.0)  # J^T J is semidefinite; drop rounding below zero
+            grad_axes = grad @ axes
+            lam = 1e-3 * float(curvature[-1]) if lam is None else lam
+            fresh = False
+        delta = -axes @ (grad_axes / (curvature + lam))
+        predicted = lam * float(delta @ delta) - float(delta @ grad)  # Python floats: lam may overflow
+        if not predicted > config.ftol * f:  # also once lam is inf and predicted nan
+            reason = "no_decrease"
+            break
+        *thetas, ready_step = np.split(delta, np.cumsum(sizes))
+        candidate = point.stepped([t.reshape(len(g.members), -1) for t, g in zip(thetas, point.groups)])
+        candidate_ready = ready
+        if len(tangents):
+            candidate_ready = ready + ready_step @ tangents
+            candidate_ready = candidate_ready / np.linalg.norm(candidate_ready)
+        candidate_residual, f_new = _scored(problem, candidate.joint, candidate_ready)
+        if f_new < f:
+            gain = min((f - f_new) / predicted, 1.0)  # any gain above 1 divides lam by 3
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu, fresh = 2.0, True
+            point, ready, residual, f = candidate, candidate_ready, candidate_residual, f_new
+            trace.append((it, f))
+            if f <= ZERO_OBJECTIVE:
+                reason = "zero"
+        else:
+            lam, nu = lam * nu, nu * 2.0
+    return f, point.joint, ready, trace, reason
 
 
-def _search(decomposition, make_objective, config: SearchConfig) -> SearchResult:
+def _search(decomposition, problem, config: SearchConfig) -> SearchResult:
     """Multi-restart descent; restarts use independent seeded streams and the
     best result is picked by (objective, restart index)."""
-    runs = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
-        runs.append(_descend(decomposition, make_objective(rng), rng, config))
-    f, u, trace, converged = min(runs, key=lambda run: run[0])  # the first of equal floors
+    runs = [
+        _descend(decomposition, problem, np.random.default_rng((config.seed, r)), config)
+        for r in range(config.restarts)
+    ]
+    f, u, ready, trace, reason = min(runs, key=lambda run: run[0])  # the first of equal floors
     return SearchResult(
         best_unitary=u,
+        best_ready_state=ready,
         best_objective=f,
         objective_trace=tuple(trace),
         restarts_used=config.restarts,
-        converged=converged,
+        converged=reason != "max_iter",
         restart_objectives=tuple(run[0] for run in runs),
+        stop_reasons=tuple(run[4] for run in runs),
     )
 
 
@@ -426,23 +434,31 @@ def minimize_epsilon(
     if any(s.shape[0] != n1 for s in states):
         raise ValueError(f"probe states must have dimension {n1}")
 
-    decomposition = conserved_eigenspaces(q)
-    probe_joint = tensor_product(np.eye(n1), probe)
-    obs_joint = tensor_product(observable, np.eye(n2))
-    joints = [product_state(s, ready) for s in states]
+    problem = _Epsilon(tensor_product(np.eye(n1), probe), tensor_product(observable, np.eye(n2)), ready, states)
+    return _search(conserved_eigenspaces(q), problem, config)
 
-    def make_objective(rng):
-        def objective(u):
-            evolved = dagger(u) @ probe_joint @ u - obs_joint
-            total = np.zeros(len(u))
-            for psi in joints:
-                w = evolved @ psi
-                total += np.vecdot(w, w).real  # bit-identical to np.vdot per row
-            return total / len(joints)
 
-        return objective
+class _Epsilon:
+    """Residuals w_psi = (U^dag P U - O)(psi (x) v) / sqrt(#states) for the fixed
+    ready state v, so that |w|^2 is the mean squared noise over the probe states."""
 
-    return _search(decomposition, make_objective, config)
+    def __init__(self, probe_joint, obs_joint, ready, states):
+        self.probe_joint, self.obs_joint, self.ready = probe_joint, obs_joint, ready
+        self.inputs = np.stack([product_state(s, ready) for s in states], axis=-1) / np.sqrt(len(states))
+
+    def ready_state(self, rng):
+        return self.ready
+
+    def tangents(self, ready):
+        return np.empty((0, len(ready)))
+
+    def residual(self, u, ready):
+        return (dagger(u) @ self.probe_joint @ u - self.obs_joint) @ self.inputs
+
+    def derivatives(self, u, ready, generators, tangents):
+        """dw_psi = [U^dag P U, K_p](psi (x) v) along each dU = U K_p."""
+        a = dagger(u) @ self.probe_joint @ u
+        return a @ (generators @ self.inputs) - generators @ (a @ self.inputs)
 
 
 def feasibility_search(
@@ -454,9 +470,10 @@ def feasibility_search(
     """Search the commutant for an exact nondestructive scheme for ``observable``.
 
     The measured basis is the observable's eigenbasis; each restart draws its
-    own apparatus ready state. The objective is leakage^2 + deficit^2, which an
-    exact nondestructive scheme drives to zero. No hypothesis gating happens
-    here: dimensions outside the no-go regime are searched all the same.
+    own apparatus ready state and optimizes it with the unitary. The objective
+    ||G - I||_F^2 (see ``_Feasibility``) is zero exactly for an exact
+    nondestructive scheme. No hypothesis gating happens here: dimensions
+    outside the no-go regime are searched all the same.
     """
     if config is None:
         raise ValueError("config with a seed is required")
@@ -469,31 +486,41 @@ def feasibility_search(
             f"n2 = {n2} does not match the apparatus factor dimension {q.apparatus_op.shape[0]}"
         )
     _, vectors = hermitian_eigensystem(observable)
-    basis = vectors.T  # row i = eigenvector i
-    basis_conj = basis.conj()
-    decomposition = conserved_eigenspaces(q)
+    return _search(conserved_eigenspaces(q), _Feasibility(vectors.T, n2), config)
 
-    def make_objective(rng):
-        ready = random_state_vector(n2, rng)
-        inputs = np.stack([product_state(basis[j], ready) for j in range(n1)])[..., None]
-        eye = np.eye(n1)
-        diag = np.arange(n1)
 
-        def objective(u):
-            # w[b, j, i] = row i of basis^dag U_b (basis_j (x) ready), one (n2,) pointer each
-            w = basis_conj @ (u[:, None] @ inputs).reshape(len(u), n1, n1, n2)
-            norms_sq = np.einsum("bjik,bjik->bji", w.conj(), w).real
-            diag_sq = norms_sq[:, diag, diag]
-            norms_sq[:, diag, diag] = 0.0
-            leakage_sq = norms_sq.max(axis=(1, 2))
-            found = (diag_sq > POINTER_DEGENERACY_TOL**2)[..., None]
-            pointers = np.divide(w[:, diag, diag], np.sqrt(diag_sq)[..., None], out=np.zeros_like(w[:, 0]), where=found)
-            defect = (pointers.conj() @ pointers.mT - eye).reshape(len(u), -1)
-            # np.linalg.norm(defect_row) ** 2 exactly: the same two strided dot
-            # products, and the scalar power (an array power would square instead)
-            norms = np.sqrt(np.vecdot(defect.real, defect.real) + np.vecdot(defect.imag, defect.imag))
-            return leakage_sq + [norm ** 2 for norm in norms]
+class _Feasibility:
+    """Residual E = G - I of the diagonal pointers, G_ij = <W_i|W_j> with
+    W_j = (<u_j| (x) 1) U (|u_j> (x) |v>) = M_j v; zero exactly for an exact
+    nondestructive scheme (unit W_j: no leakage; orthogonal: distinguishable)."""
 
-        return objective
+    def __init__(self, basis: np.ndarray, n2: int):
+        self.basis = basis  # row j = u_j
+        self.n2 = n2
 
-    return _search(decomposition, make_objective, config)
+    def ready_state(self, rng):
+        return random_state_vector(self.n2, rng)
+
+    def tangents(self, ready):
+        """e_k and i e_k projected onto the tangent space of the unit sphere at the ready state, (2 n2, n2)."""
+        t = np.concatenate([np.eye(self.n2), 1j * np.eye(self.n2)])
+        return t - (t @ ready.conj()).real[:, None] * ready
+
+    def blocks(self, u: np.ndarray) -> np.ndarray:
+        """M_j = (<u_j| (x) 1) U (|u_j> (x) 1) for a (..., D, D) stack, (..., n1, n2, n2)."""
+        n1 = len(self.basis)
+        u = u.reshape(*u.shape[:-2], n1, self.n2, n1, self.n2)
+        return np.einsum("ji,...iklm,jl->...jkm", self.basis.conj(), u, self.basis)
+
+    def residual(self, u, ready):
+        w = self.blocks(u) @ ready
+        return w.conj() @ w.mT - np.eye(w.shape[-2])
+
+    def derivatives(self, u, ready, generators, tangents):
+        """dG = dW^dag W + W^dag dW, with dW_j = M_j(U K_p) v along each dU = U K_p
+        and dW_j = M_j t along each ready-state tangent t."""
+        m = self.blocks(u)
+        w = m @ ready
+        dw = np.concatenate([self.blocks(u @ generators) @ ready, (m @ tangents.T).transpose(2, 0, 1)])
+        cross = dw.conj() @ w.mT  # <dW_i|W_j>
+        return cross + cross.conj().mT

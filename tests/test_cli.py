@@ -643,6 +643,33 @@ class TestOptimizeCommand:
         assert "probe" in err
 
 
+class TestParserCache:
+    """One parser serves every call of a process and parses as a freshly built one would."""
+
+    @staticmethod
+    def fresh(capsys, *argv):
+        try:
+            cli._build_parser.__wrapped__().parse_args(list(argv))
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return int(exc.code or 0), captured.out, captured.err
+        raise AssertionError("expected the parser to exit")
+
+    def test_error_then_valid_then_help(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        error = ("check", "--model", "tests/fixtures/cnot.json", "--bogus")
+        code, out, err = run(capsys, *error)
+        assert (code, out) == (2, "") and "--bogus" in err
+        assert (code, out, err) == self.fresh(capsys, *error)
+        code, out, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json")
+        assert code == 0
+        assert out == (GOLDEN / "check_cnot.json").read_text()
+        for help_argv in (("--help",), ("optimize", "--help")):
+            code, out, err = run(capsys, *help_argv)
+            assert (code, err) == (0, "") and out.startswith("usage: wayaudit")
+            assert (code, out, err) == self.fresh(capsys, *help_argv)
+
+
 class TestRankCommand:
     def test_cnot(self, capsys):
         code, out, _ = run(capsys, "rank", "--model", "tests/fixtures/cnot.json")

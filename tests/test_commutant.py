@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import I2, LA_DIAG, X, Z, E0
 from wayaudit import commutant
 from wayaudit.commutant import (
-    FD_STEP,
+    STOP_REASONS,
     SearchConfig,
     SearchResult,
     conserved_eigenspaces,
@@ -198,10 +198,7 @@ class TestSearchInvariants:
 class TestSearchConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [
-            ("step", 0.0), ("step", -0.1), ("step", float("nan")), ("step", float("inf")),
-            ("ftol", -1e-12), ("ftol", float("nan")), ("ftol", float("inf")),
-        ],
+        [("ftol", -1e-12), ("ftol", float("nan")), ("ftol", float("inf"))],
     )
     def test_rejects_bad_step_and_ftol(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -247,6 +244,8 @@ def _pinned(result: SearchResult) -> dict:
         "restart_objectives": [value.hex() for value in result.restart_objectives],
         "restarts_used": result.restarts_used,
         "converged": result.converged,
+        "best_ready_state_sha256": hashlib.sha256(result.best_ready_state.tobytes()).hexdigest(),
+        "stop_reasons": list(result.stop_reasons),
     }
 
 
@@ -322,26 +321,16 @@ def _block_unitaries(point):
     return [out[i] for i in range(len(out))]
 
 
-def _reference_feasibility(observable, n2, rng):
-    """The feasibility objective for one joint unitary, pointer by pointer."""
-    n1 = observable.shape[0]
+def _reference_feasibility(observable, ready):
+    """||G - I||_F^2 for one joint unitary, pointer by pointer and entry by entry."""
+    n1, n2 = observable.shape[0], len(ready)
     basis = np.linalg.eigh(observable)[1].T
-    ready = random_state_vector(n2, rng)
-    inputs = [np.kron(basis[j], ready) for j in range(n1)]
 
     def objective(u):
-        pointers = np.zeros((n1, n2), dtype=complex)
-        leakage_sq = 0.0
-        for j in range(n1):
-            w = basis.conj() @ (u @ inputs[j]).reshape(n1, n2)
-            norms_sq = np.einsum("ik,ik->i", w.conj(), w).real
-            diag_sq = norms_sq[j]
-            norms_sq[j] = 0.0
-            leakage_sq = max(leakage_sq, float(norms_sq.max()))
-            if diag_sq > 1e-24:
-                pointers[j] = w[j] / np.sqrt(diag_sq)
-        gram = pointers.conj() @ pointers.T
-        return leakage_sq + float(np.linalg.norm(gram - np.eye(n1)) ** 2)
+        pointers = [basis[j].conj() @ (u @ np.kron(basis[j], ready)).reshape(n1, n2) for j in range(n1)]
+        return sum(
+            abs(np.vdot(pointers[i], pointers[j]) - (i == j)) ** 2 for i in range(n1) for j in range(n1)
+        )
 
     return objective
 
@@ -363,16 +352,30 @@ def _reference_epsilon(observable, probe, ready, states):
     return objective
 
 
-def _objective(monkeypatch, search, *args):
-    """The stacked objective a search builds for its first restart."""
+def _problem(monkeypatch, search, *args):
+    """The residual problem a search hands to its restarts."""
     captured = {}
 
-    def capture(decomposition, make_objective, config):
-        captured["objective"] = make_objective(np.random.default_rng((config.seed, 0)))
+    def capture(decomposition, problem, config):
+        captured["problem"] = problem
 
     monkeypatch.setattr(commutant, "_search", capture)
     search(*args, config=SearchConfig(seed=0))
-    return captured["objective"]
+    return captured["problem"]
+
+
+def _problems(la, lb):
+    """Both residual problems on diag(la) (x) diag(lb), with seeded observable, probe and
+    ready state: {name: (problem, ready state)}."""
+    rng = np.random.default_rng(4)
+    n1, n2 = len(la), len(lb)
+    observable, probe = random_hermitian(n1, rng), random_hermitian(n2, rng)
+    ready = random_state_vector(n2, rng)
+    epsilon = commutant._Epsilon(
+        np.kron(np.eye(n1), probe), np.kron(observable, np.eye(n2)), ready, default_probe_states(np.diag(la))
+    )
+    feasibility = commutant._Feasibility(np.linalg.eigh(observable)[1].T, n2)
+    return {"epsilon": (epsilon, ready), "feasibility": (feasibility, ready)}
 
 
 BLOCK_CASES = [
@@ -384,26 +387,43 @@ BLOCK_CASES = [
 
 
 class TestOptimizerBitIdentity:
-    """The stacked descent steps reproduce the per-parameter reference loops bit for bit."""
+    """The optimizer's stacked pieces against per-parameter reference loops: bit for bit
+    where the arithmetic is the same, to a set tolerance where it is not."""
 
     @pytest.mark.parametrize("la, lb", BLOCK_CASES)
-    def test_fd_joints_match_per_parameter_loop(self, la, lb):
+    def test_jacobian_matches_central_differences(self, la, lb):
+        """Jacobian and gradient of both objectives against central differences along
+        exp(+-h G_p) per block and parameter, and along each ready-state tangent."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         point = commutant._random_point(d, np.random.default_rng(1))
         unitaries = _block_unitaries(point)
         parts = _reference_parts(d, unitaries)
-        joint = sum(parts)
-        assert point.joint.tobytes() == joint.tobytes()
-        expected = {FD_STEP: [], -FD_STEP: []}
-        for group in point.groups:
-            for i in group.members:
-                basis = d.blocks[i].basis
-                for t, joints in expected.items():
+        assert point.joint.tobytes() == sum(parts).tobytes()
+        generators = np.concatenate([g.joint_generators() for g in point.groups])
+        h = 1e-6
+        for name, (problem, ready) in _problems(la, lb).items():
+            tangents = problem.tangents(ready)
+            jac = problem.derivatives(point.joint, ready, generators, tangents)
+            jac = jac.reshape(len(jac), -1).view(np.float64)
+            points = []
+            for group in point.groups:
+                for i in group.members:
+                    basis = d.blocks[i].basis
                     for p in range(group.size**2):
-                        part = basis @ (unitaries[i] @ _reference_factor(group.size, p, t)) @ basis.conj().T
-                        joints.append(joint - parts[i] + part)
-        reference = np.stack(expected[FD_STEP] + expected[-FD_STEP])
-        assert point.fd_joints().tobytes() == reference.tobytes()
+                        points.append([
+                            (point.joint - parts[i] + basis @ (unitaries[i] @ _reference_factor(group.size, p, t))
+                             @ basis.conj().T, ready)
+                            for t in (h, -h)
+                        ])
+            for t in tangents:
+                points.append([(point.joint, (ready + s * t) / np.linalg.norm(ready + s * t)) for s in (h, -h)])
+            assert len(points) == len(jac) == len(generators) + len(tangents)
+            scored = [[commutant._scored(problem, u, v) for u, v in pair] for pair in points]
+            fd = np.stack([(plus[0] - minus[0]) / (2 * h) for plus, minus in scored])
+            assert np.abs(jac - fd).max() <= 1e-8, name
+            residual, _ = commutant._scored(problem, point.joint, ready)
+            fd_grad = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in scored])
+            assert np.abs(2 * jac @ residual - fd_grad).max() <= 1e-8, name
 
     @pytest.mark.parametrize("la, lb", BLOCK_CASES)
     def test_stepped_batch_matches_per_block_exp(self, la, lb):
@@ -417,7 +437,6 @@ class TestOptimizerBitIdentity:
         for group, theta in zip(point.groups, thetas):
             expected = [_reference_generator(row, group.size) for row in theta.reshape(-1, group.size**2)]
             assert group.generators(theta).tobytes() == np.stack(expected).tobytes()
-        batch = point.stepped(thetas)
         for c in range(3):
             by_block = {}
             for group, theta in zip(point.groups, thetas):
@@ -426,29 +445,65 @@ class TestOptimizerBitIdentity:
                 v @ _reference_block_exp(by_block[i], v.shape[0])
                 for i, v in enumerate(_block_unitaries(point))
             ]
-            candidate = batch[c]
+            candidate = point.stepped([theta[c] for theta in thetas])
             assert [v.tobytes() for v in _block_unitaries(candidate)] == [v.tobytes() for v in expected]
             assert candidate.joint.tobytes() == sum(_reference_parts(d, expected)).tobytes()
 
     def test_feasibility_objective_matches_reference(self, monkeypatch):
         q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
+        d = conserved_eigenspaces(q)
+        stack = [random_commutant_unitary(d, seed) for seed in range(6)]
+        stack.append(np.kron(X, np.eye(3)))  # moves every pointer off its diagonal
+        ready = random_state_vector(3, np.random.default_rng(9))
         for observable in (X, Z):
-            objective = _objective(monkeypatch, feasibility_search, q, observable, 3)
-            reference = _reference_feasibility(observable, 3, np.random.default_rng((0, 0)))
-            d = conserved_eigenspaces(q)
-            stack = [random_commutant_unitary(d, seed) for seed in range(6)]
-            stack.append(np.kron(X, np.eye(3)))  # moves every pointer off its diagonal
-            stack = np.stack(stack)
-            values = objective(stack)
-            for i, u in enumerate(stack):
-                assert values[i] == objective(u[None])[0] == reference(u)
+            problem = _problem(monkeypatch, feasibility_search, q, observable, 3)
+            reference = _reference_feasibility(observable, ready)
+            for u in stack:
+                # the stacked contractions sum in another order than the loop
+                value = commutant._scored(problem, u, ready)[1]
+                assert value == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
     def test_epsilon_objective_matches_reference(self, monkeypatch):
         q = quantity(LA_DIAG, np.diag([1.0, 2.0]))
-        objective = _objective(monkeypatch, minimize_epsilon, q, X, Z, E0)
+        problem = _problem(monkeypatch, minimize_epsilon, q, X, Z, E0)
         reference = _reference_epsilon(X, Z, E0, default_probe_states(LA_DIAG))
         d = conserved_eigenspaces(q)
-        stack = np.stack([random_commutant_unitary(d, seed) for seed in range(6)])
-        values = objective(stack)
-        for i, u in enumerate(stack):
-            assert values[i] == objective(u[None])[0] == reference(u)
+        for u in [random_commutant_unitary(d, seed) for seed in range(6)]:
+            assert commutant._scored(problem, u, E0)[1] == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
+
+
+class TestFloors:
+    """Restart floors of the feasibility search agree, and controls reach zero in every restart."""
+
+    def test_blocks_2x3_floors_agree(self):
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, 3, config=SearchConfig(seed=0))
+        floors = result.restart_objectives
+        assert min(floors) > 1e-3
+        assert max(floors) - min(floors) <= 1e-6
+        assert result.stop_reasons == ("no_decrease",) * 8
+        assert result.converged
+
+    def test_2x4_floor_is_one_over_52(self):
+        result = feasibility_search(
+            quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0, 8.0])), X, 4, config=SearchConfig(seed=0)
+        )
+        assert all(abs(f - 1.0 / 52.0) <= 1e-9 for f in result.restart_objectives)
+
+    @pytest.mark.parametrize(
+        "lb, observable",
+        [
+            ([1.0, 2.0, 4.0], np.diag([1.0, 2.0])),  # commuting observable
+            ([0.0, 0.0, 1.0], X),  # singular LB: the no-go hypotheses fail
+        ],
+    )
+    def test_controls_reach_zero_in_every_restart(self, lb, observable):
+        result = feasibility_search(quantity(LA_DIAG, np.diag(lb)), observable, 3, config=SearchConfig(seed=0))
+        assert all(f <= 1e-10 for f in result.restart_objectives)
+        assert result.stop_reasons == ("zero",) * 8
+
+    def test_max_iter_stop_is_not_converged(self):
+        config = SearchConfig(seed=3, restarts=3, max_iter=20)
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, 3, config=config)
+        assert set(result.stop_reasons) <= set(STOP_REASONS)
+        assert result.stop_reasons == ("max_iter",) * 3 and not result.converged
+        assert abs(np.linalg.norm(result.best_ready_state) - 1.0) <= 1e-12
