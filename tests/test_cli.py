@@ -84,6 +84,91 @@ class TestLoadModel:
         loaded = load_model(str(FIXTURES / "cnot.json"))
         np.testing.assert_array_equal(loaded.model.system_basis, np.eye(2))
 
+    def test_integer_beyond_float_range_in_model_file(self, capsys, tmp_path):
+        # json reads 10**400 as a Python int; converting it must not crash
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_cnot_doc()).replace("[1.0, 0.0]", f"[{10**400}, 0]", 1))
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert (code, out, err) == (2, "", "error: ready_state: complex entries must be finite\n")
+
+    def test_integer_beyond_float_range_in_state_literal(self, capsys):
+        state = f"[[{10**400},0],[0,0]]"
+        code, out, err = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", state)
+        assert (code, out, err) == (2, "", "error: state: complex entries must be finite\n")
+
+
+# Bad entries, as JSON text, and the message each gets wherever it stands.
+BAD_ENTRIES = {
+    "bool": ("[0.5, true]", "complex entries must be numeric, got [0.5, True]"),
+    "string": ('[0.5, "1"]', "complex entries must be numeric, got [0.5, '1']"),
+    "null": ("[0.5, null]", "complex entries must be numeric, got [0.5, None]"),
+    "bare_bool": ("true", "complex entries must be [re, im] pairs, got True"),
+    "bare_string": ('"x"', "complex entries must be [re, im] pairs, got 'x'"),
+    "bare_null": ("null", "complex entries must be [re, im] pairs, got None"),
+    "one": ("[0.5]", "complex entries must be [re, im] pairs, got [0.5]"),
+    "three": ("[0.5, 0, 0]", "complex entries must be [re, im] pairs, got [0.5, 0, 0]"),
+    "number": ("0.5", "complex entries must be [re, im] pairs, got 0.5"),
+    "nan": ("[NaN, 0]", "complex entries must be finite"),
+    "inf": ("[0, Infinity]", "complex entries must be finite"),
+    "neg_inf": ("[-Infinity, 0]", "complex entries must be finite"),
+    "1e400": ("[1e400, 0]", "complex entries must be finite"),
+}
+
+
+class TestLoaderEntries:
+    """The complete error line for each kind of bad entry, placed after good ones."""
+
+    def check(self, capsys, tmp_path, text) -> str:
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert (code, out) == (2, "")
+        return err
+
+    @staticmethod
+    def with_entry(field, raw) -> str:
+        doc = _cnot_doc()
+        if field == "unitary":
+            doc["unitary"][2][1] = "@"
+        else:
+            doc["ready_state"][1] = "@"
+        return json.dumps(doc).replace('"@"', raw)
+
+    @pytest.mark.parametrize("field", ["unitary", "ready_state"])
+    @pytest.mark.parametrize("kind", list(BAD_ENTRIES))
+    def test_bad_entry(self, capsys, tmp_path, field, kind):
+        raw, message = BAD_ENTRIES[kind]
+        err = self.check(capsys, tmp_path, self.with_entry(field, raw))
+        assert err == f"error: {field}: {message}\n"
+
+    def test_ragged_row(self, capsys, tmp_path):
+        doc = _cnot_doc()
+        doc["unitary"][2].pop()
+        err = self.check(capsys, tmp_path, json.dumps(doc))
+        assert err == "error: unitary: expected a vector of 4 complex entries\n"
+
+    @pytest.mark.parametrize("field, message", [
+        ("unitary", "expected 4 rows"),
+        ("ready_state", "expected a vector of 2 complex entries"),
+    ])
+    def test_wrong_row_count(self, capsys, tmp_path, field, message):
+        doc = _cnot_doc()
+        doc[field].append(doc[field][0])
+        assert self.check(capsys, tmp_path, json.dumps(doc)) == f"error: {field}: {message}\n"
+
+    def test_reading_order(self, capsys, tmp_path):
+        # a bad entry in row 1 is read before the short row 2, and a short row 1 before a bad entry in row 2
+        doc = _cnot_doc()
+        doc["unitary"][1][3] = [0.5, "1"]
+        doc["unitary"][2].pop()
+        err = self.check(capsys, tmp_path, json.dumps(doc))
+        assert err == "error: unitary: complex entries must be numeric, got [0.5, '1']\n"
+        doc = _cnot_doc()
+        doc["unitary"][1].pop()
+        doc["unitary"][2][0] = [0.5, "1"]
+        err = self.check(capsys, tmp_path, json.dumps(doc))
+        assert err == "error: unitary: expected a vector of 4 complex entries\n"
+
 
 def _cnot_doc() -> dict:
     return json.load(open(FIXTURES / "cnot.json"))
@@ -361,7 +446,7 @@ class TestExitCodes:
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("name", ["cnot", "identity", "nonconserving"])
+    @pytest.mark.parametrize("name", ["cnot", "identity", "nonconserving", "geometric_5x9"])
     def test_check(self, capsys, name):
         code, out, _ = run(capsys, "check", "--model", f"tests/fixtures/{name}.json")
         assert code == 0
@@ -376,6 +461,12 @@ class TestGoldenReports:
         code, out, _ = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", "plus")
         assert code == 0
         assert out == (GOLDEN / "bound_cnot_plus.json").read_text()
+
+    def test_bound_geometric(self, capsys):
+        # D = 45: the model echo is almost all of the report
+        code, out, _ = run(capsys, "bound", "--model", "tests/fixtures/geometric_5x9.json", "--state", "plus")
+        assert code == 0
+        assert out == (GOLDEN / "bound_geometric_5x9_plus.json").read_text()
 
     def test_rank(self, capsys):
         code, out, _ = run(capsys, "rank", "--model", "tests/fixtures/cnot.json")
