@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -77,12 +78,25 @@ class ModelFileError(ValueError):
 # canonical serialization
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+def _format_floats(values: list[float]) -> list[str]:
+    """Python floats as every report, JSON or CSV, writes them: 17 significant
+    digits, with -0.0 written as 0. One finite check covers the whole batch."""
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite value in report")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+    return [format(x, ".17g") if x else "0" for x in values]
+
+
+def _encode_array(a: np.ndarray) -> str:
+    """A float array as nested JSON numbers; a complex one with [re,im] pairs for numbers."""
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    if a.size == 0:  # nothing to format: only the nesting of empty lists is written
+        return _canonical(a.tolist())
+    cells = _format_floats(a.ravel().tolist())
+    for size in reversed(a.shape):  # group the cells, innermost axis first
+        rows = iter(cells)
+        cells = ["[" + ",".join(row) + "]" for row in zip(*[rows] * size)]
+    return cells[0]
 
 
 def _canonical(value) -> str:
@@ -93,13 +107,13 @@ def _canonical(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        return _format_floats([float(value)])[0]
     if isinstance(value, (complex, np.complexfloating)):
-        return f"[{_format_float(value.real)},{_format_float(value.imag)}]"
+        return "[" + ",".join(_format_floats([value.real, value.imag])) + "]"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
-        return _canonical(value.tolist())
+        return _encode_array(value) if value.dtype.kind in "fc" else _canonical(value.tolist())
     if isinstance(value, dict):
         parts = [f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in sorted(value.items())]
         return "{" + ",".join(parts) + "}"
@@ -119,16 +133,19 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
     return str(value)
 
 
+def _csv_column(values: list) -> list[str]:
+    """One column's cells; its floats are formatted together, as JSON formats them."""
+    is_float = [isinstance(v, (float, np.floating)) for v in values]
+    floats = iter(_format_floats(list(map(float, itertools.compress(values, is_float)))))
+    return [next(floats) if f else _csv_cell(v) for v, f in zip(values, is_float)]
+
+
 def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    cells = zip(*(_csv_column([row[c] for row in rows]) for c in columns))
+    return "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
 
 
 def emit_report(report, format: str = "json", path: str | None = None) -> None:
@@ -162,35 +179,49 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _complex_entry(obj, field: str) -> complex:
+def _check_entry(obj, field: str) -> None:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {obj!r}")
     re, im = obj
     if not _is_number(re) or not _is_number(im):
         raise ModelFileError(field, f"complex entries must be numeric, got {obj!r}")
-    if not (math.isfinite(re) and math.isfinite(im)):
+    try:
+        finite = math.isfinite(re) and math.isfinite(im)
+    except OverflowError:  # an integer literal beyond float range
+        finite = False
+    if not finite:
         raise ModelFileError(field, "complex entries must be finite")
-    return complex(re, im)
 
 
-def _vector(obj, dim: int, field: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ModelFileError(field, f"expected a vector of {dim} complex entries")
-    return np.array([_complex_entry(e, field) for e in obj], dtype=complex)
+def _check_entries(obj, shape: tuple[int, ...], field: str) -> None:
+    """Raise for the first bad row or entry of a vector or matrix field, in reading order."""
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        expected = f"{shape[0]} rows" if len(shape) == 2 else f"a vector of {shape[0]} complex entries"
+        raise ModelFileError(field, f"expected {expected}")
+    for item in obj:
+        if len(shape) == 2:
+            _check_entries(item, shape[1:], field)
+        else:
+            _check_entry(item, field)
 
 
-def _matrix(obj, rows: int, cols: int, field: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != rows:
-        raise ModelFileError(field, f"expected {rows} rows")
-    return np.stack([_vector(r, cols, field) for r in obj])
+def _complex_array(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """A vector or matrix field of [re, im] pairs as a complex array of ``shape``.
 
-
-def encode_vector(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
-
-
-def encode_matrix(a: np.ndarray) -> list:
-    return [encode_vector(row) for row in np.asarray(a, dtype=complex)]
+    One numpy conversion validates and converts the whole field: the pairs must
+    stack to ``shape + (2,)``, hold Python ints and floats only (no bools) and be
+    finite. Only a field that fails is walked entry by entry, to name what is wrong.
+    """
+    try:
+        leaves = np.array(obj, dtype=object)
+        if leaves.shape == (*shape, 2) and {*map(type, leaves.ravel().tolist())} <= {int, float}:
+            pairs = leaves.astype(float)
+            if np.isfinite(pairs).all():
+                return pairs.view(complex).reshape(shape)
+    except (ValueError, OverflowError):  # ragged nesting; an int beyond float range
+        pass
+    _check_entries(obj, shape, field)
+    raise AssertionError(f"{field}: rejected in bulk, but every entry is valid")
 
 
 class LoadedModel:
@@ -204,19 +235,19 @@ class LoadedModel:
         doc = {
             "n1": self.model.n1,
             "n2": self.model.n2,
-            "system_basis": encode_matrix(self.model.system_basis),
-            "ready_state": encode_vector(self.model.ready_state),
-            "unitary": encode_matrix(self.model.interaction),
+            "system_basis": self.model.system_basis,
+            "ready_state": self.model.ready_state,
+            "unitary": self.model.interaction,
             "conserved": {
                 "kind": self.quantity.kind,
-                "LA": encode_matrix(self.quantity.system_op),
-                "LB": encode_matrix(self.quantity.apparatus_op),
+                "LA": self.quantity.system_op,
+                "LB": self.quantity.apparatus_op,
             },
         }
         if self.observable is not None:
-            doc["observable"] = encode_matrix(self.observable)
+            doc["observable"] = self.observable
         if self.probe is not None:
-            doc["probe"] = encode_matrix(self.probe)
+            doc["probe"] = self.probe
         return doc
 
 
@@ -247,13 +278,13 @@ def _load_document(doc: dict) -> LoadedModel:
             raise ModelFileError(key, "must be a positive integer")
     n1, n2 = doc["n1"], doc["n2"]
 
-    basis = _matrix(doc["system_basis"], n1, n1, "system_basis") if "system_basis" in doc else None
+    basis = _complex_array(doc["system_basis"], (n1, n1), "system_basis") if "system_basis" in doc else None
     if "ready_state" not in doc:
         raise ModelFileError("ready_state", "missing")
-    ready = _vector(doc["ready_state"], n2, "ready_state")
+    ready = _complex_array(doc["ready_state"], (n2,), "ready_state")
     if "unitary" not in doc:
         raise ModelFileError("unitary", "missing")
-    interaction = _matrix(doc["unitary"], n1 * n2, n1 * n2, "unitary")
+    interaction = _complex_array(doc["unitary"], (n1 * n2, n1 * n2), "unitary")
     if basis is None:  # built only now that the unitary has bounded n1
         basis = np.eye(n1, dtype=complex)
     model = _checked(MeasurementModel, n1, n2, basis, ready, interaction)
@@ -261,14 +292,14 @@ def _load_document(doc: dict) -> LoadedModel:
     conserved = doc.get("conserved")
     if not isinstance(conserved, dict):
         raise ModelFileError("conserved", "missing or not an object")
-    la = _matrix(conserved.get("LA"), n1, n1, "conserved.LA")
-    lb = _matrix(conserved.get("LB"), n2, n2, "conserved.LB")
+    la = _complex_array(conserved.get("LA"), (n1, n1), "conserved.LA")
+    lb = _complex_array(conserved.get("LB"), (n2, n2), "conserved.LB")
     quantity = _checked(ConservedQuantity, conserved.get("kind"), la, lb)
 
     operators = {}
     for field, dim in (("observable", n1), ("probe", n2)):
         if field in doc:
-            operators[field] = _matrix(doc[field], dim, dim, field)
+            operators[field] = _complex_array(doc[field], (dim, dim), field)
             _checked(require_hermitian, operators[field], field)
     return LoadedModel(model, quantity, operators.get("observable"), operators.get("probe"))
 
@@ -300,7 +331,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
             literal = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise ModelFileError("state", f"parse error: {exc}") from exc
-        return _checked(as_state, _vector(literal, dim, "state"))
+        return _checked(as_state, _complex_array(literal, (dim,), "state"))
     raise ModelFileError("state", f"unknown state {spec!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wayaudit.cli as cli
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
@@ -174,18 +178,24 @@ def _cnot_doc() -> dict:
     return json.load(open(FIXTURES / "cnot.json"))
 
 
+def _pairs(a) -> list:
+    """A complex array as the nested [re, im] pairs of a model file."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def _set(doc: dict, field: str, value) -> None:
     """Set a top-level field of a model document, or entry X of its conserved block for conserved.X."""
     owner = doc["conserved"] if field.startswith("conserved.") else doc
     owner[field.removeprefix("conserved.")] = value
 
 
-NON_HERMITIAN = cli.encode_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+NON_HERMITIAN = _pairs(np.array([[1.0, 1.0], [0.0, 1.0]]))
 # One invalid value per model-file field of cnot.json, in the order the loader reads them.
 BAD_FIELDS = {
-    "system_basis": cli.encode_matrix(np.ones((2, 2))),
-    "ready_state": cli.encode_vector(np.ones(2)),
-    "unitary": cli.encode_matrix(np.diag([2.0, 1.0, 1.0, 1.0])),
+    "system_basis": _pairs(np.ones((2, 2))),
+    "ready_state": _pairs(np.ones(2)),
+    "unitary": _pairs(np.diag([2.0, 1.0, 1.0, 1.0])),
     "conserved.kind": "bogus",
     "conserved.LA": NON_HERMITIAN,
     "conserved.LB": NON_HERMITIAN,
@@ -249,7 +259,7 @@ class TestThresholds:
         cnot = load_model(str(FIXTURES / "cnot.json"))
         for field in ("conserved.LA", "conserved.LB", "observable", "probe"):
             self.expect(accepted, f"^{field}: not Hermitian",
-                        lambda: self.load(tmp_path, field, cli.encode_matrix(op)))
+                        lambda: self.load(tmp_path, field, _pairs(op)))
         self.expect(accepted, "Hermitian", lambda: ConservedQuantity("multiplicative", op, np.eye(2)))
         self.expect(accepted, "Hermitian", lambda: noise_report(
             cnot.model, cnot.quantity, op, cnot.probe, np.array([1.0, 0.0]), 1e-9))
@@ -261,7 +271,7 @@ class TestThresholds:
         cnot = load_model(str(FIXTURES / "cnot.json"))
         d = np.sqrt(1.0 + scale * DEFAULT_TOLERANCES.unitarity_tol / 2.0) - 1.0
         u = (1.0 + d) * cnot.model.interaction
-        self.expect(accepted, "^unitary: not unitary", lambda: self.load(tmp_path, "unitary", cli.encode_matrix(u)))
+        self.expect(accepted, "^unitary: not unitary", lambda: self.load(tmp_path, "unitary", _pairs(u)))
         self.expect(accepted, "unitary", lambda: MeasurementModel(2, 2, np.eye(2), cnot.model.ready_state, u))
 
     @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
@@ -269,7 +279,7 @@ class TestThresholds:
         cnot = load_model(str(FIXTURES / "cnot.json"))
         # not an eigenstate of any operator below: a variance that rounds negative raises
         state = (1.0 + scale * STATE_NORM_TOL) * np.full(2, np.sqrt(0.5), dtype=complex)
-        encoded = cli.encode_vector(state)
+        encoded = _pairs(state)
         self.expect(accepted, "^ready_state: norm", lambda: self.load(tmp_path, "ready_state", encoded))
         self.expect(accepted, "^state: norm", lambda: _parse_state(json.dumps(encoded), 2))
         self.expect(accepted, "norm", lambda: MeasurementModel(2, 2, np.eye(2), state, cnot.model.interaction))
@@ -791,6 +801,89 @@ class TestCanonicalSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_json(float("nan"))
+
+
+def _reference(value) -> str:
+    """The report byte contract, written out for nested lists of Python floats and complex numbers."""
+    if isinstance(value, list):
+        return "[" + ",".join(map(_reference, value)) + "]"
+    if isinstance(value, complex):
+        return f"[{_reference(value.real)},{_reference(value.imag)}]"
+    if not math.isfinite(value):
+        raise ValueError("non-finite value in report")
+    return format(value + 0.0, ".17g")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 + 2]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+# JSON ints, beyond 2**53 too, are converted to the nearest float as complex() converts them.
+NUMBERS = st.one_of(FLOATS, st.integers(2**53, 2**64), st.integers(-(2**1000), 2**1000))
+PAIRS = st.tuples(NUMBERS, NUMBERS)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+def _float_array(shape):
+    return hnp.arrays(np.float64, shape, elements=FLOATS)
+
+
+@st.composite
+def _report_arrays(draw):
+    """A float array, or a complex one whose parts (signed zeros included) are drawn as floats."""
+    shape = draw(SHAPES)
+    if draw(st.booleans()):
+        return draw(_float_array(shape))
+    return draw(_float_array((*shape, 2))).view(complex).reshape(shape)
+
+
+class TestEncoderProperties:
+    """Arrays are encoded in bulk exactly as their entries are one by one, for JSON and CSV alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_report_arrays())
+    def test_array_matches_scalar_path(self, a):
+        assert canonical_json(a) == cli._canonical(a.tolist()) + "\n" == _reference(a.tolist()) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_report_arrays().filter(lambda a: a.size > 0), st.data())
+    def test_non_finite_anywhere_raises(self, a, data):
+        a = a.copy()
+        index = data.draw(st.integers(0, a.size - 1))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        flat = a.reshape(-1)
+        flat[index] = complex(0.0, bad) if a.dtype.kind == "c" and data.draw(st.booleans()) else bad
+        for value in (a, a.tolist()):
+            with pytest.raises(ValueError, match="^non-finite value in report$"):
+                canonical_json(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.none(), FLOATS, st.integers(-10, 10), st.booleans()), max_size=12))
+    def test_csv_column_matches_cells(self, values):
+        rows = [{"a": v, "b": 1.5 if v is None else None} for v in values]
+
+        def cell(v):
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return str(v) if isinstance(v, int) else _reference(v)
+
+        expected = "".join(f"{cell(r['a'])},{cell(r['b'])}\n" for r in rows)
+        assert cli._csv_text(("a", "b"), rows) == "a,b\n" + expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_csv_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="^non-finite value in report$"):
+            cli._csv_text(("a",), [{"a": 1.0}, {"a": None}, {"a": bad}])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda cols: st.lists(st.lists(PAIRS, min_size=cols, max_size=cols), min_size=1, max_size=4)))
+    def test_loader_converts_as_complex(self, rows):
+        literal = json.loads(json.dumps(rows))  # as read from a model file: [re, im] lists, exact ints
+        expected = np.array([[complex(re, im) for re, im in row] for row in literal])
+        for value, want in ((literal, expected), (literal[0], expected[0])):
+            loaded = cli._complex_array(value, want.shape, "field")
+            assert loaded.dtype == complex and loaded.shape == want.shape
+            assert np.array_equal(loaded.view(np.uint64), want.view(np.uint64))
 
 
 class TestOptimizeGoldens:
