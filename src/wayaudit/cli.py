@@ -10,6 +10,7 @@ digits), so identical runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -83,6 +84,8 @@ def _format_floats(values: list[float]) -> list[str]:
     digits, with -0.0 written as 0. One finite check covers the whole batch."""
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite value in report")
+    # 0.0 and -0.0 are the falsy floats: both are written as format(0.0, ".17g"),
+    # and the zeros that fill block-structured matrices skip format()
     return [format(x, ".17g") if x else "0" for x in values]
 
 
@@ -174,35 +177,26 @@ def emit_report(report, format: str = "json", path: str | None = None) -> None:
 # model files
 
 
-def _is_number(x) -> bool:
-    """JSON numbers only: booleans are ints to Python but not numbers in a model file."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _check_entry(obj, field: str) -> None:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {obj!r}")
-    re, im = obj
-    if not _is_number(re) or not _is_number(im):
-        raise ModelFileError(field, f"complex entries must be numeric, got {obj!r}")
-    try:
-        finite = math.isfinite(re) and math.isfinite(im)
-    except OverflowError:  # an integer literal beyond float range
-        finite = False
-    if not finite:
-        raise ModelFileError(field, "complex entries must be finite")
-
-
 def _check_entries(obj, shape: tuple[int, ...], field: str) -> None:
     """Raise for the first bad row or entry of a vector or matrix field, in reading order."""
+    if not shape:  # one entry
+        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+            raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {obj!r}")
+        # JSON numbers only: booleans are ints to Python but not numbers in a model file
+        if not {type(obj[0]), type(obj[1])} <= {int, float}:
+            raise ModelFileError(field, f"complex entries must be numeric, got {obj!r}")
+        try:
+            finite = math.isfinite(obj[0]) and math.isfinite(obj[1])
+        except OverflowError:  # an int literal beyond float range
+            finite = False
+        if not finite:
+            raise ModelFileError(field, "complex entries must be finite")
+        return
     if not isinstance(obj, list) or len(obj) != shape[0]:
         expected = f"{shape[0]} rows" if len(shape) == 2 else f"a vector of {shape[0]} complex entries"
         raise ModelFileError(field, f"expected {expected}")
     for item in obj:
-        if len(shape) == 2:
-            _check_entries(item, shape[1:], field)
-        else:
-            _check_entry(item, field)
+        _check_entries(item, shape[1:], field)
 
 
 def _complex_array(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
@@ -212,14 +206,12 @@ def _complex_array(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
     stack to ``shape + (2,)``, hold Python ints and floats only (no bools) and be
     finite. Only a field that fails is walked entry by entry, to name what is wrong.
     """
-    try:
-        leaves = np.array(obj, dtype=object)
-        if leaves.shape == (*shape, 2) and {*map(type, leaves.ravel().tolist())} <= {int, float}:
+    leaves = np.array(obj, dtype=object)  # ragged nesting leaves lists among the leaves
+    if leaves.shape == (*shape, 2) and {*map(type, leaves.ravel().tolist())} <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int literal beyond float range
             pairs = leaves.astype(float)
             if np.isfinite(pairs).all():
                 return pairs.view(complex).reshape(shape)
-    except (ValueError, OverflowError):  # ragged nesting; an int beyond float range
-        pass
     _check_entries(obj, shape, field)
     raise AssertionError(f"{field}: rejected in bulk, but every entry is valid")
 
