@@ -819,6 +819,9 @@ FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_
 # JSON ints, beyond 2**53 too, are converted to the nearest float as complex() converts them.
 NUMBERS = st.one_of(FLOATS, st.integers(2**53, 2**64), st.integers(-(2**1000), 2**1000))
 PAIRS = st.tuples(NUMBERS, NUMBERS)
+MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(PAIRS, min_size=n, max_size=n), min_size=1, max_size=4)
+)
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
 
 
@@ -876,7 +879,7 @@ class TestEncoderProperties:
             cli._csv_text(("a",), [{"a": 1.0}, {"a": None}, {"a": bad}])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda cols: st.lists(st.lists(PAIRS, min_size=cols, max_size=cols), min_size=1, max_size=4)))
+    @given(MATRICES)
     def test_loader_converts_as_complex(self, rows):
         literal = json.loads(json.dumps(rows))  # as read from a model file: [re, im] lists, exact ints
         expected = np.array([[complex(re, im) for re, im in row] for row in literal])
