@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 import traceback
 from dataclasses import asdict
 
@@ -129,40 +130,90 @@ def canonical_json(report) -> str:
     return _canonical(report) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+_BOOL_CELLS = {None: "", False: "false", True: "true"}
 
 
 def _csv_column(values: list) -> list[str]:
-    """One column's cells; its floats are formatted together, as JSON formats them."""
-    is_float = [isinstance(v, (float, np.floating)) for v in values]
-    floats = iter(_format_floats(list(map(float, itertools.compress(values, is_float)))))
-    return [next(floats) if f else _csv_cell(v) for v, f in zip(values, is_float)]
+    """One column's cells, by the type of its values; None is an empty cell.
+
+    Floats are formatted as one batch, as JSON formats them, bools map through
+    a table, and ints and strs are written by ``str``. A column of several
+    types is formatted one type at a time.
+    """
+    kinds = set(map(type, values)) - {type(None)}
+    if len(kinds) > 1:
+        cells = [""] * len(values)
+        for kind in kinds:
+            where = [i for i, v in enumerate(values) if type(v) is kind]
+            for i, cell in zip(where, _csv_column([values[i] for i in where])):
+                cells[i] = cell
+        return cells
+    if not kinds or kinds == {bool}:
+        return [_BOOL_CELLS[v] for v in values]
+    if kinds == {float}:
+        floats = _format_floats([v for v in values if v is not None])
+        if len(floats) == len(values):
+            return floats
+        floats = iter(floats)
+        return ["" if v is None else next(floats) for v in values]
+    if kinds <= {int, str}:
+        return ["" if v is None else str(v) for v in values]
+    raise TypeError(f"cannot write {kinds.pop()!r} to csv")
 
 
-def _csv_text(columns, rows) -> str:
-    cells = zip(*(_csv_column([row[c] for row in rows]) for c in columns))
-    return "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
+def _csv_rows(columns: list[list]) -> str:
+    """The CSV lines, each ending in a newline, of the rows given as ``columns``."""
+    return "".join(f"{row}\n" for row in map(",".join, zip(*map(_csv_column, columns))))
+
+
+def _file_mode(path: str) -> int:
+    """The permissions ``open(path, "w")`` leaves: those of the file, or 0o666 less the umask."""
+    with contextlib.suppress(FileNotFoundError):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+@contextlib.contextmanager
+def _csv_sink(path: str | None, names: tuple[str, ...]):
+    """A sink for a sweep's column chunks that writes their ``names`` columns to ``path``.
+
+    Each chunk's rows are written as it arrives, under one header line, to a
+    temporary file beside ``path`` that replaces ``path`` once the block ends.
+    If the block raises, the temporary file is removed and ``path`` is left as
+    it was. With no path the chunks are dropped.
+    """
+    if path is None:
+        yield lambda columns: None
+        return
+    temp = None
+    try:
+        directory, name = os.path.split(os.path.abspath(path))
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{name}.", dir=directory)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(names) + "\n")
+            yield lambda columns: fh.write(_csv_rows([columns[name] for name in names]))
+        os.chmod(temp, _file_mode(path))
+        os.replace(temp, path)
+    except BaseException as exc:
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        if isinstance(exc, OSError):  # the sweeps do no I/O: this is the file's
+            raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def emit_report(report, format: str = "json", path: str | None = None) -> None:
     """Serialize a report canonically and write it to ``path`` (stdout if None).
 
-    ``format`` is "json" for a report dict, or "csv" for a dict holding
-    ``columns`` and ``rows``.
+    ``format`` must be "json"; sweep CSVs are written chunk by chunk as the
+    sweep runs.
     """
-    if format == "json":
-        text = canonical_json(report)
-    elif format == "csv":
-        text = _csv_text(report["columns"], report["rows"])
-    else:
+    if format != "json":
         raise ModelFileError("format", f"unknown format {format!r}")
+    text = canonical_json(report)
     if path is None:
         sys.stdout.write(text)
         return
@@ -425,8 +476,10 @@ def _require_out(args) -> None:
         if args.format == "csv":
             raise ModelFileError("out", "--out is required for csv output")
         return
-    target = args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
-    if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+    targets = [args.out] if os.path.exists(args.out) else []
+    if args.format == "csv" or not targets:  # a CSV is written beside --out, then moved onto it
+        targets.append(os.path.dirname(os.path.abspath(args.out)))
+    if os.path.isdir(args.out) or not all(os.access(target, os.W_OK) for target in targets):
         raise ModelFileError("out", f"cannot write {args.out}")
 
 
@@ -440,10 +493,10 @@ def _cmd_sweep(args) -> int:
         config = AuditConfig(args.n1, args.n2, args.count, seed, args.tol)
     _require_out(args)
     report = _base_report(args, seed)
+    csv_path = args.out if args.format == "csv" else None
     if args.kind == "counterexample":
-        sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol)
-        rows = [{c: getattr(t, c) for c in COUNTEREXAMPLE_COLUMNS} for t in sweep.trials]
-        csv_report = {"columns": COUNTEREXAMPLE_COLUMNS, "rows": rows}
+        with _csv_sink(csv_path, COUNTEREXAMPLE_COLUMNS) as sink:
+            sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol, sink)
         report["results"] = {
             "kind": "counterexample",
             "n1": sweep.n1,
@@ -456,14 +509,12 @@ def _cmd_sweep(args) -> int:
         }
         failed = sweep.counterexamples > 0
     else:
-        audit = bound_audit_sweep(config)
-        rows = [{c: getattr(r, c) for c in BOUND_AUDIT_COLUMNS} for r in audit.records]
-        s = audit.summary
-        # Summary row reuses the schema: *_bound columns carry violation
-        # fractions, *_defined/_applicable carry counts, *_valid carry
-        # violation counts.
-        rows.append(
-            {
+        with _csv_sink(csv_path, BOUND_AUDIT_COLUMNS) as sink:
+            s = bound_audit_sweep(config, sink).summary
+            # Summary row reuses the schema: *_bound columns carry violation
+            # fractions, *_defined/_applicable carry counts, *_valid carry
+            # violation counts.
+            summary_row = {
                 "trial": "summary",
                 "n1": args.n1,
                 "n2": args.n2,
@@ -480,8 +531,7 @@ def _cmd_sweep(args) -> int:
                 "yanase_valid": s.yanase_violations,
                 "simplified_valid": s.simplified_violations,
             }
-        )
-        csv_report = {"columns": BOUND_AUDIT_COLUMNS, "rows": rows}
+            sink({name: [value] for name, value in summary_row.items()})
         report["results"] = {
             "kind": "bound-audit",
             "n1": args.n1,
@@ -491,9 +541,7 @@ def _cmd_sweep(args) -> int:
         }
         failed = s.robertson_violations > 0
 
-    if args.format == "csv":
-        emit_report(csv_report, "csv", args.out)
-    elif args.out is not None:
+    if csv_path is None and args.out is not None:
         emit_report(report, "json", args.out)
     sys.stdout.write(canonical_json(report))
     return 1 if failed else 0

@@ -90,6 +90,8 @@ ORTHONORMAL_TOL = 1e-8
 # Byte budget of one (chunk, D, D) complex stack in a sweep; it sets the chunk
 # size from D and bounds the memory a chunk's intermediates take.
 SWEEP_CHUNK_BYTES = 1 << 16
+# Trials whose stream seeds a sweep hashes in one pass (32 bytes of state each).
+SEED_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -371,16 +373,93 @@ def unitary_completion(columns) -> np.ndarray:
     return np.stack(collected, axis=1)
 
 
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of ``n`` >= 0, [0] for 0: numpy's entropy words of an int."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hashmix(multiplier: int, factor: int):
+    """numpy's SeedSequence hash step on uint32 arrays; each call advances the multiplier."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal multiplier
+        value = value ^ np.uint32(multiplier)
+        multiplier = multiplier * factor & 0xFFFFFFFF
+        value = value * np.uint32(multiplier)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return z ^ z >> 16
+
+
+def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for each row of a (k, n) uint32
+    array whose row holds ``lengths`` words, zero-padded: numpy's algorithm (pool of four
+    words, uint32 arithmetic), run on the k rows at once."""
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    entropy = np.pad(entropy, ((0, 0), (0, max(0, 4 - entropy.shape[1]))))  # short entropy hashes zeros
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):  # words past the pool, in rows that have them
+        for dst in range(4):
+            pool[dst] = np.where(lengths > src, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose PCG64 state was generated ahead, by ``_seed_states``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("only a PCG64 seed state was generated")
+        return self.state
+
+
+def _trial_states(seed: int, trials) -> np.ndarray:
+    """The PCG64 state of ``default_rng((seed, trial))`` for each trial, bit for bit: numpy
+    seeds it with the words of seed then trial, hashed by ``SeedSequence``; here the hash
+    runs over all the trials at once."""
+    entropy = [_words(seed) + _words(trial) for trial in trials]
+    size = max(map(len, entropy))
+    padded = np.array([words + [0] * (size - len(words)) for words in entropy], dtype=np.uint32)
+    return _seed_states(padded, np.array(list(map(len, entropy))))
+
+
+def _streams(states: np.ndarray) -> list[np.random.Generator]:
+    """A PCG64 generator started from each state of ``_trial_states``."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+
+
 def sweep_chunks(seed: int, count: int, dim: int):
     """Yield (trials, streams) for a sweep of ``count`` trials of joint dimension ``dim``.
 
     Chunks hold as many trials as fit one (chunk, dim, dim) complex stack in
     ``SWEEP_CHUNK_BYTES``; each trial gets its own ``default_rng((seed, trial))``.
+    Seed states are hashed ``SEED_BATCH`` trials, or one chunk, at a time, whichever
+    is more: the hash costs more per call than per trial.
     """
     size = max(1, SWEEP_CHUNK_BYTES // (16 * dim * dim))
-    for start in range(0, count, size):
-        trials = range(start, min(start + size, count))
-        yield trials, [np.random.default_rng((seed, trial)) for trial in trials]
+    batch = size * max(1, SEED_BATCH // size)
+    for first in range(0, count, batch):
+        states = _trial_states(seed, range(first, min(first + batch, count)))
+        for start in range(0, len(states), size):
+            chunk = states[start : start + size]
+            yield range(first + start, first + start + len(chunk)), _streams(chunk)
 
 
 def _complex_draws(raw: np.ndarray) -> np.ndarray:

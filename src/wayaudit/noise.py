@@ -20,7 +20,10 @@ every record is the one a trial-by-trial loop would give, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,9 +184,29 @@ def _instance(m, q, observable, probe, psi, tol, checks) -> _Stack:
     )
 
 
+class _Masked(NamedTuple):
+    """A kernel column that reads None where ``keep`` is False."""
+
+    values: np.ndarray
+    keep: np.ndarray
+
+
+def _column(column) -> list:
+    """A kernel column (an array, or ``_Masked``) as a list of Python values."""
+    if not isinstance(column, _Masked):
+        return column.tolist()
+    return [v if k else None for v, k in zip(column.values.tolist(), column.keep.tolist())]
+
+
+def _tally(column, value: bool) -> int:
+    """The entries of a bool kernel column equal to ``value``; None equals neither."""
+    values, keep = column if isinstance(column, _Masked) else (column, True)
+    return int(np.count_nonzero((values == value) & keep))
+
+
 def _one(report, columns: dict):
-    """The report of a stack of one from its per-instance columns."""
-    return report(**{name: column[0] for name, column in columns.items()})
+    """The report of a stack of one from its per-instance kernel columns."""
+    return report(**{name: _column(column)[0] for name, column in columns.items()})
 
 
 def _abs_squares(z: np.ndarray) -> np.ndarray:
@@ -196,18 +219,14 @@ def _expectations(op: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.vecdot(state, matvec_stack(op, state))
 
 
-def _masked(values: np.ndarray, keep: np.ndarray) -> list:
-    return [v if k else None for v, k in zip(values.tolist(), keep.tolist())]
-
-
 def _ratio(numerator: np.ndarray, denominator: np.ndarray, defined: np.ndarray) -> np.ndarray:
     return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=defined)
 
 
-def _validity(x: _Stack, bound: np.ndarray, keep: np.ndarray) -> list:
-    if x.epsilon_sq is None:
-        return [None] * len(bound)
-    return _masked(bound <= x.epsilon_sq + VALIDITY_SLACK, keep)
+def _validity(x: _Stack, bound: np.ndarray, keep: np.ndarray) -> _Masked:
+    if x.epsilon_sq is None:  # no probe, no epsilon^2: None throughout
+        return _Masked(keep, np.zeros_like(keep))
+    return _Masked(bound <= x.epsilon_sq + VALIDITY_SLACK, keep)
 
 
 def epsilon_sq(m: MeasurementModel, observable, probe, psi) -> float:
@@ -240,10 +259,10 @@ def _robertson(x: _Stack) -> dict:
     degenerate = x.var_conserved <= DEGENERACY_TOL
     bound = _ratio(numerator, x.var_conserved, ~degenerate)
     return {
-        "bound": bound.tolist(),
-        "numerator": numerator.tolist(),
-        "var_conserved": x.var_conserved.tolist(),
-        "degenerate": degenerate.tolist(),
+        "bound": bound,
+        "numerator": numerator,
+        "var_conserved": x.var_conserved,
+        "degenerate": degenerate,
         "valid": _validity(x, bound, np.ones_like(degenerate)),
     }
 
@@ -276,11 +295,11 @@ def _paper(x: _Stack) -> dict:
     defined = x.factored_denominator > DEGENERACY_TOL
     bound = _ratio(numerator, x.factored_denominator, defined)
     return {
-        "bound": _masked(bound, defined),
-        "defined": defined.tolist(),
+        "bound": _Masked(bound, defined),
+        "defined": defined,
         "valid": _validity(x, bound, defined),
-        "numerator": numerator.tolist(),
-        "denominator": x.factored_denominator.tolist(),
+        "numerator": numerator,
+        "denominator": x.factored_denominator,
     }
 
 
@@ -310,9 +329,9 @@ def _conditional(x: _Stack, applicable, numerator, denominator) -> dict:
     bound = _ratio(numerator, denominator, defined)
     kept = applicable & defined
     return {
-        "applicable": applicable.tolist(),
-        "bound": _masked(bound, kept),
-        "defined": _masked(defined, applicable),
+        "applicable": applicable,
+        "bound": _Masked(bound, kept),
+        "defined": _Masked(defined, applicable),
         "valid": _validity(x, bound, kept),
     }
 
@@ -489,9 +508,19 @@ class BoundAuditSummary:
 
 @dataclass(frozen=True)
 class BoundAuditReport:
+    """An audit's summary and, unless a sink took them, its trials as columns.
+
+    ``columns`` maps each ``BoundAuditRecord`` field to its values over the
+    trials; ``records`` builds the records from them when read.
+    """
+
     config: AuditConfig
-    records: tuple[BoundAuditRecord, ...]
+    columns: dict[str, list] = field(hash=False)
     summary: BoundAuditSummary
+
+    @property
+    def records(self) -> tuple[BoundAuditRecord, ...]:
+        return tuple(BoundAuditRecord(**dict(zip(self.columns, row))) for row in zip(*self.columns.values()))
 
 
 def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
@@ -538,8 +567,9 @@ def _probes(vectors: np.ndarray, rngs, yanase: np.ndarray) -> np.ndarray:
     return probes
 
 
-def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRecord]:
-    """The records of one chunk of trials, drawn and evaluated as stacks.
+def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, list], dict[str, int]]:
+    """One chunk of trials, drawn and evaluated as stacks: its ``BoundAuditRecord``
+    columns, as lists, and its counts of the summary's tallies.
 
     Draw-order invariant: each trial's stream draws exactly what, and in the
     order, a trial-by-trial loop would. Phase A draws the factors' spectra and
@@ -565,11 +595,9 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRec
 
     x = _Stack(interaction, ready, observable, psi, probe, la, lb)
     require_conserved(conservation_residual_stack(interaction, x.conserved), config.tol)
-    eps = x.epsilon_sq.tolist()
     robertson, paper, yanase, simplified = _robertson(x), _paper(x), _yanase(x), _simplified(x)
     columns = {
-        "trial": list(trials),
-        "epsilon_sq": eps,
+        "epsilon_sq": x.epsilon_sq,
         "robertson_bound": robertson["bound"],
         "robertson_degenerate": robertson["degenerate"],
         "paper_bound": paper["bound"],
@@ -585,10 +613,42 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> list[BoundAuditRec
         "yanase_valid": yanase["valid"],
         "simplified_valid": simplified["valid"],
     }
-    return [BoundAuditRecord(n1=n1, n2=n2, **dict(zip(columns, row))) for row in zip(*columns.values())]
+    # a flag is False only where its bound applies and is defined
+    tallies = {
+        "robertson_violations": _tally(robertson["valid"], False),
+        "robertson_degenerate": _tally(robertson["degenerate"], True),
+        "paper_defined": _tally(paper["defined"], True),
+        "paper_violations": _tally(paper["valid"], False),
+        "yanase_applicable": _tally(yanase["applicable"], True),
+        "yanase_degenerate": _tally(yanase["defined"], False),
+        "yanase_violations": _tally(yanase["valid"], False),
+        "simplified_applicable": _tally(simplified["applicable"], True),
+        "simplified_degenerate": _tally(simplified["defined"], False),
+        "simplified_violations": _tally(simplified["valid"], False),
+    }
+    size = len(trials)
+    lists = {"trial": list(trials), "n1": [n1] * size, "n2": [n2] * size}
+    return {**lists, **{name: _column(column) for name, column in columns.items()}}, tallies
 
 
-def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
+def _audit_summary(count: int, tallies: Counter) -> BoundAuditSummary:
+    def fraction(kind: str, denominator: int) -> float:
+        return tallies[f"{kind}_violations"] / denominator if denominator else 0.0
+
+    t = tallies
+    return BoundAuditSummary(
+        **t,
+        paper_undefined=count - t["paper_defined"],
+        robertson_violation_fraction=fraction("robertson", count),
+        paper_violation_fraction=fraction("paper", t["paper_defined"]),
+        yanase_violation_fraction=fraction("yanase", t["yanase_applicable"] - t["yanase_degenerate"]),
+        simplified_violation_fraction=fraction(
+            "simplified", t["simplified_applicable"] - t["simplified_degenerate"]
+        ),
+    )
+
+
+def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None = None) -> BoundAuditReport:
     """Seeded audit of every bound on random conserving instances.
 
     Trials cycle deterministically through four regimes so the conditional
@@ -599,42 +659,19 @@ def bound_audit_sweep(config: AuditConfig) -> BoundAuditReport:
     Each trial derives its stream from (seed, index); trials run in chunks,
     as stacks (see ``_audit_chunk``), so a record does not depend on the
     chunk it falls in.
+
+    The summary is tallied chunk by chunk. Each chunk's columns go to
+    ``sink(columns)`` as the chunk finishes, if a sink is given, and the
+    report then keeps none; otherwise the report collects them.
     """
-    records = []
+    columns: dict[str, list] = {}
+    tallies = Counter()
     for trials, rngs in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
-        records += _audit_chunk(config, trials, rngs)
-
-    def tally(field: str, value: bool) -> int:
-        # a flag is False only where its bound applies and is defined
-        return sum(getattr(r, field) == value for r in records)
-
-    def fraction(violations: int, denominator: int) -> float:
-        return violations / denominator if denominator else 0.0
-
-    robertson_violations = tally("robertson_valid", False)
-    paper_defined, paper_violations = tally("paper_defined", True), tally("paper_valid", False)
-    yanase_applicable, yanase_degenerate = tally("yanase_applicable", True), tally("yanase_defined", False)
-    yanase_violations = tally("yanase_valid", False)
-    simplified_applicable = tally("simplified_applicable", True)
-    simplified_degenerate = tally("simplified_defined", False)
-    simplified_violations = tally("simplified_valid", False)
-    summary = BoundAuditSummary(
-        robertson_violations=robertson_violations,
-        robertson_degenerate=tally("robertson_degenerate", True),
-        robertson_violation_fraction=fraction(robertson_violations, config.count),
-        paper_defined=paper_defined,
-        paper_undefined=config.count - paper_defined,
-        paper_violations=paper_violations,
-        paper_violation_fraction=fraction(paper_violations, paper_defined),
-        yanase_applicable=yanase_applicable,
-        yanase_degenerate=yanase_degenerate,
-        yanase_violations=yanase_violations,
-        yanase_violation_fraction=fraction(yanase_violations, yanase_applicable - yanase_degenerate),
-        simplified_applicable=simplified_applicable,
-        simplified_degenerate=simplified_degenerate,
-        simplified_violations=simplified_violations,
-        simplified_violation_fraction=fraction(
-            simplified_violations, simplified_applicable - simplified_degenerate
-        ),
-    )
-    return BoundAuditReport(config=config, records=tuple(records), summary=summary)
+        chunk, counts = _audit_chunk(config, trials, rngs)
+        tallies.update(counts)
+        if sink is not None:
+            sink(chunk)
+            continue
+        for name, values in chunk.items():
+            columns.setdefault(name, []).extend(values)
+    return BoundAuditReport(config=config, columns=columns, summary=_audit_summary(config.count, tallies))

@@ -21,7 +21,8 @@ and ``pointer_analysis`` are batches of one over the same kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -261,17 +262,30 @@ class SweepTrial:
     counterexample: bool
 
 
+_TRIAL_FIELDS = tuple(f.name for f in fields(SweepTrial))
+
+
 @dataclass(frozen=True)
 class CounterexampleSweepReport:
+    """A sweep's tallies and, unless a sink took them, its trials as columns.
+
+    ``columns`` maps each ``SweepTrial`` field to its values over the trials;
+    ``trials`` builds the records from them when read.
+    """
+
     n1: int
     n2: int
     count: int
     seed: int
     tol: float
-    trials: tuple[SweepTrial, ...]
+    columns: dict[str, list] = field(hash=False)
     conforming_count: int
     counterexamples: int
     max_conforming_commutator: float
+
+    @property
+    def trials(self) -> tuple[SweepTrial, ...]:
+        return tuple(SweepTrial(**dict(zip(self.columns, row))) for row in zip(*self.columns.values()))
 
     @property
     def no_counterexample(self) -> bool:
@@ -293,7 +307,7 @@ def require_sweep_inputs(n1: int, n2: int, count: int, seed: int) -> None:
 
 
 def counterexample_sweep(
-    n1: int, n2: int, count: int, seed: int, tol: float = 1e-9
+    n1: int, n2: int, count: int, seed: int, tol: float = 1e-9, sink: Callable[[dict], object] | None = None
 ) -> CounterexampleSweepReport:
     """Seeded randomized search for schemes that would falsify the no-go claim.
 
@@ -305,28 +319,42 @@ def counterexample_sweep(
     norm above ``COUNTEREXAMPLE_COMMUTATOR_TOL``. Trials derive independent
     streams from (seed, index), so the report is reproducible and
     order-independent. Its inputs are checked by ``require_sweep_inputs``.
+
+    The tallies are taken chunk by chunk. Each chunk's columns go to
+    ``sink(columns)`` as the chunk finishes, if a sink is given, and the report
+    then keeps none; otherwise the report collects them.
     """
     require_sweep_inputs(n1, n2, count, seed)
     basis = np.eye(n1, dtype=complex)
     observable = observable_in_basis(basis)
-    trials = []
+    columns: dict[str, list] = {}
+    conforming_count = counterexamples = 0
+    max_conforming = 0.0  # commutator norms are >= 0
     for indices, rngs in sweep_chunks(seed, count, n1 * n2):
         la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
         a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
         comm = frobenius_norm_stack(commutator_stack(observable, la))
         conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
         counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
-        columns = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
-        trials += map(SweepTrial, indices, *(column.tolist() for column in columns))
-    conforming_norms = [t.commutator_norm for t in trials if t.conforming]
+        conforming_count += int(np.count_nonzero(conforming))
+        counterexamples += int(np.count_nonzero(counterexample))
+        if conforming.any():
+            max_conforming = max(max_conforming, float(comm[conforming].max()))
+        chunk = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
+        chunk = dict(zip(_TRIAL_FIELDS, (list(indices), *(column.tolist() for column in chunk))))
+        if sink is not None:
+            sink(chunk)
+            continue
+        for name, values in chunk.items():
+            columns.setdefault(name, []).extend(values)
     return CounterexampleSweepReport(
         n1=n1,
         n2=n2,
         count=count,
         seed=seed,
         tol=tol,
-        trials=tuple(trials),
-        conforming_count=len(conforming_norms),
-        counterexamples=sum(t.counterexample for t in trials),
-        max_conforming_commutator=max(conforming_norms, default=0.0),
+        columns=columns,
+        conforming_count=conforming_count,
+        counterexamples=counterexamples,
+        max_conforming_commutator=max_conforming,
     )

@@ -1,18 +1,21 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wayaudit.cli as cli
+from wayaudit import noise, theorem
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
 from wayaudit.commutant import SearchConfig, feasibility_search
 from wayaudit.linalg import DEFAULT_TOLERANCES, STATE_NORM_TOL, variance
@@ -673,6 +676,50 @@ class TestSweepCommand:
         assert report["results"]["robertson_violations"] == 0
         assert "yanase_degenerate" in report["results"]
 
+    @pytest.mark.parametrize(
+        "kind, module, kernel",
+        [("bound-audit", noise, "_audit_chunk"), ("counterexample", theorem, "sample_instance_stack")],
+    )
+    def test_failure_leaves_out_unchanged(self, capsys, monkeypatch, tmp_path, kind, module, kernel):
+        # 300 trials at 2x3 are three chunks; the second one fails
+        original, calls = getattr(module, kernel), []
+
+        def failing(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise RuntimeError("chunk failed")
+            return original(*args)
+
+        monkeypatch.setattr(module, kernel, failing)
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_bytes(b"earlier,report\n1,2\n")
+        code, out, err = run(
+            capsys, "sweep", "--kind", kind, "--n1", "2", "--n2", "3",
+            "--count", "300", "--seed", "1", "--out", str(out_path),
+        )
+        assert (code, out, len(calls)) == (3, "", 2)
+        assert err.startswith("internal error: RuntimeError: chunk failed")
+        assert out_path.read_bytes() == b"earlier,report\n1,2\n"
+        assert list(tmp_path.iterdir()) == [out_path]
+
+    def test_out_keeps_file_mode(self, capsys, tmp_path):
+        # the CSV replaces --out with the permissions open(--out, "w") would leave
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("earlier\n")
+        kept.chmod(0o640)
+        for path in (kept, new):
+            code, _, _ = run(
+                capsys, "sweep", "--kind", "counterexample", "--n1", "2", "--n2", "2",
+                "--count", "5", "--seed", "1", "--out", str(path),
+            )
+            assert code == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert kept.read_bytes() == new.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [kept, new]
+
     def test_csv_requires_out(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--kind", "counterexample",
@@ -680,6 +727,29 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "out" in err
+
+
+class TestSweepMemory:
+    """A sweep's peak memory does not grow with its trial count."""
+
+    @pytest.mark.parametrize("kind, n1, n2", [("bound-audit", 2, 3), ("counterexample", 3, 5)])
+    def test_peak_flat_in_count(self, capsys, tmp_path, kind, n1, n2):
+        def peak(count: int) -> int:
+            argv = [
+                "sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2),
+                "--count", str(count), "--seed", "3", "--out", str(tmp_path / "sweep.csv"),
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(4)  # one-time allocations (parser, lazy imports) fall outside the measurement
+        small, large = peak(400), peak(4000)
+        assert large <= 1.5 * small, f"peak {large} B at 4000 trials vs {small} B at 400"
 
 
 class TestDeterminism:
@@ -822,6 +892,21 @@ PAIRS = st.tuples(NUMBERS, NUMBERS)
 MATRICES = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(PAIRS, min_size=n, max_size=n), min_size=1, max_size=4)
 )
+# CSV columns: of mixed types, and of each type the typed column formatter
+# serves on its own (floats or None, bools or None, ints)
+CSV_COLUMNS = st.one_of(
+    st.lists(st.one_of(st.none(), FLOATS, st.integers(-10, 10), st.booleans()), max_size=12),
+    st.lists(st.one_of(st.none(), FLOATS), max_size=12),
+    st.lists(st.one_of(st.none(), st.booleans()), max_size=12),
+    st.lists(st.integers(-(2**64), 2**64), max_size=12),
+)
+# A bound audit's summary row: the trial label, the dimensions, no epsilon^2,
+# then violation fractions and counts
+SUMMARY_ROWS = st.tuples(
+    st.just("summary"), st.integers(1, 9), st.integers(2, 9), st.none(),
+    FLOATS, FLOATS, st.integers(0, 10**6), FLOATS, st.integers(0, 10**6),
+)
+SUMMARY_EXAMPLE = ("summary", 2, 3, None, 0.0, 0.25, 40, -0.0, 0)
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
 
 
@@ -859,24 +944,26 @@ class TestEncoderProperties:
                 canonical_json(value)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.none(), FLOATS, st.integers(-10, 10), st.booleans()), max_size=12))
-    def test_csv_column_matches_cells(self, values):
-        rows = [{"a": v, "b": 1.5 if v is None else None} for v in values]
-
+    @given(CSV_COLUMNS, SUMMARY_ROWS)
+    @example([-0.0, 5e-324, None, 1.7976931348623157e308, -1.7976931348623157e308], SUMMARY_EXAMPLE)
+    def test_csv_column_matches_cells(self, values, summary):
         def cell(v):
             if v is None:
                 return ""
             if isinstance(v, bool):
                 return "true" if v else "false"
-            return str(v) if isinstance(v, int) else _reference(v)
+            return str(v) if isinstance(v, (int, str)) else _reference(v)
 
-        expected = "".join(f"{cell(r['a'])},{cell(r['b'])}\n" for r in rows)
-        assert cli._csv_text(("a", "b"), rows) == "a,b\n" + expected
+        columns = [values, [1.5 if v is None else None for v in values]]
+        expected = "".join(f"{cell(a)},{cell(b)}\n" for a, b in zip(*columns))
+        assert cli._csv_rows(columns) == expected
+        # the summary row is formatted as a batch of one
+        assert cli._csv_rows([[v] for v in summary]) == ",".join(map(cell, summary)) + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_csv_non_finite_raises(self, bad):
         with pytest.raises(ValueError, match="^non-finite value in report$"):
-            cli._csv_text(("a",), [{"a": 1.0}, {"a": None}, {"a": bad}])
+            cli._csv_rows([[1.0, None, bad]])
 
     @settings(max_examples=200, deadline=None)
     @given(MATRICES)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, PLUS, X, Z, E0
+from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
@@ -349,6 +350,29 @@ def _reference_commutant_unitary(d, rng):
         phases = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
         u += block.basis @ (q * phases) @ dagger(block.basis)
     return u
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+def test_sweep_streams_match_tuple_seeding(seed):
+    # each sweep trial's stream is default_rng((seed, trial)), bit for bit, also
+    # where the trials of one batch have entropy of different lengths
+    trials = [0, 1, 2**32 + 1]
+    for trial, stream in zip(trials, linalg._streams(linalg._trial_states(seed, trials))):
+        expected = np.random.default_rng((seed, trial)).bit_generator.random_raw(64)
+        assert np.array_equal(stream.bit_generator.random_raw(64), expected), trial
+
+
+@pytest.mark.parametrize("count, dim", [(linalg.SEED_BATCH + 50, 45), (5000, 1)])
+def test_sweep_chunks_cover_trials_in_order(count, dim):
+    # chunks of at most SWEEP_CHUNK_BYTES per stack, across seed batches; one stream per trial
+    size = max(1, linalg.SWEEP_CHUNK_BYTES // (16 * dim * dim))
+    seen = []
+    for trials, streams in linalg.sweep_chunks(11, count, dim):
+        assert 0 < len(streams) == len(trials) <= size
+        seen += trials
+        for trial, stream in zip(trials, streams):
+            assert stream.bit_generator.random_raw() == np.random.default_rng((11, trial)).bit_generator.random_raw()
+    assert seen == list(range(count))
 
 
 class TestBitIdentity:

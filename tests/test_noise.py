@@ -285,6 +285,17 @@ class TestBoundAuditSweep:
         short = bound_audit_sweep(AuditConfig(n1, n2, prefix, 5)).records
         assert repr(long[:prefix]) == repr(short)
 
+    def test_sink_takes_the_columns(self):
+        # 40 trials at D = 45 are several chunks; streamed, they add up to the collected columns
+        config = AuditConfig(5, 9, 40, 5)
+        chunks = []
+        streamed, collected = bound_audit_sweep(config, chunks.append), bound_audit_sweep(config)
+        assert len(chunks) > 1
+        assert (streamed.columns, streamed.records) == ({}, ())
+        assert streamed.summary == collected.summary
+        assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
+        assert len(collected.records) == 40
+
     def test_multi_chunk_golden_spans_chunks(self):
         # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
         # golden that crosses chunk boundaries

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,17 @@ class TestCounterexampleSweep:
         for t in report.trials:
             assert t.leakage >= 0.0 and t.deficit >= 0.0
             assert t.counterexample == (t.conforming and t.commutator_norm > 1e-6)
+
+    def test_sink_takes_the_columns(self):
+        # 40 trials at D = 45 are several chunks; streamed, they add up to the collected columns
+        chunks = []
+        streamed = counterexample_sweep(5, 9, 40, 5, sink=chunks.append)
+        collected = counterexample_sweep(5, 9, 40, 5)
+        assert len(chunks) > 1
+        assert (streamed.columns, streamed.trials) == ({}, ())
+        assert streamed == dataclasses.replace(collected, columns={})
+        assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
+        assert len(collected.trials) == 40
 
     @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
     def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
