@@ -189,8 +189,8 @@ def _csv_sink(path: str | None, names: tuple[str, ...]):
         return
     temp = None
     try:
-        directory, name = os.path.split(os.path.abspath(path))
-        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{name}.", dir=directory)
+        directory, base = os.path.split(os.path.abspath(path))
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{base}.", dir=directory)
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(names) + "\n")
             yield lambda columns: fh.write(_csv_rows([columns[name] for name in names]))
@@ -200,7 +200,7 @@ def _csv_sink(path: str | None, names: tuple[str, ...]):
         if temp is not None:
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        if isinstance(exc, OSError):  # the sweeps do no I/O: this is the file's
+        if isinstance(exc, OSError):  # a sweep does no I/O of its own: the error is the file's
             raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
         raise
 

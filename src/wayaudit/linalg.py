@@ -21,11 +21,14 @@ Every caller in the package, the model dataclasses, the samplers and the CLI
 loader included, goes through them.
 
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
-chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack.
+chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack. The
+streams are seeded a batch of trials at a time by ``SeedSequence``'s own hash,
+run on arrays (``sweep_chunks``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -418,16 +421,24 @@ def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose PCG64 state was generated ahead, by ``_seed_states``."""
+@functools.cache
+def _seed_state_type() -> type:
+    """A seed sequence that hands PCG64 the state ``_seed_states`` generated ahead.
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
+    Built on first use: subclassing numpy's ``ISeedSequence`` imports
+    ``numpy.random``, which commands that draw nothing need not load.
+    """
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError("only a PCG64 seed state was generated")
-        return self.state
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("only a PCG64 seed state was generated")
+            return self.state
+
+    return SeedState
 
 
 def _trial_states(seed: int, trials) -> np.ndarray:
@@ -442,7 +453,8 @@ def _trial_states(seed: int, trials) -> np.ndarray:
 
 def _streams(states: np.ndarray) -> list[np.random.Generator]:
     """A PCG64 generator started from each state of ``_trial_states``."""
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+    seed_state = _seed_state_type()
+    return [np.random.Generator(np.random.PCG64(seed_state(state))) for state in states]
 
 
 def sweep_chunks(seed: int, count: int, dim: int):
