@@ -187,15 +187,16 @@ def _csv_sink(path: str | None, names: tuple[str, ...]):
     if path is None:
         yield lambda columns: None
         return
+    target = os.path.realpath(path)  # a symlinked --out is written through, as open() would
     temp = None
     try:
-        directory, base = os.path.split(os.path.abspath(path))
+        directory, base = os.path.split(target)
         fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{base}.", dir=directory)
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(names) + "\n")
             yield lambda columns: fh.write(_csv_rows([columns[name] for name in names]))
-        os.chmod(temp, _file_mode(path))
-        os.replace(temp, path)
+        os.chmod(temp, _file_mode(target))
+        os.replace(temp, target)
     except BaseException as exc:
         if temp is not None:
             with contextlib.suppress(OSError):
@@ -478,7 +479,7 @@ def _require_out(args) -> None:
         return
     targets = [args.out] if os.path.exists(args.out) else []
     if args.format == "csv" or not targets:  # a CSV is written beside --out, then moved onto it
-        targets.append(os.path.dirname(os.path.abspath(args.out)))
+        targets.append(os.path.dirname(os.path.realpath(args.out)))
     if os.path.isdir(args.out) or not all(os.access(target, os.W_OK) for target in targets):
         raise ModelFileError("out", f"cannot write {args.out}")
 

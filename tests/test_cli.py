@@ -720,6 +720,18 @@ class TestSweepCommand:
         assert kept.read_bytes() == new.read_bytes()
         assert sorted(tmp_path.iterdir()) == [kept, new]
 
+    def test_symlinked_out_is_written_through(self, capsys, tmp_path):
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "sweep.csv", tmp_path / "link.csv"
+        target.write_text("earlier\n")
+        link.symlink_to(target)
+        argv = ["sweep", "--kind", "counterexample", "--n1", "2", "--n2", "2", "--count", "5", "--seed", "1"]
+        assert run(capsys, *argv, "--out", str(link))[0] == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert run(capsys, *argv, "--out", str(tmp_path / "plain.csv"))[0] == 0
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
     def test_csv_requires_out(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--kind", "counterexample",
