@@ -340,8 +340,8 @@ def counterexample_sweep(
         counterexamples += int(np.count_nonzero(counterexample))
         if conforming.any():
             max_conforming = max(max_conforming, float(comm[conforming].max()))
-        chunk = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
-        chunk = dict(zip(_TRIAL_FIELDS, (list(indices), *(column.tolist() for column in chunk))))
+        arrays = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
+        chunk = dict(zip(_TRIAL_FIELDS, (list(indices), *(array.tolist() for array in arrays))))
         if sink is not None:
             sink(chunk)
             continue
