@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -166,10 +167,45 @@ def _csv_rows(columns: list[list]) -> str:
     return "".join(f"{row}\n" for row in map(",".join, zip(*map(_csv_column, columns))))
 
 
-def _file_mode(path: str) -> int:
-    """The permissions ``open(path, "w")`` leaves: those of the file, or 0o666 less the umask."""
-    with contextlib.suppress(FileNotFoundError):
-        return stat.S_IMODE(os.stat(path).st_mode)
+@contextlib.contextmanager
+def _staged_out(path: str):
+    """A text file whose contents reach ``path`` as ``open(path, "w")`` would leave them.
+
+    A device or pipe is written in place: it has no contents to keep. Otherwise
+    the text goes to a temporary file beside ``path`` (beside its target, for a
+    symlink) and reaches ``path`` only when the block ends without error:
+    renamed onto it with its permissions, or copied into it where a rename
+    would break its hard links or change its owner or group. If the block
+    raises, the temporary file is removed and ``path`` is left as it was.
+    """
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, base = os.path.split(target)
+    fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{base}.", dir=directory)
+    try:
+        new = os.fstat(fd)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        if old is None or (old.st_nlink, old.st_uid, old.st_gid) == (1, new.st_uid, new.st_gid):
+            os.chmod(temp, _new_file_mode() if old is None else stat.S_IMODE(old.st_mode))
+            os.replace(temp, target)
+        else:
+            with open(temp, "rb") as src, open(target, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+
+
+def _new_file_mode() -> int:
+    """The permissions ``open(path, "w")`` gives a new file: 0o666 less the umask."""
     umask = os.umask(0)
     os.umask(umask)
     return 0o666 & ~umask
@@ -179,31 +215,19 @@ def _file_mode(path: str) -> int:
 def _csv_sink(path: str | None, names: tuple[str, ...]):
     """A sink for a sweep's column chunks that writes their ``names`` columns to ``path``.
 
-    Each chunk's rows are written as it arrives, under one header line, to a
-    temporary file beside ``path`` that replaces ``path`` once the block ends.
-    If the block raises, the temporary file is removed and ``path`` is left as
+    Each chunk's rows are written as it arrives, under one header line, through
+    ``_staged_out``: if the block raises, a regular file at ``path`` is left as
     it was. With no path the chunks are dropped.
     """
     if path is None:
         yield lambda columns: None
         return
-    target = os.path.realpath(path)  # a symlinked --out is written through, as open() would
-    temp = None
     try:
-        directory, base = os.path.split(target)
-        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{base}.", dir=directory)
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
+        with _staged_out(path) as fh:
             fh.write(",".join(names) + "\n")
             yield lambda columns: fh.write(_csv_rows([columns[name] for name in names]))
-        os.chmod(temp, _file_mode(target))
-        os.replace(temp, target)
-    except BaseException as exc:
-        if temp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(temp)
-        if isinstance(exc, OSError):  # a sweep does no I/O of its own: the error is the file's
-            raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
-        raise
+    except OSError as exc:  # a sweep does no I/O of its own: the error is the file's
+        raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
 
 
 def emit_report(report, format: str = "json", path: str | None = None) -> None:
@@ -478,7 +502,7 @@ def _require_out(args) -> None:
             raise ModelFileError("out", "--out is required for csv output")
         return
     targets = [args.out] if os.path.exists(args.out) else []
-    if args.format == "csv" or not targets:  # a CSV is written beside --out, then moved onto it
+    if not targets or (args.format == "csv" and os.path.isfile(args.out)):  # a CSV is staged beside it
         targets.append(os.path.dirname(os.path.realpath(args.out)))
     if os.path.isdir(args.out) or not all(os.access(target, os.W_OK) for target in targets):
         raise ModelFileError("out", f"cannot write {args.out}")

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -731,6 +732,37 @@ class TestSweepCommand:
         assert run(capsys, *argv, "--out", str(tmp_path / "plain.csv"))[0] == 0
         assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
+    def test_fifo_out_is_written_in_place(self, capsys, tmp_path):
+        # a pipe is not replaced by a regular file: its reader gets the CSV bytes
+        fifo, plain = tmp_path / "sweep.fifo", tmp_path / "plain.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        argv = ["sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3", "--count", "30", "--seed", "1"]
+        try:
+            assert run(capsys, *argv, "--out", str(fifo))[0] == 0
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # the sweep never opened the pipe: end the reader's wait
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert run(capsys, *argv, "--out", str(plain))[0] == 0
+        assert received == [plain.read_bytes()]
+        assert sorted(tmp_path.iterdir()) == [plain, fifo]
+
+    def test_hard_linked_out_keeps_its_links(self, capsys, tmp_path):
+        out_path, other = tmp_path / "sweep.csv", tmp_path / "other.csv"
+        out_path.write_text("earlier\n")
+        os.link(out_path, other)
+        argv = ["sweep", "--kind", "counterexample", "--n1", "2", "--n2", "2", "--count", "5", "--seed", "1"]
+        assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+        assert os.path.samefile(out_path, other)
+        assert run(capsys, *argv, "--out", str(tmp_path / "plain.csv"))[0] == 0
+        assert other.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.csv", "plain.csv", "sweep.csv"]
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run(
