@@ -21,14 +21,15 @@ Every caller in the package, the model dataclasses, the samplers and the CLI
 loader included, goes through them.
 
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
-chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack. The
-streams are seeded a batch of trials at a time by ``SeedSequence``'s own hash,
-run on arrays (``sweep_chunks``).
+chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack
+(``sweep_chunks``). A sweep's trials travel as columns: ``gather_columns``
+hands each chunk's columns to a sink or collects them, and ``column_records``
+turns collected columns back into records.
 """
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,12 +44,14 @@ __all__ = [
     "anti_hermitian_exp_stack",
     "as_operator",
     "as_state",
+    "column_records",
     "commutator",
     "commutator_stack",
     "dagger",
     "expectation",
     "frobenius_norm",
     "frobenius_norm_stack",
+    "gather_columns",
     "ginibre",
     "ginibre_stack",
     "haar_from_ginibre",
@@ -93,8 +96,6 @@ ORTHONORMAL_TOL = 1e-8
 # Byte budget of one (chunk, D, D) complex stack in a sweep; it sets the chunk
 # size from D and bounds the memory a chunk's intermediates take.
 SWEEP_CHUNK_BYTES = 1 << 16
-# Trials whose stream seeds a sweep hashes in one pass (32 bytes of state each).
-SEED_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -384,94 +385,37 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(multiplier: int, factor: int):
-    """numpy's SeedSequence hash step on uint32 arrays; each call advances the multiplier."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal multiplier
-        value = value ^ np.uint32(multiplier)
-        multiplier = multiplier * factor & 0xFFFFFFFF
-        value = value * np.uint32(multiplier)
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    z = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return z ^ z >> 16
-
-
-def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``SeedSequence(words).generate_state(4, np.uint64)`` for each row of a (k, n) uint32
-    array whose row holds ``lengths`` words, zero-padded: numpy's algorithm (pool of four
-    words, uint32 arithmetic), run on the k rows at once."""
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-    entropy = np.pad(entropy, ((0, 0), (0, max(0, 4 - entropy.shape[1]))))  # short entropy hashes zeros
-    pool = [hashmix(entropy[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, entropy.shape[1]):  # words past the pool, in rows that have them
-        for dst in range(4):
-            pool[dst] = np.where(lengths > src, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
-    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
-    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _seed_state_type() -> type:
-    """A seed sequence that hands PCG64 the state ``_seed_states`` generated ahead.
-
-    Built on first use: subclassing numpy's ``ISeedSequence`` imports
-    ``numpy.random``, which commands that draw nothing need not load.
-    """
-
-    class SeedState(np.random.bit_generator.ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):
-                raise ValueError("only a PCG64 seed state was generated")
-            return self.state
-
-    return SeedState
-
-
-def _trial_states(seed: int, trials) -> np.ndarray:
-    """The PCG64 state of ``default_rng((seed, trial))`` for each trial, bit for bit: numpy
-    seeds it with the words of seed then trial, hashed by ``SeedSequence``; here the hash
-    runs over all the trials at once."""
-    entropy = [_words(seed) + _words(trial) for trial in trials]
-    size = max(map(len, entropy))
-    padded = np.array([words + [0] * (size - len(words)) for words in entropy], dtype=np.uint32)
-    return _seed_states(padded, np.array(list(map(len, entropy))))
-
-
-def _streams(states: np.ndarray) -> list[np.random.Generator]:
-    """A PCG64 generator started from each state of ``_trial_states``."""
-    seed_state = _seed_state_type()
-    return [np.random.Generator(np.random.PCG64(seed_state(state))) for state in states]
-
-
 def sweep_chunks(seed: int, count: int, dim: int):
     """Yield (trials, streams) for a sweep of ``count`` trials of joint dimension ``dim``.
 
     Chunks hold as many trials as fit one (chunk, dim, dim) complex stack in
-    ``SWEEP_CHUNK_BYTES``; each trial gets its own ``default_rng((seed, trial))``.
-    Seed states are hashed ``SEED_BATCH`` trials, or one chunk, at a time, whichever
-    is more: the hash costs more per call than per trial.
+    ``SWEEP_CHUNK_BYTES``. Each trial gets the stream ``default_rng((seed,
+    trial))``, seeded from the words numpy makes of that tuple, given as one
+    uint32 array, which numpy takes without coercing it.
     """
     size = max(1, SWEEP_CHUNK_BYTES // (16 * dim * dim))
-    batch = size * max(1, SEED_BATCH // size)
-    for first in range(0, count, batch):
-        states = _trial_states(seed, range(first, min(first + batch, count)))
-        for start in range(0, len(states), size):
-            chunk = states[start : start + size]
-            yield range(first + start, first + start + len(chunk)), _streams(chunk)
+    head = _words(seed)
+    for start in range(0, count, size):
+        trials = range(start, min(start + size, count))
+        yield trials, [np.random.default_rng(np.array(head + _words(t), dtype=np.uint32)) for t in trials]
+
+
+def gather_columns(chunks: Iterable[dict[str, list]], sink: Callable[[dict], object] | None = None) -> dict:
+    """Hand each chunk's columns to ``sink`` as it comes, or, with no sink, join
+    them into one list per column name and return those (empty if a sink took them)."""
+    columns: dict[str, list] = {}
+    for chunk in chunks:
+        if sink is not None:
+            sink(chunk)
+            continue
+        for name, values in chunk.items():
+            columns.setdefault(name, []).extend(values)
+    return columns
+
+
+def column_records(record: type, columns: dict[str, list]) -> tuple:
+    """One ``record(**row)`` per row of ``columns``, a list per field name."""
+    return tuple(record(**dict(zip(columns, row))) for row in zip(*columns.values()))
 
 
 def _complex_draws(raw: np.ndarray) -> np.ndarray:

@@ -33,9 +33,11 @@ from .errors import PreconditionError
 from .linalg import (
     as_operator,
     as_state,
+    column_records,
     commutator_stack,
     dagger,
     frobenius_norm_stack,
+    gather_columns,
     ginibre_stack,
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
@@ -520,7 +522,7 @@ class BoundAuditReport:
 
     @property
     def records(self) -> tuple[BoundAuditRecord, ...]:
-        return tuple(BoundAuditRecord(**dict(zip(self.columns, row))) for row in zip(*self.columns.values()))
+        return column_records(BoundAuditRecord, self.columns)
 
 
 def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
@@ -664,14 +666,13 @@ def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None
     ``sink(columns)`` as the chunk finishes, if a sink is given, and the
     report then keeps none; otherwise the report collects them.
     """
-    columns: dict[str, list] = {}
     tallies = Counter()
-    for trials, rngs in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
-        chunk, counts = _audit_chunk(config, trials, rngs)
-        tallies.update(counts)
-        if sink is not None:
-            sink(chunk)
-            continue
-        for name, values in chunk.items():
-            columns.setdefault(name, []).extend(values)
+
+    def chunks():
+        for trials, rngs in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
+            chunk, counts = _audit_chunk(config, trials, rngs)
+            tallies.update(counts)
+            yield chunk
+
+    columns = gather_columns(chunks(), sink)
     return BoundAuditReport(config=config, columns=columns, summary=_audit_summary(config.count, tallies))

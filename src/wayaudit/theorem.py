@@ -21,6 +21,7 @@ and ``pointer_analysis`` are batches of one over the same kernels.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -32,10 +33,12 @@ from .errors import PreconditionError
 from .linalg import (
     DEFAULT_TOLERANCES,
     as_operator,
+    column_records,
     commutator,
     commutator_stack,
     frobenius_norm,
     frobenius_norm_stack,
+    gather_columns,
     numerical_rank,
     random_positive_operator_stack,
     random_state_vector_stack,
@@ -285,7 +288,7 @@ class CounterexampleSweepReport:
 
     @property
     def trials(self) -> tuple[SweepTrial, ...]:
-        return tuple(SweepTrial(**dict(zip(self.columns, row))) for row in zip(*self.columns.values()))
+        return column_records(SweepTrial, self.columns)
 
     @property
     def no_counterexample(self) -> bool:
@@ -327,26 +330,23 @@ def counterexample_sweep(
     require_sweep_inputs(n1, n2, count, seed)
     basis = np.eye(n1, dtype=complex)
     observable = observable_in_basis(basis)
-    columns: dict[str, list] = {}
-    conforming_count = counterexamples = 0
-    max_conforming = 0.0  # commutator norms are >= 0
-    for indices, rngs in sweep_chunks(seed, count, n1 * n2):
-        la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
-        a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
-        comm = frobenius_norm_stack(commutator_stack(observable, la))
-        conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
-        counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
-        conforming_count += int(np.count_nonzero(conforming))
-        counterexamples += int(np.count_nonzero(counterexample))
-        if conforming.any():
-            max_conforming = max(max_conforming, float(comm[conforming].max()))
-        arrays = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
-        chunk = dict(zip(_TRIAL_FIELDS, (list(indices), *(array.tolist() for array in arrays))))
-        if sink is not None:
-            sink(chunk)
-            continue
-        for name, values in chunk.items():
-            columns.setdefault(name, []).extend(values)
+    tallies = Counter()
+    maxima = [0.0]  # commutator norms are >= 0
+
+    def chunks():
+        for indices, rngs in sweep_chunks(seed, count, n1 * n2):
+            la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
+            a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
+            comm = frobenius_norm_stack(commutator_stack(observable, la))
+            conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
+            counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
+            tallies.update(conforming=int(np.count_nonzero(conforming)), counterexamples=int(np.count_nonzero(counterexample)))
+            if conforming.any():
+                maxima.append(float(comm[conforming].max()))
+            arrays = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
+            yield dict(zip(_TRIAL_FIELDS, (list(indices), *(array.tolist() for array in arrays))))
+
+    columns = gather_columns(chunks(), sink)
     return CounterexampleSweepReport(
         n1=n1,
         n2=n2,
@@ -354,7 +354,7 @@ def counterexample_sweep(
         seed=seed,
         tol=tol,
         columns=columns,
-        conforming_count=conforming_count,
-        counterexamples=counterexamples,
-        max_conforming_commutator=max_conforming,
+        conforming_count=tallies["conforming"],
+        counterexamples=tallies["counterexamples"],
+        max_conforming_commutator=max(maxima),
     )
