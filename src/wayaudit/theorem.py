@@ -340,7 +340,9 @@ def counterexample_sweep(
             comm = frobenius_norm_stack(commutator_stack(observable, la))
             conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
             counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
-            tallies.update(conforming=int(np.count_nonzero(conforming)), counterexamples=int(np.count_nonzero(counterexample)))
+            tallies.update(
+                conforming=int(np.count_nonzero(conforming)), counterexamples=int(np.count_nonzero(counterexample))
+            )
             if conforming.any():
                 maxima.append(float(comm[conforming].max()))
             arrays = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)

@@ -4,7 +4,6 @@ import os
 import stat
 import subprocess
 import sys
-import threading
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -735,22 +734,19 @@ class TestSweepCommand:
 
     def test_fifo_out_is_written_in_place(self, capsys, tmp_path):
         # a pipe is not replaced by a regular file: its reader gets the CSV bytes
+        # (about 4 KB, within the pipe's buffer, so the read end is read after the run)
         fifo, plain = tmp_path / "sweep.fifo", tmp_path / "plain.csv"
         os.mkfifo(fifo)
-        received = []
-        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
-        reader.start()
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         argv = ["sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3", "--count", "30", "--seed", "1"]
         try:
             assert run(capsys, *argv, "--out", str(fifo))[0] == 0
+            received = os.read(reader, 1 << 16)
         finally:
-            reader.join(timeout=10)
-            if reader.is_alive():  # the sweep never opened the pipe: end the reader's wait
-                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-                reader.join()
+            os.close(reader)
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert run(capsys, *argv, "--out", str(plain))[0] == 0
-        assert received == [plain.read_bytes()]
+        assert received == plain.read_bytes()
         assert sorted(tmp_path.iterdir()) == [plain, fifo]
 
     def test_hard_linked_out_keeps_its_links(self, capsys, tmp_path):
