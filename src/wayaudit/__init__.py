@@ -19,8 +19,6 @@ from .commutant import (
 )
 from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
     ValidationReport,
     anti_hermitian_exp,
     commutator,

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .commutant import SearchConfig, feasibility_search, minimize_epsilon
 from .errors import PreconditionError
-from .linalg import DEFAULT_TOLERANCES, as_state, require_hermitian
+from .linalg import GROUPING_TOL, HERMITICITY_TOL, RANK_TOL, UNITARITY_TOL, as_state, require_hermitian
 from .model import (
     ConservedQuantity,
     MeasurementModel,
@@ -230,15 +230,11 @@ def _csv_sink(path: str | None, names: tuple[str, ...]):
         raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
 
 
-def emit_report(report, format: str = "json", path: str | None = None) -> None:
-    """Serialize a report canonically and write it to ``path`` (stdout if None).
+def emit_report(text: str, path: str | None = None) -> None:
+    """Write a report serialized by ``canonical_json`` to ``path`` (stdout if None).
 
-    ``format`` must be "json"; sweep CSVs are written chunk by chunk as the
-    sweep runs.
+    Sweep CSVs are written chunk by chunk as the sweep runs.
     """
-    if format != "json":
-        raise ModelFileError("format", f"unknown format {format!r}")
-    text = canonical_json(report)
     if path is None:
         sys.stdout.write(text)
         return
@@ -417,7 +413,13 @@ def _base_report(args, seed: int | None) -> dict:
         "command": echo,
         "version": __version__,
         "seed": seed,
-        "tolerances": {"tol": args.tol, **asdict(DEFAULT_TOLERANCES)},
+        "tolerances": {
+            "tol": args.tol,
+            "hermiticity_tol": HERMITICITY_TOL,
+            "unitarity_tol": UNITARITY_TOL,
+            "rank_tol": RANK_TOL,
+            "grouping_tol": GROUPING_TOL,
+        },
     }
 
 
@@ -427,9 +429,10 @@ def _emit(args, loaded: LoadedModel, results: dict, seed: int | None = None) -> 
     report = _base_report(args, seed)
     report["model"] = loaded.echo()
     report["results"] = results
-    sys.stdout.write(canonical_json(report))
+    text = canonical_json(report)
+    emit_report(text)
     if args.out is not None:
-        emit_report(report, "json", args.out)
+        emit_report(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +569,10 @@ def _cmd_sweep(args) -> int:
         }
         failed = s.robertson_violations > 0
 
+    text = canonical_json(report)
     if csv_path is None and args.out is not None:
-        emit_report(report, "json", args.out)
-    sys.stdout.write(canonical_json(report))
+        emit_report(text, args.out)
+    emit_report(text)
     return 1 if failed else 0
 
 

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    GROUPING_TOL,
     anti_hermitian_exp_stack,
     as_operator,
     as_state,
@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 ZERO_OBJECTIVE = POINTER_DEGENERACY_TOL**2  # far below any floor the searches report
+# A restart stops once the next step promises a decrease of at most FTOL times
+# the objective (see _descend).
+FTOL = 1e-15
 STOP_REASONS = ("zero", "no_decrease", "gradient", "max_iter")  # see _descend
 
 
@@ -85,16 +88,12 @@ class BlockDecomposition:
         return tuple(b.basis.shape[1] for b in self.blocks)
 
 
-def conserved_eigenspaces(q: ConservedQuantity, dims: tuple[int, int] | None = None) -> BlockDecomposition:
+def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
     """Eigenvalue groups of the joint conserved operator.
 
-    Sorted eigenvalues are clustered by gaps larger than ``grouping_tol``, so
+    Sorted eigenvalues are clustered by gaps larger than ``GROUPING_TOL``, so
     eigenvalues inside a block are mutually closer than the gap between blocks.
     """
-    if dims is not None:
-        expected = (q.system_op.shape[0], q.apparatus_op.shape[0])
-        if tuple(dims) != expected:
-            raise ValueError(f"dims {tuple(dims)} do not match quantity dims {expected}")
     joint = conserved_operator(q)
     values, vectors = hermitian_eigensystem(joint)
     blocks, start = [], 0
@@ -109,11 +108,11 @@ def conserved_eigenspaces(q: ConservedQuantity, dims: tuple[int, int] | None = N
 def block_sizes(values: np.ndarray):
     """Yield the block sizes of each row of a (k, D) stack of ascending eigenvalues.
 
-    A block ends where the next eigenvalue lies more than ``grouping_tol``
+    A block ends where the next eigenvalue lies more than ``GROUPING_TOL``
     above it, so eigenvalues inside a block are closer than the gap between blocks.
     """
     dim, sizes = values.shape[-1], {}
-    for gaps in map(tuple, (np.diff(values, axis=-1) > DEFAULT_TOLERANCES.grouping_tol).tolist()):
+    for gaps in map(tuple, (np.diff(values, axis=-1) > GROUPING_TOL).tolist()):
         if gaps not in sizes:
             starts = [0] + [i + 1 for i, gap in enumerate(gaps) if gap]
             sizes[gaps] = tuple(b - a for a, b in zip(starts, starts[1:] + [dim]))
@@ -266,20 +265,17 @@ def project_generator(k: np.ndarray, d: BlockDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Restart count and per-restart budget; ``_descend`` says how ``max_iter`` and ``ftol`` stop a restart."""
+    """Restart count and per-restart budget; ``_descend`` says how ``max_iter`` stops a restart."""
 
     seed: int
     restarts: int = 8
     max_iter: int = 2000
-    ftol: float = 1e-15
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (np.isfinite(self.ftol) and self.ftol >= 0):
-            raise ValueError("ftol must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -319,7 +315,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
     solves (J^T J + lam I) delta = -J^T r on the exact Jacobian, accepts the
     step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. The
     restart stops when F <= ZERO_OBJECTIVE, when the next step promises a
-    decrease of at most ``config.ftol * F`` (no damped step decreases F any
+    decrease of at most ``FTOL * F`` (no damped step decreases F any
     more), when J^T r is exactly zero, or after ``config.max_iter`` tries.
     Returns (F, U, v, trace, stop reason).
     """
@@ -349,7 +345,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
             fresh = False
         delta = -axes @ (grad_axes / (curvature + lam))
         predicted = lam * float(delta @ delta) - float(delta @ grad)  # Python floats: lam may overflow
-        if not predicted > config.ftol * f:  # also once lam is inf and predicted nan
+        if not predicted > FTOL * f:  # also once lam is inf and predicted nan
             reason = "no_decrease"
             break
         *thetas, ready_step = np.split(delta, np.cumsum(sizes))
@@ -408,17 +404,14 @@ def minimize_epsilon(
     observable: np.ndarray,
     probe: np.ndarray,
     ready_state: np.ndarray,
-    probe_states=None,
-    config: SearchConfig = None,
+    config: SearchConfig,
 ) -> SearchResult:
     """Minimize the mean squared measurement noise over conserving unitaries.
 
-    The objective is the average over ``probe_states`` of
-    ||(U^dag (1 (x) probe) U - observable (x) 1) (psi (x) v)||^2; every iterate
-    stays inside the commutant of the conserved quantity.
+    The objective is the average over the ``default_probe_states`` of the
+    system factor of ||(U^dag (1 (x) probe) U - observable (x) 1) (psi (x) v)||^2;
+    every iterate stays inside the commutant of the conserved quantity.
     """
-    if config is None:
-        raise ValueError("config with a seed is required")
     observable = as_operator(observable)
     probe = as_operator(probe)
     ready = as_state(ready_state)
@@ -428,11 +421,7 @@ def minimize_epsilon(
         raise ValueError(f"observable must have dimension {n1}")
     if probe.shape[0] != n2 or ready.shape[0] != n2:
         raise ValueError(f"probe and ready_state must have dimension {n2}")
-    if probe_states is None:
-        probe_states = default_probe_states(q.system_op)
-    states = [as_state(s) for s in probe_states]
-    if any(s.shape[0] != n1 for s in states):
-        raise ValueError(f"probe states must have dimension {n1}")
+    states = default_probe_states(q.system_op)
 
     problem = _Epsilon(tensor_product(np.eye(n1), probe), tensor_product(observable, np.eye(n2)), ready, states)
     return _search(conserved_eigenspaces(q), problem, config)
@@ -465,7 +454,7 @@ def feasibility_search(
     q: ConservedQuantity,
     observable: np.ndarray,
     n2: int,
-    config: SearchConfig = None,
+    config: SearchConfig,
 ) -> SearchResult:
     """Search the commutant for an exact nondestructive scheme for ``observable``.
 
@@ -475,8 +464,6 @@ def feasibility_search(
     nondestructive scheme. No hypothesis gating happens here: dimensions
     outside the no-go regime are searched all the same.
     """
-    if config is None:
-        raise ValueError("config with a seed is required")
     observable = as_operator(observable)
     n1 = q.system_op.shape[0]
     if observable.shape[0] != n1:

@@ -14,9 +14,10 @@ keeps a mat-vec a gemv), norms through the strided dot products
 
 Each structural hypothesis has one stack-aware check here, which raises a
 ``PreconditionError`` named after the checked argument for the first failing
-member: ``require_hermitian``, ``require_anti_hermitian``, ``require_unitary``
-(thresholds from ``DEFAULT_TOLERANCES``), ``require_orthonormal_rows``
+member: ``require_hermitian``, ``require_anti_hermitian`` (``HERMITICITY_TOL``),
+``require_unitary`` (``UNITARITY_TOL``), ``require_orthonormal_rows``
 (``ORTHONORMAL_TOL``) and ``require_unit_norm`` (``STATE_NORM_TOL``).
+Every threshold is a module constant.
 Every caller in the package, the model dataclasses, the samplers and the CLI
 loader included, goes through them.
 
@@ -30,15 +31,13 @@ turns collected columns back into records.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
-    "ToleranceConfig",
     "ValidationReport",
     "anti_hermitian_exp",
     "anti_hermitian_exp_stack",
@@ -84,37 +83,28 @@ __all__ = [
     "variance_stack",
 ]
 
-# Negative variances of larger magnitude than this, relative to max(1, <a^2>),
-# plus 2 * STATE_NORM_TOL, indicate an inconsistent operator or state and
-# raise. Anything smaller is clamped to zero: rounding noise, or the deficit
-# -(|s|^2 - 1) <a^2> that a state within STATE_NORM_TOL of unit norm gives an
-# operator with <a^2> <= 1.
+# A variance below -(VARIANCE_CLAMP + 2 * STATE_NORM_TOL) * max(1, <a^2>)
+# indicates an inconsistent operator or state and raises. A smaller negative
+# one is clamped to zero: rounding noise, or the deficit, at most about
+# 2 |delta| <a^2>, that a state of norm 1 + delta gives, |delta| <= STATE_NORM_TOL.
 VARIANCE_CLAMP = 1e-14
 
+# Frobenius residuals |a - a^dag| (|a + a^dag|) and |u^dag u - 1| up to which a
+# matrix is Hermitian (anti-Hermitian) or unitary.
+HERMITICITY_TOL = 1e-10
+UNITARITY_TOL = 1e-10
+# Singular values at or below RANK_TOL times the largest do not count toward
+# the rank; it is also the floor a spectrum must exceed to be positive.
+RANK_TOL = 1e-9
+# Sorted eigenvalues further apart than this start a new eigenvalue group.
+GROUPING_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
+# Range of the uniform spectrum of the random positive factors.
+FACTOR_SPECTRUM = (0.5, 2.0)
 # Byte budget of one (chunk, D, D) complex stack in a sweep; it sets the chunk
 # size from D and bounds the memory a chunk's intermediates take.
 SWEEP_CHUNK_BYTES = 1 << 16
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds that make every check in the toolkit decidable."""
-
-    hermiticity_tol: float = 1e-10
-    unitarity_tol: float = 1e-10
-    rank_tol: float = 1e-9
-    grouping_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be nonnegative and finite")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def as_operator(a) -> np.ndarray:
@@ -146,27 +136,27 @@ def _require(name: str, residual: np.ndarray, passed: np.ndarray, detail: str) -
 
 def _hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = frobenius_norm_stack(a - dagger(a))
-    return residual, residual <= DEFAULT_TOLERANCES.hermiticity_tol
+    return residual, residual <= HERMITICITY_TOL
 
 
 def _unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = frobenius_norm_stack(dagger(u) @ u - np.eye(u.shape[-1]))
-    return residual, residual <= DEFAULT_TOLERANCES.unitarity_tol
+    return residual, residual <= UNITARITY_TOL
 
 
 def require_hermitian(a: np.ndarray, name: str) -> None:
-    """Each matrix of a (..., n, n) stack is Hermitian within ``hermiticity_tol``."""
+    """Each matrix of a (..., n, n) stack is Hermitian within ``HERMITICITY_TOL``."""
     _require(name, *_hermitian(a), "not Hermitian (residual {:.3e})")
 
 
 def require_anti_hermitian(k: np.ndarray, name: str) -> None:
-    """Each matrix of a (..., n, n) stack is anti-Hermitian within ``hermiticity_tol``."""
+    """Each matrix of a (..., n, n) stack is anti-Hermitian within ``HERMITICITY_TOL``."""
     residual = frobenius_norm_stack(k + dagger(k))
-    _require(name, residual, residual <= DEFAULT_TOLERANCES.hermiticity_tol, "not anti-Hermitian (residual {:.3e})")
+    _require(name, residual, residual <= HERMITICITY_TOL, "not anti-Hermitian (residual {:.3e})")
 
 
 def require_unitary(u: np.ndarray, name: str) -> None:
-    """Each matrix of a (..., n, n) stack is unitary within ``unitarity_tol``."""
+    """Each matrix of a (..., n, n) stack is unitary within ``UNITARITY_TOL``."""
     _require(name, *_unitary(u), "not unitary (residual {:.3e})")
 
 
@@ -277,7 +267,7 @@ def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     value = second_moment - squares(np.vecdot(s, w).real)
     negative = value < 0.0
     if negative.any():
-        inconsistent = value <= -(VARIANCE_CLAMP * np.maximum(1.0, second_moment) + 2.0 * STATE_NORM_TOL)
+        inconsistent = value <= -(VARIANCE_CLAMP + 2.0 * STATE_NORM_TOL) * np.maximum(1.0, second_moment)
         if inconsistent.any():
             raise ValueError(
                 f"negative variance {value[inconsistent][0]:.3e}: operator and state are inconsistent"
@@ -307,14 +297,13 @@ def validate(a: np.ndarray, kind: str) -> ValidationReport:
     if kind in ("hermitian", "unitary"):
         residual, passed = (_hermitian if kind == "hermitian" else _unitary)(a)
         return ValidationReport(kind, float(residual), bool(passed))
-    rank_tol = DEFAULT_TOLERANCES.rank_tol
     if kind == "positive_spectrum":
         require_hermitian(a, "operator")
         smallest = float(np.linalg.eigvalsh(a)[0])
-        return ValidationReport(kind, smallest, smallest > rank_tol)
+        return ValidationReport(kind, smallest, smallest > RANK_TOL)
     if kind == "full_rank":
         singulars = np.linalg.svd(a, compute_uv=False)
-        rank = numerical_rank(a, rank_tol)
+        rank = numerical_rank(a, RANK_TOL)
         return ValidationReport(kind, float(singulars[-1]), rank == dim, rank=rank)
     raise ValueError(f"unknown validation kind {kind!r}")
 
@@ -491,18 +480,16 @@ def hermitian_from_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (h + dagger(h)) / 2.0
 
 
-def random_positive_operator_stack(dim: int, rngs, low: float = 0.5, high: float = 2.0) -> np.ndarray:
+def random_positive_operator_stack(dim: int, rngs) -> np.ndarray:
     """One random positive operator per stream, (len(rngs), dim, dim); each stream
     draws its spectrum, then its Haar unitary."""
-    d = np.stack([rng.uniform(low, high, dim) for rng in rngs])
+    d = np.stack([rng.uniform(*FACTOR_SPECTRUM, dim) for rng in rngs])
     return hermitian_from_spectrum(d, haar_from_ginibre(ginibre_stack(dim, rngs)))
 
 
-def random_positive_operator(
-    dim: int, rng: np.random.Generator, low: float = 0.5, high: float = 2.0
-) -> np.ndarray:
-    """Random positive-spectrum Hermitian with eigenvalues uniform in [low, high]."""
-    return random_positive_operator_stack(dim, [rng], low, high)[0]
+def random_positive_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random positive-spectrum Hermitian with eigenvalues uniform in ``FACTOR_SPECTRUM``."""
+    return random_positive_operator_stack(dim, [rng])[0]
 
 
 def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:

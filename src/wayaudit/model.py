@@ -290,22 +290,17 @@ def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
     return MeasurementModel(n1, n2, basis, ready, b @ dagger(a))
 
 
-def measured_observable(m: MeasurementModel, eigenvalues=None) -> np.ndarray:
+def measured_observable(m: MeasurementModel) -> np.ndarray:
     """The observable this model reads out: eigenbasis u(i), eigenvalues i + 1.
 
-    The default eigenvalues are distinct and positive; verdicts about
-    commutation with a conserved quantity depend only on the eigenbasis.
+    The eigenvalues are distinct and positive; verdicts about commutation
+    with a conserved quantity depend only on the eigenbasis.
     """
-    return observable_in_basis(m.system_basis, eigenvalues)
+    return observable_in_basis(m.system_basis)
 
 
-def observable_in_basis(basis: np.ndarray, eigenvalues=None) -> np.ndarray:
-    """The observable with eigenvectors the rows of ``basis``; ``measured_observable``
-    for a model measuring in ``basis``."""
-    n1 = basis.shape[0]
-    if eigenvalues is None:
-        eigenvalues = np.arange(1.0, n1 + 1.0)
-    vals = np.asarray(eigenvalues, dtype=float)
-    if vals.shape != (n1,):
-        raise ValueError(f"need {n1} eigenvalues")
+def observable_in_basis(basis: np.ndarray) -> np.ndarray:
+    """The observable with eigenvectors the rows of ``basis`` and eigenvalues 1..n1;
+    ``measured_observable`` for a model measuring in ``basis``."""
+    vals = np.arange(1.0, basis.shape[0] + 1.0)
     return basis.T @ (vals[:, None] * basis.conj())

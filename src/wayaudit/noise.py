@@ -12,8 +12,8 @@ are reported rather than asserted.
 One engine evaluates instances as (k, ...) stacks: ``_Stack`` computes every
 intermediate once for k instances and the four bound kernels read from it.
 ``noise_report``, the four bound functions and ``epsilon_sq`` check their
-inputs in their own order and run it on a stack of one. The bound audit
-runs it on chunks of trials, sized from D by ``linalg.SWEEP_CHUNK_BYTES``,
+inputs in one order (``_instance``) and run it on a stack of one. The bound
+audit runs it on chunks of trials, sized from D by ``linalg.SWEEP_CHUNK_BYTES``,
 and keeps a two-phase draw order per trial stream (see ``_audit_chunk``), so
 every record is the one a trial-by-trial loop would give, bit for bit.
 """
@@ -31,6 +31,7 @@ from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/
 from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
+    FACTOR_SPECTRUM,
     as_operator,
     as_state,
     column_records,
@@ -130,14 +131,6 @@ def noise_operator(m: MeasurementModel, observable, probe) -> np.ndarray:
     return _noise_operator_stack(m.interaction, observable, probe)
 
 
-# Input checks in the order each entry point runs them; the first failure raises.
-_REPORT_CHECKS = ("psi", "observable", "probe", "conserved")
-_EPSILON_CHECKS = ("psi", "observable", "probe")
-_ROBERTSON_CHECKS = ("conserved", "psi", "observable", "probe")
-_FACTORED_CHECKS = ("conserved", "observable", "probe", "psi")
-_SIMPLIFIED_CHECKS = ("conserved", "observable", "psi", "probe")
-
-
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
@@ -169,21 +162,21 @@ class _Stack:
             self.probe_commutator = commutator_stack(probe, lb)
 
 
-def _instance(m, q, observable, probe, psi, tol, checks) -> _Stack:
-    """One instance as a stack of one, after its input checks in the given order."""
-    run = {
-        "conserved": lambda: _require_conserved(m, q, tol),
-        "psi": lambda: _sized(as_state(psi), m.n1, "psi"),
-        "observable": lambda: _operator_arg(m, "observable", observable),
-        "probe": lambda: _operator_arg(m, "probe", probe),
-    }
-    checked = {name: run[name]() for name in checks}
-    probe = checked.get("probe")
-    factors = {} if q is None else {"la": q.system_op[None], "lb": q.apparatus_op[None]}
-    return _Stack(
-        m.interaction[None], m.ready_state[None], checked["observable"][None], checked["psi"][None],
-        None if probe is None else probe[None], **factors,
-    )
+def _instance(m, q, observable, probe, psi, tol) -> _Stack:
+    """One instance as a stack of one, after its input checks; the first failure raises.
+
+    The checks run in one order: conservation (when ``q`` is given), psi, the
+    observable, then the probe (when given).
+    """
+    factors = {}
+    if q is not None:
+        _require_conserved(m, q, tol)
+        factors = {"la": q.system_op[None], "lb": q.apparatus_op[None]}
+    psi = _sized(as_state(psi), m.n1, "psi")
+    observable = _operator_arg(m, "observable", observable)
+    if probe is not None:
+        probe = _operator_arg(m, "probe", probe)[None]
+    return _Stack(m.interaction[None], m.ready_state[None], observable[None], psi[None], probe, **factors)
 
 
 class _Masked(NamedTuple):
@@ -233,7 +226,7 @@ def _validity(x: _Stack, bound: np.ndarray, keep: np.ndarray) -> _Masked:
 
 def epsilon_sq(m: MeasurementModel, observable, probe, psi) -> float:
     """<N^2> on psi (x) ready_state; the squared state-dependent noise."""
-    return float(_instance(m, None, observable, probe, psi, None, _EPSILON_CHECKS).epsilon_sq[0])
+    return float(_instance(m, None, observable, probe, psi, None).epsilon_sq[0])
 
 
 @dataclass(frozen=True)
@@ -272,7 +265,7 @@ def _robertson(x: _Stack) -> dict:
 def robertson_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> RobertsonReport:
-    return _one(RobertsonReport, _robertson(_instance(m, q, observable, probe, psi, tol, _ROBERTSON_CHECKS)))
+    return _one(RobertsonReport, _robertson(_instance(m, q, observable, probe, psi, tol)))
 
 
 @dataclass(frozen=True)
@@ -308,7 +301,7 @@ def _paper(x: _Stack) -> dict:
 def paper_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> PaperBoundReport:
-    return _one(PaperBoundReport, _paper(_instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS)))
+    return _one(PaperBoundReport, _paper(_instance(m, q, observable, probe, psi, tol)))
 
 
 @dataclass(frozen=True)
@@ -347,7 +340,7 @@ def _yanase(x: _Stack) -> dict:
 def yanase_bound(
     m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
 ) -> YanaseBoundReport:
-    return _one(YanaseBoundReport, _yanase(_instance(m, q, observable, probe, psi, tol, _FACTORED_CHECKS)))
+    return _one(YanaseBoundReport, _yanase(_instance(m, q, observable, probe, psi, tol)))
 
 
 @dataclass(frozen=True)
@@ -375,8 +368,7 @@ def simplified_bound(
     The validity flag needs epsilon^2 and therefore a probe; without one the
     flag is None and only the bound is reported.
     """
-    checks = _SIMPLIFIED_CHECKS if probe is not None else _SIMPLIFIED_CHECKS[:-1]
-    return _one(SimplifiedBoundReport, _simplified(_instance(m, q, observable, probe, psi, tol, checks)))
+    return _one(SimplifiedBoundReport, _simplified(_instance(m, q, observable, probe, psi, tol)))
 
 
 @dataclass(frozen=True)
@@ -434,7 +426,7 @@ def noise_report(
     m: MeasurementModel, q: ConservedQuantity, observable, probe, psi, tol: float = 1e-9
 ) -> NoiseReport:
     """All four bounds from one pass over the instance's intermediates."""
-    x = _instance(m, q, observable, probe, psi, tol, _REPORT_CHECKS)
+    x = _instance(m, q, observable, probe, psi, tol)
     return NoiseReport(
         epsilon_sq=float(x.epsilon_sq[0]),
         robertson=_one(RobertsonReport, _robertson(x)),
@@ -528,7 +520,7 @@ class BoundAuditReport:
 def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
     """Apparatus factors: positive ones, or where ``zero`` holds traceless ones with a
     sign-indefinite spectrum. Both draw a spectrum, then a Haar unitary."""
-    d = np.stack([rng.uniform(0.5, 2.0, n2) for rng in rngs])
+    d = np.stack([rng.uniform(*FACTOR_SPECTRUM, n2) for rng in rngs])
     w = haar_from_ginibre(ginibre_stack(n2, rngs))
     centered = d - d.mean(axis=1, keepdims=True)
     for i in np.flatnonzero(zero & ((centered.max(axis=1) < 1e-6) | (centered.min(axis=1) > -1e-6))):

@@ -31,7 +31,7 @@ from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/
 from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    RANK_TOL,
     as_operator,
     column_records,
     commutator,
@@ -130,9 +130,8 @@ def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
     if la.shape[0] != m.n1 or lb.shape[0] != m.n2:
         raise ValueError("conserved quantity dimensions do not match the model")
 
-    rank_tol = DEFAULT_TOLERANCES.rank_tol
     conserved = check_conserved(m, q, tol)
-    rank = numerical_rank(lb, rank_tol)
+    rank = numerical_rank(lb, RANK_TOL)
     la_min = float(np.linalg.eigvalsh(la)[0])
     lb_min = float(np.linalg.eigvalsh(lb)[0])
     analysis = pointer_analysis(m)
@@ -140,8 +139,8 @@ def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
     checks = (
         AssumptionCheck("conservation", conserved.residual, conserved.verdict),
         AssumptionCheck("lb_full_rank", float(m.n2 - rank), rank == m.n2),
-        AssumptionCheck("la_positive", la_min, la_min > rank_tol),
-        AssumptionCheck("lb_positive", lb_min, lb_min > rank_tol),
+        AssumptionCheck("la_positive", la_min, la_min > RANK_TOL),
+        AssumptionCheck("lb_positive", lb_min, lb_min > RANK_TOL),
         AssumptionCheck("dimension_bound", float(2 * m.n1 - m.n2), m.n2 < 2 * m.n1),
         AssumptionCheck("nondestructive", analysis.leakage, analysis.leakage <= tol),
         AssumptionCheck("exact", analysis.deficit, analysis.deficit <= tol),
@@ -210,7 +209,7 @@ def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = 1e-9) -
     lb = as_operator(lb)
     ptrs = np.asarray(pointers, dtype=complex)
     gram_lb = ptrs.conj() @ lb @ ptrs.T
-    rank = numerical_rank(gram_lb, DEFAULT_TOLERANCES.rank_tol)
+    rank = numerical_rank(gram_lb, RANK_TOL)
     constant_case = bool(np.abs(gram_lb - gram_lb[0, 0]).max() <= tol)
     if constant_case:
         assert rank <= 1, f"constant table reported rank {rank}"

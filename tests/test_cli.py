@@ -18,7 +18,7 @@ import wayaudit.cli as cli
 from wayaudit import noise, theorem
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
 from wayaudit.commutant import SearchConfig, feasibility_search
-from wayaudit.linalg import DEFAULT_TOLERANCES, STATE_NORM_TOL, variance
+from wayaudit.linalg import HERMITICITY_TOL, STATE_NORM_TOL, UNITARITY_TOL, variance
 from wayaudit.model import ConservedQuantity, MeasurementModel, check_conserved, check_exact, check_nondestructive
 from wayaudit.noise import noise_report, variance_identity_audit
 from wayaudit.theorem import AssumptionCheck, TheoremVerdict, pointer_gram_rank, theorem_verdict
@@ -52,7 +52,7 @@ class TestLoadModel:
             load_model("does_not_exist.json")
 
     def test_non_unitary_interaction(self, tmp_path):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         doc["unitary"][0][0] = [2.0, 0.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -60,7 +60,7 @@ class TestLoadModel:
             load_model(str(path))
 
     def test_single_element_complex(self, tmp_path):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         doc["ready_state"][0] = [1.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -68,7 +68,7 @@ class TestLoadModel:
             load_model(str(path))
 
     def test_boolean_dimension_rejected(self, capsys, tmp_path):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         doc["n1"] = True
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -77,7 +77,7 @@ class TestLoadModel:
         assert "n1" in err
 
     def test_boolean_complex_entry_rejected(self, capsys, tmp_path):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         doc["ready_state"][0] = [True, 0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -86,7 +86,7 @@ class TestLoadModel:
         assert "ready_state" in err
 
     def test_default_basis_is_computational(self, tmp_path):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         assert "system_basis" not in doc
         loaded = load_model(str(FIXTURES / "cnot.json"))
         np.testing.assert_array_equal(loaded.model.system_basis, np.eye(2))
@@ -178,7 +178,7 @@ class TestLoaderEntries:
 
 
 def _cnot_doc() -> dict:
-    return json.load(open(FIXTURES / "cnot.json"))
+    return json.loads((FIXTURES / "cnot.json").read_text())
 
 
 def _pairs(a) -> list:
@@ -257,7 +257,7 @@ class TestThresholds:
     @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
     def test_hermiticity(self, tmp_path, scale, accepted):
         # [[1, e], [0, -1]] has Hermiticity residual sqrt(2) * e
-        eps = scale * DEFAULT_TOLERANCES.hermiticity_tol / np.sqrt(2.0)
+        eps = scale * HERMITICITY_TOL / np.sqrt(2.0)
         op = np.array([[1.0, eps], [0.0, -1.0]], dtype=complex)
         cnot = load_model(str(FIXTURES / "cnot.json"))
         for field in ("conserved.LA", "conserved.LB", "observable", "probe"):
@@ -272,7 +272,7 @@ class TestThresholds:
     def test_unitarity(self, tmp_path, scale, accepted):
         # (1 + d) U for unitary U of dimension 4 has residual 2 * ((1 + d)**2 - 1)
         cnot = load_model(str(FIXTURES / "cnot.json"))
-        d = np.sqrt(1.0 + scale * DEFAULT_TOLERANCES.unitarity_tol / 2.0) - 1.0
+        d = np.sqrt(1.0 + scale * UNITARITY_TOL / 2.0) - 1.0
         u = (1.0 + d) * cnot.model.interaction
         self.expect(accepted, "^unitary: not unitary", lambda: self.load(tmp_path, "unitary", _pairs(u)))
         self.expect(accepted, "unitary", lambda: MeasurementModel(2, 2, np.eye(2), cnot.model.ready_state, u))
@@ -339,7 +339,7 @@ class TestExitCodes:
         assert '"verdict":false' in out
 
     def test_missing_probe(self, capsys, tmp_path, monkeypatch):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         del doc["probe"]
         path = tmp_path / "noprobe.json"
         path.write_text(json.dumps(doc))
@@ -375,12 +375,13 @@ class TestExitCodes:
         assert "out" in err
 
     def test_bound_accepts_state_within_norm_tolerance(self, capsys):
-        # an eigenstate 9e-11 off unit norm: its variances round to -1.8e-10 and clamp to 0
-        state = "[[1.00000000009,0],[0,0]]"
-        code, out, _ = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", state)
-        assert code == 0
-        results = json.loads(out)["results"]
-        assert results["var_conserved_exact"] == 0 and results["robertson"]["var_conserved"] == 0
+        # eigenstates 9e-11 off unit norm: their variances round to -1.8e-10, and
+        # to -7.2e-10 where <L^2> = 4, and clamp to 0
+        for state in ("[[1.00000000009,0],[0,0]]", "[[0,0],[1.00000000009,0]]"):
+            code, out, _ = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", state)
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert results["var_conserved_exact"] == 0 and results["robertson"]["var_conserved"] == 0
 
     def test_contradiction_exits_one(self, capsys, monkeypatch):
         # a contradiction cannot be produced by honest inputs, so force one to
@@ -640,6 +641,26 @@ class TestModelEcho:
         np.testing.assert_array_equal(loaded.quantity.system_op, original.quantity.system_op)
 
 
+class TestJsonOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "tests/fixtures/cnot.json"),
+            ("sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3", "--count", "5", "--seed", "1",
+             "--format", "json"),
+        ],
+    )
+    def test_out_is_the_stdout_report_serialized_once(self, capsys, monkeypatch, tmp_path, argv):
+        calls = []
+        serialize = cli.canonical_json
+        monkeypatch.setattr(cli, "canonical_json", lambda report: calls.append(report) or serialize(report))
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+        assert len(calls) == 1
+
+
 class TestSweepCommand:
     def test_counterexample_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -845,7 +866,7 @@ class TestOptimizeCommand:
         assert report["results"]["restarts_used"] == 2
 
     def test_epsilon_needs_probe(self, capsys, tmp_path):
-        doc = json.load(open(FIXTURES / "cnot.json"))
+        doc = _cnot_doc()
         del doc["probe"]
         path = tmp_path / "noprobe.json"
         path.write_text(json.dumps(doc))

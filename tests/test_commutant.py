@@ -52,10 +52,6 @@ class TestConservedEigenspaces:
         d = conserved_eigenspaces(quantity(np.diag([1.0, 1.0 + 1e-12]), np.eye(1)))
         assert d.dims == (2,)
 
-    def test_dims_argument_validated(self):
-        with pytest.raises(ValueError, match="dims"):
-            conserved_eigenspaces(quantity(LA_DIAG, I2), dims=(3, 2))
-
     @given(seeds)
     @settings(max_examples=20, deadline=None)
     def test_reconstruction(self, seed):
@@ -158,7 +154,7 @@ class TestMinimizeEpsilon:
 
     def test_requires_config(self):
         q = quantity(LA_DIAG, I2)
-        with pytest.raises(ValueError, match="config"):
+        with pytest.raises(TypeError, match="config"):
             minimize_epsilon(q, X, Z, E0)
 
     def test_deterministic(self):
@@ -193,19 +189,6 @@ class TestSearchInvariants:
         result = self._result()
         assert result.restarts_used == 3
         assert len(result.restart_objectives) == 3
-
-
-class TestSearchConfig:
-    @pytest.mark.parametrize(
-        "field, value",
-        [("ftol", -1e-12), ("ftol", float("nan")), ("ftol", float("inf"))],
-    )
-    def test_rejects_bad_step_and_ftol(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SearchConfig(seed=0, **{field: value})
-
-    def test_accepts_zero_ftol(self):
-        assert SearchConfig(seed=0, ftol=0.0).ftol == 0.0
 
 
 class TestFeasibilitySearch:

@@ -10,7 +10,6 @@ from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
-    ToleranceConfig,
     anti_hermitian_exp,
     anti_hermitian_exp_stack,
     commutator,
@@ -40,17 +39,6 @@ from wayaudit.linalg import (
 from wayaudit.model import ConservedQuantity
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def test_tolerance_config_rejects_negative():
-    with pytest.raises(ValueError):
-        ToleranceConfig(rank_tol=-1.0)
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_tolerance_config_rejects_non_finite(value):
-    with pytest.raises(ValueError, match="nonnegative and finite"):
-        ToleranceConfig(rank_tol=value)
 
 
 class TestTensorProduct:
@@ -143,14 +131,18 @@ class TestExpectationVariance:
             variance(np.array([[0, 1], [0, 0]], dtype=complex), E0)
 
     def test_variance_rejects_negative_beyond_rounding(self):
-        # a state at the edge of the norm tolerance gives <a^2> - <a>^2 = -8e-5
-        s = np.array([1.0 + 4e-11, 0.0], dtype=complex)
+        # 3e-10 off unit norm is past the norm tolerance: -6e-4 for <a^2> = 1e6 is no rounding
+        s = np.array([1.0 + 3e-10, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="negative variance"):
+            variance_stack((1e3 * np.eye(2, dtype=complex))[None], s[None])
+        with pytest.raises(ValueError, match="norm"):
             variance(1e3 * np.eye(2), s)
 
     def test_variance_accepts_states_within_the_norm_tolerance(self):
         # an eigenstate 9e-11 off unit norm rounds to <a^2> - <a>^2 = -1.8e-10
         assert variance(np.diag([1.0, -1.0]), np.array([1.0 + 9e-11, 0.0])) == 0.0
+        # the deficit scales with <a^2>: 4e-11 off unit norm gives -8e-5 for <a^2> = 1e6
+        assert variance(1e3 * np.eye(2), np.array([1.0 + 4e-11, 0.0], dtype=complex)) == 0.0
 
     def test_variance_stack_rejects_an_inconsistent_state(self):
         # the unvalidated kernel takes a state of norm 1.1: -0.2541 is no rounding
