@@ -14,21 +14,14 @@ from .commutant import (
     default_probe_states,
     feasibility_search,
     minimize_epsilon,
-    project_generator,
-    random_commutant_unitary,
 )
 from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
-    ValidationReport,
-    anti_hermitian_exp,
     commutator,
-    expectation,
     hermitian_eigensystem,
     numerical_rank,
-    random_haar_unitary,
     tensor_product,
     unitary_completion,
-    validate,
     variance,
 )
 from .model import (
@@ -41,8 +34,6 @@ from .model import (
     check_exact,
     check_nondestructive,
     conserved_operator,
-    joint_blocks,
-    measured_observable,
     synthesize_unitary,
 )
 from .noise import (
@@ -50,20 +41,13 @@ from .noise import (
     NoiseReport,
     VarianceAudit,
     bound_audit_sweep,
-    epsilon_sq,
-    noise_operator,
     noise_report,
-    paper_bound,
-    robertson_bound,
-    simplified_bound,
     variance_identity_audit,
-    yanase_bound,
 )
 from .theorem import (
     CounterexampleSweepReport,
     IdentityResidualTable,
     TheoremVerdict,
-    additive_conservation_check,
     counterexample_sweep,
     matrix_element_identity,
     pointer_gram_rank,

@@ -484,7 +484,7 @@ def _cmd_audit_variance(args) -> int:
     loaded = load_model(args.model)
     psi = _parse_state(args.state, loaded.model.n1)
     audit = variance_identity_audit(
-        loaded.quantity.system_op, loaded.quantity.apparatus_op, psi, loaded.model.ready_state
+        loaded.quantity.system_op, loaded.quantity.apparatus_op, psi, loaded.model.ready_state, args.tol
     )
     _emit(args, loaded, asdict(audit))
     return 0

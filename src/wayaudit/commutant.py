@@ -2,9 +2,8 @@
 
 A joint unitary conserves L exactly iff it is block-unitary on the eigenspaces
 of L. This module eigendecomposes L into blocks, samples block unitaries
-uniformly, projects anti-Hermitian generators onto the block structure, and
-minimizes sums of squares over the commutant to measure empirical floors of
-measurement-noise or scheme-quality objectives.
+uniformly, and minimizes sums of squares over the commutant to measure
+empirical floors of measurement-noise or scheme-quality objectives.
 
 The optimizer is Levenberg-Marquardt on the exact residual Jacobian. Its
 parameters are the canonical generators of every block (d**2 per block of
@@ -42,7 +41,6 @@ from .linalg import (
     hermitian_eigensystem,
     product_state,
     random_state_vector,
-    require_anti_hermitian,
     tensor_product,
     tensor_product_stack,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "default_probe_states",
     "feasibility_search",
     "minimize_epsilon",
-    "project_generator",
-    "random_commutant_unitary",
 ]
 
 ZERO_OBJECTIVE = POINTER_DEGENERACY_TOL**2  # far below any floor the searches report
@@ -244,23 +240,6 @@ def _random_point(d: BlockDecomposition, rng: np.random.Generator) -> _BlockPoin
     groups = [_SizeGroup(d, size) for size in sorted(set(d.dims))]
     unitaries = _block_unitaries(d.dims, [rng])
     return _BlockPoint(groups, [unitaries[g.size][0] for g in groups])
-
-
-def random_commutant_unitary(d: BlockDecomposition, seed: int) -> np.ndarray:
-    return commutant_unitary(d, np.random.default_rng(seed))
-
-
-def project_generator(k: np.ndarray, d: BlockDecomposition) -> np.ndarray:
-    """Zero the cross-block components of an anti-Hermitian generator.
-
-    The projected generator exponentiates to a conserving unitary.
-    """
-    k = as_operator(k)
-    require_anti_hermitian(k, "generator")
-    out = np.zeros_like(k)
-    for block in d.blocks:
-        out += block.basis @ (dagger(block.basis) @ k @ block.basis) @ dagger(block.basis)
-    return out
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ stacks of states, unvalidated, and give each member the bits of its own
 call: matrix products go through one BLAS call per matrix (``matvec_stack``
 keeps a mat-vec a gemv), norms through the strided dot products
 ``np.linalg.norm`` takes, and a Python float's square through libm ``pow``
-(``squares``). The scalar functions are their validated batches of one.
+(``squares``). Each scalar function is a batch of one of its kernel;
+``tensor_product``, ``commutator`` and ``variance`` validate their inputs first.
 
 Each structural hypothesis has one stack-aware check here, which raises a
 ``PreconditionError`` named after the checked argument for the first failing
-member: ``require_hermitian``, ``require_anti_hermitian`` (``HERMITICITY_TOL``),
-``require_unitary`` (``UNITARITY_TOL``), ``require_orthonormal_rows``
-(``ORTHONORMAL_TOL``) and ``require_unit_norm`` (``STATE_NORM_TOL``).
+member: ``require_hermitian`` (``HERMITICITY_TOL``), ``require_unitary``
+(``UNITARITY_TOL``), ``require_orthonormal_rows`` (``ORTHONORMAL_TOL``) and
+``require_unit_norm`` (``STATE_NORM_TOL``).
 Every threshold is a module constant.
 Every caller in the package, the model dataclasses, the samplers and the CLI
 loader included, goes through them.
@@ -31,15 +32,12 @@ turns collected columns back into records.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
 
 __all__ = [
-    "ValidationReport",
-    "anti_hermitian_exp",
     "anti_hermitian_exp_stack",
     "as_operator",
     "as_state",
@@ -47,7 +45,6 @@ __all__ = [
     "commutator",
     "commutator_stack",
     "dagger",
-    "expectation",
     "frobenius_norm",
     "frobenius_norm_stack",
     "gather_columns",
@@ -61,14 +58,11 @@ __all__ = [
     "normalized_stack",
     "numerical_rank",
     "product_state",
-    "random_haar_unitary",
     "random_hermitian",
     "random_hermitian_stack",
-    "random_positive_operator",
     "random_positive_operator_stack",
     "random_state_vector",
     "random_state_vector_stack",
-    "require_anti_hermitian",
     "require_hermitian",
     "require_orthonormal_rows",
     "require_unit_norm",
@@ -78,7 +72,6 @@ __all__ = [
     "tensor_product",
     "tensor_product_stack",
     "unitary_completion",
-    "validate",
     "variance",
     "variance_stack",
 ]
@@ -89,8 +82,8 @@ __all__ = [
 # 2 |delta| <a^2>, that a state of norm 1 + delta gives, |delta| <= STATE_NORM_TOL.
 VARIANCE_CLAMP = 1e-14
 
-# Frobenius residuals |a - a^dag| (|a + a^dag|) and |u^dag u - 1| up to which a
-# matrix is Hermitian (anti-Hermitian) or unitary.
+# Frobenius residuals |a - a^dag| and |u^dag u - 1| up to which a matrix is
+# Hermitian or unitary.
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 # Singular values at or below RANK_TOL times the largest do not count toward
@@ -134,30 +127,16 @@ def _require(name: str, residual: np.ndarray, passed: np.ndarray, detail: str) -
         raise PreconditionError(name, detail.format(float(np.ravel(residual)[~np.ravel(passed)][0])))
 
 
-def _hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    residual = frobenius_norm_stack(a - dagger(a))
-    return residual, residual <= HERMITICITY_TOL
-
-
-def _unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    residual = frobenius_norm_stack(dagger(u) @ u - np.eye(u.shape[-1]))
-    return residual, residual <= UNITARITY_TOL
-
-
 def require_hermitian(a: np.ndarray, name: str) -> None:
     """Each matrix of a (..., n, n) stack is Hermitian within ``HERMITICITY_TOL``."""
-    _require(name, *_hermitian(a), "not Hermitian (residual {:.3e})")
-
-
-def require_anti_hermitian(k: np.ndarray, name: str) -> None:
-    """Each matrix of a (..., n, n) stack is anti-Hermitian within ``HERMITICITY_TOL``."""
-    residual = frobenius_norm_stack(k + dagger(k))
-    _require(name, residual, residual <= HERMITICITY_TOL, "not anti-Hermitian (residual {:.3e})")
+    residual = frobenius_norm_stack(a - dagger(a))
+    _require(name, residual, residual <= HERMITICITY_TOL, "not Hermitian (residual {:.3e})")
 
 
 def require_unitary(u: np.ndarray, name: str) -> None:
     """Each matrix of a (..., n, n) stack is unitary within ``UNITARITY_TOL``."""
-    _require(name, *_unitary(u), "not unitary (residual {:.3e})")
+    residual = frobenius_norm_stack(dagger(u) @ u - np.eye(u.shape[-1]))
+    _require(name, residual, residual <= UNITARITY_TOL, "not unitary (residual {:.3e})")
 
 
 def require_orthonormal_rows(a: np.ndarray, name: str) -> None:
@@ -243,14 +222,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return commutator_stack(a, b)
 
 
-def expectation(a: np.ndarray, s: np.ndarray) -> complex:
-    """<s|a|s>. Real up to rounding when ``a`` is Hermitian."""
-    a, s = as_operator(a), as_state(s)
-    if a.shape[0] != s.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {s.shape[0]}")
-    return complex(np.vdot(s, a @ s))
-
-
 def variance(a: np.ndarray, s: np.ndarray) -> float:
     """<a^2> - <a>^2 for Hermitian ``a``; tiny negative rounding is clamped to 0."""
     a, s = as_operator(a), as_state(s)
@@ -274,38 +245,6 @@ def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
             )
         value[negative] = 0.0
     return value
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a structural matrix check.
-
-    ``residual`` is the check-specific figure of merit: the Frobenius defect
-    for ``hermitian``/``unitary``, the minimum eigenvalue for
-    ``positive_spectrum``, and the smallest singular value for ``full_rank``.
-    """
-
-    kind: str
-    residual: float
-    verdict: bool
-    rank: int | None = None
-
-
-def validate(a: np.ndarray, kind: str) -> ValidationReport:
-    a = as_operator(a)
-    dim = a.shape[0]
-    if kind in ("hermitian", "unitary"):
-        residual, passed = (_hermitian if kind == "hermitian" else _unitary)(a)
-        return ValidationReport(kind, float(residual), bool(passed))
-    if kind == "positive_spectrum":
-        require_hermitian(a, "operator")
-        smallest = float(np.linalg.eigvalsh(a)[0])
-        return ValidationReport(kind, smallest, smallest > RANK_TOL)
-    if kind == "full_rank":
-        singulars = np.linalg.svd(a, compute_uv=False)
-        rank = numerical_rank(a, RANK_TOL)
-        return ValidationReport(kind, float(singulars[-1]), rank == dim, rank=rank)
-    raise ValueError(f"unknown validation kind {kind!r}")
 
 
 def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,11 +381,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_from_ginibre(ginibre(dim, rng))
 
 
-def random_haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar unitary; identical (dim, seed) gives a bit-identical matrix."""
-    return haar_unitary(dim, np.random.default_rng(seed))
-
-
 def normalized_stack(z: np.ndarray) -> np.ndarray:
     """Each vector of a C-ordered (k, n) stack divided by its norm, as ``z / np.linalg.norm(z)``."""
     return z / frobenius_norm_stack(z[..., None])[..., None]
@@ -487,11 +421,6 @@ def random_positive_operator_stack(dim: int, rngs) -> np.ndarray:
     return hermitian_from_spectrum(d, haar_from_ginibre(ginibre_stack(dim, rngs)))
 
 
-def random_positive_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random positive-spectrum Hermitian with eigenvalues uniform in ``FACTOR_SPECTRUM``."""
-    return random_positive_operator_stack(dim, [rng])[0]
-
-
 def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:
     """exp(k) for each anti-Hermitian matrix of a (..., d, d) stack, unvalidated.
 
@@ -501,10 +430,3 @@ def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:
     h = -1j * k
     values, vectors = np.linalg.eigh((h + dagger(h)) / 2.0)
     return (vectors * np.exp(1j * values)[..., None, :]) @ dagger(vectors)
-
-
-def anti_hermitian_exp(k: np.ndarray) -> np.ndarray:
-    """exp(k) for one anti-Hermitian matrix: ``anti_hermitian_exp_stack`` after validation."""
-    k = as_operator(k)
-    require_anti_hermitian(k, "generator")
-    return anti_hermitian_exp_stack(k)

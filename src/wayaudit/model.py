@@ -27,7 +27,6 @@ from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
     as_operator,
     as_state,
-    commutator,  # noqa: F401  (re-exported convenience)
     dagger,
     frobenius_norm_stack,
     matvec_stack,
@@ -51,8 +50,6 @@ __all__ = [
     "check_nondestructive",
     "conservation_residual_stack",
     "conserved_operator",
-    "joint_blocks",
-    "measured_observable",
     "observable_in_basis",
     "pointer_analysis",
     "pointer_stack",
@@ -145,16 +142,12 @@ class PointerReport:
 
 
 def _joint_blocks(basis: np.ndarray, ready: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``joint_blocks`` for (k, n2) ready states and (k, D, D) interactions; one gemv per column."""
+    """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) for (k, n2) ready states and (k, D, D)
+    interactions, as a (k, n1, n1, n2) array; one gemv per column."""
     n1, n2 = basis.shape[0], ready.shape[-1]
     inputs = product_state(basis, ready[:, None, :])  # (k, n1, D): u(j) (x) v
     cols = matvec_stack(u[:, None], inputs).reshape(-1, n1, n1, n2)
     return np.ascontiguousarray((basis.conj() @ cols).swapaxes(1, 2))
-
-
-def joint_blocks(m: MeasurementModel) -> np.ndarray:
-    """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>), as an (n1, n1, n2) array."""
-    return _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])[0]
 
 
 def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerate_tol: float) -> dict:
@@ -290,17 +283,12 @@ def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
     return MeasurementModel(n1, n2, basis, ready, b @ dagger(a))
 
 
-def measured_observable(m: MeasurementModel) -> np.ndarray:
-    """The observable this model reads out: eigenbasis u(i), eigenvalues i + 1.
+def observable_in_basis(basis: np.ndarray) -> np.ndarray:
+    """The observable a model measuring in ``basis`` reads out: eigenvectors the
+    rows of ``basis``, eigenvalues 1..n1.
 
     The eigenvalues are distinct and positive; verdicts about commutation
     with a conserved quantity depend only on the eigenbasis.
     """
-    return observable_in_basis(m.system_basis)
-
-
-def observable_in_basis(basis: np.ndarray) -> np.ndarray:
-    """The observable with eigenvectors the rows of ``basis`` and eigenvalues 1..n1;
-    ``measured_observable`` for a model measuring in ``basis``."""
     vals = np.arange(1.0, basis.shape[0] + 1.0)
     return basis.T @ (vals[:, None] * basis.conj())

@@ -11,11 +11,11 @@ are reported rather than asserted.
 
 One engine evaluates instances as (k, ...) stacks: ``_Stack`` computes every
 intermediate once for k instances and the four bound kernels read from it.
-``noise_report``, the four bound functions and ``epsilon_sq`` check their
-inputs in one order (``_instance``) and run it on a stack of one. The bound
-audit runs it on chunks of trials, sized from D by ``linalg.SWEEP_CHUNK_BYTES``,
-and keeps a two-phase draw order per trial stream (see ``_audit_chunk``), so
-every record is the one a trial-by-trial loop would give, bit for bit.
+``noise_report`` checks its inputs in one order (``_instance``) and runs it on
+a stack of one. The bound audit runs it on chunks of trials, sized from D by
+``linalg.SWEEP_CHUNK_BYTES``, and keeps a two-phase draw order per trial
+stream (see ``_audit_chunk``), so every record is the one a trial-by-trial
+loop would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -79,14 +79,8 @@ __all__ = [
     "VarianceAudit",
     "YanaseBoundReport",
     "bound_audit_sweep",
-    "epsilon_sq",
-    "noise_operator",
     "noise_report",
-    "paper_bound",
-    "robertson_bound",
-    "simplified_bound",
     "variance_identity_audit",
-    "yanase_bound",
 ]
 
 # Denominators at or below this are treated as degenerate (bound undefined,
@@ -120,37 +114,26 @@ def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) ->
 
 
 def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space, for each member of (k, ...) stacks."""
     n1, n2 = observable.shape[-1], probe.shape[-1]
     evolved = dagger(u) @ tensor_product_stack(np.eye(n1, dtype=complex), probe) @ u
     return evolved - tensor_product_stack(observable, np.eye(n2, dtype=complex))
 
 
-def noise_operator(m: MeasurementModel, observable, probe) -> np.ndarray:
-    """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space."""
-    observable, probe = _operator_arg(m, "observable", observable), _operator_arg(m, "probe", probe)
-    return _noise_operator_stack(m.interaction, observable, probe)
-
-
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
-    Every bound formula reads from here. Without probes only ``epsilon_sq``
-    (None) of the noise intermediates is set; without factors (for
-    ``epsilon_sq`` alone) none of the conserved-quantity ones are. Inputs are
-    taken as valid: ``_instance`` checks them for one instance, and the audit
-    sampler builds them valid.
+    Every bound formula reads from here. Inputs are taken as valid:
+    ``_instance`` checks them for one instance, and the audit sampler builds
+    them valid.
     """
 
-    def __init__(self, u, ready, observable, psi, probe=None, la=None, lb=None):
+    def __init__(self, u, ready, observable, psi, probe, la, lb):
         self.u, self.ready, self.psi, self.la, self.lb = u, ready, psi, la, lb
         self.joint_state = product_state(psi, ready)
-        self.epsilon_sq = None
-        if probe is not None:
-            self.noise = _noise_operator_stack(u, observable, probe)
-            self.noise_state = matvec_stack(self.noise, self.joint_state)
-            self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
-        if la is None:
-            return
+        self.noise = _noise_operator_stack(u, observable, probe)
+        self.noise_state = matvec_stack(self.noise, self.joint_state)
+        self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
         self.conserved = tensor_product_stack(la, lb)
         self.var_conserved = variance_stack(self.conserved, self.joint_state)
         self.var_la = variance_stack(la, psi)
@@ -158,25 +141,22 @@ class _Stack:
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
         self.observable_commutator = commutator_stack(observable, la)
         self.observable_term = tensor_product_stack(self.observable_commutator, lb)
-        if probe is not None:
-            self.probe_commutator = commutator_stack(probe, lb)
+        self.probe_commutator = commutator_stack(probe, lb)
 
 
 def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     """One instance as a stack of one, after its input checks; the first failure raises.
 
-    The checks run in one order: conservation (when ``q`` is given), psi, the
-    observable, then the probe (when given).
+    The checks run in one order: conservation, psi, the observable, then the probe.
     """
-    factors = {}
-    if q is not None:
-        _require_conserved(m, q, tol)
-        factors = {"la": q.system_op[None], "lb": q.apparatus_op[None]}
+    _require_conserved(m, q, tol)
     psi = _sized(as_state(psi), m.n1, "psi")
     observable = _operator_arg(m, "observable", observable)
-    if probe is not None:
-        probe = _operator_arg(m, "probe", probe)[None]
-    return _Stack(m.interaction[None], m.ready_state[None], observable[None], psi[None], probe, **factors)
+    probe = _operator_arg(m, "probe", probe)
+    return _Stack(
+        m.interaction[None], m.ready_state[None], observable[None], psi[None], probe[None],
+        q.system_op[None], q.apparatus_op[None],
+    )
 
 
 class _Masked(NamedTuple):
@@ -219,14 +199,7 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray, defined: np.ndarray) 
 
 
 def _validity(x: _Stack, bound: np.ndarray, keep: np.ndarray) -> _Masked:
-    if x.epsilon_sq is None:  # no probe, no epsilon^2: None throughout
-        return _Masked(keep, np.zeros_like(keep))
     return _Masked(bound <= x.epsilon_sq + VALIDITY_SLACK, keep)
-
-
-def epsilon_sq(m: MeasurementModel, observable, probe, psi) -> float:
-    """<N^2> on psi (x) ready_state; the squared state-dependent noise."""
-    return float(_instance(m, None, observable, probe, psi, None).epsilon_sq[0])
 
 
 @dataclass(frozen=True)
@@ -262,12 +235,6 @@ def _robertson(x: _Stack) -> dict:
     }
 
 
-def robertson_bound(
-    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
-) -> RobertsonReport:
-    return _one(RobertsonReport, _robertson(_instance(m, q, observable, probe, psi, tol)))
-
-
 @dataclass(frozen=True)
 class PaperBoundReport:
     """Factored-denominator bound with the evolved-probe commutator numerator.
@@ -296,12 +263,6 @@ def _paper(x: _Stack) -> dict:
         "numerator": numerator,
         "denominator": x.factored_denominator,
     }
-
-
-def paper_bound(
-    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
-) -> PaperBoundReport:
-    return _one(PaperBoundReport, _paper(_instance(m, q, observable, probe, psi, tol)))
 
 
 @dataclass(frozen=True)
@@ -337,15 +298,10 @@ def _yanase(x: _Stack) -> dict:
     return _conditional(x, applicable, numerator, x.factored_denominator)
 
 
-def yanase_bound(
-    m: MeasurementModel, observable, probe, q: ConservedQuantity, psi, tol: float = 1e-9
-) -> YanaseBoundReport:
-    return _one(YanaseBoundReport, _yanase(_instance(m, q, observable, probe, psi, tol)))
-
-
 @dataclass(frozen=True)
 class SimplifiedBoundReport:
-    """System-only bound for a ready state with zero apparatus-factor expectation."""
+    """System-only bound |<psi|[observable, la]|psi>|^2 / (4 Var(la)), for a ready
+    state with zero apparatus-factor expectation <v|lb|v> = 0."""
 
     applicable: bool
     bound: float | None
@@ -358,17 +314,6 @@ def _simplified(x: _Stack) -> dict:
     applicable = ~(np.hypot(ready_expect.real, ready_expect.imag) > ZERO_EXPECTATION_TOL)
     numerator = _abs_squares(_expectations(x.observable_commutator, x.psi))
     return _conditional(x, applicable, numerator, 4.0 * x.var_la)
-
-
-def simplified_bound(
-    m: MeasurementModel, observable, q: ConservedQuantity, psi, probe=None, tol: float = 1e-9
-) -> SimplifiedBoundReport:
-    """|<psi|[observable, la]|psi>|^2 / (4 Var(la)) when <v|lb|v> = 0.
-
-    The validity flag needs epsilon^2 and therefore a probe; without one the
-    flag is None and only the bound is reported.
-    """
-    return _one(SimplifiedBoundReport, _simplified(_instance(m, q, observable, probe, psi, tol)))
 
 
 @dataclass(frozen=True)
@@ -386,7 +331,7 @@ class VarianceAudit:
     corrected_holds: bool
 
 
-def variance_identity_audit(a, b, psi_a, psi_b, tol: float = 1e-10) -> VarianceAudit:
+def variance_identity_audit(a, b, psi_a, psi_b, tol: float) -> VarianceAudit:
     a = as_operator(a)
     b = as_operator(b)
     psi_a = as_state(psi_a)

@@ -49,12 +49,10 @@ from .linalg import (
 )
 from .model import (
     POINTER_DEGENERACY_TOL,
-    ConservationReport,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
     check_nondestructive,
-    measured_observable,
     observable_in_basis,
     pointer_analysis,
     pointer_stack,
@@ -69,7 +67,6 @@ __all__ = [
     "IdentityResidualTable",
     "SweepTrial",
     "TheoremVerdict",
-    "additive_conservation_check",
     "counterexample_sweep",
     "matrix_element_identity",
     "pointer_gram_rank",
@@ -145,7 +142,7 @@ def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
         AssumptionCheck("nondestructive", analysis.leakage, analysis.leakage <= tol),
         AssumptionCheck("exact", analysis.deficit, analysis.deficit <= tol),
     )
-    commutator_norm = frobenius_norm(commutator(measured_observable(m), la))
+    commutator_norm = frobenius_norm(commutator(observable_in_basis(m.system_basis), la))
     if all(c.passed for c in checks):
         outcome = "consistent" if commutator_norm <= tol else "contradiction"
     else:
@@ -214,15 +211,6 @@ def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = 1e-9) -
     if constant_case:
         assert rank <= 1, f"constant table reported rank {rank}"
     return GramRankReport(gram_lb, rank, constant_case)
-
-
-def additive_conservation_check(
-    m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
-) -> ConservationReport:
-    """Baseline residual check for an additive quantity; no verdict machinery."""
-    if q.kind != "additive":
-        raise PreconditionError("kind", "additive_conservation_check requires an additive quantity")
-    return check_conserved(m, q, tol)
 
 
 def sample_instance_stack(n1: int, n2: int, rngs) -> tuple[np.ndarray, ...]:

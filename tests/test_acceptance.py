@@ -134,7 +134,7 @@ def test_criterion_6_rank_argument():
 
 
 def test_criterion_7_variance_claim_audit():
-    fixture = variance_identity_audit(Z, Z, PLUS, E0)
+    fixture = variance_identity_audit(Z, Z, PLUS, E0, tol=1e-10)
     fixture_ok = (
         abs(fixture.lhs - 1.0) <= 1e-10
         and abs(fixture.paper_rhs) <= 1e-10

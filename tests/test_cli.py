@@ -559,7 +559,7 @@ class TestThinAdapter:
             ("bound", "--state", "plus"): asdict(noise_report(m, q, loaded.observable, loaded.probe, psi, tol)),
             ("rank",): asdict(pointer_gram_rank(q.apparatus_op, nd.pointers, tol)),
             ("audit-variance", "--state", "plus"): asdict(
-                variance_identity_audit(q.system_op, q.apparatus_op, psi, m.ready_state)
+                variance_identity_audit(q.system_op, q.apparatus_op, psi, m.ready_state, tol)
             ),
         }
         for (command, *extra), report in expected.items():
@@ -919,6 +919,17 @@ class TestAuditVarianceCommand:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["corrected_holds"] is True
+
+    @pytest.mark.parametrize("tol, holds", [("1e-9", False), ("100", True)])
+    def test_tol_decides_the_claim(self, capsys, tol, holds):
+        # on |+> (x) |0> the claim compares lhs 0.25 with paper_rhs 0: within --tol 100, not 1e-9
+        code, out, _ = run(
+            capsys, "audit-variance", "--model", "tests/fixtures/cnot.json", "--state", "plus", "--tol", tol
+        )
+        report = json.loads(out)
+        assert code == 0 and report["tolerances"]["tol"] == float(tol)
+        assert (report["results"]["lhs"], report["results"]["paper_rhs"]) == (0.25, 0)
+        assert report["results"]["paper_claim_holds"] is holds
 
 
 class TestCanonicalSerialization:

@@ -13,17 +13,16 @@ from wayaudit.commutant import (
     STOP_REASONS,
     SearchConfig,
     SearchResult,
+    commutant_unitary,
     conserved_eigenspaces,
     default_probe_states,
     feasibility_search,
     minimize_epsilon,
-    project_generator,
-    random_commutant_unitary,
 )
 from wayaudit.linalg import (
-    anti_hermitian_exp,
     commutator,
     frobenius_norm,
+    haar_unitary,
     random_hermitian,
     random_state_vector,
 )
@@ -67,61 +66,68 @@ class TestConservedEigenspaces:
 class TestRandomCommutantUnitary:
     def test_single_block_is_plain_unitary(self):
         d = conserved_eigenspaces(quantity(I2, I2))
-        u = random_commutant_unitary(d, seed=3)
+        u = commutant_unitary(d, np.random.default_rng(3))
         assert frobenius_norm(u.conj().T @ u - np.eye(4)) <= 1e-12
 
     def test_all_singleton_blocks_diagonalish(self):
         q = quantity(LA_DIAG, np.diag([1.0, 3.0]))
         d = conserved_eigenspaces(q)
-        u = random_commutant_unitary(d, seed=3)
+        u = commutant_unitary(d, np.random.default_rng(3))
         joint = conserved_operator(q)
         assert frobenius_norm(commutator(u, joint)) <= 1e-10
 
     def test_block_structure_conserves(self):
         q = quantity(LA_DIAG, I2)
         d = conserved_eigenspaces(q)
-        u = random_commutant_unitary(d, seed=8)
+        u = commutant_unitary(d, np.random.default_rng(8))
         # oracle: direct commutator with the joint operator
         assert frobenius_norm(commutator(u, conserved_operator(q))) <= 1e-10
 
     def test_deterministic(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
         np.testing.assert_array_equal(
-            random_commutant_unitary(d, seed=5), random_commutant_unitary(d, seed=5)
+            commutant_unitary(d, np.random.default_rng(5)),
+            commutant_unitary(d, np.random.default_rng(5)),
         )
 
 
 class TestProjectGenerator:
+    """The optimizer's chart of the commutant: its generators, placed in their
+    blocks, are the block-diagonal anti-Hermitian matrices, and its steps conserve."""
+
+    @staticmethod
+    def joint(decomposition, theta):
+        """sum over the blocks of size 2 of B G(theta_block) B^dag."""
+        group = commutant._SizeGroup(decomposition, 2)
+        return sum(b @ g @ b.conj().T for b, g in zip(group.bases, group.generators(theta)))
+
     def test_block_diagonal_unchanged(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
         k = np.zeros((4, 4), dtype=complex)
         k[:2, :2] = 1j * np.array([[1.0, 2.0], [2.0, -1.0]])
-        out = project_generator(k, d)
+        # a block's parameters: its diagonal phases, then the real and imaginary part of entry (0, 1)
+        out = self.joint(d, np.array([[1.0, -1.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0]]))
         assert np.abs(out - k).max() <= 1e-12
 
     def test_cross_block_zeroed(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
-        k = np.zeros((4, 4), dtype=complex)
-        k[0, 2] = 1.0
-        k[2, 0] = -1.0
-        out = project_generator(k, d)
-        assert np.abs(out).max() <= 1e-12
-
-    def test_rejects_non_anti_hermitian(self):
-        d = conserved_eigenspaces(quantity(LA_DIAG, I2))
-        with pytest.raises(ValueError, match="anti-Hermitian"):
-            project_generator(np.eye(4, dtype=complex), d)
+        out = self.joint(d, np.random.default_rng(0).standard_normal((2, 4)))
+        assert np.abs(out[:2, 2:]).max() <= 1e-12 and np.abs(out[2:, :2]).max() <= 1e-12
+        assert np.abs(out[:2, :2]).max() > 0.1 and np.abs(out[2:, 2:]).max() > 0.1
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
     def test_exponential_conserves(self, seed):
         rng = np.random.default_rng(seed)
-        q = quantity(LA_DIAG, random_hermitian(2, rng))
+        w = haar_unitary(3, rng)
+        q = quantity(LA_DIAG, (w * [1.0, 2.0, 4.0]) @ w.conj().T)  # blocks (1, 2, 2, 1)
         d = conserved_eigenspaces(q)
-        k = 1j * random_hermitian(4, rng)
-        projected = project_generator(k, d)
-        assert frobenius_norm(projected + projected.conj().T) <= 1e-12
-        u = anti_hermitian_exp(projected)
+        point = commutant._random_point(d, rng)
+        thetas = [rng.standard_normal((len(g.members), g.size**2)) for g in point.groups]
+        for group, theta in zip(point.groups, thetas):
+            k = group.generators(theta)
+            assert frobenius_norm(k + k.conj().mT) <= 1e-12
+        u = point.stepped(thetas).joint
         assert frobenius_norm(commutator(u, conserved_operator(q))) <= 1e-10
 
 
@@ -435,7 +441,7 @@ class TestOptimizerBitIdentity:
     def test_feasibility_objective_matches_reference(self, monkeypatch):
         q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
         d = conserved_eigenspaces(q)
-        stack = [random_commutant_unitary(d, seed) for seed in range(6)]
+        stack = [commutant_unitary(d, np.random.default_rng(seed)) for seed in range(6)]
         stack.append(np.kron(X, np.eye(3)))  # moves every pointer off its diagonal
         ready = random_state_vector(3, np.random.default_rng(9))
         for observable in (X, Z):
@@ -451,7 +457,7 @@ class TestOptimizerBitIdentity:
         problem = _problem(monkeypatch, minimize_epsilon, q, X, Z, E0)
         reference = _reference_epsilon(X, Z, E0, default_probe_states(LA_DIAG))
         d = conserved_eigenspaces(q)
-        for u in [random_commutant_unitary(d, seed) for seed in range(6)]:
+        for u in [commutant_unitary(d, np.random.default_rng(seed)) for seed in range(6)]:
             assert commutant._scored(problem, u, E0)[1] == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
 

@@ -10,33 +10,30 @@ from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
-    anti_hermitian_exp,
     anti_hermitian_exp_stack,
     commutator,
     dagger,
-    expectation,
     ginibre,
     haar_from_ginibre,
     haar_unitary,
     hermitian_eigensystem,
     numerical_rank,
     product_state,
-    random_haar_unitary,
     random_hermitian,
-    random_positive_operator,
+    random_positive_operator_stack,
     random_state_vector,
-    require_anti_hermitian,
     require_hermitian,
     require_orthonormal_rows,
     require_unit_norm,
     require_unitary,
     tensor_product,
     unitary_completion,
-    validate,
     variance,
     variance_stack,
 )
-from wayaudit.model import ConservedQuantity
+from wayaudit.model import ConservedQuantity, MeasurementModel
+from wayaudit.noise import _expectations
+from wayaudit.theorem import theorem_verdict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -99,6 +96,11 @@ class TestCommutator:
         rng = np.random.default_rng(seed)
         a, b = random_hermitian(3, rng), random_hermitian(3, rng)
         np.testing.assert_array_equal(commutator(a, b), -commutator(b, a))
+
+
+def expectation(a, s):
+    """<s|a|s> from the stacked kernel the noise bounds read."""
+    return complex(_expectations(np.asarray(a, dtype=complex)[None], np.asarray(s, dtype=complex)[None])[0])
 
 
 class TestExpectationVariance:
@@ -170,26 +172,26 @@ class TestExpectationVariance:
 
 
 class TestValidate:
-    def test_unitary_identity(self):
-        report = validate(np.eye(4), "unitary")
-        assert report.verdict and report.residual == 0.0
+    """Validation of single operators: the structural checks, and the spectral
+    hypotheses ``theorem_verdict`` checks on the factors."""
 
-    def test_positive_spectrum_zero_eigenvalue(self):
-        report = validate(np.diag([1.0, 0.0]), "positive_spectrum")
-        assert not report.verdict
+    def test_unitary_identity(self):
+        require_unitary(np.eye(4, dtype=complex), "u")
+
+    def test_positive_spectrum_zero_eigenvalue(self, cnot_model):
+        q = ConservedQuantity("multiplicative", np.diag([1.0, 0.0]), I2)
+        check = theorem_verdict(cnot_model, q).assumption("la_positive")
+        assert not check.passed and check.residual == 0.0
 
     def test_positive_spectrum_needs_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            validate(np.array([[0, 1], [0, 0]], dtype=complex), "positive_spectrum")
+            ConservedQuantity("multiplicative", np.array([[0, 1], [0, 0]], dtype=complex), I2)
 
     def test_full_rank_ones(self):
-        report = validate(np.ones((3, 3)), "full_rank")
-        assert not report.verdict
-        assert report.rank == 1
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            validate(I2, "bogus")
+        m = MeasurementModel(2, 3, I2, np.eye(3)[0], np.eye(6))
+        q = ConservedQuantity("multiplicative", I2, np.ones((3, 3)))
+        check = theorem_verdict(m, q).assumption("lb_full_rank")
+        assert not check.passed and check.residual == 2.0  # rank 1 of 3
 
 
 class TestStructuralChecks:
@@ -197,7 +199,7 @@ class TestStructuralChecks:
 
     @pytest.mark.parametrize("check, good, bad", [
         (require_hermitian, Z, np.array([[0, 1], [0, 0]], dtype=complex)),
-        (require_anti_hermitian, 1j * Z, Z),
+        (require_hermitian, np.array([[1, 1j], [-1j, 2]]), np.array([[1, 1j], [1j, 2]])),
         (require_unitary, X, 2.0 * X),
         (require_orthonormal_rows, np.eye(2, 3), np.ones((2, 3))),
         (require_unit_norm, PLUS, 2.0 * PLUS),
@@ -214,13 +216,20 @@ class TestStructuralChecks:
         with pytest.raises(PreconditionError, match="nan"):
             require_unit_norm(np.array([np.nan, 0.0]), "state")
 
-    @pytest.mark.parametrize("kind, value", [("hermitian", np.array([[0, 1], [0, 0]])), ("unitary", 2.0 * X)])
+    @pytest.mark.parametrize(
+        "kind, value", [("hermitian", np.array([[0, 1], [0, 0]])), ("unitary", 2.0 * np.eye(4))]
+    )
     def test_validate_shares_the_check(self, kind, value):
-        report = validate(value, kind)
-        check = require_hermitian if kind == "hermitian" else require_unitary
-        with pytest.raises(PreconditionError, match=re.escape(f"(residual {report.residual:.3e})")):
-            check(value, "x")
-        assert not report.verdict
+        # the dataclasses validate through the shared check: its failure, named after the field
+        check, field = (require_hermitian, "system_op") if kind == "hermitian" else (require_unitary, "interaction")
+        with pytest.raises(PreconditionError) as expected:
+            check(value, field)
+        with pytest.raises(PreconditionError) as raised:
+            if kind == "hermitian":
+                ConservedQuantity("multiplicative", value, I2)
+            else:
+                MeasurementModel(2, 2, I2, E0, value)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestEigensystem:
@@ -307,21 +316,23 @@ class TestUnitaryCompletion:
 
 class TestHaar:
     def test_determinism(self):
-        a = random_haar_unitary(4, 123)
-        b = random_haar_unitary(4, 123)
+        a = haar_unitary(4, np.random.default_rng(123))
+        b = haar_unitary(4, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
     def test_unitarity(self):
-        u = random_haar_unitary(4, 7)
+        u = haar_unitary(4, np.random.default_rng(7))
         assert np.linalg.norm(dagger(u) @ u - np.eye(4)) <= 1e-12
 
     def test_dim_one(self):
-        u = random_haar_unitary(1, 99)
+        u = haar_unitary(1, np.random.default_rng(99))
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(random_haar_unitary(3, 0), random_haar_unitary(3, 1))
+        a = haar_unitary(3, np.random.default_rng(0))
+        b = haar_unitary(3, np.random.default_rng(1))
+        assert not np.array_equal(a, b)
 
 
 def _diag_quantity(la, lb):
@@ -471,7 +482,7 @@ class TestStackedKernelBitIdentity:
         k = np.stack([1j * random_hermitian(d, rng) * scale for scale in (1e-9, 1e-3, 0.1, 1.0, 3.0)])
         stacked = anti_hermitian_exp_stack(k)
         for i in range(len(k)):
-            assert stacked[i].tobytes() == anti_hermitian_exp(k[i]).tobytes()
+            assert stacked[i].tobytes() == anti_hermitian_exp_stack(k[i]).tobytes()
         assert anti_hermitian_exp_stack(k.reshape(5, 1, d, d))[:, 0].tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 45])
@@ -495,26 +506,22 @@ class TestStackedKernelBitIdentity:
 
 class TestAntiHermitianExp:
     def test_zero(self):
-        np.testing.assert_allclose(anti_hermitian_exp(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_allclose(anti_hermitian_exp_stack(np.zeros((3, 3), dtype=complex)), np.eye(3))
 
     def test_diagonal_phase(self):
-        out = anti_hermitian_exp(1j * (np.pi / 2) * Z)
+        out = anti_hermitian_exp_stack(1j * (np.pi / 2) * Z)
         np.testing.assert_allclose(out, np.diag([1j, -1j]), atol=1e-14)
 
     def test_inverse_property(self):
         rng = np.random.default_rng(11)
         h = random_hermitian(4, rng)
         k = 1j * h
-        prod = anti_hermitian_exp(k) @ anti_hermitian_exp(-k)
+        prod = anti_hermitian_exp_stack(k) @ anti_hermitian_exp_stack(-k)
         assert np.abs(prod - np.eye(4)).max() <= 1e-12
-
-    def test_rejects_non_anti_hermitian(self):
-        with pytest.raises(ValueError, match="anti-Hermitian"):
-            anti_hermitian_exp(Z)
 
 
 def test_random_positive_operator_spectrum():
     rng = np.random.default_rng(21)
-    op = random_positive_operator(4, rng)
+    (op,) = random_positive_operator_stack(4, [rng])
     values = np.linalg.eigvalsh(op)
     assert values[0] >= 0.5 - 1e-9 and values[-1] <= 2.0 + 1e-9

@@ -9,16 +9,21 @@ from wayaudit.linalg import dagger, haar_unitary, random_state_vector
 from wayaudit.model import (
     ConservedQuantity,
     MeasurementModel,
+    _joint_blocks,
     check_conserved,
     check_exact,
     check_nondestructive,
     conserved_operator,
-    joint_blocks,
-    measured_observable,
+    observable_in_basis,
     synthesize_unitary,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def joint_blocks(m):
+    """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) of one model, (n1, n1, n2), from the pointer kernel."""
+    return _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])[0]
 
 
 def haar_model(n1, n2, seed):
@@ -225,12 +230,12 @@ class TestSynthesize:
 
 class TestMeasuredObservable:
     def test_computational_basis(self, cnot_model):
-        np.testing.assert_allclose(measured_observable(cnot_model), np.diag([1.0, 2.0]))
+        np.testing.assert_allclose(observable_in_basis(cnot_model.system_basis), np.diag([1.0, 2.0]))
 
     def test_rotated_basis(self):
         basis = np.stack([PLUS, np.array([1.0, -1.0]) / np.sqrt(2.0)])
         m = MeasurementModel(2, 2, basis, E0, np.eye(4, dtype=complex))
-        obs = measured_observable(m)
+        obs = observable_in_basis(m.system_basis)
         expected = 1.0 * np.outer(PLUS, PLUS) + 2.0 * np.outer(basis[1], basis[1])
         np.testing.assert_allclose(obs, expected, atol=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CNOT, E0, I2, LA_DIAG, PLUS, X, Z
+from conftest import E0, I2, LA_DIAG, PLUS, X, Z
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
@@ -18,15 +18,10 @@ from wayaudit.linalg import (
 from wayaudit.model import ConservedQuantity, MeasurementModel, conserved_operator
 from wayaudit.noise import (
     AuditConfig,
+    _noise_operator_stack,
     bound_audit_sweep,
-    epsilon_sq,
-    noise_operator,
     noise_report,
-    paper_bound,
-    robertson_bound,
-    simplified_bound,
     variance_identity_audit,
-    yanase_bound,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -44,6 +39,11 @@ def conserving_instance(n1, n2, seed):
     probe = random_hermitian(n2, rng)
     psi = random_state_vector(n1, rng)
     return m, q, observable, probe, psi
+
+
+def noise_operator(m, observable, probe):
+    """N = U^dag (1 (x) probe) U - observable (x) 1, from the noise engine's kernel."""
+    return _noise_operator_stack(m.interaction[None], observable[None], probe[None])[0]
 
 
 class TestNoiseOperator:
@@ -64,28 +64,29 @@ class TestNoiseOperator:
         n = noise_operator(cnot_model, X, Z)
         assert np.abs(n - dagger(n)).max() <= 1e-10
 
-    def test_rejects_non_hermitian(self, cnot_model):
+    def test_rejects_non_hermitian(self, cnot_model, cnot_quantity):
         with pytest.raises(ValueError, match="Hermitian"):
-            noise_operator(cnot_model, np.array([[0, 1], [0, 0]], dtype=complex), Z)
+            noise_report(cnot_model, cnot_quantity, np.array([[0, 1], [0, 0]], dtype=complex), Z, PLUS)
 
 
 class TestEpsilonSq:
-    def test_matched_probe_vanishes(self, cnot_model):
+    def test_matched_probe_vanishes(self, cnot_model, cnot_quantity):
         # oracle: N (psi (x) |0>) = Z psi (x) (Z - 1)|0> = 0
-        assert epsilon_sq(cnot_model, Z, Z, PLUS) <= 1e-24
+        assert noise_report(cnot_model, cnot_quantity, Z, Z, PLUS).epsilon_sq <= 1e-24
 
-    def test_identity_probe(self, cnot_model):
+    def test_identity_probe(self, cnot_model, cnot_quantity):
         # oracle: <(1 - Z)^2> on |+> is <1 - 2Z + 1> = 2
-        assert abs(epsilon_sq(cnot_model, Z, I2, PLUS) - 2.0) <= 1e-12
+        assert abs(noise_report(cnot_model, cnot_quantity, Z, I2, PLUS).epsilon_sq - 2.0) <= 1e-12
 
-    def test_zero_operators(self, cnot_model):
-        assert epsilon_sq(cnot_model, np.zeros((2, 2)), np.zeros((2, 2)), PLUS) == 0.0
+    def test_zero_operators(self, cnot_model, cnot_quantity):
+        zero = np.zeros((2, 2))
+        assert noise_report(cnot_model, cnot_quantity, zero, zero, PLUS).epsilon_sq == 0.0
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
     def test_moment_decomposition(self, seed):
         m, q, observable, probe, psi = conserving_instance(2, 3, seed)
-        eps = epsilon_sq(m, observable, probe, psi)
+        eps = noise_report(m, q, observable, probe, psi).epsilon_sq
         n = noise_operator(m, observable, probe)
         joint = np.kron(psi, m.ready_state)
         mean = float(np.vdot(joint, n @ joint).real)
@@ -94,7 +95,7 @@ class TestEpsilonSq:
 
 class TestRobertsonBound:
     def test_cnot_annihilated_state(self, cnot_model, cnot_quantity):
-        report = robertson_bound(cnot_model, Z, Z, cnot_quantity, PLUS)
+        report = noise_report(cnot_model, cnot_quantity, Z, Z, PLUS).robertson
         assert report.numerator <= 1e-24
         assert abs(report.var_conserved - 0.25) <= 1e-12
         assert report.bound == 0.0
@@ -103,23 +104,22 @@ class TestRobertsonBound:
     def test_degenerate_variance(self, cnot_model):
         q = ConservedQuantity("multiplicative", LA_DIAG, I2)
         # eigenstate of the system factor: Var(L) = 0 on e0 (x) |0>
-        report = robertson_bound(cnot_model, Z, Z, q, E0)
+        report = noise_report(cnot_model, q, Z, Z, E0).robertson
         assert report.degenerate
         assert report.bound == 0.0
 
     def test_requires_conservation(self, cnot_model):
         q = ConservedQuantity("multiplicative", LA_DIAG, LA_DIAG)
         with pytest.raises(PreconditionError) as err:
-            robertson_bound(cnot_model, Z, Z, q, PLUS)
+            noise_report(cnot_model, q, Z, Z, PLUS)
         assert err.value.check == "check_conserved"
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_never_exceeds_epsilon_sq(self, seed):
         m, q, observable, probe, psi = conserving_instance(2, 3, seed)
-        report = robertson_bound(m, observable, probe, q, psi)
-        eps = epsilon_sq(m, observable, probe, psi)
-        assert report.bound <= eps + 1e-9
+        report = noise_report(m, q, observable, probe, psi)
+        assert report.robertson.bound <= report.epsilon_sq + 1e-9
 
 
 class TestCommutatorIdentity:
@@ -136,12 +136,19 @@ class TestCommutatorIdentity:
         ) @ m.interaction
         rhs = evolved - tensor_product(commutator(observable, q.system_op), q.apparatus_op)
         assert np.abs(lhs - rhs).max() <= 1e-10
+        # so the paper bound's numerator |<[o, la] (x) lb - U^dag (la (x) [probe, lb]) U>|^2
+        # is |<[N, L]>|^2, four times the Robertson numerator
+        report = noise_report(m, q, observable, probe, psi)
+        state = np.kron(psi, m.ready_state)
+        comm_expect = np.vdot(state, lhs @ state)
+        assert abs(report.paper.numerator - abs(comm_expect) ** 2) <= 1e-10
+        assert abs(report.paper.numerator - 4.0 * report.robertson.numerator) <= 1e-10
 
 
 class TestPaperBound:
     def test_cnot_degenerate_denominator(self, cnot_model, cnot_quantity):
         # apparatus factor variance vanishes on |0> for the identity factor
-        report = paper_bound(cnot_model, Z, Z, cnot_quantity, PLUS)
+        report = noise_report(cnot_model, cnot_quantity, Z, Z, PLUS).paper
         assert not report.defined
         assert report.bound is None
         assert report.numerator <= 1e-24
@@ -152,7 +159,7 @@ class TestPaperBound:
         ready = PLUS
         q = ConservedQuantity("multiplicative", LA_DIAG, lb)
         m = MeasurementModel(2, 2, I2, ready, np.eye(4, dtype=complex))
-        report = paper_bound(m, LA_DIAG, np.diag([3.0, 4.0]), q, PLUS)
+        report = noise_report(m, q, LA_DIAG, np.diag([3.0, 4.0]), PLUS).paper
         assert report.defined
         assert report.bound <= 1e-20
         assert report.valid
@@ -161,21 +168,20 @@ class TestPaperBound:
     @settings(max_examples=30, deadline=None)
     def test_validity_flag_matches_direct_comparison(self, seed):
         m, q, observable, probe, psi = conserving_instance(2, 2, seed)
-        report = paper_bound(m, observable, probe, q, psi)
-        if report.defined:
-            eps = epsilon_sq(m, observable, probe, psi)
-            assert report.valid == (report.bound <= eps + 1e-9)
+        report = noise_report(m, q, observable, probe, psi)
+        if report.paper.defined:
+            assert report.paper.valid == (report.paper.bound <= report.epsilon_sq + 1e-9)
 
 
 class TestYanaseBound:
     def test_identity_factor_applicable(self, cnot_model, cnot_quantity):
-        report = yanase_bound(cnot_model, Z, Z, cnot_quantity, PLUS)
+        report = noise_report(cnot_model, cnot_quantity, Z, Z, PLUS).yanase
         assert report.applicable  # [Z, 1] = 0
 
     def test_noncommuting_probe_not_applicable(self):
         q = ConservedQuantity("multiplicative", LA_DIAG, Z)
         m = MeasurementModel(2, 2, I2, PLUS, np.eye(4, dtype=complex))
-        report = yanase_bound(m, Z, X, q, PLUS)
+        report = noise_report(m, q, Z, X, PLUS).yanase
         assert not report.applicable
         assert report.bound is None
 
@@ -183,7 +189,7 @@ class TestYanaseBound:
         lb = np.diag([1.0, 2.0]).astype(complex)
         q = ConservedQuantity("multiplicative", LA_DIAG, lb)
         m = MeasurementModel(2, 2, I2, PLUS, np.eye(4, dtype=complex))
-        report = yanase_bound(m, LA_DIAG, np.diag([3.0, 4.0]), q, PLUS)
+        report = noise_report(m, q, LA_DIAG, np.diag([3.0, 4.0]), PLUS).yanase
         assert report.applicable and report.defined
         assert report.bound <= 1e-20
 
@@ -191,13 +197,13 @@ class TestYanaseBound:
 class TestSimplifiedBound:
     def test_nonzero_expectation_not_applicable(self, cnot_model, cnot_quantity):
         # <0|1|0> = 1
-        report = simplified_bound(cnot_model, Z, cnot_quantity, PLUS)
+        report = noise_report(cnot_model, cnot_quantity, Z, Z, PLUS).simplified
         assert not report.applicable
 
     def test_commuting_observable_zero_bound(self):
         q = ConservedQuantity("multiplicative", LA_DIAG, Z)
         m = MeasurementModel(2, 2, I2, PLUS, np.eye(4, dtype=complex))
-        report = simplified_bound(m, LA_DIAG, q, PLUS)
+        report = noise_report(m, q, LA_DIAG, Z, PLUS).simplified  # the bound does not read the probe
         assert report.applicable
         assert report.bound <= 1e-20
 
@@ -211,7 +217,7 @@ class TestSimplifiedBound:
         decomposition = conserved_eigenspaces(q)
         u = commutant_unitary(decomposition, np.random.default_rng(17))
         m = MeasurementModel(2, 2, I2, PLUS, u)
-        report = simplified_bound(m, X, q, psi, probe=Z)
+        report = noise_report(m, q, X, Z, psi).simplified
         assert report.applicable and report.defined
         assert abs(report.bound - 1.0) <= 1e-12
         assert report.valid is not None  # audited against the computed noise
@@ -219,7 +225,7 @@ class TestSimplifiedBound:
 
 class TestVarianceAudit:
     def test_fixture_values(self):
-        audit = variance_identity_audit(Z, Z, PLUS, E0)
+        audit = variance_identity_audit(Z, Z, PLUS, E0, tol=1e-10)
         assert abs(audit.lhs - 1.0) <= 1e-12
         assert audit.paper_rhs == 0.0
         assert abs(audit.corrected_rhs - 1.0) <= 1e-12
@@ -228,12 +234,12 @@ class TestVarianceAudit:
 
     def test_centered_case_claim_exact(self):
         psi_b = np.array([1.0, 1j]) / np.sqrt(2.0)
-        audit = variance_identity_audit(Z, X, PLUS, psi_b)
+        audit = variance_identity_audit(Z, X, PLUS, psi_b, tol=1e-10)
         assert abs(audit.lhs - audit.paper_rhs) <= 1e-12
         assert audit.paper_claim_holds and audit.corrected_holds
 
     def test_constant_operator(self):
-        audit = variance_identity_audit(I2, Z, PLUS, E0)
+        audit = variance_identity_audit(I2, Z, PLUS, E0, tol=1e-10)
         assert audit.lhs <= 1e-14
         assert audit.paper_rhs == 0.0
 
@@ -243,7 +249,9 @@ class TestVarianceAudit:
         rng = np.random.default_rng(seed)
         a = random_hermitian(2, rng)
         b = random_hermitian(3, rng)
-        audit = variance_identity_audit(a, b, random_state_vector(2, rng), random_state_vector(3, rng))
+        audit = variance_identity_audit(
+            a, b, random_state_vector(2, rng), random_state_vector(3, rng), tol=1e-10
+        )
         assert audit.corrected_holds
 
 

@@ -10,10 +10,10 @@ from wayaudit.errors import PreconditionError
 from wayaudit.model import (
     ConservedQuantity,
     MeasurementModel,
+    check_conserved,
     check_nondestructive,
 )
 from wayaudit.theorem import (
-    additive_conservation_check,
     counterexample_sweep,
     matrix_element_identity,
     pointer_gram_rank,
@@ -156,25 +156,21 @@ class TestTheoremVerdict:
 class TestAdditiveCheck:
     def test_cnot_system_only(self, cnot_model):
         q = ConservedQuantity("additive", LA_DIAG, np.zeros((2, 2)))
-        report = additive_conservation_check(cnot_model, q)
+        report = check_conserved(cnot_model, q)
         assert report.verdict and report.residual <= 1e-14
 
     def test_identity_conserves(self, identity_model):
         q = ConservedQuantity("additive", Z, Z)
-        assert additive_conservation_check(identity_model, q).residual == 0.0
+        assert check_conserved(identity_model, q).residual == 0.0
 
     def test_cnot_total_z_not_conserved(self, cnot_model):
         q = ConservedQuantity("additive", Z, Z)
         # oracle: CNOT (Z(x)1 + 1(x)Z) CNOT = Z(x)1 + Z(x)Z, defect = Z(x)Z - 1(x)Z
         defect = np.kron(Z, Z) - np.kron(I2, Z)
         expected = np.linalg.norm(defect)
-        report = additive_conservation_check(cnot_model, q)
+        report = check_conserved(cnot_model, q)
         assert abs(report.residual - expected) <= 1e-12
         assert report.residual > 0.1
-
-    def test_multiplicative_rejected(self, cnot_model, cnot_quantity):
-        with pytest.raises(PreconditionError):
-            additive_conservation_check(cnot_model, cnot_quantity)
 
 
 class TestCounterexampleSweep:
