@@ -6,7 +6,6 @@ unitaries."""
 __version__ = "0.1.0"
 
 from .commutant import (
-    Block,
     BlockDecomposition,
     SearchConfig,
     SearchResult,

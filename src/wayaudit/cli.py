@@ -20,7 +20,7 @@ import stat
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -35,39 +35,10 @@ from .model import (
     check_exact,
     check_nondestructive,
 )
-from .noise import AuditConfig, bound_audit_sweep, noise_report, variance_identity_audit
-from .theorem import counterexample_sweep, pointer_gram_rank, require_sweep_inputs, theorem_verdict
+from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep, noise_report, variance_identity_audit
+from .theorem import SweepTrial, counterexample_sweep, pointer_gram_rank, require_sweep_inputs, theorem_verdict
 
 __all__ = ["LoadedModel", "ModelFileError", "emit_report", "load_model", "main"]
-
-BOUND_AUDIT_COLUMNS = (
-    "trial",
-    "n1",
-    "n2",
-    "epsilon_sq",
-    "robertson_bound",
-    "paper_bound",
-    "paper_defined",
-    "yanase_applicable",
-    "yanase_bound",
-    "simplified_applicable",
-    "simplified_bound",
-    "robertson_valid",
-    "paper_valid",
-    "yanase_valid",
-    "simplified_valid",
-)
-
-COUNTEREXAMPLE_COLUMNS = (
-    "trial",
-    "leakage",
-    "deficit",
-    "commutator_norm",
-    "degenerate_pointer",
-    "conforming",
-    "counterexample",
-)
-
 
 class ModelFileError(ValueError):
     """Invalid model file; ``field`` names the offending entry."""
@@ -135,20 +106,14 @@ _BOOL_CELLS = {None: "", False: "false", True: "true"}
 
 
 def _csv_column(values: list) -> list[str]:
-    """One column's cells, by the type of its values; None is an empty cell.
+    """One column's cells, by the one type of its values; None is an empty cell.
 
     Floats are formatted as one batch, as JSON formats them, bools map through
-    a table, and ints and strs are written by ``str``. A column of several
-    types is formatted one type at a time.
+    a table, and ints and strs are written by ``str``.
     """
     kinds = set(map(type, values)) - {type(None)}
     if len(kinds) > 1:
-        cells = [""] * len(values)
-        for kind in kinds:
-            where = [i for i, v in enumerate(values) if type(v) is kind]
-            for i, cell in zip(where, _csv_column([values[i] for i in where])):
-                cells[i] = cell
-        return cells
+        raise TypeError(f"cannot write a column of mixed types {sorted(k.__name__ for k in kinds)} to csv")
     if not kinds or kinds == {bool}:
         return [_BOOL_CELLS[v] for v in values]
     if kinds == {float}:
@@ -212,8 +177,9 @@ def _new_file_mode() -> int:
 
 
 @contextlib.contextmanager
-def _csv_sink(path: str | None, names: tuple[str, ...]):
-    """A sink for a sweep's column chunks that writes their ``names`` columns to ``path``.
+def _csv_sink(path: str | None, record: type):
+    """A sink for a sweep's column chunks that writes them to ``path``, one column
+    per field of the sweep's ``record`` dataclass, in field order.
 
     Each chunk's rows are written as it arrives, under one header line, through
     ``_staged_out``: if the block raises, a regular file at ``path`` is left as
@@ -222,6 +188,7 @@ def _csv_sink(path: str | None, names: tuple[str, ...]):
     if path is None:
         yield lambda columns: None
         return
+    names = [f.name for f in fields(record)]
     try:
         with _staged_out(path) as fh:
             fh.write(",".join(names) + "\n")
@@ -523,7 +490,7 @@ def _cmd_sweep(args) -> int:
     report = _base_report(args, seed)
     csv_path = args.out if args.format == "csv" else None
     if args.kind == "counterexample":
-        with _csv_sink(csv_path, COUNTEREXAMPLE_COLUMNS) as sink:
+        with _csv_sink(csv_path, SweepTrial) as sink:
             sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol, sink)
         report["results"] = {
             "kind": "counterexample",
@@ -537,7 +504,7 @@ def _cmd_sweep(args) -> int:
         }
         failed = sweep.counterexamples > 0
     else:
-        with _csv_sink(csv_path, BOUND_AUDIT_COLUMNS) as sink:
+        with _csv_sink(csv_path, BoundAuditRecord) as sink:
             s = bound_audit_sweep(config, sink).summary
             # Summary row reuses the schema: *_bound columns carry violation
             # fractions, *_defined/_applicable carry counts, *_valid carry

@@ -12,15 +12,18 @@ ready-state sphere. The Jacobian is one stacked directional derivative along
 dU = U K_p; an accepted step retracts with one stacked exp per block size and
 renormalizes the ready state. Each restart reports why it stopped.
 
-Sweeps sample commutants for a whole chunk of trials at once
-(``commutant_unitary_stack``; chunks are sized from D by
-``linalg.SWEEP_CHUNK_BYTES``). It is the seam of the sweeps' two-phase draw
-order: once phase A has drawn each trial's factors, one stacked ``eigh`` of
-the conserved operators reveals each trial's block sizes, and phase B opens
-with every trial drawing its blocks' Ginibre matrices from its own stream,
-in block order. Trials with equal block sizes are assembled together on
-(group, D, D) stacks. ``conserved_eigenspaces`` and ``commutant_unitary``
-are its batches of one.
+One draw-and-assemble path serves every caller: ``_random_point`` draws
+Haar block unitaries for a ``BlockDecomposition`` (one stream per
+decomposition, or per member of a stack of them) and ``_BlockPoint`` sums
+them into the joint unitary in block order. Sweeps sample commutants for a
+whole chunk of trials at once (``commutant_unitary_stack``; chunks are sized
+from D by ``linalg.SWEEP_CHUNK_BYTES``). It is the seam of the sweeps'
+two-phase draw order: once phase A has drawn each trial's factors, one
+stacked ``eigh`` of the conserved operators reveals each trial's block
+sizes, and phase B opens with every trial drawing its blocks' Ginibre
+matrices from its own stream, in block order. Trials with equal block sizes
+are drawn and assembled together. ``commutant_unitary`` is its batch of one,
+and every optimizer restart starts from the same draw.
 """
 
 from __future__ import annotations
@@ -42,12 +45,10 @@ from .linalg import (
     product_state,
     random_state_vector,
     tensor_product,
-    tensor_product_stack,
 )
 from .model import POINTER_DEGENERACY_TOL, ConservedQuantity, conserved_operator
 
 __all__ = [
-    "Block",
     "BlockDecomposition",
     "SearchConfig",
     "SearchResult",
@@ -67,38 +68,20 @@ STOP_REASONS = ("zero", "no_decrease", "gradient", "max_iter")  # see _descend
 
 
 @dataclass(frozen=True)
-class Block:
-    """One eigenvalue group of the conserved operator."""
-
-    eigenvalue: float
-    basis: np.ndarray  # (total_dim, block_dim), orthonormal columns
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: tuple[Block, ...]
-    total_dim: int
+    """Ascending eigenvalues of a conserved operator, its eigenvector columns in the
+    same order, (D, D) or a (k, D, D) stack, and the sizes of its eigenvalue blocks."""
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.basis.shape[1] for b in self.blocks)
+    values: np.ndarray
+    vectors: np.ndarray
+    dims: tuple[int, ...]
 
 
 def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
-    """Eigenvalue groups of the joint conserved operator.
-
-    Sorted eigenvalues are clustered by gaps larger than ``GROUPING_TOL``, so
-    eigenvalues inside a block are mutually closer than the gap between blocks.
-    """
-    joint = conserved_operator(q)
-    values, vectors = hermitian_eigensystem(joint)
-    blocks, start = [], 0
+    """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``)."""
+    values, vectors = hermitian_eigensystem(conserved_operator(q))
     (dims,) = block_sizes(values[None])
-    for dim in dims:
-        group = slice(start, start + dim)
-        blocks.append(Block(float(values[group].mean()), vectors[:, group]))
-        start += dim
-    return BlockDecomposition(tuple(blocks), joint.shape[0])
+    return BlockDecomposition(values, vectors, dims)
 
 
 def block_sizes(values: np.ndarray):
@@ -135,37 +118,22 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     }
 
 
-def commutant_unitary_stack(la: np.ndarray, lb: np.ndarray, rngs) -> np.ndarray:
-    """Haar unitaries from the commutants of la[i] (x) lb[i], one per stream, (k, D, D);
-    the factors are taken as valid (see ``ConservedQuantity``).
+def commutant_unitary_stack(joint: np.ndarray, rngs) -> np.ndarray:
+    """Haar unitaries from the commutants of a (k, D, D) stack of conserved operators,
+    one per stream, (k, D, D); the operators are taken as valid (see ``ConservedQuantity``).
 
-    One stacked ``eigh`` of the conserved operators gives each trial its block
-    sizes; trials with equal sizes draw and assemble together. Each unitary is
-    summed block by block in block order, bit-identical to ``commutant_unitary``
-    on the trial's own decomposition.
+    One stacked ``eigh`` gives each trial its block sizes; trials with equal
+    sizes draw and assemble together, each bit-identical to ``commutant_unitary``
+    on its own decomposition.
     """
-    joint = tensor_product_stack(la, lb)
     values, vectors = np.linalg.eigh(joint)
     groups = {}
     for i, dims in enumerate(block_sizes(values)):
         groups.setdefault(dims, []).append(i)
     u = np.empty_like(joint)
     for dims, members in groups.items():
-        u[members] = _assemble(vectors[members], dims, [rngs[i] for i in members])
-    return u
-
-
-def _assemble(columns: np.ndarray, dims: tuple[int, ...], rngs) -> np.ndarray:
-    """Sum over blocks, in block order, of basis @ V @ basis^dag; ``columns`` holds the
-    (k, D, sum(dims)) block bases side by side."""
-    unitaries = _block_unitaries(dims, rngs)
-    seen = {size: 0 for size in unitaries}
-    u, start = 0, 0
-    for d in dims:
-        basis = columns[..., start : start + d]
-        u = u + basis @ unitaries[d][:, seen[d]] @ dagger(basis)
-        seen[d] += 1
-        start += d
+        d = BlockDecomposition(values[members], vectors[members], dims)
+        u[members] = _random_point(d, [rngs[i] for i in members]).joint
     return u
 
 
@@ -174,8 +142,10 @@ class _SizeGroup:
 
     def __init__(self, decomposition: BlockDecomposition, size: int):
         self.size = size
+        starts = np.cumsum((0, *decomposition.dims)).tolist()
         self.members = [i for i, dim in enumerate(decomposition.dims) if dim == size]
-        self.bases = np.stack([decomposition.blocks[i].basis for i in self.members])
+        columns = [decomposition.vectors[..., starts[i] : starts[i] + size] for i in self.members]
+        self.bases = np.stack(columns, axis=-3)  # (..., m, D, size)
         self.bases_dag = dagger(self.bases)
 
     @cached_property
@@ -211,9 +181,12 @@ class _BlockPoint:
     def __init__(self, groups: list[_SizeGroup], unitaries: list[np.ndarray]):
         self.groups = groups
         self.unitaries = unitaries
-        parts = [g.bases @ v @ g.bases_dag for g, v in zip(groups, unitaries)]
-        by_block = {i: p[..., k, :, :] for g, p in zip(groups, parts) for k, i in enumerate(g.members)}
-        self.joint = sum(by_block[i] for i in range(len(by_block)))
+        slots = {i: (g, v, k) for g, v in zip(groups, unitaries) for k, i in enumerate(g.members)}
+        # one (..., D, D) part at a time: a chunk's intermediates stay the size of its stack
+        self.joint = sum(
+            g.bases[..., k, :, :] @ v[..., k, :, :] @ g.bases_dag[..., k, :, :]
+            for g, v, k in (slots[i] for i in range(len(slots)))
+        )
 
     def stepped(self, thetas: list[np.ndarray]) -> "_BlockPoint":
         """The point moved by V <- V exp(G(theta)) in every block, from (..., m, d**2)
@@ -222,24 +195,26 @@ class _BlockPoint:
         return _BlockPoint(self.groups, [v @ step for v, step in zip(self.unitaries, steps)])
 
 
+def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
+    """Haar block unitaries, one set per stream and member of ``d``, kept per block size.
+
+    Draw-order invariant: each stream draws its blocks' Ginibre matrices in
+    block order, as one ``haar_unitary`` call per block would, and the QR is
+    stacked per block size (bit-identical per matrix).
+    """
+    groups = [_SizeGroup(d, size) for size in sorted(set(d.dims))]
+    unitaries = _block_unitaries(d.dims, rngs)
+    stacked = d.vectors.ndim == 3  # else one decomposition and one stream
+    return _BlockPoint(groups, [unitaries[g.size] if stacked else unitaries[g.size][0] for g in groups])
+
+
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
     """Haar block unitary assembled in the original basis; conserves L by construction.
 
-    Draw-order invariant: each block's Ginibre matrix is drawn from ``rng`` in
-    block order, as one ``haar_unitary`` call per block would draw it, and
-    ``u`` is summed in block order. The QR is stacked per block size
-    (bit-identical per matrix), so ``u`` matches the per-block loop bit for
-    bit. A batch of one of the sweeps' kernel.
+    A batch of one of the sweeps' draw (see ``_random_point``): ``u`` matches
+    a per-block loop of ``haar_unitary`` draws summed in block order, bit for bit.
     """
-    columns = np.concatenate([b.basis for b in d.blocks], axis=1)
-    return _assemble(columns[None], d.dims, [rng])[0]
-
-
-def _random_point(d: BlockDecomposition, rng: np.random.Generator) -> _BlockPoint:
-    """Haar block unitaries drawn as ``commutant_unitary`` draws them, kept per block size."""
-    groups = [_SizeGroup(d, size) for size in sorted(set(d.dims))]
-    unitaries = _block_unitaries(d.dims, [rng])
-    return _BlockPoint(groups, [unitaries[g.size][0] for g in groups])
+    return _random_point(d, [rng]).joint
 
 
 @dataclass(frozen=True)
@@ -299,7 +274,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
     Returns (F, U, v, trace, stop reason).
     """
     ready = problem.ready_state(rng)
-    point = _random_point(decomposition, rng)
+    point = _random_point(decomposition, [rng])
     generators = np.concatenate([g.joint_generators() for g in point.groups])
     sizes = [len(g.members) * g.size**2 for g in point.groups]
     residual, f = _scored(problem, point.joint, ready)

@@ -24,14 +24,15 @@ loader included, goes through them.
 
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
 chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack
-(``sweep_chunks``). A sweep's trials travel as columns: ``gather_columns``
-hands each chunk's columns to a sink or collects them, and ``column_records``
-turns collected columns back into records.
+(``sweep_chunks``). Both sweeps run one chunk loop, ``run_sweep``: it hands
+each chunk's columns to a sink or collects them, and totals the chunks'
+tallies; ``column_records`` turns collected columns back into records.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import operator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "dagger",
     "frobenius_norm",
     "frobenius_norm_stack",
-    "gather_columns",
     "ginibre",
     "ginibre_stack",
     "haar_from_ginibre",
@@ -67,6 +67,7 @@ __all__ = [
     "require_orthonormal_rows",
     "require_unit_norm",
     "require_unitary",
+    "run_sweep",
     "squares",
     "sweep_chunks",
     "tensor_product",
@@ -328,17 +329,28 @@ def sweep_chunks(seed: int, count: int, dim: int):
         yield trials, [np.random.default_rng(np.array(head + _words(t), dtype=np.uint32)) for t in trials]
 
 
-def gather_columns(chunks: Iterable[dict[str, list]], sink: Callable[[dict], object] | None = None) -> dict:
-    """Hand each chunk's columns to ``sink`` as it comes, or, with no sink, join
-    them into one list per column name and return those (empty if a sink took them)."""
+def run_sweep(chunk: Callable, seed: int, count: int, dim: int, sink: Callable[[dict], object] | None = None):
+    """Run ``chunk(trials, streams)`` on each chunk of a sweep (see ``sweep_chunks``);
+    return the columns and the tallies it gives, totalled over the chunks.
+
+    Each chunk's columns, a list per name, go to ``sink`` as they come, or,
+    with no sink, are joined into one list per name (and none are kept if a
+    sink took them). Tallies are summed, except that a ``max_*`` tally keeps
+    its largest value.
+    """
     columns: dict[str, list] = {}
-    for chunk in chunks:
+    tallies: dict = {}
+    for trials, streams in sweep_chunks(seed, count, dim):
+        chunk_columns, chunk_tallies = chunk(trials, streams)
         if sink is not None:
-            sink(chunk)
-            continue
-        for name, values in chunk.items():
-            columns.setdefault(name, []).extend(values)
-    return columns
+            sink(chunk_columns)
+        else:
+            for name, values in chunk_columns.items():
+                columns.setdefault(name, []).extend(values)
+        for name, value in chunk_tallies.items():
+            total = max if name.startswith("max_") else operator.add
+            tallies[name] = total(tallies[name], value) if name in tallies else value
+    return columns, tallies
 
 
 def column_records(record: type, columns: dict[str, list]) -> tuple:

@@ -12,17 +12,19 @@ are reported rather than asserted.
 One engine evaluates instances as (k, ...) stacks: ``_Stack`` computes every
 intermediate once for k instances and the four bound kernels read from it.
 ``noise_report`` checks its inputs in one order (``_instance``) and runs it on
-a stack of one. The bound audit runs it on chunks of trials, sized from D by
-``linalg.SWEEP_CHUNK_BYTES``, and keeps a two-phase draw order per trial
-stream (see ``_audit_chunk``), so every record is the one a trial-by-trial
-loop would give, bit for bit.
+a stack of one. The bound audit runs it on chunks of trials through the
+sweeps' chunk loop (``linalg.run_sweep``), and keeps a two-phase draw order
+per trial stream (see ``_audit_chunk``), so every record is the one a
+trial-by-trial loop would give, bit for bit. Each chunk builds la (x) lb once,
+for the commutant draw and the bounds alike, and names its columns after
+the bound kernels' outputs; ``BoundAuditRecord``'s fields are the CSV schema.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +40,6 @@ from .linalg import (
     commutator_stack,
     dagger,
     frobenius_norm_stack,
-    gather_columns,
     ginibre_stack,
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
@@ -52,8 +53,8 @@ from .linalg import (
     require_hermitian,
     require_unit_norm,
     require_unitary,
+    run_sweep,
     squares,
-    sweep_chunks,
     tensor_product,
     tensor_product_stack,
     variance,
@@ -64,6 +65,7 @@ from .model import (
     MeasurementModel,
     check_conserved,
     conservation_residual_stack,
+    conserved_operator,
     require_conserved,
 )
 
@@ -123,18 +125,17 @@ def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarr
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
-    Every bound formula reads from here. Inputs are taken as valid:
-    ``_instance`` checks them for one instance, and the audit sampler builds
-    them valid.
+    Every bound formula reads from here. Inputs are taken as valid, the
+    conserved operators ``la (x) lb`` included: ``_instance`` checks them for
+    one instance, and the audit sampler builds them valid.
     """
 
-    def __init__(self, u, ready, observable, psi, probe, la, lb):
-        self.u, self.ready, self.psi, self.la, self.lb = u, ready, psi, la, lb
+    def __init__(self, u, ready, observable, psi, probe, la, lb, conserved):
+        self.u, self.ready, self.psi, self.la, self.lb, self.conserved = u, ready, psi, la, lb, conserved
         self.joint_state = product_state(psi, ready)
         self.noise = _noise_operator_stack(u, observable, probe)
         self.noise_state = matvec_stack(self.noise, self.joint_state)
         self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
-        self.conserved = tensor_product_stack(la, lb)
         self.var_conserved = variance_stack(self.conserved, self.joint_state)
         self.var_la = variance_stack(la, psi)
         self.var_lb = variance_stack(lb, ready)
@@ -155,7 +156,7 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     probe = _operator_arg(m, "probe", probe)
     return _Stack(
         m.interaction[None], m.ready_state[None], observable[None], psi[None], probe[None],
-        q.system_op[None], q.apparatus_op[None],
+        q.system_op[None], q.apparatus_op[None], conserved_operator(q)[None],
     )
 
 
@@ -332,6 +333,7 @@ class VarianceAudit:
 
 
 def variance_identity_audit(a, b, psi_a, psi_b, tol: float) -> VarianceAudit:
+    """Each claim holds when it misses ``lhs`` by at most ``tol * max(1, |lhs|)``."""
     a = as_operator(a)
     b = as_operator(b)
     psi_a = as_state(psi_a)
@@ -345,12 +347,13 @@ def variance_identity_audit(a, b, psi_a, psi_b, tol: float) -> VarianceAudit:
     mean_b = float(np.vdot(psi_b, b @ psi_b).real)
     paper_rhs = var_a * var_b
     corrected_rhs = var_a * var_b + var_a * mean_b**2 + mean_a**2 * var_b
+    slack = tol * max(1.0, abs(lhs))
     return VarianceAudit(
         lhs=lhs,
         paper_rhs=paper_rhs,
         corrected_rhs=corrected_rhs,
-        paper_claim_holds=abs(lhs - paper_rhs) <= tol,
-        corrected_holds=abs(lhs - corrected_rhs) <= tol,
+        paper_claim_holds=abs(lhs - paper_rhs) <= slack,
+        corrected_holds=abs(lhs - corrected_rhs) <= slack,
     )
 
 
@@ -404,20 +407,19 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class BoundAuditRecord:
+    """One audit trial; its fields, in order, are the bound-audit CSV columns."""
+
     trial: int
     n1: int
     n2: int
     epsilon_sq: float
     robertson_bound: float
-    robertson_degenerate: bool
     paper_bound: float | None
     paper_defined: bool
     yanase_applicable: bool
     yanase_bound: float | None
-    yanase_defined: bool | None
     simplified_applicable: bool
     simplified_bound: float | None
-    simplified_defined: bool | None
     robertson_valid: bool
     paper_valid: bool | None
     yanase_valid: bool | None
@@ -506,6 +508,9 @@ def _probes(vectors: np.ndarray, rngs, yanase: np.ndarray) -> np.ndarray:
     return probes
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(BoundAuditRecord))
+
+
 def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, list], dict[str, int]]:
     """One chunk of trials, drawn and evaluated as stacks: its ``BoundAuditRecord``
     columns, as lists, and its counts of the summary's tallies.
@@ -523,7 +528,8 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     lb = _apparatus_factors(n2, rngs, zero_mode)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction = commutant_unitary_stack(la, lb, rngs)
+    conserved = tensor_product_stack(la, lb)
+    interaction = commutant_unitary_stack(conserved, rngs)
     lb_values, lb_vectors = np.linalg.eigh(lb)
     ready = _ready_states(lb_values, lb_vectors, rngs, zero_mode)
     require_unit_norm(ready, "ready_state")
@@ -532,45 +538,25 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     probe = _probes(lb_vectors, rngs, yanase_mode)
     psi = random_state_vector_stack(n1, rngs)
 
-    x = _Stack(interaction, ready, observable, psi, probe, la, lb)
-    require_conserved(conservation_residual_stack(interaction, x.conserved), config.tol)
-    robertson, paper, yanase, simplified = _robertson(x), _paper(x), _yanase(x), _simplified(x)
-    columns = {
-        "epsilon_sq": x.epsilon_sq,
-        "robertson_bound": robertson["bound"],
-        "robertson_degenerate": robertson["degenerate"],
-        "paper_bound": paper["bound"],
-        "paper_defined": paper["defined"],
-        "yanase_applicable": yanase["applicable"],
-        "yanase_bound": yanase["bound"],
-        "yanase_defined": yanase["defined"],
-        "simplified_applicable": simplified["applicable"],
-        "simplified_bound": simplified["bound"],
-        "simplified_defined": simplified["defined"],
-        "robertson_valid": robertson["valid"],
-        "paper_valid": paper["valid"],
-        "yanase_valid": yanase["valid"],
-        "simplified_valid": simplified["valid"],
-    }
+    x = _Stack(interaction, ready, observable, psi, probe, la, lb, conserved)
+    require_conserved(conservation_residual_stack(interaction, conserved), config.tol)
+    kernels = {"robertson": _robertson(x), "paper": _paper(x), "yanase": _yanase(x), "simplified": _simplified(x)}
+    columns = {f"{kind}_{name}": column for kind, kernel in kernels.items() for name, column in kernel.items()}
     # a flag is False only where its bound applies and is defined
-    tallies = {
-        "robertson_violations": _tally(robertson["valid"], False),
-        "robertson_degenerate": _tally(robertson["degenerate"], True),
-        "paper_defined": _tally(paper["defined"], True),
-        "paper_violations": _tally(paper["valid"], False),
-        "yanase_applicable": _tally(yanase["applicable"], True),
-        "yanase_degenerate": _tally(yanase["defined"], False),
-        "yanase_violations": _tally(yanase["valid"], False),
-        "simplified_applicable": _tally(simplified["applicable"], True),
-        "simplified_degenerate": _tally(simplified["defined"], False),
-        "simplified_violations": _tally(simplified["valid"], False),
-    }
-    size = len(trials)
-    lists = {"trial": list(trials), "n1": [n1] * size, "n2": [n2] * size}
-    return {**lists, **{name: _column(column) for name, column in columns.items()}}, tallies
+    tallies = {f"{kind}_violations": _tally(columns[f"{kind}_valid"], False) for kind in kernels}
+    tallies.update(
+        robertson_degenerate=_tally(columns["robertson_degenerate"], True),
+        paper_defined=_tally(columns["paper_defined"], True),
+        yanase_applicable=_tally(columns["yanase_applicable"], True),
+        yanase_degenerate=_tally(columns["yanase_defined"], False),
+        simplified_applicable=_tally(columns["simplified_applicable"], True),
+        simplified_degenerate=_tally(columns["simplified_defined"], False),
+    )
+    columns.update(trial=index, n1=np.full(len(index), n1), n2=np.full(len(index), n2), epsilon_sq=x.epsilon_sq)
+    return {name: _column(columns[name]) for name in _RECORD_FIELDS}, tallies
 
 
-def _audit_summary(count: int, tallies: Counter) -> BoundAuditSummary:
+def _audit_summary(count: int, tallies: dict[str, int]) -> BoundAuditSummary:
     def fraction(kind: str, denominator: int) -> float:
         return tallies[f"{kind}_violations"] / denominator if denominator else 0.0
 
@@ -603,13 +589,6 @@ def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None
     ``sink(columns)`` as the chunk finishes, if a sink is given, and the
     report then keeps none; otherwise the report collects them.
     """
-    tallies = Counter()
-
-    def chunks():
-        for trials, rngs in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
-            chunk, counts = _audit_chunk(config, trials, rngs)
-            tallies.update(counts)
-            yield chunk
-
-    columns = gather_columns(chunks(), sink)
+    chunk = functools.partial(_audit_chunk, config)
+    columns, tallies = run_sweep(chunk, config.seed, config.count, config.n1 * config.n2, sink)
     return BoundAuditReport(config=config, columns=columns, summary=_audit_summary(config.count, tallies))

@@ -9,19 +9,20 @@ matrix-element identity and the pointer-Gram rank argument numerically, and
 runs seeded randomized sweeps that look for counterexamples (and must find
 none).
 
-The counterexample sweep evaluates its trials in chunks sized from D by
-``linalg.SWEEP_CHUNK_BYTES``, as (chunk, ...) stacks: sampling
+The counterexample sweep evaluates its trials through the sweeps' chunk
+loop (``linalg.run_sweep``), as (chunk, ...) stacks: sampling
 (``sample_instance_stack``), the model checks, the pointer analysis and the
-commutator run once per chunk. Every trial keeps its own stream and draws in
-two phases, its factors first, then its commutant blocks and ready state
-once a stacked ``eigh`` has fixed its block sizes; so each record is the one
-a trial-by-trial loop would give, bit for bit. ``sample_conserving_instance``
+commutator run once per chunk (``_sweep_chunk``). Every trial keeps its own
+stream and draws in two phases, its factors first, then its commutant blocks
+and ready state once a stacked ``eigh`` has fixed its block sizes; so each
+record is the one a trial-by-trial loop would give, bit for bit.
+``SweepTrial``'s fields are the CSV schema. ``sample_conserving_instance``
 and ``pointer_analysis`` are batches of one over the same kernels.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -38,14 +39,14 @@ from .linalg import (
     commutator_stack,
     frobenius_norm,
     frobenius_norm_stack,
-    gather_columns,
     numerical_rank,
     random_positive_operator_stack,
     random_state_vector_stack,
     require_hermitian,
     require_unit_norm,
     require_unitary,
-    sweep_chunks,
+    run_sweep,
+    tensor_product_stack,
 )
 from .model import (
     POINTER_DEGENERACY_TOL,
@@ -124,9 +125,6 @@ def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
     if q.kind != "multiplicative":
         raise PreconditionError("kind", "theorem_verdict requires a multiplicative quantity")
     la, lb = q.system_op, q.apparatus_op
-    if la.shape[0] != m.n1 or lb.shape[0] != m.n2:
-        raise ValueError("conserved quantity dimensions do not match the model")
-
     conserved = check_conserved(m, q, tol)
     rank = numerical_rank(lb, RANK_TOL)
     la_min = float(np.linalg.eigvalsh(la)[0])
@@ -224,7 +222,7 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple[np.ndarray, ...]:
     lb = random_positive_operator_stack(n2, rngs)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction = commutant_unitary_stack(la, lb, rngs)
+    interaction = commutant_unitary_stack(tensor_product_stack(la, lb), rngs)
     ready = random_state_vector_stack(n2, rngs)
     require_unit_norm(ready, "ready_state")
     require_unitary(interaction, "interaction")
@@ -243,6 +241,8 @@ def sample_conserving_instance(
 
 @dataclass(frozen=True)
 class SweepTrial:
+    """One counterexample-sweep trial; its fields, in order, are the sweep's CSV columns."""
+
     trial: int
     leakage: float
     deficit: float
@@ -296,6 +296,23 @@ def require_sweep_inputs(n1: int, n2: int, count: int, seed: int) -> None:
         raise ValueError("seed must be nonnegative")
 
 
+def _sweep_chunk(n1: int, n2: int, tol: float, trials: range, rngs) -> tuple[dict[str, list], dict]:
+    """One chunk of trials as stacks: its ``SweepTrial`` columns, as lists, and its tallies."""
+    basis = np.eye(n1, dtype=complex)
+    la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
+    a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
+    comm = frobenius_norm_stack(commutator_stack(observable_in_basis(basis), la))
+    conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
+    counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
+    tallies = {
+        "conforming_count": int(np.count_nonzero(conforming)),
+        "counterexamples": int(np.count_nonzero(counterexample)),
+        "max_conforming_commutator": float(comm[conforming].max()) if conforming.any() else 0.0,  # norms are >= 0
+    }
+    arrays = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
+    return dict(zip(_TRIAL_FIELDS, (list(trials), *(array.tolist() for array in arrays)))), tallies
+
+
 def counterexample_sweep(
     n1: int, n2: int, count: int, seed: int, tol: float = 1e-9, sink: Callable[[dict], object] | None = None
 ) -> CounterexampleSweepReport:
@@ -315,35 +332,6 @@ def counterexample_sweep(
     then keeps none; otherwise the report collects them.
     """
     require_sweep_inputs(n1, n2, count, seed)
-    basis = np.eye(n1, dtype=complex)
-    observable = observable_in_basis(basis)
-    tallies = Counter()
-    maxima = [0.0]  # commutator norms are >= 0
-
-    def chunks():
-        for indices, rngs in sweep_chunks(seed, count, n1 * n2):
-            la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
-            a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
-            comm = frobenius_norm_stack(commutator_stack(observable, la))
-            conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
-            counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
-            tallies.update(
-                conforming=int(np.count_nonzero(conforming)), counterexamples=int(np.count_nonzero(counterexample))
-            )
-            if conforming.any():
-                maxima.append(float(comm[conforming].max()))
-            arrays = (a["leakage"], a["deficit"], comm, a["degenerate"].any(axis=1), conforming, counterexample)
-            yield dict(zip(_TRIAL_FIELDS, (list(indices), *(array.tolist() for array in arrays))))
-
-    columns = gather_columns(chunks(), sink)
-    return CounterexampleSweepReport(
-        n1=n1,
-        n2=n2,
-        count=count,
-        seed=seed,
-        tol=tol,
-        columns=columns,
-        conforming_count=tallies["conforming"],
-        counterexamples=tallies["counterexamples"],
-        max_conforming_commutator=max(maxima),
-    )
+    chunk = functools.partial(_sweep_chunk, n1, n2, tol)
+    columns, tallies = run_sweep(chunk, seed, count, n1 * n2, sink)
+    return CounterexampleSweepReport(n1=n1, n2=n2, count=count, seed=seed, tol=tol, columns=columns, **tallies)

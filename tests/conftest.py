@@ -18,6 +18,12 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 LA_DIAG = np.diag([1.0, 2.0]).astype(complex)
 
 
+def block_bases(d):
+    """The orthonormal basis of each eigenvalue block of a ``BlockDecomposition``, in block order."""
+    starts = np.cumsum((0, *d.dims))
+    return [d.vectors[:, a:b] for a, b in zip(starts, starts[1:])]
+
+
 @pytest.fixture
 def cnot_model():
     return MeasurementModel(2, 2, I2.copy(), E0.copy(), CNOT.copy())

@@ -5,7 +5,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +618,18 @@ class TestSweepGoldens:
         name = f"sweep_{kind.replace('-', '_')}_{n1}x{n2}"
         self._check(capsys, monkeypatch, tmp_path, name, kind, n1, n2, 40, 7)
 
+    @pytest.mark.parametrize(
+        "kind, record", [("bound-audit", noise.BoundAuditRecord), ("counterexample", theorem.SweepTrial)]
+    )
+    def test_header_is_the_record_fields(self, capsys, tmp_path, kind, record):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--kind", kind, "--n1", "2", "--n2", "3", "--count", "3", "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines()[0].split(",") == [f.name for f in fields(record)]
+
     def test_python_float_square(self, capsys, monkeypatch, tmp_path):
         # Trial 29 squares <a> in `variance`: as a Python float (libm pow) its
         # robertson_bound is 0.26799134892545035; an array square (x * x)
@@ -964,14 +976,16 @@ PAIRS = st.tuples(NUMBERS, NUMBERS)
 MATRICES = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(PAIRS, min_size=n, max_size=n), min_size=1, max_size=4)
 )
-# CSV columns: of mixed types, and of each type the typed column formatter
-# serves on its own (floats or None, bools or None, ints)
+# CSV columns of each type the column formatter serves (floats or None, bools
+# or None, ints), and columns that mix types, which no sweep writes
 CSV_COLUMNS = st.one_of(
-    st.lists(st.one_of(st.none(), FLOATS, st.integers(-10, 10), st.booleans()), max_size=12),
     st.lists(st.one_of(st.none(), FLOATS), max_size=12),
     st.lists(st.one_of(st.none(), st.booleans()), max_size=12),
     st.lists(st.integers(-(2**64), 2**64), max_size=12),
 )
+MIXED_CSV_COLUMNS = st.lists(
+    st.one_of(st.none(), FLOATS, st.integers(-10, 10), st.booleans()), min_size=2, max_size=12
+).filter(lambda values: len(set(map(type, values)) - {type(None)}) > 1)
 # A bound audit's summary row: the trial label, the dimensions, no epsilon^2,
 # then violation fractions and counts
 SUMMARY_ROWS = st.tuples(
@@ -1031,6 +1045,12 @@ class TestEncoderProperties:
         assert cli._csv_rows(columns) == expected
         # the summary row is formatted as a batch of one
         assert cli._csv_rows([[v] for v in summary]) == ",".join(map(cell, summary)) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(MIXED_CSV_COLUMNS)
+    def test_csv_mixed_column_raises(self, values):
+        with pytest.raises(TypeError, match="mixed types"):
+            cli._csv_rows([values])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_csv_non_finite_raises(self, bad):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, LA_DIAG, X, Z, E0
+from conftest import I2, LA_DIAG, X, Z, E0, block_bases
 from wayaudit import commutant
 from wayaudit.commutant import (
     STOP_REASONS,
     SearchConfig,
     SearchResult,
     commutant_unitary,
+    commutant_unitary_stack,
     conserved_eigenspaces,
     default_probe_states,
     feasibility_search,
@@ -40,7 +41,7 @@ class TestConservedEigenspaces:
     def test_identity_factor_two_blocks(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
         assert d.dims == (2, 2)
-        assert [b.eigenvalue for b in d.blocks] == [1.0, 2.0]
+        assert d.values.tolist() == [1.0, 1.0, 2.0, 2.0]
 
     def test_distinct_product_spectrum(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, np.diag([1.0, 2.0])))
@@ -58,9 +59,10 @@ class TestConservedEigenspaces:
         q = quantity(random_hermitian(2, rng), random_hermitian(3, rng))
         d = conserved_eigenspaces(q)
         joint = conserved_operator(q)
-        rebuilt = sum(b.eigenvalue * (b.basis @ b.basis.conj().T) for b in d.blocks)
+        means = [block.mean() for block in np.split(d.values, np.cumsum(d.dims)[:-1])]
+        rebuilt = sum(mean * (b @ b.conj().T) for mean, b in zip(means, block_bases(d)))
         assert frobenius_norm(joint - rebuilt) <= 1e-9
-        assert sum(d.dims) == d.total_dim
+        assert sum(d.dims) == len(d.values) == len(d.vectors)
 
 
 class TestRandomCommutantUnitary:
@@ -89,6 +91,30 @@ class TestRandomCommutantUnitary:
             commutant_unitary(d, np.random.default_rng(5)),
             commutant_unitary(d, np.random.default_rng(5)),
         )
+
+    def test_stack_matches_batches_of_one(self):
+        # one chunk at 2x3 mixing block structures, each in Haar-rotated factors
+        spectra = {
+            (1, 2, 2, 1): ([1.0, 2.0], [1.0, 2.0, 4.0]),
+            (2, 2, 2): ([1.0, 1.0], [1.0, 2.0, 3.0]),
+            (1,) * 6: ([1.0, 3.0], [1.0, 1.5, 2.0]),
+        }
+        order = [(1, 2, 2, 1), (2, 2, 2), (1,) * 6, (2, 2, 2), (1, 2, 2, 1), (1,) * 6]
+        rng = np.random.default_rng(17)
+        quantities = []
+        for dims in order:
+            factors = []
+            for spectrum in spectra[dims]:
+                w = haar_unitary(len(spectrum), rng)
+                h = (w * spectrum) @ w.conj().T
+                factors.append((h + h.conj().T) / 2.0)
+            quantities.append(quantity(*factors))
+        assert [conserved_eigenspaces(q).dims for q in quantities] == order
+        joint = np.stack([conserved_operator(q) for q in quantities])
+        stacked = commutant_unitary_stack(joint, [np.random.default_rng((9, i)) for i in range(6)])
+        for i, q in enumerate(quantities):
+            expected = commutant_unitary(conserved_eigenspaces(q), np.random.default_rng((9, i)))
+            assert stacked[i].tobytes() == expected.tobytes()
 
 
 class TestProjectGenerator:
@@ -122,7 +148,7 @@ class TestProjectGenerator:
         w = haar_unitary(3, rng)
         q = quantity(LA_DIAG, (w * [1.0, 2.0, 4.0]) @ w.conj().T)  # blocks (1, 2, 2, 1)
         d = conserved_eigenspaces(q)
-        point = commutant._random_point(d, rng)
+        point = commutant._random_point(d, [rng])
         thetas = [rng.standard_normal((len(g.members), g.size**2)) for g in point.groups]
         for group, theta in zip(point.groups, thetas):
             k = group.generators(theta)
@@ -299,7 +325,7 @@ def _reference_block_exp(theta, dim):
 
 
 def _reference_parts(d, unitaries):
-    return [block.basis @ v @ block.basis.conj().T for block, v in zip(d.blocks, unitaries)]
+    return [basis @ v @ basis.conj().T for basis, v in zip(block_bases(d), unitaries)]
 
 
 def _block_unitaries(point):
@@ -384,7 +410,7 @@ class TestOptimizerBitIdentity:
         """Jacobian and gradient of both objectives against central differences along
         exp(+-h G_p) per block and parameter, and along each ready-state tangent."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
-        point = commutant._random_point(d, np.random.default_rng(1))
+        point = commutant._random_point(d, [np.random.default_rng(1)])
         unitaries = _block_unitaries(point)
         parts = _reference_parts(d, unitaries)
         assert point.joint.tobytes() == sum(parts).tobytes()
@@ -397,7 +423,7 @@ class TestOptimizerBitIdentity:
             points = []
             for group in point.groups:
                 for i in group.members:
-                    basis = d.blocks[i].basis
+                    basis = block_bases(d)[i]
                     for p in range(group.size**2):
                         points.append([
                             (point.joint - parts[i] + basis @ (unitaries[i] @ _reference_factor(group.size, p, t))
@@ -417,7 +443,7 @@ class TestOptimizerBitIdentity:
     @pytest.mark.parametrize("la, lb", BLOCK_CASES)
     def test_stepped_batch_matches_per_block_exp(self, la, lb):
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
-        point = commutant._random_point(d, np.random.default_rng(2))
+        point = commutant._random_point(d, [np.random.default_rng(2)])
         rng = np.random.default_rng(3)
         thetas = [rng.standard_normal((3, len(g.members), g.size**2)) * 0.1 for g in point.groups]
         for theta in thetas:  # zero steps keep the reference's signed zeros

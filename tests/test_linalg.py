@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, PLUS, X, Z, E0
+from conftest import I2, PLUS, X, Z, E0, block_bases
 from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
@@ -343,15 +343,15 @@ def _diag_quantity(la, lb):
 
 def _reference_commutant_unitary(d, rng):
     """Per-block Haar draw and assembly, one QR per block, in block order."""
-    u = np.zeros((d.total_dim, d.total_dim), dtype=complex)
-    for block in d.blocks:
-        dim = block.basis.shape[1]
+    u = np.zeros(d.vectors.shape, dtype=complex)
+    for basis in block_bases(d):
+        dim = basis.shape[1]
         z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r)
         absd = np.abs(diag)
         phases = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-        u += block.basis @ (q * phases) @ dagger(block.basis)
+        u += basis @ (q * phases) @ dagger(basis)
     return u
 
 

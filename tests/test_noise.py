@@ -254,6 +254,18 @@ class TestVarianceAudit:
         )
         assert audit.corrected_holds
 
+    def test_tolerance_scales_with_lhs(self):
+        # factors up to 2**8 give lhs up to about 4e5, where one ulp is above 1e-10:
+        # an absolute tol=1e-10 would reject the exact identity for many states
+        a, b = np.diag(2.0 ** np.arange(5)), np.diag(2.0 ** np.arange(9))
+        rng = np.random.default_rng(0)
+        audits = [
+            variance_identity_audit(a, b, random_state_vector(5, rng), random_state_vector(9, rng), tol=1e-10)
+            for _ in range(300)
+        ]
+        assert max(audit.lhs for audit in audits) > 1e5
+        assert all(audit.corrected_holds for audit in audits)
+
 
 class TestNoiseReport:
     def test_assembles_everything(self, cnot_model, cnot_quantity):

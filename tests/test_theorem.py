@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ class TestTheoremVerdict:
         v2 = theorem_verdict(m, q)
         assert v2.assumption("dimension_bound").passed
         assert not v2.strict_dimension_ok
+
+    def test_dimension_mismatch_names_the_dimensions(self, cnot_model):
+        q = ConservedQuantity("multiplicative", np.diag([1.0, 2.0, 3.0]), I2)
+        message = re.escape("conserved quantity dims (3, 2) do not match model (2, 2)")
+        for check in (theorem_verdict, check_conserved):
+            with pytest.raises(ValueError, match=message):
+                check(cnot_model, q)
 
     def test_additive_kind_rejected(self, cnot_model):
         q = ConservedQuantity("additive", LA_DIAG, I2)
