@@ -12,18 +12,25 @@ ready-state sphere. The Jacobian is one stacked directional derivative along
 dU = U K_p; an accepted step retracts with one stacked exp per block size and
 renormalizes the ready state. Each restart reports why it stopped.
 
+The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
+additive quantity), so their eigenvectors are the products u_a (x) v_b of the
+factors' eigenvectors, with eigenvalues lambda_a mu_b (lambda_a + mu_b).
+``_factor_eigensystem`` builds the decomposition from one stacked ``eigh`` of
+each factor, never of L.
+
 One draw-and-assemble path serves every caller: ``_random_point`` draws
 Haar block unitaries for a ``BlockDecomposition`` (one stream per
-decomposition, or per member of a stack of them) and ``_BlockPoint`` sums
-them into the joint unitary in block order. Sweeps sample commutants for a
-whole chunk of trials at once (``commutant_unitary_stack``; chunks are sized
-from D by ``linalg.SWEEP_CHUNK_BYTES``). It is the seam of the sweeps'
-two-phase draw order: once phase A has drawn each trial's factors, one
-stacked ``eigh`` of the conserved operators reveals each trial's block
-sizes, and phase B opens with every trial drawing its blocks' Ginibre
-matrices from its own stream, in block order. Trials with equal block sizes
-are drawn and assembled together. ``commutant_unitary`` is its batch of one,
-and every optimizer restart starts from the same draw.
+decomposition, or per member of a stack of them) and ``_BlockPoint``
+assembles the joint unitary as V blockdiag(U_k) V^dag, V the eigenvector
+matrix. Sweeps sample commutants for a whole chunk of trials at once
+(``commutant_unitary_stack``; chunks are sized from D by
+``linalg.SWEEP_CHUNK_BYTES``). It is the seam of the sweeps' two-phase draw
+order: once phase A has drawn each trial's factors, the factor eigensystems
+reveal each trial's block sizes, and phase B opens with every trial drawing
+its blocks' Ginibre matrices from its own stream, in ascending-eigenvalue
+order. Trials with equal block sizes are drawn and assembled together.
+``commutant_unitary`` is its batch of one, and every optimizer restart starts
+from the same draw.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ from .linalg import (
     product_state,
     random_state_vector,
     tensor_product,
+    tensor_product_stack,
 )
-from .model import POINTER_DEGENERACY_TOL, ConservedQuantity, conserved_operator
+from .model import POINTER_DEGENERACY_TOL, ConservedQuantity
 
 __all__ = [
     "BlockDecomposition",
@@ -78,10 +86,29 @@ class BlockDecomposition:
 
 
 def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
-    """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``)."""
-    values, vectors = hermitian_eigensystem(conserved_operator(q))
-    (dims,) = block_sizes(values[None])
-    return BlockDecomposition(values, vectors, dims)
+    """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``), from its
+    factors: a batch of one of ``_factor_eigensystem``."""
+    combine = np.multiply if q.kind == "multiplicative" else np.add
+    values, vectors, _ = _factor_eigensystem(q.system_op[None], q.apparatus_op[None], combine)
+    (dims,) = block_sizes(values)
+    return BlockDecomposition(values[0], vectors[0], dims)
+
+
+def _factor_eigensystem(la: np.ndarray, lb: np.ndarray, combine=np.multiply):
+    """Ascending eigenvalues and eigenvector columns of the joint operators of
+    (k, n1, n1) and (k, n2, n2) stacks of factors, with lb's eigensystem.
+
+    One stacked ``eigh`` per factor: the joint eigenvalues are ``combine(lambda_a,
+    mu_b)``, in ascending order by a stable sort, and their eigenvectors the
+    matching columns of wa (x) wb. Returns (values (k, D), vectors (k, D, D),
+    (lb's values, lb's vectors)).
+    """
+    la_values, la_vectors = np.linalg.eigh(la)
+    lb_values, lb_vectors = np.linalg.eigh(lb)
+    products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la), -1)
+    order = np.argsort(products, axis=-1, kind="stable")
+    vectors = np.take_along_axis(tensor_product_stack(la_vectors, lb_vectors), order[:, None, :], axis=-1)
+    return np.take_along_axis(products, order, axis=-1), vectors, (lb_values, lb_vectors)
 
 
 def block_sizes(values: np.ndarray):
@@ -118,35 +145,35 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     }
 
 
-def commutant_unitary_stack(joint: np.ndarray, rngs) -> np.ndarray:
-    """Haar unitaries from the commutants of a (k, D, D) stack of conserved operators,
-    one per stream, (k, D, D); the operators are taken as valid (see ``ConservedQuantity``).
+def commutant_unitary_stack(la: np.ndarray, lb: np.ndarray, rngs) -> tuple[np.ndarray, tuple]:
+    """Haar unitaries from the commutants of la (x) lb for (k, n1, n1) and (k, n2, n2)
+    stacks of factors, one per stream, (k, D, D); the factors are taken as valid (see
+    ``ConservedQuantity``). Also returns lb's eigensystem, (values, vectors), for
+    callers that need it.
 
-    One stacked ``eigh`` gives each trial its block sizes; trials with equal
+    The factor eigensystems give each trial its block sizes; trials with equal
     sizes draw and assemble together, each bit-identical to ``commutant_unitary``
     on its own decomposition.
     """
-    values, vectors = np.linalg.eigh(joint)
+    values, vectors, lb_eigensystem = _factor_eigensystem(la, lb)
     groups = {}
     for i, dims in enumerate(block_sizes(values)):
         groups.setdefault(dims, []).append(i)
-    u = np.empty_like(joint)
+    u = np.empty_like(vectors)
     for dims, members in groups.items():
         d = BlockDecomposition(values[members], vectors[members], dims)
         u[members] = _random_point(d, [rngs[i] for i in members]).joint
-    return u
+    return u, lb_eigensystem
 
 
 class _SizeGroup:
-    """The blocks of one size as stacks, with the generator layout of that size."""
+    """The blocks of one size: their joint-space indices, and the generator layout of that size."""
 
-    def __init__(self, decomposition: BlockDecomposition, size: int):
+    def __init__(self, dims: tuple[int, ...], size: int):
         self.size = size
-        starts = np.cumsum((0, *decomposition.dims)).tolist()
-        self.members = [i for i, dim in enumerate(decomposition.dims) if dim == size]
-        columns = [decomposition.vectors[..., starts[i] : starts[i] + size] for i in self.members]
-        self.bases = np.stack(columns, axis=-3)  # (..., m, D, size)
-        self.bases_dag = dagger(self.bases)
+        self.members = [i for i, dim in enumerate(dims) if dim == size]
+        starts = np.cumsum((0, *dims))[self.members]
+        self.indices = starts[:, None] + np.arange(size)  # (m, size)
 
     @cached_property
     def layout(self) -> np.ndarray:
@@ -166,33 +193,34 @@ class _SizeGroup:
         values = np.concatenate([1j * thetas[..., : self.size], 0j + (t_re + im), 0j + (-t_re + im)], axis=-1)
         return values[..., self.layout].reshape(*thetas.shape[:-1], self.size, self.size)
 
-    def joint_generators(self) -> np.ndarray:
-        """B G_p B^dag for each block B of the group and each canonical generator G_p
-        (a unit parameter row), (len(members) * size**2, D, D) in parameter order."""
+    def joint_generators(self, vectors: np.ndarray) -> np.ndarray:
+        """B G_p B^dag for each block B (its columns of the (D, D) eigenvector matrix
+        ``vectors``) and each canonical generator G_p (a unit parameter row),
+        (len(members) * size**2, D, D) in parameter order."""
+        bases = np.stack([vectors[:, columns] for columns in self.indices])  # (m, D, size)
         canonical = self.generators(np.eye(self.size**2))
-        joint = self.bases[:, None] @ canonical @ self.bases_dag[:, None]
+        joint = bases[:, None] @ canonical @ dagger(bases)[:, None]
         return joint.reshape(-1, *joint.shape[-2:])
 
 
 class _BlockPoint:
-    """Block unitaries stacked per size as (..., m, d, d), with their joint (..., D, D)
-    summed block by block in block order."""
+    """Block unitaries stacked per size as (..., m, d, d), with their joint
+    V blockdiag(U_k) V^dag (..., D, D) for the eigenvector matrices V (..., D, D)."""
 
-    def __init__(self, groups: list[_SizeGroup], unitaries: list[np.ndarray]):
+    def __init__(self, vectors: np.ndarray, groups: list[_SizeGroup], unitaries: list[np.ndarray]):
+        self.vectors = vectors
         self.groups = groups
         self.unitaries = unitaries
-        slots = {i: (g, v, k) for g, v in zip(groups, unitaries) for k, i in enumerate(g.members)}
-        # one (..., D, D) part at a time: a chunk's intermediates stay the size of its stack
-        self.joint = sum(
-            g.bases[..., k, :, :] @ v[..., k, :, :] @ g.bases_dag[..., k, :, :]
-            for g, v, k in (slots[i] for i in range(len(slots)))
-        )
+        blocks = np.zeros_like(vectors)
+        for g, v in zip(groups, unitaries):
+            blocks[..., g.indices[:, :, None], g.indices[:, None, :]] = v
+        self.joint = vectors @ blocks @ dagger(vectors)
 
     def stepped(self, thetas: list[np.ndarray]) -> "_BlockPoint":
         """The point moved by V <- V exp(G(theta)) in every block, from (..., m, d**2)
         parameters per group; one stacked exp per group."""
         steps = [anti_hermitian_exp_stack(g.generators(theta)) for g, theta in zip(self.groups, thetas)]
-        return _BlockPoint(self.groups, [v @ step for v, step in zip(self.unitaries, steps)])
+        return _BlockPoint(self.vectors, self.groups, [v @ step for v, step in zip(self.unitaries, steps)])
 
 
 def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
@@ -202,17 +230,18 @@ def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
     block order, as one ``haar_unitary`` call per block would, and the QR is
     stacked per block size (bit-identical per matrix).
     """
-    groups = [_SizeGroup(d, size) for size in sorted(set(d.dims))]
+    groups = [_SizeGroup(d.dims, size) for size in sorted(set(d.dims))]
     unitaries = _block_unitaries(d.dims, rngs)
     stacked = d.vectors.ndim == 3  # else one decomposition and one stream
-    return _BlockPoint(groups, [unitaries[g.size] if stacked else unitaries[g.size][0] for g in groups])
+    return _BlockPoint(d.vectors, groups, [unitaries[g.size] if stacked else unitaries[g.size][0] for g in groups])
 
 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
     """Haar block unitary assembled in the original basis; conserves L by construction.
 
     A batch of one of the sweeps' draw (see ``_random_point``): ``u`` matches
-    a per-block loop of ``haar_unitary`` draws summed in block order, bit for bit.
+    a per-block loop of ``haar_unitary`` draws, in block order, placed on the
+    diagonal of a (D, D) matrix M and assembled as V M V^dag, bit for bit.
     """
     return _random_point(d, [rng]).joint
 
@@ -275,7 +304,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
     """
     ready = problem.ready_state(rng)
     point = _random_point(decomposition, [rng])
-    generators = np.concatenate([g.joint_generators() for g in point.groups])
+    generators = np.concatenate([g.joint_generators(point.vectors) for g in point.groups])
     sizes = [len(g.members) * g.size**2 for g in point.groups]
     residual, f = _scored(problem, point.joint, ready)
     trace = [(0, f)]

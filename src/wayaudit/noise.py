@@ -15,9 +15,10 @@ intermediate once for k instances and the four bound kernels read from it.
 a stack of one. The bound audit runs it on chunks of trials through the
 sweeps' chunk loop (``linalg.run_sweep``), and keeps a two-phase draw order
 per trial stream (see ``_audit_chunk``), so every record is the one a
-trial-by-trial loop would give, bit for bit. Each chunk builds la (x) lb once,
-for the commutant draw and the bounds alike, and names its columns after
-the bound kernels' outputs; ``BoundAuditRecord``'s fields are the CSV schema.
+trial-by-trial loop would give, bit for bit. Each chunk eigendecomposes la
+and lb once, for the commutant draw, the ready states and the probes, builds
+la (x) lb once for the bounds, and names its columns after the bound
+kernels' outputs; ``BoundAuditRecord``'s fields are the CSV schema.
 """
 
 from __future__ import annotations
@@ -517,9 +518,9 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
 
     Draw-order invariant: each trial's stream draws exactly what, and in the
     order, a trial-by-trial loop would. Phase A draws the factors' spectra and
-    Haar matrices; one stacked ``eigh`` of la (x) lb then fixes each trial's
-    block sizes, and phase B draws the blocks' Ginibre matrices, the ready
-    state, the observable, the probe and psi.
+    Haar matrices; their eigensystems then fix each trial's block sizes, and
+    phase B draws the blocks' Ginibre matrices, the ready state, the
+    observable, the probe and psi.
     """
     n1, n2 = config.n1, config.n2
     index = np.asarray(trials)
@@ -528,9 +529,7 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     lb = _apparatus_factors(n2, rngs, zero_mode)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    conserved = tensor_product_stack(la, lb)
-    interaction = commutant_unitary_stack(conserved, rngs)
-    lb_values, lb_vectors = np.linalg.eigh(lb)
+    interaction, (lb_values, lb_vectors) = commutant_unitary_stack(la, lb, rngs)
     ready = _ready_states(lb_values, lb_vectors, rngs, zero_mode)
     require_unit_norm(ready, "ready_state")
     require_unitary(interaction, "interaction")
@@ -538,6 +537,7 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     probe = _probes(lb_vectors, rngs, yanase_mode)
     psi = random_state_vector_stack(n1, rngs)
 
+    conserved = tensor_product_stack(la, lb)
     x = _Stack(interaction, ready, observable, psi, probe, la, lb, conserved)
     require_conserved(conservation_residual_stack(interaction, conserved), config.tol)
     kernels = {"robertson": _robertson(x), "paper": _paper(x), "yanase": _yanase(x), "simplified": _simplified(x)}

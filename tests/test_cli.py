@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wayaudit.cli as cli
-from wayaudit import noise, theorem
+from wayaudit import linalg, noise, theorem
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
 from wayaudit.commutant import SearchConfig, feasibility_search
 from wayaudit.linalg import HERMITICITY_TOL, STATE_NORM_TOL, UNITARITY_TOL, variance
@@ -440,7 +440,7 @@ class TestExitCodes:
             "--count", "5", "--seed", "1", "--tol", "0", "--format", "json",
         )
         assert (code, out) == (2, "")
-        assert err == "error: check_conserved: residual 7.642e-15 exceeds 0.000e+00\n"
+        assert err == "error: check_conserved: residual 6.075e-15 exceeds 0.000e+00\n"
 
     def test_zero_tolerance_accepted(self, capsys):
         code, _, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "0")
@@ -632,12 +632,20 @@ class TestSweepGoldens:
 
     def test_python_float_square(self, capsys, monkeypatch, tmp_path):
         # Trial 29 squares <a> in `variance`: as a Python float (libm pow) its
-        # robertson_bound is 0.26799134892545035; an array square (x * x)
-        # would give 0.2679913489254507.
+        # robertson_bound is 0.26799134892545068; an array square (x * x) moves it.
         name = "sweep_bound_audit_2x3_count80_seed123456789"
         self._check(capsys, monkeypatch, tmp_path, name, "bound-audit", 2, 3, 80, 123456789)
         row = (tmp_path / f"{name}.csv").read_text().splitlines()[30].split(",")
-        assert row[0] == "29" and row[4] == "0.26799134892545035"
+        assert row[0] == "29" and row[4] == "0.26799134892545068"
+        for namespace in (linalg, noise):
+            monkeypatch.setattr(namespace, "squares", lambda x: x * x)
+        code, _, _ = run(
+            capsys, "sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3",
+            "--count", "80", "--seed", "123456789", "--format", "csv", "--out", "array_square.csv",
+        )
+        assert code == 0
+        row = (tmp_path / "array_square.csv").read_text().splitlines()[30].split(",")
+        assert row[0] == "29" and row[4] != "0.26799134892545068"
 
 
 class TestModelEcho:

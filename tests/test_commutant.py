@@ -11,8 +11,10 @@ from conftest import I2, LA_DIAG, X, Z, E0, block_bases
 from wayaudit import commutant
 from wayaudit.commutant import (
     STOP_REASONS,
+    BlockDecomposition,
     SearchConfig,
     SearchResult,
+    block_sizes,
     commutant_unitary,
     commutant_unitary_stack,
     conserved_eigenspaces,
@@ -35,6 +37,42 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def quantity(la, lb, kind="multiplicative"):
     return ConservedQuantity(kind, np.asarray(la, dtype=complex), np.asarray(lb, dtype=complex))
+
+
+def rotated(spectrum, rng):
+    """A Hermitian matrix with the given spectrum in a Haar-random eigenbasis."""
+    w = haar_unitary(len(spectrum), rng)
+    h = (w * spectrum) @ w.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+# 2x3 factor spectra whose products repeat, by the block sizes of their product
+REPEATED_SPECTRA = {
+    (1, 2, 2, 1): ([1.0, 2.0], [1.0, 2.0, 4.0]),
+    (2, 2, 2): ([1.0, 1.0], [1.0, 2.0, 3.0]),
+    (1,) * 6: ([1.0, 3.0], [1.0, 1.5, 2.0]),
+}
+
+
+def _factor_cases():
+    """Quantities on four kinds of factor spectra: Haar-rotated generic ones, Haar-rotated
+    repeated ones, geometric diagonal ones at 5x9, and the cnot quantity (LB = 1);
+    and one additive quantity."""
+    rng = np.random.default_rng(23)
+    cases = {
+        f"generic_{n1}x{n2}": quantity(*(rotated(rng.uniform(0.5, 2.0, n), rng) for n in (n1, n2)))
+        for n1, n2 in ((2, 3), (3, 5), (5, 9))
+    }
+    for dims, (a, b) in REPEATED_SPECTRA.items():
+        cases[f"repeated_{'_'.join(map(str, dims))}"] = quantity(rotated(a, rng), rotated(b, rng))
+    cases["geometric_5x9"] = quantity(np.diag(2.0 ** np.arange(5)), np.diag(2.0 ** np.arange(9)))
+    cases["cnot"] = quantity(LA_DIAG, I2)
+    # the optimizer also takes additive quantities: eigenvalue sums, blocks (1, 2, 2, 1)
+    cases["additive_2x3"] = quantity(rotated([1.0, 2.0], rng), rotated([1.0, 2.0, 3.0], rng), kind="additive")
+    return cases
+
+
+FACTOR_CASES = _factor_cases()
 
 
 class TestConservedEigenspaces:
@@ -63,6 +101,38 @@ class TestConservedEigenspaces:
         rebuilt = sum(mean * (b @ b.conj().T) for mean, b in zip(means, block_bases(d)))
         assert frobenius_norm(joint - rebuilt) <= 1e-9
         assert sum(d.dims) == len(d.values) == len(d.vectors)
+
+
+class TestFactorEigensystem:
+    """The decomposition built from the factors against ``eigh`` of LA (x) LB, and the
+    joint V blockdiag(U_k) V^dag against the per-block sum of B_k U_k B_k^dag."""
+
+    @pytest.mark.parametrize("q", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+    def test_matches_joint_eigh(self, q):
+        joint = conserved_operator(q)
+        scale = np.linalg.norm(joint, 2)
+        values, vectors = np.linalg.eigh(joint)
+        (dims,) = block_sizes(values[None])
+        d = conserved_eigenspaces(q)
+        assert np.abs(d.values - values).max() <= 1e-13 * scale
+        assert d.dims == dims
+        for ours, theirs in zip(block_bases(d), block_bases(BlockDecomposition(values, vectors, dims)), strict=True):
+            assert frobenius_norm(ours @ ours.conj().T - theirs @ theirs.conj().T) <= 1e-12
+
+    @pytest.mark.parametrize("q", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+    def test_assembly_matches_per_block_sum(self, q):
+        d = conserved_eigenspaces(q)
+        point = commutant._random_point(d, [np.random.default_rng(6)])
+        per_block = sum(_reference_parts(d, _block_unitaries(point)))
+        assert np.abs(point.joint - per_block).max() <= 1e-14
+
+    def test_sampled_unitaries_conserve_at_5x9(self):
+        qs = [FACTOR_CASES["generic_5x9"], FACTOR_CASES["geometric_5x9"]]
+        la, lb = np.stack([q.system_op for q in qs]), np.stack([q.apparatus_op for q in qs])
+        u, _ = commutant_unitary_stack(la, lb, [np.random.default_rng((4, i)) for i in range(len(qs))])
+        for ui, q in zip(u, qs):
+            joint = conserved_operator(q)
+            assert frobenius_norm(commutator(ui, joint)) <= 1e-12 * np.linalg.norm(joint, 2)
 
 
 class TestRandomCommutantUnitary:
@@ -94,24 +164,13 @@ class TestRandomCommutantUnitary:
 
     def test_stack_matches_batches_of_one(self):
         # one chunk at 2x3 mixing block structures, each in Haar-rotated factors
-        spectra = {
-            (1, 2, 2, 1): ([1.0, 2.0], [1.0, 2.0, 4.0]),
-            (2, 2, 2): ([1.0, 1.0], [1.0, 2.0, 3.0]),
-            (1,) * 6: ([1.0, 3.0], [1.0, 1.5, 2.0]),
-        }
         order = [(1, 2, 2, 1), (2, 2, 2), (1,) * 6, (2, 2, 2), (1, 2, 2, 1), (1,) * 6]
         rng = np.random.default_rng(17)
-        quantities = []
-        for dims in order:
-            factors = []
-            for spectrum in spectra[dims]:
-                w = haar_unitary(len(spectrum), rng)
-                h = (w * spectrum) @ w.conj().T
-                factors.append((h + h.conj().T) / 2.0)
-            quantities.append(quantity(*factors))
+        quantities = [quantity(*(rotated(spectrum, rng) for spectrum in REPEATED_SPECTRA[dims])) for dims in order]
         assert [conserved_eigenspaces(q).dims for q in quantities] == order
-        joint = np.stack([conserved_operator(q) for q in quantities])
-        stacked = commutant_unitary_stack(joint, [np.random.default_rng((9, i)) for i in range(6)])
+        la = np.stack([q.system_op for q in quantities])
+        lb = np.stack([q.apparatus_op for q in quantities])
+        stacked, _ = commutant_unitary_stack(la, lb, [np.random.default_rng((9, i)) for i in range(6)])
         for i, q in enumerate(quantities):
             expected = commutant_unitary(conserved_eigenspaces(q), np.random.default_rng((9, i)))
             assert stacked[i].tobytes() == expected.tobytes()
@@ -124,8 +183,9 @@ class TestProjectGenerator:
     @staticmethod
     def joint(decomposition, theta):
         """sum over the blocks of size 2 of B G(theta_block) B^dag."""
-        group = commutant._SizeGroup(decomposition, 2)
-        return sum(b @ g @ b.conj().T for b, g in zip(group.bases, group.generators(theta)))
+        group = commutant._SizeGroup(decomposition.dims, 2)
+        bases = [block_bases(decomposition)[i] for i in group.members]
+        return sum(b @ g @ b.conj().T for b, g in zip(bases, group.generators(theta)))
 
     def test_block_diagonal_unchanged(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
@@ -325,7 +385,16 @@ def _reference_block_exp(theta, dim):
 
 
 def _reference_parts(d, unitaries):
+    """B_k U_k B_k^dag per block."""
     return [basis @ v @ basis.conj().T for basis, v in zip(block_bases(d), unitaries)]
+
+
+def _reference_joint(d, unitaries):
+    """V M V^dag, with the block unitaries placed on the diagonal of M in block order."""
+    m = np.zeros(d.vectors.shape, dtype=complex)
+    for start, v in zip(np.cumsum((0, *d.dims)), unitaries):
+        m[start : start + len(v), start : start + len(v)] = v
+    return d.vectors @ m @ d.vectors.conj().T
 
 
 def _block_unitaries(point):
@@ -413,8 +482,8 @@ class TestOptimizerBitIdentity:
         point = commutant._random_point(d, [np.random.default_rng(1)])
         unitaries = _block_unitaries(point)
         parts = _reference_parts(d, unitaries)
-        assert point.joint.tobytes() == sum(parts).tobytes()
-        generators = np.concatenate([g.joint_generators() for g in point.groups])
+        assert point.joint.tobytes() == _reference_joint(d, unitaries).tobytes()
+        generators = np.concatenate([g.joint_generators(point.vectors) for g in point.groups])
         h = 1e-6
         for name, (problem, ready) in _problems(la, lb).items():
             tangents = problem.tangents(ready)
@@ -462,7 +531,7 @@ class TestOptimizerBitIdentity:
             ]
             candidate = point.stepped([theta[c] for theta in thetas])
             assert [v.tobytes() for v in _block_unitaries(candidate)] == [v.tobytes() for v in expected]
-            assert candidate.joint.tobytes() == sum(_reference_parts(d, expected)).tobytes()
+            assert candidate.joint.tobytes() == _reference_joint(d, expected).tobytes()
 
     def test_feasibility_objective_matches_reference(self, monkeypatch):
         q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))

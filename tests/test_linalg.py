@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, PLUS, X, Z, E0, block_bases
+from conftest import I2, PLUS, X, Z, E0
 from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
@@ -26,6 +26,7 @@ from wayaudit.linalg import (
     require_orthonormal_rows,
     require_unit_norm,
     require_unitary,
+    squares,
     tensor_product,
     unitary_completion,
     variance,
@@ -342,17 +343,17 @@ def _diag_quantity(la, lb):
 
 
 def _reference_commutant_unitary(d, rng):
-    """Per-block Haar draw and assembly, one QR per block, in block order."""
-    u = np.zeros(d.vectors.shape, dtype=complex)
-    for basis in block_bases(d):
-        dim = basis.shape[1]
+    """Per-block Haar draws, one QR per block, in block order, placed on the diagonal
+    of a (D, D) matrix M and assembled as V M V^dag."""
+    m = np.zeros(d.vectors.shape, dtype=complex)
+    for start, dim in zip(np.cumsum((0, *d.dims)), d.dims):
         z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r)
         absd = np.abs(diag)
         phases = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-        u += basis @ (q * phases) @ dagger(basis)
-    return u
+        m[start : start + dim, start : start + dim] = q * phases
+    return d.vectors @ m @ dagger(d.vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
@@ -492,6 +493,12 @@ class TestStackedKernelBitIdentity:
         stacked = np.vecdot(w, w)
         for i in range(len(w)):
             assert stacked[i] == np.vdot(w[i], w[i])
+
+    def test_squares_is_the_python_float_square(self):
+        # a witness where libm pow and an array square (x * x) differ in the last bit
+        x = 0.37796883434360806
+        assert x * x == 0.14286043973506582
+        assert squares(np.array([x])).tolist() == [x**2] == [0.14286043973506585]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_strided_real_vecdot_matches_norm(self, n):
