@@ -16,7 +16,8 @@ The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
 factors' eigenvectors, with eigenvalues lambda_a mu_b (lambda_a + mu_b).
 ``_factor_eigensystem`` builds the decomposition from one stacked ``eigh`` of
-each factor, never of L.
+each factor, never of L, and forms each sorted eigenvector column directly as
+the product of its two factor columns.
 
 One draw-and-assemble path serves every caller: ``_random_point`` draws
 Haar block unitaries for a ``BlockDecomposition`` (one stream per
@@ -28,7 +29,9 @@ matrix. Sweeps sample commutants for a whole chunk of trials at once
 order: once phase A has drawn each trial's factors, the factor eigensystems
 reveal each trial's block sizes, and phase B opens with every trial drawing
 its blocks' Ginibre matrices from its own stream, in ascending-eigenvalue
-order. Trials with equal block sizes are drawn and assembled together.
+order, as one draw that one gather per block size splits into blocks; no step
+runs once per block. Trials with equal block sizes are drawn and assembled
+together.
 ``commutant_unitary`` is its batch of one, and every optimizer restart starts
 from the same draw.
 """
@@ -52,7 +55,6 @@ from .linalg import (
     product_state,
     random_state_vector,
     tensor_product,
-    tensor_product_stack,
 )
 from .model import POINTER_DEGENERACY_TOL, ConservedQuantity
 
@@ -100,14 +102,19 @@ def _factor_eigensystem(la: np.ndarray, lb: np.ndarray, combine=np.multiply):
 
     One stacked ``eigh`` per factor: the joint eigenvalues are ``combine(lambda_a,
     mu_b)``, in ascending order by a stable sort, and their eigenvectors the
-    matching columns of wa (x) wb. Returns (values (k, D), vectors (k, D, D),
-    (lb's values, lb's vectors)).
+    matching columns of wa (x) wb, built directly: sorted column c, the product
+    (a, b) = divmod(order[c], n2), is wa[:, a] (x) wb[:, b], one broadcast
+    product of the gathered factor columns. Returns (values (k, D), vectors
+    (k, D, D), (lb's values, lb's vectors)).
     """
     la_values, la_vectors = np.linalg.eigh(la)
     lb_values, lb_vectors = np.linalg.eigh(lb)
     products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la), -1)
     order = np.argsort(products, axis=-1, kind="stable")
-    vectors = np.take_along_axis(tensor_product_stack(la_vectors, lb_vectors), order[:, None, :], axis=-1)
+    a, b = np.divmod(order, lb.shape[-1])
+    wa = np.take_along_axis(la_vectors, a[:, None, :], axis=-1)  # (k, n1, D)
+    wb = np.take_along_axis(lb_vectors, b[:, None, :], axis=-1)  # (k, n2, D)
+    vectors = (wa[:, :, None, :] * wb[:, None, :, :]).reshape(products.shape + products.shape[-1:])
     return np.take_along_axis(products, order, axis=-1), vectors, (lb_values, lb_vectors)
 
 
@@ -129,20 +136,20 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     """Haar unitaries of blocks of sizes ``dims``, (len(rngs), m, size, size) per size.
 
     Each stream draws its blocks' Ginibre matrices in block order, real parts
-    before imaginary ones, as one ``ginibre`` call per block would; then one
-    stacked QR per block size.
+    before imaginary ones, as one ``ginibre`` call per block would; one gather
+    per block size then splits the draws into that size's blocks, and one
+    stacked QR per block size follows.
     """
-    count = 2 * sum(d * d for d in dims)
-    raw = np.stack([rng.standard_normal(count) for rng in rngs])
-    ginibres, start = [], 0
-    for d in dims:
-        block = raw[:, start : start + 2 * d * d].reshape(len(rngs), 2, d, d)
-        ginibres.append((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0))
-        start += 2 * d * d
-    return {
-        size: haar_from_ginibre(np.stack([z for z, d in zip(ginibres, dims) if d == size], axis=1))
-        for size in sorted(set(dims))
-    }
+    sizes = np.array(dims)
+    widths = 2 * sizes * sizes  # a block's real parts, then its imaginary parts
+    starts = np.cumsum(widths) - widths
+    raw = np.stack([rng.standard_normal(widths.sum()) for rng in rngs])
+    unitaries = {}
+    for size in sorted(set(dims)):
+        block = raw[:, starts[sizes == size][:, None] + np.arange(2 * size * size)]
+        block = block.reshape(len(rngs), -1, 2, size, size)
+        unitaries[size] = haar_from_ginibre((block[:, :, 0] + 1j * block[:, :, 1]) / np.sqrt(2.0))
+    return unitaries
 
 
 def commutant_unitary_stack(la: np.ndarray, lb: np.ndarray, rngs) -> tuple[np.ndarray, tuple]:

@@ -618,6 +618,20 @@ class TestSweepGoldens:
         name = f"sweep_{kind.replace('-', '_')}_{n1}x{n2}"
         self._check(capsys, monkeypatch, tmp_path, name, kind, n1, n2, 40, 7)
 
+    @pytest.mark.parametrize("kind", ["bound-audit", "counterexample"])
+    @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])
+    def test_chunk_invariant(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
+        # a chunk per trial writes the bytes of the default chunk budget
+        monkeypatch.chdir(tmp_path)  # the report echoes the relative --out path
+        argv = ["sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2), "--count", "40", "--seed", "7",
+                "--format", "csv", "--out", "sweep.csv"]
+        code, default_out, _ = run(capsys, *argv)
+        default_csv = (tmp_path / "sweep.csv").read_bytes()
+        monkeypatch.setattr(linalg, "SWEEP_CHUNK_BYTES", 1)
+        assert [len(trials) for trials, _ in linalg.sweep_chunks(7, 40, n1 * n2)] == [1] * 40
+        assert run(capsys, *argv) == (code, default_out, "") and code == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == default_csv
+
     @pytest.mark.parametrize(
         "kind, record", [("bound-audit", noise.BoundAuditRecord), ("counterexample", theorem.SweepTrial)]
     )
@@ -722,7 +736,8 @@ class TestSweepCommand:
         [("bound-audit", noise, "_audit_chunk"), ("counterexample", theorem, "sample_instance_stack")],
     )
     def test_failure_leaves_out_unchanged(self, capsys, monkeypatch, tmp_path, kind, module, kernel):
-        # 300 trials at 2x3 are three chunks; the second one fails
+        # three full chunks at 2x3; the second one fails
+        count = 3 * (linalg.SWEEP_CHUNK_BYTES // (16 * 6 * 6))
         original, calls = getattr(module, kernel), []
 
         def failing(*args):
@@ -736,7 +751,7 @@ class TestSweepCommand:
         out_path.write_bytes(b"earlier,report\n1,2\n")
         code, out, err = run(
             capsys, "sweep", "--kind", kind, "--n1", "2", "--n2", "3",
-            "--count", "300", "--seed", "1", "--out", str(out_path),
+            "--count", str(count), "--seed", "1", "--out", str(out_path),
         )
         assert (code, out, len(calls)) == (3, "", 2)
         assert err.startswith("internal error: RuntimeError: chunk failed")
@@ -829,8 +844,9 @@ class TestSweepMemory:
                 capsys.readouterr()
 
         peak(4)  # one-time allocations (parser, lazy imports) fall outside the measurement
-        small, large = peak(400), peak(4000)
-        assert large <= 1.5 * small, f"peak {large} B at 4000 trials vs {small} B at 400"
+        chunk = linalg.SWEEP_CHUNK_BYTES // (16 * (n1 * n2) ** 2)
+        small, large = peak(2 * chunk), peak(20 * chunk)
+        assert large <= 1.5 * small, f"peak {large} B at {20 * chunk} trials vs {small} B at {2 * chunk}"
 
 
 class TestDeterminism:

@@ -25,9 +25,11 @@ from wayaudit.commutant import (
 from wayaudit.linalg import (
     commutator,
     frobenius_norm,
+    haar_from_ginibre,
     haar_unitary,
     random_hermitian,
     random_state_vector,
+    tensor_product_stack,
 )
 from wayaudit.model import ConservedQuantity, conserved_operator
 
@@ -73,6 +75,9 @@ def _factor_cases():
 
 
 FACTOR_CASES = _factor_cases()
+# the generic, repeated and geometric cases one at a time, then the repeated ones as one stack
+DIRECT_COLUMN_CASES = [[name] for name in FACTOR_CASES if name.startswith(("generic", "repeated", "geometric"))]
+DIRECT_COLUMN_CASES.append([name for name in FACTOR_CASES if name.startswith("repeated")])
 
 
 class TestConservedEigenspaces:
@@ -126,6 +131,13 @@ class TestFactorEigensystem:
         per_block = sum(_reference_parts(d, _block_unitaries(point)))
         assert np.abs(point.joint - per_block).max() <= 1e-14
 
+    @pytest.mark.parametrize("names", DIRECT_COLUMN_CASES, ids=["+".join(names) for names in DIRECT_COLUMN_CASES])
+    def test_direct_columns_match_sorted_kronecker(self, names):
+        # the sorted columns of wa (x) wb, gathered from the full Kronecker stack, bit for bit
+        la = np.stack([FACTOR_CASES[name].system_op for name in names])
+        lb = np.stack([FACTOR_CASES[name].apparatus_op for name in names])
+        assert commutant._factor_eigensystem(la, lb)[1].tobytes() == _reference_columns(la, lb).tobytes()
+
     def test_sampled_unitaries_conserve_at_5x9(self):
         qs = [FACTOR_CASES["generic_5x9"], FACTOR_CASES["geometric_5x9"]]
         la, lb = np.stack([q.system_op for q in qs]), np.stack([q.apparatus_op for q in qs])
@@ -133,6 +145,43 @@ class TestFactorEigensystem:
         for ui, q in zip(u, qs):
             joint = conserved_operator(q)
             assert frobenius_norm(commutator(ui, joint)) <= 1e-12 * np.linalg.norm(joint, 2)
+
+
+def _reference_columns(la, lb):
+    """The eigenvector columns of la (x) lb as a full Kronecker stack of the factors'
+    eigenvectors, gathered in the stable ascending order of the eigenvalue products."""
+    la_values, la_vectors = np.linalg.eigh(la)
+    lb_values, lb_vectors = np.linalg.eigh(lb)
+    order = np.argsort((la_values[:, :, None] * lb_values[:, None, :]).reshape(len(la), -1), axis=-1, kind="stable")
+    return np.take_along_axis(tensor_product_stack(la_vectors, lb_vectors), order[:, None, :], axis=-1)
+
+
+def _reference_block_unitaries(dims, rngs):
+    """Haar block unitaries per size, split from each stream's draw one block at a time."""
+    raw = np.stack([rng.standard_normal(2 * sum(d * d for d in dims)) for rng in rngs])
+    ginibres, start = [], 0
+    for d in dims:
+        block = raw[:, start : start + 2 * d * d].reshape(len(rngs), 2, d, d)
+        ginibres.append((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0))
+        start += 2 * d * d
+    return {
+        size: haar_from_ginibre(np.stack([z for z, d in zip(ginibres, dims) if d == size], axis=1))
+        for size in sorted(set(dims))
+    }
+
+
+class TestBlockDraws:
+    """One gather per block size splits each stream's draw as a per-block loop does."""
+
+    @pytest.mark.parametrize("dims", [(1, 2, 2, 1), (2, 2, 2), (3, 1, 1, 1, 1, 1, 1), (1,) * 15])
+    @pytest.mark.parametrize("streams", [1, 4])
+    def test_gather_matches_per_block_split(self, dims, streams):
+        ours = commutant._block_unitaries(dims, [np.random.default_rng((12, i)) for i in range(streams)])
+        reference = _reference_block_unitaries(dims, [np.random.default_rng((12, i)) for i in range(streams)])
+        assert list(ours) == list(reference)
+        for size, stack in reference.items():
+            assert ours[size].shape == stack.shape == (streams, dims.count(size), size, size)
+            assert ours[size].tobytes() == stack.tobytes()
 
 
 class TestRandomCommutantUnitary:
