@@ -26,14 +26,20 @@ Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
 chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack
 (``sweep_chunks``): 455 trials at 2x3, 72 at 3x5 and 8 at 5x9, so a
 chunk's fixed cost is spread over many trials and its stacks stay in cache.
-No record depends on the chunk size. Both sweeps run one chunk loop,
-``run_sweep``: it hands each chunk's columns to a sink or collects them, and
-totals the chunks' tallies; ``column_records`` turns collected columns back
-into records.
+The streams' PCG64 seed words are computed ``SEED_BATCH`` trials at a time,
+by numpy's SeedSequence hash run over the trial axis (``_seed_words``); this
+relies on numpy keeping that algorithm frozen (its stream-compatibility
+policy, NEP 19), and ``tests/test_linalg.py::TestStreamSeeding`` fails if
+it changes. No record depends on the chunk size. Both sweeps run one chunk
+loop, ``run_sweep``: it hands each chunk's columns to a sink or collects
+them, and totals the chunks' tallies; ``column_records`` turns collected
+columns back into records.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from collections.abc import Callable
 
@@ -104,6 +110,11 @@ FACTOR_SPECTRUM = (0.5, 2.0)
 # larger budgets bought little speed for more peak memory, and at 1 MiB the
 # 5x9 stacks leave cache and the bound audit slows again.
 SWEEP_CHUNK_BYTES = 1 << 18
+# Trials whose stream seed words one ``_seed_words`` pass computes. A pass
+# costs about 100 us, as much as 6 to 8 per-trial SeedSequence seedings,
+# plus about 0.1 us a trial, so the batch is not tied to the chunk (8 trials
+# at 5x9). Its words take 32 KiB.
+SEED_BATCH = 1024
 
 
 def as_operator(a) -> np.ndarray:
@@ -319,19 +330,143 @@ def _words(n: int) -> list[int]:
     return words
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after
+# O'Neill's seed_seq_fe), frozen by numpy's stream-compatibility policy (NEP 19).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i < n + 1, as a (n + 1, 1) uint32 column."""
+    constants = [init]
+    for _ in range(n):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row i of ``values`` with the constants i and i + 1."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ values >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return values ^ values >> _XSHIFT
+
+
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of a (k, m)
+    uint32 entropy array, as a (k, 4) uint64 array.
+
+    numpy's ``mix_entropy`` and ``generate_state``, run over the trial axis:
+    the hash constants do not depend on the data, so the four pool words are
+    one (4, k) array, and each source word's mixes into the other pool words
+    are one step.
+    """
+    words = entropy.T
+    m, k = words.shape
+    extra = max(0, m - 4)
+    constants = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra)
+    pool = np.zeros((4, k), dtype=np.uint32)
+    pool[: min(m, 4)] = words[:4]
+    pool = _hash(pool, constants[:5])
+    n = 4
+    for source in range(4):
+        others = [lane for lane in range(4) if lane != source]
+        pool[others] = _mix(pool[others], _hash(pool[source], constants[n : n + 4]))
+        n += 3
+    for word in words[4:]:
+        pool = _mix(pool, _hash(word, constants[n : n + 5]))
+        n += 4
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTANTS).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+def _stream_words(seed: int, trials: range) -> np.ndarray:
+    """The PCG64 seed words of ``default_rng((seed, trial))`` for each trial of
+    ``trials``, as a (len(trials), 4) uint64 array.
+
+    Trials with the same number of words share one ``_seed_words`` pass; the
+    words of ``trials.start + i`` are those of the start plus i, carried.
+    """
+    head = _words(seed)
+    parts = []
+    start = trials.start
+    while start < trials.stop:
+        low = _words(start)
+        stop = min(trials.stop, 1 << 32 * len(low))
+        entropy = np.empty((stop - start, len(head) + len(low)), dtype=np.uint32)
+        entropy[:, : len(head)] = head
+        carry = np.arange(stop - start, dtype=np.uint64)
+        for i, word in enumerate(low, len(head)):
+            total = carry + word
+            entropy[:, i] = total & 0xFFFFFFFF
+            carry = total >> 32
+        parts.append(_seed_words(entropy))
+        start = stop
+    return np.concatenate(parts)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence class of the sweep streams, defined on the first sweep:
+    it subclasses numpy's ``ISeedSequence``, and importing ``numpy.random``
+    (about 6 MB and 25 ms) is a cost commands that draw nothing do not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """The PCG64 seed words of one stream, computed by ``_seed_words``: a
+        seed sequence that gives exactly the 4 uint64 words PCG64 asks for,
+        and raises for any other request."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only the 4 uint64 words of a PCG64 seed are stored, not {n_words} of {dtype}")
+            return self.words
+
+    return SeedWords
+
+
+def _streams(seed: int, count: int):
+    """Yield ``default_rng((seed, trial))`` for each trial < ``count``, in order.
+
+    Each stream is a PCG64 generator seeded with the words numpy's
+    SeedSequence makes of (seed, trial), computed ``SEED_BATCH`` trials at a
+    time by ``_seed_words``.
+    """
+    seed_words = _seed_words_type()
+    for start in range(0, count, SEED_BATCH):
+        for words in _stream_words(seed, range(start, min(start + SEED_BATCH, count))):
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
+
+
 def sweep_chunks(seed: int, count: int, dim: int):
     """Yield (trials, streams) for a sweep of ``count`` trials of joint dimension ``dim``.
 
     Chunks hold as many trials as fit one (chunk, dim, dim) complex stack in
     ``SWEEP_CHUNK_BYTES``. Each trial gets the stream ``default_rng((seed,
-    trial))``, seeded from the words numpy makes of that tuple, given as one
-    uint32 array, which numpy takes without coercing it.
+    trial))``, whose seed words are computed for a batch of trials at once
+    (``_streams``). This relies on numpy's SeedSequence algorithm staying
+    frozen (NEP 19); ``tests/test_linalg.py::TestStreamSeeding`` pins every
+    stream against ``default_rng``.
     """
     size = max(1, SWEEP_CHUNK_BYTES // (16 * dim * dim))
-    head = _words(seed)
+    streams = _streams(seed, count)
     for start in range(0, count, size):
         trials = range(start, min(start + size, count))
-        yield trials, [np.random.default_rng(np.array(head + _words(t), dtype=np.uint32)) for t in trials]
+        yield trials, list(itertools.islice(streams, len(trials)))
 
 
 def run_sweep(chunk: Callable, seed: int, count: int, dim: int, sink: Callable[[dict], object] | None = None):

@@ -602,21 +602,56 @@ class TestSweepGoldens:
         assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
         assert out == (GOLDEN / f"{name}.json").read_text()
 
+    @staticmethod
+    def _name(kind, n1, n2, seed=7):
+        return f"sweep_{kind.replace('-', '_')}_{n1}x{n2}" + ("" if seed == 7 else f"_seed{seed}")
+
+    GOLDENS = [
+        ("bound-audit", 2, 3, 7),
+        ("counterexample", 3, 5, 7),
+        ("bound-audit", 1, 2, 7),
+        ("bound-audit", 3, 5, 7),
+        ("bound-audit", 5, 9, 7),  # 40 trials of dimension 45: more than one chunk
+        ("counterexample", 2, 2, 7),
+        ("counterexample", 2, 3, 7),
+        # seeds of 2 and 4 words: 3 entropy words, which the seed pool pads with
+        # zeros, and 5, which mix in after the pool
+        ("counterexample", 3, 5, 2**32 + 5),
+        ("bound-audit", 2, 3, 2**96 + 7),
+    ]
+
     @pytest.mark.parametrize(
-        "kind, n1, n2",
-        [
-            ("bound-audit", 2, 3),
-            ("counterexample", 3, 5),
-            ("bound-audit", 1, 2),
-            ("bound-audit", 3, 5),
-            ("bound-audit", 5, 9),  # 40 trials of dimension 45: more than one chunk
-            ("counterexample", 2, 2),
-            ("counterexample", 2, 3),
-        ],
+        "kind, n1, n2, seed",
+        GOLDENS,
+        ids=[f"{kind}-{n1}-{n2}" + ("" if seed == 7 else f"-seed{seed}") for kind, n1, n2, seed in GOLDENS],
     )
-    def test_byte_identical(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
-        name = f"sweep_{kind.replace('-', '_')}_{n1}x{n2}"
-        self._check(capsys, monkeypatch, tmp_path, name, kind, n1, n2, 40, 7)
+    def test_byte_identical(self, capsys, monkeypatch, tmp_path, kind, n1, n2, seed):
+        self._check(capsys, monkeypatch, tmp_path, self._name(kind, n1, n2, seed), kind, n1, n2, 40, seed)
+
+    @pytest.mark.parametrize("kind", ["bound-audit", "counterexample"])
+    def test_no_per_trial_seeding(self, capsys, monkeypatch, tmp_path, kind):
+        # every stream is built from seed words computed in batches: the sweep
+        # path never seeds through default_rng or SeedSequence
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-trial seeding on the sweep path")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        self._check(capsys, monkeypatch, tmp_path, self._name(kind, 2, 3), kind, 2, 3, 40, 7)
+
+    def test_check_leaves_numpy_random_unloaded(self):
+        # the streams' seed sequence class subclasses numpy.random's
+        # ISeedSequence and is defined on the first sweep, so a command that
+        # draws nothing does not import numpy.random
+        code = (
+            "import sys; from wayaudit.cli import main; "
+            "main(['check', '--model', 'tests/fixtures/cnot.json']); print('numpy.random' in sys.modules)"
+        )
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+        )
+        assert done.returncode == 0 and done.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("kind", ["bound-audit", "counterexample"])
     @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])

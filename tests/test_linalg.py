@@ -359,8 +359,8 @@ def _reference_commutant_unitary(d, rng):
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
 @pytest.mark.parametrize("trial", [0, 1, 2**32 + 1])
 def test_sweep_stream_seeding_matches_tuple_seeding(seed, trial):
-    # sweep_chunks seeds default_rng with the words of seed then trial as one
-    # uint32 array: the same stream as default_rng((seed, trial)), bit for bit
+    # the entropy sweep streams are seeded from, the words of seed then trial,
+    # is what numpy makes of the tuple (seed, trial): the same stream, bit for bit
     words = np.array(linalg._words(seed) + linalg._words(trial), dtype=np.uint32)
     expected = np.random.default_rng((seed, trial)).bit_generator.random_raw(64)
     assert np.array_equal(np.random.default_rng(words).bit_generator.random_raw(64), expected)
@@ -377,6 +377,57 @@ def test_sweep_chunks_cover_trials_in_order(count, dim):
         for trial, stream in zip(trials, streams):
             assert stream.bit_generator.random_raw() == np.random.default_rng((11, trial)).bit_generator.random_raw()
     assert seen == list(range(count))
+
+
+class TestStreamSeeding:
+    """sweep_chunks computes its streams' PCG64 seed words a chunk at a time, with
+    numpy's SeedSequence hash run over the trial axis; each stream is still
+    default_rng((seed, trial)), bit for bit."""
+
+    SEEDS = [7, 2**32 + 5, 2**64 + 9, 2**96 + 7, 2**128 + 11]  # 1 to 5 words
+    TRIALS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1]
+
+    @staticmethod
+    def _expected(seed, trials):
+        return np.array([np.random.SeedSequence((seed, t)).generate_state(4, np.uint64) for t in trials])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("trial", TRIALS)
+    def test_seed_words_match_seed_sequence(self, seed, trial):
+        entropy = np.array([linalg._words(seed) + linalg._words(trial)], dtype=np.uint32)
+        words = linalg._seed_words(entropy)
+        assert words.dtype == np.uint64 and np.array_equal(words, self._expected(seed, [trial]))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_of_a_batch(self, seed):
+        # rows of one length in one pass
+        entropy = np.array([linalg._words(seed) + [t] for t in range(50)], dtype=np.uint32)
+        assert np.array_equal(linalg._seed_words(entropy), self._expected(seed, range(50)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("trials", [range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 1)])
+    def test_stream_words_split_by_row_length(self, seed, trials):
+        # a chunk whose trials have 1 and 2 (or 2 and 3) words
+        assert np.array_equal(linalg._stream_words(seed, trials), self._expected(seed, trials))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("batch", [linalg.SEED_BATCH, 3])
+    def test_streams_are_default_rng(self, monkeypatch, seed, batch):
+        # 20 trials at D = 45: three chunks of at most 8, seeded in one batch
+        # or in batches of 3 that straddle the chunks
+        monkeypatch.setattr(linalg, "SEED_BATCH", batch)
+        streams = [s for _, chunk_streams in linalg.sweep_chunks(seed, 20, 45) for s in chunk_streams]
+        assert len(streams) == 20
+        for trial, stream in enumerate(streams):
+            reference = np.random.default_rng((seed, trial))
+            assert stream.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(stream.standard_normal(100), reference.standard_normal(100))
+
+    @pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_seed_words_refuse_other_requests(self, n_words, dtype):
+        words = linalg._seed_words_type()(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            words.generate_state(n_words, dtype)
 
 
 class TestBitIdentity:
