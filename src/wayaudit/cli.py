@@ -551,17 +551,11 @@ def _cmd_optimize(args) -> int:
     restarts = args.count if args.count is not None else 8
     config = SearchConfig(seed=seed, restarts=restarts)
     if args.kind == "feasibility":
-        result = feasibility_search(loaded.quantity, loaded.observable, loaded.model.n2, config)
+        result = feasibility_search(loaded.quantity, loaded.observable, config)
     else:
         if loaded.probe is None:
             raise ModelFileError("probe", "optimize --kind epsilon requires a probe in the model file")
-        result = minimize_epsilon(
-            loaded.quantity,
-            loaded.observable,
-            loaded.probe,
-            loaded.model.ready_state,
-            config=config,
-        )
+        result = minimize_epsilon(loaded.quantity, loaded.observable, loaded.probe, loaded.model.ready_state, config)
     _emit(args, loaded, {"kind": args.kind, **asdict(result)}, seed)
     return 0
 

@@ -6,11 +6,13 @@ uniformly, and minimizes sums of squares over the commutant to measure
 empirical floors of measurement-noise or scheme-quality objectives.
 
 The optimizer is Levenberg-Marquardt on the exact residual Jacobian. Its
-parameters are the canonical generators of every block (d**2 per block of
+parameters are the canonical generators G_p of every block (d**2 per block of
 size d), and for the feasibility search also the tangent directions of the
-ready-state sphere. The Jacobian is one stacked directional derivative along
-dU = U K_p; an accepted step retracts with one stacked exp per block size and
-renormalizes the ready state. Each restart reports why it stopped.
+ready-state sphere. Each G_p has at most two nonzero entries, so the derivative
+along dU = U K_p, K_p = V G_p V^dag, is two gathers from the eigenvector
+coordinates LV and V^dag R (``_gather``), with no (D, D) generator formed. An
+accepted step retracts with one stacked exp per block size and renormalizes
+the ready state. Each restart reports why it stopped.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -23,17 +25,12 @@ One draw-and-assemble path serves every caller: ``_random_point`` draws
 Haar block unitaries for a ``BlockDecomposition`` (one stream per
 decomposition, or per member of a stack of them) and ``_BlockPoint``
 assembles the joint unitary as V blockdiag(U_k) V^dag, V the eigenvector
-matrix. Sweeps sample commutants for a whole chunk of trials at once
-(``commutant_unitary_stack``; chunks are sized from D by
-``linalg.SWEEP_CHUNK_BYTES``). It is the seam of the sweeps' two-phase draw
-order: once phase A has drawn each trial's factors, the factor eigensystems
-reveal each trial's block sizes, and phase B opens with every trial drawing
-its blocks' Ginibre matrices from its own stream, in ascending-eigenvalue
-order, as one draw that one gather per block size splits into blocks; no step
-runs once per block. Trials with equal block sizes are drawn and assembled
-together.
-``commutant_unitary`` is its batch of one, and every optimizer restart starts
-from the same draw.
+matrix. Sweeps draw a chunk of trials at once (``commutant_unitary_stack``),
+the seam of their two-phase draw order: once phase A has drawn each trial's
+factors, the factor eigensystems give each trial's block sizes, and phase B
+opens with every trial drawing its blocks from its own stream, in
+ascending-eigenvalue order (``_block_unitaries``). ``commutant_unitary`` is
+its batch of one, and every optimizer restart starts from the same draw.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ from .linalg import (
     hermitian_eigensystem,
     product_state,
     random_state_vector,
+    require_hermitian,
     tensor_product,
 )
 from .model import POINTER_DEGENERACY_TOL, ConservedQuantity
@@ -200,14 +198,23 @@ class _SizeGroup:
         values = np.concatenate([1j * thetas[..., : self.size], 0j + (t_re + im), 0j + (-t_re + im)], axis=-1)
         return values[..., self.layout].reshape(*thetas.shape[:-1], self.size, self.size)
 
-    def joint_generators(self, vectors: np.ndarray) -> np.ndarray:
-        """B G_p B^dag for each block B (its columns of the (D, D) eigenvector matrix
-        ``vectors``) and each canonical generator G_p (a unit parameter row),
-        (len(members) * size**2, D, D) in parameter order."""
-        bases = np.stack([vectors[:, columns] for columns in self.indices])  # (m, D, size)
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, ...]:
+        """Each canonical generator G_p of each member block, in parameter order, as its joint
+        index pair a <= b and its entries G_p[a, b] and G_p[b, a] (zero if a = b); see ``_gather``."""
         canonical = self.generators(np.eye(self.size**2))
-        joint = bases[:, None] @ canonical @ dagger(bases)[:, None]
-        return joint.reshape(-1, *joint.shape[-2:])
+        p, a, b = np.nonzero(np.triu(canonical))  # one entry per unit parameter row, rows in order
+        upper, lower = canonical[p, a, b], np.where(a == b, 0, canonical[p, b, a])
+        m = len(self.members)
+        return self.indices[:, a].ravel(), self.indices[:, b].ravel(), np.tile(upper, m), np.tile(lower, m)
+
+
+def _gather(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """L K_p R for each canonical generator K_p = V G_p V^dag, (P, ...), with no (D, D) temporary:
+    G_p[a, b] (LV)[:, a] (V^dag R)[b] + G_p[b, a] (LV)[:, b] (V^dag R)[a]. ``left`` holds the columns
+    of LV and ``right`` the rows of V^dag R on its first axis; their other two axes broadcast."""
+    a, b, upper, lower = pairs
+    return upper[:, None, None] * left[a] * right[b] + lower[:, None, None] * left[b] * right[a]
 
 
 class _BlockPoint:
@@ -231,12 +238,8 @@ class _BlockPoint:
 
 
 def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
-    """Haar block unitaries, one set per stream and member of ``d``, kept per block size.
-
-    Draw-order invariant: each stream draws its blocks' Ginibre matrices in
-    block order, as one ``haar_unitary`` call per block would, and the QR is
-    stacked per block size (bit-identical per matrix).
-    """
+    """Haar block unitaries, one set per stream and member of ``d``, kept per block size;
+    ``_block_unitaries`` keeps each stream's draws in block order."""
     groups = [_SizeGroup(d.dims, size) for size in sorted(set(d.dims))]
     unitaries = _block_unitaries(d.dims, rngs)
     stacked = d.vectors.ndim == 3  # else one decomposition and one stream
@@ -311,7 +314,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
     """
     ready = problem.ready_state(rng)
     point = _random_point(decomposition, [rng])
-    generators = np.concatenate([g.joint_generators(point.vectors) for g in point.groups])
+    pairs = [np.concatenate(column) for column in zip(*(g.pairs for g in point.groups))]
     sizes = [len(g.members) * g.size**2 for g in point.groups]
     residual, f = _scored(problem, point.joint, ready)
     trace = [(0, f)]
@@ -322,7 +325,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
             break
         if fresh:
             tangents = problem.tangents(ready)
-            jac = problem.derivatives(point.joint, ready, generators, tangents)
+            jac = problem.derivatives(point.joint, point.vectors, ready, pairs, tangents)
             jac = jac.reshape(len(jac), -1).view(np.float64)  # J^T, (parameters, residuals)
             grad = jac @ residual
             if not grad.any():
@@ -404,6 +407,8 @@ def minimize_epsilon(
     """
     observable = as_operator(observable)
     probe = as_operator(probe)
+    require_hermitian(observable, "observable")
+    require_hermitian(probe, "probe")
     ready = as_state(ready_state)
     n1 = q.system_op.shape[0]
     n2 = q.apparatus_op.shape[0]
@@ -434,18 +439,16 @@ class _Epsilon:
     def residual(self, u, ready):
         return (dagger(u) @ self.probe_joint @ u - self.obs_joint) @ self.inputs
 
-    def derivatives(self, u, ready, generators, tangents):
-        """dw_psi = [U^dag P U, K_p](psi (x) v) along each dU = U K_p."""
+    def derivatives(self, u, vectors, ready, pairs, tangents):
+        """dw_psi = [A, K_p](psi (x) v) = (AV) G_p V^dag x - V G_p V^dag A x along each
+        dU = U K_p, with A = U^dag P U and x = psi (x) v."""
         a = dagger(u) @ self.probe_joint @ u
-        return a @ (generators @ self.inputs) - generators @ (a @ self.inputs)
+        inverse = dagger(vectors)
+        dx = _gather(pairs, (a @ vectors).T[:, :, None], (inverse @ self.inputs)[:, None])
+        return dx - _gather(pairs, vectors.T[:, :, None], (inverse @ (a @ self.inputs))[:, None])
 
 
-def feasibility_search(
-    q: ConservedQuantity,
-    observable: np.ndarray,
-    n2: int,
-    config: SearchConfig,
-) -> SearchResult:
+def feasibility_search(q: ConservedQuantity, observable: np.ndarray, config: SearchConfig) -> SearchResult:
     """Search the commutant for an exact nondestructive scheme for ``observable``.
 
     The measured basis is the observable's eigenbasis; each restart draws its
@@ -455,15 +458,12 @@ def feasibility_search(
     outside the no-go regime are searched all the same.
     """
     observable = as_operator(observable)
+    require_hermitian(observable, "observable")
     n1 = q.system_op.shape[0]
     if observable.shape[0] != n1:
         raise ValueError(f"observable must have dimension {n1}")
-    if n2 != q.apparatus_op.shape[0]:
-        raise ValueError(
-            f"n2 = {n2} does not match the apparatus factor dimension {q.apparatus_op.shape[0]}"
-        )
-    _, vectors = hermitian_eigensystem(observable)
-    return _search(conserved_eigenspaces(q), _Feasibility(vectors.T, n2), config)
+    _, vectors = np.linalg.eigh(observable)
+    return _search(conserved_eigenspaces(q), _Feasibility(vectors.T, q.apparatus_op.shape[0]), config)
 
 
 class _Feasibility:
@@ -493,11 +493,15 @@ class _Feasibility:
         w = self.blocks(u) @ ready
         return w.conj() @ w.mT - np.eye(w.shape[-2])
 
-    def derivatives(self, u, ready, generators, tangents):
-        """dG = dW^dag W + W^dag dW, with dW_j = M_j(U K_p) v along each dU = U K_p
-        and dW_j = M_j t along each ready-state tangent t."""
+    def derivatives(self, u, vectors, ready, pairs, tangents):
+        """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dU = U K_p,
+        Y_j = (<u_j| (x) 1) U V and c_j = V^dag (u_j (x) v), and dW_j = M_j t along
+        each ready-state tangent t."""
         m = self.blocks(u)
         w = m @ ready
-        dw = np.concatenate([self.blocks(u @ generators) @ ready, (m @ tangents.T).transpose(2, 0, 1)])
+        n1 = len(self.basis)
+        y = np.einsum("ji,ikd->djk", self.basis.conj(), (u @ vectors).reshape(n1, self.n2, -1))
+        c = (self.basis[:, :, None] * ready).reshape(n1, -1) @ vectors.conj()
+        dw = np.concatenate([_gather(pairs, y, c.T[:, :, None]), (m @ tangents.T).transpose(2, 0, 1)])
         cross = dw.conj() @ w.mT  # <dW_i|W_j>
         return cross + cross.conj().mT

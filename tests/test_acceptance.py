@@ -84,8 +84,8 @@ def test_criterion_3_no_go_floor():
     start = time.monotonic()
     q = ConservedQuantity("multiplicative", LA_DIAG, I2)
     config = SearchConfig(seed=424242, restarts=8, max_iter=2000)
-    blocked = feasibility_search(q, X, 2, config=config)
-    control = feasibility_search(q, np.diag([1.0, 2.0]).astype(complex), 2, config=config)
+    blocked = feasibility_search(q, X, config=config)
+    control = feasibility_search(q, np.diag([1.0, 2.0]).astype(complex), config=config)
     elapsed = time.monotonic() - start
     ok = (
         all(f > 1e-3 for f in blocked.restart_objectives)

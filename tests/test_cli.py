@@ -574,7 +574,7 @@ class TestThinAdapter:
         assert results.pop("kind") == "feasibility"
         loaded = load_model("tests/fixtures/cnot.json")
         config = SearchConfig(seed=4, restarts=2)
-        search = feasibility_search(loaded.quantity, loaded.observable, loaded.model.n2, config)
+        search = feasibility_search(loaded.quantity, loaded.observable, config)
         assert canonical_json(results) == canonical_json(asdict(search))
 
     @pytest.mark.parametrize("command", [("verdict",), ("bound", "--state", "plus")])

@@ -22,8 +22,10 @@ from wayaudit.commutant import (
     feasibility_search,
     minimize_epsilon,
 )
+from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
     commutator,
+    dagger,
     frobenius_norm,
     haar_from_ginibre,
     haar_unitary,
@@ -336,27 +338,35 @@ class TestFeasibilitySearch:
     def test_commuting_observable_feasible(self):
         q = quantity(LA_DIAG, I2)
         config = SearchConfig(seed=7, restarts=4, max_iter=500)
-        result = feasibility_search(q, np.diag([1.0, 2.0]), 2, config=config)
+        result = feasibility_search(q, np.diag([1.0, 2.0]), config=config)
         assert result.best_objective <= 1e-8
 
     def test_noncommuting_observable_floor(self):
         q = quantity(LA_DIAG, I2)
         config = SearchConfig(seed=7, restarts=8, max_iter=500)
-        result = feasibility_search(q, X, 2, config=config)
+        result = feasibility_search(q, X, config=config)
         assert all(f > 1e-3 for f in result.restart_objectives)
 
     def test_wide_apparatus_allowed(self):
         # outside the no-go regime (n2 >= 2 n1) the search simply runs
         q = quantity(LA_DIAG, np.eye(4, dtype=complex))
         config = SearchConfig(seed=2, restarts=2, max_iter=200)
-        result = feasibility_search(q, X, 4, config=config)
+        result = feasibility_search(q, X, config=config)
         assert result.restarts_used == 2
         assert np.isfinite(result.best_objective)
 
-    def test_dimension_argument_checked(self):
-        q = quantity(LA_DIAG, I2)
-        with pytest.raises(ValueError, match="n2"):
-            feasibility_search(q, X, 3, config=SearchConfig(seed=1))
+    @pytest.mark.parametrize(
+        "search, argument",
+        [
+            (lambda q, a: feasibility_search(q, a, config=SearchConfig(seed=1)), "observable"),
+            (lambda q, a: minimize_epsilon(q, a, Z, E0, config=SearchConfig(seed=1)), "observable"),
+            (lambda q, a: minimize_epsilon(q, X, a, E0, config=SearchConfig(seed=1)), "probe"),
+        ],
+    )
+    def test_non_hermitian_input_is_named(self, search, argument):
+        with pytest.raises(PreconditionError, match=f"^{argument}: not Hermitian") as raised:
+            search(quantity(LA_DIAG, I2), [[0, 1], [0, 0]])
+        assert raised.value.check == argument
 
 
 def _pinned(result: SearchResult) -> dict:
@@ -378,7 +388,7 @@ def _pinned_searches() -> dict:
     config = SearchConfig(seed=11, restarts=2, max_iter=25)
     return {
         "feasibility_blocks_1221": _pinned(
-            feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, 3, config=config)
+            feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
         ),
         "epsilon_blocks_121": _pinned(
             minimize_epsilon(quantity(LA_DIAG, np.diag([1.0, 2.0])), X, Z, E0, config=config)
@@ -511,12 +521,45 @@ def _problems(la, lb):
     return {"epsilon": (epsilon, ready), "feasibility": (feasibility, ready)}
 
 
+def _dense_generators(point):
+    """B_k G_p B_k^dag as dense (D, D) matrices, for every block B_k (its columns of the
+    eigenvector matrix) and canonical generator G_p, (parameters, D, D) in parameter order."""
+    stacks = []
+    for group in point.groups:
+        bases = np.stack([point.vectors[:, columns] for columns in group.indices])
+        joint = bases[:, None] @ group.generators(np.eye(group.size**2)) @ dagger(bases)[:, None]
+        stacks.append(joint.reshape(-1, *joint.shape[-2:]))
+    return np.concatenate(stacks)
+
+
+def _dense_derivatives(problem, u, ready, tangents, generators):
+    """Both problems' Jacobians from the dense generator stack: dW_j = M_j(U K_p) v and
+    dG = dW^dag W + W^dag dW for feasibility, [U^dag P U, K_p](psi (x) v) for epsilon."""
+    if isinstance(problem, commutant._Epsilon):
+        a = dagger(u) @ problem.probe_joint @ u
+        return a @ (generators @ problem.inputs) - generators @ (a @ problem.inputs)
+    m = problem.blocks(u)
+    w = m @ ready
+    dw = np.concatenate([problem.blocks(u @ generators) @ ready, (m @ tangents.T).transpose(2, 0, 1)])
+    cross = dw.conj() @ w.mT
+    return cross + cross.conj().mT
+
+
+def _jacobian(problem, point, ready):
+    """J^T of ``problem`` at the point, (parameters, residuals) as ``_descend`` builds it."""
+    pairs = [np.concatenate(column) for column in zip(*(g.pairs for g in point.groups))]
+    jac = problem.derivatives(point.joint, point.vectors, ready, pairs, problem.tangents(ready))
+    return jac.reshape(len(jac), -1).view(np.float64)
+
+
 BLOCK_CASES = [
     ([1.0, 2.0], [1.0, 2.0, 4.0]),        # blocks (1, 2, 2, 1)
     ([1.0, 1.0, 2.0], [1.0, 2.0]),        # blocks (2, 3, 1)
     ([1.0, 5.0], [1.0, 1.0, 1.0]),        # two blocks of size 3
     ([1.0, 1.0, 1.0], [1.0, 1.0]),        # one block of size 6
+    ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0]),  # geometric 3x5: blocks (1, 2, 3, 3, 3, 2, 1)
 ]
+GEOMETRIC_5X9 = (list(2.0 ** np.arange(5)), list(2.0 ** np.arange(9)))  # 13 blocks, up to size 5
 
 
 class TestOptimizerBitIdentity:
@@ -532,12 +575,11 @@ class TestOptimizerBitIdentity:
         unitaries = _block_unitaries(point)
         parts = _reference_parts(d, unitaries)
         assert point.joint.tobytes() == _reference_joint(d, unitaries).tobytes()
-        generators = np.concatenate([g.joint_generators(point.vectors) for g in point.groups])
+        parameters = sum(len(g.members) * g.size**2 for g in point.groups)
         h = 1e-6
         for name, (problem, ready) in _problems(la, lb).items():
             tangents = problem.tangents(ready)
-            jac = problem.derivatives(point.joint, ready, generators, tangents)
-            jac = jac.reshape(len(jac), -1).view(np.float64)
+            jac = _jacobian(problem, point, ready)
             points = []
             for group in point.groups:
                 for i in group.members:
@@ -550,13 +592,26 @@ class TestOptimizerBitIdentity:
                         ])
             for t in tangents:
                 points.append([(point.joint, (ready + s * t) / np.linalg.norm(ready + s * t)) for s in (h, -h)])
-            assert len(points) == len(jac) == len(generators) + len(tangents)
+            assert len(points) == len(jac) == parameters + len(tangents)
             scored = [[commutant._scored(problem, u, v) for u, v in pair] for pair in points]
             fd = np.stack([(plus[0] - minus[0]) / (2 * h) for plus, minus in scored])
             assert np.abs(jac - fd).max() <= 1e-8, name
             residual, _ = commutant._scored(problem, point.joint, ready)
             fd_grad = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in scored])
             assert np.abs(2 * jac @ residual - fd_grad).max() <= 1e-8, name
+
+    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
+    def test_jacobian_matches_dense_generators(self, la, lb):
+        """The two-entry gathers give the Jacobian of the dense B_k G_p B_k^dag stack."""
+        d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
+        point = commutant._random_point(d, [np.random.default_rng(1)])
+        generators = _dense_generators(point)
+        for name, (problem, ready) in _problems(la, lb).items():
+            dense = _dense_derivatives(problem, point.joint, ready, problem.tangents(ready), generators)
+            dense = dense.reshape(len(dense), -1).view(np.float64)
+            jac = _jacobian(problem, point, ready)
+            assert jac.shape == dense.shape, name
+            assert np.abs(jac - dense).max() <= 1e-13 * np.abs(dense).max(), name
 
     @pytest.mark.parametrize("la, lb", BLOCK_CASES)
     def test_stepped_batch_matches_per_block_exp(self, la, lb):
@@ -589,7 +644,7 @@ class TestOptimizerBitIdentity:
         stack.append(np.kron(X, np.eye(3)))  # moves every pointer off its diagonal
         ready = random_state_vector(3, np.random.default_rng(9))
         for observable in (X, Z):
-            problem = _problem(monkeypatch, feasibility_search, q, observable, 3)
+            problem = _problem(monkeypatch, feasibility_search, q, observable)
             reference = _reference_feasibility(observable, ready)
             for u in stack:
                 # the stacked contractions sum in another order than the loop
@@ -609,7 +664,7 @@ class TestFloors:
     """Restart floors of the feasibility search agree, and controls reach zero in every restart."""
 
     def test_blocks_2x3_floors_agree(self):
-        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, 3, config=SearchConfig(seed=0))
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=SearchConfig(seed=0))
         floors = result.restart_objectives
         assert min(floors) > 1e-3
         assert max(floors) - min(floors) <= 1e-6
@@ -618,7 +673,7 @@ class TestFloors:
 
     def test_2x4_floor_is_one_over_52(self):
         result = feasibility_search(
-            quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0, 8.0])), X, 4, config=SearchConfig(seed=0)
+            quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0, 8.0])), X, config=SearchConfig(seed=0)
         )
         assert all(abs(f - 1.0 / 52.0) <= 1e-9 for f in result.restart_objectives)
 
@@ -630,13 +685,13 @@ class TestFloors:
         ],
     )
     def test_controls_reach_zero_in_every_restart(self, lb, observable):
-        result = feasibility_search(quantity(LA_DIAG, np.diag(lb)), observable, 3, config=SearchConfig(seed=0))
+        result = feasibility_search(quantity(LA_DIAG, np.diag(lb)), observable, config=SearchConfig(seed=0))
         assert all(f <= 1e-10 for f in result.restart_objectives)
         assert result.stop_reasons == ("zero",) * 8
 
     def test_max_iter_stop_is_not_converged(self):
         config = SearchConfig(seed=3, restarts=3, max_iter=20)
-        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, 3, config=config)
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
         assert set(result.stop_reasons) <= set(STOP_REASONS)
         assert result.stop_reasons == ("max_iter",) * 3 and not result.converged
         assert abs(np.linalg.norm(result.best_ready_state) - 1.0) <= 1e-12
