@@ -8,11 +8,11 @@ empirical floors of measurement-noise or scheme-quality objectives.
 The optimizer is Levenberg-Marquardt on the exact residual Jacobian. Its
 parameters are the canonical generators G_p of every block (d**2 per block of
 size d), and for the feasibility search also the tangent directions of the
-ready-state sphere. Each G_p has at most two nonzero entries, so the derivative
-along dU = U K_p, K_p = V G_p V^dag, is two gathers from the eigenvector
-coordinates LV and V^dag R (``_gather``), with no (D, D) generator formed. An
-accepted step retracts with one stacked exp per block size and renormalizes
-the ready state. Each restart reports why it stopped.
+ready-state sphere. Each G_p has at most two nonzero entries (``_Chart.pairs``),
+so the derivative along dU = U K_p, K_p = V G_p V^dag, is two gathers from the
+eigenvector coordinates LV and V^dag R (``_gather``). Each try scatters its step
+into one block-diagonal generator, retracts with one exponential of it and
+renormalizes the ready state. Each restart reports why it stopped.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -23,14 +23,15 @@ the product of its two factor columns.
 
 One draw-and-assemble path serves every caller: ``_random_point`` draws
 Haar block unitaries for a ``BlockDecomposition`` (one stream per
-decomposition, or per member of a stack of them) and ``_BlockPoint``
-assembles the joint unitary as V blockdiag(U_k) V^dag, V the eigenvector
-matrix. Sweeps draw a chunk of trials at once (``commutant_unitary_stack``),
-the seam of their two-phase draw order: once phase A has drawn each trial's
-factors, the factor eigensystems give each trial's block sizes, and phase B
-opens with every trial drawing its blocks from its own stream, in
-ascending-eigenvalue order (``_block_unitaries``). ``commutant_unitary`` is
-its batch of one, and every optimizer restart starts from the same draw.
+decomposition, or per member of a stack of them) into one block-diagonal
+matrix, and ``_BlockPoint`` assembles the joint unitary V blockdiag(U_k) V^dag,
+V the eigenvector matrix. Sweeps draw a chunk of trials at once
+(``commutant_unitary_stack``), the seam of their two-phase draw order: once
+phase A has drawn each trial's factors, the factor eigensystems give each
+trial's block sizes, and phase B opens with every trial drawing its blocks from
+its own stream, in ascending-eigenvalue order (``_block_unitaries``).
+``commutant_unitary`` is its batch of one, and every optimizer restart starts
+from the same draw.
 """
 
 from __future__ import annotations
@@ -171,42 +172,40 @@ def commutant_unitary_stack(la: np.ndarray, lb: np.ndarray, rngs) -> tuple[np.nd
     return u, lb_eigensystem
 
 
-class _SizeGroup:
-    """The blocks of one size: their joint-space indices, and the generator layout of that size."""
+class _Chart:
+    """The optimizer's chart of the commutant for block sizes ``dims``: the joint indices of the
+    blocks of each size, and the canonical generators G_p of every block in parameter order (sizes
+    ascending, blocks in order, then per block of size d its d diagonal phases and the real and
+    imaginary part of its (a, b) entry for each a < b in row-major order)."""
 
-    def __init__(self, dims: tuple[int, ...], size: int):
-        self.size = size
-        self.members = [i for i, dim in enumerate(dims) if dim == size]
-        starts = np.cumsum((0, *dims))[self.members]
-        self.indices = starts[:, None] + np.arange(size)  # (m, size)
-
-    @cached_property
-    def layout(self) -> np.ndarray:
-        """Row-major entry order of the values listed by ``generators``: diagonal, upper, lower."""
-        diag, (a, b) = np.arange(self.size), np.triu_indices(self.size, 1)
-        return np.argsort(np.concatenate([diag * (self.size + 1), a * self.size + b, b * self.size + a]))
-
-    def generators(self, thetas: np.ndarray) -> np.ndarray:
-        """Anti-Hermitian generators (..., size, size) from parameter rows (..., size**2).
-
-        A row holds size diagonal phases, then the real and the imaginary part
-        of the (a, b) entry for each pair a < b in row-major order.
-        """
-        t_re, t_im = thetas[..., self.size::2], thetas[..., self.size + 1::2]
-        im = 1j * t_im
-        # off-diagonal entries as 0 + value: zero parts get the sign that adding into zeros gives
-        values = np.concatenate([1j * thetas[..., : self.size], 0j + (t_re + im), 0j + (-t_re + im)], axis=-1)
-        return values[..., self.layout].reshape(*thetas.shape[:-1], self.size, self.size)
+    def __init__(self, dims: tuple[int, ...]):
+        self.dim = sum(dims)
+        starts = np.cumsum((0, *dims))[:-1]
+        # block size -> (m, size) joint indices of its m blocks, in block order
+        self.indices = {size: starts[np.equal(dims, size)][:, None] + np.arange(size) for size in sorted(set(dims))}
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
-        """Each canonical generator G_p of each member block, in parameter order, as its joint
-        index pair a <= b and its entries G_p[a, b] and G_p[b, a] (zero if a = b); see ``_gather``."""
-        canonical = self.generators(np.eye(self.size**2))
-        p, a, b = np.nonzero(np.triu(canonical))  # one entry per unit parameter row, rows in order
-        upper, lower = canonical[p, a, b], np.where(a == b, 0, canonical[p, b, a])
-        m = len(self.members)
-        return self.indices[:, a].ravel(), self.indices[:, b].ravel(), np.tile(upper, m), np.tile(lower, m)
+        """Each G_p as its joint index pair a <= b and its entries G_p[a, b] and G_p[b, a]: i and 0
+        for a phase, 1 and -1 for a real part, i and i for an imaginary part; see ``_gather``."""
+        columns = []
+        for size, indices in self.indices.items():
+            diag, (a, b) = np.arange(size), np.triu_indices(size, 1)
+            first, second = np.concatenate([diag, a.repeat(2)]), np.concatenate([diag, b.repeat(2)])
+            upper = np.tile(np.concatenate([np.full(size, 1j), np.tile([1, 1j], len(a))]), len(indices))
+            lower = np.tile(np.concatenate([np.zeros(size), np.tile([-1, 1j], len(a))]), len(indices))
+            columns.append((indices[:, first], indices[:, second], upper, lower))
+        return tuple(np.concatenate(column, axis=None) for column in zip(*columns))
+
+    def generator(self, theta: np.ndarray) -> np.ndarray:
+        """sum_p theta_p G_p, the block anti-Hermitian (D, D) generator in eigenvector coordinates,
+        scattered through ``pairs``; ``np.add.at`` accumulates, because the real and the imaginary
+        part of one off-diagonal entry share its pair."""
+        a, b, upper, lower = self.pairs
+        k = np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(k, (a, b), upper * theta)
+        np.add.at(k, (b, a), lower * theta)
+        return k
 
 
 def _gather(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -218,32 +217,29 @@ def _gather(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 class _BlockPoint:
-    """Block unitaries stacked per size as (..., m, d, d), with their joint
-    V blockdiag(U_k) V^dag (..., D, D) for the eigenvector matrices V (..., D, D)."""
+    """Block unitaries as one block-diagonal (..., D, D) matrix ``blocks`` in the coordinates
+    of the eigenvector matrices V (..., D, D), with their joint V blocks V^dag."""
 
-    def __init__(self, vectors: np.ndarray, groups: list[_SizeGroup], unitaries: list[np.ndarray]):
-        self.vectors = vectors
-        self.groups = groups
-        self.unitaries = unitaries
-        blocks = np.zeros_like(vectors)
-        for g, v in zip(groups, unitaries):
-            blocks[..., g.indices[:, :, None], g.indices[:, None, :]] = v
+    def __init__(self, vectors: np.ndarray, chart: _Chart, blocks: np.ndarray):
+        self.vectors, self.chart, self.blocks = vectors, chart, blocks
         self.joint = vectors @ blocks @ dagger(vectors)
 
-    def stepped(self, thetas: list[np.ndarray]) -> "_BlockPoint":
-        """The point moved by V <- V exp(G(theta)) in every block, from (..., m, d**2)
-        parameters per group; one stacked exp per group."""
-        steps = [anti_hermitian_exp_stack(g.generators(theta)) for g, theta in zip(self.groups, thetas)]
-        return _BlockPoint(self.vectors, self.groups, [v @ step for v, step in zip(self.unitaries, steps)])
+    def stepped(self, theta: np.ndarray) -> "_BlockPoint":
+        """The point moved by blocks <- blocks exp(K) for the generator K of the whole parameter
+        vector (see ``_Chart.generator``): one exponential per step, whatever the block sizes."""
+        step = anti_hermitian_exp_stack(self.chart.generator(theta))
+        return _BlockPoint(self.vectors, self.chart, self.blocks @ step)
 
 
 def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
-    """Haar block unitaries, one set per stream and member of ``d``, kept per block size;
-    ``_block_unitaries`` keeps each stream's draws in block order."""
-    groups = [_SizeGroup(d.dims, size) for size in sorted(set(d.dims))]
+    """Haar block unitaries, one set per stream and member of ``d``, scattered into each
+    member's ``blocks``; ``_block_unitaries`` keeps each stream's draws in block order."""
+    chart = _Chart(d.dims)
     unitaries = _block_unitaries(d.dims, rngs)
-    stacked = d.vectors.ndim == 3  # else one decomposition and one stream
-    return _BlockPoint(d.vectors, groups, [unitaries[g.size] if stacked else unitaries[g.size][0] for g in groups])
+    blocks = np.zeros_like(d.vectors)  # (k, D, D), or (D, D) for one decomposition and one stream
+    for size, indices in chart.indices.items():
+        blocks[..., indices[:, :, None], indices[:, None, :]] = unitaries[size]
+    return _BlockPoint(d.vectors, chart, blocks)
 
 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
@@ -292,11 +288,12 @@ class SearchResult:
     stop_reasons: tuple[str, ...]
 
 
-def _scored(problem, u: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, float]:
-    """The residual of one point as a real vector r (real and imaginary parts
-    interleaved) and the objective F = r . r, a plain sum of squares."""
-    residual = problem.residual(u, ready).ravel().view(np.float64)
-    return residual, float(residual @ residual)
+def _scored(problem, u: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, float, object]:
+    """The residual of one point as a real vector r (real and imaginary parts interleaved), the
+    objective F = r . r, and the intermediates ``problem.derivatives`` reuses at that point."""
+    residual, computed = problem.residual(u, ready)
+    residual = residual.ravel().view(np.float64)
+    return residual, float(residual @ residual), computed
 
 
 def _descend(decomposition, problem, rng, config: SearchConfig):
@@ -314,9 +311,8 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
     """
     ready = problem.ready_state(rng)
     point = _random_point(decomposition, [rng])
-    pairs = [np.concatenate(column) for column in zip(*(g.pairs for g in point.groups))]
-    sizes = [len(g.members) * g.size**2 for g in point.groups]
-    residual, f = _scored(problem, point.joint, ready)
+    parameters = len(point.chart.pairs[0])
+    residual, f, computed = _scored(problem, point.joint, ready)
     trace = [(0, f)]
     lam, nu, fresh = None, 2.0, True
     reason = "zero" if f <= ZERO_OBJECTIVE else "max_iter"
@@ -325,7 +321,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
             break
         if fresh:
             tangents = problem.tangents(ready)
-            jac = problem.derivatives(point.joint, point.vectors, ready, pairs, tangents)
+            jac = problem.derivatives(point, ready, tangents, computed)
             jac = jac.reshape(len(jac), -1).view(np.float64)  # J^T, (parameters, residuals)
             grad = jac @ residual
             if not grad.any():
@@ -341,18 +337,18 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
         if not predicted > FTOL * f:  # also once lam is inf and predicted nan
             reason = "no_decrease"
             break
-        *thetas, ready_step = np.split(delta, np.cumsum(sizes))
-        candidate = point.stepped([t.reshape(len(g.members), -1) for t, g in zip(thetas, point.groups)])
+        candidate = point.stepped(delta[:parameters])
         candidate_ready = ready
         if len(tangents):
-            candidate_ready = ready + ready_step @ tangents
+            candidate_ready = ready + delta[parameters:] @ tangents
             candidate_ready = candidate_ready / np.linalg.norm(candidate_ready)
-        candidate_residual, f_new = _scored(problem, candidate.joint, candidate_ready)
+        candidate_residual, f_new, candidate_computed = _scored(problem, candidate.joint, candidate_ready)
         if f_new < f:
             gain = min((f - f_new) / predicted, 1.0)  # any gain above 1 divides lam by 3
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu, fresh = 2.0, True
-            point, ready, residual, f = candidate, candidate_ready, candidate_residual, f_new
+            point, ready, f = candidate, candidate_ready, f_new
+            residual, computed = candidate_residual, candidate_computed
             trace.append((it, f))
             if f <= ZERO_OBJECTIVE:
                 reason = "zero"
@@ -437,15 +433,16 @@ class _Epsilon:
         return np.empty((0, len(ready)))
 
     def residual(self, u, ready):
-        return (dagger(u) @ self.probe_joint @ u - self.obs_joint) @ self.inputs
+        """The residuals, and A = U^dag P U for ``derivatives``."""
+        a = dagger(u) @ self.probe_joint @ u
+        return (a - self.obs_joint) @ self.inputs, a
 
-    def derivatives(self, u, vectors, ready, pairs, tangents):
+    def derivatives(self, point, ready, tangents, a):
         """dw_psi = [A, K_p](psi (x) v) = (AV) G_p V^dag x - V G_p V^dag A x along each
         dU = U K_p, with A = U^dag P U and x = psi (x) v."""
-        a = dagger(u) @ self.probe_joint @ u
-        inverse = dagger(vectors)
-        dx = _gather(pairs, (a @ vectors).T[:, :, None], (inverse @ self.inputs)[:, None])
-        return dx - _gather(pairs, vectors.T[:, :, None], (inverse @ (a @ self.inputs))[:, None])
+        inverse = dagger(point.vectors)
+        dx = _gather(point.chart.pairs, (a @ point.vectors).T[:, :, None], (inverse @ self.inputs)[:, None])
+        return dx - _gather(point.chart.pairs, point.vectors.T[:, :, None], (inverse @ (a @ self.inputs))[:, None])
 
 
 def feasibility_search(q: ConservedQuantity, observable: np.ndarray, config: SearchConfig) -> SearchResult:
@@ -474,14 +471,14 @@ class _Feasibility:
     def __init__(self, basis: np.ndarray, n2: int):
         self.basis = basis  # row j = u_j
         self.n2 = n2
+        self.directions = np.concatenate([np.eye(n2), 1j * np.eye(n2)])  # e_k, then i e_k
 
     def ready_state(self, rng):
         return random_state_vector(self.n2, rng)
 
     def tangents(self, ready):
         """e_k and i e_k projected onto the tangent space of the unit sphere at the ready state, (2 n2, n2)."""
-        t = np.concatenate([np.eye(self.n2), 1j * np.eye(self.n2)])
-        return t - (t @ ready.conj()).real[:, None] * ready
+        return self.directions - (self.directions @ ready.conj()).real[:, None] * ready
 
     def blocks(self, u: np.ndarray) -> np.ndarray:
         """M_j = (<u_j| (x) 1) U (|u_j> (x) 1) for a (..., D, D) stack, (..., n1, n2, n2)."""
@@ -490,15 +487,17 @@ class _Feasibility:
         return np.einsum("ji,...iklm,jl->...jkm", self.basis.conj(), u, self.basis)
 
     def residual(self, u, ready):
-        w = self.blocks(u) @ ready
-        return w.conj() @ w.mT - np.eye(w.shape[-2])
-
-    def derivatives(self, u, vectors, ready, pairs, tangents):
-        """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dU = U K_p,
-        Y_j = (<u_j| (x) 1) U V and c_j = V^dag (u_j (x) v), and dW_j = M_j t along
-        each ready-state tangent t."""
+        """E, and the M_j and W_j it is made of for ``derivatives``."""
         m = self.blocks(u)
         w = m @ ready
+        return w.conj() @ w.mT - np.eye(w.shape[-2]), (m, w)
+
+    def derivatives(self, point, ready, tangents, computed):
+        """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dU = U K_p,
+        Y_j = (<u_j| (x) 1) U V and c_j = V^dag (u_j (x) v), and dW_j = M_j t along
+        each ready-state tangent t; M_j and W_j come from ``residual`` at the point."""
+        m, w = computed
+        u, vectors, pairs = point.joint, point.vectors, point.chart.pairs
         n1 = len(self.basis)
         y = np.einsum("ji,ikd->djk", self.basis.conj(), (u @ vectors).reshape(n1, self.n2, -1))
         c = (self.basis[:, :, None] * ready).reshape(n1, -1) @ vectors.conj()

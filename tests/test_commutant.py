@@ -130,7 +130,8 @@ class TestFactorEigensystem:
     def test_assembly_matches_per_block_sum(self, q):
         d = conserved_eigenspaces(q)
         point = commutant._random_point(d, [np.random.default_rng(6)])
-        per_block = sum(_reference_parts(d, _block_unitaries(point)))
+        assert not point.blocks[_off_block(d.dims)].any()
+        per_block = sum(_reference_parts(d, _block_unitaries(point, d.dims)))
         assert np.abs(point.joint - per_block).max() <= 1e-14
 
     @pytest.mark.parametrize("names", DIRECT_COLUMN_CASES, ids=["+".join(names) for names in DIRECT_COLUMN_CASES])
@@ -233,22 +234,21 @@ class TestProjectGenerator:
 
     @staticmethod
     def joint(decomposition, theta):
-        """sum over the blocks of size 2 of B G(theta_block) B^dag."""
-        group = commutant._SizeGroup(decomposition.dims, 2)
-        bases = [block_bases(decomposition)[i] for i in group.members]
-        return sum(b @ g @ b.conj().T for b, g in zip(bases, group.generators(theta)))
+        """V K(theta) V^dag for the chart's generator K of the parameter vector theta."""
+        k = commutant._Chart(decomposition.dims).generator(theta)
+        return decomposition.vectors @ k @ decomposition.vectors.conj().T
 
     def test_block_diagonal_unchanged(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
         k = np.zeros((4, 4), dtype=complex)
         k[:2, :2] = 1j * np.array([[1.0, 2.0], [2.0, -1.0]])
         # a block's parameters: its diagonal phases, then the real and imaginary part of entry (0, 1)
-        out = self.joint(d, np.array([[1.0, -1.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0]]))
+        out = self.joint(d, np.array([1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
         assert np.abs(out - k).max() <= 1e-12
 
     def test_cross_block_zeroed(self):
         d = conserved_eigenspaces(quantity(LA_DIAG, I2))
-        out = self.joint(d, np.random.default_rng(0).standard_normal((2, 4)))
+        out = self.joint(d, np.random.default_rng(0).standard_normal(8))
         assert np.abs(out[:2, 2:]).max() <= 1e-12 and np.abs(out[2:, :2]).max() <= 1e-12
         assert np.abs(out[:2, :2]).max() > 0.1 and np.abs(out[2:, 2:]).max() > 0.1
 
@@ -260,12 +260,12 @@ class TestProjectGenerator:
         q = quantity(LA_DIAG, (w * [1.0, 2.0, 4.0]) @ w.conj().T)  # blocks (1, 2, 2, 1)
         d = conserved_eigenspaces(q)
         point = commutant._random_point(d, [rng])
-        thetas = [rng.standard_normal((len(g.members), g.size**2)) for g in point.groups]
-        for group, theta in zip(point.groups, thetas):
-            k = group.generators(theta)
-            assert frobenius_norm(k + k.conj().mT) <= 1e-12
-        u = point.stepped(thetas).joint
-        assert frobenius_norm(commutator(u, conserved_operator(q))) <= 1e-10
+        theta = rng.standard_normal(len(point.chart.pairs[0]))
+        k = point.chart.generator(theta)
+        assert frobenius_norm(k + k.conj().mT) <= 1e-12
+        moved = point.stepped(theta)
+        assert frobenius_norm(moved.blocks.conj().T @ moved.blocks - np.eye(6)) <= 1e-12
+        assert frobenius_norm(commutator(moved.joint, conserved_operator(q))) <= 1e-10
 
 
 class TestDefaultProbeStates:
@@ -456,12 +456,36 @@ def _reference_joint(d, unitaries):
     return d.vectors @ m @ d.vectors.conj().T
 
 
-def _block_unitaries(point):
-    """The point's unitaries in block order."""
-    out = {}
-    for group, stack in zip(point.groups, point.unitaries):
-        out.update(zip(group.members, stack))
-    return [out[i] for i in range(len(out))]
+def _block_unitaries(point, dims):
+    """The point's unitaries in block order, read off the diagonal of its ``blocks``."""
+    starts = np.cumsum((0, *dims))
+    return [point.blocks[a:b, a:b] for a, b in zip(starts, starts[1:])]
+
+
+def _off_block(dims):
+    """True on the entries of a (D, D) matrix that lie outside every diagonal block."""
+    block = np.repeat(np.arange(len(dims)), dims)
+    return block[:, None] != block[None, :]
+
+
+def _parameter_rows(dims, theta):
+    """theta split into each block's parameter row, {block index: row}: block sizes
+    ascending, the blocks of one size in block order."""
+    rows, start = {}, 0
+    for i in sorted(range(len(dims)), key=lambda i: dims[i]):
+        rows[i] = theta[start : start + dims[i] ** 2]
+        start += dims[i] ** 2
+    assert start == len(theta)
+    return rows
+
+
+def _reference_chart_generator(dims, theta):
+    """The (D, D) generator with each block's ``_reference_generator`` on its diagonal."""
+    starts = np.cumsum((0, *dims))
+    k = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    for i, row in _parameter_rows(dims, theta).items():
+        k[starts[i] : starts[i + 1], starts[i] : starts[i + 1]] = _reference_generator(row, dims[i])
+    return k
 
 
 def _reference_feasibility(observable, ready):
@@ -521,15 +545,15 @@ def _problems(la, lb):
     return {"epsilon": (epsilon, ready), "feasibility": (feasibility, ready)}
 
 
-def _dense_generators(point):
+def _dense_generators(d):
     """B_k G_p B_k^dag as dense (D, D) matrices, for every block B_k (its columns of the
     eigenvector matrix) and canonical generator G_p, (parameters, D, D) in parameter order."""
-    stacks = []
-    for group in point.groups:
-        bases = np.stack([point.vectors[:, columns] for columns in group.indices])
-        joint = bases[:, None] @ group.generators(np.eye(group.size**2)) @ dagger(bases)[:, None]
-        stacks.append(joint.reshape(-1, *joint.shape[-2:]))
-    return np.concatenate(stacks)
+    bases = block_bases(d)
+    return np.stack([
+        bases[i] @ _reference_generator(unit, d.dims[i]) @ dagger(bases[i])
+        for i in _parameter_rows(d.dims, np.zeros(sum(size**2 for size in d.dims)))
+        for unit in np.eye(d.dims[i] ** 2)
+    ])
 
 
 def _dense_derivatives(problem, u, ready, tangents, generators):
@@ -547,8 +571,8 @@ def _dense_derivatives(problem, u, ready, tangents, generators):
 
 def _jacobian(problem, point, ready):
     """J^T of ``problem`` at the point, (parameters, residuals) as ``_descend`` builds it."""
-    pairs = [np.concatenate(column) for column in zip(*(g.pairs for g in point.groups))]
-    jac = problem.derivatives(point.joint, point.vectors, ready, pairs, problem.tangents(ready))
+    computed = commutant._scored(problem, point.joint, ready)[2]
+    jac = problem.derivatives(point, ready, problem.tangents(ready), computed)
     return jac.reshape(len(jac), -1).view(np.float64)
 
 
@@ -572,31 +596,30 @@ class TestOptimizerBitIdentity:
         exp(+-h G_p) per block and parameter, and along each ready-state tangent."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         point = commutant._random_point(d, [np.random.default_rng(1)])
-        unitaries = _block_unitaries(point)
+        unitaries = _block_unitaries(point, d.dims)
         parts = _reference_parts(d, unitaries)
         assert point.joint.tobytes() == _reference_joint(d, unitaries).tobytes()
-        parameters = sum(len(g.members) * g.size**2 for g in point.groups)
+        parameters = len(point.chart.pairs[0])
         h = 1e-6
         for name, (problem, ready) in _problems(la, lb).items():
             tangents = problem.tangents(ready)
             jac = _jacobian(problem, point, ready)
             points = []
-            for group in point.groups:
-                for i in group.members:
-                    basis = block_bases(d)[i]
-                    for p in range(group.size**2):
-                        points.append([
-                            (point.joint - parts[i] + basis @ (unitaries[i] @ _reference_factor(group.size, p, t))
-                             @ basis.conj().T, ready)
-                            for t in (h, -h)
-                        ])
+            for i in _parameter_rows(d.dims, np.zeros(parameters)):
+                basis, size = block_bases(d)[i], d.dims[i]
+                for p in range(size**2):
+                    points.append([
+                        (point.joint - parts[i] + basis @ (unitaries[i] @ _reference_factor(size, p, t))
+                         @ basis.conj().T, ready)
+                        for t in (h, -h)
+                    ])
             for t in tangents:
                 points.append([(point.joint, (ready + s * t) / np.linalg.norm(ready + s * t)) for s in (h, -h)])
             assert len(points) == len(jac) == parameters + len(tangents)
             scored = [[commutant._scored(problem, u, v) for u, v in pair] for pair in points]
             fd = np.stack([(plus[0] - minus[0]) / (2 * h) for plus, minus in scored])
             assert np.abs(jac - fd).max() <= 1e-8, name
-            residual, _ = commutant._scored(problem, point.joint, ready)
+            residual = commutant._scored(problem, point.joint, ready)[0]
             fd_grad = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in scored])
             assert np.abs(2 * jac @ residual - fd_grad).max() <= 1e-8, name
 
@@ -605,7 +628,7 @@ class TestOptimizerBitIdentity:
         """The two-entry gathers give the Jacobian of the dense B_k G_p B_k^dag stack."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         point = commutant._random_point(d, [np.random.default_rng(1)])
-        generators = _dense_generators(point)
+        generators = _dense_generators(d)
         for name, (problem, ready) in _problems(la, lb).items():
             dense = _dense_derivatives(problem, point.joint, ready, problem.tangents(ready), generators)
             dense = dense.reshape(len(dense), -1).view(np.float64)
@@ -615,27 +638,63 @@ class TestOptimizerBitIdentity:
 
     @pytest.mark.parametrize("la, lb", BLOCK_CASES)
     def test_stepped_batch_matches_per_block_exp(self, la, lb):
+        """One exponential of the scattered generator against each block's own exponential:
+        the generator entry for entry, the step to 1e-14, and exact zeros off the blocks."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         point = commutant._random_point(d, [np.random.default_rng(2)])
-        rng = np.random.default_rng(3)
-        thetas = [rng.standard_normal((3, len(g.members), g.size**2)) * 0.1 for g in point.groups]
-        for theta in thetas:  # zero steps keep the reference's signed zeros
-            theta[0, 0] = -0.0
-            theta[1, 0] = 0.0
-        for group, theta in zip(point.groups, thetas):
-            expected = [_reference_generator(row, group.size) for row in theta.reshape(-1, group.size**2)]
-            assert group.generators(theta).tobytes() == np.stack(expected).tobytes()
-        for c in range(3):
-            by_block = {}
-            for group, theta in zip(point.groups, thetas):
-                by_block.update(zip(group.members, theta[c]))
+        thetas = np.random.default_rng(3).standard_normal((3, len(point.chart.pairs[0]))) * 0.1
+        thetas[0, : min(d.dims) ** 2] = -0.0  # zero steps of the first block
+        thetas[1, : min(d.dims) ** 2] = 0.0
+        off = _off_block(d.dims)
+        for theta in thetas:
+            assert np.array_equal(point.chart.generator(theta), _reference_chart_generator(d.dims, theta))
+            rows = _parameter_rows(d.dims, theta)
             expected = [
-                v @ _reference_block_exp(by_block[i], v.shape[0])
-                for i, v in enumerate(_block_unitaries(point))
+                v @ _reference_block_exp(rows[i], len(v)) for i, v in enumerate(_block_unitaries(point, d.dims))
             ]
-            candidate = point.stepped([theta[c] for theta in thetas])
-            assert [v.tobytes() for v in _block_unitaries(candidate)] == [v.tobytes() for v in expected]
-            assert candidate.joint.tobytes() == _reference_joint(d, expected).tobytes()
+            candidate = point.stepped(theta)
+            assert not candidate.blocks[off].any()
+            for ours, reference in zip(_block_unitaries(candidate, d.dims), expected, strict=True):
+                assert np.abs(ours - reference).max() <= 1e-14
+            assert np.abs(candidate.joint - _reference_joint(d, expected)).max() <= 1e-14
+
+    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
+    def test_steps_keep_blocks_exactly(self, la, lb):
+        """LAPACK's eigh splits the block-diagonal generator where its off-diagonal vanishes, so
+        steps leave every off-block entry of ``blocks`` exactly zero and U conserving L."""
+        q = quantity(np.diag(la), np.diag(lb))
+        d = conserved_eigenspaces(q)
+        joint = conserved_operator(q)
+        scale = np.linalg.norm(joint, 2)
+        off = _off_block(d.dims)
+        point = commutant._random_point(d, [np.random.default_rng(5)])
+        rng = np.random.default_rng(6)
+        for step in range(20):
+            point = point.stepped(rng.standard_normal(len(point.chart.pairs[0])) * [1e-3, 0.1, 1.0, 3.0][step % 4])
+            assert not point.blocks[off].any()
+            assert frobenius_norm(commutator(point.joint, joint)) <= 1e-12 * scale
+
+    def test_one_exponential_per_try(self, monkeypatch):
+        """A geometric 3x5 feasibility restart, three block sizes, retracts each try with one
+        exponential; every try scores its candidate once."""
+        calls = {"exp": 0, "scored": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(commutant, "anti_hermitian_exp_stack", counted("exp", commutant.anti_hermitian_exp_stack))
+        monkeypatch.setattr(commutant, "_scored", counted("scored", commutant._scored))
+        q = quantity(np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]))
+        assert sorted(set(conserved_eigenspaces(q).dims)) == [1, 2, 3]
+        observable = np.ones((3, 3)) - np.eye(3)
+        result = feasibility_search(q, observable, config=SearchConfig(seed=0, restarts=1, max_iter=40))
+        assert result.stop_reasons == ("max_iter",)
+        tries = calls["scored"] - 1  # the starting point is scored before the first try
+        assert tries == 40 and calls["exp"] == tries
 
     def test_feasibility_objective_matches_reference(self, monkeypatch):
         q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
