@@ -468,15 +468,16 @@ def _off_block(dims):
     return block[:, None] != block[None, :]
 
 
+def _parameter_order(dims):
+    """Block indices in parameter order: block sizes ascending, the blocks of one size in block order."""
+    return sorted(range(len(dims)), key=lambda i: dims[i])
+
+
 def _parameter_rows(dims, theta):
-    """theta split into each block's parameter row, {block index: row}: block sizes
-    ascending, the blocks of one size in block order."""
-    rows, start = {}, 0
-    for i in sorted(range(len(dims)), key=lambda i: dims[i]):
-        rows[i] = theta[start : start + dims[i] ** 2]
-        start += dims[i] ** 2
-    assert start == len(theta)
-    return rows
+    """theta split into each block's parameter row, {block index: row}."""
+    ends = np.cumsum([dims[i] ** 2 for i in _parameter_order(dims)])
+    assert ends[-1] == len(theta)
+    return dict(zip(_parameter_order(dims), np.split(theta, ends[:-1])))
 
 
 def _reference_chart_generator(dims, theta):
@@ -551,7 +552,7 @@ def _dense_generators(d):
     bases = block_bases(d)
     return np.stack([
         bases[i] @ _reference_generator(unit, d.dims[i]) @ dagger(bases[i])
-        for i in _parameter_rows(d.dims, np.zeros(sum(size**2 for size in d.dims)))
+        for i in _parameter_order(d.dims)
         for unit in np.eye(d.dims[i] ** 2)
     ])
 
@@ -605,7 +606,7 @@ class TestOptimizerBitIdentity:
             tangents = problem.tangents(ready)
             jac = _jacobian(problem, point, ready)
             points = []
-            for i in _parameter_rows(d.dims, np.zeros(parameters)):
+            for i in _parameter_order(d.dims):
                 basis, size = block_bases(d)[i], d.dims[i]
                 for p in range(size**2):
                     points.append([
