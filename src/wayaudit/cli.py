@@ -1,5 +1,9 @@
 """Command-line interface: parse model files, dispatch checks, emit reports.
 
+Every command checks its inputs, opens ``--out`` (``_staged_out``, the one
+writer), calls the library, serializes its report once, commits ``--out``, then
+prints (``_report``). An unwritable ``--out`` exits 2 before any work is done.
+
 Exit codes: 0 on success, 1 when a falsifiable scientific assertion fails (a
 theorem contradiction or a Robertson-bound violation), 2 on usage or input
 errors, 3 on an internal error (a crash never reads as a falsified
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -134,39 +139,50 @@ def _csv_rows(columns: list[list]) -> str:
 
 @contextlib.contextmanager
 def _staged_out(path: str):
-    """A text file whose contents reach ``path`` as ``open(path, "w")`` would leave them.
+    """``--out``, open for writing: its text reaches ``path`` as ``open(path, "w")``
+    would leave it, and only once the block ends without error.
 
-    A device or pipe is written in place: it has no contents to keep. Otherwise
-    the text goes to a temporary file beside ``path`` (beside its target, for a
-    symlink) and reaches ``path`` only when the block ends without error:
-    renamed onto it with its permissions, or copied into it where a rename
-    would break its hard links or change its owner or group. If the block
-    raises, the temporary file is removed and ``path`` is left as it was.
+    It is opened before the block runs, so a directory, a missing or unwritable
+    parent, or an existing file that ``os.access`` refuses (a rename would
+    replace it) fails before any work. A device or pipe is written in place.
+    Otherwise the text goes to a temporary file beside ``path`` (beside its
+    target, for a symlink), then is renamed onto it with its permissions, or
+    copied into it where a rename would break its hard links or change its
+    owner or group; if the block raises, it is removed. The block does no I/O,
+    so every OSError is the file's: an ``out`` error naming ``path``, not the
+    temporary file.
     """
     try:
-        old = os.stat(path)
-    except FileNotFoundError:
-        old = None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    directory, base = os.path.split(target)
-    fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{base}.", dir=directory)
-    try:
-        new = os.fstat(fd)
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        if old is None or (old.st_nlink, old.st_uid, old.st_gid) == (1, new.st_uid, new.st_gid):
-            os.chmod(temp, _new_file_mode() if old is None else stat.S_IMODE(old.st_mode))
-            os.replace(temp, target)
-        else:
-            with open(temp, "rb") as src, open(target, "wb") as dst:
-                shutil.copyfileobj(src, dst)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temp)
+        try:
+            old = os.stat(path)
+        except FileNotFoundError:
+            old = None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        if old is None and not os.path.basename(path):  # "" or "new/": open() would refuse it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if old is not None and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        target = os.path.realpath(path)
+        directory, base = os.path.split(target)
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=f".{base}.", dir=directory)
+        try:
+            new = os.fstat(fd)
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            if old is None or (old.st_nlink, old.st_uid, old.st_gid) == (1, new.st_uid, new.st_gid):
+                os.chmod(temp, _new_file_mode() if old is None else stat.S_IMODE(old.st_mode))
+                os.replace(temp, target)
+            else:
+                with open(temp, "rb") as src, open(target, "wb") as dst:
+                    shutil.copyfileobj(src, dst)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+    except OSError as exc:
+        raise ModelFileError("out", f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _new_file_mode() -> int:
@@ -176,40 +192,23 @@ def _new_file_mode() -> int:
     return 0o666 & ~umask
 
 
-@contextlib.contextmanager
-def _csv_sink(path: str | None, record: type):
-    """A sink for a sweep's column chunks that writes them to ``path``, one column
-    per field of the sweep's ``record`` dataclass, in field order.
+def _csv_sink(out, record: type):
+    """A sink for a sweep's column chunks that writes them to the open file ``out``,
+    one column per field of the sweep's ``record`` dataclass, in field order.
 
-    Each chunk's rows are written as it arrives, under one header line, through
-    ``_staged_out``: if the block raises, a regular file at ``path`` is left as
-    it was. With no path the chunks are dropped.
+    Each chunk's rows are written as it arrives, under one header line. With no
+    file the chunks are dropped.
     """
-    if path is None:
-        yield lambda columns: None
-        return
+    if out is None:
+        return lambda columns: None
     names = [f.name for f in fields(record)]
-    try:
-        with _staged_out(path) as fh:
-            fh.write(",".join(names) + "\n")
-            yield lambda columns: fh.write(_csv_rows([columns[name] for name in names]))
-    except OSError as exc:  # a sweep does no I/O of its own: the error is the file's
-        raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
+    out.write(",".join(names) + "\n")
+    return lambda columns: out.write(_csv_rows([columns[name] for name in names]))
 
 
-def emit_report(text: str, path: str | None = None) -> None:
-    """Write a report serialized by ``canonical_json`` to ``path`` (stdout if None).
-
-    Sweep CSVs are written chunk by chunk as the sweep runs.
-    """
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ModelFileError("out", f"cannot write {path}: {exc}") from exc
+def emit_report(text: str, out=None) -> None:
+    """Write a report serialized by ``canonical_json`` to the open file ``out``, or to stdout."""
+    (sys.stdout if out is None else out).write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +369,21 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
 # report assembly
 
 
-def _base_report(args, seed: int | None) -> dict:
+@contextlib.contextmanager
+def _report(args, loaded: LoadedModel | None = None, seed: int | None = None):
+    """Every command's one order, entered once its inputs are checked: open
+    ``--out``, run the block, serialize the report once, commit ``--out``, print.
+
+    Yields the report (the command echo, and the model if given) for the block
+    to add its ``results`` to, and the open ``--out`` of a csv sweep, which gets
+    the per-trial records in place of the report (None otherwise).
+    """
     echo = [args.command]
     for name in ("model", "kind", "state", "n1", "n2", "count", "seed", "out", "format"):
         value = getattr(args, name, None)
         if value is not None:
             echo.extend([f"--{name}", str(value)])
-    return {
+    report = {
         "command": echo,
         "version": __version__,
         "seed": seed,
@@ -388,18 +395,15 @@ def _base_report(args, seed: int | None) -> dict:
             "grouping_tol": GROUPING_TOL,
         },
     }
-
-
-def _emit(args, loaded: LoadedModel, results: dict, seed: int | None = None) -> None:
-    """A single-model command's report: the command echo, the model and ``results``,
-    to stdout and to ``--out`` if given."""
-    report = _base_report(args, seed)
-    report["model"] = loaded.echo()
-    report["results"] = results
-    text = canonical_json(report)
+    if loaded is not None:
+        report["model"] = loaded.echo()
+    csv = getattr(args, "format", None) == "csv"
+    with (_staged_out(args.out) if args.out is not None else contextlib.nullcontext()) as out:
+        yield report, out if csv else None
+        text = canonical_json(report)
+        if out is not None and not csv:
+            emit_report(text, out)
     emit_report(text)
-    if args.out is not None:
-        emit_report(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +412,22 @@ def _emit(args, loaded: LoadedModel, results: dict, seed: int | None = None) -> 
 
 def _cmd_check(args) -> int:
     loaded = load_model(args.model)
-    conserved = check_conserved(loaded.model, loaded.quantity, args.tol)
-    nd = check_nondestructive(loaded.model, args.tol)
-    if nd.error is None and nd.verdict:
-        exact = asdict(check_exact(loaded.model, args.tol, nondestructive=nd))
-    else:
-        exact = {"error": nd.error or "precondition_failed: check_nondestructive"}
-    _emit(args, loaded, {"conserved": asdict(conserved), "nondestructive": asdict(nd), "exact": exact})
+    with _report(args, loaded) as (report, _):
+        conserved = check_conserved(loaded.model, loaded.quantity, args.tol)
+        nd = check_nondestructive(loaded.model, args.tol)
+        if nd.error is None and nd.verdict:
+            exact = asdict(check_exact(loaded.model, args.tol, nondestructive=nd))
+        else:
+            exact = {"error": nd.error or "precondition_failed: check_nondestructive"}
+        report["results"] = {"conserved": asdict(conserved), "nondestructive": asdict(nd), "exact": exact}
     return 0
 
 
 def _cmd_verdict(args) -> int:
     loaded = load_model(args.model)
-    verdict = _checked(theorem_verdict, loaded.model, loaded.quantity, args.tol)
-    _emit(args, loaded, asdict(verdict))
+    with _report(args, loaded) as (report, _):
+        verdict = _checked(theorem_verdict, loaded.model, loaded.quantity, args.tol)
+        report["results"] = asdict(verdict)
     return 1 if verdict.outcome == "contradiction" else 0
 
 
@@ -432,28 +438,30 @@ def _cmd_bound(args) -> int:
     if loaded.probe is None:
         raise ModelFileError("probe", "bound requires a probe in the model file")
     psi = _parse_state(args.state, loaded.model.n1)
-    nr = _checked(noise_report, loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
-    _emit(args, loaded, asdict(nr))
+    with _report(args, loaded) as (report, _):
+        nr = _checked(noise_report, loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
+        report["results"] = asdict(nr)
     return 0 if nr.robertson.valid else 1
 
 
 def _cmd_rank(args) -> int:
     loaded = load_model(args.model)
-    nd = check_nondestructive(loaded.model, args.tol)
-    if nd.error is not None:
-        raise ModelFileError("model", nd.error)
-    gram_rank = pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)
-    _emit(args, loaded, asdict(gram_rank))
+    with _report(args, loaded) as (report, _):
+        nd = check_nondestructive(loaded.model, args.tol)
+        if nd.error is not None:
+            raise ModelFileError("model", nd.error)
+        report["results"] = asdict(pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol))
     return 0
 
 
 def _cmd_audit_variance(args) -> int:
     loaded = load_model(args.model)
     psi = _parse_state(args.state, loaded.model.n1)
-    audit = variance_identity_audit(
-        loaded.quantity.system_op, loaded.quantity.apparatus_op, psi, loaded.model.ready_state, args.tol
-    )
-    _emit(args, loaded, asdict(audit))
+    with _report(args, loaded) as (report, _):
+        audit = variance_identity_audit(
+            loaded.quantity.system_op, loaded.quantity.apparatus_op, psi, loaded.model.ready_state, args.tol
+        )
+        report["results"] = asdict(audit)
     return 0
 
 
@@ -465,19 +473,6 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _require_out(args) -> None:
-    """The --out usage errors of a sweep, found before any trial runs; creates and truncates nothing."""
-    if args.out is None:
-        if args.format == "csv":
-            raise ModelFileError("out", "--out is required for csv output")
-        return
-    targets = [args.out] if os.path.exists(args.out) else []
-    if not targets or (args.format == "csv" and os.path.isfile(args.out)):  # a CSV is staged beside it
-        targets.append(os.path.dirname(os.path.realpath(args.out)))
-    if os.path.isdir(args.out) or not all(os.access(target, os.W_OK) for target in targets):
-        raise ModelFileError("out", f"cannot write {args.out}")
-
-
 def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
@@ -486,25 +481,24 @@ def _cmd_sweep(args) -> int:
         require_sweep_inputs(args.n1, args.n2, args.count, seed)
     else:
         config = AuditConfig(args.n1, args.n2, args.count, seed, args.tol)
-    _require_out(args)
-    report = _base_report(args, seed)
-    csv_path = args.out if args.format == "csv" else None
-    if args.kind == "counterexample":
-        with _csv_sink(csv_path, SweepTrial) as sink:
-            sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol, sink)
-        report["results"] = {
-            "kind": "counterexample",
-            "n1": sweep.n1,
-            "n2": sweep.n2,
-            "count": sweep.count,
-            "conforming_count": sweep.conforming_count,
-            "counterexamples": sweep.counterexamples,
-            "max_conforming_commutator": sweep.max_conforming_commutator,
-            "no_counterexample": sweep.no_counterexample,
-        }
-        failed = sweep.counterexamples > 0
-    else:
-        with _csv_sink(csv_path, BoundAuditRecord) as sink:
+    if args.out is None and args.format == "csv":
+        raise ModelFileError("out", "--out is required for csv output")
+    with _report(args, seed=seed) as (report, csv):
+        if args.kind == "counterexample":
+            sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol, _csv_sink(csv, SweepTrial))
+            report["results"] = {
+                "kind": "counterexample",
+                "n1": sweep.n1,
+                "n2": sweep.n2,
+                "count": sweep.count,
+                "conforming_count": sweep.conforming_count,
+                "counterexamples": sweep.counterexamples,
+                "max_conforming_commutator": sweep.max_conforming_commutator,
+                "no_counterexample": sweep.no_counterexample,
+            }
+            failed = sweep.counterexamples > 0
+        else:
+            sink = _csv_sink(csv, BoundAuditRecord)
             s = bound_audit_sweep(config, sink).summary
             # Summary row reuses the schema: *_bound columns carry violation
             # fractions, *_defined/_applicable carry counts, *_valid carry
@@ -527,19 +521,14 @@ def _cmd_sweep(args) -> int:
                 "simplified_valid": s.simplified_violations,
             }
             sink({name: [value] for name, value in summary_row.items()})
-        report["results"] = {
-            "kind": "bound-audit",
-            "n1": args.n1,
-            "n2": args.n2,
-            "count": args.count,
-            **asdict(s),
-        }
-        failed = s.robertson_violations > 0
-
-    text = canonical_json(report)
-    if csv_path is None and args.out is not None:
-        emit_report(text, args.out)
-    emit_report(text)
+            report["results"] = {
+                "kind": "bound-audit",
+                "n1": args.n1,
+                "n2": args.n2,
+                "count": args.count,
+                **asdict(s),
+            }
+            failed = s.robertson_violations > 0
     return 1 if failed else 0
 
 
@@ -548,15 +537,16 @@ def _cmd_optimize(args) -> int:
     loaded = load_model(args.model)
     if loaded.observable is None:
         raise ModelFileError("observable", "optimize requires an observable in the model file")
-    restarts = args.count if args.count is not None else 8
-    config = SearchConfig(seed=seed, restarts=restarts)
-    if args.kind == "feasibility":
-        result = feasibility_search(loaded.quantity, loaded.observable, config)
-    else:
-        if loaded.probe is None:
-            raise ModelFileError("probe", "optimize --kind epsilon requires a probe in the model file")
-        result = minimize_epsilon(loaded.quantity, loaded.observable, loaded.probe, loaded.model.ready_state, config)
-    _emit(args, loaded, {"kind": args.kind, **asdict(result)}, seed)
+    if args.kind == "epsilon" and loaded.probe is None:
+        raise ModelFileError("probe", "optimize --kind epsilon requires a probe in the model file")
+    config = SearchConfig(seed=seed, restarts=SearchConfig.restarts if args.count is None else args.count)
+    with _report(args, loaded, seed) as (report, _):
+        if args.kind == "feasibility":
+            result = feasibility_search(loaded.quantity, loaded.observable, config)
+        else:
+            ready = loaded.model.ready_state
+            result = minimize_epsilon(loaded.quantity, loaded.observable, loaded.probe, ready, config)
+        report["results"] = {"kind": args.kind, **asdict(result)}
     return 0
 
 
@@ -606,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search the commutant for low-noise or exact schemes")
     common(p)
     p.add_argument("--kind", choices=("epsilon", "feasibility"), default="epsilon")
-    p.add_argument("--count", type=int, default=None, help="number of restarts (default 8)")
+    p.add_argument("--count", type=int, default=None, help=f"number of restarts (default {SearchConfig.restarts})")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_optimize)
 

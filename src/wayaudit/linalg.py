@@ -10,7 +10,9 @@ stacks of states, unvalidated, and give each member the bits of its own
 call: matrix products go through one BLAS call per matrix (``matvec_stack``
 keeps a mat-vec a gemv), norms through the strided dot products
 ``np.linalg.norm`` takes, and a Python float's square through libm ``pow``
-(``squares``). Each scalar function is a batch of one of its kernel;
+(``squares``). ``anti_hermitian_exp_stack`` takes generators that are
+anti-Hermitian entry by entry and does not symmetrize them. Each scalar
+function is a batch of one of its kernel;
 ``tensor_product``, ``commutator`` and ``variance`` validate their inputs first.
 
 Each structural hypothesis has one stack-aware check here, which raises a
@@ -284,8 +286,13 @@ def unitary_completion(columns) -> np.ndarray:
 
     The first k columns of the result are the inputs verbatim. The remaining
     columns come from Gram-Schmidt over the computational basis (two passes,
-    processed in index order), so structured inputs get structured completions;
-    an SVD null-space fallback covers the rare shortfall.
+    processed in index order), so structured inputs get structured completions.
+
+    The basis always completes them. Were the collected columns short of D, a
+    unit vector w orthogonal to all of them would exist, and some basis vector
+    e_i would have |<e_i|w>| >= 1/sqrt(D). When e_i was processed, w was
+    orthogonal to every column collected so far, so e_i's residual kept that
+    component: its norm was at least 1/sqrt(D) > 1e-8, and e_i was collected.
     """
     cols = [np.asarray(c, dtype=complex) for c in columns]
     if not cols:
@@ -314,11 +321,6 @@ def unitary_completion(columns) -> np.ndarray:
         norm = np.linalg.norm(cand)
         if norm > 1e-8:
             collected.append(cand / norm)
-    if len(collected) < dim:
-        basis = np.stack(collected, axis=1)
-        _, _, vh = np.linalg.svd(dagger(basis))
-        for i in range(dim - len(collected)):
-            collected.append(vh[len(collected) + i].conj())
     return np.stack(collected, axis=1)
 
 
@@ -576,9 +578,11 @@ def random_positive_operator_stack(dim: int, rngs) -> np.ndarray:
 def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:
     """exp(k) for each anti-Hermitian matrix of a (..., d, d) stack, unvalidated.
 
-    Uses the eigensystem of the Hermitian part of -i*k; one stacked ``eigh``
-    gives each matrix the same bits as its own call would.
+    Each k must be anti-Hermitian entry by entry, k[b, a] == -conj(k[a, b]),
+    as ``commutant._Chart.generator`` scatters it: -i*k is then Hermitian as
+    it stands, and ``eigh``, which reads only its lower triangle, takes it
+    unsymmetrized. One stacked ``eigh`` gives each matrix the same bits as its
+    own call would.
     """
-    h = -1j * k
-    values, vectors = np.linalg.eigh((h + dagger(h)) / 2.0)
+    values, vectors = np.linalg.eigh(-1j * k)
     return (vectors * np.exp(1j * values)[..., None, :]) @ dagger(vectors)

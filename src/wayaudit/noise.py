@@ -75,12 +75,11 @@ __all__ = [
     "BoundAuditRecord",
     "BoundAuditReport",
     "BoundAuditSummary",
+    "ConditionalBoundReport",
     "NoiseReport",
     "PaperBoundReport",
     "RobertsonReport",
-    "SimplifiedBoundReport",
     "VarianceAudit",
-    "YanaseBoundReport",
     "bound_audit_sweep",
     "noise_report",
     "variance_identity_audit",
@@ -268,10 +267,13 @@ def _paper(x: _Stack) -> dict:
 
 
 @dataclass(frozen=True)
-class YanaseBoundReport:
-    """Bound under the Yanase condition [probe, lb] = 0.
+class ConditionalBoundReport:
+    """A bound that holds only under a condition on the instance: the Yanase
+    bound under [probe, lb] = 0, and the system-only bound
+    |<psi|[observable, la]|psi>|^2 / (4 Var(la)) for a ready state with zero
+    apparatus-factor expectation <v|lb|v> = 0.
 
-    ``applicable`` is False when the probe fails the condition; ``defined``
+    ``applicable`` is False when the instance fails the condition; ``defined``
     is False on a degenerate denominator.
     """
 
@@ -298,17 +300,6 @@ def _yanase(x: _Stack) -> dict:
     applicable = ~(frobenius_norm_stack(x.probe_commutator) > YANASE_COMMUTATOR_TOL)
     numerator = _abs_squares(_expectations(x.observable_term, x.joint_state))
     return _conditional(x, applicable, numerator, x.factored_denominator)
-
-
-@dataclass(frozen=True)
-class SimplifiedBoundReport:
-    """System-only bound |<psi|[observable, la]|psi>|^2 / (4 Var(la)), for a ready
-    state with zero apparatus-factor expectation <v|lb|v> = 0."""
-
-    applicable: bool
-    bound: float | None
-    defined: bool | None
-    valid: bool | None
 
 
 def _simplified(x: _Stack) -> dict:
@@ -365,8 +356,8 @@ class NoiseReport:
     epsilon_sq: float
     robertson: RobertsonReport
     paper: PaperBoundReport
-    yanase: YanaseBoundReport
-    simplified: SimplifiedBoundReport
+    yanase: ConditionalBoundReport
+    simplified: ConditionalBoundReport
     var_conserved_exact: float
     var_product_claim: float
 
@@ -380,8 +371,8 @@ def noise_report(
         epsilon_sq=float(x.epsilon_sq[0]),
         robertson=_one(RobertsonReport, _robertson(x)),
         paper=_one(PaperBoundReport, _paper(x)),
-        yanase=_one(YanaseBoundReport, _yanase(x)),
-        simplified=_one(SimplifiedBoundReport, _simplified(x)),
+        yanase=_one(ConditionalBoundReport, _yanase(x)),
+        simplified=_one(ConditionalBoundReport, _simplified(x)),
         var_conserved_exact=float(x.var_conserved[0]),
         var_product_claim=float(x.var_la[0] * x.var_lb[0]),
     )

@@ -730,6 +730,86 @@ class TestJsonOut:
         assert len(calls) == 1
 
 
+# Each command that can write a JSON report, with the library entry point it calls first.
+OUT_COMMANDS = [
+    (("check", "--model", "tests/fixtures/cnot.json"), "check_conserved"),
+    (("verdict", "--model", "tests/fixtures/cnot.json"), "theorem_verdict"),
+    (("bound", "--model", "tests/fixtures/cnot.json", "--state", "plus"), "noise_report"),
+    (("rank", "--model", "tests/fixtures/cnot.json"), "check_nondestructive"),
+    (("audit-variance", "--model", "tests/fixtures/cnot.json", "--state", "plus"), "variance_identity_audit"),
+    (("optimize", "--model", "tests/fixtures/cnot.json", "--kind", "feasibility", "--seed", "1"), "feasibility_search"),
+    (("optimize", "--model", "tests/fixtures/cnot.json", "--kind", "epsilon", "--seed", "1"), "minimize_epsilon"),
+    (("sweep", "--kind", "counterexample", "--n1", "2", "--n2", "2", "--count", "5", "--seed", "1",
+      "--format", "json"), "counterexample_sweep"),
+    (("sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3", "--count", "5", "--seed", "1",
+      "--format", "json"), "bound_audit_sweep"),
+]
+
+
+class TestOutFirst:
+    """Every command opens --out before it calls the library, and prints only once the file is committed."""
+
+    @staticmethod
+    def refuse(monkeypatch, entry, exc):
+        def refused(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, entry, refused)
+
+    @pytest.mark.parametrize("argv, entry", OUT_COMMANDS)
+    def test_unwritable_out_comes_before_the_library(self, capsys, monkeypatch, tmp_path, argv, entry):
+        self.refuse(monkeypatch, entry, AssertionError("the library ran before --out was opened"))
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: out: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv, entry", OUT_COMMANDS)
+    def test_failure_leaves_out_unchanged(self, capsys, monkeypatch, tmp_path, argv, entry):
+        self.refuse(monkeypatch, entry, RuntimeError("library failed"))
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"earlier":"report"}\n')
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: RuntimeError: library failed")
+        assert path.read_bytes() == b'{"earlier":"report"}\n'
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes files whatever their mode bits")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "tests/fixtures/cnot.json"),
+            ("sweep", "--kind", "counterexample", "--n1", "2", "--n2", "2", "--count", "5", "--seed", "1"),
+        ],
+    )
+    def test_read_only_out_is_refused(self, capsys, tmp_path, argv):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"kept\n")
+        path.chmod(0o444)
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: out: cannot write {path}: Permission denied\n"
+        assert path.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("name", ["", "new/"])
+    def test_path_naming_no_file_is_refused(self, capsys, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)
+        self.refuse(monkeypatch, "check_conserved", AssertionError("the library ran before --out was opened"))
+        code, out, err = run(capsys, "check", "--model", str(REPO / "tests/fixtures/cnot.json"), "--out", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: out: cannot write {name}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_error_text_is_deterministic(self, capsys, tmp_path):
+        # the temporary file's random name must not reach the message
+        argv = ("check", "--model", "tests/fixtures/cnot.json", "--out", str(tmp_path / "missing" / "x.json"))
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second and first[0] == 2
+        assert ".tmp" not in first[2]
+
+
 class TestSweepCommand:
     def test_counterexample_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

@@ -24,6 +24,7 @@ from wayaudit.commutant import (
 )
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
+    anti_hermitian_exp_stack,
     commutator,
     dagger,
     frobenius_norm,
@@ -674,6 +675,22 @@ class TestOptimizerBitIdentity:
             point = point.stepped(rng.standard_normal(len(point.chart.pairs[0])) * [1e-3, 0.1, 1.0, 3.0][step % 4])
             assert not point.blocks[off].any()
             assert frobenius_norm(commutator(point.joint, joint)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
+    def test_exponential_needs_no_symmetrization(self, la, lb):
+        """The scattered generator is anti-Hermitian entry by entry, so its exponential has the
+        bits of the exponential of its symmetrized Hermitian part, zero steps included."""
+        chart = commutant._Chart(conserved_eigenspaces(quantity(np.diag(la), np.diag(lb))).dims)
+        size = len(chart.pairs[0])
+        rng = np.random.default_rng(7)
+        thetas = [np.zeros(size), -np.zeros(size)]
+        thetas += [rng.standard_normal(size) * scale for scale in (1e-9, 1e-3, 0.1, 1.0, 3.0)]
+        thetas[-1][: size // 2] = -0.0
+        for theta in thetas:
+            h = -1j * chart.generator(theta)
+            values, vectors = np.linalg.eigh((h + dagger(h)) / 2.0)
+            symmetrized = (vectors * np.exp(1j * values)[..., None, :]) @ dagger(vectors)
+            assert anti_hermitian_exp_stack(chart.generator(theta)).tobytes() == symmetrized.tobytes()
 
     def test_one_exponential_per_try(self, monkeypatch):
         """A geometric 3x5 feasibility restart, three block sizes, retracts each try with one

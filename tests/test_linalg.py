@@ -10,6 +10,7 @@ from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
+    ORTHONORMAL_TOL,
     anti_hermitian_exp_stack,
     commutator,
     dagger,
@@ -314,6 +315,36 @@ class TestUnitaryCompletion:
         for i in range(k):
             np.testing.assert_array_equal(u[:, i], cols[i])
 
+
+    @staticmethod
+    def _near_defect(q, rng):
+        """``q`` moved off orthonormality by a random perturbation, to about 0.9 ``ORTHONORMAL_TOL``."""
+        e = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+
+        def defect(t):
+            p = q + t * e
+            return np.linalg.norm(p.T @ p.conj() - np.eye(q.shape[1]))
+
+        return q + (0.9 * ORTHONORMAL_TOL * 1e-9 / defect(1e-9)) * e
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 9, 16, 64])
+    def test_gram_schmidt_always_completes(self, dim):
+        # every k < D, on random, flat (DFT), basis-aligned and barely orthonormal inputs
+        rng = np.random.default_rng(dim)
+        dft = np.fft.fft(np.eye(dim)) / np.sqrt(dim)
+        basis = np.eye(dim, dtype=complex)[:, rng.permutation(dim)]
+        for k in range(1, dim):
+            haar = haar_unitary(dim, rng)[:, :k]
+            near = self._near_defect(haar, rng)
+            defect = np.linalg.norm(near.T @ near.conj() - np.eye(k))
+            assert 0.5 * ORTHONORMAL_TOL <= defect <= ORTHONORMAL_TOL
+            for q in (haar, dft[:, :k], basis[:, :k], near):
+                u = unitary_completion(list(q.T))
+                assert u.shape == (dim, dim)
+                assert u[:, :k].tobytes() == q.tobytes()
+                w = u[:, k:]
+                assert np.abs(dagger(w) @ w - np.eye(dim - k)).max() <= 1e-10
+                assert np.abs(dagger(q) @ w).max() <= 1e-10
 
 class TestHaar:
     def test_determinism(self):
