@@ -25,7 +25,7 @@ import stat
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -100,7 +100,13 @@ def _canonical(value) -> str:
         return "{" + ",".join(parts) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_canonical(v) for v in value) + "]"
+    if is_dataclass(value):  # a library report: the dict of its fields, with no deep copy
+        return _canonical(_field_dict(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _field_dict(report) -> dict:
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def canonical_json(report) -> str:
@@ -416,18 +422,17 @@ def _cmd_check(args) -> int:
         conserved = check_conserved(loaded.model, loaded.quantity, args.tol)
         nd = check_nondestructive(loaded.model, args.tol)
         if nd.error is None and nd.verdict:
-            exact = asdict(check_exact(loaded.model, args.tol, nondestructive=nd))
+            exact = check_exact(loaded.model, args.tol, nondestructive=nd)
         else:
             exact = {"error": nd.error or "precondition_failed: check_nondestructive"}
-        report["results"] = {"conserved": asdict(conserved), "nondestructive": asdict(nd), "exact": exact}
+        report["results"] = {"conserved": conserved, "nondestructive": nd, "exact": exact}
     return 0
 
 
 def _cmd_verdict(args) -> int:
     loaded = load_model(args.model)
     with _report(args, loaded) as (report, _):
-        verdict = _checked(theorem_verdict, loaded.model, loaded.quantity, args.tol)
-        report["results"] = asdict(verdict)
+        report["results"] = verdict = _checked(theorem_verdict, loaded.model, loaded.quantity, args.tol)
     return 1 if verdict.outcome == "contradiction" else 0
 
 
@@ -440,7 +445,7 @@ def _cmd_bound(args) -> int:
     psi = _parse_state(args.state, loaded.model.n1)
     with _report(args, loaded) as (report, _):
         nr = _checked(noise_report, loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
-        report["results"] = asdict(nr)
+        report["results"] = nr
     return 0 if nr.robertson.valid else 1
 
 
@@ -450,7 +455,7 @@ def _cmd_rank(args) -> int:
         nd = check_nondestructive(loaded.model, args.tol)
         if nd.error is not None:
             raise ModelFileError("model", nd.error)
-        report["results"] = asdict(pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol))
+        report["results"] = pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)
     return 0
 
 
@@ -458,10 +463,9 @@ def _cmd_audit_variance(args) -> int:
     loaded = load_model(args.model)
     psi = _parse_state(args.state, loaded.model.n1)
     with _report(args, loaded) as (report, _):
-        audit = variance_identity_audit(
+        report["results"] = variance_identity_audit(
             loaded.quantity.system_op, loaded.quantity.apparatus_op, psi, loaded.model.ready_state, args.tol
         )
-        report["results"] = asdict(audit)
     return 0
 
 
@@ -526,7 +530,7 @@ def _cmd_sweep(args) -> int:
                 "n1": args.n1,
                 "n2": args.n2,
                 "count": args.count,
-                **asdict(s),
+                **_field_dict(s),
             }
             failed = s.robertson_violations > 0
     return 1 if failed else 0
@@ -546,7 +550,7 @@ def _cmd_optimize(args) -> int:
         else:
             ready = loaded.model.ready_state
             result = minimize_epsilon(loaded.quantity, loaded.observable, loaded.probe, ready, config)
-        report["results"] = {"kind": args.kind, **asdict(result)}
+        report["results"] = {"kind": args.kind, **_field_dict(result)}
     return 0
 
 

@@ -10,9 +10,11 @@ parameters are the canonical generators G_p of every block (d**2 per block of
 size d), and for the feasibility search also the tangent directions of the
 ready-state sphere. Each G_p has at most two nonzero entries (``_Chart.pairs``),
 so the derivative along dU = U K_p, K_p = V G_p V^dag, is two gathers from the
-eigenvector coordinates LV and V^dag R (``_gather``). Each try scatters its step
-into one block-diagonal generator, retracts with one exponential of it and
-renormalizes the ready state. Each restart reports why it stopped.
+eigenvector coordinates LV and V^dag R (``_gather``). Each accepted point factors
+the smaller Gram matrix of J (``_step_axes``): J J^T when there are fewer residuals
+than parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise. Each
+try scatters its step into one block-diagonal generator, retracts with one
+exponential of it and renormalizes the ready state. Each restart reports why it stopped.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -296,13 +298,26 @@ def _scored(problem, u: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, floa
     return residual, float(residual @ residual), computed
 
 
+def _step_axes(jac: np.ndarray, residual: np.ndarray, grad: np.ndarray):
+    """(curvature, axes, coefficients): -axes @ (coefficients / (curvature + lam)) = -(J^T J + lam I)^-1 J^T r
+    for ``jac`` = J^T (P, R), from one ``eigh`` of the smaller Gram matrix. For R < P, J J^T = B C B^T and
+    (J^T J + lam I)^-1 J^T = J^T (J J^T + lam I)^-1 give J^T B and B^T r; else J^T J = A C A^T gives A, A^T J^T r."""
+    if jac.shape[1] < jac.shape[0]:
+        curvature, basis = np.linalg.eigh(jac.T @ jac)
+        axes, coefficients = jac @ basis, residual @ basis
+    else:
+        curvature, axes = np.linalg.eigh(jac @ jac.T)
+        coefficients = grad @ axes
+    return np.maximum(curvature, 0.0), axes, coefficients  # semidefinite: drop rounding below zero
+
+
 def _descend(decomposition, problem, rng, config: SearchConfig):
     """One restart of Levenberg-Marquardt on the residual of ``problem``.
 
     The parameters are the canonical generators of every commutant block,
     U <- U exp(B_k G_p B_k^dag), and the ``problem.tangents`` of the ready
     state (none if it is fixed), v <- (v + dv) / |v + dv|. Each try
-    solves (J^T J + lam I) delta = -J^T r on the exact Jacobian, accepts the
+    solves (J^T J + lam I) delta = -J^T r on the exact Jacobian (``_step_axes``), accepts the
     step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. The
     restart stops when F <= ZERO_OBJECTIVE, when the next step promises a
     decrease of at most ``FTOL * F`` (no damped step decreases F any
@@ -327,12 +342,10 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
             if not grad.any():
                 reason = "gradient"
                 break
-            curvature, axes = np.linalg.eigh(jac @ jac.T)
-            curvature = np.maximum(curvature, 0.0)  # J^T J is semidefinite; drop rounding below zero
-            grad_axes = grad @ axes
+            curvature, axes, coefficients = _step_axes(jac, residual, grad)
             lam = 1e-3 * float(curvature[-1]) if lam is None else lam
             fresh = False
-        delta = -axes @ (grad_axes / (curvature + lam))
+        delta = -axes @ (coefficients / (curvature + lam))
         predicted = lam * float(delta @ delta) - float(delta @ grad)  # Python floats: lam may overflow
         if not predicted > FTOL * f:  # also once lam is inf and predicted nan
             reason = "no_decrease"
@@ -381,11 +394,8 @@ def default_probe_states(system_op: np.ndarray) -> list[np.ndarray]:
     """Eigenbasis of the system conserved factor plus all pairwise equal-weight mixes."""
     _, vectors = hermitian_eigensystem(system_op)
     n = vectors.shape[1]
-    states = [vectors[:, i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            states.append((vectors[:, i] + vectors[:, j]) / np.sqrt(2.0))
-    return states
+    mixes = [(vectors[:, i] + vectors[:, j]) / np.sqrt(2.0) for i in range(n) for j in range(i + 1, n)]
+    return [*vectors.T, *mixes]
 
 
 def minimize_epsilon(
@@ -406,8 +416,7 @@ def minimize_epsilon(
     require_hermitian(observable, "observable")
     require_hermitian(probe, "probe")
     ready = as_state(ready_state)
-    n1 = q.system_op.shape[0]
-    n2 = q.apparatus_op.shape[0]
+    n1, n2 = q.system_op.shape[0], q.apparatus_op.shape[0]
     if observable.shape[0] != n1:
         raise ValueError(f"observable must have dimension {n1}")
     if probe.shape[0] != n2 or ready.shape[0] != n2:
@@ -469,8 +478,7 @@ class _Feasibility:
     nondestructive scheme (unit W_j: no leakage; orthogonal: distinguishable)."""
 
     def __init__(self, basis: np.ndarray, n2: int):
-        self.basis = basis  # row j = u_j
-        self.n2 = n2
+        self.basis, self.n2 = basis, n2  # row j of basis is u_j
         self.directions = np.concatenate([np.eye(n2), 1j * np.eye(n2)])  # e_k, then i e_k
 
     def ready_state(self, rng):

@@ -270,8 +270,7 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvector columns of Hermitian ``a``."""
     a = as_operator(a)
     require_hermitian(a, "operator")
-    values, vectors = np.linalg.eigh(a)
-    return values, vectors
+    return np.linalg.eigh(a)
 
 
 def numerical_rank(a: np.ndarray, tol: float) -> int:
@@ -285,8 +284,9 @@ def unitary_completion(columns) -> np.ndarray:
     """Extend orthonormal columns to a full unitary.
 
     The first k columns of the result are the inputs verbatim. The remaining
-    columns come from Gram-Schmidt over the computational basis (two passes,
-    processed in index order), so structured inputs get structured completions.
+    columns come from Gram-Schmidt over the computational basis (in index order,
+    two passes of one projection off all columns collected so far), so
+    structured inputs get structured completions.
 
     The basis always completes them. Were the collected columns short of D, a
     unit vector w orthogonal to all of them would exist, and some basis vector
@@ -297,31 +297,23 @@ def unitary_completion(columns) -> np.ndarray:
     cols = [np.asarray(c, dtype=complex) for c in columns]
     if not cols:
         raise ValueError("at least one column is required")
-    dim = cols[0].shape[0]
-    for c in cols:
-        if c.ndim != 1 or c.shape[0] != dim:
-            raise ValueError("columns must be vectors of a common dimension")
-    k = len(cols)
+    dim, k = cols[0].shape[0], len(cols)
+    if any(c.ndim != 1 or c.shape[0] != dim for c in cols):
+        raise ValueError("columns must be vectors of a common dimension")
     if k > dim:
         raise ValueError(f"{k} columns cannot fit in dimension {dim}")
     require_orthonormal_rows(np.stack(cols), "columns")
-    q = np.stack(cols, axis=1)
-    if k == dim:
-        return q
-
-    collected = [q[:, i] for i in range(k)]
-    for idx in range(dim):
-        if len(collected) == dim:
+    collected = np.zeros((dim, dim), dtype=complex)
+    collected[:, :k] = np.stack(cols, axis=1)
+    for cand in np.eye(dim, dtype=complex):  # e_0, e_1, ...: rows of a scratch identity, updated in place
+        if k == dim:
             break
-        cand = np.zeros(dim, dtype=complex)
-        cand[idx] = 1.0
         for _ in range(2):  # re-orthogonalize; twice is enough
-            for col in collected:
-                cand = cand - np.vdot(col, cand) * col
+            cand -= collected[:, :k] @ (dagger(collected[:, :k]) @ cand)
         norm = np.linalg.norm(cand)
         if norm > 1e-8:
-            collected.append(cand / norm)
-    return np.stack(collected, axis=1)
+            collected[:, k], k = cand / norm, k + 1
+    return collected
 
 
 def _words(n: int) -> list[int]:

@@ -117,9 +117,8 @@ def conserved_operator(q: ConservedQuantity) -> np.ndarray:
     """The joint-space operator the interaction is supposed to leave invariant."""
     if q.kind == "multiplicative":
         return tensor_product(q.system_op, q.apparatus_op)
-    n1 = q.system_op.shape[0]
-    n2 = q.apparatus_op.shape[0]
-    return tensor_product(q.system_op, np.eye(n2)) + tensor_product(np.eye(n1), q.apparatus_op)
+    eye1, eye2 = np.eye(len(q.system_op)), np.eye(len(q.apparatus_op))
+    return tensor_product(q.system_op, eye2) + tensor_product(eye1, q.apparatus_op)
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,7 @@ def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerat
 
 def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -> PointerReport:
     """``pointer_stack`` for one model; ``tol`` is both the degeneracy and the leakage threshold."""
-    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None],
-                                          tol).items()}
+    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None], tol).items()}
     leakage = float(a["leakage"])
     degenerate = tuple(np.flatnonzero(a["degenerate"]).tolist())
     return PointerReport(
@@ -276,10 +274,8 @@ def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
         raise ValueError(f"pointers must have shape ({n1}, {n2})")
     require_unit_norm(ptrs, "pointers")
 
-    inputs = [product_state(basis[j], ready) for j in range(n1)]
-    outputs = [product_state(basis[j], ptrs[j]) for j in range(n1)]
-    a = unitary_completion(inputs)
-    b = unitary_completion(outputs)
+    a = unitary_completion(product_state(basis, ready))  # row j: u(j) (x) v
+    b = unitary_completion(product_state(basis, ptrs))  # row j: u(j) (x) pointer(j)
     return MeasurementModel(n1, n2, basis, ready, b @ dagger(a))
 
 

@@ -737,6 +737,56 @@ class TestOptimizerBitIdentity:
             assert commutant._scored(problem, u, E0)[1] == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
 
+def _reference_step(jac, residual, lam):
+    """The damped Gauss-Newton step in parameter space: (J^T J + lam I) delta = -J^T r, (P,)."""
+    return np.linalg.solve(jac @ jac.T + lam * np.eye(len(jac)), -(jac @ residual))
+
+
+class TestLevenbergMarquardtStep:
+    """Each try's step comes from one ``eigh`` of the smaller Gram matrix of J."""
+
+    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
+    def test_step_matches_parameter_space_solve(self, la, lb):
+        """At random points, the step -axes (coefficients / (curvature + lam)) solves the P x P
+        system for lam from 1e-6 to 1e3 times the largest curvature: to 1e-13 relative, or 1e-14
+        times the condition number curvature[-1] / lam of J^T J + lam I where that is larger
+        (the rounding of J^T r alone moves the exact step by that much)."""
+        d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
+        for seed in range(3):
+            point = commutant._random_point(d, [np.random.default_rng(seed)])
+            for name, (problem, ready) in _problems(la, lb).items():
+                jac = _jacobian(problem, point, ready)
+                residual = commutant._scored(problem, point.joint, ready)[0]
+                curvature, axes, coefficients = commutant._step_axes(jac, residual, jac @ residual)
+                assert axes.shape == (len(jac), min(jac.shape)), name  # one axis per row of the smaller Gram matrix
+                for scale in (1e-6, 1e-3, 1.0, 1e3):
+                    lam = scale * curvature[-1]
+                    delta = -axes @ (coefficients / (curvature + lam))
+                    reference = _reference_step(jac, residual, lam)
+                    tol = max(1e-13, 1e-14 / scale)
+                    assert np.linalg.norm(delta - reference) <= tol * np.linalg.norm(reference), (name, scale)
+
+    def test_feasibility_factors_the_residual_gram(self, monkeypatch):
+        """A geometric 5x9 feasibility restart (R = 2 * 5^2 = 50 residuals, P = 185 + 18 = 203
+        parameters) factors J J^T and never J^T J; the epsilon search on the cnot quantity
+        (R = 2 * 4 * 3 = 24, P = 8) still factors J^T J."""
+        shapes, eigh = [], np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(commutant.np.linalg, "eigh", recorded)
+        config = SearchConfig(seed=0, restarts=1, max_iter=5)
+        q = quantity(np.diag(GEOMETRIC_5X9[0]), np.diag(GEOMETRIC_5X9[1]))
+        assert sum(size * size for size in conserved_eigenspaces(q).dims) + 2 * 9 == 203
+        feasibility_search(q, np.ones((5, 5)) - np.eye(5), config=config)
+        assert (50, 50) in shapes and (203, 203) not in shapes
+        shapes.clear()
+        minimize_epsilon(quantity(LA_DIAG, I2), Z, Z, E0, config=config)
+        assert (8, 8) in shapes and (24, 24) not in shapes
+
+
 class TestFloors:
     """Restart floors of the feasibility search agree, and controls reach zero in every restart."""
 
