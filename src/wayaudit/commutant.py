@@ -5,16 +5,18 @@ of L. This module eigendecomposes L into blocks, samples block unitaries
 uniformly, and minimizes sums of squares over the commutant to measure
 empirical floors of measurement-noise or scheme-quality objectives.
 
-The optimizer is Levenberg-Marquardt on the exact residual Jacobian. Its
-parameters are the canonical generators G_p of every block (d**2 per block of
-size d), and for the feasibility search also the tangent directions of the
-ready-state sphere. Each G_p has at most two nonzero entries (``_Chart.pairs``),
-so the derivative along dU = U K_p, K_p = V G_p V^dag, is two gathers from the
-eigenvector coordinates LV and V^dag R (``_gather``). Each accepted point factors
-the smaller Gram matrix of J (``_step_axes``): J J^T when there are fewer residuals
-than parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise. Each
-try scatters its step into one block-diagonal generator, retracts with one
-exponential of it and renormalizes the ready state. Each restart reports why it stopped.
+The optimizer is Levenberg-Marquardt on the exact residual Jacobian at the
+block-diagonal point B = V^dag U V, V the eigenvector matrix: each problem
+projects its fixed operators into these coordinates once per search, and the
+joint U = V B V^dag is assembled once, for the best restart. The parameters are
+the canonical generators G_p of every block (d**2 per block of size d), and for
+the feasibility search also the tangents of the ready-state sphere. Each G_p has
+at most two nonzero entries (``_Chart.pairs``), so each derivative along
+dB = B G_p reads two entries (``_gather``). Each accepted point factors the
+smaller Gram matrix of J (``_step_axes``): J J^T when there are fewer residuals
+than parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise.
+Each try scatters its step into one block-diagonal generator, retracts with one
+exponential of it and renormalizes the ready state.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -26,14 +28,13 @@ the product of its two factor columns.
 One draw-and-assemble path serves every caller: ``_random_point`` draws
 Haar block unitaries for a ``BlockDecomposition`` (one stream per
 decomposition, or per member of a stack of them) into one block-diagonal
-matrix, and ``_BlockPoint`` assembles the joint unitary V blockdiag(U_k) V^dag,
-V the eigenvector matrix. Sweeps draw a chunk of trials at once
-(``commutant_unitary_stack``), the seam of their two-phase draw order: once
-phase A has drawn each trial's factors, the factor eigensystems give each
-trial's block sizes, and phase B opens with every trial drawing its blocks from
-its own stream, in ascending-eigenvalue order (``_block_unitaries``).
-``commutant_unitary`` is its batch of one, and every optimizer restart starts
-from the same draw.
+matrix, and ``_BlockPoint`` assembles the joint unitary V blockdiag(U_k) V^dag.
+Sweeps draw a chunk of trials at once (``commutant_unitary_stack``), the seam
+of their two-phase draw order: once phase A has drawn each trial's factors, the
+factor eigensystems give each trial's block sizes, and phase B opens with every
+trial drawing its blocks from its own stream, in ascending-eigenvalue order
+(``_block_unitaries``). ``commutant_unitary`` is its batch of one, and every
+optimizer restart starts from the same draw.
 """
 
 from __future__ import annotations
@@ -211,20 +212,24 @@ class _Chart:
 
 
 def _gather(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """L K_p R for each canonical generator K_p = V G_p V^dag, (P, ...), with no (D, D) temporary:
-    G_p[a, b] (LV)[:, a] (V^dag R)[b] + G_p[b, a] (LV)[:, b] (V^dag R)[a]. ``left`` holds the columns
-    of LV and ``right`` the rows of V^dag R on its first axis; their other two axes broadcast."""
+    """L G_p R for each canonical generator G_p, (P, ...), with no (D, D) temporary: G_p[a, b] L[:, a] R[b] +
+    G_p[b, a] L[:, b] R[a], from L's columns in ``left`` and R's rows in ``right`` (first axis). Their other two
+    axes broadcast; columns (k, 1) and rows (1, m) take one rank-2 matmul, so (P, k, m) is allocated once."""
     a, b, upper, lower = pairs
+    if left.shape[-1] == right.shape[-2] == 1:
+        left = np.concatenate([upper[:, None, None] * left[a], lower[:, None, None] * left[b]], axis=-1)
+        return left @ np.concatenate([right[b], right[a]], axis=-2)
     return upper[:, None, None] * left[a] * right[b] + lower[:, None, None] * left[b] * right[a]
 
 
 class _BlockPoint:
     """Block unitaries as one block-diagonal (..., D, D) matrix ``blocks`` in the coordinates
-    of the eigenvector matrices V (..., D, D), with their joint V blocks V^dag."""
+    of the eigenvector matrices V (..., D, D); ``joint`` assembles V blocks V^dag on demand."""
 
     def __init__(self, vectors: np.ndarray, chart: _Chart, blocks: np.ndarray):
         self.vectors, self.chart, self.blocks = vectors, chart, blocks
-        self.joint = vectors @ blocks @ dagger(vectors)
+
+    joint = property(lambda point: point.vectors @ point.blocks @ dagger(point.vectors))
 
     def stepped(self, theta: np.ndarray) -> "_BlockPoint":
         """The point moved by blocks <- blocks exp(K) for the generator K of the whole parameter
@@ -290,10 +295,10 @@ class SearchResult:
     stop_reasons: tuple[str, ...]
 
 
-def _scored(problem, u: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, float, object]:
-    """The residual of one point as a real vector r (real and imaginary parts interleaved), the
-    objective F = r . r, and the intermediates ``problem.derivatives`` reuses at that point."""
-    residual, computed = problem.residual(u, ready)
+def _scored(problem, blocks: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, float, object]:
+    """The residual at the point ``blocks`` = V^dag U V as a real vector r (real and imaginary parts
+    interleaved), the objective F = r . r, and the intermediates ``problem.derivatives`` reuses there."""
+    residual, computed = problem.residual(blocks, ready)
     residual = residual.ravel().view(np.float64)
     return residual, float(residual @ residual), computed
 
@@ -314,20 +319,18 @@ def _step_axes(jac: np.ndarray, residual: np.ndarray, grad: np.ndarray):
 def _descend(decomposition, problem, rng, config: SearchConfig):
     """One restart of Levenberg-Marquardt on the residual of ``problem``.
 
-    The parameters are the canonical generators of every commutant block,
-    U <- U exp(B_k G_p B_k^dag), and the ``problem.tangents`` of the ready
-    state (none if it is fixed), v <- (v + dv) / |v + dv|. Each try
-    solves (J^T J + lam I) delta = -J^T r on the exact Jacobian (``_step_axes``), accepts the
-    step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. The
-    restart stops when F <= ZERO_OBJECTIVE, when the next step promises a
-    decrease of at most ``FTOL * F`` (no damped step decreases F any
-    more), when J^T r is exactly zero, or after ``config.max_iter`` tries.
-    Returns (F, U, v, trace, stop reason).
+    The parameters are the canonical generators of every commutant block, B <- B exp(G_p) for the
+    point B = V^dag U V, and the ``problem.tangents`` of the ready state (none if it is fixed),
+    v <- (v + dv) / |v + dv|. Each try solves (J^T J + lam I) delta = -J^T r on the exact Jacobian
+    (``_step_axes``), accepts the step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen
+    do. The restart stops when F <= ZERO_OBJECTIVE, when the next step promises a decrease of at
+    most ``FTOL * F`` (no damped step decreases F any more), when J^T r is exactly zero, or after
+    ``config.max_iter`` tries. Returns (F, point, v, trace, stop reason).
     """
     ready = problem.ready_state(rng)
     point = _random_point(decomposition, [rng])
     parameters = len(point.chart.pairs[0])
-    residual, f, computed = _scored(problem, point.joint, ready)
+    residual, f, computed = _scored(problem, point.blocks, ready)
     trace = [(0, f)]
     lam, nu, fresh = None, 2.0, True
     reason = "zero" if f <= ZERO_OBJECTIVE else "max_iter"
@@ -355,7 +358,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
         if len(tangents):
             candidate_ready = ready + delta[parameters:] @ tangents
             candidate_ready = candidate_ready / np.linalg.norm(candidate_ready)
-        candidate_residual, f_new, candidate_computed = _scored(problem, candidate.joint, candidate_ready)
+        candidate_residual, f_new, candidate_computed = _scored(problem, candidate.blocks, candidate_ready)
         if f_new < f:
             gain = min((f - f_new) / predicted, 1.0)  # any gain above 1 divides lam by 3
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
@@ -367,19 +370,19 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
                 reason = "zero"
         else:
             lam, nu = lam * nu, nu * 2.0
-    return f, point.joint, ready, trace, reason
+    return f, point, ready, trace, reason
 
 
 def _search(decomposition, problem, config: SearchConfig) -> SearchResult:
     """Multi-restart descent; restarts use independent seeded streams and the
-    best result is picked by (objective, restart index)."""
+    best result is picked by (objective, restart index). Only its joint unitary is assembled."""
     runs = [
         _descend(decomposition, problem, np.random.default_rng((config.seed, r)), config)
         for r in range(config.restarts)
     ]
-    f, u, ready, trace, reason = min(runs, key=lambda run: run[0])  # the first of equal floors
+    f, point, ready, trace, reason = min(runs, key=lambda run: run[0])  # the first of equal floors
     return SearchResult(
-        best_unitary=u,
+        best_unitary=point.joint,
         best_ready_state=ready,
         best_objective=f,
         objective_trace=tuple(trace),
@@ -421,19 +424,20 @@ def minimize_epsilon(
         raise ValueError(f"observable must have dimension {n1}")
     if probe.shape[0] != n2 or ready.shape[0] != n2:
         raise ValueError(f"probe and ready_state must have dimension {n2}")
-    states = default_probe_states(q.system_op)
-
-    problem = _Epsilon(tensor_product(np.eye(n1), probe), tensor_product(observable, np.eye(n2)), ready, states)
-    return _search(conserved_eigenspaces(q), problem, config)
+    probe_joint, obs_joint = tensor_product(np.eye(n1), probe), tensor_product(observable, np.eye(n2))
+    d = conserved_eigenspaces(q)
+    return _search(d, _Epsilon(d.vectors, probe_joint, obs_joint, ready, default_probe_states(q.system_op)), config)
 
 
 class _Epsilon:
-    """Residuals w_psi = (U^dag P U - O)(psi (x) v) / sqrt(#states) for the fixed
-    ready state v, so that |w|^2 is the mean squared noise over the probe states."""
+    """Residuals w_psi = V^dag (U^dag P U - O)(psi (x) v) / sqrt(#states) for the fixed ready state v, so
+    that |w|^2 is the mean squared noise over the probe states. With P~ = V^dag P V, O~ = V^dag O V and
+    x~ = V^dag (psi (x) v) projected once per search, the point B = V^dag U V gives w = (B^dag P~ B - O~) x~."""
 
-    def __init__(self, probe_joint, obs_joint, ready, states):
-        self.probe_joint, self.obs_joint, self.ready = probe_joint, obs_joint, ready
-        self.inputs = np.stack([product_state(s, ready) for s in states], axis=-1) / np.sqrt(len(states))
+    def __init__(self, vectors, probe_joint, obs_joint, ready, states):
+        inverse, self.ready = dagger(vectors), ready
+        self.probe, self.observable = inverse @ probe_joint @ vectors, inverse @ obs_joint @ vectors
+        self.inputs = inverse @ np.stack([product_state(s, ready) for s in states], axis=-1) / np.sqrt(len(states))
 
     def ready_state(self, rng):
         return self.ready
@@ -441,17 +445,20 @@ class _Epsilon:
     def tangents(self, ready):
         return np.empty((0, len(ready)))
 
-    def residual(self, u, ready):
-        """The residuals, and A = U^dag P U for ``derivatives``."""
-        a = dagger(u) @ self.probe_joint @ u
-        return (a - self.obs_joint) @ self.inputs, a
+    def residual(self, blocks, ready):
+        """The residuals, and A~ = B^dag P~ B for ``derivatives``."""
+        a = dagger(blocks) @ self.probe @ blocks
+        return (a - self.observable) @ self.inputs, a
 
     def derivatives(self, point, ready, tangents, a):
-        """dw_psi = [A, K_p](psi (x) v) = (AV) G_p V^dag x - V G_p V^dag A x along each
-        dU = U K_p, with A = U^dag P U and x = psi (x) v."""
-        inverse = dagger(point.vectors)
-        dx = _gather(point.chart.pairs, (a @ point.vectors).T[:, :, None], (inverse @ self.inputs)[:, None])
-        return dx - _gather(point.chart.pairs, point.vectors.T[:, :, None], (inverse @ (a @ self.inputs))[:, None])
+        """dw = [A~, G_p] x~ = A~ G_p x~ - G_p (A~ x~) along each dB = B G_p: a gather of A~'s columns
+        and x~'s rows, less a scatter into the only two rows a and b of G_p (A~ x~) that are nonzero."""
+        first, second, upper, lower = point.chart.pairs
+        dx = _gather(point.chart.pairs, a.T[:, :, None], self.inputs[:, None])  # (P, D, S)
+        ax, rows = a @ self.inputs, np.arange(len(dx))
+        dx[rows, first] -= upper[:, None] * ax[second]
+        dx[rows, second] -= lower[:, None] * ax[first]  # zero for a phase, whose a = b
+        return dx
 
 
 def feasibility_search(q: ConservedQuantity, observable: np.ndarray, config: SearchConfig) -> SearchResult:
@@ -468,18 +475,20 @@ def feasibility_search(q: ConservedQuantity, observable: np.ndarray, config: Sea
     n1 = q.system_op.shape[0]
     if observable.shape[0] != n1:
         raise ValueError(f"observable must have dimension {n1}")
-    _, vectors = np.linalg.eigh(observable)
-    return _search(conserved_eigenspaces(q), _Feasibility(vectors.T, q.apparatus_op.shape[0]), config)
+    d = conserved_eigenspaces(q)
+    return _search(d, _Feasibility(np.linalg.eigh(observable)[1].T, d.vectors), config)
 
 
 class _Feasibility:
-    """Residual E = G - I of the diagonal pointers, G_ij = <W_i|W_j> with
-    W_j = (<u_j| (x) 1) U (|u_j> (x) |v>) = M_j v; zero exactly for an exact
-    nondestructive scheme (unit W_j: no leakage; orthogonal: distinguishable)."""
+    """Residual E = G - I of the diagonal pointers, G_ij = <W_i|W_j> with W_j = (<u_j| (x) 1) U (|u_j> (x) |v>),
+    u_j row j of ``basis``; zero exactly for an exact nondestructive scheme (unit W_j: no leakage; orthogonal:
+    distinguishable). With L_j = (<u_j| (x) 1) V and R_j = V^dag (|u_j> (x) 1) = L_j^dag projected once per
+    search, the point B = V^dag U V gives W_j = L_j B c_j, c_j = R_j v."""
 
-    def __init__(self, basis: np.ndarray, n2: int):
-        self.basis, self.n2 = basis, n2  # row j of basis is u_j
-        self.directions = np.concatenate([np.eye(n2), 1j * np.eye(n2)])  # e_k, then i e_k
+    def __init__(self, basis: np.ndarray, vectors: np.ndarray):
+        self.left = np.einsum("ji,ikd->jkd", basis.conj(), vectors.reshape(len(basis), -1, len(vectors)))
+        self.right, self.n2 = dagger(self.left), self.left.shape[1]  # L_j (n1, n2, D) and R_j (n1, D, n2)
+        self.directions = np.concatenate([np.eye(self.n2), 1j * np.eye(self.n2)])  # e_k, then i e_k
 
     def ready_state(self, rng):
         return random_state_vector(self.n2, rng)
@@ -488,27 +497,18 @@ class _Feasibility:
         """e_k and i e_k projected onto the tangent space of the unit sphere at the ready state, (2 n2, n2)."""
         return self.directions - (self.directions @ ready.conj()).real[:, None] * ready
 
-    def blocks(self, u: np.ndarray) -> np.ndarray:
-        """M_j = (<u_j| (x) 1) U (|u_j> (x) 1) for a (..., D, D) stack, (..., n1, n2, n2)."""
-        n1 = len(self.basis)
-        u = u.reshape(*u.shape[:-2], n1, self.n2, n1, self.n2)
-        return np.einsum("ji,...iklm,jl->...jkm", self.basis.conj(), u, self.basis)
-
-    def residual(self, u, ready):
-        """E, and the M_j and W_j it is made of for ``derivatives``."""
-        m = self.blocks(u)
-        w = m @ ready
-        return w.conj() @ w.mT - np.eye(w.shape[-2]), (m, w)
+    def residual(self, blocks, ready):
+        """E, and the W_j and c_j it is made of for ``derivatives``."""
+        c = self.right @ ready  # (n1, D)
+        w = (self.left @ (blocks @ c.T).T[:, :, None])[..., 0]
+        return w.conj() @ w.mT - np.eye(len(w)), (w, c)
 
     def derivatives(self, point, ready, tangents, computed):
-        """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dU = U K_p,
-        Y_j = (<u_j| (x) 1) U V and c_j = V^dag (u_j (x) v), and dW_j = M_j t along
-        each ready-state tangent t; M_j and W_j come from ``residual`` at the point."""
-        m, w = computed
-        u, vectors, pairs = point.joint, point.vectors, point.chart.pairs
-        n1 = len(self.basis)
-        y = np.einsum("ji,ikd->djk", self.basis.conj(), (u @ vectors).reshape(n1, self.n2, -1))
-        c = (self.basis[:, :, None] * ready).reshape(n1, -1) @ vectors.conj()
-        dw = np.concatenate([_gather(pairs, y, c.T[:, :, None]), (m @ tangents.T).transpose(2, 0, 1)])
+        """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dB = B G_p, Y_j = L_j B, and
+        dW_j = M_j t along each ready-state tangent t, M_j = Y_j R_j; W_j and c_j come from ``residual``."""
+        w, c = computed
+        y = self.left @ point.blocks  # (n1, n2, D)
+        gathered = _gather(point.chart.pairs, y.transpose(2, 0, 1), c.T[:, :, None])
+        dw = np.concatenate([gathered, (y @ self.right @ tangents.T).transpose(2, 0, 1)])
         cross = dw.conj() @ w.mT  # <dW_i|W_j>
         return cross + cross.conj().mT

@@ -463,6 +463,14 @@ def _block_unitaries(point, dims):
     return [point.blocks[a:b, a:b] for a, b in zip(starts, starts[1:])]
 
 
+def _with_block(point, dims, i, unitary):
+    """A copy of the point's ``blocks`` with block i replaced by ``unitary``."""
+    starts = np.cumsum((0, *dims))
+    blocks = point.blocks.copy()
+    blocks[starts[i] : starts[i + 1], starts[i] : starts[i + 1]] = unitary
+    return blocks
+
+
 def _off_block(dims):
     """True on the entries of a (D, D) matrix that lie outside every diagonal block."""
     block = np.repeat(np.arange(len(dims)), dims)
@@ -521,6 +529,19 @@ def _reference_epsilon(observable, probe, ready, states):
     return objective
 
 
+def _pointer_blocks(basis, u):
+    """M_j = (<u_j| (x) 1) U (|u_j> (x) 1) for a (..., D, D) stack of joint unitaries, (..., n1, n2, n2)."""
+    n1 = len(basis)
+    n2 = u.shape[-1] // n1
+    u = u.reshape(*u.shape[:-2], n1, n2, n1, n2)
+    return np.einsum("ji,...iklm,jl->...jkm", basis.conj(), u, basis)
+
+
+def _eigenvector_point(d, u):
+    """The optimizer's point B = V^dag U V of a joint unitary U."""
+    return dagger(d.vectors) @ u @ d.vectors
+
+
 def _problem(monkeypatch, search, *args):
     """The residual problem a search hands to its restarts."""
     captured = {}
@@ -533,17 +554,28 @@ def _problem(monkeypatch, search, *args):
     return captured["problem"]
 
 
-def _problems(la, lb):
-    """Both residual problems on diag(la) (x) diag(lb), with seeded observable, probe and
-    ready state: {name: (problem, ready state)}."""
+def _factor(spectrum_or_matrix):
+    """A conserved factor: diag of a spectrum, or a Hermitian matrix as given."""
+    return spectrum_or_matrix if np.ndim(spectrum_or_matrix) == 2 else np.diag(spectrum_or_matrix)
+
+
+def _operators(la, lb):
+    """The seeded observable, probe and ready state of ``_problems`` on la (x) lb (see ``_factor``)."""
     rng = np.random.default_rng(4)
+    observable, probe = random_hermitian(len(la), rng), random_hermitian(len(lb), rng)
+    return observable, probe, random_state_vector(len(lb), rng)
+
+
+def _problems(la, lb):
+    """Both residual problems on la (x) lb (see ``_factor``), with seeded observable, probe and
+    ready state: {name: (problem, ready state)}."""
+    observable, probe, ready = _operators(la, lb)
     n1, n2 = len(la), len(lb)
-    observable, probe = random_hermitian(n1, rng), random_hermitian(n2, rng)
-    ready = random_state_vector(n2, rng)
+    vectors = conserved_eigenspaces(quantity(_factor(la), _factor(lb))).vectors
     epsilon = commutant._Epsilon(
-        np.kron(np.eye(n1), probe), np.kron(observable, np.eye(n2)), ready, default_probe_states(np.diag(la))
+        vectors, np.kron(np.eye(n1), probe), np.kron(observable, np.eye(n2)), ready, default_probe_states(_factor(la))
     )
-    feasibility = commutant._Feasibility(np.linalg.eigh(observable)[1].T, n2)
+    feasibility = commutant._Feasibility(np.linalg.eigh(observable)[1].T, vectors)
     return {"epsilon": (epsilon, ready), "feasibility": (feasibility, ready)}
 
 
@@ -558,22 +590,28 @@ def _dense_generators(d):
     ])
 
 
-def _dense_derivatives(problem, u, ready, tangents, generators):
-    """Both problems' Jacobians from the dense generator stack: dW_j = M_j(U K_p) v and
-    dG = dW^dag W + W^dag dW for feasibility, [U^dag P U, K_p](psi (x) v) for epsilon."""
-    if isinstance(problem, commutant._Epsilon):
-        a = dagger(u) @ problem.probe_joint @ u
-        return a @ (generators @ problem.inputs) - generators @ (a @ problem.inputs)
-    m = problem.blocks(u)
+def _dense_derivatives(name, la, lb, d, u, tangents, generators):
+    """Both problems' Jacobians at the joint unitary u from the dense generator stack and the
+    joint-basis operators of ``_operators``: dW_j = M_j(U K_p) v and dG = dW^dag W + W^dag dW for
+    feasibility, and for epsilon [U^dag P U, K_p](psi (x) v), rotated by V^dag into the eigenvector
+    coordinates of its residual."""
+    observable, probe, ready = _operators(la, lb)
+    if name == "epsilon":
+        states = default_probe_states(_factor(la))
+        x = np.stack([np.kron(s, ready) for s in states], axis=-1) / np.sqrt(len(states))
+        a = dagger(u) @ np.kron(np.eye(len(la)), probe) @ u
+        return dagger(d.vectors) @ (a @ (generators @ x) - generators @ (a @ x))
+    basis = np.linalg.eigh(observable)[1].T
+    m = _pointer_blocks(basis, u)
     w = m @ ready
-    dw = np.concatenate([problem.blocks(u @ generators) @ ready, (m @ tangents.T).transpose(2, 0, 1)])
+    dw = np.concatenate([_pointer_blocks(basis, u @ generators) @ ready, (m @ tangents.T).transpose(2, 0, 1)])
     cross = dw.conj() @ w.mT
     return cross + cross.conj().mT
 
 
 def _jacobian(problem, point, ready):
     """J^T of ``problem`` at the point, (parameters, residuals) as ``_descend`` builds it."""
-    computed = commutant._scored(problem, point.joint, ready)[2]
+    computed = commutant._scored(problem, point.blocks, ready)[2]
     jac = problem.derivatives(point, ready, problem.tangents(ready), computed)
     return jac.reshape(len(jac), -1).view(np.float64)
 
@@ -586,6 +624,8 @@ BLOCK_CASES = [
     ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0]),  # geometric 3x5: blocks (1, 2, 3, 3, 3, 2, 1)
 ]
 GEOMETRIC_5X9 = (list(2.0 ** np.arange(5)), list(2.0 ** np.arange(9)))  # 13 blocks, up to size 5
+# blocks (1, 2, 2, 1) in a complex eigenbasis: V is no permutation, and V^dag is not V^T
+ROTATED_2X3 = tuple(rotated(spectrum, np.random.default_rng(8)) for spectrum in ([1.0, 2.0], [1.0, 2.0, 4.0]))
 
 
 class TestOptimizerBitIdentity:
@@ -594,12 +634,11 @@ class TestOptimizerBitIdentity:
 
     @pytest.mark.parametrize("la, lb", BLOCK_CASES)
     def test_jacobian_matches_central_differences(self, la, lb):
-        """Jacobian and gradient of both objectives against central differences along
-        exp(+-h G_p) per block and parameter, and along each ready-state tangent."""
+        """Jacobian and gradient of both objectives against central differences of the point B
+        along exp(+-h G_p) per block and parameter, and along each ready-state tangent."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         point = commutant._random_point(d, [np.random.default_rng(1)])
         unitaries = _block_unitaries(point, d.dims)
-        parts = _reference_parts(d, unitaries)
         assert point.joint.tobytes() == _reference_joint(d, unitaries).tobytes()
         parameters = len(point.chart.pairs[0])
         h = 1e-6
@@ -608,31 +647,31 @@ class TestOptimizerBitIdentity:
             jac = _jacobian(problem, point, ready)
             points = []
             for i in _parameter_order(d.dims):
-                basis, size = block_bases(d)[i], d.dims[i]
+                size = d.dims[i]
                 for p in range(size**2):
                     points.append([
-                        (point.joint - parts[i] + basis @ (unitaries[i] @ _reference_factor(size, p, t))
-                         @ basis.conj().T, ready)
+                        (_with_block(point, d.dims, i, unitaries[i] @ _reference_factor(size, p, t)), ready)
                         for t in (h, -h)
                     ])
             for t in tangents:
-                points.append([(point.joint, (ready + s * t) / np.linalg.norm(ready + s * t)) for s in (h, -h)])
+                points.append([(point.blocks, (ready + s * t) / np.linalg.norm(ready + s * t)) for s in (h, -h)])
             assert len(points) == len(jac) == parameters + len(tangents)
             scored = [[commutant._scored(problem, u, v) for u, v in pair] for pair in points]
             fd = np.stack([(plus[0] - minus[0]) / (2 * h) for plus, minus in scored])
             assert np.abs(jac - fd).max() <= 1e-8, name
-            residual = commutant._scored(problem, point.joint, ready)[0]
+            residual = commutant._scored(problem, point.blocks, ready)[0]
             fd_grad = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in scored])
             assert np.abs(2 * jac @ residual - fd_grad).max() <= 1e-8, name
 
-    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
+    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9, ROTATED_2X3])
     def test_jacobian_matches_dense_generators(self, la, lb):
-        """The two-entry gathers give the Jacobian of the dense B_k G_p B_k^dag stack."""
-        d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
+        """The two-entry gathers and the epsilon scatter give the Jacobian of the dense
+        B_k G_p B_k^dag stack on the joint unitary."""
+        d = conserved_eigenspaces(quantity(_factor(la), _factor(lb)))
         point = commutant._random_point(d, [np.random.default_rng(1)])
         generators = _dense_generators(d)
         for name, (problem, ready) in _problems(la, lb).items():
-            dense = _dense_derivatives(problem, point.joint, ready, problem.tangents(ready), generators)
+            dense = _dense_derivatives(name, la, lb, d, point.joint, problem.tangents(ready), generators)
             dense = dense.reshape(len(dense), -1).view(np.float64)
             jac = _jacobian(problem, point, ready)
             assert jac.shape == dense.shape, name
@@ -694,8 +733,14 @@ class TestOptimizerBitIdentity:
 
     def test_one_exponential_per_try(self, monkeypatch):
         """A geometric 3x5 feasibility restart, three block sizes, retracts each try with one
-        exponential; every try scores its candidate once."""
-        calls = {"exp": 0, "scored": 0}
+        exponential; every try scores its candidate once, and the search assembles the joint
+        V B V^dag once, for its best restart."""
+        calls = {"exp": 0, "scored": 0, "joint": 0}
+        joint = commutant._BlockPoint.joint
+
+        def counted_joint(point):
+            calls["joint"] += 1
+            return joint.fget(point)
 
         def counted(name, function):
             def wrapper(*args):
@@ -706,6 +751,7 @@ class TestOptimizerBitIdentity:
 
         monkeypatch.setattr(commutant, "anti_hermitian_exp_stack", counted("exp", commutant.anti_hermitian_exp_stack))
         monkeypatch.setattr(commutant, "_scored", counted("scored", commutant._scored))
+        monkeypatch.setattr(commutant._BlockPoint, "joint", property(counted_joint))
         q = quantity(np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]))
         assert sorted(set(conserved_eigenspaces(q).dims)) == [1, 2, 3]
         observable = np.ones((3, 3)) - np.eye(3)
@@ -713,6 +759,7 @@ class TestOptimizerBitIdentity:
         assert result.stop_reasons == ("max_iter",)
         tries = calls["scored"] - 1  # the starting point is scored before the first try
         assert tries == 40 and calls["exp"] == tries
+        assert calls["joint"] == 1
 
     def test_feasibility_objective_matches_reference(self, monkeypatch):
         q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
@@ -725,7 +772,7 @@ class TestOptimizerBitIdentity:
             reference = _reference_feasibility(observable, ready)
             for u in stack:
                 # the stacked contractions sum in another order than the loop
-                value = commutant._scored(problem, u, ready)[1]
+                value = commutant._scored(problem, _eigenvector_point(d, u), ready)[1]
                 assert value == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
     def test_epsilon_objective_matches_reference(self, monkeypatch):
@@ -734,7 +781,8 @@ class TestOptimizerBitIdentity:
         reference = _reference_epsilon(X, Z, E0, default_probe_states(LA_DIAG))
         d = conserved_eigenspaces(q)
         for u in [commutant_unitary(d, np.random.default_rng(seed)) for seed in range(6)]:
-            assert commutant._scored(problem, u, E0)[1] == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
+            value = commutant._scored(problem, _eigenvector_point(d, u), E0)[1]
+            assert value == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
 
 def _reference_step(jac, residual, lam):
@@ -756,7 +804,7 @@ class TestLevenbergMarquardtStep:
             point = commutant._random_point(d, [np.random.default_rng(seed)])
             for name, (problem, ready) in _problems(la, lb).items():
                 jac = _jacobian(problem, point, ready)
-                residual = commutant._scored(problem, point.joint, ready)[0]
+                residual = commutant._scored(problem, point.blocks, ready)[0]
                 curvature, axes, coefficients = commutant._step_axes(jac, residual, jac @ residual)
                 assert axes.shape == (len(jac), min(jac.shape)), name  # one axis per row of the smaller Gram matrix
                 for scale in (1e-6, 1e-3, 1.0, 1e3):
