@@ -1216,6 +1216,9 @@ class TestOptimizeGoldens:
             # LA=diag(1,2), LB=diag(1,2,4): commutant blocks (1,2,2,1), two block sizes
             ("optimize_feasibility_blocks_2x3", "blocks_2x3", "feasibility", "6"),
             ("optimize_epsilon_cnot", "cnot", "epsilon", "0"),
+            # ROTATED_2X3's factors: blocks (1,2,2,1) in a complex eigenbasis, so the
+            # epsilon projections onto the eigenvector coordinates are no permutation
+            ("optimize_epsilon_rotated_2x3", "rotated_2x3", "epsilon", "0"),
         ],
     )
     def test_byte_identical(self, capsys, name, model, kind, seed):
