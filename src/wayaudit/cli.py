@@ -355,7 +355,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
     """Named states ('plus', basis index) or an inline [[re,im],...] literal."""
     if spec == "plus":
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    if spec.isdigit():
+    if spec.isascii() and spec.isdigit():
         index = int(spec)
         if index >= dim:
             raise ModelFileError("state", f"basis index {index} out of range for dimension {dim}")

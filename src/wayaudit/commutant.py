@@ -53,6 +53,7 @@ from .linalg import (
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_eigensystem,
+    normal_draws,
     product_state,
     random_state_vector,
     require_hermitian,
@@ -145,7 +146,7 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     sizes = np.array(dims)
     widths = 2 * sizes * sizes  # a block's real parts, then its imaginary parts
     starts = np.cumsum(widths) - widths
-    raw = np.stack([rng.standard_normal(widths.sum()) for rng in rngs])
+    raw = normal_draws(rngs, (widths.sum(),))
     unitaries = {}
     for size in sorted(set(dims)):
         block = raw[:, starts[sizes == size][:, None] + np.arange(2 * size * size)]

@@ -32,10 +32,14 @@ The streams' PCG64 seed words are computed ``SEED_BATCH`` trials at a time,
 by numpy's SeedSequence hash run over the trial axis (``_seed_words``); this
 relies on numpy keeping that algorithm frozen (its stream-compatibility
 policy, NEP 19), and ``tests/test_linalg.py::TestStreamSeeding`` fails if
-it changes. No record depends on the chunk size. Both sweeps run one chunk
-loop, ``run_sweep``: it hands each chunk's columns to a sink or collects
-them, and totals the chunks' tallies; ``column_records`` turns collected
-columns back into records.
+it changes. Each draw site fills one (streams, ...) buffer in place, a row
+per stream (``normal_draws``, ``uniform_draws``), with the values of the
+stream's own ``standard_normal`` or ``uniform`` call; ``uniform`` is
+``low + (high - low) * random``, and ``TestDrawKernels`` pins both. No
+record depends on the chunk size. Both sweeps run one chunk loop,
+``run_sweep``: it hands each chunk's columns to a sink or collects them, and
+totals the chunks' tallies; ``column_records`` turns collected columns back
+into records.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ __all__ = [
     "hermitian_eigensystem",
     "hermitian_from_spectrum",
     "matvec_stack",
+    "normal_draws",
     "normalized_stack",
     "numerical_rank",
     "product_state",
@@ -83,6 +88,7 @@ __all__ = [
     "sweep_chunks",
     "tensor_product",
     "tensor_product_stack",
+    "uniform_draws",
     "unitary_completion",
     "variance",
     "variance_stack",
@@ -492,16 +498,34 @@ def column_records(record: type, columns: dict[str, list]) -> tuple:
     return tuple(record(**dict(zip(columns, row))) for row in zip(*columns.values()))
 
 
-def _complex_draws(raw: np.ndarray) -> np.ndarray:
-    """re + 1j * im from draws stacked as (..., 2, ...): real parts first, then imaginary."""
+def normal_draws(rngs, shape: tuple[int, ...]) -> np.ndarray:
+    """``rng.standard_normal(shape)`` of each stream, as the rows of one (len(rngs), *shape) array."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    return out
+
+
+def uniform_draws(rngs, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
+    """``rng.uniform(low, high, shape)`` of each stream, as the rows of one (len(rngs), *shape)
+    array: numpy's ``low + (high - low) * random`` for each value, so each has its bits."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return low + (high - low) * out
+
+
+def _complex_draws(rngs, *shape: int) -> np.ndarray:
+    """re + 1j * im of each stream's (2, *shape) standard normals: real parts first, then imaginary."""
+    if min(shape) < 1:
+        raise ValueError("dim must be at least 1")
+    raw = normal_draws(rngs, (2, *shape))
     return raw[:, 0] + 1j * raw[:, 1]
 
 
 def ginibre_stack(dim: int, rngs) -> np.ndarray:
     """One Ginibre matrix per stream, (len(rngs), dim, dim); see ``ginibre``."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return _complex_draws(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs])) / np.sqrt(2.0)
+    return _complex_draws(rngs, dim, dim) / np.sqrt(2.0)
 
 
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -534,9 +558,7 @@ def normalized_stack(z: np.ndarray) -> np.ndarray:
 
 def random_state_vector_stack(dim: int, rngs) -> np.ndarray:
     """One Haar-random unit vector per stream, (len(rngs), dim)."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return normalized_stack(_complex_draws(np.stack([rng.standard_normal((2, dim)) for rng in rngs])))
+    return normalized_stack(_complex_draws(rngs, dim))
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -546,7 +568,7 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian_stack(dim: int, rngs) -> np.ndarray:
     """One random Hermitian matrix per stream, (len(rngs), dim, dim)."""
-    z = _complex_draws(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+    z = _complex_draws(rngs, dim, dim)
     return (z + dagger(z)) / 2.0
 
 
@@ -563,7 +585,7 @@ def hermitian_from_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
 def random_positive_operator_stack(dim: int, rngs) -> np.ndarray:
     """One random positive operator per stream, (len(rngs), dim, dim); each stream
     draws its spectrum, then its Haar unitary."""
-    d = np.stack([rng.uniform(*FACTOR_SPECTRUM, dim) for rng in rngs])
+    d = uniform_draws(rngs, *FACTOR_SPECTRUM, (dim,))
     return hermitian_from_spectrum(d, haar_from_ginibre(ginibre_stack(dim, rngs)))
 
 

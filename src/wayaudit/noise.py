@@ -58,6 +58,7 @@ from .linalg import (
     squares,
     tensor_product,
     tensor_product_stack,
+    uniform_draws,
     variance,
     variance_stack,
 )
@@ -459,7 +460,7 @@ class BoundAuditReport:
 def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
     """Apparatus factors: positive ones, or where ``zero`` holds traceless ones with a
     sign-indefinite spectrum. Both draw a spectrum, then a Haar unitary."""
-    d = np.stack([rng.uniform(*FACTOR_SPECTRUM, n2) for rng in rngs])
+    d = uniform_draws(rngs, *FACTOR_SPECTRUM, (n2,))
     w = haar_from_ginibre(ginibre_stack(n2, rngs))
     centered = d - d.mean(axis=1, keepdims=True)
     for i in np.flatnonzero(zero & ((centered.max(axis=1) < 1e-6) | (centered.min(axis=1) > -1e-6))):
@@ -476,7 +477,7 @@ def _ready_states(values: np.ndarray, vectors: np.ndarray, rngs, zero: np.ndarra
     ready = np.empty(values.shape, dtype=complex)
     mixed, plain = np.flatnonzero(zero), np.flatnonzero(~zero)
     if len(mixed):
-        phase = np.exp(1j * np.array([rngs[i].uniform(0.0, 2.0 * np.pi) for i in mixed]))
+        phase = np.exp(1j * uniform_draws([rngs[i] for i in mixed], 0.0, 2.0 * np.pi, (1,))[:, 0])
         low, high = values[mixed, 0], values[mixed, -1]
         span = high - low
         v = np.sqrt(high / span)[:, None] * vectors[mixed, :, 0]
@@ -493,7 +494,7 @@ def _probes(vectors: np.ndarray, rngs, yanase: np.ndarray) -> np.ndarray:
     diagonal, plain = np.flatnonzero(yanase), np.flatnonzero(~yanase)
     n2 = vectors.shape[1]
     if len(diagonal):
-        spectra = np.stack([rngs[i].uniform(-1.0, 1.0, n2) for i in diagonal])
+        spectra = uniform_draws([rngs[i] for i in diagonal], -1.0, 1.0, (n2,))
         probes[diagonal] = hermitian_from_spectrum(spectra, vectors[diagonal])
     if len(plain):
         probes[plain] = random_hermitian_stack(n2, [rngs[i] for i in plain])

@@ -305,6 +305,14 @@ class TestStateParsing:
         with pytest.raises(ModelFileError, match="state"):
             _parse_state("5", 2)
 
+    @pytest.mark.parametrize("spec", ["\u00b2", "\u0661", "\uff11", "1\u0660"])
+    def test_non_ascii_digits_are_unknown_states(self, capsys, spec):
+        # superscript two, Arabic-Indic one, fullwidth one, one then Arabic-Indic zero:
+        # digits to str.isdigit, not basis indices
+        for command in ("bound", "audit-variance"):
+            code, out, err = run(capsys, command, "--model", "tests/fixtures/cnot.json", "--state", spec)
+            assert (code, out, err) == (2, "", f"error: state: unknown state {spec!r}\n")
+
     def test_unnormalized_literal(self):
         with pytest.raises(ModelFileError, match="norm"):
             _parse_state("[[1,0],[1,0]]", 2)

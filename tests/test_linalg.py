@@ -366,6 +366,26 @@ class TestHaar:
         b = haar_unitary(3, np.random.default_rng(1))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            linalg.ginibre,
+            linalg.ginibre_stack,
+            haar_unitary,
+            random_state_vector,
+            linalg.random_state_vector_stack,
+            random_hermitian,
+            linalg.random_hermitian_stack,
+            random_positive_operator_stack,
+        ],
+    )
+    def test_dim_zero_raises(self, sampler):
+        # every sampler shares one check; stacked samplers take a list of streams
+        rng = np.random.default_rng(0)
+        stack = sampler.__name__.endswith("_stack")
+        with pytest.raises(ValueError, match="^dim must be at least 1$"):
+            sampler(0, [rng] if stack else rng)
+
 
 def _diag_quantity(la, lb):
     return ConservedQuantity(
@@ -459,6 +479,50 @@ class TestStreamSeeding:
         words = linalg._seed_words_type()(np.zeros(4, dtype=np.uint64))
         with pytest.raises(ValueError, match="4 uint64 words"):
             words.generate_state(n_words, dtype)
+
+
+class TestDrawKernels:
+    """normal_draws and uniform_draws fill one buffer, a row per stream, with what each
+    stream's own standard_normal(shape) or uniform(low, high, shape) call gives, bit for
+    bit, and leave each stream where that call would. uniform_draws relies on numpy's
+    uniform being low + (high - low) * random; these fail if it changes."""
+
+    SHAPES = [(1,), (9,), (2, 9, 9)]
+    # every (low, high) the samplers pass: factor spectra, Yanase probe spectra, ready-state phases
+    RANGES = [linalg.FACTOR_SPECTRUM, (-1.0, 1.0), (0.0, 2.0 * np.pi)]
+
+    @staticmethod
+    def _streams(count):
+        return [np.random.default_rng((7, trial)) for trial in range(count)]
+
+    @staticmethod
+    def _check(draws, streams, expected, reference_streams):
+        assert draws.dtype == np.float64 and draws.shape == expected.shape
+        assert draws.tobytes() == expected.tobytes()
+        for stream, reference in zip(streams, reference_streams, strict=True):
+            assert stream.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_normal_draws_match_standard_normal(self, shape, count):
+        streams, references = self._streams(count), self._streams(count)
+        expected = np.array([rng.standard_normal(shape) for rng in references]).reshape(count, *shape)
+        self._check(linalg.normal_draws(streams, shape), streams, expected, references)
+
+    @pytest.mark.parametrize("low, high", RANGES)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_uniform_draws_match_uniform(self, low, high, shape, count):
+        streams, references = self._streams(count), self._streams(count)
+        expected = np.array([rng.uniform(low, high, shape) for rng in references]).reshape(count, *shape)
+        self._check(linalg.uniform_draws(streams, low, high, shape), streams, expected, references)
+
+    @pytest.mark.parametrize("low, high", RANGES)
+    def test_uniform_row_of_one_matches_scalar_uniform(self, low, high):
+        # a ready state's phase: one scalar uniform(low, high) call per stream
+        streams, references = self._streams(200), self._streams(200)
+        expected = np.array([rng.uniform(low, high) for rng in references])
+        self._check(linalg.uniform_draws(streams, low, high, (1,))[:, 0], streams, expected, references)
 
 
 class TestBitIdentity:
