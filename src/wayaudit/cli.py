@@ -356,11 +356,13 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
     if spec == "plus":
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     if spec.isascii() and spec.isdigit():
-        index = int(spec)
-        if index >= dim:
-            raise ModelFileError("state", f"basis index {index} out of range for dimension {dim}")
+        digits = spec.lstrip("0") or "0"
+        # an index with more digits than dim is out of range, and int() refuses over 4300 digits
+        if len(digits) > len(str(dim)) or int(digits) >= dim:
+            shown = digits if len(digits) <= len(str(dim)) else f"of {len(digits)} digits"
+            raise ModelFileError("state", f"basis index {shown} out of range for dimension {dim}")
         v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
+        v[int(digits)] = 1.0
         return v
     if spec.startswith("["):
         try:

@@ -5,18 +5,20 @@ of L. This module eigendecomposes L into blocks, samples block unitaries
 uniformly, and minimizes sums of squares over the commutant to measure
 empirical floors of measurement-noise or scheme-quality objectives.
 
-The optimizer is Levenberg-Marquardt on the exact residual Jacobian at the
-block-diagonal point B = V^dag U V, V the eigenvector matrix: each problem
-projects its fixed operators into these coordinates once per search, and the
-joint U = V B V^dag is assembled once, for the best restart. The parameters are
-the canonical generators G_p of every block (d**2 per block of size d), and for
-the feasibility search also the tangents of the ready-state sphere. Each G_p has
-at most two nonzero entries (``_Chart.pairs``), so each derivative along
-dB = B G_p reads two entries (``_gather``). Each accepted point factors the
+The optimizer, ``_descend``, is Levenberg-Marquardt on the exact residual
+Jacobian of a search problem that owns its point: the problem draws the start,
+scores and differentiates a point, and retracts a step. ``_Epsilon`` and
+``_Feasibility`` work at the block-diagonal point B = V^dag U V, V the
+eigenvector matrix, with a ready state (``_BlockPoint``): each projects its fixed
+operators into these coordinates once per search, and the joint U = V B V^dag is
+assembled once, for the best restart. The parameters are the canonical
+generators G_p of every block (d**2 per block of size d), and for
+``_Feasibility`` also the tangents of the ready-state sphere, which it owns.
+Each G_p has at most two nonzero entries (``_Chart.pairs``), so each derivative
+along dB = B G_p reads two entries (``_gather``). Each accepted point factors the
 smaller Gram matrix of J (``_step_axes``): J J^T when there are fewer residuals
 than parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise.
-Each try scatters its step into one block-diagonal generator, retracts with one
-exponential of it and renormalizes the ready state.
+Each try retracts its block step with one exponential of one generator.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -47,7 +49,7 @@ import numpy as np
 from .linalg import (
     GROUPING_TOL,
     anti_hermitian_exp_stack,
-    as_operator,
+    as_hermitian,
     as_state,
     dagger,
     haar_from_ginibre,
@@ -56,7 +58,7 @@ from .linalg import (
     normal_draws,
     product_state,
     random_state_vector,
-    require_hermitian,
+    sized,
     tensor_product,
 )
 from .model import POINTER_DEGENERACY_TOL, ConservedQuantity
@@ -224,22 +226,22 @@ def _gather(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 class _BlockPoint:
-    """Block unitaries as one block-diagonal (..., D, D) matrix ``blocks`` in the coordinates
-    of the eigenvector matrices V (..., D, D); ``joint`` assembles V blocks V^dag on demand."""
+    """Block unitaries as one block-diagonal (..., D, D) matrix ``blocks`` in the coordinates of the eigenvector
+    matrices V (..., D, D), and a search's ready state ``ready``; ``joint`` assembles V blocks V^dag on demand."""
 
-    def __init__(self, vectors: np.ndarray, chart: _Chart, blocks: np.ndarray):
-        self.vectors, self.chart, self.blocks = vectors, chart, blocks
+    def __init__(self, vectors: np.ndarray, chart: _Chart, blocks: np.ndarray, ready: np.ndarray | None = None):
+        self.vectors, self.chart, self.blocks, self.ready = vectors, chart, blocks, ready
 
     joint = property(lambda point: point.vectors @ point.blocks @ dagger(point.vectors))
 
-    def stepped(self, theta: np.ndarray) -> "_BlockPoint":
-        """The point moved by blocks <- blocks exp(K) for the generator K of the whole parameter
-        vector (see ``_Chart.generator``): one exponential per step, whatever the block sizes."""
+    def stepped(self, theta: np.ndarray, ready: np.ndarray | None) -> "_BlockPoint":
+        """The point with the ready state ``ready``, moved by blocks <- blocks exp(K) for the generator K of the
+        whole parameter vector (see ``_Chart.generator``): one exponential per step, whatever the block sizes."""
         step = anti_hermitian_exp_stack(self.chart.generator(theta))
-        return _BlockPoint(self.vectors, self.chart, self.blocks @ step)
+        return _BlockPoint(self.vectors, self.chart, self.blocks @ step, ready)
 
 
-def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
+def _random_point(d: BlockDecomposition, rngs, ready: np.ndarray | None = None) -> _BlockPoint:
     """Haar block unitaries, one set per stream and member of ``d``, scattered into each
     member's ``blocks``; ``_block_unitaries`` keeps each stream's draws in block order."""
     chart = _Chart(d.dims)
@@ -247,7 +249,7 @@ def _random_point(d: BlockDecomposition, rngs) -> _BlockPoint:
     blocks = np.zeros_like(d.vectors)  # (k, D, D), or (D, D) for one decomposition and one stream
     for size, indices in chart.indices.items():
         blocks[..., indices[:, :, None], indices[:, None, :]] = unitaries[size]
-    return _BlockPoint(d.vectors, chart, blocks)
+    return _BlockPoint(d.vectors, chart, blocks, ready)
 
 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
@@ -296,10 +298,10 @@ class SearchResult:
     stop_reasons: tuple[str, ...]
 
 
-def _scored(problem, blocks: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, float, object]:
-    """The residual at the point ``blocks`` = V^dag U V as a real vector r (real and imaginary parts
-    interleaved), the objective F = r . r, and the intermediates ``problem.derivatives`` reuses there."""
-    residual, computed = problem.residual(blocks, ready)
+def _scored(problem, point) -> tuple[np.ndarray, float, object]:
+    """The residual at ``point`` as a real vector r (real and imaginary parts interleaved), the
+    objective F = r . r, and the intermediates ``problem.derivatives`` reuses there."""
+    residual, computed = problem.residual(point)
     residual = residual.ravel().view(np.float64)
     return residual, float(residual @ residual), computed
 
@@ -317,21 +319,21 @@ def _step_axes(jac: np.ndarray, residual: np.ndarray, grad: np.ndarray):
     return np.maximum(curvature, 0.0), axes, coefficients  # semidefinite: drop rounding below zero
 
 
-def _descend(decomposition, problem, rng, config: SearchConfig):
+def _descend(problem, rng, config: SearchConfig):
     """One restart of Levenberg-Marquardt on the residual of ``problem``.
 
-    The parameters are the canonical generators of every commutant block, B <- B exp(G_p) for the
-    point B = V^dag U V, and the ``problem.tangents`` of the ready state (none if it is fixed),
-    v <- (v + dv) / |v + dv|. Each try solves (J^T J + lam I) delta = -J^T r on the exact Jacobian
-    (``_step_axes``), accepts the step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen
-    do. The restart stops when F <= ZERO_OBJECTIVE, when the next step promises a decrease of at
-    most ``FTOL * F`` (no damped step decreases F any more), when J^T r is exactly zero, or after
-    ``config.max_iter`` tries. Returns (F, point, v, trace, stop reason).
+    The problem owns its point and the point's geometry: ``problem.start(rng)`` draws the
+    starting point, ``problem.residual(point)`` gives the complex residual and the intermediates
+    that ``problem.derivatives(point, computed)`` reuses for J^T (a C-contiguous complex array, a
+    row per parameter), and ``problem.stepped(point, delta)`` retracts a step onto a new point. Each
+    try solves (J^T J + lam I) delta = -J^T r on the exact Jacobian (``_step_axes``), accepts the
+    step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. The restart stops when
+    F <= ZERO_OBJECTIVE, when the next step promises a decrease of at most ``FTOL * F`` (no
+    damped step decreases F any more), when J^T r is exactly zero, or after ``config.max_iter``
+    tries. Returns (F, point, trace, stop reason).
     """
-    ready = problem.ready_state(rng)
-    point = _random_point(decomposition, [rng])
-    parameters = len(point.chart.pairs[0])
-    residual, f, computed = _scored(problem, point.blocks, ready)
+    point = problem.start(rng)
+    residual, f, computed = _scored(problem, point)
     trace = [(0, f)]
     lam, nu, fresh = None, 2.0, True
     reason = "zero" if f <= ZERO_OBJECTIVE else "max_iter"
@@ -339,8 +341,7 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
         if reason == "zero":
             break
         if fresh:
-            tangents = problem.tangents(ready)
-            jac = problem.derivatives(point, ready, tangents, computed)
+            jac = problem.derivatives(point, computed)
             jac = jac.reshape(len(jac), -1).view(np.float64)  # J^T, (parameters, residuals)
             grad = jac @ residual
             if not grad.any():
@@ -354,43 +355,36 @@ def _descend(decomposition, problem, rng, config: SearchConfig):
         if not predicted > FTOL * f:  # also once lam is inf and predicted nan
             reason = "no_decrease"
             break
-        candidate = point.stepped(delta[:parameters])
-        candidate_ready = ready
-        if len(tangents):
-            candidate_ready = ready + delta[parameters:] @ tangents
-            candidate_ready = candidate_ready / np.linalg.norm(candidate_ready)
-        candidate_residual, f_new, candidate_computed = _scored(problem, candidate.blocks, candidate_ready)
+        candidate = problem.stepped(point, delta)
+        candidate_residual, f_new, candidate_computed = _scored(problem, candidate)
         if f_new < f:
             gain = min((f - f_new) / predicted, 1.0)  # any gain above 1 divides lam by 3
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu, fresh = 2.0, True
-            point, ready, f = candidate, candidate_ready, f_new
+            point, f = candidate, f_new
             residual, computed = candidate_residual, candidate_computed
             trace.append((it, f))
             if f <= ZERO_OBJECTIVE:
                 reason = "zero"
         else:
             lam, nu = lam * nu, nu * 2.0
-    return f, point, ready, trace, reason
+    return f, point, trace, reason
 
 
-def _search(decomposition, problem, config: SearchConfig) -> SearchResult:
-    """Multi-restart descent; restarts use independent seeded streams and the
-    best result is picked by (objective, restart index). Only its joint unitary is assembled."""
-    runs = [
-        _descend(decomposition, problem, np.random.default_rng((config.seed, r)), config)
-        for r in range(config.restarts)
-    ]
-    f, point, ready, trace, reason = min(runs, key=lambda run: run[0])  # the first of equal floors
+def _search(problem, config: SearchConfig) -> SearchResult:
+    """Multi-restart descent; restarts use independent seeded streams and the best point is picked by (objective,
+    restart index). Only its joint unitary is assembled; its ready state is the result's."""
+    runs = [_descend(problem, np.random.default_rng((config.seed, r)), config) for r in range(config.restarts)]
+    f, point, trace, reason = min(runs, key=lambda run: run[0])  # the first of equal floors
     return SearchResult(
         best_unitary=point.joint,
-        best_ready_state=ready,
+        best_ready_state=point.ready,
         best_objective=f,
         objective_trace=tuple(trace),
         restarts_used=config.restarts,
         converged=reason != "max_iter",
         restart_objectives=tuple(run[0] for run in runs),
-        stop_reasons=tuple(run[4] for run in runs),
+        stop_reasons=tuple(run[3] for run in runs),
     )
 
 
@@ -415,43 +409,34 @@ def minimize_epsilon(
     system factor of ||(U^dag (1 (x) probe) U - observable (x) 1) (psi (x) v)||^2;
     every iterate stays inside the commutant of the conserved quantity.
     """
-    observable = as_operator(observable)
-    probe = as_operator(probe)
-    require_hermitian(observable, "observable")
-    require_hermitian(probe, "probe")
-    ready = as_state(ready_state)
     n1, n2 = q.system_op.shape[0], q.apparatus_op.shape[0]
-    if observable.shape[0] != n1:
-        raise ValueError(f"observable must have dimension {n1}")
-    if probe.shape[0] != n2 or ready.shape[0] != n2:
-        raise ValueError(f"probe and ready_state must have dimension {n2}")
+    observable = as_hermitian(observable, n1, "observable")
+    probe = as_hermitian(probe, n2, "probe")
+    ready = sized(as_state(ready_state), n2, "ready_state")
     probe_joint, obs_joint = tensor_product(np.eye(n1), probe), tensor_product(observable, np.eye(n2))
-    d = conserved_eigenspaces(q)
-    return _search(d, _Epsilon(d.vectors, probe_joint, obs_joint, ready, default_probe_states(q.system_op)), config)
+    problem = _Epsilon(conserved_eigenspaces(q), probe_joint, obs_joint, ready, default_probe_states(q.system_op))
+    return _search(problem, config)
 
 
 class _Epsilon:
-    """Residuals w_psi = V^dag (U^dag P U - O)(psi (x) v) / sqrt(#states) for the fixed ready state v, so
-    that |w|^2 is the mean squared noise over the probe states. With P~ = V^dag P V, O~ = V^dag O V and
+    """Residuals w_psi = V^dag (U^dag P U - O)(psi (x) v) / sqrt(#states) for the fixed ready state v that its points
+    carry, so that |w|^2 is the mean squared noise over the probe states. With P~ = V^dag P V, O~ = V^dag O V and
     x~ = V^dag (psi (x) v) projected once per search, the point B = V^dag U V gives w = (B^dag P~ B - O~) x~."""
 
-    def __init__(self, vectors, probe_joint, obs_joint, ready, states):
-        inverse, self.ready = dagger(vectors), ready
-        self.probe, self.observable = inverse @ probe_joint @ vectors, inverse @ obs_joint @ vectors
+    def __init__(self, d: BlockDecomposition, probe_joint, obs_joint, ready, states):
+        inverse, self.decomposition, self.ready = dagger(d.vectors), d, ready
+        self.probe, self.observable = inverse @ probe_joint @ d.vectors, inverse @ obs_joint @ d.vectors
         self.inputs = inverse @ np.stack([product_state(s, ready) for s in states], axis=-1) / np.sqrt(len(states))
 
-    def ready_state(self, rng):
-        return self.ready
+    def start(self, rng):
+        return _random_point(self.decomposition, [rng], self.ready)
 
-    def tangents(self, ready):
-        return np.empty((0, len(ready)))
-
-    def residual(self, blocks, ready):
+    def residual(self, point):
         """The residuals, and A~ = B^dag P~ B for ``derivatives``."""
-        a = dagger(blocks) @ self.probe @ blocks
+        a = dagger(point.blocks) @ self.probe @ point.blocks
         return (a - self.observable) @ self.inputs, a
 
-    def derivatives(self, point, ready, tangents, a):
+    def derivatives(self, point, a):
         """dw = [A~, G_p] x~ = A~ G_p x~ - G_p (A~ x~) along each dB = B G_p: a gather of A~'s columns
         and x~'s rows, less a scatter into the only two rows a and b of G_p (A~ x~) that are nonzero."""
         first, second, upper, lower = point.chart.pairs
@@ -460,6 +445,9 @@ class _Epsilon:
         dx[rows, first] -= upper[:, None] * ax[second]
         dx[rows, second] -= lower[:, None] * ax[first]  # zero for a phase, whose a = b
         return dx
+
+    def stepped(self, point, delta):
+        return point.stepped(delta, point.ready)
 
 
 def feasibility_search(q: ConservedQuantity, observable: np.ndarray, config: SearchConfig) -> SearchResult:
@@ -471,45 +459,54 @@ def feasibility_search(q: ConservedQuantity, observable: np.ndarray, config: Sea
     nondestructive scheme. No hypothesis gating happens here: dimensions
     outside the no-go regime are searched all the same.
     """
-    observable = as_operator(observable)
-    require_hermitian(observable, "observable")
-    n1 = q.system_op.shape[0]
-    if observable.shape[0] != n1:
-        raise ValueError(f"observable must have dimension {n1}")
-    d = conserved_eigenspaces(q)
-    return _search(d, _Feasibility(np.linalg.eigh(observable)[1].T, d.vectors), config)
+    observable = as_hermitian(observable, q.system_op.shape[0], "observable")
+    return _search(_Feasibility(np.linalg.eigh(observable)[1].T, conserved_eigenspaces(q)), config)
 
 
 class _Feasibility:
     """Residual E = G - I of the diagonal pointers, G_ij = <W_i|W_j> with W_j = (<u_j| (x) 1) U (|u_j> (x) |v>),
     u_j row j of ``basis``; zero exactly for an exact nondestructive scheme (unit W_j: no leakage; orthogonal:
     distinguishable). With L_j = (<u_j| (x) 1) V and R_j = V^dag (|u_j> (x) 1) = L_j^dag projected once per
-    search, the point B = V^dag U V gives W_j = L_j B c_j, c_j = R_j v."""
+    search, the point B = V^dag U V with ready state v gives W_j = L_j B c_j, c_j = R_j v. The parameters are the
+    block generators, then the ``tangents`` of the unit sphere at v, along which ``stepped`` retracts v."""
 
-    def __init__(self, basis: np.ndarray, vectors: np.ndarray):
-        self.left = np.einsum("ji,ikd->jkd", basis.conj(), vectors.reshape(len(basis), -1, len(vectors)))
+    def __init__(self, basis: np.ndarray, d: BlockDecomposition):
+        self.decomposition = d
+        self.left = np.einsum("ji,ikd->jkd", basis.conj(), d.vectors.reshape(len(basis), -1, len(d.vectors)))
         self.right, self.n2 = dagger(self.left), self.left.shape[1]  # L_j (n1, n2, D) and R_j (n1, D, n2)
         self.directions = np.concatenate([np.eye(self.n2), 1j * np.eye(self.n2)])  # e_k, then i e_k
+        self.last_tangents = (None, None)  # (ready state, its tangents): see ``tangents``
 
-    def ready_state(self, rng):
-        return random_state_vector(self.n2, rng)
+    def start(self, rng):
+        ready = random_state_vector(self.n2, rng)  # drawn before the blocks, from the same stream
+        return _random_point(self.decomposition, [rng], ready)
 
     def tangents(self, ready):
-        """e_k and i e_k projected onto the tangent space of the unit sphere at the ready state, (2 n2, n2)."""
-        return self.directions - (self.directions @ ready.conj()).real[:, None] * ready
+        """e_k and i e_k projected onto the tangent space of the unit sphere at the ready state, (2 n2, n2).
+        Kept for the last ready state asked for: every try steps from the point differentiated last."""
+        if ready is not self.last_tangents[0]:
+            self.last_tangents = (ready, self.directions - (self.directions @ ready.conj()).real[:, None] * ready)
+        return self.last_tangents[1]
 
-    def residual(self, blocks, ready):
+    def residual(self, point):
         """E, and the W_j and c_j it is made of for ``derivatives``."""
-        c = self.right @ ready  # (n1, D)
-        w = (self.left @ (blocks @ c.T).T[:, :, None])[..., 0]
+        c = self.right @ point.ready  # (n1, D)
+        w = (self.left @ (point.blocks @ c.T).T[:, :, None])[..., 0]
         return w.conj() @ w.mT - np.eye(len(w)), (w, c)
 
-    def derivatives(self, point, ready, tangents, computed):
+    def derivatives(self, point, computed):
         """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dB = B G_p, Y_j = L_j B, and
         dW_j = M_j t along each ready-state tangent t, M_j = Y_j R_j; W_j and c_j come from ``residual``."""
         w, c = computed
         y = self.left @ point.blocks  # (n1, n2, D)
         gathered = _gather(point.chart.pairs, y.transpose(2, 0, 1), c.T[:, :, None])
-        dw = np.concatenate([gathered, (y @ self.right @ tangents.T).transpose(2, 0, 1)])
+        dw = np.concatenate([gathered, (y @ self.right @ self.tangents(point.ready).T).transpose(2, 0, 1)])
         cross = dw.conj() @ w.mT  # <dW_i|W_j>
         return cross + cross.conj().mT
+
+    def stepped(self, point, delta):
+        """The blocks moved along the generators, and the ready state retracted onto the sphere:
+        v <- (v + sum_t delta_t t) / |v + sum_t delta_t t|."""
+        split = len(delta) - len(self.directions)
+        ready = point.ready + delta[split:] @ self.tangents(point.ready)
+        return point.stepped(delta[:split], ready / np.linalg.norm(ready))

@@ -22,7 +22,8 @@ member: ``require_hermitian`` (``HERMITICITY_TOL``), ``require_unitary``
 ``require_unit_norm`` (``STATE_NORM_TOL``).
 Every threshold is a module constant.
 Every caller in the package, the model dataclasses, the samplers and the CLI
-loader included, goes through them.
+loader included, goes through them; an operator argument of known dimension
+goes through ``as_hermitian`` (coerce, then the dimension, then hermiticity).
 
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
 chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack
@@ -55,6 +56,7 @@ from .errors import PreconditionError
 
 __all__ = [
     "anti_hermitian_exp_stack",
+    "as_hermitian",
     "as_operator",
     "as_state",
     "column_records",
@@ -84,6 +86,7 @@ __all__ = [
     "require_unit_norm",
     "require_unitary",
     "run_sweep",
+    "sized",
     "squares",
     "sweep_chunks",
     "tensor_product",
@@ -144,6 +147,20 @@ def as_state(v) -> np.ndarray:
         raise ValueError("state amplitudes must be finite")
     require_unit_norm(v, "state")
     return v
+
+
+def sized(a: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """``a``, once its first axis is checked to have length ``dim``."""
+    if a.shape[0] != dim:
+        raise ValueError(f"{name} must have dimension {dim}")
+    return a
+
+
+def as_hermitian(a, dim: int, name: str) -> np.ndarray:
+    """Coerce to a square complex matrix (``as_operator``), then check its dimension, then that it is Hermitian."""
+    a = sized(as_operator(a), dim, name)
+    require_hermitian(a, name)
+    return a
 
 
 def _require(name: str, residual: np.ndarray, passed: np.ndarray, detail: str) -> None:

@@ -35,6 +35,7 @@ from .linalg import (
     require_orthonormal_rows,
     require_unit_norm,
     require_unitary,
+    sized,
     tensor_product,
     unitary_completion,
 )
@@ -87,9 +88,7 @@ class MeasurementModel:
         if ready.shape != (self.n2,):
             raise ValueError(f"ready_state must have dimension {self.n2}")
         require_unit_norm(ready, "ready_state")
-        u = as_operator(self.interaction)
-        if u.shape[0] != self.n1 * self.n2:
-            raise ValueError(f"interaction must have dimension {self.n1 * self.n2}")
+        u = sized(as_operator(self.interaction), self.n1 * self.n2, "interaction")
         require_unitary(u, "interaction")
         object.__setattr__(self, "system_basis", basis)
         object.__setattr__(self, "ready_state", ready)

@@ -35,7 +35,7 @@ from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
     FACTOR_SPECTRUM,
-    as_operator,
+    as_hermitian,
     as_state,
     column_records,
     commutator_stack,
@@ -55,6 +55,7 @@ from .linalg import (
     require_unit_norm,
     require_unitary,
     run_sweep,
+    sized,
     squares,
     tensor_product,
     tensor_product_stack,
@@ -95,19 +96,6 @@ VALIDITY_SLACK = 1e-9
 YANASE_COMMUTATOR_TOL = 1e-10
 # Threshold on |<v|lb|v>| for the zero-expectation simplification.
 ZERO_EXPECTATION_TOL = 1e-10
-
-
-def _sized(a: np.ndarray, dim: int, name: str) -> np.ndarray:
-    if a.shape[0] != dim:
-        raise ValueError(f"{name} must have dimension {dim}")
-    return a
-
-
-def _operator_arg(m: MeasurementModel, name: str, a) -> np.ndarray:
-    """The observable (on the system) or the probe (on the apparatus), coerced and checked."""
-    a = _sized(as_operator(a), m.n1 if name == "observable" else m.n2, name)
-    require_hermitian(a, name)
-    return a
 
 
 def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) -> None:
@@ -152,9 +140,9 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     The checks run in one order: conservation, psi, the observable, then the probe.
     """
     _require_conserved(m, q, tol)
-    psi = _sized(as_state(psi), m.n1, "psi")
-    observable = _operator_arg(m, "observable", observable)
-    probe = _operator_arg(m, "probe", probe)
+    psi = sized(as_state(psi), m.n1, "psi")
+    observable = as_hermitian(observable, m.n1, "observable")
+    probe = as_hermitian(probe, m.n2, "probe")
     return _Stack(
         m.interaction[None], m.ready_state[None], observable[None], psi[None], probe[None],
         q.system_op[None], q.apparatus_op[None], conserved_operator(q)[None],
@@ -327,12 +315,8 @@ class VarianceAudit:
 
 def variance_identity_audit(a, b, psi_a, psi_b, tol: float) -> VarianceAudit:
     """Each claim holds when it misses ``lhs`` by at most ``tol * max(1, |lhs|)``."""
-    a = as_operator(a)
-    b = as_operator(b)
-    psi_a = as_state(psi_a)
-    psi_b = as_state(psi_b)
-    require_hermitian(a, "a")
-    require_hermitian(b, "b")
+    psi_a, psi_b = as_state(psi_a), as_state(psi_b)
+    a, b = as_hermitian(a, len(psi_a), "a"), as_hermitian(b, len(psi_b), "b")
     lhs = variance(tensor_product(a, b), product_state(psi_a, psi_b))
     var_a = variance(a, psi_a)
     var_b = variance(b, psi_b)

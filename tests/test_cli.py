@@ -305,6 +305,14 @@ class TestStateParsing:
         with pytest.raises(ModelFileError, match="state"):
             _parse_state("5", 2)
 
+    def test_long_basis_indices(self, capsys):
+        # past Python's 4300-digit int() limit: out of range with a short message, and a
+        # zero-padded index 1 still read as index 1
+        code, out, err = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", "1" * 5000)
+        assert (code, out, err) == (2, "", "error: state: basis index of 5000 digits out of range for dimension 2\n")
+        np.testing.assert_array_equal(_parse_state("0" * 5000 + "1", 2), [0.0, 1.0])
+        np.testing.assert_array_equal(_parse_state("0" * 5000, 2), [1.0, 0.0])
+
     @pytest.mark.parametrize("spec", ["\u00b2", "\u0661", "\uff11", "1\u0660"])
     def test_non_ascii_digits_are_unknown_states(self, capsys, spec):
         # superscript two, Arabic-Indic one, fullwidth one, one then Arabic-Indic zero:

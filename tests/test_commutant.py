@@ -264,7 +264,7 @@ class TestProjectGenerator:
         theta = rng.standard_normal(len(point.chart.pairs[0]))
         k = point.chart.generator(theta)
         assert frobenius_norm(k + k.conj().mT) <= 1e-12
-        moved = point.stepped(theta)
+        moved = point.stepped(theta, point.ready)
         assert frobenius_norm(moved.blocks.conj().T @ moved.blocks - np.eye(6)) <= 1e-12
         assert frobenius_norm(commutator(moved.joint, conserved_operator(q))) <= 1e-10
 
@@ -368,6 +368,20 @@ class TestFeasibilitySearch:
         with pytest.raises(PreconditionError, match=f"^{argument}: not Hermitian") as raised:
             search(quantity(LA_DIAG, I2), [[0, 1], [0, 0]])
         assert raised.value.check == argument
+
+    @pytest.mark.parametrize(
+        "search, argument",
+        [
+            (lambda q, a, v: feasibility_search(q, a, config=SearchConfig(seed=1)), "observable"),
+            (lambda q, a, v: minimize_epsilon(q, a, Z, E0, config=SearchConfig(seed=1)), "observable"),
+            (lambda q, a, v: minimize_epsilon(q, X, a, E0, config=SearchConfig(seed=1)), "probe"),
+            (lambda q, a, v: minimize_epsilon(q, X, Z, v, config=SearchConfig(seed=1)), "ready_state"),
+        ],
+    )
+    def test_wrong_dimension_is_named(self, search, argument):
+        # n1 = n2 = 2; a 3x3 operator that is not Hermitian either fails its dimension first
+        with pytest.raises(ValueError, match=f"^{argument} must have dimension 2$"):
+            search(quantity(LA_DIAG, I2), np.triu(np.ones((3, 3))), np.eye(3)[0])
 
 
 def _pinned(result: SearchResult) -> dict:
@@ -537,16 +551,21 @@ def _pointer_blocks(basis, u):
     return np.einsum("ji,...iklm,jl->...jkm", basis.conj(), u, basis)
 
 
-def _eigenvector_point(d, u):
-    """The optimizer's point B = V^dag U V of a joint unitary U."""
-    return dagger(d.vectors) @ u @ d.vectors
+def _eigenvector_point(d, u, ready):
+    """The optimizer's point B = V^dag U V of a joint unitary U, with the ready state v."""
+    return commutant._BlockPoint(d.vectors, commutant._Chart(d.dims), dagger(d.vectors) @ u @ d.vectors, ready)
+
+
+def _at(point, blocks, ready):
+    """A point of the same decomposition with the given ``blocks`` and ready state."""
+    return commutant._BlockPoint(point.vectors, point.chart, blocks, ready)
 
 
 def _problem(monkeypatch, search, *args):
     """The residual problem a search hands to its restarts."""
     captured = {}
 
-    def capture(decomposition, problem, config):
+    def capture(problem, config):
         captured["problem"] = problem
 
     monkeypatch.setattr(commutant, "_search", capture)
@@ -571,11 +590,11 @@ def _problems(la, lb):
     ready state: {name: (problem, ready state)}."""
     observable, probe, ready = _operators(la, lb)
     n1, n2 = len(la), len(lb)
-    vectors = conserved_eigenspaces(quantity(_factor(la), _factor(lb))).vectors
+    d = conserved_eigenspaces(quantity(_factor(la), _factor(lb)))
     epsilon = commutant._Epsilon(
-        vectors, np.kron(np.eye(n1), probe), np.kron(observable, np.eye(n2)), ready, default_probe_states(_factor(la))
+        d, np.kron(np.eye(n1), probe), np.kron(observable, np.eye(n2)), ready, default_probe_states(_factor(la))
     )
-    feasibility = commutant._Feasibility(np.linalg.eigh(observable)[1].T, vectors)
+    feasibility = commutant._Feasibility(np.linalg.eigh(observable)[1].T, d)
     return {"epsilon": (epsilon, ready), "feasibility": (feasibility, ready)}
 
 
@@ -609,10 +628,17 @@ def _dense_derivatives(name, la, lb, d, u, tangents, generators):
     return cross + cross.conj().mT
 
 
+def _tangents(problem, ready):
+    """The ready-state tangents that are parameters of ``problem``: the feasibility search's sphere
+    tangents, and none for the epsilon search, whose ready state is fixed."""
+    return problem.tangents(ready) if isinstance(problem, commutant._Feasibility) else np.empty((0, len(ready)))
+
+
 def _jacobian(problem, point, ready):
-    """J^T of ``problem`` at the point, (parameters, residuals) as ``_descend`` builds it."""
-    computed = commutant._scored(problem, point.blocks, ready)[2]
-    jac = problem.derivatives(point, ready, problem.tangents(ready), computed)
+    """J^T of ``problem`` at the point's blocks and the ready state, (parameters, residuals) as
+    ``_descend`` builds it."""
+    point = _at(point, point.blocks, ready)
+    jac = problem.derivatives(point, commutant._scored(problem, point)[2])
     return jac.reshape(len(jac), -1).view(np.float64)
 
 
@@ -643,23 +669,24 @@ class TestOptimizerBitIdentity:
         parameters = len(point.chart.pairs[0])
         h = 1e-6
         for name, (problem, ready) in _problems(la, lb).items():
-            tangents = problem.tangents(ready)
+            tangents = _tangents(problem, ready)
             jac = _jacobian(problem, point, ready)
             points = []
             for i in _parameter_order(d.dims):
                 size = d.dims[i]
                 for p in range(size**2):
                     points.append([
-                        (_with_block(point, d.dims, i, unitaries[i] @ _reference_factor(size, p, t)), ready)
+                        _at(point, _with_block(point, d.dims, i, unitaries[i] @ _reference_factor(size, p, t)), ready)
                         for t in (h, -h)
                     ])
             for t in tangents:
-                points.append([(point.blocks, (ready + s * t) / np.linalg.norm(ready + s * t)) for s in (h, -h)])
+                moved = [(ready + s * t) / np.linalg.norm(ready + s * t) for s in (h, -h)]
+                points.append([_at(point, point.blocks, v) for v in moved])
             assert len(points) == len(jac) == parameters + len(tangents)
-            scored = [[commutant._scored(problem, u, v) for u, v in pair] for pair in points]
+            scored = [[commutant._scored(problem, moved) for moved in pair] for pair in points]
             fd = np.stack([(plus[0] - minus[0]) / (2 * h) for plus, minus in scored])
             assert np.abs(jac - fd).max() <= 1e-8, name
-            residual = commutant._scored(problem, point.blocks, ready)[0]
+            residual = commutant._scored(problem, _at(point, point.blocks, ready))[0]
             fd_grad = np.array([(plus[1] - minus[1]) / (2 * h) for plus, minus in scored])
             assert np.abs(2 * jac @ residual - fd_grad).max() <= 1e-8, name
 
@@ -671,7 +698,7 @@ class TestOptimizerBitIdentity:
         point = commutant._random_point(d, [np.random.default_rng(1)])
         generators = _dense_generators(d)
         for name, (problem, ready) in _problems(la, lb).items():
-            dense = _dense_derivatives(name, la, lb, d, point.joint, problem.tangents(ready), generators)
+            dense = _dense_derivatives(name, la, lb, d, point.joint, _tangents(problem, ready), generators)
             dense = dense.reshape(len(dense), -1).view(np.float64)
             jac = _jacobian(problem, point, ready)
             assert jac.shape == dense.shape, name
@@ -693,7 +720,7 @@ class TestOptimizerBitIdentity:
             expected = [
                 v @ _reference_block_exp(rows[i], len(v)) for i, v in enumerate(_block_unitaries(point, d.dims))
             ]
-            candidate = point.stepped(theta)
+            candidate = point.stepped(theta, point.ready)
             assert not candidate.blocks[off].any()
             for ours, reference in zip(_block_unitaries(candidate, d.dims), expected, strict=True):
                 assert np.abs(ours - reference).max() <= 1e-14
@@ -711,7 +738,8 @@ class TestOptimizerBitIdentity:
         point = commutant._random_point(d, [np.random.default_rng(5)])
         rng = np.random.default_rng(6)
         for step in range(20):
-            point = point.stepped(rng.standard_normal(len(point.chart.pairs[0])) * [1e-3, 0.1, 1.0, 3.0][step % 4])
+            theta = rng.standard_normal(len(point.chart.pairs[0])) * [1e-3, 0.1, 1.0, 3.0][step % 4]
+            point = point.stepped(theta, point.ready)
             assert not point.blocks[off].any()
             assert frobenius_norm(commutator(point.joint, joint)) <= 1e-12 * scale
 
@@ -772,7 +800,7 @@ class TestOptimizerBitIdentity:
             reference = _reference_feasibility(observable, ready)
             for u in stack:
                 # the stacked contractions sum in another order than the loop
-                value = commutant._scored(problem, _eigenvector_point(d, u), ready)[1]
+                value = commutant._scored(problem, _eigenvector_point(d, u, ready))[1]
                 assert value == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
     def test_epsilon_objective_matches_reference(self, monkeypatch):
@@ -781,7 +809,7 @@ class TestOptimizerBitIdentity:
         reference = _reference_epsilon(X, Z, E0, default_probe_states(LA_DIAG))
         d = conserved_eigenspaces(q)
         for u in [commutant_unitary(d, np.random.default_rng(seed)) for seed in range(6)]:
-            value = commutant._scored(problem, _eigenvector_point(d, u), E0)[1]
+            value = commutant._scored(problem, _eigenvector_point(d, u, E0))[1]
             assert value == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
 
@@ -804,7 +832,7 @@ class TestLevenbergMarquardtStep:
             point = commutant._random_point(d, [np.random.default_rng(seed)])
             for name, (problem, ready) in _problems(la, lb).items():
                 jac = _jacobian(problem, point, ready)
-                residual = commutant._scored(problem, point.blocks, ready)[0]
+                residual = commutant._scored(problem, _at(point, point.blocks, ready))[0]
                 curvature, axes, coefficients = commutant._step_axes(jac, residual, jac @ residual)
                 assert axes.shape == (len(jac), min(jac.shape)), name  # one axis per row of the smaller Gram matrix
                 for scale in (1e-6, 1e-3, 1.0, 1e3):
@@ -833,6 +861,45 @@ class TestLevenbergMarquardtStep:
         shapes.clear()
         minimize_epsilon(quantity(LA_DIAG, I2), Z, Z, E0, config=config)
         assert (8, 8) in shapes and (24, 24) not in shapes
+
+
+class _LinearProblem:
+    """A least-squares problem that is no commutant search: the complex residual A x - b over real
+    x, started at x0 and retracted by x + delta."""
+
+    def __init__(self, a, b, x0):
+        self.a, self.b, self.x0 = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(x0, float)
+
+    def start(self, rng):
+        return self.x0
+
+    def residual(self, x):
+        return self.a @ x - self.b, None
+
+    def derivatives(self, x, computed):
+        return self.a.T.copy()  # row p: the derivative of the residual along x_p
+
+    def stepped(self, x, delta):
+        return x + delta
+
+
+class TestDescendProtocol:
+    """``_descend`` knows a problem only through start, residual, derivatives and stepped."""
+
+    def test_consistent_system_stops_at_zero(self):
+        a = [[1.0, 1j], [2.0, 0.0], [0.5j, 1.0]]
+        solution = np.array([0.5, -1.5])
+        problem = _LinearProblem(a, np.asarray(a) @ solution, [3.0, 2.0])
+        f, x, trace, reason = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
+        assert reason == "zero" and f <= commutant.ZERO_OBJECTIVE
+        assert np.abs(x - solution).max() <= 1e-11
+        assert trace[0] == (0, pytest.approx(np.linalg.norm(problem.residual(problem.x0)[0]) ** 2, rel=1e-15))
+
+    def test_zero_gradient_stops_at_once(self):
+        # r = (0, -1) at x = 0 and A^T r = 0 exactly: the start is a stationary point
+        problem = _LinearProblem([[1.0], [0.0]], [0.0, 1.0], [0.0])
+        f, x, trace, reason = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
+        assert (f, x.tolist(), trace, reason) == (1.0, [0.0], [(0, 1.0)], "gradient")
 
 
 class TestFloors:

@@ -68,6 +68,14 @@ class TestNoiseOperator:
         with pytest.raises(ValueError, match="Hermitian"):
             noise_report(cnot_model, cnot_quantity, np.array([[0, 1], [0, 0]], dtype=complex), Z, PLUS)
 
+    @pytest.mark.parametrize("argument", ["psi", "observable", "probe"])
+    def test_wrong_dimension_is_named(self, cnot_model, cnot_quantity, argument):
+        # n1 = n2 = 2 on cnot; a 3x3 operator that is not Hermitian either fails its dimension first
+        args = {"observable": Z, "probe": Z, "psi": PLUS}
+        args[argument] = np.eye(3)[0] if argument == "psi" else np.triu(np.ones((3, 3)))
+        with pytest.raises(ValueError, match=f"^{argument} must have dimension 2$"):
+            noise_report(cnot_model, cnot_quantity, args["observable"], args["probe"], args["psi"])
+
 
 class TestEpsilonSq:
     def test_matched_probe_vanishes(self, cnot_model, cnot_quantity):
@@ -242,6 +250,14 @@ class TestVarianceAudit:
         audit = variance_identity_audit(I2, Z, PLUS, E0, tol=1e-10)
         assert audit.lhs <= 1e-14
         assert audit.paper_rhs == 0.0
+
+    @pytest.mark.parametrize("argument", ["a", "b"])
+    def test_wrong_dimension_is_named(self, argument):
+        # each operator is checked against its state's dimension, before it is checked Hermitian
+        args = {"a": Z, "b": Z}
+        args[argument] = np.triu(np.ones((3, 3)))
+        with pytest.raises(ValueError, match=f"^{argument} must have dimension 2$"):
+            variance_identity_audit(args["a"], args["b"], PLUS, E0, tol=1e-10)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
