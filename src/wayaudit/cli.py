@@ -8,7 +8,8 @@ Exit codes: 0 on success, 1 when a falsifiable scientific assertion fails (a
 theorem contradiction or a Robertson-bound violation), 2 on usage or input
 errors, 3 on an internal error (a crash never reads as a falsified
 assertion). Reports serialize canonically (sorted keys, floats at 17 significant
-digits), so identical runs produce byte-identical output.
+digits), so identical runs produce byte-identical output. Model-file fields are read, and
+report arrays written, a whole array at a time: the one per-entry step formats a nonzero cell.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -58,49 +60,62 @@ class ModelFileError(ValueError):
 
 
 def _format_floats(values: list[float]) -> list[str]:
-    """Python floats as every report, JSON or CSV, writes them: 17 significant
-    digits, with -0.0 written as 0. One finite check covers the whole batch."""
+    """Python floats as every report, JSON or CSV, writes them: 17 significant digits, with
+    0.0 and -0.0, the falsy floats, written as 0. One finite check covers the whole batch."""
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite value in report")
-    # 0.0 and -0.0 are the falsy floats: both are written as format(0.0, ".17g"),
-    # and the zeros that fill block-structured matrices skip format()
     return [format(x, ".17g") if x else "0" for x in values]
 
 
+@functools.lru_cache(maxsize=64)
+def _nesting(shape: tuple[int, ...]) -> np.ndarray:
+    """The JSON text of an all-zero array of ``shape``, split: nesting at even places, each 0 at an odd one."""
+    text = "0"
+    for size in reversed(shape):
+        text = "[" + ",".join([text] * size) + "]"
+    nests = list(map(sys.intern, text.split("0")))  # a few distinct strings, shared
+    pieces = np.full(2 * len(nests) - 1, "0", dtype=object)
+    pieces[::2] = nests
+    pieces.flags.writeable = False  # cached: each array's text starts from a copy
+    return pieces
+
+
 def _encode_array(a: np.ndarray) -> str:
-    """A float array as nested JSON numbers; a complex one with [re,im] pairs for numbers."""
+    """A float array as nested JSON numbers; a complex one with [re,im] pairs for numbers.
+    Only nonzero cells are formatted, the rest stay 0: every NaN and infinity is nonzero."""
     if a.dtype.kind == "c":
-        a = np.stack([a.real, a.imag], axis=-1)
-    if a.size == 0:  # nothing to format: only the nesting of empty lists is written
-        return _canonical(a.tolist())
-    cells = _format_floats(a.ravel().tolist())
-    for size in reversed(a.shape):  # group the cells, innermost axis first
-        rows = iter(cells)
-        cells = ["[" + ",".join(row) + "]" for row in zip(*[rows] * size)]
-    return cells[0]
+        a = np.ascontiguousarray(a, dtype=complex).view(float).reshape(*a.shape, 2)
+    flat = np.asarray(a, dtype=float).ravel()
+    nonzero = flat.nonzero()[0]
+    pieces = _nesting(a.shape).copy()
+    pieces[1::2][nonzero] = _format_floats(flat[nonzero].tolist())
+    return "".join(pieces.tolist())
+
+
+_key = functools.lru_cache(maxsize=256, typed=True)(lambda key: json.dumps(str(key)) + ":")
+
+# The encoder of each exact type a report holds. A numpy scalar is encoded as its
+# Python value, and a library report as the dict of its fields, with no deep copy.
+_ENCODERS = {
+    dict: lambda d: "{" + ",".join([_key(k) + _canonical(v) for k, v in sorted(d.items())]) + "}",
+    np.ndarray: lambda a: _encode_array(a) if a.dtype.kind in "fc" else _canonical(a.tolist()),
+    float: lambda x: _format_floats([x])[0],
+    **dict.fromkeys((list, tuple), lambda items: "[" + ",".join(map(_canonical, items)) + "]"),
+    str: json.dumps,
+    int: str,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    complex: lambda z: "[" + ",".join(_format_floats([z.real, z.imag])) + "]",
+}
 
 
 def _canonical(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_floats([float(value)])[0]
-    if isinstance(value, (complex, np.complexfloating)):
-        return "[" + ",".join(_format_floats([value.real, value.imag])) + "]"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _encode_array(value) if value.dtype.kind in "fc" else _canonical(value.tolist())
-    if isinstance(value, dict):
-        parts = [f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in sorted(value.items())]
-        return "{" + ",".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
-    if is_dataclass(value):  # a library report: the dict of its fields, with no deep copy
+    encode = _ENCODERS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, np.generic) and type(value.item()) in _ENCODERS:
+        return _canonical(value.item())
+    if is_dataclass(value):
         return _canonical(_field_dict(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -246,16 +261,20 @@ def _check_entries(obj, shape: tuple[int, ...], field: str) -> None:
 def _complex_array(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
     """A vector or matrix field of [re, im] pairs as a complex array of ``shape``.
 
-    One numpy conversion validates and converts the whole field: the pairs must
-    stack to ``shape + (2,)``, hold Python ints and floats only (no bools) and be
-    finite. Only a field that fails is walked entry by entry, to name what is wrong.
-    """
-    leaves = np.array(obj, dtype=object)  # ragged nesting leaves lists among the leaves
-    if leaves.shape == (*shape, 2) and {*map(type, leaves.ravel().tolist())} <= {int, float}:
-        with contextlib.suppress(OverflowError):  # an int literal beyond float range
-            pairs = leaves.astype(float)
-            if np.isfinite(pairs).all():
-                return pairs.view(complex).reshape(shape)
+    Each nesting level is checked by set operations over all its items (lists of the level's
+    size, down to the pairs; then Python ints and floats only, no bools) and flattened; one numpy
+    conversion makes floats, which must be finite. A field that fails is walked entry by entry."""
+    level = [obj]
+    for size in (*shape, 2):
+        if {*map(type, level)} != {list} or {*map(len, level)} != {size}:
+            break
+        level = list(itertools.chain.from_iterable(level))
+    else:
+        if {*map(type, level)} <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an int literal beyond float range
+                pairs = np.array(level, dtype=float)
+                if np.isfinite(pairs).all():
+                    return pairs.view(complex).reshape(shape)
     _check_entries(obj, shape, field)
     raise AssertionError(f"{field}: rejected in bulk, but every entry is valid")
 
@@ -346,7 +365,7 @@ def load_model(path: str) -> LoadedModel:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelFileError("model", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ModelFileError("model", f"parse error in {path}: {exc}") from exc
     return _load_document(doc)
 
@@ -367,7 +386,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
     if spec.startswith("["):
         try:
             literal = json.loads(spec)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFileError("state", f"parse error: {exc}") from exc
         return _checked(as_state, _complex_array(literal, (dim,), "state"))
     raise ModelFileError("state", f"unknown state {spec!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -102,6 +102,28 @@ class TestLoadModel:
         state = f"[[{10**400},0],[0,0]]"
         code, out, err = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", state)
         assert (code, out, err) == (2, "", "error: state: complex entries must be finite\n")
+
+    def test_deeply_nested_model_file(self, capsys, tmp_path):
+        # json's decoder gives up on deep nesting with a RecursionError: an input error, not a crash
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(_cnot_doc()).replace('"ready_state": ', '"ready_state": ' + "[" * 100000, 1))
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: model: parse error in {path}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_state_literal(self, capsys):
+        code, out, err = run(capsys, "bound", "--model", "tests/fixtures/cnot.json", "--state", "[" * 100000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: state: parse error: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_model_file(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(_cnot_doc()).encode("utf-16-le"))
+        code, out, err = run(capsys, "check", "--model", str(path))
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert (code, out, err) == (2, "", f"error: model: parse error in {path}: {message}\n")
 
 
 # Bad entries, as JSON text, and the message each gets wherever it stands.
@@ -1107,6 +1129,12 @@ class TestCanonicalSerialization:
     def test_complex_encoding(self):
         assert canonical_json(1 + 2j) == "[1,2]\n"
 
+    def test_numpy_scalars_as_python_values(self):
+        values = [np.float64(0.1), np.float32(0.5), np.int64(-3), np.bool_(True), np.complex128(-0.0 + 2j)]
+        assert canonical_json(values) == "[0.10000000000000001,0.5,-3,true,[0,2]]\n"
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json(np.bytes_(b"x"))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_json(float("nan"))
@@ -1162,6 +1190,60 @@ def _report_arrays(draw):
     if draw(st.booleans()):
         return draw(_float_array(shape))
     return draw(_float_array((*shape, 2))).view(complex).reshape(shape)
+
+
+@st.composite
+def _block_diagonal_arrays(draw):
+    """A block-diagonal float or complex matrix: -0.0 at both off-block corners, 5e-324 and
+    the largest finite float at the two ends of the diagonal, its negative at the second block's
+    first diagonal cell."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    dim = sum(sizes)
+    a = np.zeros((dim, dim, 2) if draw(st.booleans()) else (dim, dim))
+    start = 0
+    for size in sizes:
+        block = a[start : start + size, start : start + size]
+        block[...] = draw(_float_array(block.shape))
+        start += size
+    a[0, -1] = a[-1, 0] = -0.0
+    a[0, 0], a[-1, -1], a[sizes[0], sizes[0]] = 5e-324, 1.7976931348623157e308, -1.7976931348623157e308
+    return a.view(complex).reshape(dim, dim) if a.ndim == 3 else a
+
+
+BAD_NUMBERS = st.sampled_from([True, False, "1", None, {"re": 1}, 10**400, -(10**400)])
+
+
+@st.composite
+def _invalid_fields(draw):
+    """A matrix or vector field of a model file, as JSON reads it, with one or two entries
+    spoiled, and its expected shape: a short row, a pair of length 1 or 3, a bool, str,
+    None, dict or out-of-range int among the numbers, or one level of nesting too many."""
+    field = json.loads(json.dumps(draw(MATRICES)))
+    if draw(st.booleans()):
+        field = field[0]
+        shape, rows = (len(field),), [field]
+    else:
+        shape, rows = (len(field), len(field[0])), field
+    for _ in range(draw(st.integers(1, 2))):
+        row = draw(st.sampled_from(rows))
+        pair = draw(st.sampled_from(row)) if row else []
+        if not pair:  # spoiled to nothing by the first pass
+            continue
+        index = draw(st.integers(0, len(pair) - 1))
+        spoil = draw(st.sampled_from(["short row", "short pair", "long pair", "number", "nested number", "nested pair"]))
+        if spoil == "short row":
+            row.pop()
+        elif spoil == "short pair":
+            pair.pop()
+        elif spoil == "long pair":
+            pair.append(draw(NUMBERS))
+        elif spoil == "number":
+            pair[index] = draw(BAD_NUMBERS)
+        elif spoil == "nested number":
+            pair[index] = [pair[index]]
+        else:
+            row[row.index(pair)] = [pair]
+    return field, shape
 
 
 class TestEncoderProperties:
@@ -1221,6 +1303,29 @@ class TestEncoderProperties:
             loaded = cli._complex_array(value, want.shape, "field")
             assert loaded.dtype == complex and loaded.shape == want.shape
             assert np.array_equal(loaded.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_invalid_fields())
+    def test_loader_rejects_as_entry_walk(self, case):
+        # the bulk checks reject every invalid field, and the error is the entry walk's
+        value, shape = case
+        try:
+            cli._check_entries(value, shape, "field")
+        except ModelFileError as exc:
+            expected = (exc.field, str(exc))
+        else:
+            reject()  # two mutations undid each other
+        with pytest.raises(ModelFileError) as bulk:
+            cli._complex_array(value, shape, "field")
+        assert (bulk.value.field, str(bulk.value)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_block_diagonal_arrays())
+    def test_sparse_arrays_match_reference(self, a):
+        # mostly-zero arrays, with signed zeros, the smallest subnormal and the largest
+        # finite floats at known places, and their transposes, which are not contiguous
+        for value in (a, a.T):
+            assert canonical_json(value) == _reference(value.tolist()) + "\n"
 
 
 class TestOptimizeGoldens:
