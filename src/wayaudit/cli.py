@@ -236,14 +236,24 @@ def emit_report(text: str, out=None) -> None:
 # model files
 
 
+# Characters of an offending input that an error message echoes at most.
+ECHO_CHARS = 60
+
+
+def _echo(obj) -> str:
+    """``repr(obj)``, cut to ``ECHO_CHARS`` characters with an ellipsis."""
+    text = repr(obj)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
+
+
 def _check_entries(obj, shape: tuple[int, ...], field: str) -> None:
     """Raise for the first bad row or entry of a vector or matrix field, in reading order."""
     if not shape:  # one entry
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {obj!r}")
+            raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {_echo(obj)}")
         # JSON numbers only: booleans are ints to Python but not numbers in a model file
         if not {type(obj[0]), type(obj[1])} <= {int, float}:
-            raise ModelFileError(field, f"complex entries must be numeric, got {obj!r}")
+            raise ModelFileError(field, f"complex entries must be numeric, got {_echo(obj)}")
         try:
             finite = math.isfinite(obj[0]) and math.isfinite(obj[1])
         except OverflowError:  # an int literal beyond float range
@@ -389,7 +399,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFileError("state", f"parse error: {exc}") from exc
         return _checked(as_state, _complex_array(literal, (dim,), "state"))
-    raise ModelFileError("state", f"unknown state {spec!r}")
+    raise ModelFileError("state", f"unknown state {_echo(spec)}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,20 +23,23 @@ Each try retracts its block step with one exponential of one generator.
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
 factors' eigenvectors, with eigenvalues lambda_a mu_b (lambda_a + mu_b).
-``_factor_eigensystem`` builds the decomposition from one stacked ``eigh`` of
-each factor, never of L, and forms each sorted eigenvector column directly as
-the product of its two factor columns.
+``_joint_eigensystem`` builds the decomposition from the factors' eigensystems,
+never from L, and forms each sorted eigenvector column directly as the product
+of its two factor columns. ``conserved_eigenspaces`` takes them from one
+``eigh`` per factor; the sweeps take them from their draws, which build each
+factor from its spectrum and Haar eigenvectors (``linalg.sorted_eigensystem``),
+so a sweep chunk runs no ``eigh``.
 
-One draw-and-assemble path serves every caller: ``_random_point`` draws
-Haar block unitaries for a ``BlockDecomposition`` (one stream per
-decomposition, or per member of a stack of them) into one block-diagonal
-matrix, and ``_BlockPoint`` assembles the joint unitary V blockdiag(U_k) V^dag.
+One draw path and one assembly serve every caller: ``_block_unitaries`` draws
+the Haar block unitaries of each block size, one stream per decomposition (or
+per member of a stack of them), and ``_assembled`` forms V blockdiag(U_k) V^dag
+as V's column blocks times their unitaries, then one product with V^dag.
 Sweeps draw a chunk of trials at once (``commutant_unitary_stack``), the seam
 of their two-phase draw order: once phase A has drawn each trial's factors, the
 factor eigensystems give each trial's block sizes, and phase B opens with every
-trial drawing its blocks from its own stream, in ascending-eigenvalue order
-(``_block_unitaries``). ``commutant_unitary`` is its batch of one, and every
-optimizer restart starts from the same draw.
+trial drawing its blocks from its own stream, in ascending-eigenvalue order.
+``commutant_unitary`` is its batch of one, and every optimizer restart starts
+from the same draw, placed in one block-diagonal matrix (``_random_point``).
 """
 
 from __future__ import annotations
@@ -93,34 +96,33 @@ class BlockDecomposition:
 
 
 def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
-    """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``), from its
-    factors: a batch of one of ``_factor_eigensystem``."""
+    """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``), from one
+    ``eigh`` per factor: a batch of one of ``_joint_eigensystem``."""
     combine = np.multiply if q.kind == "multiplicative" else np.add
-    values, vectors, _ = _factor_eigensystem(q.system_op[None], q.apparatus_op[None], combine)
+    la, lb = (np.linalg.eigh(op[None]) for op in (q.system_op, q.apparatus_op))
+    values, vectors = _joint_eigensystem(la, lb, combine)
     (dims,) = block_sizes(values)
     return BlockDecomposition(values[0], vectors[0], dims)
 
 
-def _factor_eigensystem(la: np.ndarray, lb: np.ndarray, combine=np.multiply):
-    """Ascending eigenvalues and eigenvector columns of the joint operators of
-    (k, n1, n1) and (k, n2, n2) stacks of factors, with lb's eigensystem.
+def _joint_eigensystem(la, lb, combine=np.multiply) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (k, D) and eigenvector columns (k, D, D) of the joint operators of
+    two stacks of factors, from each factor's eigensystem: ascending values and eigenvector
+    columns in that order, ((k, n1), (k, n1, n1)) for la and ((k, n2), (k, n2, n2)) for lb.
 
-    One stacked ``eigh`` per factor: the joint eigenvalues are ``combine(lambda_a,
-    mu_b)``, in ascending order by a stable sort, and their eigenvectors the
-    matching columns of wa (x) wb, built directly: sorted column c, the product
-    (a, b) = divmod(order[c], n2), is wa[:, a] (x) wb[:, b], one broadcast
-    product of the gathered factor columns. Returns (values (k, D), vectors
-    (k, D, D), (lb's values, lb's vectors)).
+    The joint eigenvalues are ``combine(lambda_a, mu_b)``, in ascending order by a stable
+    sort, and their eigenvectors the matching columns of wa (x) wb, built directly: sorted
+    column c, the product (a, b) = divmod(order[c], n2), is wa[:, a] (x) wb[:, b], one
+    broadcast product of the gathered factor columns.
     """
-    la_values, la_vectors = np.linalg.eigh(la)
-    lb_values, lb_vectors = np.linalg.eigh(lb)
-    products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la), -1)
+    (la_values, la_vectors), (lb_values, lb_vectors) = la, lb
+    products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la_values), -1)
     order = np.argsort(products, axis=-1, kind="stable")
-    a, b = np.divmod(order, lb.shape[-1])
+    a, b = np.divmod(order, lb_values.shape[-1])
     wa = np.take_along_axis(la_vectors, a[:, None, :], axis=-1)  # (k, n1, D)
     wb = np.take_along_axis(lb_vectors, b[:, None, :], axis=-1)  # (k, n2, D)
     vectors = (wa[:, :, None, :] * wb[:, None, :, :]).reshape(products.shape + products.shape[-1:])
-    return np.take_along_axis(products, order, axis=-1), vectors, (lb_values, lb_vectors)
+    return np.take_along_axis(products, order, axis=-1), vectors
 
 
 def block_sizes(values: np.ndarray):
@@ -157,25 +159,52 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     return unitaries
 
 
-def commutant_unitary_stack(la: np.ndarray, lb: np.ndarray, rngs) -> tuple[np.ndarray, tuple]:
-    """Haar unitaries from the commutants of la (x) lb for (k, n1, n1) and (k, n2, n2)
-    stacks of factors, one per stream, (k, D, D); the factors are taken as valid (see
-    ``ConservedQuantity``). Also returns lb's eigensystem, (values, vectors), for
-    callers that need it.
+def _block_indices(dims: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Block size -> the (m, size) joint indices of its m blocks, in block order; sizes ascending."""
+    starts = np.cumsum((0, *dims))[:-1]
+    return {size: starts[np.equal(dims, size)][:, None] + np.arange(size) for size in sorted(set(dims))}
 
-    The factor eigensystems give each trial its block sizes; trials with equal
-    sizes draw and assemble together, each bit-identical to ``commutant_unitary``
-    on its own decomposition.
+
+def _assembled(vectors: np.ndarray, indices: dict[int, np.ndarray], unitaries: dict[int, np.ndarray]) -> np.ndarray:
+    """V blockdiag(U_k) V^dag for (k, D, D) eigenvector matrices V and block unitaries
+    (k, m, size, size) per block size, placed at ``indices``: V's columns scaled by the
+    phases of the size-1 blocks, the column blocks of larger ones times their unitaries,
+    then one product with V^dag."""
+    phases = np.ones(vectors.shape[:-1], dtype=complex)  # (k, D)
+    if 1 in indices:
+        phases[:, indices[1][:, 0]] = unitaries[1][..., 0, 0]
+    scaled = vectors * phases[:, None, :]
+    for size, index in indices.items():
+        if size > 1:
+            columns = vectors[..., index].swapaxes(1, 2)  # (k, m, D, size)
+            scaled[..., index] = (columns @ unitaries[size]).swapaxes(1, 2)
+    return scaled @ dagger(vectors)
+
+
+def _sampled(vectors: np.ndarray, dims: tuple[int, ...], rngs) -> np.ndarray:
+    """One Haar commutant unitary per stream for (k, D, D) eigenvector matrices whose
+    blocks have sizes ``dims``: ``_block_unitaries``, then ``_assembled``."""
+    return _assembled(vectors, _block_indices(dims), _block_unitaries(dims, rngs))
+
+
+def commutant_unitary_stack(la, lb, rngs) -> np.ndarray:
+    """Haar unitaries from the commutants of la (x) lb, one per stream, (k, D, D), from the
+    factors' eigensystems (see ``_joint_eigensystem``), taken as valid.
+
+    The eigensystems give each trial its block sizes; trials with equal sizes
+    draw and assemble together, each bit-identical to ``commutant_unitary`` on
+    its own decomposition.
     """
-    values, vectors, lb_eigensystem = _factor_eigensystem(la, lb)
+    values, vectors = _joint_eigensystem(la, lb)
     groups = {}
     for i, dims in enumerate(block_sizes(values)):
         groups.setdefault(dims, []).append(i)
+    if len(groups) == 1:  # the usual chunk: one block structure, no gather and scatter of trials
+        return _sampled(vectors, next(iter(groups)), rngs)
     u = np.empty_like(vectors)
     for dims, members in groups.items():
-        d = BlockDecomposition(values[members], vectors[members], dims)
-        u[members] = _random_point(d, [rngs[i] for i in members]).joint
-    return u, lb_eigensystem
+        u[members] = _sampled(vectors[members], dims, [rngs[i] for i in members])
+    return u
 
 
 class _Chart:
@@ -185,10 +214,7 @@ class _Chart:
     imaginary part of its (a, b) entry for each a < b in row-major order)."""
 
     def __init__(self, dims: tuple[int, ...]):
-        self.dim = sum(dims)
-        starts = np.cumsum((0, *dims))[:-1]
-        # block size -> (m, size) joint indices of its m blocks, in block order
-        self.indices = {size: starts[np.equal(dims, size)][:, None] + np.arange(size) for size in sorted(set(dims))}
+        self.dim, self.indices = sum(dims), _block_indices(dims)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
@@ -226,13 +252,18 @@ def _gather(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 class _BlockPoint:
-    """Block unitaries as one block-diagonal (..., D, D) matrix ``blocks`` in the coordinates of the eigenvector
-    matrices V (..., D, D), and a search's ready state ``ready``; ``joint`` assembles V blocks V^dag on demand."""
+    """Block unitaries as one block-diagonal (D, D) matrix ``blocks`` in the coordinates of the eigenvector
+    matrix V, and a search's ready state ``ready``; ``joint`` assembles V blocks V^dag on demand."""
 
-    def __init__(self, vectors: np.ndarray, chart: _Chart, blocks: np.ndarray, ready: np.ndarray | None = None):
+    def __init__(self, vectors: np.ndarray, chart: _Chart, blocks: np.ndarray, ready: np.ndarray | None):
         self.vectors, self.chart, self.blocks, self.ready = vectors, chart, blocks, ready
 
-    joint = property(lambda point: point.vectors @ point.blocks @ dagger(point.vectors))
+    @property
+    def joint(self) -> np.ndarray:
+        """V blockdiag(U_k) V^dag from the diagonal blocks of ``blocks`` (see ``_assembled``)."""
+        indices = self.chart.indices
+        unitaries = {size: self.blocks[None, index[:, :, None], index[:, None, :]] for size, index in indices.items()}
+        return _assembled(self.vectors[None], indices, unitaries)[0]
 
     def stepped(self, theta: np.ndarray, ready: np.ndarray | None) -> "_BlockPoint":
         """The point with the ready state ``ready``, moved by blocks <- blocks exp(K) for the generator K of the
@@ -242,24 +273,24 @@ class _BlockPoint:
 
 
 def _random_point(d: BlockDecomposition, rngs, ready: np.ndarray | None = None) -> _BlockPoint:
-    """Haar block unitaries, one set per stream and member of ``d``, scattered into each
-    member's ``blocks``; ``_block_unitaries`` keeps each stream's draws in block order."""
+    """An optimizer restart's start: Haar block unitaries drawn from the one stream of
+    ``rngs`` (see ``_block_unitaries``), scattered into the block-diagonal ``blocks``."""
     chart = _Chart(d.dims)
     unitaries = _block_unitaries(d.dims, rngs)
-    blocks = np.zeros_like(d.vectors)  # (k, D, D), or (D, D) for one decomposition and one stream
+    blocks = np.zeros_like(d.vectors)
     for size, indices in chart.indices.items():
-        blocks[..., indices[:, :, None], indices[:, None, :]] = unitaries[size]
+        blocks[indices[:, :, None], indices[:, None, :]] = unitaries[size][0]
     return _BlockPoint(d.vectors, chart, blocks, ready)
 
 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
     """Haar block unitary assembled in the original basis; conserves L by construction.
 
-    A batch of one of the sweeps' draw (see ``_random_point``): ``u`` matches
-    a per-block loop of ``haar_unitary`` draws, in block order, placed on the
-    diagonal of a (D, D) matrix M and assembled as V M V^dag, bit for bit.
+    A batch of one of the sweeps' draw and assembly (see ``_sampled``): its
+    block unitaries are those of a per-block loop of ``haar_unitary`` draws,
+    in block order, bit for bit.
     """
-    return _random_point(d, [rng]).joint
+    return _sampled(d.vectors[None], d.dims, [rng])[0]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ floating-point environment.
 The ``*_stack`` kernels take (..., n, n) stacks of operators and (..., n)
 stacks of states, unvalidated, and give each member the bits of its own
 call: matrix products go through one BLAS call per matrix (``matvec_stack``
-keeps a mat-vec a gemv), norms through the strided dot products
-``np.linalg.norm`` takes, and a Python float's square through libm ``pow``
-(``squares``). ``anti_hermitian_exp_stack`` takes generators that are
+keeps a mat-vec a gemv), and norms through the strided dot products
+``np.linalg.norm`` takes. ``anti_hermitian_exp_stack`` takes generators that are
 anti-Hermitian entry by entry and does not symmetrize them. Each scalar
 function is a batch of one of its kernel;
 ``tensor_product``, ``commutator`` and ``variance`` validate their inputs first.
@@ -87,7 +86,7 @@ __all__ = [
     "require_unitary",
     "run_sweep",
     "sized",
-    "squares",
+    "sorted_eigensystem",
     "sweep_chunks",
     "tensor_product",
     "tensor_product_stack",
@@ -213,15 +212,6 @@ def frobenius_norm_stack(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 for each float, through libm ``pow`` as a Python float squares.
-
-    An array ``** 2`` multiplies ``x * x`` instead, which differs in the last
-    bit now and then.
-    """
-    return np.array([v ** 2 for v in x.tolist()])
-
-
 def matvec_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v for each matrix and vector of (..., m, n) and (..., n) stacks; one gemv each."""
     return (a @ v[..., None])[..., 0]
@@ -277,7 +267,8 @@ def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``variance`` for each Hermitian matrix and state of (k, n, n) and (k, n) stacks, unvalidated."""
     w = matvec_stack(a, s)
     second_moment = np.vecdot(w, w).real
-    value = second_moment - squares(np.vecdot(s, w).real)
+    mean = np.vecdot(s, w).real
+    value = second_moment - mean * mean
     negative = value < 0.0
     if negative.any():
         inconsistent = value <= -(VARIANCE_CLAMP + 2.0 * STATE_NORM_TOL) * np.maximum(1.0, second_moment)
@@ -599,11 +590,20 @@ def hermitian_from_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (h + dagger(h)) / 2.0
 
 
-def random_positive_operator_stack(dim: int, rngs) -> np.ndarray:
-    """One random positive operator per stream, (len(rngs), dim, dim); each stream
-    draws its spectrum, then its Haar unitary."""
+def sorted_eigensystem(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem of ``hermitian_from_spectrum(d, w)`` as the draw gives it: each row of
+    (k, n) spectra in ascending order, and the columns of the (k, n, n) unitaries in that order."""
+    order = np.argsort(d, axis=-1, kind="stable")
+    return np.take_along_axis(d, order, axis=-1), np.take_along_axis(w, order[..., None, :], axis=-1)
+
+
+def random_positive_operator_stack(dim: int, rngs) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One random positive operator per stream, (len(rngs), dim, dim), and its
+    eigensystem (``sorted_eigensystem``); each stream draws its spectrum, then its
+    Haar unitary."""
     d = uniform_draws(rngs, *FACTOR_SPECTRUM, (dim,))
-    return hermitian_from_spectrum(d, haar_from_ginibre(ginibre_stack(dim, rngs)))
+    w = haar_from_ginibre(ginibre_stack(dim, rngs))
+    return hermitian_from_spectrum(d, w), sorted_eigensystem(d, w)
 
 
 def anti_hermitian_exp_stack(k: np.ndarray) -> np.ndarray:

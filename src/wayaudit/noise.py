@@ -15,10 +15,11 @@ intermediate once for k instances and the four bound kernels read from it.
 a stack of one. The bound audit runs it on chunks of trials through the
 sweeps' chunk loop (``linalg.run_sweep``), and keeps a two-phase draw order
 per trial stream (see ``_audit_chunk``), so every record is the one a
-trial-by-trial loop would give, bit for bit. Each chunk eigendecomposes la
-and lb once, for the commutant draw, the ready states and the probes, builds
-la (x) lb once for the bounds, and names its columns after the bound
-kernels' outputs; ``BoundAuditRecord``'s fields are the CSV schema.
+trial-by-trial loop would give, bit for bit. Each chunk takes la's and lb's
+eigensystems from their draws (no ``eigh``), for the commutant draw, the ready
+states and the probes, builds la (x) lb once for the bounds, and names its
+columns after the bound kernels' outputs; ``BoundAuditRecord``'s fields are the
+CSV schema.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .linalg import (
     require_unitary,
     run_sweep,
     sized,
-    squares,
+    sorted_eigensystem,
     tensor_product,
     tensor_product_stack,
     uniform_draws,
@@ -175,8 +176,9 @@ def _one(report, columns: dict):
 
 
 def _abs_squares(z: np.ndarray) -> np.ndarray:
-    """abs(z) ** 2 per entry as for a Python complex: libm ``hypot``, then ``pow``."""
-    return squares(np.hypot(z.real, z.imag))
+    """abs(z) ** 2 per entry: libm ``hypot``, as for a Python complex, then its square."""
+    magnitude = np.hypot(z.real, z.imag)
+    return magnitude * magnitude
 
 
 def _expectations(op: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -441,9 +443,10 @@ class BoundAuditReport:
         return column_records(BoundAuditRecord, self.columns)
 
 
-def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
-    """Apparatus factors: positive ones, or where ``zero`` holds traceless ones with a
-    sign-indefinite spectrum. Both draw a spectrum, then a Haar unitary."""
+def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Apparatus factors and their eigensystems (``sorted_eigensystem``): positive ones, or
+    where ``zero`` holds traceless ones with a sign-indefinite spectrum. Both draw a
+    spectrum, then a Haar unitary."""
     d = uniform_draws(rngs, *FACTOR_SPECTRUM, (n2,))
     w = haar_from_ginibre(ginibre_stack(n2, rngs))
     centered = d - d.mean(axis=1, keepdims=True)
@@ -452,7 +455,8 @@ def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> np.ndarray:
         row[0] -= 1.0
         row[-1] += 1.0
         centered[i] = row - row.mean()
-    return hermitian_from_spectrum(np.where(zero[:, None], centered, d), w)
+    d = np.where(zero[:, None], centered, d)
+    return hermitian_from_spectrum(d, w), sorted_eigensystem(d, w)
 
 
 def _ready_states(values: np.ndarray, vectors: np.ndarray, rngs, zero: np.ndarray) -> np.ndarray:
@@ -494,18 +498,18 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
 
     Draw-order invariant: each trial's stream draws exactly what, and in the
     order, a trial-by-trial loop would. Phase A draws the factors' spectra and
-    Haar matrices; their eigensystems then fix each trial's block sizes, and
-    phase B draws the blocks' Ginibre matrices, the ready state, the
+    Haar matrices; the eigensystems they give then fix each trial's block sizes,
+    and phase B draws the blocks' Ginibre matrices, the ready state, the
     observable, the probe and psi.
     """
     n1, n2 = config.n1, config.n2
     index = np.asarray(trials)
     zero_mode, yanase_mode = index % 4 >= 2, index % 2 == 1
-    la = random_positive_operator_stack(n1, rngs)
-    lb = _apparatus_factors(n2, rngs, zero_mode)
+    la, la_eigensystem = random_positive_operator_stack(n1, rngs)
+    lb, (lb_values, lb_vectors) = _apparatus_factors(n2, rngs, zero_mode)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction, (lb_values, lb_vectors) = commutant_unitary_stack(la, lb, rngs)
+    interaction = commutant_unitary_stack(la_eigensystem, (lb_values, lb_vectors), rngs)
     ready = _ready_states(lb_values, lb_vectors, rngs, zero_mode)
     require_unit_norm(ready, "ready_state")
     require_unitary(interaction, "interaction")

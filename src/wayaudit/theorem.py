@@ -14,9 +14,9 @@ loop (``linalg.run_sweep``), as (chunk, ...) stacks: sampling
 (``sample_instance_stack``), the model checks, the pointer analysis and the
 commutator run once per chunk (``_sweep_chunk``). Every trial keeps its own
 stream and draws in two phases, its factors first, then its commutant blocks
-and ready state once the factors' eigensystems have fixed its block sizes
-(see ``commutant``); so each record is the one a trial-by-trial loop would
-give, bit for bit.
+and ready state once the factors' eigensystems, known from their draws, have
+fixed its block sizes (see ``commutant``); so each record is the one a
+trial-by-trial loop would give, bit for bit.
 ``SweepTrial``'s fields are the CSV schema. ``sample_conserving_instance``
 and ``pointer_analysis`` are batches of one over the same kernels.
 """
@@ -215,14 +215,14 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple[np.ndarray, ...]:
     """Random sweep instances, one per stream, as (la, lb, interaction, ready) stacks.
 
     Each stream draws la's spectrum and Haar matrix, then lb's, then (once the
-    factors' eigensystems have fixed its block sizes) its commutant blocks, then
-    the ready state: the draws of one trial-by-trial sample.
+    factors' drawn eigensystems have fixed its block sizes) its commutant blocks,
+    then the ready state: the draws of one trial-by-trial sample.
     """
-    la = random_positive_operator_stack(n1, rngs)
-    lb = random_positive_operator_stack(n2, rngs)
+    la, la_eigensystem = random_positive_operator_stack(n1, rngs)
+    lb, lb_eigensystem = random_positive_operator_stack(n2, rngs)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction, _ = commutant_unitary_stack(la, lb, rngs)
+    interaction = commutant_unitary_stack(la_eigensystem, lb_eigensystem, rngs)
     ready = random_state_vector_stack(n2, rngs)
     require_unit_norm(ready, "ready_state")
     require_unitary(interaction, "interaction")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, LA_DIAG, X, Z, E0, block_bases
-from wayaudit import commutant
+from wayaudit import commutant, linalg, noise, theorem
 from wayaudit.commutant import (
     STOP_REASONS,
     BlockDecomposition,
@@ -34,7 +34,8 @@ from wayaudit.linalg import (
     random_state_vector,
     tensor_product_stack,
 )
-from wayaudit.model import ConservedQuantity, conserved_operator
+from wayaudit.model import ConservedQuantity, conservation_residual_stack, conserved_operator
+from wayaudit.theorem import counterexample_sweep
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -140,15 +141,144 @@ class TestFactorEigensystem:
         # the sorted columns of wa (x) wb, gathered from the full Kronecker stack, bit for bit
         la = np.stack([FACTOR_CASES[name].system_op for name in names])
         lb = np.stack([FACTOR_CASES[name].apparatus_op for name in names])
-        assert commutant._factor_eigensystem(la, lb)[1].tobytes() == _reference_columns(la, lb).tobytes()
+        vectors = commutant._joint_eigensystem(np.linalg.eigh(la), np.linalg.eigh(lb))[1]
+        assert vectors.tobytes() == _reference_columns(la, lb).tobytes()
 
     def test_sampled_unitaries_conserve_at_5x9(self):
         qs = [FACTOR_CASES["generic_5x9"], FACTOR_CASES["geometric_5x9"]]
         la, lb = np.stack([q.system_op for q in qs]), np.stack([q.apparatus_op for q in qs])
-        u, _ = commutant_unitary_stack(la, lb, [np.random.default_rng((4, i)) for i in range(len(qs))])
+        rngs = [np.random.default_rng((4, i)) for i in range(len(qs))]
+        u = commutant_unitary_stack(np.linalg.eigh(la), np.linalg.eigh(lb), rngs)
         for ui, q in zip(u, qs):
             joint = conserved_operator(q)
             assert frobenius_norm(commutator(ui, joint)) <= 1e-12 * np.linalg.norm(joint, 2)
+
+
+class TestAssembly:
+    """``_assembled``, the one assembly of V blockdiag(U_k) V^dag, against the dense product
+    V M V^dag with the block unitaries on the diagonal of a zero-filled M."""
+
+    @staticmethod
+    def pair(vectors, dims, rng):
+        """(assembled, dense) for one draw of block unitaries."""
+        unitaries = commutant._block_unitaries(dims, [rng])
+        m = np.zeros(vectors.shape, dtype=complex)
+        for size, index in commutant._block_indices(dims).items():
+            m[index[:, :, None], index[:, None, :]] = unitaries[size][0]
+        assembled = commutant._assembled(vectors[None], commutant._block_indices(dims), unitaries)[0]
+        return assembled, vectors @ m @ dagger(vectors)
+
+    @pytest.mark.parametrize("dims", REPEATED_SPECTRA)
+    def test_matches_dense_product_in_rotated_factors(self, dims):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            d = conserved_eigenspaces(quantity(*(rotated(spectrum, rng) for spectrum in REPEATED_SPECTRA[dims])))
+            assert d.dims == dims
+            assembled, dense = self.pair(d.vectors, d.dims, rng)
+            assert np.abs(assembled - dense).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(1, 2, 2, 1), (2, 2, 2), (1,) * 6, (3, 3), (3, 1, 1, 1, 1, 1, 1), (2, 3, 1, 4)])
+    def test_bit_identical_for_permutations(self, dims):
+        # every nonzero entry is a product of one 1 and one block entry in both; only the
+        # sign of a zero entry, a sum of signed zero products, may differ (x + 0.0 clears it)
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            vectors = np.eye(sum(dims), dtype=complex)[:, rng.permutation(sum(dims))]
+            assembled, dense = self.pair(vectors, dims, rng)
+            assert (assembled + 0.0).tobytes() == (dense + 0.0).tobytes()
+
+
+class TestDrawnEigensystems:
+    """The sweeps take each factor's eigensystem from its draw (``linalg.sorted_eigensystem``)
+    and run no ``eigh``; each stream ends a chunk where a replay of its draws ends."""
+
+    SIZES = [(2, 3), (3, 5), (5, 9)]
+
+    @staticmethod
+    def streams(count, seed=7):
+        return [np.random.default_rng((seed, trial)) for trial in range(count)]
+
+    @staticmethod
+    def factors(n1, n2, rngs, zero=None):
+        """Phase A of a chunk: la, then lb (the audit's, traceless where ``zero`` holds), with eigensystems."""
+        la = linalg.random_positive_operator_stack(n1, rngs)
+        if zero is None:
+            return la, linalg.random_positive_operator_stack(n2, rngs)
+        return la, noise._apparatus_factors(n2, rngs, zero)
+
+    @pytest.mark.parametrize("kind", ["counterexample", "bound-audit"])
+    def test_chunk_calls_no_eigh(self, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh on the sweep path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        if kind == "counterexample":
+            report = counterexample_sweep(3, 5, count=72, seed=7)  # one chunk at 3x5
+            assert len(report.columns["trial"]) == 72
+        else:
+            report = noise.bound_audit_sweep(noise.AuditConfig(n1=2, n2=3, count=40, seed=7))
+            assert report.summary.robertson_violations == 0
+
+    @pytest.mark.parametrize("n1, n2", SIZES)
+    @pytest.mark.parametrize("mode", ["positive", "zero"])
+    def test_drawn_eigensystem_diagonalizes_the_stored_factor(self, n1, n2, mode):
+        zero = None if mode == "positive" else np.ones(40, dtype=bool)
+        for op, (values, vectors) in self.factors(n1, n2, self.streams(40), zero):
+            assert np.all(np.diff(values, axis=-1) >= 0.0)
+            residual = linalg.frobenius_norm_stack(op @ vectors - vectors * values[:, None, :])
+            assert np.all(residual <= 1e-13 * np.linalg.norm(op, 2, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("n1, n2", SIZES)
+    @pytest.mark.parametrize("mode", ["positive", "zero"])
+    def test_block_sizes_match_conserved_eigenspaces(self, n1, n2, mode):
+        zero = None if mode == "positive" else np.ones(40, dtype=bool)
+        (la, la_eigensystem), (lb, lb_eigensystem) = self.factors(n1, n2, self.streams(40), zero)
+        values, _ = commutant._joint_eigensystem(la_eigensystem, lb_eigensystem)
+        for i, dims in enumerate(block_sizes(values)):
+            assert dims == conserved_eigenspaces(quantity(la[i], lb[i])).dims
+
+    @pytest.mark.parametrize("n1, n2", SIZES)
+    @pytest.mark.parametrize("mode", ["positive", "zero"])
+    def test_sampled_unitaries_conserve_the_stored_product(self, n1, n2, mode):
+        zero = None if mode == "positive" else np.ones(40, dtype=bool)
+        rngs = self.streams(40)
+        (la, la_eigensystem), (lb, lb_eigensystem) = self.factors(n1, n2, rngs, zero)
+        u = commutant_unitary_stack(la_eigensystem, lb_eigensystem, rngs)
+        assert np.all(conservation_residual_stack(u, tensor_product_stack(la, lb)) <= 1e-12)
+
+    @staticmethod
+    def replayed(trial, n1, n2, dims, audit):
+        """A trial's stream after the draws of its chunk, replayed one numpy call per draw site."""
+        rng = np.random.default_rng((7, trial))
+        for n in (n1, n2):
+            rng.random(n)  # the factor's spectrum, then its Ginibre matrix
+            rng.standard_normal(2 * n * n)
+        rng.standard_normal(2 * sum(d * d for d in dims))  # the commutant blocks
+        if not audit:
+            rng.standard_normal(2 * n2)  # the ready state
+            return rng
+        rng.random(1) if trial % 4 >= 2 else rng.standard_normal(2 * n2)  # the ready state's phase, or the state
+        rng.standard_normal(2 * n1 * n1)  # the observable
+        rng.random(n2) if trial % 2 else rng.standard_normal(2 * n2 * n2)  # the probe's spectrum, or the probe
+        rng.standard_normal(2 * n1)  # psi
+        return rng
+
+    @pytest.mark.parametrize("n1, n2", SIZES)
+    @pytest.mark.parametrize("audit", [False, True], ids=["counterexample", "bound-audit"])
+    def test_streams_end_where_a_per_draw_replay_ends(self, n1, n2, audit):
+        count = 12
+        trials = range(count)
+        zero = np.asarray(trials) % 4 >= 2 if audit else None
+        (la, _), (lb, _) = self.factors(n1, n2, self.streams(count), zero)
+        rngs = self.streams(count)
+        if audit:
+            noise._audit_chunk(noise.AuditConfig(n1=n1, n2=n2, count=count, seed=7), trials, rngs)
+        else:
+            theorem._sweep_chunk(n1, n2, 1e-9, trials, rngs)
+        for trial, rng in zip(trials, rngs):
+            dims = conserved_eigenspaces(quantity(la[trial], lb[trial])).dims
+            expected = self.replayed(trial, n1, n2, dims, audit)
+            assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def _reference_columns(la, lb):
@@ -223,7 +353,8 @@ class TestRandomCommutantUnitary:
         assert [conserved_eigenspaces(q).dims for q in quantities] == order
         la = np.stack([q.system_op for q in quantities])
         lb = np.stack([q.apparatus_op for q in quantities])
-        stacked, _ = commutant_unitary_stack(la, lb, [np.random.default_rng((9, i)) for i in range(6)])
+        rngs = [np.random.default_rng((9, i)) for i in range(6)]
+        stacked = commutant_unitary_stack(np.linalg.eigh(la), np.linalg.eigh(lb), rngs)
         for i, q in enumerate(quantities):
             expected = commutant_unitary(conserved_eigenspaces(q), np.random.default_rng((9, i)))
             assert stacked[i].tobytes() == expected.tobytes()
@@ -665,7 +796,7 @@ class TestOptimizerBitIdentity:
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         point = commutant._random_point(d, [np.random.default_rng(1)])
         unitaries = _block_unitaries(point, d.dims)
-        assert point.joint.tobytes() == _reference_joint(d, unitaries).tobytes()
+        assert np.array_equal(point.joint, _reference_joint(d, unitaries))  # V is a permutation: see TestAssembly
         parameters = len(point.chart.pairs[0])
         h = 1e-6
         for name, (problem, ready) in _problems(la, lb).items():

