@@ -7,18 +7,24 @@ empirical floors of measurement-noise or scheme-quality objectives.
 
 The optimizer, ``_descend``, is Levenberg-Marquardt on the exact residual
 Jacobian of a search problem that owns its point: the problem draws the start,
-scores and differentiates a point, and retracts a step. ``_Epsilon`` and
-``_Feasibility`` work at the block-diagonal point B = V^dag U V, V the
-eigenvector matrix, with a ready state (``_BlockPoint``): each projects its fixed
-operators into these coordinates once per search, and the joint U = V B V^dag is
-assembled once, for the best restart. The parameters are the canonical
-generators G_p of every block (d**2 per block of size d), and for
+scores a point, gives its Jacobian and its residual curvature S = sum_i r_i
+d^2 r_i in closed form, and retracts a step. ``_Epsilon`` and ``_Feasibility``
+work at the block-diagonal point B = V^dag U V, V the eigenvector matrix, with a
+ready state (``_BlockPoint``): each projects its fixed operators into these
+coordinates and builds its chart (``_Chart``) once per search, and the joint
+U = V B V^dag is assembled once, for the best restart. The parameters are the
+canonical generators G_p of every block (d**2 per block of size d), and for
 ``_Feasibility`` also the tangents of the ready-state sphere, which it owns.
 Each G_p has at most two nonzero entries (``_Chart.pairs``), so each derivative
-along dB = B G_p reads two entries (``_gather``). Each accepted point factors the
-smaller Gram matrix of J (``_step_axes``): J J^T when there are fewer residuals
-than parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise.
-Each try retracts its block step with one exponential of one generator.
+along dB = B G_p reads two entries (``_gather``), and each second derivative
+d^2B = B (G_p G_q + G_q G_p) / 2 of one block reads the products of two entries
+that chain (``_Chart.chains``). A Gauss-Newton point factors the smaller Gram
+matrix of J (``_step_axes``): J J^T when there are fewer residuals than
+parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise. After
+an accepted step that cut the objective by less than ``SLOW_PROGRESS`` of it,
+the next point is second order: it factors J^T J + S in parameter space and
+keeps the damping above its most negative eigenvalue. Each try retracts its
+block step with one exponential of one generator.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -82,6 +88,9 @@ ZERO_OBJECTIVE = POINTER_DEGENERACY_TOL**2  # far below any floor the searches r
 # A restart stops once the next step promises a decrease of at most FTOL times
 # the objective (see _descend).
 FTOL = 1e-15
+# An accepted step that cuts the objective by less than this fraction of it makes the next point take a
+# second-order step (Fletcher and Xu, IMA J. Numer. Anal. 7, 371, 1987; see _descend).
+SLOW_PROGRESS = 0.2
 STOP_REASONS = ("zero", "no_decrease", "gradient", "max_iter")  # see _descend
 
 
@@ -214,7 +223,7 @@ class _Chart:
     imaginary part of its (a, b) entry for each a < b in row-major order)."""
 
     def __init__(self, dims: tuple[int, ...]):
-        self.dim, self.indices = sum(dims), _block_indices(dims)
+        self.dims, self.dim, self.indices = dims, sum(dims), _block_indices(dims)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
@@ -228,6 +237,28 @@ class _Chart:
             lower = np.tile(np.concatenate([np.zeros(size), np.tile([-1, 1j], len(a))]), len(indices))
             columns.append((indices[:, first], indices[:, second], upper, lower))
         return tuple(np.concatenate(column, axis=None) for column in zip(*columns))
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, ...]:
+        """Every product G_p[x, y] G_q[y, z] of two nonzero generator entries that chain (so p and q lie in
+        one block): the flat index p * P + q, the flat index z * D + x of the entry of C it multiplies in
+        tr(G_p G_q C), and the product's value; see ``paired_trace``."""
+        a, b, upper, lower = self.pairs
+        param, lower_nonzero = np.arange(len(a)), lower != 0  # a phase's second entry is zero
+        param = np.concatenate([param, param[lower_nonzero]])
+        row, column = np.concatenate([a, b[lower_nonzero]]), np.concatenate([b, a[lower_nonzero]])
+        value = np.concatenate([upper, lower[lower_nonzero]])
+        first, second = np.nonzero(column[:, None] == row[None, :])  # G_p[x, y] = entry first, G_q[y, z] = second
+        flat, cells = param[first] * len(a) + param[second], column[second] * self.dim + row[first]
+        return flat, cells, value[first] * value[second]
+
+    def paired_trace(self, c: np.ndarray) -> np.ndarray:
+        """Re tr((G_p G_q + G_q G_p) C) for every pair of generators, (P, P), from ``chains``: zero unless
+        p and q lie in one block."""
+        flat, cells, values = self.chains
+        size = len(self.pairs[0])
+        half = np.bincount(flat, (values * c.ravel()[cells]).real, size * size).reshape(size, size)
+        return half + half.T
 
     def generator(self, theta: np.ndarray) -> np.ndarray:
         """sum_p theta_p G_p, the block anti-Hermitian (D, D) generator in eigenvector coordinates,
@@ -272,15 +303,14 @@ class _BlockPoint:
         return _BlockPoint(self.vectors, self.chart, self.blocks @ step, ready)
 
 
-def _random_point(d: BlockDecomposition, rngs, ready: np.ndarray | None = None) -> _BlockPoint:
-    """An optimizer restart's start: Haar block unitaries drawn from the one stream of
-    ``rngs`` (see ``_block_unitaries``), scattered into the block-diagonal ``blocks``."""
-    chart = _Chart(d.dims)
-    unitaries = _block_unitaries(d.dims, rngs)
-    blocks = np.zeros_like(d.vectors)
+def _random_point(vectors: np.ndarray, chart: _Chart, rngs, ready: np.ndarray | None = None) -> _BlockPoint:
+    """An optimizer restart's start on a search's chart: Haar block unitaries drawn from the one
+    stream of ``rngs`` (see ``_block_unitaries``), scattered into the block-diagonal ``blocks``."""
+    unitaries = _block_unitaries(chart.dims, rngs)
+    blocks = np.zeros_like(vectors)
     for size, indices in chart.indices.items():
         blocks[indices[:, :, None], indices[:, None, :]] = unitaries[size][0]
-    return _BlockPoint(d.vectors, chart, blocks, ready)
+    return _BlockPoint(vectors, chart, blocks, ready)
 
 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
@@ -314,7 +344,10 @@ class SearchResult:
 
     ``restart_objectives`` and ``stop_reasons`` (see ``STOP_REASONS``) hold the
     final objective and stop reason of every restart in restart order, so callers
-    can reason about empirical floors rather than just the best point. The best
+    can reason about empirical floors rather than just the best point;
+    ``restart_min_curvature`` holds the smallest eigenvalue of J^T J + S at each
+    restart's endpoint (half the Hessian of the objective in the restart's chart):
+    negative at a saddle, about zero or above at a minimum. The best
     restart's ready state is ``best_ready_state``; ``converged`` means it stopped
     before ``max_iter``.
     """
@@ -327,20 +360,26 @@ class SearchResult:
     converged: bool
     restart_objectives: tuple[float, ...]
     stop_reasons: tuple[str, ...]
+    restart_min_curvature: tuple[float, ...]
 
 
 def _scored(problem, point) -> tuple[np.ndarray, float, object]:
     """The residual at ``point`` as a real vector r (real and imaginary parts interleaved), the
-    objective F = r . r, and the intermediates ``problem.derivatives`` reuses there."""
+    objective F = r . r, and the intermediates ``problem.derivatives`` and ``problem.curvature`` reuse there."""
     residual, computed = problem.residual(point)
     residual = residual.ravel().view(np.float64)
     return residual, float(residual @ residual), computed
 
 
-def _step_axes(jac: np.ndarray, residual: np.ndarray, grad: np.ndarray):
-    """(curvature, axes, coefficients): -axes @ (coefficients / (curvature + lam)) = -(J^T J + lam I)^-1 J^T r
-    for ``jac`` = J^T (P, R), from one ``eigh`` of the smaller Gram matrix. For R < P, J J^T = B C B^T and
-    (J^T J + lam I)^-1 J^T = J^T (J J^T + lam I)^-1 give J^T B and B^T r; else J^T J = A C A^T gives A, A^T J^T r."""
+def _step_axes(jac: np.ndarray, residual: np.ndarray, grad: np.ndarray, s: np.ndarray | None = None):
+    """(curvature, axes, coefficients): -axes @ (coefficients / (curvature + lam)) = -(H + lam I)^-1 J^T r for
+    ``jac`` = J^T (P, R). With the residual curvature ``s`` = S, H = J^T J + S = A C A^T from one ``eigh`` in
+    parameter space, whose C may be negative. Without it H = J^T J, from one ``eigh`` of the smaller Gram matrix:
+    for R < P, J J^T = B C B^T and (J^T J + lam I)^-1 J^T = J^T (J J^T + lam I)^-1 give J^T B and B^T r; else
+    J^T J = A C A^T gives A, A^T J^T r."""
+    if s is not None:
+        curvature, axes = np.linalg.eigh(jac @ jac.T + s)
+        return curvature, axes, grad @ axes
     if jac.shape[1] < jac.shape[0]:
         curvature, basis = np.linalg.eigh(jac.T @ jac)
         axes, coefficients = jac @ basis, residual @ basis
@@ -350,37 +389,53 @@ def _step_axes(jac: np.ndarray, residual: np.ndarray, grad: np.ndarray):
     return np.maximum(curvature, 0.0), axes, coefficients  # semidefinite: drop rounding below zero
 
 
+def _jacobian(problem, point, computed) -> np.ndarray:
+    """J^T at ``point``, (parameters, residuals), as a real view of the problem's complex derivatives."""
+    jac = problem.derivatives(point, computed)
+    return jac.reshape(len(jac), -1).view(np.float64)
+
+
 def _descend(problem, rng, config: SearchConfig):
     """One restart of Levenberg-Marquardt on the residual of ``problem``.
 
     The problem owns its point and the point's geometry: ``problem.start(rng)`` draws the
     starting point, ``problem.residual(point)`` gives the complex residual and the intermediates
     that ``problem.derivatives(point, computed)`` reuses for J^T (a C-contiguous complex array, a
-    row per parameter), and ``problem.stepped(point, delta)`` retracts a step onto a new point. Each
-    try solves (J^T J + lam I) delta = -J^T r on the exact Jacobian (``_step_axes``), accepts the
-    step if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. The restart stops when
-    F <= ZERO_OBJECTIVE, when the next step promises a decrease of at most ``FTOL * F`` (no
-    damped step decreases F any more), when J^T r is exactly zero, or after ``config.max_iter``
-    tries. Returns (F, point, trace, stop reason).
+    row per parameter) and ``problem.curvature(point, computed, residual)`` for S = sum_i r_i
+    d^2 r_i (real symmetric, P x P), and ``problem.stepped(point, delta)`` retracts a step onto a
+    new point. Each try solves (H + lam I) delta = -J^T r on the exact Jacobian, accepts the step
+    if F = |r|^2 decreases and adapts lam as Madsen and Nielsen do. H is the Gauss-Newton J^T J
+    (``_step_axes``), except after an accepted step that cut F by less than ``SLOW_PROGRESS * F``:
+    the next point then takes H = J^T J + S from one ``eigh`` in parameter space, with lam kept
+    above -lambda_min(H), so that the step descends past negative curvature (Fletcher and Xu's
+    hybrid rule). Either way lam |delta|^2 - delta . J^T r is the decrease the model promises. The
+    restart stops when F <= ZERO_OBJECTIVE, when the next step promises a decrease of at most
+    ``FTOL * F`` (no damped step decreases F any more), when J^T r is exactly zero, or after
+    ``config.max_iter`` tries. Returns (F, point, trace, stop reason, lambda_min(J^T J + S) at the
+    point).
     """
     point = problem.start(rng)
     residual, f, computed = _scored(problem, point)
     trace = [(0, f)]
-    lam, nu, fresh = None, 2.0, True
+    lam, nu, fresh, second, lowest = None, 2.0, True, False, None
     reason = "zero" if f <= ZERO_OBJECTIVE else "max_iter"
     for it in range(1, config.max_iter + 1):
         if reason == "zero":
             break
         if fresh:
-            jac = problem.derivatives(point, computed)
-            jac = jac.reshape(len(jac), -1).view(np.float64)  # J^T, (parameters, residuals)
+            jac, fresh = _jacobian(problem, point, computed), False
             grad = jac @ residual
             if not grad.any():
                 reason = "gradient"
                 break
-            curvature, axes, coefficients = _step_axes(jac, residual, grad)
-            lam = 1e-3 * float(curvature[-1]) if lam is None else lam
-            fresh = False
+            if second:
+                s = problem.curvature(point, computed, residual)
+                curvature, axes, coefficients = _step_axes(jac, residual, grad, s)
+                lowest = float(curvature[0])
+                lam = max(lam, -2.0 * lowest)
+            else:
+                curvature, axes, coefficients = _step_axes(jac, residual, grad)
+                lam = 1e-3 * float(curvature[-1]) if lam is None else lam
         delta = -axes @ (coefficients / (curvature + lam))
         predicted = lam * float(delta @ delta) - float(delta @ grad)  # Python floats: lam may overflow
         if not predicted > FTOL * f:  # also once lam is inf and predicted nan
@@ -391,7 +446,7 @@ def _descend(problem, rng, config: SearchConfig):
         if f_new < f:
             gain = min((f - f_new) / predicted, 1.0)  # any gain above 1 divides lam by 3
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu, fresh = 2.0, True
+            nu, fresh, second, lowest = 2.0, True, f - f_new < SLOW_PROGRESS * f, None
             point, f = candidate, f_new
             residual, computed = candidate_residual, candidate_computed
             trace.append((it, f))
@@ -399,14 +454,17 @@ def _descend(problem, rng, config: SearchConfig):
                 reason = "zero"
         else:
             lam, nu = lam * nu, nu * 2.0
-    return f, point, trace, reason
+    if lowest is None:  # the endpoint's J^T J + S is not factored yet
+        jac = _jacobian(problem, point, computed) if fresh else jac
+        lowest = float(np.linalg.eigvalsh(jac @ jac.T + problem.curvature(point, computed, residual))[0])
+    return f, point, trace, reason, lowest
 
 
 def _search(problem, config: SearchConfig) -> SearchResult:
     """Multi-restart descent; restarts use independent seeded streams and the best point is picked by (objective,
     restart index). Only its joint unitary is assembled; its ready state is the result's."""
     runs = [_descend(problem, np.random.default_rng((config.seed, r)), config) for r in range(config.restarts)]
-    f, point, trace, reason = min(runs, key=lambda run: run[0])  # the first of equal floors
+    f, point, trace, reason, _ = min(runs, key=lambda run: run[0])  # the first of equal floors
     return SearchResult(
         best_unitary=point.joint,
         best_ready_state=point.ready,
@@ -416,6 +474,7 @@ def _search(problem, config: SearchConfig) -> SearchResult:
         converged=reason != "max_iter",
         restart_objectives=tuple(run[0] for run in runs),
         stop_reasons=tuple(run[3] for run in runs),
+        restart_min_curvature=tuple(run[4] for run in runs),
     )
 
 
@@ -455,15 +514,15 @@ class _Epsilon:
     x~ = V^dag (psi (x) v) projected once per search, the point B = V^dag U V gives w = (B^dag P~ B - O~) x~."""
 
     def __init__(self, d: BlockDecomposition, probe_joint, obs_joint, ready, states):
-        inverse, self.decomposition, self.ready = dagger(d.vectors), d, ready
+        inverse, self.vectors, self.chart, self.ready = dagger(d.vectors), d.vectors, _Chart(d.dims), ready
         self.probe, self.observable = inverse @ probe_joint @ d.vectors, inverse @ obs_joint @ d.vectors
         self.inputs = inverse @ np.stack([product_state(s, ready) for s in states], axis=-1) / np.sqrt(len(states))
 
     def start(self, rng):
-        return _random_point(self.decomposition, [rng], self.ready)
+        return _random_point(self.vectors, self.chart, [rng], self.ready)
 
     def residual(self, point):
-        """The residuals, and A~ = B^dag P~ B for ``derivatives``."""
+        """The residuals, and A~ = B^dag P~ B for ``derivatives`` and ``curvature``."""
         a = dagger(point.blocks) @ self.probe @ point.blocks
         return (a - self.observable) @ self.inputs, a
 
@@ -476,6 +535,22 @@ class _Epsilon:
         dx[rows, first] -= upper[:, None] * ax[second]
         dx[rows, second] -= lower[:, None] * ax[first]  # zero for a phase, whose a = b
         return dx
+
+    def curvature(self, point, a, residual):
+        """S = Re sum w^dag d^2 w, with d^2 w = ([[A~, G_p], G_q] + [[A~, G_q], G_p]) x~ / 2 along each pair
+        (p, q), since A~ moves to exp(-K) A~ exp(K). With X = x~ w^dag, tr([[A~, G_p], G_q] X) expands to
+        tr(G_p G_q X A~) - tr(G_p A~ G_q X) - tr(G_q A~ G_p X) + tr(G_q G_p A~ X): a same-block trace
+        (``_Chart.paired_trace``) and tr(G_p A~ G_q X), a gather of one entry of A~ and one of X for each
+        of the 2 x 2 pairs of entries of G_p and G_q."""
+        x = self.inputs @ residual.view(complex).reshape(self.inputs.shape).conj().T
+        first, second, upper, lower = point.chart.pairs
+        rows, columns, values = np.stack([first, second]), np.stack([second, first]), np.stack([upper, lower])
+        between = (
+            values[:, None, :, None] * values[None, :, None, :]
+            * a[columns[:, None, :, None], rows[None, :, None, :]]
+            * x[columns[None, :, None, :], rows[:, None, :, None]]
+        ).sum(axis=(0, 1)).real
+        return 0.5 * point.chart.paired_trace(x @ a + a @ x) - between - between.T
 
     def stepped(self, point, delta):
         return point.stepped(delta, point.ready)
@@ -502,7 +577,7 @@ class _Feasibility:
     block generators, then the ``tangents`` of the unit sphere at v, along which ``stepped`` retracts v."""
 
     def __init__(self, basis: np.ndarray, d: BlockDecomposition):
-        self.decomposition = d
+        self.vectors, self.chart = d.vectors, _Chart(d.dims)
         self.left = np.einsum("ji,ikd->jkd", basis.conj(), d.vectors.reshape(len(basis), -1, len(d.vectors)))
         self.right, self.n2 = dagger(self.left), self.left.shape[1]  # L_j (n1, n2, D) and R_j (n1, D, n2)
         self.directions = np.concatenate([np.eye(self.n2), 1j * np.eye(self.n2)])  # e_k, then i e_k
@@ -510,7 +585,7 @@ class _Feasibility:
 
     def start(self, rng):
         ready = random_state_vector(self.n2, rng)  # drawn before the blocks, from the same stream
-        return _random_point(self.decomposition, [rng], ready)
+        return _random_point(self.vectors, self.chart, [rng], ready)
 
     def tangents(self, ready):
         """e_k and i e_k projected onto the tangent space of the unit sphere at the ready state, (2 n2, n2).
@@ -520,20 +595,47 @@ class _Feasibility:
         return self.last_tangents[1]
 
     def residual(self, point):
-        """E, and the W_j and c_j it is made of for ``derivatives``."""
+        """E, and the W_j and c_j it is made of for ``derivatives`` and ``curvature``."""
         c = self.right @ point.ready  # (n1, D)
         w = (self.left @ (point.blocks @ c.T).T[:, :, None])[..., 0]
         return w.conj() @ w.mT - np.eye(len(w)), (w, c)
 
-    def derivatives(self, point, computed):
-        """dG = dW^dag W + W^dag dW, with dW_j = Y_j G_p c_j along each dB = B G_p, Y_j = L_j B, and
-        dW_j = M_j t along each ready-state tangent t, M_j = Y_j R_j; W_j and c_j come from ``residual``."""
-        w, c = computed
+    def pointer_derivatives(self, point, c):
+        """dW_j along every parameter, (P, n1, n2): Y_j G_p c_j along each dB = B G_p, Y_j = L_j B, and
+        M_j t along each ready-state tangent t, M_j = Y_j R_j."""
         y = self.left @ point.blocks  # (n1, n2, D)
         gathered = _gather(point.chart.pairs, y.transpose(2, 0, 1), c.T[:, :, None])
-        dw = np.concatenate([gathered, (y @ self.right @ self.tangents(point.ready).T).transpose(2, 0, 1)])
-        cross = dw.conj() @ w.mT  # <dW_i|W_j>
+        return np.concatenate([gathered, (y @ self.right @ self.tangents(point.ready).T).transpose(2, 0, 1)])
+
+    def derivatives(self, point, computed):
+        """dG = dW^dag W + W^dag dW; W_j and c_j come from ``residual``."""
+        w, c = computed
+        cross = self.pointer_derivatives(point, c).conj() @ w.mT  # <dW_i|W_j>
         return cross + cross.conj().mT
+
+    def curvature(self, point, computed, residual):
+        """S = Re sum_ij conj(E_ij) d^2 G_ij, d^2 G = d^2W^dag W + dW^dag dW' + dW'^dag dW + W^dag d^2W: the
+        dW^dag dW term 2 Re <dW_p| conj(E) dW_q>, then 2 Re sum_j h_j^dag d^2W_j with h_j = sum_i E_ij W_i.
+        Along two generators d^2B = B (G_p G_q + G_q G_p) / 2, which gives Re tr((G_p G_q + G_q G_p) C) with
+        C = sum_j c_j a_j^dag and a_j = Y_j^dag h_j = B^dag R_j h_j; along a generator and a tangent t,
+        d^2W_j = Y_j G_p R_j t; along two tangents the retraction gives d^2v = -Re(t^dag t') v, hence
+        -2 (F + tr E) Re(t^dag t')."""
+        w, c = computed
+        e = residual.view(complex).reshape(len(w), len(w))
+        dw = self.pointer_derivatives(point, c)
+        flat = dw.reshape(len(dw), -1).view(np.float64)
+        s = 2.0 * flat @ (e.conj() @ dw).reshape(len(dw), -1).view(np.float64).T
+        a = (self.right @ (e.T @ w)[:, :, None])[..., 0] @ point.blocks.conj()  # rows a_j, (n1, D)
+        tangents = self.tangents(point.ready)
+        split = len(point.chart.pairs[0])
+        s[:split, :split] += point.chart.paired_trace(c.T @ a.conj())
+        along = self.right @ tangents.T  # R_j t, (n1, D, 2 n2)
+        mixed = 2.0 * _gather(point.chart.pairs, a.conj().T[:, :, None], along.transpose(1, 0, 2)).sum(axis=1).real
+        s[:split, split:] += mixed
+        s[split:, :split] += mixed.T
+        rows = tangents.view(np.float64)  # Re(t^dag t') is the dot product of the real views
+        s[split:, split:] -= 2.0 * (residual @ residual + e.trace().real) * rows @ rows.T
+        return s
 
     def stepped(self, point, delta):
         """The blocks moved along the generators, and the ready state retracted onto the sphere:

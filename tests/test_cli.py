@@ -1365,6 +1365,7 @@ class TestOptimizeGoldens:
         monkeypatch.setattr(commutant._BlockPoint, "joint", dense)
         ours = json.loads(self._optimize(capsys, model, kind, seed))["results"]
         golden = json.loads((GOLDEN / f"{name}.json").read_text())["results"]
-        for key in ("objective_trace", "restart_objectives", "stop_reasons", "best_objective", "best_ready_state"):
+        keys = ("objective_trace", "restart_objectives", "stop_reasons", "restart_min_curvature", "best_objective")
+        for key in (*keys, "best_ready_state"):
             assert canonical_json(ours[key]) == canonical_json(golden[key]), key
         assert np.abs(np.array(ours["best_unitary"]) - np.array(golden["best_unitary"])).max() <= 1e-14

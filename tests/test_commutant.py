@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import I2, LA_DIAG, X, Z, E0, block_bases
 from wayaudit import commutant, linalg, noise, theorem
+from wayaudit.cli import load_model
 from wayaudit.commutant import (
     STOP_REASONS,
     BlockDecomposition,
@@ -39,6 +40,7 @@ from wayaudit.theorem import counterexample_sweep
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def quantity(la, lb, kind="multiplicative"):
@@ -131,7 +133,7 @@ class TestFactorEigensystem:
     @pytest.mark.parametrize("q", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
     def test_assembly_matches_per_block_sum(self, q):
         d = conserved_eigenspaces(q)
-        point = commutant._random_point(d, [np.random.default_rng(6)])
+        point = _start(d, [np.random.default_rng(6)])
         assert not point.blocks[_off_block(d.dims)].any()
         per_block = sum(_reference_parts(d, _block_unitaries(point, d.dims)))
         assert np.abs(point.joint - per_block).max() <= 1e-14
@@ -391,7 +393,7 @@ class TestProjectGenerator:
         w = haar_unitary(3, rng)
         q = quantity(LA_DIAG, (w * [1.0, 2.0, 4.0]) @ w.conj().T)  # blocks (1, 2, 2, 1)
         d = conserved_eigenspaces(q)
-        point = commutant._random_point(d, [rng])
+        point = _start(d, [rng])
         theta = rng.standard_normal(len(point.chart.pairs[0]))
         k = point.chart.generator(theta)
         assert frobenius_norm(k + k.conj().mT) <= 1e-12
@@ -526,12 +528,14 @@ def _pinned(result: SearchResult) -> dict:
         "converged": result.converged,
         "best_ready_state_sha256": hashlib.sha256(result.best_ready_state.tobytes()).hexdigest(),
         "stop_reasons": list(result.stop_reasons),
+        "restart_min_curvature": [value.hex() for value in result.restart_min_curvature],
     }
 
 
 def _pinned_searches() -> dict:
-    """Both objectives on two block sizes, short enough to stop at max_iter."""
-    config = SearchConfig(seed=11, restarts=2, max_iter=25)
+    """Both objectives on two block sizes, short enough to stop at max_iter, with Gauss-Newton and
+    second-order tries in each."""
+    config = SearchConfig(seed=11, restarts=2, max_iter=6)
     return {
         "feasibility_blocks_1221": _pinned(
             feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
@@ -682,6 +686,11 @@ def _pointer_blocks(basis, u):
     return np.einsum("ji,...iklm,jl->...jkm", basis.conj(), u, basis)
 
 
+def _start(d, rngs):
+    """An optimizer start on a fresh chart of ``d``, drawn from the one stream of ``rngs``."""
+    return commutant._random_point(d.vectors, commutant._Chart(d.dims), rngs)
+
+
 def _eigenvector_point(d, u, ready):
     """The optimizer's point B = V^dag U V of a joint unitary U, with the ready state v."""
     return commutant._BlockPoint(d.vectors, commutant._Chart(d.dims), dagger(d.vectors) @ u @ d.vectors, ready)
@@ -794,7 +803,7 @@ class TestOptimizerBitIdentity:
         """Jacobian and gradient of both objectives against central differences of the point B
         along exp(+-h G_p) per block and parameter, and along each ready-state tangent."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
-        point = commutant._random_point(d, [np.random.default_rng(1)])
+        point = _start(d, [np.random.default_rng(1)])
         unitaries = _block_unitaries(point, d.dims)
         assert np.array_equal(point.joint, _reference_joint(d, unitaries))  # V is a permutation: see TestAssembly
         parameters = len(point.chart.pairs[0])
@@ -826,7 +835,7 @@ class TestOptimizerBitIdentity:
         """The two-entry gathers and the epsilon scatter give the Jacobian of the dense
         B_k G_p B_k^dag stack on the joint unitary."""
         d = conserved_eigenspaces(quantity(_factor(la), _factor(lb)))
-        point = commutant._random_point(d, [np.random.default_rng(1)])
+        point = _start(d, [np.random.default_rng(1)])
         generators = _dense_generators(d)
         for name, (problem, ready) in _problems(la, lb).items():
             dense = _dense_derivatives(name, la, lb, d, point.joint, _tangents(problem, ready), generators)
@@ -840,7 +849,7 @@ class TestOptimizerBitIdentity:
         """One exponential of the scattered generator against each block's own exponential:
         the generator entry for entry, the step to 1e-14, and exact zeros off the blocks."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
-        point = commutant._random_point(d, [np.random.default_rng(2)])
+        point = _start(d, [np.random.default_rng(2)])
         thetas = np.random.default_rng(3).standard_normal((3, len(point.chart.pairs[0]))) * 0.1
         thetas[0, : min(d.dims) ** 2] = -0.0  # zero steps of the first block
         thetas[1, : min(d.dims) ** 2] = 0.0
@@ -866,7 +875,7 @@ class TestOptimizerBitIdentity:
         joint = conserved_operator(q)
         scale = np.linalg.norm(joint, 2)
         off = _off_block(d.dims)
-        point = commutant._random_point(d, [np.random.default_rng(5)])
+        point = _start(d, [np.random.default_rng(5)])
         rng = np.random.default_rng(6)
         for step in range(20):
             theta = rng.standard_normal(len(point.chart.pairs[0])) * [1e-3, 0.1, 1.0, 3.0][step % 4]
@@ -914,10 +923,10 @@ class TestOptimizerBitIdentity:
         q = quantity(np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]))
         assert sorted(set(conserved_eigenspaces(q).dims)) == [1, 2, 3]
         observable = np.ones((3, 3)) - np.eye(3)
-        result = feasibility_search(q, observable, config=SearchConfig(seed=0, restarts=1, max_iter=40))
+        result = feasibility_search(q, observable, config=SearchConfig(seed=0, restarts=1, max_iter=20))
         assert result.stop_reasons == ("max_iter",)
         tries = calls["scored"] - 1  # the starting point is scored before the first try
-        assert tries == 40 and calls["exp"] == tries
+        assert tries == 20 and calls["exp"] == tries
         assert calls["joint"] == 1
 
     def test_feasibility_objective_matches_reference(self, monkeypatch):
@@ -944,54 +953,140 @@ class TestOptimizerBitIdentity:
             assert value == pytest.approx(reference(u), rel=1e-12, abs=1e-15)
 
 
-def _reference_step(jac, residual, lam):
-    """The damped Gauss-Newton step in parameter space: (J^T J + lam I) delta = -J^T r, (P,)."""
-    return np.linalg.solve(jac @ jac.T + lam * np.eye(len(jac)), -(jac @ residual))
+def _reference_step(jac, residual, lam, s=0.0):
+    """The damped step in parameter space: (J^T J + S + lam I) delta = -J^T r, (P,)."""
+    return np.linalg.solve(jac @ jac.T + s + lam * np.eye(len(jac)), -(jac @ residual))
+
+
+def _curvature(problem, point, ready):
+    """S of ``problem`` at the point's blocks and the ready state, as ``_descend`` asks for it."""
+    point = _at(point, point.blocks, ready)
+    residual, _, computed = commutant._scored(problem, point)
+    return problem.curvature(point, computed, residual)
 
 
 class TestLevenbergMarquardtStep:
-    """Each try's step comes from one ``eigh`` of the smaller Gram matrix of J."""
+    """A Gauss-Newton try's step comes from one ``eigh`` of the smaller Gram matrix of J, a
+    second-order try's from one ``eigh`` of J^T J + S in parameter space."""
 
     @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
     def test_step_matches_parameter_space_solve(self, la, lb):
         """At random points, the step -axes (coefficients / (curvature + lam)) solves the P x P
-        system for lam from 1e-6 to 1e3 times the largest curvature: to 1e-13 relative, or 1e-14
-        times the condition number curvature[-1] / lam of J^T J + lam I where that is larger
-        (the rounding of J^T r alone moves the exact step by that much)."""
+        system, without S and with it, for lam from 1e-6 to 1e3 times the largest curvature (above
+        -2 times the smallest, as ``_descend`` keeps it): to 1e-13 relative, or 1e-14 times the
+        condition number of H + lam I where that is larger (curvature[-1] / lam without S; the
+        rounding of J^T r alone moves the exact step by that much)."""
         d = conserved_eigenspaces(quantity(np.diag(la), np.diag(lb)))
         for seed in range(3):
-            point = commutant._random_point(d, [np.random.default_rng(seed)])
+            point = _start(d, [np.random.default_rng(seed)])
             for name, (problem, ready) in _problems(la, lb).items():
                 jac = _jacobian(problem, point, ready)
                 residual = commutant._scored(problem, _at(point, point.blocks, ready))[0]
-                curvature, axes, coefficients = commutant._step_axes(jac, residual, jac @ residual)
-                assert axes.shape == (len(jac), min(jac.shape)), name  # one axis per row of the smaller Gram matrix
-                for scale in (1e-6, 1e-3, 1.0, 1e3):
-                    lam = scale * curvature[-1]
-                    delta = -axes @ (coefficients / (curvature + lam))
-                    reference = _reference_step(jac, residual, lam)
-                    tol = max(1e-13, 1e-14 / scale)
-                    assert np.linalg.norm(delta - reference) <= tol * np.linalg.norm(reference), (name, scale)
+                s = _curvature(problem, point, ready)
+                for second in (None, s):
+                    curvature, axes, coefficients = commutant._step_axes(jac, residual, jac @ residual, second)
+                    # one axis per row of the smaller Gram matrix, or per parameter
+                    assert axes.shape == (len(jac), len(jac) if second is s else min(jac.shape)), name
+                    for scale in (1e-6, 1e-3, 1.0, 1e3):
+                        lam = max(0.0, -2.0 * curvature[0]) + scale * curvature[-1]
+                        delta = -axes @ (coefficients / (curvature + lam))
+                        reference = _reference_step(jac, residual, lam, 0.0 if second is None else s)
+                        if second is None:  # curvature[0] >= 0 and lam = scale * curvature[-1]
+                            condition = curvature[-1] / lam
+                        else:
+                            condition = (curvature[-1] + lam) / (curvature[0] + lam)
+                        tol = max(1e-13, 1e-14 * condition)
+                        assert np.linalg.norm(delta - reference) <= tol * np.linalg.norm(reference), (name, scale)
 
     def test_feasibility_factors_the_residual_gram(self, monkeypatch):
         """A geometric 5x9 feasibility restart (R = 2 * 5^2 = 50 residuals, P = 185 + 18 = 203
-        parameters) factors J J^T and never J^T J; the epsilon search on the cnot quantity
-        (R = 2 * 4 * 3 = 24, P = 8) still factors J^T J."""
-        shapes, eigh = [], np.linalg.eigh
+        parameters) factors the 50 x 50 J J^T at its Gauss-Newton points and the 203 x 203
+        J^T J + S at its second-order points, one ``eigh`` each, and never J^T J alone; the
+        epsilon search on the cnot quantity (R = 2 * 4 * 3 = 24, P = 8) factors J^T J."""
+        shapes, factored, eigh, step_axes = [], [], np.linalg.eigh, commutant._step_axes
 
         def recorded(a, *args, **kwargs):
             shapes.append(a.shape)
             return eigh(a, *args, **kwargs)
 
+        def axes(jac, residual, grad, s=None):
+            start = len(shapes)
+            result = step_axes(jac, residual, grad, s)
+            factored.append((s is not None, shapes[start:]))
+            return result
+
         monkeypatch.setattr(commutant.np.linalg, "eigh", recorded)
-        config = SearchConfig(seed=0, restarts=1, max_iter=5)
+        monkeypatch.setattr(commutant, "_step_axes", axes)
+        config = SearchConfig(seed=0, restarts=1, max_iter=12)
         q = quantity(np.diag(GEOMETRIC_5X9[0]), np.diag(GEOMETRIC_5X9[1]))
         assert sum(size * size for size in conserved_eigenspaces(q).dims) + 2 * 9 == 203
-        feasibility_search(q, np.ones((5, 5)) - np.eye(5), config=config)
-        assert (50, 50) in shapes and (203, 203) not in shapes
+        result = feasibility_search(q, np.ones((5, 5)) - np.eye(5), config=config)
+        assert result.stop_reasons == ("max_iter",)
+        assert {second for second, _ in factored} == {False, True}
+        assert all(factors == ([(203, 203)] if second else [(50, 50)]) for second, factors in factored)
+        assert shapes.count((203, 203)) == sum(second for second, _ in factored)
         shapes.clear()
         minimize_epsilon(quantity(LA_DIAG, I2), Z, Z, E0, config=config)
         assert (8, 8) in shapes and (24, 24) not in shapes
+
+
+def _fixture_epsilon(monkeypatch, name):
+    """The epsilon problem of a fixture's observable, probe and ready state."""
+    loaded = load_model(str(FIXTURES / f"{name}.json"))
+    args = (loaded.quantity, loaded.observable, loaded.probe, loaded.model.ready_state)
+    return _problem(monkeypatch, minimize_epsilon, *args)
+
+
+def _feasibility(la, lb, observable):
+    return commutant._Feasibility(np.linalg.eigh(observable)[1].T, conserved_eigenspaces(quantity(la, lb)))
+
+
+class TestCurvature:
+    """S = sum_i r_i d^2 r_i of each search problem against central second differences of the pullback
+    F(stepped(point, delta)), whose Hessian at delta = 0 is 2 (J^T J + S)."""
+
+    CASES = {
+        "feasibility_blocks_1221": lambda mp: _feasibility(LA_DIAG, np.diag([1.0, 2.0, 4.0]), X),
+        "feasibility_geometric_3x5": lambda mp: _feasibility(
+            np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]), np.ones((3, 3)) - np.eye(3)
+        ),
+        "epsilon_cnot": lambda mp: _fixture_epsilon(mp, "cnot"),
+        "epsilon_rotated_2x3": lambda mp: _fixture_epsilon(mp, "rotated_2x3"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_central_differences(self, monkeypatch, case):
+        problem, h = self.CASES[case](monkeypatch), 1e-4
+        for seed in range(2):
+            point = problem.start(np.random.default_rng((seed, 5)))
+            residual, _, computed = commutant._scored(problem, point)
+            jac = commutant._jacobian(problem, point, computed)
+            s = problem.curvature(point, computed, residual)
+            steps = np.eye(len(jac)) * h
+
+            def f(delta):
+                return commutant._scored(problem, problem.stepped(point, delta))[1]
+
+            hessian = np.empty_like(s)
+            for p in range(len(jac)):
+                for q in range(p + 1):
+                    plus, minus = steps[p] + steps[q], steps[p] - steps[q]
+                    hessian[p, q] = hessian[q, p] = (f(plus) - f(minus) - f(-minus) + f(-plus)) / (4 * h * h)
+            assert s.shape == (len(jac), len(jac)) and np.abs(s - s.T).max() <= 1e-14 * np.abs(s).max()
+            assert np.abs(s).max() > 0.1
+            assert np.abs(s - (hessian / 2 - jac @ jac.T)).max() <= 1e-6 * np.abs(s).max(), (case, seed)
+
+    @pytest.mark.parametrize("la, lb", [BLOCK_CASES[0], BLOCK_CASES[-1], GEOMETRIC_5X9])
+    def test_paired_trace_matches_dense_generators(self, la, lb):
+        """The chained-entry tables give Re tr((G_p G_q + G_q G_p) C) of the dense generators."""
+        chart = commutant._Chart(conserved_eigenspaces(quantity(np.diag(la), np.diag(lb))).dims)
+        size = len(chart.pairs[0])
+        dense = np.stack([chart.generator(unit) for unit in np.eye(size)])
+        rng = np.random.default_rng(8)
+        c = rng.standard_normal((chart.dim, chart.dim)) + 1j * rng.standard_normal((chart.dim, chart.dim))
+        # tr(G_p G_q C) = sum_ab G_p[a, b] (G_q C)[b, a]
+        products = dense.reshape(size, -1) @ (dense @ c).transpose(0, 2, 1).reshape(size, -1).T
+        assert np.abs(chart.paired_trace(c) - (products + products.T).real).max() <= 1e-12 * np.abs(products).max()
 
 
 class _LinearProblem:
@@ -1010,6 +1105,9 @@ class _LinearProblem:
     def derivatives(self, x, computed):
         return self.a.T.copy()  # row p: the derivative of the residual along x_p
 
+    def curvature(self, x, computed, residual):
+        return np.zeros((self.a.shape[1],) * 2)  # a linear residual has no second derivative
+
     def stepped(self, x, delta):
         return x + delta
 
@@ -1021,7 +1119,7 @@ class TestDescendProtocol:
         a = [[1.0, 1j], [2.0, 0.0], [0.5j, 1.0]]
         solution = np.array([0.5, -1.5])
         problem = _LinearProblem(a, np.asarray(a) @ solution, [3.0, 2.0])
-        f, x, trace, reason = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
+        f, x, trace, reason, _ = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
         assert reason == "zero" and f <= commutant.ZERO_OBJECTIVE
         assert np.abs(x - solution).max() <= 1e-11
         assert trace[0] == (0, pytest.approx(np.linalg.norm(problem.residual(problem.x0)[0]) ** 2, rel=1e-15))
@@ -1029,8 +1127,26 @@ class TestDescendProtocol:
     def test_zero_gradient_stops_at_once(self):
         # r = (0, -1) at x = 0 and A^T r = 0 exactly: the start is a stationary point
         problem = _LinearProblem([[1.0], [0.0]], [0.0, 1.0], [0.0])
-        f, x, trace, reason = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
-        assert (f, x.tolist(), trace, reason) == (1.0, [0.0], [(0, 1.0)], "gradient")
+        f, x, trace, reason, lowest = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
+        assert (f, x.tolist(), trace, reason, lowest) == (1.0, [0.0], [(0, 1.0)], "gradient", 1.0)
+
+    def test_zero_curvature_keeps_the_trace(self, monkeypatch):
+        """An inconsistent linear system (a nonzero floor) takes second-order steps with S = 0: J^T J in
+        parameter space instead of the Gram route, the same step up to rounding, so the same trace."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+        problem = _LinearProblem(a, rng.standard_normal(9) + 1j * rng.standard_normal(9), rng.standard_normal(4))
+        calls = []
+        curvature = problem.curvature
+        monkeypatch.setattr(problem, "curvature", lambda *args: calls.append(1) or curvature(*args))
+        _, x, trace, reason, _ = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
+        assert len(calls) > 1  # second-order steps besides the endpoint's certificate
+        monkeypatch.setattr(commutant, "SLOW_PROGRESS", 0.0)  # Gauss-Newton throughout
+        _, gn_x, gn_trace, gn_reason, _ = commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0))
+        assert reason == gn_reason == "no_decrease"
+        assert [it for it, _ in trace] == [it for it, _ in gn_trace]
+        assert np.allclose([v for _, v in trace], [v for _, v in gn_trace], rtol=1e-12, atol=0.0)
+        assert np.abs(x - gn_x).max() <= 1e-12 * np.abs(gn_x).max()
 
 
 class TestFloors:
@@ -1062,8 +1178,53 @@ class TestFloors:
         assert all(f <= 1e-10 for f in result.restart_objectives)
         assert result.stop_reasons == ("zero",) * 8
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocked_restarts_converge_in_60_tries(self, seed):
+        # the benchmark's blocked restarts: one restart per seed, stopped by no_decrease within the budget
+        config = SearchConfig(seed=seed, restarts=1, max_iter=60)
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
+        assert result.stop_reasons == ("no_decrease",)
+        assert result.best_objective == pytest.approx(0.0224198620226, rel=1e-9)
+        assert result.restart_min_curvature[0] >= -1e-9  # a minimum: no negative curvature at the floor
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_controls_take_no_second_order_step(self, monkeypatch, seed):
+        """The benchmark's control restarts cut F by more than ``SLOW_PROGRESS`` at every accepted step,
+        so S is computed once, for the endpoint, and the trace is the Gauss-Newton one bit for bit."""
+        calls, curvature = [], commutant._Feasibility.curvature
+
+        def counted(*args):
+            calls.append(1)
+            return curvature(*args)
+
+        monkeypatch.setattr(commutant._Feasibility, "curvature", counted)
+        config = SearchConfig(seed=seed, restarts=1)
+        q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
+        result = feasibility_search(q, np.diag([1.0, 2.0]), config=config)
+        assert result.stop_reasons == ("zero",) and len(calls) == 1
+        monkeypatch.setattr(commutant, "SLOW_PROGRESS", 0.0)  # Gauss-Newton throughout
+        assert feasibility_search(q, np.diag([1.0, 2.0]), config=config).objective_trace == result.objective_trace
+
+    def test_geometric_3x5_restarts_converge(self):
+        q = quantity(np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]))
+        config = SearchConfig(seed=0, restarts=4, max_iter=150)
+        result = feasibility_search(q, np.ones((3, 3)) - np.eye(3), config=config)
+        assert result.stop_reasons == ("no_decrease",) * 4
+        assert all(f == pytest.approx(0.04872593022, rel=1e-9) for f in result.restart_objectives)
+        assert min(result.restart_min_curvature) >= -1e-9
+
+    def test_min_curvature_exposes_the_gauss_newton_plateau(self, monkeypatch):
+        """Gauss-Newton alone creeps along a plateau near F = 0.2 on the blocked restart (0, 0); the
+        endpoint certificate there is negative, a saddle region, where the floor's is not."""
+        monkeypatch.setattr(commutant, "SLOW_PROGRESS", 0.0)
+        config = SearchConfig(seed=0, restarts=1, max_iter=30)
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
+        assert result.stop_reasons == ("max_iter",)
+        assert result.best_objective == pytest.approx(0.2, rel=1e-3)
+        assert result.restart_min_curvature[0] < -1e-3
+
     def test_max_iter_stop_is_not_converged(self):
-        config = SearchConfig(seed=3, restarts=3, max_iter=20)
+        config = SearchConfig(seed=3, restarts=3, max_iter=8)
         result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
         assert set(result.stop_reasons) <= set(STOP_REASONS)
         assert result.stop_reasons == ("max_iter",) * 3 and not result.converged
