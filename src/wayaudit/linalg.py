@@ -25,9 +25,9 @@ loader included, goes through them; an operator argument of known dimension
 goes through ``as_hermitian`` (coerce, then the dimension, then hermiticity).
 
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
-chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack
-(``sweep_chunks``): 455 trials at 2x3, 72 at 3x5 and 8 at 5x9, so a
-chunk's fixed cost is spread over many trials and its stacks stay in cache.
+chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack and at
+most ``SWEEP_CHUNK_TRIALS`` trials (``sweep_chunks``): 512 trials at 2x3, 291
+at 3x5 and 32 at 5x9, so a chunk's fixed cost is spread over many trials.
 The streams' PCG64 seed words are computed ``SEED_BATCH`` trials at a time,
 by numpy's SeedSequence hash run over the trial axis (``_seed_words``); this
 relies on numpy keeping that algorithm frozen (its stream-compatibility
@@ -115,14 +115,19 @@ STATE_NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
 # Range of the uniform spectrum of the random positive factors.
 FACTOR_SPECTRUM = (0.5, 2.0)
-# Byte budget of one (chunk, D, D) complex stack in a sweep; it sets the chunk
-# size from D and bounds the memory a chunk's intermediates take. 256 KiB:
-# larger budgets bought little speed for more peak memory, and at 1 MiB the
-# 5x9 stacks leave cache and the bound audit slows again.
-SWEEP_CHUNK_BYTES = 1 << 18
+# A sweep chunk holds as many trials as fit one (chunk, D, D) complex stack in
+# SWEEP_CHUNK_BYTES, and at most SWEEP_CHUNK_TRIALS: 512 trials at 2x3, 291 at
+# 3x5, 83 at 4x7 and 32 at 5x9. A chunk's fixed cost is about 0.3-0.4 ms
+# (time per chunk against its trials), so 1 MiB runs sweeps at 3x5 to 5x9
+# 9-22 % faster than 256 KiB (fresh processes, one BLAS thread) at a peak RSS
+# of at most 48 MB; 2 MiB gains 3-5 % more but peaks at 55 MB. The cap keeps
+# 2x3 near the 455 trials of 256 KiB: there 1 MiB alone (1820 trials) gains
+# at most 5 % and adds 10 MB of peak RSS.
+SWEEP_CHUNK_BYTES = 1 << 20
+SWEEP_CHUNK_TRIALS = 512
 # Trials whose stream seed words one ``_seed_words`` pass computes. A pass
 # costs about 100 us, as much as 6 to 8 per-trial SeedSequence seedings,
-# plus about 0.1 us a trial, so the batch is not tied to the chunk (8 trials
+# plus about 0.1 us a trial, so the batch is not tied to the chunk (32 trials
 # at 5x9). Its words take 32 KiB.
 SEED_BATCH = 1024
 
@@ -464,13 +469,13 @@ def sweep_chunks(seed: int, count: int, dim: int):
     """Yield (trials, streams) for a sweep of ``count`` trials of joint dimension ``dim``.
 
     Chunks hold as many trials as fit one (chunk, dim, dim) complex stack in
-    ``SWEEP_CHUNK_BYTES``. Each trial gets the stream ``default_rng((seed,
-    trial))``, whose seed words are computed for a batch of trials at once
-    (``_streams``). This relies on numpy's SeedSequence algorithm staying
+    ``SWEEP_CHUNK_BYTES``, and at most ``SWEEP_CHUNK_TRIALS``. Each trial gets
+    the stream ``default_rng((seed, trial))``, whose seed words are computed
+    for a batch of trials at once (``_streams``). This relies on numpy's SeedSequence algorithm staying
     frozen (NEP 19); ``tests/test_linalg.py::TestStreamSeeding`` pins every
     stream against ``default_rng``.
     """
-    size = max(1, SWEEP_CHUNK_BYTES // (16 * dim * dim))
+    size = max(1, min(SWEEP_CHUNK_TRIALS, SWEEP_CHUNK_BYTES // (16 * dim * dim)))
     streams = _streams(seed, count)
     for start in range(0, count, size):
         trials = range(start, min(start + size, count))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wayaudit import ConservedQuantity, MeasurementModel
+from wayaudit import ConservedQuantity, MeasurementModel, linalg
 from wayaudit.linalg import dagger, haar_unitary, random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,6 +22,16 @@ def block_bases(d):
     """The orthonormal basis of each eigenvalue block of a ``BlockDecomposition``, in block order."""
     starts = np.cumsum((0, *d.dims))
     return [d.vectors[:, a:b] for a, b in zip(starts, starts[1:])]
+
+
+def chunk_sizes(count, dim):
+    """The trials of each chunk of a sweep of ``count`` trials at joint dimension ``dim`` (``linalg.sweep_chunks``)."""
+    return [len(trials) for trials, _ in linalg.sweep_chunks(0, count, dim)]
+
+
+def chunk_size(dim):
+    """The trials of a full sweep chunk at joint dimension ``dim``: the first chunk of a long sweep."""
+    return len(next(linalg.sweep_chunks(0, 1 << 40, dim))[0])
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wayaudit.cli as cli
+from conftest import chunk_size, chunk_sizes
 from wayaudit import commutant, linalg, noise, theorem
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
 from wayaudit.commutant import SearchConfig, feasibility_search
@@ -714,14 +715,16 @@ class TestSweepGoldens:
     @pytest.mark.parametrize("kind", ["bound-audit", "counterexample"])
     @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])
     def test_chunk_invariant(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
-        # a chunk per trial writes the bytes of the default chunk budget
+        # a chunk per trial writes the bytes of the default chunk rule, which
+        # puts the 40 trials in one chunk, or in two at 5x9
         monkeypatch.chdir(tmp_path)  # the report echoes the relative --out path
         argv = ["sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2), "--count", "40", "--seed", "7",
                 "--format", "csv", "--out", "sweep.csv"]
         code, default_out, _ = run(capsys, *argv)
         default_csv = (tmp_path / "sweep.csv").read_bytes()
+        assert len(chunk_sizes(40, n1 * n2)) == (2 if n1 * n2 == 45 else 1)
         monkeypatch.setattr(linalg, "SWEEP_CHUNK_BYTES", 1)
-        assert [len(trials) for trials, _ in linalg.sweep_chunks(7, 40, n1 * n2)] == [1] * 40
+        assert chunk_sizes(40, n1 * n2) == [1] * 40
         assert run(capsys, *argv) == (code, default_out, "") and code == 0
         assert (tmp_path / "sweep.csv").read_bytes() == default_csv
 
@@ -893,7 +896,7 @@ class TestSweepCommand:
     )
     def test_failure_leaves_out_unchanged(self, capsys, monkeypatch, tmp_path, kind, module, kernel):
         # three full chunks at 2x3; the second one fails
-        count = 3 * (linalg.SWEEP_CHUNK_BYTES // (16 * 6 * 6))
+        count = 3 * chunk_size(6)
         original, calls = getattr(module, kernel), []
 
         def failing(*args):
@@ -1000,7 +1003,8 @@ class TestSweepMemory:
                 capsys.readouterr()
 
         peak(4)  # one-time allocations (parser, lazy imports) fall outside the measurement
-        chunk = linalg.SWEEP_CHUNK_BYTES // (16 * (n1 * n2) ** 2)
+        chunk = chunk_size(n1 * n2)
+        assert chunk_sizes(2 * chunk, n1 * n2) == [chunk] * 2
         small, large = peak(2 * chunk), peak(20 * chunk)
         assert large <= 1.5 * small, f"peak {large} B at {20 * chunk} trials vs {small} B at {2 * chunk}"
 

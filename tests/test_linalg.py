@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, PLUS, X, Z, E0
+from conftest import E0, I2, PLUS, X, Z, chunk_size
 from wayaudit import linalg
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
@@ -418,15 +418,20 @@ def test_sweep_stream_seeding_matches_tuple_seeding(seed, trial):
 
 @pytest.mark.parametrize("count, dim", [(300, 45), (5000, 1)])
 def test_sweep_chunks_cover_trials_in_order(count, dim):
-    # chunks of at most SWEEP_CHUNK_BYTES per stack; one stream per trial
-    size = max(1, linalg.SWEEP_CHUNK_BYTES // (16 * dim * dim))
-    seen = []
+    # full chunks, each as large as both the stack's byte budget (D = 45) and
+    # the trial cap (D = 1) allow, then the rest; one stream per trial
+    seen, sizes = [], []
     for trials, streams in linalg.sweep_chunks(11, count, dim):
-        assert 0 < len(streams) == len(trials) <= size
+        assert len(streams) == len(trials)
         seen += trials
+        sizes.append(len(trials))
         for trial, stream in zip(trials, streams):
             assert stream.bit_generator.random_raw() == np.random.default_rng((11, trial)).bit_generator.random_raw()
     assert seen == list(range(count))
+    full = sizes[0]
+    assert len(sizes) > 1 and sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full
+    assert full <= linalg.SWEEP_CHUNK_TRIALS and 16 * dim * dim * full <= linalg.SWEEP_CHUNK_BYTES
+    assert full == linalg.SWEEP_CHUNK_TRIALS or 16 * dim * dim * (full + 1) > linalg.SWEEP_CHUNK_BYTES
 
 
 class TestStreamSeeding:
@@ -463,11 +468,14 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("batch", [linalg.SEED_BATCH, 3])
     def test_streams_are_default_rng(self, monkeypatch, seed, batch):
-        # 20 trials at D = 45: three chunks of at most 8, seeded in one batch
+        # three chunks at D = 45, the last one partial, seeded in one batch
         # or in batches of 3 that straddle the chunks
         monkeypatch.setattr(linalg, "SEED_BATCH", batch)
-        streams = [s for _, chunk_streams in linalg.sweep_chunks(seed, 20, 45) for s in chunk_streams]
-        assert len(streams) == 20
+        full = chunk_size(45)
+        chunks = list(linalg.sweep_chunks(seed, 2 * full + 4, 45))
+        assert [len(trials) for trials, _ in chunks] == [full, full, 4] and full % 3
+        streams = [s for _, chunk_streams in chunks for s in chunk_streams]
+        assert len(streams) == 2 * full + 4
         for trial, stream in enumerate(streams):
             reference = np.random.default_rng((seed, trial))
             assert stream.bit_generator.state == reference.bit_generator.state

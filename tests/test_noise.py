@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E0, I2, LA_DIAG, PLUS, X, Z
+from conftest import E0, I2, LA_DIAG, PLUS, X, Z, chunk_sizes
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
-    SWEEP_CHUNK_BYTES,
     commutator,
     dagger,
     random_hermitian,
@@ -335,4 +334,4 @@ class TestBoundAuditSweep:
     def test_multi_chunk_golden_spans_chunks(self):
         # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
         # golden that crosses chunk boundaries
-        assert 40 > SWEEP_CHUNK_BYTES // (16 * 45 * 45)
+        assert len(chunk_sizes(40, 45)) > 1
