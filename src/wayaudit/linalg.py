@@ -549,14 +549,21 @@ def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from Ginibre matrices stacked over (..., d, d).
 
-    One stacked QR, then the R-phase correction; each matrix of the stack gets
-    the same bits as its own QR would give.
+    One stacked QR, then the R-phase correction (Mezzadri, Notices AMS 54,
+    592, 2007); each matrix of the stack gets the same bits as its own QR
+    would give. A (..., 1, 1) stack skips the QR: its Haar unitaries are the
+    phases z / |z|, which the QR path gives to within rounding.
     """
+    if z.shape[-1] == 1:
+        return _phases(z)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    absd = np.abs(d)
-    phases = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * phases[..., None, :]
+    return q * _phases(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _phases(z: np.ndarray) -> np.ndarray:
+    """z / |z| for each entry of ``z``, and 1 for a zero entry."""
+    absz = np.abs(z)
+    return np.where(absz > 0, z / np.where(absz > 0, absz, 1.0), 1.0)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,7 @@ from wayaudit.linalg import (
 )
 from wayaudit.model import ConservedQuantity, MeasurementModel
 from wayaudit.noise import _expectations
-from wayaudit.theorem import theorem_verdict
+from wayaudit.theorem import counterexample_sweep, theorem_verdict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -365,6 +365,55 @@ class TestHaar:
         b = haar_unitary(3, np.random.default_rng(1))
         assert not np.array_equal(a, b)
 
+    @staticmethod
+    def _phase_stack():
+        """A (4, 3, 1, 1) stack of 1x1 Ginibre draws, two of them zero."""
+        z = linalg.ginibre_stack(1, [np.random.default_rng((5, i)) for i in range(12)]).reshape(4, 3, 1, 1)
+        z[1, 2] = z[3, 0] = 0.0
+        return z
+
+    @staticmethod
+    def _qr_path(z):
+        """The stacked QR and R-phase correction that larger stacks take."""
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        absd = np.abs(d)
+        return q * np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)[..., None, :]
+
+    def test_size_one_is_the_phase(self):
+        # z / |z| bit for bit, and 1 where z = 0, as the QR path's phase guard gives
+        z = self._phase_stack()
+        u = haar_from_ginibre(z)
+        nonzero = z != 0
+        assert u.shape == z.shape and u.dtype == complex
+        assert u[nonzero].tobytes() == (z[nonzero] / np.abs(z[nonzero])).tobytes()
+        assert np.all(u[~nonzero] == 1.0) and (~nonzero).sum() == 2
+
+    def test_size_one_matches_the_qr_path(self):
+        z = self._phase_stack()
+        assert np.abs(haar_from_ginibre(z) - self._qr_path(z)).max() <= 1e-15
+
+    def test_size_one_calls_no_qr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QR of a 1x1 stack")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        haar_from_ginibre(self._phase_stack())
+        haar_unitary(1, np.random.default_rng(3))
+
+    def test_counterexample_chunk_qr_calls(self, monkeypatch):
+        # a 3x5 chunk of generic spectra has only size-1 commutant blocks: one
+        # stacked QR for the system factors and one for the apparatus factors
+        shapes, qr = [], np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        assert len(counterexample_sweep(3, 5, count=40, seed=7).trials) == 40  # one chunk
+        assert shapes == [(40, 3, 3), (40, 5, 5)]
+
     @pytest.mark.parametrize(
         "sampler",
         [
@@ -393,11 +442,14 @@ def _diag_quantity(la, lb):
 
 
 def _reference_commutant_unitary(d, rng):
-    """Per-block Haar draws, one QR per block, in block order, placed on the diagonal
-    of a (D, D) matrix M and assembled as V M V^dag."""
+    """Per-block Haar draws in block order, placed on the diagonal of a (D, D) matrix M and
+    assembled as V M V^dag: the phase z / |z| for a block of size 1, one QR for a larger one."""
     m = np.zeros(d.vectors.shape, dtype=complex)
     for start, dim in zip(np.cumsum((0, *d.dims)), d.dims):
         z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        if dim == 1:
+            m[start, start] = (z / np.abs(z))[0, 0]
+            continue
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r)
         absd = np.abs(diag)
