@@ -23,7 +23,8 @@ matrix of J (``_step_axes``): J J^T when there are fewer residuals than
 parameters, as for feasibility (2 n1**2 residuals), and J^T J otherwise. After
 an accepted step that cut the objective by less than ``SLOW_PROGRESS`` of it,
 the next point is second order: it factors J^T J + S in parameter space and
-keeps the damping above its most negative eigenvalue. Each try retracts its
+keeps the damping above its most negative eigenvalue; ``_Feasibility`` builds
+the pointer derivatives dW once there, for J and S both. Each try retracts its
 block step with one exponential of one generator.
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
@@ -38,7 +39,8 @@ so a sweep chunk runs no ``eigh``.
 
 One draw path and one assembly serve every caller: ``_block_unitaries`` draws
 the Haar block unitaries of each block size, one stream per decomposition (or
-per member of a stack of them), and ``_assembled`` forms V blockdiag(U_k) V^dag
+per member of a stack of them), a size-1 block as a phase z / |z| with no QR
+(``linalg.haar_from_ginibre``), and ``_assembled`` forms V blockdiag(U_k) V^dag
 as V's column blocks times their unitaries, then one product with V^dag.
 Sweeps draw a chunk of trials at once (``commutant_unitary_stack``), the seam
 of their two-phase draw order: once phase A has drawn each trial's factors, the
@@ -153,8 +155,9 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
 
     Each stream draws its blocks' Ginibre matrices in block order, real parts
     before imaginary ones, as one ``ginibre`` call per block would; one gather
-    per block size then splits the draws into that size's blocks, and one
-    stacked QR per block size follows.
+    per block size then splits the draws into that size's blocks, and
+    ``haar_from_ginibre`` makes their unitaries: the phases z / |z| for size 1,
+    one stacked QR for each larger size.
     """
     sizes = np.array(dims)
     widths = 2 * sizes * sizes  # a block's real parts, then its imaginary parts
@@ -582,6 +585,7 @@ class _Feasibility:
         self.right, self.n2 = dagger(self.left), self.left.shape[1]  # L_j (n1, n2, D) and R_j (n1, D, n2)
         self.directions = np.concatenate([np.eye(self.n2), 1j * np.eye(self.n2)])  # e_k, then i e_k
         self.last_tangents = (None, None)  # (ready state, its tangents): see ``tangents``
+        self.last_pointer_derivatives = (None, None)  # (point, its dW): see ``derivatives``
 
     def start(self, rng):
         ready = random_state_vector(self.n2, rng)  # drawn before the blocks, from the same stream
@@ -608,9 +612,12 @@ class _Feasibility:
         return np.concatenate([gathered, (y @ self.right @ self.tangents(point.ready).T).transpose(2, 0, 1)])
 
     def derivatives(self, point, computed):
-        """dG = dW^dag W + W^dag dW; W_j and c_j come from ``residual``."""
+        """dG = dW^dag W + W^dag dW; W_j and c_j come from ``residual``. dW is kept for the last point
+        differentiated: ``curvature`` is asked for there."""
         w, c = computed
-        cross = self.pointer_derivatives(point, c).conj() @ w.mT  # <dW_i|W_j>
+        dw = self.pointer_derivatives(point, c)
+        self.last_pointer_derivatives = (point, dw)
+        cross = dw.conj() @ w.mT  # <dW_i|W_j>
         return cross + cross.conj().mT
 
     def curvature(self, point, computed, residual):
@@ -622,7 +629,9 @@ class _Feasibility:
         -2 (F + tr E) Re(t^dag t')."""
         w, c = computed
         e = residual.view(complex).reshape(len(w), len(w))
-        dw = self.pointer_derivatives(point, c)
+        at, dw = self.last_pointer_derivatives
+        if at is not point:
+            dw = self.pointer_derivatives(point, c)
         flat = dw.reshape(len(dw), -1).view(np.float64)
         s = 2.0 * flat @ (e.conj() @ dw).reshape(len(dw), -1).view(np.float64).T
         a = (self.right @ (e.T @ w)[:, :, None])[..., 0] @ point.blocks.conj()  # rows a_j, (n1, D)

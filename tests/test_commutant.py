@@ -1205,6 +1205,22 @@ class TestFloors:
         monkeypatch.setattr(commutant, "SLOW_PROGRESS", 0.0)  # Gauss-Newton throughout
         assert feasibility_search(q, np.diag([1.0, 2.0]), config=config).objective_trace == result.objective_trace
 
+    def test_curvature_reuses_the_pointer_derivatives(self, monkeypatch):
+        """dW is built once per differentiated point: at a second-order point, and at the endpoint,
+        ``curvature`` takes the one that ``derivatives`` built there."""
+        calls = dict.fromkeys(["pointer_derivatives", "derivatives", "curvature"], 0)
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(commutant._Feasibility, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(commutant._Feasibility, name, counted)
+        config = SearchConfig(seed=0, restarts=1, max_iter=60)
+        result = feasibility_search(quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0])), X, config=config)
+        assert result.stop_reasons == ("no_decrease",) and calls["curvature"] > 1
+        assert calls["pointer_derivatives"] == calls["derivatives"]
+
     def test_geometric_3x5_restarts_converge(self):
         q = quantity(np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]))
         config = SearchConfig(seed=0, restarts=4, max_iter=150)
