@@ -372,14 +372,6 @@ class TestHaar:
         z[1, 2] = z[3, 0] = 0.0
         return z
 
-    @staticmethod
-    def _qr_path(z):
-        """The stacked QR and R-phase correction that larger stacks take."""
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        absd = np.abs(d)
-        return q * np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)[..., None, :]
-
     def test_size_one_is_the_phase(self):
         # z / |z| bit for bit, and 1 where z = 0, as the QR path's phase guard gives
         z = self._phase_stack()
@@ -391,7 +383,7 @@ class TestHaar:
 
     def test_size_one_matches_the_qr_path(self):
         z = self._phase_stack()
-        assert np.abs(haar_from_ginibre(z) - self._qr_path(z)).max() <= 1e-15
+        assert np.abs(haar_from_ginibre(z) - _haar_by_qr(z)).max() <= 1e-15
 
     def test_size_one_calls_no_qr(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -441,20 +433,21 @@ def _diag_quantity(la, lb):
     )
 
 
+def _haar_by_qr(z):
+    """Haar unitaries of a (..., d, d) Ginibre stack by QR and the R-phase correction, for any d."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    absd = np.abs(diag)
+    return q * np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)[..., None, :]
+
+
 def _reference_commutant_unitary(d, rng):
     """Per-block Haar draws in block order, placed on the diagonal of a (D, D) matrix M and
     assembled as V M V^dag: the phase z / |z| for a block of size 1, one QR for a larger one."""
     m = np.zeros(d.vectors.shape, dtype=complex)
     for start, dim in zip(np.cumsum((0, *d.dims)), d.dims):
         z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-        if dim == 1:
-            m[start, start] = (z / np.abs(z))[0, 0]
-            continue
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        absd = np.abs(diag)
-        phases = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-        m[start : start + dim, start : start + dim] = q * phases
+        m[start : start + dim, start : start + dim] = z / np.abs(z) if dim == 1 else _haar_by_qr(z)
     return d.vectors @ m @ dagger(d.vectors)
 
 
