@@ -16,6 +16,7 @@ from .commutant import (
 )
 from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
+    SweepReport,
     commutator,
     hermitian_eigensystem,
     numerical_rank,
@@ -44,7 +45,7 @@ from .noise import (
     variance_identity_audit,
 )
 from .theorem import (
-    CounterexampleSweepReport,
+    CounterexampleConfig,
     IdentityResidualTable,
     TheoremVerdict,
     counterexample_sweep,

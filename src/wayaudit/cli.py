@@ -36,6 +36,7 @@ from .commutant import SearchConfig, feasibility_search, minimize_epsilon
 from .errors import PreconditionError
 from .linalg import GROUPING_TOL, HERMITICITY_TOL, RANK_TOL, UNITARITY_TOL, as_state, require_hermitian
 from .model import (
+    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -43,7 +44,7 @@ from .model import (
     check_nondestructive,
 )
 from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep, noise_report, variance_identity_audit
-from .theorem import SweepTrial, counterexample_sweep, pointer_gram_rank, require_sweep_inputs, theorem_verdict
+from .theorem import CounterexampleConfig, SweepTrial, counterexample_sweep, pointer_gram_rank, theorem_verdict
 
 __all__ = ["LoadedModel", "ModelFileError", "emit_report", "load_model", "main"]
 
@@ -508,63 +509,40 @@ def _require_seed(args) -> int:
     return args.seed
 
 
+def _audit_summary_row(config: AuditConfig, s) -> dict[str, list]:
+    """The bound-audit CSV's last row, in the record's schema: each *_bound column holds its
+    bound's violation fraction, each *_valid column its violation count, and paper_defined
+    and the *_applicable columns their counts."""
+    row = {"trial": "summary", "n1": config.n1, "n2": config.n2, "epsilon_sq": None}
+    for kind in ("robertson", "paper", "yanase", "simplified"):
+        row[f"{kind}_bound"] = getattr(s, f"{kind}_violation_fraction")
+        row[f"{kind}_valid"] = getattr(s, f"{kind}_violations")
+    for name in ("paper_defined", "yanase_applicable", "simplified_applicable"):
+        row[name] = getattr(s, name)
+    return {name: [value] for name, value in row.items()}
+
+
 def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
         raise ModelFileError("usage", "sweep requires --n1, --n2 and --count")
-    if args.kind == "counterexample":
-        require_sweep_inputs(args.n1, args.n2, args.count, seed)
-    else:
-        config = AuditConfig(args.n1, args.n2, args.count, seed, args.tol)
+    # Per kind: config, sweep, record, CSV summary row. Built per call, so a sweep rebound here is the one run.
+    make_config, sweep, record, summary_row = {
+        "counterexample": (CounterexampleConfig, counterexample_sweep, SweepTrial, None),
+        "bound-audit": (AuditConfig, bound_audit_sweep, BoundAuditRecord, _audit_summary_row),
+    }[args.kind]
+    config = make_config(args.n1, args.n2, args.count, seed, args.tol)
     if args.out is None and args.format == "csv":
         raise ModelFileError("out", "--out is required for csv output")
     with _report(args, seed=seed) as (report, csv):
-        if args.kind == "counterexample":
-            sweep = counterexample_sweep(args.n1, args.n2, args.count, seed, args.tol, _csv_sink(csv, SweepTrial))
-            report["results"] = {
-                "kind": "counterexample",
-                "n1": sweep.n1,
-                "n2": sweep.n2,
-                "count": sweep.count,
-                "conforming_count": sweep.conforming_count,
-                "counterexamples": sweep.counterexamples,
-                "max_conforming_commutator": sweep.max_conforming_commutator,
-                "no_counterexample": sweep.no_counterexample,
-            }
-            failed = sweep.counterexamples > 0
-        else:
-            sink = _csv_sink(csv, BoundAuditRecord)
-            s = bound_audit_sweep(config, sink).summary
-            # Summary row reuses the schema: *_bound columns carry violation
-            # fractions, *_defined/_applicable carry counts, *_valid carry
-            # violation counts.
-            summary_row = {
-                "trial": "summary",
-                "n1": args.n1,
-                "n2": args.n2,
-                "epsilon_sq": None,
-                "robertson_bound": s.robertson_violation_fraction,
-                "paper_bound": s.paper_violation_fraction,
-                "paper_defined": s.paper_defined,
-                "yanase_applicable": s.yanase_applicable,
-                "yanase_bound": s.yanase_violation_fraction,
-                "simplified_applicable": s.simplified_applicable,
-                "simplified_bound": s.simplified_violation_fraction,
-                "robertson_valid": s.robertson_violations,
-                "paper_valid": s.paper_violations,
-                "yanase_valid": s.yanase_violations,
-                "simplified_valid": s.simplified_violations,
-            }
-            sink({name: [value] for name, value in summary_row.items()})
-            report["results"] = {
-                "kind": "bound-audit",
-                "n1": args.n1,
-                "n2": args.n2,
-                "count": args.count,
-                **_field_dict(s),
-            }
-            failed = s.robertson_violations > 0
-    return 1 if failed else 0
+        sink = _csv_sink(csv, record)
+        summary = sweep(config, sink).summary
+        if summary_row is not None:
+            sink(summary_row(config, summary))
+        report["results"] = {
+            "kind": args.kind, "n1": config.n1, "n2": config.n2, "count": config.count, **_field_dict(summary)
+        }
+    return 1 if summary.falsified else 0
 
 
 def _cmd_optimize(args) -> int:
@@ -599,11 +577,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tol = np.format_float_scientific(VERDICT_TOL, trim="-", exp_digits=1)  # "1e-9", not repr's "1e-09"
+
     def common(p, state=False):
         p.add_argument("--model", required=True, help="model file (JSON)")
         if state:
             p.add_argument("--state", required=True, help="system state: index, 'plus', or [[re,im],...]")
-        p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance (default 1e-9)")
+        p.add_argument("--tol", type=float, default=VERDICT_TOL, help=f"verdict tolerance (default {tol})")
         p.add_argument("--out", default=None, help="write the report to this path")
 
     for name, func, state, summary in (
@@ -623,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=VERDICT_TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_sweep)

@@ -37,9 +37,8 @@ per stream (``normal_draws``, ``uniform_draws``), with the values of the
 stream's own ``standard_normal`` or ``uniform`` call; ``uniform`` is
 ``low + (high - low) * random``, and ``TestDrawKernels`` pins both. No
 record depends on the chunk size. Both sweeps run one chunk loop,
-``run_sweep``: it hands each chunk's columns to a sink or collects them, and
-totals the chunks' tallies; ``column_records`` turns collected columns back
-into records.
+``run_sweep``: it hands each chunk's columns to a sink or collects them,
+totals the chunks' tallies, and returns one ``SweepReport``.
 """
 
 from __future__ import annotations
@@ -48,17 +47,18 @@ import functools
 import itertools
 import operator
 from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
 
 __all__ = [
+    "SweepReport",
     "anti_hermitian_exp_stack",
     "as_hermitian",
     "as_operator",
     "as_state",
-    "column_records",
     "commutator",
     "commutator_stack",
     "dagger",
@@ -482,19 +482,33 @@ def sweep_chunks(seed: int, count: int, dim: int):
         yield trials, list(itertools.islice(streams, len(trials)))
 
 
-def run_sweep(chunk: Callable, seed: int, count: int, dim: int, sink: Callable[[dict], object] | None = None):
-    """Run ``chunk(trials, streams)`` on each chunk of a sweep (see ``sweep_chunks``);
-    return the columns and the tallies it gives, totalled over the chunks.
+@dataclass(frozen=True)
+class SweepReport:
+    """A sweep's config, its summary and, unless a sink took them, its trials as
+    ``columns``, a list per field of its ``record`` dataclass, which ``records`` reads."""
 
-    Each chunk's columns, a list per name, go to ``sink`` as they come, or,
-    with no sink, are joined into one list per name (and none are kept if a
-    sink took them). Tallies are summed, except that a ``max_*`` tally keeps
-    its largest value.
+    config: object
+    summary: object
+    record: type
+    columns: dict[str, list] = field(hash=False)
+
+    @property
+    def records(self) -> tuple:
+        return tuple(self.record(**dict(zip(self.columns, row))) for row in zip(*self.columns.values()))
+
+
+def run_sweep(config, chunk: Callable, record: type, summarize: Callable, sink: Callable[[dict], object] | None = None):
+    """Run ``chunk(config, trials, streams)`` on each chunk of the sweep ``config`` sets (its
+    ``n1``, ``n2``, ``count`` and ``seed``; see ``sweep_chunks``), and report the sweep.
+
+    Each chunk's columns, a list per ``record`` field, go to ``sink`` as they come, or,
+    with no sink, are collected. Its tallies are totalled (a ``max_*`` tally keeps its
+    largest value, any other is summed) into the summary ``summarize(**totals)``.
     """
     columns: dict[str, list] = {}
     tallies: dict = {}
-    for trials, streams in sweep_chunks(seed, count, dim):
-        chunk_columns, chunk_tallies = chunk(trials, streams)
+    for trials, streams in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
+        chunk_columns, chunk_tallies = chunk(config, trials, streams)
         if sink is not None:
             sink(chunk_columns)
         else:
@@ -503,12 +517,7 @@ def run_sweep(chunk: Callable, seed: int, count: int, dim: int, sink: Callable[[
         for name, value in chunk_tallies.items():
             total = max if name.startswith("max_") else operator.add
             tallies[name] = total(tallies[name], value) if name in tallies else value
-    return columns, tallies
-
-
-def column_records(record: type, columns: dict[str, list]) -> tuple:
-    """One ``record(**row)`` per row of ``columns``, a list per field name."""
-    return tuple(record(**dict(zip(columns, row))) for row in zip(*columns.values()))
+    return SweepReport(config, summarize(**tallies), record, columns)
 
 
 def normal_draws(rngs, shape: tuple[int, ...]) -> np.ndarray:

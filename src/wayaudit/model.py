@@ -58,6 +58,9 @@ __all__ = [
     "synthesize_unitary",
 ]
 
+# The default verdict tolerance of every check and sweep, and of the CLI's
+# --tol: conservation, leakage and exactness residuals at or below it pass.
+VERDICT_TOL = 1e-9
 # A pointer whose diagonal block norm is at or below this is degenerate: it
 # cannot be normalized.
 POINTER_DEGENERACY_TOL = 1e-12
@@ -184,7 +187,7 @@ def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -
     )
 
 
-def check_nondestructive(m: MeasurementModel, tol: float = 1e-9) -> PointerReport:
+def check_nondestructive(m: MeasurementModel, tol: float = VERDICT_TOL) -> PointerReport:
     """Does every measured basis state survive the interaction?
 
     ``leakage`` is the largest norm among the cross-index blocks w(i, j),
@@ -204,7 +207,7 @@ class ExactnessReport:
 
 def check_exact(
     m: MeasurementModel,
-    tol: float = 1e-9,
+    tol: float = VERDICT_TOL,
     nondestructive: PointerReport | None = None,
 ) -> ExactnessReport:
     """Are the pointer states orthonormal (outcomes perfectly distinguishable)?
@@ -229,7 +232,7 @@ class ConservationReport:
     verdict: bool
 
 
-def check_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9) -> ConservationReport:
+def check_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float = VERDICT_TOL) -> ConservationReport:
     """Frobenius residual of U^dag L U - L for the quantity's joint operator."""
     if q.system_op.shape[0] != m.n1 or q.apparatus_op.shape[0] != m.n2:
         raise ValueError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +36,9 @@ from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
     FACTOR_SPECTRUM,
+    SweepReport,
     as_hermitian,
     as_state,
-    column_records,
     commutator_stack,
     dagger,
     frobenius_norm_stack,
@@ -65,6 +65,7 @@ from .linalg import (
     variance_stack,
 )
 from .model import (
+    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -76,7 +77,6 @@ from .model import (
 __all__ = [
     "AuditConfig",
     "BoundAuditRecord",
-    "BoundAuditReport",
     "BoundAuditSummary",
     "ConditionalBoundReport",
     "NoiseReport",
@@ -350,7 +350,7 @@ class NoiseReport:
 
 
 def noise_report(
-    m: MeasurementModel, q: ConservedQuantity, observable, probe, psi, tol: float = 1e-9
+    m: MeasurementModel, q: ConservedQuantity, observable, probe, psi, tol: float = VERDICT_TOL
 ) -> NoiseReport:
     """All four bounds from one pass over the instance's intermediates."""
     x = _instance(m, q, observable, probe, psi, tol)
@@ -367,11 +367,13 @@ def noise_report(
 
 @dataclass(frozen=True)
 class AuditConfig:
+    """A bound audit's inputs, checked on construction in field order."""
+
     n1: int
     n2: int
     count: int
     seed: int
-    tol: float = 1e-9
+    tol: float = VERDICT_TOL
 
     def __post_init__(self):
         if self.n1 < 1:
@@ -425,22 +427,10 @@ class BoundAuditSummary:
     simplified_violations: int
     simplified_violation_fraction: float
 
-
-@dataclass(frozen=True)
-class BoundAuditReport:
-    """An audit's summary and, unless a sink took them, its trials as columns.
-
-    ``columns`` maps each ``BoundAuditRecord`` field to its values over the
-    trials; ``records`` builds the records from them when read.
-    """
-
-    config: AuditConfig
-    columns: dict[str, list] = field(hash=False)
-    summary: BoundAuditSummary
-
     @property
-    def records(self) -> tuple[BoundAuditRecord, ...]:
-        return column_records(BoundAuditRecord, self.columns)
+    def falsified(self) -> bool:
+        """A Robertson violation falsifies the exact chain; the factored bounds are only audited."""
+        return self.robertson_violations > 0
 
 
 def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -536,11 +526,10 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     return {name: _column(columns[name]) for name in _RECORD_FIELDS}, tallies
 
 
-def _audit_summary(count: int, tallies: dict[str, int]) -> BoundAuditSummary:
+def _audit_summary(count: int, **t: int) -> BoundAuditSummary:
     def fraction(kind: str, denominator: int) -> float:
-        return tallies[f"{kind}_violations"] / denominator if denominator else 0.0
+        return t[f"{kind}_violations"] / denominator if denominator else 0.0
 
-    t = tallies
     return BoundAuditSummary(
         **t,
         paper_undefined=count - t["paper_defined"],
@@ -553,7 +542,7 @@ def _audit_summary(count: int, tallies: dict[str, int]) -> BoundAuditSummary:
     )
 
 
-def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None = None) -> BoundAuditReport:
+def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None = None) -> SweepReport:
     """Seeded audit of every bound on random conserving instances.
 
     Trials cycle deterministically through four regimes so the conditional
@@ -569,6 +558,5 @@ def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None
     ``sink(columns)`` as the chunk finishes, if a sink is given, and the
     report then keeps none; otherwise the report collects them.
     """
-    chunk = functools.partial(_audit_chunk, config)
-    columns, tallies = run_sweep(chunk, config.seed, config.count, config.n1 * config.n2, sink)
-    return BoundAuditReport(config=config, columns=columns, summary=_audit_summary(config.count, tallies))
+    summarize = functools.partial(_audit_summary, config.count)
+    return run_sweep(config, _audit_chunk, BoundAuditRecord, summarize, sink)

@@ -16,14 +16,14 @@ commutator run once per chunk (``_sweep_chunk``). Every trial keeps its own
 stream and draws in two phases, its factors first, then its commutant blocks
 and ready state once the factors' eigensystems, known from their draws, have
 fixed its block sizes (see ``commutant``); so each record is the one a
-trial-by-trial loop would give, bit for bit.
-``SweepTrial``'s fields are the CSV schema. ``sample_conserving_instance``
+trial-by-trial loop would give, bit for bit. ``CounterexampleConfig`` checks
+the sweep's inputs, ``SweepTrial``'s fields are the CSV schema, and
+``CounterexampleSummary`` holds the tallies. ``sample_conserving_instance``
 and ``pointer_analysis`` are batches of one over the same kernels.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -34,8 +34,8 @@ from .commutant import commutant_unitary_stack
 from .errors import PreconditionError
 from .linalg import (
     RANK_TOL,
+    SweepReport,
     as_operator,
-    column_records,
     commutator,
     commutator_stack,
     frobenius_norm,
@@ -50,6 +50,7 @@ from .linalg import (
 )
 from .model import (
     POINTER_DEGENERACY_TOL,
+    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -63,7 +64,8 @@ from .model import (
 __all__ = [
     "COUNTEREXAMPLE_COMMUTATOR_TOL",
     "AssumptionCheck",
-    "CounterexampleSweepReport",
+    "CounterexampleConfig",
+    "CounterexampleSummary",
     "GramRankReport",
     "IdentityResidualTable",
     "SweepTrial",
@@ -71,7 +73,6 @@ __all__ = [
     "counterexample_sweep",
     "matrix_element_identity",
     "pointer_gram_rank",
-    "require_sweep_inputs",
     "sample_conserving_instance",
     "sample_instance_stack",
     "theorem_verdict",
@@ -121,7 +122,7 @@ class TheoremVerdict:
         raise KeyError(name)
 
 
-def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9) -> TheoremVerdict:
+def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = VERDICT_TOL) -> TheoremVerdict:
     if q.kind != "multiplicative":
         raise PreconditionError("kind", "theorem_verdict requires a multiplicative quantity")
     la, lb = q.system_op, q.apparatus_op
@@ -162,7 +163,7 @@ class IdentityResidualTable:
 
 
 def matrix_element_identity(
-    m: MeasurementModel, q: ConservedQuantity, tol: float = 1e-9
+    m: MeasurementModel, q: ConservedQuantity, tol: float = VERDICT_TOL
 ) -> IdentityResidualTable:
     """Residual table of the matrix-element consequence of conservation.
 
@@ -195,17 +196,21 @@ class GramRankReport:
     constant_case: bool
 
 
-def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = 1e-9) -> GramRankReport:
+def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = VERDICT_TOL) -> GramRankReport:
     """Rank analysis of B(i,j) = <v(i)|lb|v(j)> for (n1, n2) pointer rows v(i).
 
-    ``constant_case`` flags an all-entries-equal table, in which case the rank
-    can be at most one; that consistency is asserted.
+    ``constant_case`` flags an all-entries-equal table: each entry within ``tol``
+    of B(0,0), and within s = RANK_TOL max|B| / (2 n1). Its rank is then at most
+    one, as asserted: B = B(0,0) J + E with J all ones, so by Weyl's inequality
+    sigma_2(B) <= ||E||_2 <= n1 s <= RANK_TOL sigma_1(B) / 2, half the rank
+    cutoff, the other half covering the SVD's rounding.
     """
     lb = as_operator(lb)
     ptrs = np.asarray(pointers, dtype=complex)
     gram_lb = ptrs.conj() @ lb @ ptrs.T
     rank = numerical_rank(gram_lb, RANK_TOL)
-    constant_case = bool(np.abs(gram_lb - gram_lb[0, 0]).max() <= tol)
+    spread = np.abs(gram_lb - gram_lb[0, 0]).max()
+    constant_case = bool(spread <= min(tol, RANK_TOL * np.abs(gram_lb).max() / (2 * len(gram_lb))))
     if constant_case:
         assert rank <= 1, f"constant table reported rank {rank}"
     return GramRankReport(gram_lb, rank, constant_case)
@@ -256,53 +261,52 @@ _TRIAL_FIELDS = tuple(f.name for f in fields(SweepTrial))
 
 
 @dataclass(frozen=True)
-class CounterexampleSweepReport:
-    """A sweep's tallies and, unless a sink took them, its trials as columns.
-
-    ``columns`` maps each ``SweepTrial`` field to its values over the trials;
-    ``trials`` builds the records from them when read.
-    """
+class CounterexampleConfig:
+    """A counterexample sweep's inputs, checked on construction in field order."""
 
     n1: int
     n2: int
     count: int
     seed: int
-    tol: float
-    columns: dict[str, list] = field(hash=False)
+    tol: float = VERDICT_TOL
+
+    def __post_init__(self):
+        if self.n1 < 1:
+            raise ValueError("n1 must be at least 1")
+        if self.n2 < 1:
+            raise ValueError("n2 must be at least 1")
+        if not self.n2 < 2 * self.n1:
+            raise ValueError(f"dimension precondition violated: n2 = {self.n2} must be < 2*n1 = {2 * self.n1}")
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+
+
+@dataclass(frozen=True)
+class CounterexampleSummary:
+    """A counterexample sweep's tallies; a single counterexample falsifies the no-go claim."""
+
     conforming_count: int
     counterexamples: int
     max_conforming_commutator: float
+    no_counterexample: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "no_counterexample", self.counterexamples == 0)
 
     @property
-    def trials(self) -> tuple[SweepTrial, ...]:
-        return column_records(SweepTrial, self.columns)
-
-    @property
-    def no_counterexample(self) -> bool:
-        return self.counterexamples == 0
+    def falsified(self) -> bool:
+        return not self.no_counterexample
 
 
-def require_sweep_inputs(n1: int, n2: int, count: int, seed: int) -> None:
-    """The input checks of ``counterexample_sweep``, in its order, for callers that check before sampling."""
-    if n1 < 1:
-        raise ValueError("n1 must be at least 1")
-    if n2 < 1:
-        raise ValueError("n2 must be at least 1")
-    if not n2 < 2 * n1:
-        raise ValueError(f"dimension precondition violated: n2 = {n2} must be < 2*n1 = {2 * n1}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-
-
-def _sweep_chunk(n1: int, n2: int, tol: float, trials: range, rngs) -> tuple[dict[str, list], dict]:
+def _sweep_chunk(config: CounterexampleConfig, trials: range, rngs) -> tuple[dict[str, list], dict]:
     """One chunk of trials as stacks: its ``SweepTrial`` columns, as lists, and its tallies."""
-    basis = np.eye(n1, dtype=complex)
-    la, _, interaction, ready = sample_instance_stack(n1, n2, rngs)
+    basis = np.eye(config.n1, dtype=complex)
+    la, _, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
     a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
     comm = frobenius_norm_stack(commutator_stack(observable_in_basis(basis), la))
-    conforming = (a["leakage"] <= tol) & (a["deficit"] <= tol)
+    conforming = (a["leakage"] <= config.tol) & (a["deficit"] <= config.tol)
     counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
     tallies = {
         "conforming_count": int(np.count_nonzero(conforming)),
@@ -313,25 +317,20 @@ def _sweep_chunk(n1: int, n2: int, tol: float, trials: range, rngs) -> tuple[dic
     return dict(zip(_TRIAL_FIELDS, (list(trials), *(array.tolist() for array in arrays)))), tallies
 
 
-def counterexample_sweep(
-    n1: int, n2: int, count: int, seed: int, tol: float = 1e-9, sink: Callable[[dict], object] | None = None
-) -> CounterexampleSweepReport:
+def counterexample_sweep(config: CounterexampleConfig, sink: Callable[[dict], object] | None = None) -> SweepReport:
     """Seeded randomized search for schemes that would falsify the no-go claim.
 
     Each trial draws positive-spectrum factors (Haar-conjugated uniform
     spectra in [0.5, 2.0]), a conserving unitary sampled from the commutant of
     their product, and a random ready state, then records the scheme quality
     and the observable commutator. A counterexample is a trial that is
-    simultaneously nondestructive and exact within ``tol`` yet has commutator
-    norm above ``COUNTEREXAMPLE_COMMUTATOR_TOL``. Trials derive independent
-    streams from (seed, index), so the report is reproducible and
-    order-independent. Its inputs are checked by ``require_sweep_inputs``.
+    simultaneously nondestructive and exact within ``config.tol`` yet has
+    commutator norm above ``COUNTEREXAMPLE_COMMUTATOR_TOL``. Trials derive
+    independent streams from (seed, index), so the report is reproducible and
+    order-independent.
 
     The tallies are taken chunk by chunk. Each chunk's columns go to
     ``sink(columns)`` as the chunk finishes, if a sink is given, and the report
     then keeps none; otherwise the report collects them.
     """
-    require_sweep_inputs(n1, n2, count, seed)
-    chunk = functools.partial(_sweep_chunk, n1, n2, tol)
-    columns, tallies = run_sweep(chunk, seed, count, n1 * n2, sink)
-    return CounterexampleSweepReport(n1=n1, n2=n2, count=count, seed=seed, tol=tol, columns=columns, **tallies)
+    return run_sweep(config, _sweep_chunk, SweepTrial, CounterexampleSummary, sink)

@@ -595,7 +595,7 @@ class TestSweepUsageFirst:
 
 
 class TestThinAdapter:
-    """Each single-model command's results are its library report's fields, canonically encoded."""
+    """Each command's results are its library report's fields, canonically encoded."""
 
     @staticmethod
     def results(capsys, *argv) -> dict:
@@ -624,6 +624,22 @@ class TestThinAdapter:
         for (command, *extra), report in expected.items():
             results = self.results(capsys, command, "--model", "tests/fixtures/cnot.json", *extra)
             assert canonical_json(results) == canonical_json(report), command
+
+    @pytest.mark.parametrize(
+        "kind, config, sweep",
+        [
+            ("counterexample", theorem.CounterexampleConfig(3, 5, 40, 7), theorem.counterexample_sweep),
+            ("bound-audit", noise.AuditConfig(2, 3, 40, 7), noise.bound_audit_sweep),
+        ],
+    )
+    def test_sweep(self, capsys, kind, config, sweep):
+        results = self.results(
+            capsys, "sweep", "--kind", kind, "--n1", str(config.n1), "--n2", str(config.n2),
+            "--count", str(config.count), "--seed", str(config.seed), "--format", "json",
+        )
+        summary = sweep(config).summary
+        expected = {"kind": kind, "n1": config.n1, "n2": config.n2, "count": config.count, **asdict(summary)}
+        assert canonical_json(results) == canonical_json(expected)
 
     def test_optimize(self, capsys):
         results = self.results(
@@ -1105,6 +1121,19 @@ class TestRankCommand:
         report = json.loads(out)
         assert report["results"]["rank"] == 2
         assert report["results"]["constant_case"] is False
+
+    @pytest.mark.parametrize("tol", ["1e-9", "0.3", "0.5", "0.9"])
+    def test_loose_tol_keeps_flag_and_rank_consistent(self, capsys, tmp_path, tol):
+        # LB = diag(0.1, 0.2) on cnot: the pointer Gram table diag(0.1, 0.2) spreads by 0.2,
+        # so a --tol above that must not call it constant while its rank is 2
+        doc = _cnot_doc()
+        doc["conserved"]["LB"] = _pairs(np.diag([0.1, 0.2]))
+        path = tmp_path / "lb.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "rank", "--model", str(path), "--tol", tol)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert (results["rank"], results["constant_case"]) == (2, False)
 
 
 class TestAuditVarianceCommand:

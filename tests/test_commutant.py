@@ -36,7 +36,7 @@ from wayaudit.linalg import (
     tensor_product_stack,
 )
 from wayaudit.model import ConservedQuantity, conservation_residual_stack, conserved_operator
-from wayaudit.theorem import counterexample_sweep
+from wayaudit.theorem import CounterexampleConfig, counterexample_sweep
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -215,7 +215,7 @@ class TestDrawnEigensystems:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         if kind == "counterexample":
-            report = counterexample_sweep(3, 5, count=72, seed=7)  # one chunk at 3x5
+            report = counterexample_sweep(CounterexampleConfig(n1=3, n2=5, count=72, seed=7))  # one chunk at 3x5
             assert len(report.columns["trial"]) == 72
         else:
             report = noise.bound_audit_sweep(noise.AuditConfig(n1=2, n2=3, count=40, seed=7))
@@ -276,7 +276,7 @@ class TestDrawnEigensystems:
         if audit:
             noise._audit_chunk(noise.AuditConfig(n1=n1, n2=n2, count=count, seed=7), trials, rngs)
         else:
-            theorem._sweep_chunk(n1, n2, 1e-9, trials, rngs)
+            theorem._sweep_chunk(CounterexampleConfig(n1=n1, n2=n2, count=count, seed=7), trials, rngs)
         for trial, rng in zip(trials, rngs):
             dims = conserved_eigenspaces(quantity(la[trial], lb[trial])).dims
             expected = self.replayed(trial, n1, n2, dims, audit)

@@ -34,7 +34,7 @@ from wayaudit.linalg import (
 )
 from wayaudit.model import ConservedQuantity, MeasurementModel
 from wayaudit.noise import _expectations
-from wayaudit.theorem import counterexample_sweep, theorem_verdict
+from wayaudit.theorem import CounterexampleConfig, counterexample_sweep, theorem_verdict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -403,7 +403,7 @@ class TestHaar:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted)
-        assert len(counterexample_sweep(3, 5, count=40, seed=7).trials) == 40  # one chunk
+        assert len(counterexample_sweep(CounterexampleConfig(3, 5, count=40, seed=7)).records) == 40  # one chunk
         assert shapes == [(40, 3, 3), (40, 5, 5)]
 
     @pytest.mark.parametrize(

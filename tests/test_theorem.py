@@ -15,6 +15,7 @@ from wayaudit.model import (
     check_nondestructive,
 )
 from wayaudit.theorem import (
+    CounterexampleConfig,
     counterexample_sweep,
     matrix_element_identity,
     pointer_gram_rank,
@@ -86,6 +87,23 @@ class TestPointerGramRank:
         report = pointer_gram_rank(np.zeros((2, 2)), pointers)
         assert report.constant_case
         assert report.rank == 0
+
+
+class TestConstantFlag:
+    """``constant_case`` never contradicts the rank, whatever ``tol``."""
+
+    @given(st.integers(1, 6), seeds, st.floats(-13.0, 1.0), st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 1e300]))
+    @settings(max_examples=200, deadline=None)
+    def test_near_constant_tables(self, n, seed, log_spread, tol):
+        # the identity pointers make the table B itself: c times all ones, plus a spread
+        rng = np.random.default_rng(seed)
+        c = complex(*rng.standard_normal(2))
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        table = c * np.ones((n, n)) + 10.0**log_spread * abs(c) * e / np.abs(e).max()
+        report = pointer_gram_rank(table, np.eye(n), tol)
+        assert not report.constant_case or report.rank <= 1
+        if log_spread <= -12.0 and tol >= 1e-9:
+            assert report.constant_case
 
 
 class TestTheoremVerdict:
@@ -183,48 +201,49 @@ class TestAdditiveCheck:
 
 class TestCounterexampleSweep:
     def test_small_sweeps_find_nothing(self):
-        report = counterexample_sweep(2, 2, 200, seed=5)
-        assert report.counterexamples == 0
-        assert report.no_counterexample
-        assert len(report.trials) == 200
+        report = counterexample_sweep(CounterexampleConfig(2, 2, 200, seed=5))
+        assert report.summary.counterexamples == 0
+        assert report.summary.no_counterexample
+        assert len(report.records) == 200
 
     def test_rejects_wide_apparatus(self):
         with pytest.raises(ValueError, match="dimension precondition"):
-            counterexample_sweep(2, 4, 10, seed=0)
+            counterexample_sweep(CounterexampleConfig(2, 4, 10, seed=0))
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
-            counterexample_sweep(2, 2, 0, seed=0)
+            counterexample_sweep(CounterexampleConfig(2, 2, 0, seed=0))
 
     @pytest.mark.parametrize("n1, n2, field", [(1, 0, "n2"), (1, -1, "n2"), (0, -1, "n1")])
     def test_rejects_nonpositive_dimensions(self, n1, n2, field):
         with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
-            counterexample_sweep(n1, n2, 3, seed=0)
+            counterexample_sweep(CounterexampleConfig(n1, n2, 3, seed=0))
 
     def test_deterministic(self):
-        a = counterexample_sweep(2, 3, 50, seed=9)
-        b = counterexample_sweep(2, 3, 50, seed=9)
+        a = counterexample_sweep(CounterexampleConfig(2, 3, 50, seed=9))
+        b = counterexample_sweep(CounterexampleConfig(2, 3, 50, seed=9))
         assert a == b
 
     def test_trials_record_quality(self):
-        report = counterexample_sweep(3, 3, 50, seed=2)
-        for t in report.trials:
+        report = counterexample_sweep(CounterexampleConfig(3, 3, 50, seed=2))
+        for t in report.records:
             assert t.leakage >= 0.0 and t.deficit >= 0.0
             assert t.counterexample == (t.conforming and t.commutator_norm > 1e-6)
 
     def test_sink_takes_the_columns(self):
         # 40 trials at D = 45 are several chunks; streamed, they add up to the collected columns
         chunks = []
-        streamed = counterexample_sweep(5, 9, 40, 5, sink=chunks.append)
-        collected = counterexample_sweep(5, 9, 40, 5)
+        config = CounterexampleConfig(5, 9, 40, 5)
+        streamed = counterexample_sweep(config, sink=chunks.append)
+        collected = counterexample_sweep(config)
         assert len(chunks) > 1
-        assert (streamed.columns, streamed.trials) == ({}, ())
+        assert (streamed.columns, streamed.records) == ({}, ())
         assert streamed == dataclasses.replace(collected, columns={})
         assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
-        assert len(collected.trials) == 40
+        assert len(collected.records) == 40
 
     @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
     def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
-        long = counterexample_sweep(n1, n2, count, 5).trials
-        short = counterexample_sweep(n1, n2, prefix, 5).trials
+        long = counterexample_sweep(CounterexampleConfig(n1, n2, count, 5)).records
+        short = counterexample_sweep(CounterexampleConfig(n1, n2, prefix, 5)).records
         assert repr(long[:prefix]) == repr(short)
