@@ -689,6 +689,7 @@ class TestSweepGoldens:
         ("bound-audit", 5, 9, 7),  # 40 trials of dimension 45: more than one chunk
         ("counterexample", 2, 2, 7),
         ("counterexample", 2, 3, 7),
+        ("counterexample", 5, 9, 7),  # 40 trials of dimension 45: chunks of 32 and 8
         # seeds of 2 and 4 words: 3 entropy words, which the seed pool pads with
         # zeros, and 5, which mix in after the pool
         ("counterexample", 3, 5, 2**32 + 5),
