@@ -116,24 +116,30 @@ def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
     return BlockDecomposition(values[0], vectors[0], dims)
 
 
+def _joint_spectrum(la_values: np.ndarray, lb_values: np.ndarray, combine=np.multiply):
+    """Ascending joint eigenvalues (k, D) of two stacks of factor spectra, (k, n1) and (k, n2), and
+    their order (k, D): sorted value c is ``combine(lambda_a, mu_b)`` for (a, b) = divmod(order[c],
+    n2), by a stable sort."""
+    products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la_values), -1)
+    order = np.argsort(products, axis=-1, kind="stable")
+    return np.take_along_axis(products, order, axis=-1), order
+
+
 def _joint_eigensystem(la, lb, combine=np.multiply) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (k, D) and eigenvector columns (k, D, D) of the joint operators of
     two stacks of factors, from each factor's eigensystem: ascending values and eigenvector
     columns in that order, ((k, n1), (k, n1, n1)) for la and ((k, n2), (k, n2, n2)) for lb.
 
-    The joint eigenvalues are ``combine(lambda_a, mu_b)``, in ascending order by a stable
-    sort, and their eigenvectors the matching columns of wa (x) wb, built directly: sorted
-    column c, the product (a, b) = divmod(order[c], n2), is wa[:, a] (x) wb[:, b], one
-    broadcast product of the gathered factor columns.
+    The joint eigenvalues are those of ``_joint_spectrum``, and their eigenvectors the matching
+    columns of wa (x) wb, built directly: sorted column c, the product (a, b) = divmod(order[c],
+    n2), is wa[:, a] (x) wb[:, b], one broadcast product of the gathered factor columns.
     """
     (la_values, la_vectors), (lb_values, lb_vectors) = la, lb
-    products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la_values), -1)
-    order = np.argsort(products, axis=-1, kind="stable")
+    values, order = _joint_spectrum(la_values, lb_values, combine)
     a, b = np.divmod(order, lb_values.shape[-1])
     wa = np.take_along_axis(la_vectors, a[:, None, :], axis=-1)  # (k, n1, D)
     wb = np.take_along_axis(lb_vectors, b[:, None, :], axis=-1)  # (k, n2, D)
-    vectors = (wa[:, :, None, :] * wb[:, None, :, :]).reshape(products.shape + products.shape[-1:])
-    return np.take_along_axis(products, order, axis=-1), vectors
+    return values, (wa[:, :, None, :] * wb[:, None, :, :]).reshape(order.shape + order.shape[-1:])
 
 
 def block_sizes(values: np.ndarray):
@@ -193,30 +199,90 @@ def _assembled(vectors: np.ndarray, indices: dict[int, np.ndarray], unitaries: d
     return scaled @ dagger(vectors)
 
 
-def _sampled(vectors: np.ndarray, dims: tuple[int, ...], rngs) -> np.ndarray:
-    """One Haar commutant unitary per stream for (k, D, D) eigenvector matrices whose
-    blocks have sizes ``dims``: ``_block_unitaries``, then ``_assembled``."""
-    return _assembled(vectors, _block_indices(dims), _block_unitaries(dims, rngs))
+def _moved(y: np.ndarray, order: np.ndarray, indices: dict[int, np.ndarray], unitaries: dict[int, np.ndarray]) -> np.ndarray:
+    """blockdiag(U_k) y for (k, m, D) rows y of coefficients on the sorted products, each row indexed by
+    product (a * n2 + b) rather than in sorted order (k, D), and block unitaries (k, blocks, size, size) per
+    block size placed at ``indices`` (sorted positions): the size-1 blocks' phases scattered to their
+    products, then, for each larger size, its blocks' coefficients gathered, times their unitaries, and
+    put back."""
+    phases = np.ones(order.shape, dtype=complex)  # (k, D)
+    if 1 in indices:
+        np.put_along_axis(phases, order[:, indices[1][:, 0]], unitaries[1][..., 0, 0], axis=-1)
+    moved = y * phases[:, None, :]
+    for size, index in indices.items():
+        if size > 1:
+            at = order[:, index].reshape(len(y), 1, -1)  # (k, 1, blocks * size)
+            columns = np.take_along_axis(y, at, axis=-1).reshape(*y.shape[:2], -1, size).transpose(0, 2, 3, 1)
+            rows = (unitaries[size] @ columns).transpose(0, 3, 1, 2).reshape(*y.shape[:2], -1)
+            np.put_along_axis(moved, at, rows, axis=-1)
+    return moved
+
+
+class FactoredCommutant:
+    """Haar unitaries from the commutants of la (x) lb, one per stream, kept in factor space: the
+    factors' eigensystems (see ``_joint_eigensystem``), taken as valid, the order of their sorted
+    products, and the block unitaries of each block structure among the trials.
+
+    Each trial's block sizes come from the eigensystems, and the trials with equal sizes draw
+    together, each from its own stream (``_block_unitaries``), each bit-identical to
+    ``commutant_unitary`` on its own decomposition. ``assembled`` forms the (k, D, D) unitaries;
+    ``pointer_blocks`` applies them to product inputs without forming them.
+    """
+
+    def __init__(self, la, lb, rngs):
+        self.la, self.lb = la, lb
+        values, self.order = _joint_spectrum(la[0], lb[0])
+        groups = {}
+        for i, dims in enumerate(block_sizes(values)):
+            groups.setdefault(dims, []).append(i)
+        self.groups = tuple(  # (trials, block indices, block unitaries) per block structure
+            (trials, _block_indices(dims), _block_unitaries(dims, [rngs[i] for i in trials]))
+            for dims, trials in groups.items()
+        )
+
+    def unitaries(self):
+        """Every unitary ``pointer_blocks`` applies: the factors' eigenvector matrices, and each stack of
+        block unitaries of size above 1 (a size-1 block is a phase z / |z|)."""
+        yield self.la[1]
+        yield self.lb[1]
+        for _, _, unitaries in self.groups:
+            yield from (u for size, u in unitaries.items() if size > 1)
+
+    def assembled(self) -> np.ndarray:
+        """The unitaries V blockdiag(U_k) V^dag, (k, D, D) (see ``_assembled``)."""
+        _, vectors = _joint_eigensystem(self.la, self.lb)
+        if len(self.groups) == 1:  # the usual chunk: one block structure, no gather and scatter of trials
+            _, indices, unitaries = self.groups[0]
+            return _assembled(vectors, indices, unitaries)
+        u = np.empty_like(vectors)
+        for trials, indices, unitaries in self.groups:
+            u[trials] = _assembled(vectors[trials], indices, unitaries)
+        return u
+
+    def pointer_blocks(self, basis: np.ndarray, ready: np.ndarray) -> np.ndarray:
+        """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) for a measured basis (rows u(i), (n1, n1)) and
+        (k, n2) ready states, (k, n1, n1, n2) as ``model._joint_blocks`` gives it from the assembled U,
+        here with no (k, D, D) stack: with P = basis^* wa and c = wb^dag v, V^dag (u(j) (x) v) holds
+        conj(P[j, a]) c[b] at the product (a, b); the block unitaries move these coefficients to Y_j
+        (``_moved``), an (n1, n2) matrix, and V takes them back: w(i, j) = P[i] Y_j wb^T."""
+        (_, wa), (_, wb) = self.la, self.lb
+        left = basis.conj() @ wa  # (k, n1, n1): <u(i)|wa[:, a]>
+        y = product_state(left.conj(), (dagger(wb) @ ready[..., None])[:, None, :, 0])  # (k, n1, D)
+        if len(self.groups) == 1:
+            _, indices, unitaries = self.groups[0]
+            y = _moved(y, self.order, indices, unitaries)
+        else:
+            for trials, indices, unitaries in self.groups:
+                y[trials] = _moved(y[trials], self.order[trials], indices, unitaries)
+        n1, n2 = basis.shape[0], wb.shape[-1]
+        right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), n1, n1, n2)  # (k, j, a, n2): Y_j wb^T
+        return (left[:, None] @ right).swapaxes(1, 2)
 
 
 def commutant_unitary_stack(la, lb, rngs) -> np.ndarray:
     """Haar unitaries from the commutants of la (x) lb, one per stream, (k, D, D), from the
-    factors' eigensystems (see ``_joint_eigensystem``), taken as valid.
-
-    The eigensystems give each trial its block sizes; trials with equal sizes
-    draw and assemble together, each bit-identical to ``commutant_unitary`` on
-    its own decomposition.
-    """
-    values, vectors = _joint_eigensystem(la, lb)
-    groups = {}
-    for i, dims in enumerate(block_sizes(values)):
-        groups.setdefault(dims, []).append(i)
-    if len(groups) == 1:  # the usual chunk: one block structure, no gather and scatter of trials
-        return _sampled(vectors, next(iter(groups)), rngs)
-    u = np.empty_like(vectors)
-    for dims, members in groups.items():
-        u[members] = _sampled(vectors[members], dims, [rngs[i] for i in members])
-    return u
+    factors' eigensystems: ``FactoredCommutant`` assembled."""
+    return FactoredCommutant(la, lb, rngs).assembled()
 
 
 class _Chart:
@@ -319,11 +385,12 @@ def _random_point(vectors: np.ndarray, chart: _Chart, rngs, ready: np.ndarray | 
 def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
     """Haar block unitary assembled in the original basis; conserves L by construction.
 
-    A batch of one of the sweeps' draw and assembly (see ``_sampled``): its
+    A batch of one of the sweeps' draw and assembly (see ``FactoredCommutant``): its
     block unitaries are those of a per-block loop of ``haar_unitary`` draws,
     in block order, bit for bit.
     """
-    return _sampled(d.vectors[None], d.dims, [rng])[0]
+    indices = _block_indices(d.dims)
+    return _assembled(d.vectors[None], indices, _block_unitaries(d.dims, [rng]))[0]
 
 
 @dataclass(frozen=True)

@@ -151,18 +151,16 @@ def _joint_blocks(basis: np.ndarray, ready: np.ndarray, u: np.ndarray) -> np.nda
     return np.ascontiguousarray((basis.conj() @ cols).swapaxes(1, 2))
 
 
-def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerate_tol: float) -> dict:
-    """Leakage, pointers, gram and deficit for (k, n2) ready states and (k, D, D)
-    interactions sharing one measured basis, as (k, ...) arrays; ``degenerate``
-    is a (k, n1) mask."""
-    n1 = basis.shape[0]
-    blocks = _joint_blocks(basis, ready, u)
+def pointer_stack(blocks: np.ndarray, degenerate_tol: float) -> dict:
+    """Leakage, pointers, gram and deficit of (k, n1, n1, n2) pointer blocks w(i, j) (see
+    ``_joint_blocks``), as (k, ...) arrays; ``degenerate`` is a (k, n1) mask."""
+    n1 = blocks.shape[1]
     norms = np.linalg.norm(blocks, axis=-1)
     diag_index = np.arange(n1)
     diag = norms[:, diag_index, diag_index]
     off = norms.copy()
     off[:, diag_index, diag_index] = 0.0
-    leakage = off.max(axis=(1, 2)) if n1 > 1 else np.zeros(len(u))
+    leakage = off.max(axis=(1, 2)) if n1 > 1 else np.zeros(len(blocks))
     found = diag > degenerate_tol
     pointers = np.zeros(blocks.shape[:2] + blocks.shape[3:], dtype=complex)
     np.divide(blocks[:, diag_index, diag_index], diag[..., None], out=pointers, where=found[..., None])
@@ -173,7 +171,8 @@ def pointer_stack(basis: np.ndarray, ready: np.ndarray, u: np.ndarray, degenerat
 
 def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -> PointerReport:
     """``pointer_stack`` for one model; ``tol`` is both the degeneracy and the leakage threshold."""
-    a = {k: v[0] for k, v in pointer_stack(m.system_basis, m.ready_state[None], m.interaction[None], tol).items()}
+    blocks = _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])
+    a = {k: v[0] for k, v in pointer_stack(blocks, tol).items()}
     leakage = float(a["leakage"])
     degenerate = tuple(np.flatnonzero(a["degenerate"]).tolist())
     return PointerReport(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
-from .commutant import commutant_unitary_stack
+from .commutant import FactoredCommutant
 from .errors import PreconditionError
 from .linalg import (
     RANK_TOL,
@@ -216,21 +216,25 @@ def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = VERDICT
     return GramRankReport(gram_lb, rank, constant_case)
 
 
-def sample_instance_stack(n1: int, n2: int, rngs) -> tuple[np.ndarray, ...]:
-    """Random sweep instances, one per stream, as (la, lb, interaction, ready) stacks.
+def sample_instance_stack(n1: int, n2: int, rngs) -> tuple:
+    """Random sweep instances, one per stream: (la, lb) stacks, their conserving unitaries in
+    factor space (``FactoredCommutant``) and the (k, n2) ready states.
 
     Each stream draws la's spectrum and Haar matrix, then lb's, then (once the
     factors' drawn eigensystems have fixed its block sizes) its commutant blocks,
-    then the ready state: the draws of one trial-by-trial sample.
+    then the ready state: the draws of one trial-by-trial sample. Every unitary
+    the interaction applies is checked: the factors' eigenvector matrices and its
+    block unitaries.
     """
     la, la_eigensystem = random_positive_operator_stack(n1, rngs)
     lb, lb_eigensystem = random_positive_operator_stack(n2, rngs)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction = commutant_unitary_stack(la_eigensystem, lb_eigensystem, rngs)
+    interaction = FactoredCommutant(la_eigensystem, lb_eigensystem, rngs)
     ready = random_state_vector_stack(n2, rngs)
     require_unit_norm(ready, "ready_state")
-    require_unitary(interaction, "interaction")
+    for u in interaction.unitaries():
+        require_unitary(u, "interaction")
     return la, lb, interaction, ready
 
 
@@ -239,9 +243,9 @@ def sample_conserving_instance(
 ) -> tuple[MeasurementModel, ConservedQuantity]:
     """One random sweep instance: positive factors, a unitary from their
     commutant, a random ready state, and the computational measured basis."""
-    la, lb, interaction, ready = (a[0] for a in sample_instance_stack(n1, n2, [rng]))
-    q = ConservedQuantity("multiplicative", la, lb)
-    return MeasurementModel(n1, n2, np.eye(n1, dtype=complex), ready, interaction), q
+    la, lb, interaction, ready = sample_instance_stack(n1, n2, [rng])
+    q = ConservedQuantity("multiplicative", la[0], lb[0])
+    return MeasurementModel(n1, n2, np.eye(n1, dtype=complex), ready[0], interaction.assembled()[0]), q
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ def _sweep_chunk(config: CounterexampleConfig, trials: range, rngs) -> tuple[dic
     """One chunk of trials as stacks: its ``SweepTrial`` columns, as lists, and its tallies."""
     basis = np.eye(config.n1, dtype=complex)
     la, _, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
-    a = pointer_stack(basis, ready, interaction, POINTER_DEGENERACY_TOL)
+    a = pointer_stack(interaction.pointer_blocks(basis, ready), POINTER_DEGENERACY_TOL)
     comm = frobenius_norm_stack(commutator_stack(observable_in_basis(basis), la))
     conforming = (a["leakage"] <= config.tol) & (a["deficit"] <= config.tol)
     counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
