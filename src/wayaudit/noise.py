@@ -384,6 +384,8 @@ class AuditConfig:
             raise ValueError("count must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not 0.0 <= self.tol < np.inf:  # NaN fails too
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,12 @@ class TestBoundAuditSweep:
         with pytest.raises(ValueError, match="count"):
             AuditConfig(2, 2, 0, seed=1)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_tol(self, tol):
+        # refused at construction, not later as a conservation residual that "exceeds nan"
+        with pytest.raises(ValueError, match=f"^tol must be nonnegative and finite, got {tol!r}$"):
+            AuditConfig(2, 3, 8, 1, tol=tol)
+
     @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
     def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
         # the first records of a long sweep are those of a short one

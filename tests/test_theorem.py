@@ -219,6 +219,12 @@ class TestCounterexampleSweep:
         with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
             counterexample_sweep(CounterexampleConfig(n1, n2, 3, seed=0))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_tol(self, tol):
+        # a NaN tol would pass no trial and report no counterexample from no evidence
+        with pytest.raises(ValueError, match=f"^tol must be nonnegative and finite, got {tol!r}$"):
+            CounterexampleConfig(2, 2, 50, 1, tol=tol)
+
     def test_deterministic(self):
         a = counterexample_sweep(CounterexampleConfig(2, 3, 50, seed=9))
         b = counterexample_sweep(CounterexampleConfig(2, 3, 50, seed=9))
