@@ -33,9 +33,10 @@ from wayaudit.linalg import (
     haar_unitary,
     random_hermitian,
     random_state_vector,
+    random_state_vector_stack,
     tensor_product_stack,
 )
-from wayaudit.model import ConservedQuantity, conservation_residual_stack, conserved_operator
+from wayaudit.model import ConservedQuantity, _joint_blocks, conservation_residual_stack, conserved_operator
 from wayaudit.theorem import CounterexampleConfig, counterexample_sweep
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -221,6 +222,17 @@ class TestDrawnEigensystems:
             report = noise.bound_audit_sweep(noise.AuditConfig(n1=2, n2=3, count=40, seed=7))
             assert report.summary.robertson_violations == 0
 
+    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 300), (5, 9, 40)])  # two chunks each
+    def test_counterexample_chunk_forms_no_joint_stack(self, monkeypatch, n1, n2, count):
+        # no eigenvector matrix V, no assembled U and so no U^dag U: the pointers are read in factor space
+        def refuse(*args, **kwargs):
+            raise AssertionError("a (chunk, D, D) stack on the counterexample path")
+
+        monkeypatch.setattr(commutant, "_assembled", refuse)
+        monkeypatch.setattr(commutant, "_joint_eigensystem", refuse)
+        report = counterexample_sweep(CounterexampleConfig(n1=n1, n2=n2, count=count, seed=7))
+        assert len(report.columns["trial"]) == count
+
     @pytest.mark.parametrize("n1, n2", SIZES)
     @pytest.mark.parametrize("mode", ["positive", "zero"])
     def test_drawn_eigensystem_diagonalizes_the_stored_factor(self, n1, n2, mode):
@@ -360,6 +372,54 @@ class TestRandomCommutantUnitary:
         for i, q in enumerate(quantities):
             expected = commutant_unitary(conserved_eigenspaces(q), np.random.default_rng((9, i)))
             assert stacked[i].tobytes() == expected.tobytes()
+
+
+class TestFactoredPointers:
+    """``FactoredCommutant.pointer_blocks`` reads the pointer blocks w(i, j) in factor space; the
+    reference assembles U (``commutant_unitary_stack``) and applies it (``model._joint_blocks``)."""
+
+    # 3x5 factor spectra: generic, one block of size 3 per apparatus level, and sizes 1, 2 and 3 mixed
+    SPECTRA = {
+        "generic": ([0.7, 1.1, 1.9], [0.6, 0.9, 1.3, 1.7, 1.95]),
+        "triple": ([1.0, 1.0, 1.0], [0.6, 0.9, 1.3, 1.7, 1.95]),
+        "geometric": ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0]),
+        "mixed": ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 5.0, 7.0]),
+    }
+
+    @staticmethod
+    def eigensystems(names, rng):
+        """Stacks of (ascending values, Haar eigenvector columns) for la and lb, one trial per name."""
+        factors = []
+        for part in (0, 1):
+            values = np.array([TestFactoredPointers.SPECTRA[name][part] for name in names])
+            vectors = np.stack([haar_unitary(values.shape[1], rng) for _ in names])
+            factors.append((values, vectors))
+        return factors
+
+    @pytest.mark.parametrize("basis", ["computational", "rotated"])
+    def test_blocks_match_the_assembled_unitary(self, basis):
+        names = ["generic", "triple", "generic", "geometric", "mixed", "triple", "generic", "mixed"]
+        rng = np.random.default_rng(23)
+        la, lb = self.eigensystems(names, rng)
+        rows = np.eye(3, dtype=complex) if basis == "computational" else haar_unitary(3, rng).T
+        ready = random_state_vector_stack(5, [np.random.default_rng((24, i)) for i in range(len(names))])
+        factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((25, i)) for i in range(len(names))])
+        assert len(factored.groups) == 4  # four block structures, blocks of sizes 1 to 3
+        assert {size for _, indices, _ in factored.groups for size in indices} == {1, 2, 3}
+        assembled = commutant_unitary_stack(la, lb, [np.random.default_rng((25, i)) for i in range(len(names))])
+        ours, reference = factored.pointer_blocks(rows, ready), _joint_blocks(rows, ready, assembled)
+        assert ours.shape == reference.shape == (len(names), 3, 3, 5)
+        assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_applies_only_checked_unitaries(self):
+        # the factors' eigenvector matrices and each block-unitary stack of size above 1
+        names = ["generic", "mixed", "triple"]
+        la, lb = self.eigensystems(names, np.random.default_rng(26))
+        factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((27, i)) for i in range(len(names))])
+        sizes = sorted(u.shape[-1] for u in factored.unitaries())
+        assert sizes == [2, 3, 3, 3, 5]  # "mixed": sizes 2 and 3; "triple": 3; wa and wb
+        for u in factored.unitaries():
+            linalg.require_unitary(u, "interaction")
 
 
 class TestProjectGenerator:

@@ -14,11 +14,14 @@ from wayaudit.model import (
     check_conserved,
     check_nondestructive,
 )
+from wayaudit import theorem
 from wayaudit.theorem import (
     CounterexampleConfig,
     counterexample_sweep,
     matrix_element_identity,
     pointer_gram_rank,
+    sample_conserving_instance,
+    sample_instance_stack,
     theorem_verdict,
 )
 
@@ -247,6 +250,29 @@ class TestCounterexampleSweep:
         assert streamed == dataclasses.replace(collected, columns={})
         assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
         assert len(collected.records) == 40
+
+    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 300), (5, 9, 40)])  # two chunks each
+    def test_records_match_assembled_instances(self, n1, n2, count):
+        # the chunk reads its pointers in factor space; each trial's instance, assembled, agrees
+        report = counterexample_sweep(CounterexampleConfig(n1, n2, count, 7))
+        for record in report.records:
+            model, _ = sample_conserving_instance(n1, n2, np.random.default_rng((7, record.trial)))
+            nd = check_nondestructive(model)
+            assert abs(record.leakage - nd.leakage) <= 1e-12 * nd.leakage
+            assert abs(record.deficit - nd.deficit) <= 1e-12 * nd.deficit
+            assert record.degenerate_pointer == bool(nd.degenerate)
+
+    def test_sampler_checks_the_applied_unitaries(self, monkeypatch):
+        # the unitarity check covers the factors' eigenvector matrices, not an assembled U
+        drawn = theorem.random_positive_operator_stack
+
+        def skewed(dim, rngs):
+            op, (values, vectors) = drawn(dim, rngs)
+            return op, (values, 1.001 * vectors)
+
+        monkeypatch.setattr(theorem, "random_positive_operator_stack", skewed)
+        with pytest.raises(PreconditionError, match="^interaction: not unitary"):
+            sample_instance_stack(3, 5, [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
     def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
