@@ -31,23 +31,34 @@ The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
 factors' eigenvectors, with eigenvalues lambda_a mu_b (lambda_a + mu_b).
 ``_joint_eigensystem`` builds the decomposition from the factors' eigensystems,
-never from L, and forms each sorted eigenvector column directly as the product
-of its two factor columns. ``conserved_eigenspaces`` takes them from one
+never from L: ``_joint_spectrum`` sorts the products of their eigenvalues, and
+each sorted eigenvector column is formed directly as the product of its two
+factor columns. ``conserved_eigenspaces`` takes them from one
 ``eigh`` per factor; the sweeps take them from their draws, which build each
 factor from its spectrum and Haar eigenvectors (``linalg.sorted_eigensystem``),
 so a sweep chunk runs no ``eigh``.
 
-One draw path and one assembly serve every caller: ``_block_unitaries`` draws
-the Haar block unitaries of each block size, one stream per decomposition (or
-per member of a stack of them), a size-1 block as a phase z / |z| with no QR
-(``linalg.haar_from_ginibre``), and ``_assembled`` forms V blockdiag(U_k) V^dag
-as V's column blocks times their unitaries, then one product with V^dag.
-Sweeps draw a chunk of trials at once (``commutant_unitary_stack``), the seam
-of their two-phase draw order: once phase A has drawn each trial's factors, the
-factor eigensystems give each trial's block sizes, and phase B opens with every
-trial drawing its blocks from its own stream, in ascending-eigenvalue order.
-``commutant_unitary`` is its batch of one, and every optimizer restart starts
-from the same draw, placed in one block-diagonal matrix (``_random_point``).
+One draw path serves every caller: ``_block_unitaries`` draws the Haar block
+unitaries of each block size, one stream per decomposition (or per member of a
+stack of them), a size-1 block as a phase z / |z| with no QR
+(``linalg.haar_from_ginibre``). Sweeps draw a chunk of trials at once
+(``FactoredCommutant``), the seam of their two-phase draw order: once phase A
+has drawn each trial's factors, the factor eigensystems give each trial's block
+sizes, and phase B opens with every trial drawing its blocks from its own
+stream, in ascending-eigenvalue order. A ``FactoredCommutant`` keeps its
+unitaries in factor space: the eigensystems, the order of the sorted products
+and the block unitaries. The counterexample sweep needs U only on the n1
+product inputs u_j (x) v, so it applies U there without forming it
+(``FactoredCommutant.pointer_blocks``): V^dag (u_j (x) v) is the outer product
+(wa^dag u_j)(wb^dag v)^T, the block unitaries move its entries in sorted-product
+order, and V takes the result Y_j back as wa Y_j wb^T (the Kronecker
+mixed-product rule), O(n1 n2 (n1 + n2)) per input and no (D, D) matrix. Where U
+itself is needed, one assembly serves: ``_assembled`` forms V blockdiag(U_k)
+V^dag as V's column blocks times their unitaries, then one product with V^dag,
+for the bound audit (``commutant_unitary_stack``), ``commutant_unitary`` (its
+batch of one), ``theorem.sample_conserving_instance`` and the optimizer's best
+point; every optimizer restart starts from the same draw, placed in one
+block-diagonal matrix (``_random_point``).
 """
 
 from __future__ import annotations
@@ -76,6 +87,7 @@ from .model import POINTER_DEGENERACY_TOL, ConservedQuantity
 
 __all__ = [
     "BlockDecomposition",
+    "FactoredCommutant",
     "SearchConfig",
     "SearchResult",
     "block_sizes",
@@ -200,11 +212,9 @@ def _assembled(vectors: np.ndarray, indices: dict[int, np.ndarray], unitaries: d
 
 
 def _moved(y: np.ndarray, order: np.ndarray, indices: dict[int, np.ndarray], unitaries: dict[int, np.ndarray]) -> np.ndarray:
-    """blockdiag(U_k) y for (k, m, D) rows y of coefficients on the sorted products, each row indexed by
-    product (a * n2 + b) rather than in sorted order (k, D), and block unitaries (k, blocks, size, size) per
-    block size placed at ``indices`` (sorted positions): the size-1 blocks' phases scattered to their
-    products, then, for each larger size, its blocks' coefficients gathered, times their unitaries, and
-    put back."""
+    """blockdiag(U_k) y for (k, m, D) rows y of eigenvector coefficients indexed by product a * n2 + b,
+    where sorted position c is product ``order[:, c]``, and block unitaries (k, blocks, size, size) per
+    block size placed at ``indices`` (sorted positions), as in ``_assembled``."""
     phases = np.ones(order.shape, dtype=complex)  # (k, D)
     if 1 in indices:
         np.put_along_axis(phases, order[:, indices[1][:, 0]], unitaries[1][..., 0, 0], axis=-1)
@@ -221,13 +231,8 @@ def _moved(y: np.ndarray, order: np.ndarray, indices: dict[int, np.ndarray], uni
 class FactoredCommutant:
     """Haar unitaries from the commutants of la (x) lb, one per stream, kept in factor space: the
     factors' eigensystems (see ``_joint_eigensystem``), taken as valid, the order of their sorted
-    products, and the block unitaries of each block structure among the trials.
-
-    Each trial's block sizes come from the eigensystems, and the trials with equal sizes draw
-    together, each from its own stream (``_block_unitaries``), each bit-identical to
-    ``commutant_unitary`` on its own decomposition. ``assembled`` forms the (k, D, D) unitaries;
-    ``pointer_blocks`` applies them to product inputs without forming them.
-    """
+    products, and the block unitaries of each block structure among the trials. Trials with equal
+    block sizes draw together, each from its own stream, as ``commutant_unitary`` would."""
 
     def __init__(self, la, lb, rngs):
         self.la, self.lb = la, lb
@@ -241,39 +246,36 @@ class FactoredCommutant:
         )
 
     def unitaries(self):
-        """Every unitary ``pointer_blocks`` applies: the factors' eigenvector matrices, and each stack of
-        block unitaries of size above 1 (a size-1 block is a phase z / |z|)."""
+        """Every unitary ``pointer_blocks`` applies: wa, wb and each block-unitary stack of size above 1
+        (a size-1 block is a phase z / |z|)."""
         yield self.la[1]
         yield self.lb[1]
         for _, _, unitaries in self.groups:
             yield from (u for size, u in unitaries.items() if size > 1)
 
+    def _by_structure(self, stack: np.ndarray, apply) -> np.ndarray:
+        """``apply(stack, order, indices, unitaries)`` on the trials of each block structure, as one (k, ...) stack."""
+        if len(self.groups) == 1:  # the usual chunk: one block structure, no gather and scatter of trials
+            _, indices, unitaries = self.groups[0]
+            return apply(stack, self.order, indices, unitaries)
+        out = np.empty_like(stack)
+        for trials, indices, unitaries in self.groups:
+            out[trials] = apply(stack[trials], self.order[trials], indices, unitaries)
+        return out
+
     def assembled(self) -> np.ndarray:
         """The unitaries V blockdiag(U_k) V^dag, (k, D, D) (see ``_assembled``)."""
         _, vectors = _joint_eigensystem(self.la, self.lb)
-        if len(self.groups) == 1:  # the usual chunk: one block structure, no gather and scatter of trials
-            _, indices, unitaries = self.groups[0]
-            return _assembled(vectors, indices, unitaries)
-        u = np.empty_like(vectors)
-        for trials, indices, unitaries in self.groups:
-            u[trials] = _assembled(vectors[trials], indices, unitaries)
-        return u
+        return self._by_structure(vectors, lambda v, _, indices, unitaries: _assembled(v, indices, unitaries))
 
     def pointer_blocks(self, basis: np.ndarray, ready: np.ndarray) -> np.ndarray:
-        """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) for a measured basis (rows u(i), (n1, n1)) and
-        (k, n2) ready states, (k, n1, n1, n2) as ``model._joint_blocks`` gives it from the assembled U,
-        here with no (k, D, D) stack: with P = basis^* wa and c = wb^dag v, V^dag (u(j) (x) v) holds
-        conj(P[j, a]) c[b] at the product (a, b); the block unitaries move these coefficients to Y_j
-        (``_moved``), an (n1, n2) matrix, and V takes them back: w(i, j) = P[i] Y_j wb^T."""
+        """``model._joint_blocks`` of the assembled unitaries, (k, n1, n1, n2), with no (k, D, D) stack: with
+        P = basis^* wa and c = wb^dag v, V^dag (u(j) (x) v) holds conj(P[j, a]) c[b] at product (a, b), the
+        block unitaries move it to Y_j (``_moved``), and w(i, j) = P[i] Y_j wb^T."""
         (_, wa), (_, wb) = self.la, self.lb
         left = basis.conj() @ wa  # (k, n1, n1): <u(i)|wa[:, a]>
         y = product_state(left.conj(), (dagger(wb) @ ready[..., None])[:, None, :, 0])  # (k, n1, D)
-        if len(self.groups) == 1:
-            _, indices, unitaries = self.groups[0]
-            y = _moved(y, self.order, indices, unitaries)
-        else:
-            for trials, indices, unitaries in self.groups:
-                y[trials] = _moved(y[trials], self.order[trials], indices, unitaries)
+        y = self._by_structure(y, _moved)
         n1, n2 = basis.shape[0], wb.shape[-1]
         right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), n1, n1, n2)  # (k, j, a, n2): Y_j wb^T
         return (left[:, None] @ right).swapaxes(1, 2)

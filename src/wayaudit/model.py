@@ -12,9 +12,10 @@ unit-norm ready state, unitary interaction, Hermitian factors) through the
 shared stack-aware checks of ``linalg`` (``require_orthonormal_rows``,
 ``require_unit_norm``, ``require_unitary``, ``require_hermitian``), which the
 sweep samplers call on whole stacks. A failure raises a ``PreconditionError``
-named after the dataclass field. The pointer analysis runs on (k, ...) stacks
-of models for the sweeps (``pointer_stack``); ``pointer_analysis`` is its
-batch of one.
+named after the dataclass field. The pointer analysis runs on (k, n1, n1, n2)
+stacks of pointer blocks (``pointer_stack``): the counterexample sweep reads its
+blocks in factor space (``commutant.FactoredCommutant``), and
+``pointer_analysis`` takes one model's from its U (``_joint_blocks``).
 """
 
 from __future__ import annotations

@@ -16,10 +16,13 @@ commutator run once per chunk (``_sweep_chunk``). Every trial keeps its own
 stream and draws in two phases, its factors first, then its commutant blocks
 and ready state once the factors' eigensystems, known from their draws, have
 fixed its block sizes (see ``commutant``); so each record is the one a
-trial-by-trial loop would give, bit for bit. ``CounterexampleConfig`` checks
-the sweep's inputs, ``SweepTrial``'s fields are the CSV schema, and
-``CounterexampleSummary`` holds the tallies. ``sample_conserving_instance``
-and ``pointer_analysis`` are batches of one over the same kernels.
+trial-by-trial loop would give, bit for bit. The chunk reads its pointer blocks
+in factor space (``commutant.FactoredCommutant``) and forms no (chunk, D, D)
+stack: no eigenvector matrix, no U and no U^dag U, and it checks the unitaries
+it applies instead of U. ``CounterexampleConfig`` checks the sweep's inputs,
+``SweepTrial``'s fields are the CSV schema, and ``CounterexampleSummary`` holds
+the tallies. ``sample_conserving_instance`` is a batch of one of the sampler,
+with its U assembled; ``pointer_analysis`` shares the chunk's pointer analysis.
 """
 
 from __future__ import annotations
@@ -222,9 +225,7 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple:
 
     Each stream draws la's spectrum and Haar matrix, then lb's, then (once the
     factors' drawn eigensystems have fixed its block sizes) its commutant blocks,
-    then the ready state: the draws of one trial-by-trial sample. Every unitary
-    the interaction applies is checked: the factors' eigenvector matrices and its
-    block unitaries.
+    then the ready state: the draws of one trial-by-trial sample.
     """
     la, la_eigensystem = random_positive_operator_stack(n1, rngs)
     lb, lb_eigensystem = random_positive_operator_stack(n2, rngs)
