@@ -70,6 +70,7 @@ __all__ = [
     "haar_unitary",
     "hermitian_eigensystem",
     "hermitian_from_spectrum",
+    "image_variance_stack",
     "matvec_stack",
     "normal_draws",
     "normalized_stack",
@@ -270,7 +271,11 @@ def variance(a: np.ndarray, s: np.ndarray) -> float:
 
 def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``variance`` for each Hermitian matrix and state of (k, n, n) and (k, n) stacks, unvalidated."""
-    w = matvec_stack(a, s)
+    return image_variance_stack(s, matvec_stack(a, s))
+
+
+def image_variance_stack(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``variance`` of a Hermitian a on each state of a (k, n) stack, from the images w = a s, unvalidated."""
     second_moment = np.vecdot(w, w).real
     mean = np.vecdot(s, w).real
     value = second_moment - mean * mean

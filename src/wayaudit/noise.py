@@ -40,12 +40,12 @@ from .linalg import (
     as_hermitian,
     as_state,
     commutator_stack,
-    dagger,
     frobenius_norm_stack,
     ginibre_stack,
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_from_spectrum,
+    image_variance_stack,
     matvec_stack,
     normalized_stack,
     product_state,
@@ -70,7 +70,6 @@ from .model import (
     MeasurementModel,
     check_conserved,
     conservation_residual_stack,
-    conserved_operator,
     require_conserved,
 )
 
@@ -105,34 +104,40 @@ def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) ->
     require_conserved(check_conserved(m, q, tol).residual, tol)
 
 
-def _noise_operator_stack(u: np.ndarray, observable: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space, for each member of (k, ...) stacks."""
-    n1, n2 = observable.shape[-1], probe.shape[-1]
-    evolved = dagger(u) @ tensor_product_stack(np.eye(n1, dtype=complex), probe) @ u
-    return evolved - tensor_product_stack(observable, np.eye(n2, dtype=complex))
-
-
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
-    Every bound formula reads from here. Inputs are taken as valid, the
-    conserved operators ``la (x) lb`` included: ``_instance`` checks them for
-    one instance, and the audit sampler builds them valid.
+    Every figure is read off the product state psi (x) v and its image phi = U (psi (x) v):
+    no joint-space operator but U is formed. Inputs are taken as valid: ``_instance``
+    checks them for one instance, and the audit sampler builds them valid.
     """
 
-    def __init__(self, u, ready, observable, psi, probe, la, lb, conserved):
-        self.u, self.ready, self.psi, self.la, self.lb, self.conserved = u, ready, psi, la, lb, conserved
-        self.joint_state = product_state(psi, ready)
-        self.noise = _noise_operator_stack(u, observable, probe)
-        self.noise_state = matvec_stack(self.noise, self.joint_state)
+    def __init__(self, u, ready, observable, psi, probe, la, lb):
+        k, n1, n2 = len(u), psi.shape[-1], ready.shape[-1]
+        joint_state = product_state(psi, ready)
+        evolved = matvec_stack(u, joint_state).reshape(k, n1, n2)  # phi, as its n1 x n2 reshape Phi
+        # N (psi (x) v) = U^dag (1 (x) probe) phi - (observable psi) (x) v; (1 (x) probe) phi is Phi probe^T
+        probed = (evolved @ probe.mT).reshape(k, -1)
+        self.noise_state = _adjoint_matvec(u, probed) - product_state(matvec_stack(observable, psi), ready)
         self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
-        self.var_conserved = variance_stack(self.conserved, self.joint_state)
+        self.conserved_state = product_state(matvec_stack(la, psi), matvec_stack(lb, ready))  # L (psi (x) v)
+        self.var_conserved = image_variance_stack(joint_state, self.conserved_state)
         self.var_la = variance_stack(la, psi)
         self.var_lb = variance_stack(lb, ready)
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
         self.observable_commutator = commutator_stack(observable, la)
-        self.observable_term = tensor_product_stack(self.observable_commutator, lb)
         self.probe_commutator = commutator_stack(probe, lb)
+        self.ready_mean = _expectations(lb, ready)  # <v|lb|v>
+        self.commutator_mean = _expectations(self.observable_commutator, psi)  # <psi|[observable, la]|psi>
+        self.product_mean = self.commutator_mean * self.ready_mean  # of [observable, la] (x) lb on psi (x) v
+        # <phi|(la (x) [probe, lb]) phi>: (la (x) C) phi is la Phi C^T
+        moved = la @ evolved @ self.probe_commutator.mT
+        self.evolved_mean = np.vecdot(evolved.reshape(k, -1), moved.reshape(k, -1))
+
+
+def _adjoint_matvec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U^dag v for each matrix and vector of (k, D, D) and (k, D) stacks, with no conjugate copy of U."""
+    return (v.conj()[:, None, :] @ u)[:, 0].conj()
 
 
 def _instance(m, q, observable, probe, psi, tol) -> _Stack:
@@ -146,7 +151,7 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     probe = as_hermitian(probe, m.n2, "probe")
     return _Stack(
         m.interaction[None], m.ready_state[None], observable[None], psi[None], probe[None],
-        q.system_op[None], q.apparatus_op[None], conserved_operator(q)[None],
+        q.system_op[None], q.apparatus_op[None],
     )
 
 
@@ -211,11 +216,9 @@ class RobertsonReport:
 
 
 def _robertson(x: _Stack) -> dict:
-    js = x.joint_state
-    comm_expect = np.vecdot(
-        js, matvec_stack(x.noise, matvec_stack(x.conserved, js)) - matvec_stack(x.conserved, x.noise_state)
-    )
-    numerator = _abs_squares(comm_expect) / 4.0
+    # <[N, L]> = <N s|L s> - <L s|N s> = -2i Im z for z = <L s|N s>, s = psi (x) v
+    z = np.vecdot(x.conserved_state, x.noise_state).imag
+    numerator = z * z
     degenerate = x.var_conserved <= DEGENERACY_TOL
     bound = _ratio(numerator, x.var_conserved, ~degenerate)
     return {
@@ -244,8 +247,7 @@ class PaperBoundReport:
 
 
 def _paper(x: _Stack) -> dict:
-    evolved_term = dagger(x.u) @ tensor_product_stack(x.la, x.probe_commutator) @ x.u
-    numerator = _abs_squares(_expectations(x.observable_term - evolved_term, x.joint_state))
+    numerator = _abs_squares(x.product_mean - x.evolved_mean)
     defined = x.factored_denominator > DEGENERACY_TOL
     bound = _ratio(numerator, x.factored_denominator, defined)
     return {
@@ -289,15 +291,12 @@ def _conditional(x: _Stack, applicable, numerator, denominator) -> dict:
 
 def _yanase(x: _Stack) -> dict:
     applicable = ~(frobenius_norm_stack(x.probe_commutator) > YANASE_COMMUTATOR_TOL)
-    numerator = _abs_squares(_expectations(x.observable_term, x.joint_state))
-    return _conditional(x, applicable, numerator, x.factored_denominator)
+    return _conditional(x, applicable, _abs_squares(x.product_mean), x.factored_denominator)
 
 
 def _simplified(x: _Stack) -> dict:
-    ready_expect = _expectations(x.lb, x.ready)
-    applicable = ~(np.hypot(ready_expect.real, ready_expect.imag) > ZERO_EXPECTATION_TOL)
-    numerator = _abs_squares(_expectations(x.observable_commutator, x.psi))
-    return _conditional(x, applicable, numerator, 4.0 * x.var_la)
+    applicable = ~(np.hypot(x.ready_mean.real, x.ready_mean.imag) > ZERO_EXPECTATION_TOL)
+    return _conditional(x, applicable, _abs_squares(x.commutator_mean), 4.0 * x.var_la)
 
 
 @dataclass(frozen=True)
@@ -509,9 +508,8 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     probe = _probes(lb_vectors, rngs, yanase_mode)
     psi = random_state_vector_stack(n1, rngs)
 
-    conserved = tensor_product_stack(la, lb)
-    x = _Stack(interaction, ready, observable, psi, probe, la, lb, conserved)
-    require_conserved(conservation_residual_stack(interaction, conserved), config.tol)
+    require_conserved(conservation_residual_stack(interaction, tensor_product_stack(la, lb)), config.tol)
+    x = _Stack(interaction, ready, observable, psi, probe, la, lb)
     kernels = {"robertson": _robertson(x), "paper": _paper(x), "yanase": _yanase(x), "simplified": _simplified(x)}
     columns = {f"{kind}_{name}": column for kind, kernel in kernels.items() for name, column in kernel.items()}
     # a flag is False only where its bound applies and is defined

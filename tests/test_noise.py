@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E0, I2, LA_DIAG, PLUS, X, Z, chunk_sizes
+from wayaudit import noise
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
@@ -13,11 +14,11 @@ from wayaudit.linalg import (
     random_state_vector,
     tensor_product,
     variance,
+    variance_stack,
 )
 from wayaudit.model import ConservedQuantity, MeasurementModel, conserved_operator
 from wayaudit.noise import (
     AuditConfig,
-    _noise_operator_stack,
     bound_audit_sweep,
     noise_report,
     variance_identity_audit,
@@ -41,8 +42,127 @@ def conserving_instance(n1, n2, seed):
 
 
 def noise_operator(m, observable, probe):
-    """N = U^dag (1 (x) probe) U - observable (x) 1, from the noise engine's kernel."""
-    return _noise_operator_stack(m.interaction[None], observable[None], probe[None])[0]
+    """N = U^dag (1 (x) probe) U - observable (x) 1 on the joint space, as a (D, D) matrix."""
+    u = m.interaction
+    return dagger(u) @ np.kron(np.eye(m.n1), probe) @ u - np.kron(observable, np.eye(m.n2))
+
+
+def reference_kernels(u, ready, observable, psi, probe, la, lb):
+    """The four bounds' columns for one instance from (D, D) operators: the noise operator N, U^dag (la (x)
+    [probe, lb]) U and [observable, la] (x) lb, each expectation taken on psi (x) v as a matrix product."""
+    n1, n2 = len(psi), len(ready)
+    s = np.kron(psi, ready)
+    conserved = np.kron(la, lb)
+    n = dagger(u) @ np.kron(np.eye(n1), probe) @ u - np.kron(observable, np.eye(n2))
+    noise_state = n @ s
+    epsilon_sq = float(np.vdot(noise_state, noise_state).real)
+
+    def var(a, state):
+        return float(variance_stack(a[None], state[None])[0])
+
+    def valid(bound, keep):
+        return bool(bound <= epsilon_sq + noise.VALIDITY_SLACK) if keep else None
+
+    def conditional(applicable, numerator, denominator):
+        defined = denominator > noise.DEGENERACY_TOL
+        bound = numerator / denominator if defined else 0.0
+        kept = applicable and defined
+        return {"applicable": applicable, "bound": bound if kept else None,
+                "defined": defined if applicable else None, "valid": valid(bound, kept)}
+
+    var_conserved = var(conserved, s)
+    numerator = abs(np.vdot(s, n @ conserved @ s - conserved @ noise_state)) ** 2 / 4.0
+    degenerate = var_conserved <= noise.DEGENERACY_TOL
+    bound = 0.0 if degenerate else numerator / var_conserved
+    robertson = {"bound": bound, "numerator": numerator, "var_conserved": var_conserved,
+                 "degenerate": degenerate, "valid": valid(bound, True)}
+    probe_commutator = commutator(probe, lb)
+    observable_term = np.kron(commutator(observable, la), lb)
+    evolved_term = dagger(u) @ np.kron(la, probe_commutator) @ u
+    numerator = abs(np.vdot(s, (observable_term - evolved_term) @ s)) ** 2
+    denominator = 4.0 * var(la, psi) * var(lb, ready)
+    defined = denominator > noise.DEGENERACY_TOL
+    bound = numerator / denominator if defined else 0.0
+    paper = {"bound": bound if defined else None, "defined": defined, "valid": valid(bound, defined),
+             "numerator": numerator, "denominator": denominator}
+    yanase = conditional(
+        not np.linalg.norm(probe_commutator) > noise.YANASE_COMMUTATOR_TOL,
+        abs(np.vdot(s, observable_term @ s)) ** 2, denominator,
+    )
+    simplified = conditional(
+        not abs(np.vdot(ready, lb @ ready)) > noise.ZERO_EXPECTATION_TOL,
+        abs(np.vdot(psi, commutator(observable, la) @ psi)) ** 2, 4.0 * var(la, psi),
+    )
+    return {"epsilon_sq": epsilon_sq, "robertson": robertson, "paper": paper, "yanase": yanase,
+            "simplified": simplified}
+
+
+def assert_kernels_match_reference(u, ready, observable, psi, probe, la, lb):
+    """The engine's product-state kernels on a (k, ...) stack agree with ``reference_kernels`` on each
+    instance: every flag equal, every value within 1e-12 relative where the reference is at least 1e-20."""
+    x = noise._Stack(u, ready, observable, psi, probe, la, lb)
+    kernels = {"robertson": noise._robertson, "paper": noise._paper, "yanase": noise._yanase,
+               "simplified": noise._simplified}
+    ours = {kind: {name: noise._column(column) for name, column in kernel(x).items()} for kind, kernel in kernels.items()}
+    compared = 0
+    for i, instance in enumerate(zip(u, ready, observable, psi, probe, la, lb)):
+        reference = reference_kernels(*instance)
+        cells = [("epsilon_sq", reference["epsilon_sq"], float(x.epsilon_sq[i]))]
+        for kind in kernels:
+            cells += [(f"{kind}.{name}", value, ours[kind][name][i]) for name, value in reference[kind].items()]
+        for name, expected, value in cells:
+            if expected is None or isinstance(expected, bool):
+                assert value is expected or value == expected, (i, name, value, expected)
+            elif abs(expected) >= 1e-20:
+                assert abs(value - expected) <= 1e-12 * abs(expected), (i, name, value, expected)
+                compared += 1
+    assert compared > 0
+
+
+class TestProductStateKernels:
+    """Every figure read off U (psi (x) v) equals the one the (D, D) noise operator gives."""
+
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (2, 2), (2, 3), (3, 5), (4, 7), (5, 9)])
+    def test_audit_instances(self, monkeypatch, n1, n2):
+        # 40 audit trials cycle through the four regimes: plain, Yanase, zero expectation, both
+        stacks = []
+
+        def recorded(*args):
+            stacks.append(args)
+            return stack(*args)
+
+        stack = noise._Stack
+        monkeypatch.setattr(noise, "_Stack", recorded)
+        bound_audit_sweep(AuditConfig(n1, n2, 40, seed=3))
+        monkeypatch.undo()
+        for args in stacks:
+            assert_kernels_match_reference(*args)
+
+    @pytest.mark.parametrize(
+        "la_values, lb_values",
+        [
+            ([1.0, 2.0], [1.0, 2.0, 4.0]),  # blocks (1, 2, 2, 1)
+            ([1.0, 2.0], [2.0, 1.0, 1.0]),  # blocks (2, 3, 1), lb's eigenvalues unsorted
+            ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0]),  # geometric: blocks of sizes 1 to 3
+            ([1.0, 2.0], [-1.0, 0.0, 1.0]),  # traceless lb: zero-expectation ready states
+        ],
+    )
+    def test_crafted_block_structures(self, la_values, lb_values):
+        rng = np.random.default_rng(len(la_values) * 10 + len(lb_values))
+        la, lb = np.diag(la_values).astype(complex), np.diag(lb_values).astype(complex)
+        n1, n2 = len(la), len(lb)
+        decomposition = conserved_eigenspaces(ConservedQuantity("multiplicative", la, lb))
+        k = 8
+        u = np.stack([commutant_unitary(decomposition, rng) for _ in range(k)])
+        ready = np.stack([random_state_vector(n2, rng) for _ in range(k)])
+        ready[::2] = np.eye(n2)[0] + np.eye(n2)[-1]
+        ready[::2] /= np.sqrt(2.0)  # <v|lb|v> = 0 for the traceless lb
+        probe = np.stack([random_hermitian(n2, rng) for _ in range(k)])
+        probe[1::2] = np.diag(rng.uniform(-1.0, 1.0, n2))  # commutes with the diagonal lb
+        observable = np.stack([random_hermitian(n1, rng) for _ in range(k)])
+        observable[3] = la  # commutes with la
+        psi = np.stack([random_state_vector(n1, rng) for _ in range(k)])
+        assert_kernels_match_reference(u, ready, observable, psi, probe, np.stack([la] * k), np.stack([lb] * k))
 
 
 class TestNoiseOperator:
@@ -308,6 +428,25 @@ class TestBoundAuditSweep:
         a = bound_audit_sweep(AuditConfig(2, 2, 60, seed=4))
         b = bound_audit_sweep(AuditConfig(2, 2, 60, seed=4))
         assert a.records == b.records
+
+    def test_chunk_forms_one_kronecker_product(self, monkeypatch):
+        # la (x) lb, for the conservation residual, is the only joint operator a chunk builds
+        products, stacks = [], []
+        product, stack = noise.tensor_product_stack, noise._Stack
+
+        def recorded_product(a, b):
+            products.append((a, b))
+            return product(a, b)
+
+        def recorded_stack(*args):
+            stacks.append(args)
+            return stack(*args)
+
+        monkeypatch.setattr(noise, "tensor_product_stack", recorded_product)
+        monkeypatch.setattr(noise, "_Stack", recorded_stack)
+        bound_audit_sweep(AuditConfig(2, 3, 40, seed=7))  # one chunk
+        ((la, lb),), ((*_, stacked_la, stacked_lb),) = products, stacks
+        assert la is stacked_la and lb is stacked_lb and la.shape == (40, 2, 2) and lb.shape == (40, 3, 3)
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
