@@ -180,7 +180,7 @@ def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
     sizes = np.array(dims)
     widths = 2 * sizes * sizes  # a block's real parts, then its imaginary parts
     starts = np.cumsum(widths) - widths
-    raw = normal_draws(rngs, (widths.sum(),))
+    (raw,) = normal_draws(rngs, (widths.sum(),))
     unitaries = {}
     for size in sorted(set(dims)):
         block = raw[:, starts[sizes == size][:, None] + np.arange(2 * size * size)]

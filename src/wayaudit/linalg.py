@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -78,7 +79,6 @@ __all__ = [
     "product_state",
     "random_hermitian",
     "random_hermitian_stack",
-    "random_positive_operator_stack",
     "random_state_vector",
     "random_state_vector_stack",
     "require_hermitian",
@@ -88,6 +88,7 @@ __all__ = [
     "run_sweep",
     "sized",
     "sorted_eigensystem",
+    "spectral_operator_stack",
     "sweep_chunks",
     "tensor_product",
     "tensor_product_stack",
@@ -525,39 +526,57 @@ def run_sweep(config, chunk: Callable, record: type, summarize: Callable, sink: 
     return SweepReport(config, summarize(**tallies), record, columns)
 
 
-def normal_draws(rngs, shape: tuple[int, ...]) -> np.ndarray:
-    """``rng.standard_normal(shape)`` of each stream, as the rows of one (len(rngs), *shape) array."""
-    out = np.empty((len(rngs), *shape))
+def _segments(rows: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive segments of each row of a (k, total) array, in order, as (k, *shape) views."""
+    segments, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        segments.append(rows[:, start : start + size].reshape(len(rows), *shape))
+        start += size
+    return segments
+
+
+def normal_draws(rngs, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """One ``rng.standard_normal`` call per stream, filling its row of one buffer in place, split into
+    (len(rngs), *shape) segments in order: each segment holds what the stream's own
+    ``standard_normal(shape)`` call would give at that point."""
+    out = np.empty((len(rngs), sum(math.prod(shape) for shape in shapes)))
     for rng, row in zip(rngs, out):
         rng.standard_normal(out=row)
-    return out
+    return _segments(out, shapes)
 
 
-def uniform_draws(rngs, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
-    """``rng.uniform(low, high, shape)`` of each stream, as the rows of one (len(rngs), *shape)
-    array: numpy's ``low + (high - low) * random`` for each value, so each has its bits."""
-    out = np.empty((len(rngs), *shape))
+def uniform_draws(rngs, *segments: tuple[float, float, int]) -> list[np.ndarray]:
+    """One ``rng.random`` call per stream, filling its row of one buffer in place, split into a
+    (len(rngs), n) segment per (low, high, n) in order, scaled as numpy's ``uniform(low, high, n)``:
+    ``low + (high - low) * random``, so each value has the bits of the stream's own call."""
+    out = np.empty((len(rngs), sum(n for _, _, n in segments)))
     for rng, row in zip(rngs, out):
         rng.random(out=row)
-    return low + (high - low) * out
+    parts = _segments(out, [(n,) for _, _, n in segments])
+    return [low + (high - low) * part for (low, high, _), part in zip(segments, parts)]
 
 
-def _complex_draws(rngs, *shape: int) -> np.ndarray:
-    """re + 1j * im of each stream's (2, *shape) standard normals: real parts first, then imaginary."""
+def _complex(normals: np.ndarray) -> np.ndarray:
+    """re + 1j * im of a (k, 2, ...) stack of standard normals: real parts first, then imaginary."""
+    return normals[:, 0] + 1j * normals[:, 1]
+
+
+def _normals(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """One stream's (1, 2, *shape) standard normals, for a sampler of one draw."""
     if min(shape) < 1:
         raise ValueError("dim must be at least 1")
-    raw = normal_draws(rngs, (2, *shape))
-    return raw[:, 0] + 1j * raw[:, 1]
+    return normal_draws([rng], (2, *shape))[0]
 
 
-def ginibre_stack(dim: int, rngs) -> np.ndarray:
-    """One Ginibre matrix per stream, (len(rngs), dim, dim); see ``ginibre``."""
-    return _complex_draws(rngs, dim, dim) / np.sqrt(2.0)
+def ginibre_stack(normals: np.ndarray) -> np.ndarray:
+    """One Ginibre matrix (re + i im) / sqrt(2) per member of a (k, 2, dim, dim) stack of standard normals."""
+    return _complex(normals) / np.sqrt(2.0)
 
 
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Ginibre matrix: real parts drawn first, then imaginary parts."""
-    return ginibre_stack(dim, [rng])[0]
+    return ginibre_stack(_normals(rng, dim, dim))[0]
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -590,24 +609,25 @@ def normalized_stack(z: np.ndarray) -> np.ndarray:
     return z / frobenius_norm_stack(z[..., None])[..., None]
 
 
-def random_state_vector_stack(dim: int, rngs) -> np.ndarray:
-    """One Haar-random unit vector per stream, (len(rngs), dim)."""
-    return normalized_stack(_complex_draws(rngs, dim))
+def random_state_vector_stack(normals: np.ndarray) -> np.ndarray:
+    """One Haar-random unit vector per member of a (k, 2, dim) stack of standard normals."""
+    return normalized_stack(_complex(normals))
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector."""
-    return random_state_vector_stack(dim, [rng])[0]
+    return random_state_vector_stack(_normals(rng, dim))[0]
 
 
-def random_hermitian_stack(dim: int, rngs) -> np.ndarray:
-    """One random Hermitian matrix per stream, (len(rngs), dim, dim)."""
-    z = _complex_draws(rngs, dim, dim)
+def random_hermitian_stack(normals: np.ndarray) -> np.ndarray:
+    """One random Hermitian matrix (z + z^dag) / 2, z = re + i im, per member of a (k, 2, dim, dim) stack of
+    standard normals."""
+    z = _complex(normals)
     return (z + dagger(z)) / 2.0
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return random_hermitian_stack(dim, [rng])[0]
+    return random_hermitian_stack(_normals(rng, dim, dim))[0]
 
 
 def hermitian_from_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -623,12 +643,10 @@ def sorted_eigensystem(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.take_along_axis(d, order, axis=-1), np.take_along_axis(w, order[..., None, :], axis=-1)
 
 
-def random_positive_operator_stack(dim: int, rngs) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One random positive operator per stream, (len(rngs), dim, dim), and its
-    eigensystem (``sorted_eigensystem``); each stream draws its spectrum, then its
-    Haar unitary."""
-    d = uniform_draws(rngs, *FACTOR_SPECTRUM, (dim,))
-    w = haar_from_ginibre(ginibre_stack(dim, rngs))
+def spectral_operator_stack(d: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """W diag(d) W^dag for each row of (k, n) spectra, W the Haar unitary of the Ginibre matrix of a
+    (k, 2, n, n) stack of standard normals, and its eigensystem (``sorted_eigensystem``)."""
+    w = haar_from_ginibre(ginibre_stack(normals))
     return hermitian_from_spectrum(d, w), sorted_eigensystem(d, w)
 
 

@@ -41,23 +41,21 @@ from .linalg import (
     as_state,
     commutator_stack,
     frobenius_norm_stack,
-    ginibre_stack,
-    haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_from_spectrum,
     image_variance_stack,
     matvec_stack,
+    normal_draws,
     normalized_stack,
     product_state,
     random_hermitian_stack,
-    random_positive_operator_stack,
     random_state_vector_stack,
     require_hermitian,
     require_unit_norm,
     require_unitary,
     run_sweep,
     sized,
-    sorted_eigensystem,
+    spectral_operator_stack,
     tensor_product,
     tensor_product_stack,
     uniform_draws,
@@ -434,49 +432,43 @@ class BoundAuditSummary:
         return self.robertson_violations > 0
 
 
-def _apparatus_factors(n2: int, rngs, zero: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Apparatus factors and their eigensystems (``sorted_eigensystem``): positive ones, or
-    where ``zero`` holds traceless ones with a sign-indefinite spectrum. Both draw a
-    spectrum, then a Haar unitary."""
-    d = uniform_draws(rngs, *FACTOR_SPECTRUM, (n2,))
-    w = haar_from_ginibre(ginibre_stack(n2, rngs))
+def _apparatus_spectra(d: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """The apparatus factors' drawn spectra (positive), centered where ``zero`` holds: a traceless,
+    sign-indefinite spectrum."""
     centered = d - d.mean(axis=1, keepdims=True)
     for i in np.flatnonzero(zero & ((centered.max(axis=1) < 1e-6) | (centered.min(axis=1) > -1e-6))):
         row = centered[i]  # ruled out a.s.; keep the spectrum indefinite
         row[0] -= 1.0
         row[-1] += 1.0
         centered[i] = row - row.mean()
-    d = np.where(zero[:, None], centered, d)
-    return hermitian_from_spectrum(d, w), sorted_eigensystem(d, w)
+    return np.where(zero[:, None], centered, d)
 
 
-def _ready_states(values: np.ndarray, vectors: np.ndarray, rngs, zero: np.ndarray) -> np.ndarray:
-    """Random ready states, or where ``zero`` holds a unit vector v with <v|lb|v> = 0
-    mixing lb's extreme eigenvectors with a drawn phase."""
+def _ready_states(values, vectors, phase, normals, zero: np.ndarray) -> np.ndarray:
+    """Random ready states from their (k, 2, n2) normals, or where ``zero`` holds a unit vector v with
+    <v|lb|v> = 0 mixing lb's extreme eigenvectors with the (k, 1) drawn phase."""
     ready = np.empty(values.shape, dtype=complex)
     mixed, plain = np.flatnonzero(zero), np.flatnonzero(~zero)
     if len(mixed):
-        phase = np.exp(1j * uniform_draws([rngs[i] for i in mixed], 0.0, 2.0 * np.pi, (1,))[:, 0])
         low, high = values[mixed, 0], values[mixed, -1]
         span = high - low
         v = np.sqrt(high / span)[:, None] * vectors[mixed, :, 0]
-        ready[mixed] = normalized_stack(v + (phase * np.sqrt(-low / span))[:, None] * vectors[mixed, :, -1])
+        weight = np.exp(1j * phase[mixed, 0]) * np.sqrt(-low / span)
+        ready[mixed] = normalized_stack(v + weight[:, None] * vectors[mixed, :, -1])
     if len(plain):
-        ready[plain] = random_state_vector_stack(values.shape[1], [rngs[i] for i in plain])
+        ready[plain] = random_state_vector_stack(normals[plain])
     return ready
 
 
-def _probes(vectors: np.ndarray, rngs, yanase: np.ndarray) -> np.ndarray:
-    """Random Hermitian probes, or where ``yanase`` holds probes diagonal in lb's
-    eigenbasis (so they commute with lb) with a drawn spectrum in [-1, 1]."""
+def _probes(vectors, spectra, normals, yanase: np.ndarray) -> np.ndarray:
+    """Random Hermitian probes from their (k, 2, n2, n2) normals, or where ``yanase`` holds probes
+    diagonal in lb's eigenbasis (so they commute with lb) with their (k, n2) drawn spectrum in [-1, 1]."""
     probes = np.empty(vectors.shape, dtype=complex)
     diagonal, plain = np.flatnonzero(yanase), np.flatnonzero(~yanase)
-    n2 = vectors.shape[1]
     if len(diagonal):
-        spectra = uniform_draws([rngs[i] for i in diagonal], -1.0, 1.0, (n2,))
-        probes[diagonal] = hermitian_from_spectrum(spectra, vectors[diagonal])
+        probes[diagonal] = hermitian_from_spectrum(spectra[diagonal], vectors[diagonal])
     if len(plain):
-        probes[plain] = random_hermitian_stack(n2, [rngs[i] for i in plain])
+        probes[plain] = random_hermitian_stack(normals[plain])
     return probes
 
 
@@ -487,27 +479,33 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     """One chunk of trials, drawn and evaluated as stacks: its ``BoundAuditRecord``
     columns, as lists, and its counts of the summary's tallies.
 
-    Draw-order invariant: each trial's stream draws exactly what, and in the
-    order, a trial-by-trial loop would. Phase A draws the factors' spectra and
-    Haar matrices; the eigensystems they give then fix each trial's block sizes,
-    and phase B draws the blocks' Ginibre matrices, the ready state, the
-    observable, the probe and psi.
+    Each trial's stream is called three times, whatever its regime, which only chooses the
+    values it reads: ``random`` for la's spectrum, lb's, the ready state's phase and the Yanase
+    probe's spectrum; ``standard_normal`` for la's Ginibre matrix, lb's, the ready state, the
+    observable, the probe and psi; and, once the factors' drawn eigensystems have fixed its
+    block sizes, ``standard_normal`` for its commutant blocks. So each record is the one a
+    trial-by-trial loop would give, bit for bit.
     """
     n1, n2 = config.n1, config.n2
     index = np.asarray(trials)
     zero_mode, yanase_mode = index % 4 >= 2, index % 2 == 1
-    la, la_eigensystem = random_positive_operator_stack(n1, rngs)
-    lb, (lb_values, lb_vectors) = _apparatus_factors(n2, rngs, zero_mode)
+    la_spectrum, lb_spectrum, phase, probe_spectrum = uniform_draws(
+        rngs, (*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2), (0.0, 2.0 * np.pi, 1), (-1.0, 1.0, n2)
+    )
+    la_normals, lb_normals, ready_normals, observable_normals, probe_normals, psi_normals = normal_draws(
+        rngs, (2, n1, n1), (2, n2, n2), (2, n2), (2, n1, n1), (2, n2, n2), (2, n1)
+    )
+    la, la_eigensystem = spectral_operator_stack(la_spectrum, la_normals)
+    lb, (lb_values, lb_vectors) = spectral_operator_stack(_apparatus_spectra(lb_spectrum, zero_mode), lb_normals)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
     interaction = commutant_unitary_stack(la_eigensystem, (lb_values, lb_vectors), rngs)
-    ready = _ready_states(lb_values, lb_vectors, rngs, zero_mode)
+    ready = _ready_states(lb_values, lb_vectors, phase, ready_normals, zero_mode)
     require_unit_norm(ready, "ready_state")
     require_unitary(interaction, "interaction")
-    observable = random_hermitian_stack(n1, rngs)
-    probe = _probes(lb_vectors, rngs, yanase_mode)
-    psi = random_state_vector_stack(n1, rngs)
-
+    observable = random_hermitian_stack(observable_normals)
+    probe = _probes(lb_vectors, probe_spectrum, probe_normals, yanase_mode)
+    psi = random_state_vector_stack(psi_normals)
     require_conserved(conservation_residual_stack(interaction, tensor_product_stack(la, lb)), config.tol)
     x = _Stack(interaction, ready, observable, psi, probe, la, lb)
     kernels = {"robertson": _robertson(x), "paper": _paper(x), "yanase": _yanase(x), "simplified": _simplified(x)}

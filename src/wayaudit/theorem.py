@@ -36,6 +36,7 @@ from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/
 from .commutant import FactoredCommutant
 from .errors import PreconditionError
 from .linalg import (
+    FACTOR_SPECTRUM,
     RANK_TOL,
     SweepReport,
     as_operator,
@@ -43,13 +44,15 @@ from .linalg import (
     commutator_stack,
     frobenius_norm,
     frobenius_norm_stack,
+    normal_draws,
     numerical_rank,
-    random_positive_operator_stack,
     random_state_vector_stack,
     require_hermitian,
     require_unit_norm,
     require_unitary,
     run_sweep,
+    spectral_operator_stack,
+    uniform_draws,
 )
 from .model import (
     POINTER_DEGENERACY_TOL,
@@ -223,16 +226,19 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple:
     """Random sweep instances, one per stream: (la, lb) stacks, their conserving unitaries in
     factor space (``FactoredCommutant``) and the (k, n2) ready states.
 
-    Each stream draws la's spectrum and Haar matrix, then lb's, then (once the
-    factors' drawn eigensystems have fixed its block sizes) its commutant blocks,
-    then the ready state: the draws of one trial-by-trial sample.
+    Each stream is called three times: ``random`` for la's spectrum, then lb's;
+    ``standard_normal`` for la's Ginibre matrix, lb's, then the ready state; and, once the
+    factors' drawn eigensystems have fixed its block sizes, ``standard_normal`` for its
+    commutant blocks. These are the bound audit's first draws too.
     """
-    la, la_eigensystem = random_positive_operator_stack(n1, rngs)
-    lb, lb_eigensystem = random_positive_operator_stack(n2, rngs)
+    la_spectrum, lb_spectrum = uniform_draws(rngs, (*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2))
+    la_normals, lb_normals, ready_normals = normal_draws(rngs, (2, n1, n1), (2, n2, n2), (2, n2))
+    la, la_eigensystem = spectral_operator_stack(la_spectrum, la_normals)
+    lb, lb_eigensystem = spectral_operator_stack(lb_spectrum, lb_normals)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
     interaction = FactoredCommutant(la_eigensystem, lb_eigensystem, rngs)
-    ready = random_state_vector_stack(n2, rngs)
+    ready = random_state_vector_stack(ready_normals)
     require_unit_norm(ready, "ready_state")
     for u in interaction.unitaries():
         require_unitary(u, "interaction")

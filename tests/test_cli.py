@@ -499,7 +499,7 @@ class TestExitCodes:
             "--count", "5", "--seed", "1", "--tol", "0", "--format", "json",
         )
         assert (code, out) == (2, "")
-        assert err == "error: check_conserved: residual 4.099e-15 exceeds 0.000e+00\n"
+        assert err == "error: check_conserved: residual 3.410e-15 exceeds 0.000e+00\n"
 
     def test_zero_tolerance_accepted(self, capsys):
         code, _, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "0")

@@ -203,11 +203,15 @@ class TestDrawnEigensystems:
 
     @staticmethod
     def factors(n1, n2, rngs, zero=None):
-        """Phase A of a chunk: la, then lb (the audit's, traceless where ``zero`` holds), with eigensystems."""
-        la = linalg.random_positive_operator_stack(n1, rngs)
-        if zero is None:
-            return la, linalg.random_positive_operator_stack(n2, rngs)
-        return la, noise._apparatus_factors(n2, rngs, zero)
+        """A chunk's factors from the leading values of its first two stream calls, which both sweeps
+        share: la, then lb (the audit's, traceless where ``zero`` holds), with their eigensystems."""
+        la_spectrum, lb_spectrum = linalg.uniform_draws(
+            rngs, (*linalg.FACTOR_SPECTRUM, n1), (*linalg.FACTOR_SPECTRUM, n2)
+        )
+        la_normals, lb_normals = linalg.normal_draws(rngs, (2, n1, n1), (2, n2, n2))
+        if zero is not None:
+            lb_spectrum = noise._apparatus_spectra(lb_spectrum, zero)
+        return linalg.spectral_operator_stack(la_spectrum, la_normals), linalg.spectral_operator_stack(lb_spectrum, lb_normals)
 
     @pytest.mark.parametrize("kind", ["counterexample", "bound-audit"])
     def test_chunk_calls_no_eigh(self, monkeypatch, kind):
@@ -262,19 +266,16 @@ class TestDrawnEigensystems:
 
     @staticmethod
     def replayed(trial, n1, n2, dims, audit):
-        """A trial's stream after the draws of its chunk, replayed one numpy call per draw site."""
+        """A trial's stream after its chunk, replayed as the three calls of a trial, whatever its regime."""
         rng = np.random.default_rng((7, trial))
-        for n in (n1, n2):
-            rng.random(n)  # the factor's spectrum, then its Ginibre matrix
-            rng.standard_normal(2 * n * n)
+        if audit:
+            rng.random(n1 + n2 + 1 + n2)  # la's and lb's spectra, the ready state's phase, the Yanase probe's spectrum
+            # la's and lb's Ginibre matrices, the ready state, the observable, the probe, psi
+            rng.standard_normal(2 * n1 * n1 + 2 * n2 * n2 + 2 * n2 + 2 * n1 * n1 + 2 * n2 * n2 + 2 * n1)
+        else:
+            rng.random(n1 + n2)  # la's and lb's spectra
+            rng.standard_normal(2 * n1 * n1 + 2 * n2 * n2 + 2 * n2)  # la's and lb's Ginibre matrices, the ready state
         rng.standard_normal(2 * sum(d * d for d in dims))  # the commutant blocks
-        if not audit:
-            rng.standard_normal(2 * n2)  # the ready state
-            return rng
-        rng.random(1) if trial % 4 >= 2 else rng.standard_normal(2 * n2)  # the ready state's phase, or the state
-        rng.standard_normal(2 * n1 * n1)  # the observable
-        rng.random(n2) if trial % 2 else rng.standard_normal(2 * n2 * n2)  # the probe's spectrum, or the probe
-        rng.standard_normal(2 * n1)  # psi
         return rng
 
     @pytest.mark.parametrize("n1, n2", SIZES)
@@ -402,7 +403,8 @@ class TestFactoredPointers:
         rng = np.random.default_rng(23)
         la, lb = self.eigensystems(names, rng)
         rows = np.eye(3, dtype=complex) if basis == "computational" else haar_unitary(3, rng).T
-        ready = random_state_vector_stack(5, [np.random.default_rng((24, i)) for i in range(len(names))])
+        (normals,) = linalg.normal_draws([np.random.default_rng((24, i)) for i in range(len(names))], (2, 5))
+        ready = random_state_vector_stack(normals)
         factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((25, i)) for i in range(len(names))])
         assert len(factored.groups) == 4  # four block structures, blocks of sizes 1 to 3
         assert {size for _, indices, _ in factored.groups for size in indices} == {1, 2, 3}

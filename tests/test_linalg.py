@@ -21,7 +21,6 @@ from wayaudit.linalg import (
     numerical_rank,
     product_state,
     random_hermitian,
-    random_positive_operator_stack,
     random_state_vector,
     require_hermitian,
     require_orthonormal_rows,
@@ -368,7 +367,8 @@ class TestHaar:
     @staticmethod
     def _phase_stack():
         """A (4, 3, 1, 1) stack of 1x1 Ginibre draws, two of them zero."""
-        z = linalg.ginibre_stack(1, [np.random.default_rng((5, i)) for i in range(12)]).reshape(4, 3, 1, 1)
+        (normals,) = linalg.normal_draws([np.random.default_rng((5, i)) for i in range(12)], (2, 1, 1))
+        z = linalg.ginibre_stack(normals).reshape(4, 3, 1, 1)
         z[1, 2] = z[3, 0] = 0.0
         return z
 
@@ -406,25 +406,25 @@ class TestHaar:
         assert len(counterexample_sweep(CounterexampleConfig(3, 5, count=40, seed=7)).records) == 40  # one chunk
         assert shapes == [(40, 3, 3), (40, 5, 5)]
 
+    @pytest.mark.parametrize("sampler", [linalg.ginibre, haar_unitary, random_state_vector, random_hermitian])
+    def test_dim_zero_raises(self, sampler):
+        # every sampler of one draw shares one check; stacked samplers take drawn normals
+        with pytest.raises(ValueError, match="^dim must be at least 1$"):
+            sampler(0, np.random.default_rng(0))
+
     @pytest.mark.parametrize(
-        "sampler",
+        "stacked, scalar, shape",
         [
-            linalg.ginibre,
-            linalg.ginibre_stack,
-            haar_unitary,
-            random_state_vector,
-            linalg.random_state_vector_stack,
-            random_hermitian,
-            linalg.random_hermitian_stack,
-            random_positive_operator_stack,
+            (linalg.ginibre_stack, linalg.ginibre, (2, 3, 3)),
+            (linalg.random_state_vector_stack, random_state_vector, (2, 3)),
+            (linalg.random_hermitian_stack, random_hermitian, (2, 3, 3)),
         ],
     )
-    def test_dim_zero_raises(self, sampler):
-        # every sampler shares one check; stacked samplers take a list of streams
-        rng = np.random.default_rng(0)
-        stack = sampler.__name__.endswith("_stack")
-        with pytest.raises(ValueError, match="^dim must be at least 1$"):
-            sampler(0, [rng] if stack else rng)
+    def test_stack_of_drawn_normals_matches_its_sampler(self, stacked, scalar, shape):
+        # a stacked sampler scales each stream's normals as that stream's own call of one draw would
+        (normals,) = linalg.normal_draws([np.random.default_rng((9, i)) for i in range(4)], shape)
+        expected = np.stack([scalar(3, np.random.default_rng((9, i))) for i in range(4)])
+        assert stacked(normals).tobytes() == expected.tobytes()
 
 
 def _diag_quantity(la, lb):
@@ -534,12 +534,13 @@ class TestStreamSeeding:
 
 
 class TestDrawKernels:
-    """normal_draws and uniform_draws fill one buffer, a row per stream, with what each
-    stream's own standard_normal(shape) or uniform(low, high, shape) call gives, bit for
-    bit, and leave each stream where that call would. uniform_draws relies on numpy's
-    uniform being low + (high - low) * random; these fail if it changes."""
+    """normal_draws and uniform_draws make one call per stream, filling its row of one buffer, and split
+    it into segments, each holding what the stream's own standard_normal(shape) or uniform(low, high, n)
+    call would give at that point, bit for bit; the streams end where those calls would leave them.
+    uniform_draws relies on numpy's uniform being low + (high - low) * random; these fail if it changes."""
 
-    SHAPES = [(1,), (9,), (2, 9, 9)]
+    # the segment shapes of one call: one segment, or the second call of a bound-audit trial at 3x5
+    SHAPES = [((1,),), ((9,),), ((2, 3, 3), (2, 5, 5), (2, 5), (2, 3, 3), (2, 5, 5), (2, 3))]
     # every (low, high) the samplers pass: factor spectra, Yanase probe spectra, ready-state phases
     RANGES = [linalg.FACTOR_SPECTRUM, (-1.0, 1.0), (0.0, 2.0 * np.pi)]
 
@@ -548,9 +549,12 @@ class TestDrawKernels:
         return [np.random.default_rng((7, trial)) for trial in range(count)]
 
     @staticmethod
-    def _check(draws, streams, expected, reference_streams):
-        assert draws.dtype == np.float64 and draws.shape == expected.shape
-        assert draws.tobytes() == expected.tobytes()
+    def _check(draws, streams, calls, reference_streams):
+        """``draws``, one segment per call made on each reference stream, against ``calls``."""
+        for i, segment in enumerate(draws):
+            expected = np.array([c[i] for c in calls]).reshape(segment.shape)
+            assert segment.dtype == np.float64 and segment.shape[0] == len(streams)
+            assert segment.tobytes() == expected.tobytes()
         for stream, reference in zip(streams, reference_streams, strict=True):
             assert stream.bit_generator.state == reference.bit_generator.state
 
@@ -558,23 +562,31 @@ class TestDrawKernels:
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_normal_draws_match_standard_normal(self, shape, count):
         streams, references = self._streams(count), self._streams(count)
-        expected = np.array([rng.standard_normal(shape) for rng in references]).reshape(count, *shape)
-        self._check(linalg.normal_draws(streams, shape), streams, expected, references)
+        calls = [[rng.standard_normal(segment) for segment in shape] for rng in references]
+        draws = linalg.normal_draws(streams, *shape)
+        assert [d.shape for d in draws] == [(count, *segment) for segment in shape]
+        self._check(draws, streams, calls, references)
 
     @pytest.mark.parametrize("low, high", RANGES)
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_uniform_draws_match_uniform(self, low, high, shape, count):
+        # each segment scaled by (low, high), or, in turn, by every range the samplers pass
+        ranges = [(low, high)] if len(shape) == 1 else [self.RANGES[i % 3] for i in range(len(shape))]
+        segments = [(a, b, int(np.prod(segment))) for (a, b), segment in zip(ranges, shape)]
         streams, references = self._streams(count), self._streams(count)
-        expected = np.array([rng.uniform(low, high, shape) for rng in references]).reshape(count, *shape)
-        self._check(linalg.uniform_draws(streams, low, high, shape), streams, expected, references)
+        calls = [[rng.uniform(a, b, n) for a, b, n in segments] for rng in references]
+        draws = linalg.uniform_draws(streams, *segments)
+        assert [d.shape for d in draws] == [(count, n) for _, _, n in segments]
+        self._check(draws, streams, calls, references)
 
     @pytest.mark.parametrize("low, high", RANGES)
     def test_uniform_row_of_one_matches_scalar_uniform(self, low, high):
         # a ready state's phase: one scalar uniform(low, high) call per stream
         streams, references = self._streams(200), self._streams(200)
-        expected = np.array([rng.uniform(low, high) for rng in references])
-        self._check(linalg.uniform_draws(streams, low, high, (1,))[:, 0], streams, expected, references)
+        calls = [[rng.uniform(low, high)] for rng in references]
+        (draws,) = linalg.uniform_draws(streams, (low, high, 1))
+        self._check([draws[:, 0]], streams, calls, references)
 
 
 class TestBitIdentity:
@@ -721,7 +733,8 @@ class TestAntiHermitianExp:
 
 
 def test_random_positive_operator_spectrum():
-    rng = np.random.default_rng(21)
-    (op,), _ = random_positive_operator_stack(4, [rng])
+    rngs = [np.random.default_rng(21)]
+    (spectrum,), (normals,) = linalg.uniform_draws(rngs, (*linalg.FACTOR_SPECTRUM, 4)), linalg.normal_draws(rngs, (2, 4, 4))
+    (op,), _ = linalg.spectral_operator_stack(spectrum, normals)
     values = np.linalg.eigvalsh(op)
     assert values[0] >= 0.5 - 1e-9 and values[-1] <= 2.0 + 1e-9

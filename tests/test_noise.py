@@ -48,73 +48,101 @@ def noise_operator(m, observable, probe):
 
 
 def reference_kernels(u, ready, observable, psi, probe, la, lb):
-    """The four bounds' columns for one instance from (D, D) operators: the noise operator N, U^dag (la (x)
-    [probe, lb]) U and [observable, la] (x) lb, each expectation taken on psi (x) v as a matrix product."""
+    """The four bounds' cells for one instance from (D, D) operators: the noise operator N, U^dag (la (x)
+    [probe, lb]) U and [observable, la] (x) lb, each expectation taken on s = psi (x) v as a matrix product.
+
+    Flags map to their value. A figure maps to (value, scale): a difference is only as accurate as the terms it
+    cancels, so its scale is the size of those terms (Var(a) = <a^2> - <a>^2 has the scale <a^2>), and a ratio's
+    relative scale is the sum of its numerator's and its denominator's.
+    """
     n1, n2 = len(psi), len(ready)
     s = np.kron(psi, ready)
     conserved = np.kron(la, lb)
-    n = dagger(u) @ np.kron(np.eye(n1), probe) @ u - np.kron(observable, np.eye(n2))
-    noise_state = n @ s
+    probed = dagger(u) @ np.kron(np.eye(n1), probe) @ u @ s
+    observed = np.kron(observable, np.eye(n2)) @ s
+    noise_state = probed - observed
     epsilon_sq = float(np.vdot(noise_state, noise_state).real)
 
     def var(a, state):
-        return float(variance_stack(a[None], state[None])[0])
+        return float(variance_stack(a[None], state[None])[0]), float(np.linalg.norm(a @ state) ** 2)
+
+    def ratio(numerator, numerator_scale, denominator, denominator_scale):
+        value = numerator / denominator
+        return value, value * (numerator_scale / numerator + denominator_scale / denominator) if numerator else 0.0
 
     def valid(bound, keep):
         return bool(bound <= epsilon_sq + noise.VALIDITY_SLACK) if keep else None
 
-    def conditional(applicable, numerator, denominator):
-        defined = denominator > noise.DEGENERACY_TOL
-        bound = numerator / denominator if defined else 0.0
-        kept = applicable and defined
-        return {"applicable": applicable, "bound": bound if kept else None,
-                "defined": defined if applicable else None, "valid": valid(bound, kept)}
-
-    var_conserved = var(conserved, s)
+    cells = {"epsilon_sq": (epsilon_sq, (np.linalg.norm(probed) + np.linalg.norm(observed)) ** 2)}
+    var_conserved, conserved_scale = var(conserved, s)
+    n = dagger(u) @ np.kron(np.eye(n1), probe) @ u - np.kron(observable, np.eye(n2))
     numerator = abs(np.vdot(s, n @ conserved @ s - conserved @ noise_state)) ** 2 / 4.0
+    numerator_scale = (np.linalg.norm(conserved @ s) * np.linalg.norm(noise_state)) ** 2
     degenerate = var_conserved <= noise.DEGENERACY_TOL
-    bound = 0.0 if degenerate else numerator / var_conserved
-    robertson = {"bound": bound, "numerator": numerator, "var_conserved": var_conserved,
-                 "degenerate": degenerate, "valid": valid(bound, True)}
+    bound = (0.0, 0.0) if degenerate else ratio(numerator, numerator_scale, var_conserved, conserved_scale)
+    cells.update({
+        "robertson.bound": bound, "robertson.numerator": (numerator, numerator_scale),
+        "robertson.var_conserved": (var_conserved, conserved_scale),
+        "robertson.degenerate": degenerate, "robertson.valid": valid(bound[0], True),
+    })
+
+    (var_la, la_scale), (var_lb, lb_scale) = var(la, psi), var(lb, ready)
+    denominator = (4.0 * var_la * var_lb, 4.0 * la_scale * lb_scale)
+    defined = denominator[0] > noise.DEGENERACY_TOL
     probe_commutator = commutator(probe, lb)
-    observable_term = np.kron(commutator(observable, la), lb)
-    evolved_term = dagger(u) @ np.kron(la, probe_commutator) @ u
-    numerator = abs(np.vdot(s, (observable_term - evolved_term) @ s)) ** 2
-    denominator = 4.0 * var(la, psi) * var(lb, ready)
-    defined = denominator > noise.DEGENERACY_TOL
-    bound = numerator / denominator if defined else 0.0
-    paper = {"bound": bound if defined else None, "defined": defined, "valid": valid(bound, defined),
-             "numerator": numerator, "denominator": denominator}
-    yanase = conditional(
-        not np.linalg.norm(probe_commutator) > noise.YANASE_COMMUTATOR_TOL,
-        abs(np.vdot(s, observable_term @ s)) ** 2, denominator,
+    observable_image = np.kron(commutator(observable, la), lb) @ s
+    evolved_image = dagger(u) @ np.kron(la, probe_commutator) @ u @ s
+    observable_mean, evolved_mean = np.vdot(s, observable_image), np.vdot(s, evolved_image)
+    numerator = (
+        abs(observable_mean - evolved_mean) ** 2,
+        (np.linalg.norm(observable_image) + np.linalg.norm(evolved_image)) ** 2,  # |<s|T s>| <= |T s|
     )
-    simplified = conditional(
-        not abs(np.vdot(ready, lb @ ready)) > noise.ZERO_EXPECTATION_TOL,
-        abs(np.vdot(psi, commutator(observable, la) @ psi)) ** 2, 4.0 * var(la, psi),
+    bound = ratio(*numerator, *denominator) if defined else (0.0, 0.0)
+    cells.update({
+        "paper.bound": bound if defined else None, "paper.defined": defined, "paper.valid": valid(bound[0], defined),
+        "paper.numerator": numerator, "paper.denominator": denominator,
+    })
+
+    def conditional(kind, applicable, numerator, denominator):
+        defined = denominator[0] > noise.DEGENERACY_TOL
+        bound = ratio(*numerator, *denominator) if defined else (0.0, 0.0)
+        kept = applicable and defined
+        cells.update({
+            f"{kind}.applicable": applicable, f"{kind}.bound": bound if kept else None,
+            f"{kind}.defined": defined if applicable else None, f"{kind}.valid": valid(bound[0], kept),
+        })
+
+    conditional(
+        "yanase", not np.linalg.norm(probe_commutator) > noise.YANASE_COMMUTATOR_TOL,
+        (abs(observable_mean) ** 2, np.linalg.norm(observable_image) ** 2), denominator,
     )
-    return {"epsilon_sq": epsilon_sq, "robertson": robertson, "paper": paper, "yanase": yanase,
-            "simplified": simplified}
+    conditional(
+        "simplified", not abs(np.vdot(ready, lb @ ready)) > noise.ZERO_EXPECTATION_TOL,
+        (abs(np.vdot(psi, commutator(observable, la) @ psi)) ** 2, np.linalg.norm(commutator(observable, la) @ psi) ** 2),
+        (4.0 * var_la, 4.0 * la_scale),
+    )
+    return cells
 
 
 def assert_kernels_match_reference(u, ready, observable, psi, probe, la, lb):
     """The engine's product-state kernels on a (k, ...) stack agree with ``reference_kernels`` on each
-    instance: every flag equal, every value within 1e-12 relative where the reference is at least 1e-20."""
+    instance: every flag equal, and every figure of at least 1e-20 within 1e-12 of its scale."""
     x = noise._Stack(u, ready, observable, psi, probe, la, lb)
     kernels = {"robertson": noise._robertson, "paper": noise._paper, "yanase": noise._yanase,
                "simplified": noise._simplified}
-    ours = {kind: {name: noise._column(column) for name, column in kernel(x).items()} for kind, kernel in kernels.items()}
+    ours = {"epsilon_sq": x.epsilon_sq.tolist()}
+    for kind, kernel in kernels.items():
+        ours.update({f"{kind}.{name}": noise._column(column) for name, column in kernel(x).items()})
     compared = 0
     for i, instance in enumerate(zip(u, ready, observable, psi, probe, la, lb)):
         reference = reference_kernels(*instance)
-        cells = [("epsilon_sq", reference["epsilon_sq"], float(x.epsilon_sq[i]))]
-        for kind in kernels:
-            cells += [(f"{kind}.{name}", value, ours[kind][name][i]) for name, value in reference[kind].items()]
-        for name, expected, value in cells:
+        assert reference.keys() == ours.keys()
+        for name, expected in reference.items():
+            value = ours[name][i]
             if expected is None or isinstance(expected, bool):
                 assert value is expected or value == expected, (i, name, value, expected)
-            elif abs(expected) >= 1e-20:
-                assert abs(value - expected) <= 1e-12 * abs(expected), (i, name, value, expected)
+            elif abs(expected[0]) >= 1e-20:
+                assert abs(value - expected[0]) <= 1e-12 * expected[1], (i, name, value, expected)
                 compared += 1
     assert compared > 0
 

@@ -264,13 +264,13 @@ class TestCounterexampleSweep:
 
     def test_sampler_checks_the_applied_unitaries(self, monkeypatch):
         # the unitarity check covers the factors' eigenvector matrices, not an assembled U
-        drawn = theorem.random_positive_operator_stack
+        drawn = theorem.spectral_operator_stack
 
-        def skewed(dim, rngs):
-            op, (values, vectors) = drawn(dim, rngs)
+        def skewed(spectra, normals):
+            op, (values, vectors) = drawn(spectra, normals)
             return op, (values, 1.001 * vectors)
 
-        monkeypatch.setattr(theorem, "random_positive_operator_stack", skewed)
+        monkeypatch.setattr(theorem, "spectral_operator_stack", skewed)
         with pytest.raises(PreconditionError, match="^interaction: not unitary"):
             sample_instance_stack(3, 5, [np.random.default_rng(0)])
 
