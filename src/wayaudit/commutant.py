@@ -124,7 +124,7 @@ def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
     combine = np.multiply if q.kind == "multiplicative" else np.add
     la, lb = (np.linalg.eigh(op[None]) for op in (q.system_op, q.apparatus_op))
     values, vectors = _joint_eigensystem(la, lb, combine)
-    (dims,) = block_sizes(values)
+    (dims,), _ = block_sizes(values)
     return BlockDecomposition(values[0], vectors[0], dims)
 
 
@@ -137,35 +137,41 @@ def _joint_spectrum(la_values: np.ndarray, lb_values: np.ndarray, combine=np.mul
     return np.take_along_axis(products, order, axis=-1), order
 
 
+def _joint_vectors(la_vectors: np.ndarray, lb_vectors: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The eigenvector columns (k, D, D) of the joint operators in the sorted order ``order`` of
+    ``_joint_spectrum``, from the factors' eigenvector columns (k, n1, n1) and (k, n2, n2): sorted
+    column c, the product (a, b) = divmod(order[c], n2), is wa[:, a] (x) wb[:, b], one broadcast
+    product of the gathered factor columns."""
+    a, b = np.divmod(order, lb_vectors.shape[-1])
+    wa = np.take_along_axis(la_vectors, a[:, None, :], axis=-1)  # (k, n1, D)
+    wb = np.take_along_axis(lb_vectors, b[:, None, :], axis=-1)  # (k, n2, D)
+    return (wa[:, :, None, :] * wb[:, None, :, :]).reshape(order.shape + order.shape[-1:])
+
+
 def _joint_eigensystem(la, lb, combine=np.multiply) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (k, D) and eigenvector columns (k, D, D) of the joint operators of
     two stacks of factors, from each factor's eigensystem: ascending values and eigenvector
-    columns in that order, ((k, n1), (k, n1, n1)) for la and ((k, n2), (k, n2, n2)) for lb.
-
-    The joint eigenvalues are those of ``_joint_spectrum``, and their eigenvectors the matching
-    columns of wa (x) wb, built directly: sorted column c, the product (a, b) = divmod(order[c],
-    n2), is wa[:, a] (x) wb[:, b], one broadcast product of the gathered factor columns.
-    """
+    columns in that order, ((k, n1), (k, n1, n1)) for la and ((k, n2), (k, n2, n2)) for lb
+    (``_joint_spectrum``, then ``_joint_vectors``)."""
     (la_values, la_vectors), (lb_values, lb_vectors) = la, lb
     values, order = _joint_spectrum(la_values, lb_values, combine)
-    a, b = np.divmod(order, lb_values.shape[-1])
-    wa = np.take_along_axis(la_vectors, a[:, None, :], axis=-1)  # (k, n1, D)
-    wb = np.take_along_axis(lb_vectors, b[:, None, :], axis=-1)  # (k, n2, D)
-    return values, (wa[:, :, None, :] * wb[:, None, :, :]).reshape(order.shape + order.shape[-1:])
+    return values, _joint_vectors(la_vectors, lb_vectors, order)
 
 
-def block_sizes(values: np.ndarray):
-    """Yield the block sizes of each row of a (k, D) stack of ascending eigenvalues.
+def block_sizes(values: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct block structures among the rows of a (k, D) stack of ascending eigenvalues, as
+    tuples of block sizes, and the (k,) index of each row's structure among them.
 
-    A block ends where the next eigenvalue lies more than ``GROUPING_TOL``
-    above it, so eigenvalues inside a block are closer than the gap between blocks.
+    A block starts at the first eigenvalue and wherever the next eigenvalue lies more than
+    ``GROUPING_TOL`` above the last, so eigenvalues inside a block are closer than the gap between
+    blocks. The rows are grouped in one ``np.unique`` pass over their block starts, packed into bytes.
     """
-    dim, sizes = values.shape[-1], {}
-    for gaps in map(tuple, (np.diff(values, axis=-1) > GROUPING_TOL).tolist()):
-        if gaps not in sizes:
-            starts = [0] + [i + 1 for i, gap in enumerate(gaps) if gap]
-            sizes[gaps] = tuple(b - a for a, b in zip(starts, starts[1:] + [dim]))
-        yield sizes[gaps]
+    starts = np.ones(values.shape, dtype=bool)
+    starts[:, 1:] = np.diff(values, axis=-1) > GROUPING_TOL
+    keys = np.packbits(starts, axis=-1)
+    _, first, which = np.unique(keys.view(np.dtype((np.void, keys.shape[-1])))[:, 0], return_index=True, return_inverse=True)
+    structures = [tuple(np.diff([*np.flatnonzero(row), values.shape[-1]]).tolist()) for row in starts[first]]
+    return structures, which
 
 
 def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
@@ -237,12 +243,11 @@ class FactoredCommutant:
     def __init__(self, la, lb, rngs):
         self.la, self.lb = la, lb
         values, self.order = _joint_spectrum(la[0], lb[0])
-        groups = {}
-        for i, dims in enumerate(block_sizes(values)):
-            groups.setdefault(dims, []).append(i)
+        structures, which = block_sizes(values)
+        groups = ((dims, np.flatnonzero(which == s)) for s, dims in enumerate(structures))
         self.groups = tuple(  # (trials, block indices, block unitaries) per block structure
             (trials, _block_indices(dims), _block_unitaries(dims, [rngs[i] for i in trials]))
-            for dims, trials in groups.items()
+            for dims, trials in groups
         )
 
     def unitaries(self):
@@ -265,7 +270,7 @@ class FactoredCommutant:
 
     def assembled(self) -> np.ndarray:
         """The unitaries V blockdiag(U_k) V^dag, (k, D, D) (see ``_assembled``)."""
-        _, vectors = _joint_eigensystem(self.la, self.lb)
+        vectors = _joint_vectors(self.la[1], self.lb[1], self.order)
         return self._by_structure(vectors, lambda v, _, indices, unitaries: _assembled(v, indices, unitaries))
 
     def pointer_blocks(self, basis: np.ndarray, ready: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ class TestFactorEigensystem:
         joint = conserved_operator(q)
         scale = np.linalg.norm(joint, 2)
         values, vectors = np.linalg.eigh(joint)
-        (dims,) = block_sizes(values[None])
+        (dims,), _ = block_sizes(values[None])
         d = conserved_eigenspaces(q)
         assert np.abs(d.values - values).max() <= 1e-13 * scale
         assert d.dims == dims
@@ -234,6 +234,7 @@ class TestDrawnEigensystems:
 
         monkeypatch.setattr(commutant, "_assembled", refuse)
         monkeypatch.setattr(commutant, "_joint_eigensystem", refuse)
+        monkeypatch.setattr(commutant, "_joint_vectors", refuse)
         report = counterexample_sweep(CounterexampleConfig(n1=n1, n2=n2, count=count, seed=7))
         assert len(report.columns["trial"]) == count
 
@@ -252,8 +253,9 @@ class TestDrawnEigensystems:
         zero = None if mode == "positive" else np.ones(40, dtype=bool)
         (la, la_eigensystem), (lb, lb_eigensystem) = self.factors(n1, n2, self.streams(40), zero)
         values, _ = commutant._joint_eigensystem(la_eigensystem, lb_eigensystem)
-        for i, dims in enumerate(block_sizes(values)):
-            assert dims == conserved_eigenspaces(quantity(la[i], lb[i])).dims
+        structures, which = block_sizes(values)
+        for i, structure in enumerate(which):
+            assert structures[structure] == conserved_eigenspaces(quantity(la[i], lb[i])).dims
 
     @pytest.mark.parametrize("n1, n2", SIZES)
     @pytest.mark.parametrize("mode", ["positive", "zero"])
@@ -422,6 +424,43 @@ class TestFactoredPointers:
         assert sizes == [2, 3, 3, 3, 5]  # "mixed": sizes 2 and 3; "triple": 3; wa and wb
         for u in factored.unitaries():
             linalg.require_unitary(u, "interaction")
+
+    def test_assembly_sorts_the_products_once(self, monkeypatch):
+        # assembled() builds V's columns from the order kept at construction, with the bytes a second sort gave
+        names = ["generic", "triple", "geometric", "mixed", "generic"]
+        la, lb = self.eigensystems(names, np.random.default_rng(28))
+        factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((29, i)) for i in range(len(names))])
+        _, vectors = commutant._joint_eigensystem(la, lb)
+        expected = factored._by_structure(vectors, lambda v, _, indices, unitaries: commutant._assembled(v, indices, unitaries))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second sort of the joint spectrum")
+
+        monkeypatch.setattr(commutant, "_joint_spectrum", refuse)
+        assert factored.assembled().tobytes() == expected.tobytes()
+
+
+def _reference_block_sizes(row):
+    """The block sizes of one row of ascending eigenvalues, read off its gaps one by one."""
+    starts = [0] + [i + 1 for i, gap in enumerate(np.diff(row) > linalg.GROUPING_TOL) if gap]
+    return tuple(b - a for a, b in zip(starts, starts[1:] + [len(row)]))
+
+
+class TestBlockSizes:
+    """``block_sizes`` groups a stack's rows by their block structure in one pass."""
+
+    @pytest.mark.parametrize("names", [["generic"] * 3, ["generic", "triple", "geometric", "mixed", "triple", "generic"]])
+    def test_one_pass_matches_per_row_grouping(self, names):
+        spectra = TestFactoredPointers.SPECTRA
+        values, _ = commutant._joint_spectrum(*(np.array([spectra[name][part] for name in names]) for part in (0, 1)))
+        structures, which = block_sizes(values)
+        assert len(set(structures)) == len(structures) == len(set(names))
+        assert [structures[s] for s in which] == [_reference_block_sizes(row) for row in values]
+
+    def test_single_level(self):
+        # D = 1: one block, for every row
+        structures, which = block_sizes(np.ones((4, 1)))
+        assert structures == [(1,)] and which.tolist() == [0, 0, 0, 0]
 
 
 class TestProjectGenerator:
