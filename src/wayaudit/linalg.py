@@ -117,14 +117,16 @@ STATE_NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
 # Range of the uniform spectrum of the random positive factors.
 FACTOR_SPECTRUM = (0.5, 2.0)
-# A sweep chunk holds as many trials as fit one (chunk, D, D) complex stack in
-# SWEEP_CHUNK_BYTES, and at most SWEEP_CHUNK_TRIALS: 512 trials at 2x3, 291 at
-# 3x5, 83 at 4x7 and 32 at 5x9. A chunk's fixed cost is about 0.3-0.4 ms
-# (time per chunk against its trials), so 1 MiB runs sweeps at 3x5 to 5x9
-# 9-22 % faster than 256 KiB (fresh processes, one BLAS thread) at a peak RSS
-# of at most 48 MB; 2 MiB gains 3-5 % more but peaks at 55 MB. The cap keeps
-# 2x3 near the 455 trials of 256 KiB: there 1 MiB alone (1820 trials) gains
-# at most 5 % and adds 10 MB of peak RSS.
+# A sweep chunk holds as many trials as fit the largest per-trial complex stack
+# its sweep forms in SWEEP_CHUNK_BYTES, and at most SWEEP_CHUNK_TRIALS. The
+# bound audit's is its (D, D) unitaries: 512 trials at 2x3, 291 at 3x5, 83 at
+# 4x7 and 32 at 5x9. The counterexample sweep's is its (n1, n1, n2) pointer
+# blocks: 512 trials up to 4x7, 291 at 5x9. A chunk's fixed cost is about
+# 0.3-0.4 ms (time per chunk against its trials), so 1 MiB runs sweeps at 3x5
+# to 5x9 9-22 % faster than 256 KiB (fresh processes, one BLAS thread) at a
+# peak RSS of at most 48 MB; 2 MiB gains 3-5 % more but peaks at 55 MB. The
+# cap keeps 2x3 near the 455 trials of 256 KiB: there 1 MiB alone (1820
+# trials) gains at most 5 % and adds 10 MB of peak RSS.
 SWEEP_CHUNK_BYTES = 1 << 20
 SWEEP_CHUNK_TRIALS = 512
 # Trials whose stream seed words one ``_seed_words`` pass computes. A pass
@@ -471,17 +473,18 @@ def _streams(seed: int, count: int):
             yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
-def sweep_chunks(seed: int, count: int, dim: int):
-    """Yield (trials, streams) for a sweep of ``count`` trials of joint dimension ``dim``.
+def sweep_chunks(seed: int, count: int, stack: tuple[int, ...]):
+    """Yield (trials, streams) for a sweep of ``count`` trials whose largest per-trial
+    complex stack has the shape ``stack``.
 
-    Chunks hold as many trials as fit one (chunk, dim, dim) complex stack in
+    Chunks hold as many trials as fit one (chunk, *stack) complex stack in
     ``SWEEP_CHUNK_BYTES``, and at most ``SWEEP_CHUNK_TRIALS``. Each trial gets
     the stream ``default_rng((seed, trial))``, whose seed words are computed
     for a batch of trials at once (``_streams``). This relies on numpy's SeedSequence algorithm staying
     frozen (NEP 19); ``tests/test_linalg.py::TestStreamSeeding`` pins every
     stream against ``default_rng``.
     """
-    size = max(1, min(SWEEP_CHUNK_TRIALS, SWEEP_CHUNK_BYTES // (16 * dim * dim)))
+    size = max(1, min(SWEEP_CHUNK_TRIALS, SWEEP_CHUNK_BYTES // (16 * math.prod(stack))))
     streams = _streams(seed, count)
     for start in range(0, count, size):
         trials = range(start, min(start + size, count))
@@ -503,9 +506,13 @@ class SweepReport:
         return tuple(self.record(**dict(zip(self.columns, row))) for row in zip(*self.columns.values()))
 
 
-def run_sweep(config, chunk: Callable, record: type, summarize: Callable, sink: Callable[[dict], object] | None = None):
+def run_sweep(
+    config, chunk: Callable, stack: tuple[int, ...], record: type, summarize: Callable,
+    sink: Callable[[dict], object] | None = None,
+):
     """Run ``chunk(config, trials, streams)`` on each chunk of the sweep ``config`` sets (its
-    ``n1``, ``n2``, ``count`` and ``seed``; see ``sweep_chunks``), and report the sweep.
+    ``count`` and ``seed``), chunks sized by ``stack``, the shape of the largest per-trial stack
+    ``chunk`` forms (see ``sweep_chunks``), and report the sweep.
 
     Each chunk's columns, a list per ``record`` field, go to ``sink`` as they come, or,
     with no sink, are collected. Its tallies are totalled (a ``max_*`` tally keeps its
@@ -513,7 +520,7 @@ def run_sweep(config, chunk: Callable, record: type, summarize: Callable, sink: 
     """
     columns: dict[str, list] = {}
     tallies: dict = {}
-    for trials, streams in sweep_chunks(config.seed, config.count, config.n1 * config.n2):
+    for trials, streams in sweep_chunks(config.seed, config.count, stack):
         chunk_columns, chunk_tallies = chunk(config, trials, streams)
         if sink is not None:
             sink(chunk_columns)

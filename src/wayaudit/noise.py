@@ -557,4 +557,5 @@ def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None
     report then keeps none; otherwise the report collects them.
     """
     summarize = functools.partial(_audit_summary, config.count)
-    return run_sweep(config, _audit_chunk, BoundAuditRecord, summarize, sink)
+    dim = config.n1 * config.n2
+    return run_sweep(config, _audit_chunk, (dim, dim), BoundAuditRecord, summarize, sink)

@@ -346,4 +346,5 @@ def counterexample_sweep(config: CounterexampleConfig, sink: Callable[[dict], ob
     ``sink(columns)`` as the chunk finishes, if a sink is given, and the report
     then keeps none; otherwise the report collects them.
     """
-    return run_sweep(config, _sweep_chunk, SweepTrial, CounterexampleSummary, sink)
+    stack = (config.n1, config.n1, config.n2)  # the pointer blocks
+    return run_sweep(config, _sweep_chunk, stack, SweepTrial, CounterexampleSummary, sink)

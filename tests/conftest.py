@@ -24,14 +24,21 @@ def block_bases(d):
     return [d.vectors[:, a:b] for a, b in zip(starts, starts[1:])]
 
 
-def chunk_sizes(count, dim):
-    """The trials of each chunk of a sweep of ``count`` trials at joint dimension ``dim`` (``linalg.sweep_chunks``)."""
-    return [len(trials) for trials, _ in linalg.sweep_chunks(0, count, dim)]
+def sweep_stack(kind, n1, n2):
+    """The shape of the largest per-trial stack a sweep of ``kind`` forms, which sizes its chunks:
+    the bound audit's (D, D) unitaries, the counterexample sweep's (n1, n1, n2) pointer blocks."""
+    return (n1 * n2, n1 * n2) if kind == "bound-audit" else (n1, n1, n2)
 
 
-def chunk_size(dim):
-    """The trials of a full sweep chunk at joint dimension ``dim``: the first chunk of a long sweep."""
-    return len(next(linalg.sweep_chunks(0, 1 << 40, dim))[0])
+def chunk_sizes(count, stack):
+    """The trials of each chunk of a sweep of ``count`` trials whose largest per-trial stack has
+    the shape ``stack`` (``linalg.sweep_chunks``)."""
+    return [len(trials) for trials, _ in linalg.sweep_chunks(0, count, stack)]
+
+
+def chunk_size(stack):
+    """The trials of a full sweep chunk for the per-trial stack ``stack``: the first chunk of a long sweep."""
+    return len(next(linalg.sweep_chunks(0, 1 << 40, stack))[0])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wayaudit.cli as cli
-from conftest import chunk_size, chunk_sizes
+from conftest import chunk_size, chunk_sizes, sweep_stack
 from wayaudit import commutant, linalg, noise, theorem
 from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
 from wayaudit.commutant import SearchConfig, feasibility_search
@@ -733,15 +733,18 @@ class TestSweepGoldens:
     @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])
     def test_chunk_invariant(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
         # a chunk per trial writes the bytes of the default chunk rule, which
-        # puts the 40 trials in one chunk, or in two at 5x9
+        # puts the trials in one chunk, or in two at 5x9: 40 bound-audit
+        # trials in chunks of 32 and 8, 300 counterexample trials in 291 and 9
+        count = 300 if (kind, n1) == ("counterexample", 5) else 40
         monkeypatch.chdir(tmp_path)  # the report echoes the relative --out path
-        argv = ["sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2), "--count", "40", "--seed", "7",
+        argv = ["sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2), "--count", str(count), "--seed", "7",
                 "--format", "csv", "--out", "sweep.csv"]
         code, default_out, _ = run(capsys, *argv)
         default_csv = (tmp_path / "sweep.csv").read_bytes()
-        assert len(chunk_sizes(40, n1 * n2)) == (2 if n1 * n2 == 45 else 1)
+        stack = sweep_stack(kind, n1, n2)
+        assert len(chunk_sizes(count, stack)) == (2 if n1 == 5 else 1)
         monkeypatch.setattr(linalg, "SWEEP_CHUNK_BYTES", 1)
-        assert chunk_sizes(40, n1 * n2) == [1] * 40
+        assert chunk_sizes(count, stack) == [1] * count
         assert run(capsys, *argv) == (code, default_out, "") and code == 0
         assert (tmp_path / "sweep.csv").read_bytes() == default_csv
 
@@ -913,7 +916,7 @@ class TestSweepCommand:
     )
     def test_failure_leaves_out_unchanged(self, capsys, monkeypatch, tmp_path, kind, module, kernel):
         # three full chunks at 2x3; the second one fails
-        count = 3 * chunk_size(6)
+        count = 3 * chunk_size(sweep_stack(kind, 2, 3))
         original, calls = getattr(module, kernel), []
 
         def failing(*args):
@@ -1020,8 +1023,8 @@ class TestSweepMemory:
                 capsys.readouterr()
 
         peak(4)  # one-time allocations (parser, lazy imports) fall outside the measurement
-        chunk = chunk_size(n1 * n2)
-        assert chunk_sizes(2 * chunk, n1 * n2) == [chunk] * 2
+        chunk = chunk_size(sweep_stack(kind, n1, n2))
+        assert chunk_sizes(2 * chunk, sweep_stack(kind, n1, n2)) == [chunk] * 2
         small, large = peak(2 * chunk), peak(20 * chunk)
         assert large <= 1.5 * small, f"peak {large} B at {20 * chunk} trials vs {small} B at {2 * chunk}"
 

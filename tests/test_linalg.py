@@ -466,7 +466,7 @@ def test_sweep_chunks_cover_trials_in_order(count, dim):
     # full chunks, each as large as both the stack's byte budget (D = 45) and
     # the trial cap (D = 1) allow, then the rest; one stream per trial
     seen, sizes = [], []
-    for trials, streams in linalg.sweep_chunks(11, count, dim):
+    for trials, streams in linalg.sweep_chunks(11, count, (dim, dim)):
         assert len(streams) == len(trials)
         seen += trials
         sizes.append(len(trials))
@@ -516,8 +516,8 @@ class TestStreamSeeding:
         # three chunks at D = 45, the last one partial, seeded in one batch
         # or in batches of 3 that straddle the chunks
         monkeypatch.setattr(linalg, "SEED_BATCH", batch)
-        full = chunk_size(45)
-        chunks = list(linalg.sweep_chunks(seed, 2 * full + 4, 45))
+        full = chunk_size((45, 45))
+        chunks = list(linalg.sweep_chunks(seed, 2 * full + 4, (45, 45)))
         assert [len(trials) for trials, _ in chunks] == [full, full, 4] and full % 3
         streams = [s for _, chunk_streams in chunks for s in chunk_streams]
         assert len(streams) == 2 * full + 4

@@ -507,4 +507,4 @@ class TestBoundAuditSweep:
     def test_multi_chunk_golden_spans_chunks(self):
         # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
         # golden that crosses chunk boundaries
-        assert len(chunk_sizes(40, 45)) > 1
+        assert len(chunk_sizes(40, (45, 45))) > 1

@@ -240,18 +240,18 @@ class TestCounterexampleSweep:
             assert t.counterexample == (t.conforming and t.commutator_norm > 1e-6)
 
     def test_sink_takes_the_columns(self):
-        # 40 trials at D = 45 are several chunks; streamed, they add up to the collected columns
+        # 300 trials at 5x9 are two chunks; streamed, they add up to the collected columns
         chunks = []
-        config = CounterexampleConfig(5, 9, 40, 5)
+        config = CounterexampleConfig(5, 9, 300, 5)
         streamed = counterexample_sweep(config, sink=chunks.append)
         collected = counterexample_sweep(config)
         assert len(chunks) > 1
         assert (streamed.columns, streamed.records) == ({}, ())
         assert streamed == dataclasses.replace(collected, columns={})
         assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
-        assert len(collected.records) == 40
+        assert len(collected.records) == 300
 
-    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 300), (5, 9, 40)])  # two chunks each
+    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 600), (5, 9, 300)])  # two chunks each
     def test_records_match_assembled_instances(self, n1, n2, count):
         # the chunk reads its pointers in factor space; each trial's instance, assembled, agrees
         report = counterexample_sweep(CounterexampleConfig(n1, n2, count, 7))
@@ -273,6 +273,13 @@ class TestCounterexampleSweep:
         monkeypatch.setattr(theorem, "spectral_operator_stack", skewed)
         with pytest.raises(PreconditionError, match="^interaction: not unitary"):
             sample_instance_stack(3, 5, [np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("n1, n2, chunks", [(2, 3, [512, 88]), (3, 5, [512, 88]), (5, 9, [291, 291, 18])])
+    def test_chunks_sized_by_the_pointer_blocks(self, n1, n2, chunks):
+        # 1 MiB of (n1, n1, n2) pointer blocks per chunk, at most 512 trials: no (chunk, D, D) stack sizes them
+        sizes = []
+        counterexample_sweep(CounterexampleConfig(n1, n2, sum(chunks), 7), lambda c: sizes.append(len(c["trial"])))
+        assert sizes == chunks
 
     @pytest.mark.parametrize("n1, n2, count, prefix", [(2, 3, 30, 11), (5, 9, 40, 13)])
     def test_prefix_of_longer_sweep(self, n1, n2, count, prefix):
