@@ -42,12 +42,13 @@ One draw path serves every caller: ``_block_unitaries`` draws the Haar block
 unitaries of each block size, one stream per decomposition (or per member of a
 stack of them), a size-1 block as a phase z / |z| with no QR
 (``linalg.haar_from_ginibre``). Sweeps draw a chunk of trials at once
-(``FactoredCommutant``), the seam of their two-phase draw order: once phase A
-has drawn each trial's factors, the factor eigensystems give each trial's block
-sizes, and phase B opens with every trial drawing its blocks from its own
-stream, in ascending-eigenvalue order. A ``FactoredCommutant`` keeps its
-unitaries in factor space: the eigensystems, the order of the sorted products
-and the block unitaries. The counterexample sweep needs U only on the n1
+(``FactoredCommutant``), with each trial's third and last stream call: once its
+first two calls have drawn its factors, the factor eigensystems give its block
+sizes, and it draws its blocks from its own stream, in ascending-eigenvalue
+order. The chunk's trials are grouped by block structure in one pass
+(``block_sizes``). A ``FactoredCommutant`` keeps its unitaries in factor space:
+the eigensystems, the order of the sorted products, kept from the one sort
+(``_joint_spectrum``) for the assembly too, and the block unitaries. The counterexample sweep needs U only on the n1
 product inputs u_j (x) v, so it applies U there without forming it
 (``FactoredCommutant.pointer_blocks``): V^dag (u_j (x) v) is the outer product
 (wa^dag u_j)(wb^dag v)^T, the block unitaries move its entries in sorted-product

@@ -13,6 +13,10 @@ keeps a mat-vec a gemv), and norms through the strided dot products
 anti-Hermitian entry by entry and does not symmetrize them. Each scalar
 function is a batch of one of its kernel;
 ``tensor_product``, ``commutator`` and ``variance`` validate their inputs first.
+The stacked samplers take drawn standard normals, (k, 2, ...) with the real
+parts first, and keep each sampler's scaling: a Ginibre matrix is
+(re + i im) / sqrt(2), a random Hermitian matrix (z + z^dag) / 2 with
+z = re + i im, a random state z / |z|.
 
 Each structural hypothesis has one stack-aware check here, which raises a
 ``PreconditionError`` named after the checked argument for the first failing
@@ -25,16 +29,19 @@ loader included, goes through them; an operator argument of known dimension
 goes through ``as_hermitian`` (coerce, then the dimension, then hermiticity).
 
 Sweeps draw from one stream per trial, ``default_rng((seed, trial))``, in
-chunks of at most ``SWEEP_CHUNK_BYTES`` per (chunk, D, D) complex stack and at
-most ``SWEEP_CHUNK_TRIALS`` trials (``sweep_chunks``): 512 trials at 2x3, 291
-at 3x5 and 32 at 5x9, so a chunk's fixed cost is spread over many trials.
+chunks of at most ``SWEEP_CHUNK_BYTES`` of the largest per-trial complex stack
+the sweep forms and at most ``SWEEP_CHUNK_TRIALS`` trials (``sweep_chunks``),
+so a chunk's fixed cost is spread over many trials.
 The streams' PCG64 seed words are computed ``SEED_BATCH`` trials at a time,
 by numpy's SeedSequence hash run over the trial axis (``_seed_words``); this
 relies on numpy keeping that algorithm frozen (its stream-compatibility
 policy, NEP 19), and ``tests/test_linalg.py::TestStreamSeeding`` fails if
-it changes. Each draw site fills one (streams, ...) buffer in place, a row
-per stream (``normal_draws``, ``uniform_draws``), with the values of the
-stream's own ``standard_normal`` or ``uniform`` call; ``uniform`` is
+it changes. Each trial calls its stream three times: one ``random`` call,
+one ``standard_normal`` call, then the commutant blocks. Each call fills one
+(streams, n) buffer in place, a row per stream, and is split into the
+segments its draw sites read (``uniform_draws``, ``normal_draws``); each
+segment holds the values of the stream's own ``uniform`` or
+``standard_normal`` call at that point, ``uniform`` being
 ``low + (high - low) * random``, and ``TestDrawKernels`` pins both. No
 record depends on the chunk size. Both sweeps run one chunk loop,
 ``run_sweep``: it hands each chunk's columns to a sink or collects them,

@@ -13,13 +13,16 @@ The counterexample sweep evaluates its trials through the sweeps' chunk
 loop (``linalg.run_sweep``), as (chunk, ...) stacks: sampling
 (``sample_instance_stack``), the model checks, the pointer analysis and the
 commutator run once per chunk (``_sweep_chunk``). Every trial keeps its own
-stream and draws in two phases, its factors first, then its commutant blocks
-and ready state once the factors' eigensystems, known from their draws, have
-fixed its block sizes (see ``commutant``); so each record is the one a
-trial-by-trial loop would give, bit for bit. The chunk reads its pointer blocks
+stream and calls it three times: ``random`` for its factors' spectra,
+``standard_normal`` for their Ginibre matrices and its ready state, and, once
+the factors' eigensystems, known from their draws, have fixed its block sizes
+(see ``commutant``), ``standard_normal`` for its commutant blocks; so each
+record is the one a trial-by-trial loop would give, bit for bit. The bound
+audit's trials begin with the same draws. The chunk reads its pointer blocks
 in factor space (``commutant.FactoredCommutant``) and forms no (chunk, D, D)
 stack: no eigenvector matrix, no U and no U^dag U, and it checks the unitaries
-it applies instead of U. ``CounterexampleConfig`` checks the sweep's inputs,
+it applies instead of U; its chunks are sized by those (n1, n1, n2) pointer
+blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` checks the sweep's inputs,
 ``SweepTrial``'s fields are the CSV schema, and ``CounterexampleSummary`` holds
 the tallies. ``sample_conserving_instance`` is a batch of one of the sampler,
 with its U assembled; ``pointer_analysis`` shares the chunk's pointer analysis.
