@@ -48,8 +48,9 @@ sizes, and it draws its blocks from its own stream, in ascending-eigenvalue
 order. The chunk's trials are grouped by block structure in one pass
 (``block_sizes``). A ``FactoredCommutant`` keeps its unitaries in factor space:
 the eigensystems, the order of the sorted products, kept from the one sort
-(``_joint_spectrum``) for the assembly too, and the block unitaries. The counterexample sweep needs U only on the n1
-product inputs u_j (x) v, so it applies U there without forming it
+(``_joint_spectrum``) for the assembly too, and the block unitaries. The
+counterexample sweep needs U only on the n1 product inputs u_j (x) v, so it
+applies U there without forming it
 (``FactoredCommutant.pointer_blocks``): V^dag (u_j (x) v) is the outer product
 (wa^dag u_j)(wb^dag v)^T, the block unitaries move its entries in sorted-product
 order, and V takes the result Y_j back as wa Y_j wb^T (the Kronecker
@@ -170,7 +171,8 @@ def block_sizes(values: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
     starts = np.ones(values.shape, dtype=bool)
     starts[:, 1:] = np.diff(values, axis=-1) > GROUPING_TOL
     keys = np.packbits(starts, axis=-1)
-    _, first, which = np.unique(keys.view(np.dtype((np.void, keys.shape[-1])))[:, 0], return_index=True, return_inverse=True)
+    keys = keys.view(np.dtype((np.void, keys.shape[-1])))[:, 0]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
     structures = [tuple(np.diff([*np.flatnonzero(row), values.shape[-1]]).tolist()) for row in starts[first]]
     return structures, which
 

@@ -657,7 +657,7 @@ def sorted_eigensystem(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.take_along_axis(d, order, axis=-1), np.take_along_axis(w, order[..., None, :], axis=-1)
 
 
-def spectral_operator_stack(d: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def spectral_operator_stack(d: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """W diag(d) W^dag for each row of (k, n) spectra, W the Haar unitary of the Ginibre matrix of a
     (k, 2, n, n) stack of standard normals, and its eigensystem (``sorted_eigensystem``)."""
     w = haar_from_ginibre(ginibre_stack(normals))

@@ -130,10 +130,9 @@ class _Stack:
         self.var_la = variance_stack(la, psi)
         self.var_lb = variance_stack(lb, ready)
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
-        self.observable_commutator = commutator_stack(observable, la)
         self.probe_commutator = commutator_stack(probe, lb)
         self.ready_mean = _expectations(lb, ready)  # <v|lb|v>
-        self.commutator_mean = _expectations(self.observable_commutator, psi)  # <psi|[observable, la]|psi>
+        self.commutator_mean = _expectations(commutator_stack(observable, la), psi)  # <psi|[observable, la]|psi>
         self.product_mean = self.commutator_mean * self.ready_mean  # of [observable, la] (x) lb on psi (x) v
         # <phi|(la (x) [probe, lb]) phi>: (la (x) C) phi is la Phi C^T
         moved = la @ evolved @ self.probe_commutator.mT

@@ -211,7 +211,10 @@ class TestDrawnEigensystems:
         la_normals, lb_normals = linalg.normal_draws(rngs, (2, n1, n1), (2, n2, n2))
         if zero is not None:
             lb_spectrum = noise._apparatus_spectra(lb_spectrum, zero)
-        return linalg.spectral_operator_stack(la_spectrum, la_normals), linalg.spectral_operator_stack(lb_spectrum, lb_normals)
+        return (
+            linalg.spectral_operator_stack(la_spectrum, la_normals),
+            linalg.spectral_operator_stack(lb_spectrum, lb_normals),
+        )
 
     @pytest.mark.parametrize("kind", ["counterexample", "bound-audit"])
     def test_chunk_calls_no_eigh(self, monkeypatch, kind):
@@ -431,7 +434,7 @@ class TestFactoredPointers:
         la, lb = self.eigensystems(names, np.random.default_rng(28))
         factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((29, i)) for i in range(len(names))])
         _, vectors = commutant._joint_eigensystem(la, lb)
-        expected = factored._by_structure(vectors, lambda v, _, indices, unitaries: commutant._assembled(v, indices, unitaries))
+        expected = factored._by_structure(vectors, lambda v, _, index, blocks: commutant._assembled(v, index, blocks))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second sort of the joint spectrum")
@@ -449,7 +452,9 @@ def _reference_block_sizes(row):
 class TestBlockSizes:
     """``block_sizes`` groups a stack's rows by their block structure in one pass."""
 
-    @pytest.mark.parametrize("names", [["generic"] * 3, ["generic", "triple", "geometric", "mixed", "triple", "generic"]])
+    @pytest.mark.parametrize(
+        "names", [["generic"] * 3, ["generic", "triple", "geometric", "mixed", "triple", "generic"]]
+    )
     def test_one_pass_matches_per_row_grouping(self, names):
         spectra = TestFactoredPointers.SPECTRA
         values, _ = commutant._joint_spectrum(*(np.array([spectra[name][part] for name in names]) for part in (0, 1)))

@@ -734,7 +734,8 @@ class TestAntiHermitianExp:
 
 def test_random_positive_operator_spectrum():
     rngs = [np.random.default_rng(21)]
-    (spectrum,), (normals,) = linalg.uniform_draws(rngs, (*linalg.FACTOR_SPECTRUM, 4)), linalg.normal_draws(rngs, (2, 4, 4))
+    (spectrum,) = linalg.uniform_draws(rngs, (*linalg.FACTOR_SPECTRUM, 4))
+    (normals,) = linalg.normal_draws(rngs, (2, 4, 4))
     (op,), _ = linalg.spectral_operator_stack(spectrum, normals)
     values = np.linalg.eigvalsh(op)
     assert values[0] >= 0.5 - 1e-9 and values[-1] <= 2.0 + 1e-9

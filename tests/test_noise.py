@@ -116,10 +116,10 @@ def reference_kernels(u, ready, observable, psi, probe, la, lb):
         "yanase", not np.linalg.norm(probe_commutator) > noise.YANASE_COMMUTATOR_TOL,
         (abs(observable_mean) ** 2, np.linalg.norm(observable_image) ** 2), denominator,
     )
+    system_image = commutator(observable, la) @ psi
     conditional(
         "simplified", not abs(np.vdot(ready, lb @ ready)) > noise.ZERO_EXPECTATION_TOL,
-        (abs(np.vdot(psi, commutator(observable, la) @ psi)) ** 2, np.linalg.norm(commutator(observable, la) @ psi) ** 2),
-        (4.0 * var_la, 4.0 * la_scale),
+        (abs(np.vdot(psi, system_image)) ** 2, np.linalg.norm(system_image) ** 2), (4.0 * var_la, 4.0 * la_scale),
     )
     return cells
 
