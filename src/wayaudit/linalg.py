@@ -13,10 +13,7 @@ keeps a mat-vec a gemv), and norms through the strided dot products
 anti-Hermitian entry by entry and does not symmetrize them. Each scalar
 function is a batch of one of its kernel;
 ``tensor_product``, ``commutator`` and ``variance`` validate their inputs first.
-The stacked samplers take drawn standard normals, (k, 2, ...) with the real
-parts first, and keep each sampler's scaling: a Ginibre matrix is
-(re + i im) / sqrt(2), a random Hermitian matrix (z + z^dag) / 2 with
-z = re + i im, a random state z / |z|.
+The stacked samplers take drawn (k, 2, ...) standard normals, real parts first.
 
 Each structural hypothesis has one stack-aware check here, which raises a
 ``PreconditionError`` named after the checked argument for the first failing

@@ -11,22 +11,18 @@ are reported rather than asserted.
 
 One engine evaluates instances as (k, ...) stacks: ``_Stack`` computes every
 intermediate once for k instances and the four bound kernels read from it.
-Every figure is read off the product state s = psi (x) v and its image
-phi = U s, so no operator on the joint space but U is formed:
-N s = U^dag (Phi probe^T) - (observable psi) (x) v, with Phi the n1 x n2
-reshape of phi; <[N, L]> = -2i Im <L s|N s>, with L s = (la psi) (x) (lb v);
-Var(L) from L s; and <phi|(la (x) [probe, lb]) phi> as <Phi|la Phi C^T>,
-C = [probe, lb]. ``noise_report`` checks its inputs in one order
-(``_instance``) and runs it on a stack of one. The bound audit runs it on
-chunks of trials through the sweeps' chunk loop (``linalg.run_sweep``). Each
-trial calls its stream three times, whatever its regime (see
-``_audit_chunk``), so every record is the one a trial-by-trial loop would
-give, bit for bit. Each chunk takes la's and lb's eigensystems from their
-draws (no ``eigh``), for the commutant draw, the ready states and the probes,
-assembles one U per trial for the bounds, U^dag U and the conservation
-residual, builds la (x) lb once, for that residual, and names its columns
-after the bound kernels' outputs; ``BoundAuditRecord``'s fields are the CSV
-schema.
+Every figure is read off the product state psi (x) v and its image under U,
+so no operator on the joint space but U is formed (see ``_Stack``).
+``noise_report`` checks its inputs in one order (``_instance``) and runs it on
+a stack of one. The bound audit runs it on chunks of trials through the
+sweeps' chunk loop (``linalg.run_sweep``). Each trial calls its stream three
+times, whatever its regime (see ``_audit_chunk``), so every record is the one
+a trial-by-trial loop would give, bit for bit. Each chunk takes la's and lb's
+eigensystems from their draws (no ``eigh``), for the commutant draw, the ready
+states and the probes, assembles one U per trial for the bounds, U^dag U and
+the conservation residual, builds la (x) lb once, for that residual, and names
+its columns after the bound kernels' outputs; ``BoundAuditRecord``'s fields
+are the CSV schema.
 """
 
 from __future__ import annotations

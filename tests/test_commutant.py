@@ -229,7 +229,8 @@ class TestDrawnEigensystems:
             report = noise.bound_audit_sweep(noise.AuditConfig(n1=2, n2=3, count=40, seed=7))
             assert report.summary.robertson_violations == 0
 
-    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 600), (5, 9, 300)])  # two chunks each
+    # one chunk each, and two at 5x9 with 300 trials (291 and 9)
+    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 300), (5, 9, 40), (5, 9, 300)])
     def test_counterexample_chunk_forms_no_joint_stack(self, monkeypatch, n1, n2, count):
         # no eigenvector matrix V, no assembled U and so no U^dag U: the pointers are read in factor space
         def refuse(*args, **kwargs):

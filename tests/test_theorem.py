@@ -251,7 +251,8 @@ class TestCounterexampleSweep:
         assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
         assert len(collected.records) == 300
 
-    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 600), (5, 9, 300)])  # two chunks each
+    # one chunk each, and two at 5x9 with 300 trials (291 and 9)
+    @pytest.mark.parametrize("n1, n2, count", [(3, 5, 300), (5, 9, 40), (5, 9, 300)])
     def test_records_match_assembled_instances(self, n1, n2, count):
         # the chunk reads its pointers in factor space; each trial's instance, assembled, agrees
         report = counterexample_sweep(CounterexampleConfig(n1, n2, count, 7))
