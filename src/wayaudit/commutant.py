@@ -25,7 +25,9 @@ an accepted step that cut the objective by less than ``SLOW_PROGRESS`` of it,
 the next point is second order: it factors J^T J + S in parameter space and
 keeps the damping above its most negative eigenvalue; ``_Feasibility`` builds
 the pointer derivatives dW once there, for J and S both. Each try retracts its
-block step with one exponential of one generator.
+block step with one exponential of one generator. Below ``LEAK_BELOW``, a fresh
+feasibility point first tries a step on the leaked amplitudes, whose zero is
+regular where that of G - I is not (``_Feasibility.leak``, see ``_descend``).
 
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
@@ -107,6 +109,9 @@ FTOL = 1e-15
 # An accepted step that cuts the objective by less than this fraction of it makes the next point take a
 # second-order step (Fletcher and Xu, IMA J. Numer. Anal. 7, 371, 1987; see _descend).
 SLOW_PROGRESS = 0.2
+# At a fresh point with an objective at or below this, a problem that has a ``leak`` system tries a step on
+# it first (see _descend). Below the smallest known blocked floor (1/52), so blocked restarts never take it.
+LEAK_BELOW = 1e-6
 STOP_REASONS = ("zero", "no_decrease", "gradient", "max_iter")  # see _descend
 
 
@@ -475,6 +480,27 @@ def _jacobian(problem, point, computed) -> np.ndarray:
     return jac.reshape(len(jac), -1).view(np.float64)
 
 
+def _damped_step(jac: np.ndarray, residual: np.ndarray, lam: float) -> np.ndarray:
+    """The Levenberg-Marquardt step -(J^T J + lam I)^-1 J^T r for ``jac`` = J^T (see ``_step_axes``)."""
+    curvature, axes, coefficients = _step_axes(jac, residual, jac @ residual)
+    return -axes @ (coefficients / (curvature + lam))
+
+
+def _leak_step(problem, point, computed, residual: np.ndarray, f: float, lam: float):
+    """A try on the problem's leak system r' at ``point`` (see ``_descend``): one damped step on r', then, if F did
+    not fall, one damped step on the residual itself from there, both with ``lam``. Returns the candidate and
+    its ``_scored`` triple if F fell, else None."""
+    leak, jac = problem.leak(point, computed, residual)
+    candidate = problem.stepped(point, _damped_step(jac.view(np.float64), leak.view(np.float64), lam))
+    scored = _scored(problem, candidate)
+    if not scored[1] < f:  # the leak closed, but E_ij (i != j) moved at second order along the step
+        candidate_residual, _, candidate_computed = scored
+        jac = _jacobian(problem, candidate, candidate_computed)
+        candidate = problem.stepped(candidate, _damped_step(jac, candidate_residual, lam))
+        scored = _scored(problem, candidate)
+    return (candidate, scored) if scored[1] < f else None
+
+
 def _descend(problem, rng, config: SearchConfig):
     """One restart of Levenberg-Marquardt on the residual of ``problem``.
 
@@ -488,8 +514,21 @@ def _descend(problem, rng, config: SearchConfig):
     (``_step_axes``), except after an accepted step that cut F by less than ``SLOW_PROGRESS * F``:
     the next point then takes H = J^T J + S from one ``eigh`` in parameter space, with lam kept
     above -lambda_min(H), so that the step descends past negative curvature (Fletcher and Xu's
-    hybrid rule). Either way lam |delta|^2 - delta . J^T r is the decrease the model promises. The
-    restart stops when F <= ZERO_OBJECTIVE, when the next step promises a decrease of at most
+    hybrid rule). Either way lam |delta|^2 - delta . J^T r is the decrease the model promises.
+
+    A zero of F can be singular: ``_Feasibility``'s diagonal residuals 1 - G_jj = |l_j|^2 are quadratic in
+    the leaked amplitudes l_j, so F is quartic there and every step above crawls down it at a fixed ratio
+    per try. A problem with the optional method ``problem.leak(point, computed, residual)`` gives a
+    residual r' whose zero is regular and its J'^T, as complex arrays (R',) and (P, R'). At a fresh point
+    with F <= ``LEAK_BELOW``, before its first step, the loop tries one damped step on r' with the current
+    lam (``_leak_step``) and, if F did not fall, one more on r from there: a step that closes the leak
+    moves the off-diagonal E_ij at second order, which r' holds only to first. If F fell, the result is
+    the next point, an accepted try that divides lam by 3, as a step that met its model does: a lam kept
+    there would stay put over a run of leak steps and damp them to a crawl. Otherwise the try goes on as
+    the step above, at the same point and with the same lam. A problem without ``leak`` never takes this
+    path.
+
+    The restart stops when F <= ZERO_OBJECTIVE, when the next step promises a decrease of at most
     ``FTOL * F`` (no damped step decreases F any more), when J^T r is exactly zero, or after
     ``config.max_iter`` tries. Returns (F, point, trace, stop reason, lambda_min(J^T J + S) at the
     point).
@@ -502,6 +541,7 @@ def _descend(problem, rng, config: SearchConfig):
     for it in range(1, config.max_iter + 1):
         if reason == "zero":
             break
+        leaked = None
         if fresh:
             jac, fresh = _jacobian(problem, point, computed), False
             grad = jac @ residual
@@ -516,15 +556,21 @@ def _descend(problem, rng, config: SearchConfig):
             else:
                 curvature, axes, coefficients = _step_axes(jac, residual, grad)
                 lam = 1e-3 * float(curvature[-1]) if lam is None else lam
-        delta = -axes @ (coefficients / (curvature + lam))
-        predicted = lam * float(delta @ delta) - float(delta @ grad)  # Python floats: lam may overflow
-        if not predicted > FTOL * f:  # also once lam is inf and predicted nan
-            reason = "no_decrease"
-            break
-        candidate = problem.stepped(point, delta)
-        candidate_residual, f_new, candidate_computed = _scored(problem, candidate)
+            if f <= LEAK_BELOW and hasattr(problem, "leak"):
+                leaked = _leak_step(problem, point, computed, residual, f, lam)
+        if leaked:
+            candidate, (candidate_residual, f_new, candidate_computed) = leaked
+        else:
+            delta = -axes @ (coefficients / (curvature + lam))
+            predicted = lam * float(delta @ delta) - float(delta @ grad)  # Python floats: lam may overflow
+            if not predicted > FTOL * f:  # also once lam is inf and predicted nan
+                reason = "no_decrease"
+                break
+            candidate = problem.stepped(point, delta)
+            candidate_residual, f_new, candidate_computed = _scored(problem, candidate)
         if f_new < f:
-            gain = min((f - f_new) / predicted, 1.0)  # any gain above 1 divides lam by 3
+            # any gain above 1 divides lam by 3, and so does an accepted leak step
+            gain = 1.0 if leaked else min((f - f_new) / predicted, 1.0)
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu, fresh, second, lowest = 2.0, True, f - f_new < SLOW_PROGRESS * f, None
             point, f = candidate, f_new
@@ -722,6 +768,26 @@ class _Feasibility:
         rows = tangents.view(np.float64)  # Re(t^dag t') is the dot product of the real views
         s[split:, split:] -= 2.0 * (residual @ residual + e.trace().real) * rows @ rows.T
         return s
+
+    def leak(self, point, computed, residual):
+        """The residual r' = (E_ij for i != j, then the leaks l_j), whose zero is regular, and its derivatives
+        (P, R'). 1 - G_jj = |l_j|^2 is quadratic in the amplitude l_j = Q_j B c_j, Q_j = 1 - R_j L_j, that leaks
+        out of u_j (x) C^n2, so E's rows dG_jj vanish at the zero and F is quartic there. The columns of R_i,
+        i != j, are an orthonormal basis of the range of Q_j, and l_j's coordinates in it are the off-diagonal
+        pointer blocks w_ij = Y_i c_j, Y_i = L_i B: ``leak`` stacks those. Every block w_ij takes its
+        derivative Y_i G_p c_j along dB = B G_p from one gather, as ``pointer_derivatives`` does for W_j = w_jj,
+        and Y_i R_j t along each ready-state tangent t; dG off the diagonal comes from the diagonal ones."""
+        w, c = computed
+        n1, n2 = w.shape
+        y = self.left @ point.blocks  # Y_i, (n1, n2, D)
+        gathered = _gather(point.chart.pairs, y.reshape(n1 * n2, -1).T[:, :, None], c.T[:, None, :])  # (P, n1 n2, n1)
+        along = y[:, None] @ self.right[None] @ self.tangents(point.ready).T  # Y_i R_j t, (n1, n1, n2, 2 n2)
+        dw = np.concatenate([gathered.reshape(-1, n1, n2, n1).transpose(0, 1, 3, 2), along.transpose(3, 0, 1, 2)])
+        cross = np.diagonal(dw, axis1=1, axis2=2).conj().swapaxes(1, 2) @ w.mT  # <dW_i|W_j>
+        off = ~np.eye(n1, dtype=bool)
+        e, blocks = residual.view(complex).reshape(n1, n1), (y @ c.T).transpose(0, 2, 1)  # w_ij at [i, j]
+        rows = np.concatenate([(cross + cross.conj().mT)[:, off], dw[:, off].reshape(len(dw), -1)], axis=1)
+        return np.concatenate([e[off], blocks[off].ravel()]), rows
 
     def stepped(self, point, delta):
         """The blocks moved along the generators, and the ready state retracted onto the sphere:

@@ -1371,6 +1371,9 @@ class TestEncoderProperties:
 OPTIMIZE_GOLDENS = [
     # LA=diag(1,2), LB=diag(1,2,4): commutant blocks (1,2,2,1), two block sizes
     ("optimize_feasibility_blocks_2x3", "blocks_2x3", "feasibility", "6"),
+    # the same quantity with the commuting observable diag(1,2): a control, whose
+    # restarts reach zero through leak steps
+    ("optimize_feasibility_control_2x3", "control_2x3", "feasibility", "0"),
     ("optimize_epsilon_cnot", "cnot", "epsilon", "0"),
     # ROTATED_2X3's factors: blocks (1,2,2,1) in a complex eigenbasis, so the
     # epsilon projections onto the eigenvector coordinates are no permutation

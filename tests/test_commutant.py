@@ -1196,6 +1196,48 @@ class TestCurvature:
         assert np.abs(chart.paired_trace(c) - (products + products.T).real).max() <= 1e-12 * np.abs(products).max()
 
 
+class TestLeakSystem:
+    """The feasibility search's leak system r' = (E_ij for i != j, the leaks l_j) (``_Feasibility.leak``)."""
+
+    @pytest.mark.parametrize("la, lb", [*BLOCK_CASES, GEOMETRIC_5X9])
+    def test_leak_norms_are_the_diagonal_residuals(self, la, lb):
+        """|l_j|^2 = -E_jj for l_j = Q_j B c_j, Q_j = 1 - R_j L_j, and for its coordinates, the blocks w_ij (i != j)."""
+        problem, _ = _problems(la, lb)["feasibility"]
+        point = problem.start(np.random.default_rng(6))
+        residual, _, computed = commutant._scored(problem, point)
+        n1, (w, c) = len(problem.left), computed
+        e = residual.view(complex).reshape(n1, n1)
+        leak, _ = problem.leak(point, computed, residual)
+        off = n1 * (n1 - 1)
+        assert np.array_equal(leak[:off], e[~np.eye(n1, dtype=bool)])
+        blocks = np.abs(leak[off:].reshape(n1, n1 - 1, -1)) ** 2  # w_ij for i != j, row-major
+        from_blocks = np.zeros(n1)
+        np.add.at(from_blocks, np.nonzero(~np.eye(n1, dtype=bool))[1], blocks.sum(axis=-1).ravel())
+        projected = np.stack([np.eye(len(c.T)) - problem.right[j] @ problem.left[j] for j in range(n1)])
+        direct = np.linalg.norm(projected @ point.blocks @ c[:, :, None], axis=(1, 2)) ** 2
+        assert np.abs(e.diagonal().imag).max() <= 1e-15 and -e.diagonal().real.min() > 1e-3  # a real leak
+        assert np.abs(from_blocks + e.diagonal().real).max() <= 1e-14
+        assert np.abs(direct + e.diagonal().real).max() <= 1e-14
+
+    @pytest.mark.parametrize("la, lb", BLOCK_CASES)
+    def test_jacobian_matches_central_differences(self, la, lb):
+        """The derivatives of r' along every generator and ready-state tangent, against central differences of
+        r' at ``stepped(point, +-h e_p)``."""
+        problem, _ = _problems(la, lb)["feasibility"]
+        point, h = problem.start(np.random.default_rng(7)), 1e-6
+        residual, _, computed = commutant._scored(problem, point)
+        leak, jac = problem.leak(point, computed, residual)
+        assert jac.shape == (len(point.chart.pairs[0]) + 2 * problem.n2, len(leak))
+
+        def moved(delta):
+            moved_point = problem.stepped(point, delta)
+            moved_residual, _, moved_computed = commutant._scored(problem, moved_point)
+            return problem.leak(moved_point, moved_computed, moved_residual)[0]
+
+        fd = np.stack([(moved(step) - moved(-step)) / (2 * h) for step in np.eye(len(jac)) * h])
+        assert np.abs(jac - fd).max() <= 1e-8
+
+
 class _LinearProblem:
     """A least-squares problem that is no commutant search: the complex residual A x - b over real
     x, started at x0 and retracted by x + delta."""
@@ -1255,6 +1297,20 @@ class TestDescendProtocol:
         assert np.allclose([v for _, v in trace], [v for _, v in gn_trace], rtol=1e-12, atol=0.0)
         assert np.abs(x - gn_x).max() <= 1e-12 * np.abs(gn_x).max()
 
+    def test_problem_without_a_leak_system_keeps_its_trace(self, monkeypatch):
+        """The leak step is an optional problem method: a problem without one descends as it would with
+        no threshold, even when every point lies below ``LEAK_BELOW``."""
+        a = [[1.0, 1j], [2.0, 0.0], [0.5j, 1.0]]
+        problem = _LinearProblem(a, np.asarray(a) @ np.array([0.5, -1.5]), [0.5 + 1e-4, -1.5])
+        assert not hasattr(problem, "leak") and np.linalg.norm(problem.residual(problem.x0)[0]) ** 2 < 1e-6
+        runs = []
+        for threshold in (0.0, np.inf):
+            monkeypatch.setattr(commutant, "LEAK_BELOW", threshold)
+            runs.append(commutant._descend(problem, np.random.default_rng(0), SearchConfig(seed=0)))
+        (f, x, trace, reason, lowest), again = runs
+        assert reason == "zero" and len(trace) > 1
+        assert (f, x.tolist(), trace, reason, lowest) == (again[0], again[1].tolist(), *again[2:])
+
 
 class TestFloors:
     """Restart floors of the feasibility search agree, and controls reach zero in every restart."""
@@ -1286,6 +1342,48 @@ class TestFloors:
         assert result.stop_reasons == ("zero",) * 8
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_bench_controls_stop_within_16_tries(self, monkeypatch, seed):
+        """The benchmark's control restarts close their quartic zero with leak steps; without them F falls by
+        a fixed ratio per try from 1e-6 down, and no restart stops within 16 tries."""
+        config = SearchConfig(seed=seed, restarts=1, max_iter=16)
+        q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
+        result = feasibility_search(q, np.diag([1.0, 2.0]), config=config)
+        assert result.stop_reasons == ("zero",) and result.best_objective <= commutant.ZERO_OBJECTIVE
+        monkeypatch.setattr(commutant, "LEAK_BELOW", 0.0)
+        assert feasibility_search(q, np.diag([1.0, 2.0]), config=config).stop_reasons == ("max_iter",)
+
+    @pytest.mark.parametrize("n1, n2", [(3, 5), (4, 7), (5, 9)])
+    def test_geometric_controls_reach_zero_in_every_restart(self, n1, n2):
+        la = np.diag(2.0 ** np.arange(n1))
+        result = feasibility_search(quantity(la, np.diag(2.0 ** np.arange(n2))), la, config=SearchConfig(seed=0))
+        assert result.stop_reasons == ("zero",) * 8
+
+    @pytest.mark.parametrize("restart", [9, 24, 60])
+    def test_leak_steps_keep_lam_moving(self, restart):
+        """Accepted leak steps divide lam by 3. Had they kept it, these geometric 4x7 control restarts would
+        close their leaks and then cut the off-diagonal residuals by about 1 % per try, into max_iter."""
+        la = np.diag(2.0 ** np.arange(4))
+        problem = _feasibility(la, np.diag(2.0 ** np.arange(7)), la)
+        config = SearchConfig(seed=0, max_iter=60)
+        assert commutant._descend(problem, np.random.default_rng((0, restart)), config)[3] == "zero"
+
+    @pytest.mark.parametrize(
+        "la, lb, observable, restarts",
+        [
+            (LA_DIAG, np.diag([1.0, 2.0, 4.0]), X, 4),
+            (np.diag(BLOCK_CASES[-1][0]), np.diag(BLOCK_CASES[-1][1]), np.ones((3, 3)) - np.eye(3), 2),
+        ],
+    )
+    def test_blocked_restarts_take_no_leak_step(self, monkeypatch, la, lb, observable, restarts):
+        """Blocked restarts stay above ``LEAK_BELOW``: with the threshold at 0 their traces are the same."""
+        config = SearchConfig(seed=0, restarts=restarts)
+        result = feasibility_search(quantity(la, lb), observable, config=config)
+        monkeypatch.setattr(commutant, "LEAK_BELOW", 0.0)
+        again = feasibility_search(quantity(la, lb), observable, config=config)
+        assert min(result.restart_objectives) > commutant.LEAK_BELOW
+        assert (result.objective_trace, result.restart_objectives) == (again.objective_trace, again.restart_objectives)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_blocked_restarts_converge_in_60_tries(self, seed):
         # the benchmark's blocked restarts: one restart per seed, stopped by no_decrease within the budget
         config = SearchConfig(seed=seed, restarts=1, max_iter=60)
@@ -1296,8 +1394,9 @@ class TestFloors:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_controls_take_no_second_order_step(self, monkeypatch, seed):
-        """The benchmark's control restarts cut F by more than ``SLOW_PROGRESS`` at every accepted step,
-        so S is computed once, for the endpoint, and the trace is the Gauss-Newton one bit for bit."""
+        """The benchmark's control restarts cut F by more than ``SLOW_PROGRESS`` at every accepted try, a
+        Gauss-Newton or a leak step, so S is computed once, for the endpoint, and the trace is bit for bit
+        the one that Gauss-Newton and leak steps alone take."""
         calls, curvature = [], commutant._Feasibility.curvature
 
         def counted(*args):
@@ -1309,7 +1408,7 @@ class TestFloors:
         q = quantity(LA_DIAG, np.diag([1.0, 2.0, 4.0]))
         result = feasibility_search(q, np.diag([1.0, 2.0]), config=config)
         assert result.stop_reasons == ("zero",) and len(calls) == 1
-        monkeypatch.setattr(commutant, "SLOW_PROGRESS", 0.0)  # Gauss-Newton throughout
+        monkeypatch.setattr(commutant, "SLOW_PROGRESS", 0.0)  # no second-order point
         assert feasibility_search(q, np.diag([1.0, 2.0]), config=config).objective_trace == result.objective_trace
 
     def test_curvature_reuses_the_pointer_derivatives(self, monkeypatch):
