@@ -27,7 +27,7 @@ import stat
 import sys
 import tempfile
 import traceback
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .model import (
 from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep, noise_report, variance_identity_audit
 from .theorem import CounterexampleConfig, SweepTrial, counterexample_sweep, pointer_gram_rank, theorem_verdict
 
-__all__ = ["LoadedModel", "ModelFileError", "emit_report", "load_model", "main"]
+__all__ = ["LoadedModel", "ModelFileError", "load_model", "main"]
 
 class ModelFileError(ValueError):
     """Invalid model file; ``field`` names the offending entry."""
@@ -228,11 +228,6 @@ def _csv_sink(out, record: type):
     return lambda columns: out.write(_csv_rows([columns[name] for name in names]))
 
 
-def emit_report(text: str, out=None) -> None:
-    """Write a report serialized by ``canonical_json`` to the open file ``out``, or to stdout."""
-    (sys.stdout if out is None else out).write(text)
-
-
 # ---------------------------------------------------------------------------
 # model files
 
@@ -290,12 +285,12 @@ def _complex_array(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
     raise AssertionError(f"{field}: rejected in bulk, but every entry is valid")
 
 
+@dataclass(frozen=True)
 class LoadedModel:
-    def __init__(self, model, quantity, observable, probe):
-        self.model = model
-        self.quantity = quantity
-        self.observable = observable
-        self.probe = probe
+    model: MeasurementModel
+    quantity: ConservedQuantity
+    observable: np.ndarray | None
+    probe: np.ndarray | None
 
     def echo(self) -> dict:
         doc = {
@@ -440,8 +435,8 @@ def _report(args, loaded: LoadedModel | None = None, seed: int | None = None):
         yield report, out if csv else None
         text = canonical_json(report)
         if out is not None and not csv:
-            emit_report(text, out)
-    emit_report(text)
+            out.write(text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

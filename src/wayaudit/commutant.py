@@ -59,7 +59,7 @@ order, and V takes the result Y_j back as wa Y_j wb^T (the Kronecker
 mixed-product rule), O(n1 n2 (n1 + n2)) per input and no (D, D) matrix. Where U
 itself is needed, one assembly serves: ``_assembled`` forms V blockdiag(U_k)
 V^dag as V's column blocks times their unitaries, then one product with V^dag,
-for the bound audit (``commutant_unitary_stack``), ``commutant_unitary`` (its
+for the bound audit (``FactoredCommutant.assembled``), ``commutant_unitary`` (its
 batch of one), ``theorem.sample_conserving_instance`` and the optimizer's best
 point; every optimizer restart starts from the same draw, placed in one
 block-diagonal matrix (``_random_point``).
@@ -95,7 +95,6 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "block_sizes",
-    "commutant_unitary_stack",
     "conserved_eigenspaces",
     "default_probe_states",
     "feasibility_search",
@@ -292,12 +291,6 @@ class FactoredCommutant:
         n1, n2 = basis.shape[0], wb.shape[-1]
         right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), n1, n1, n2)  # (k, j, a, n2): Y_j wb^T
         return (left[:, None] @ right).swapaxes(1, 2)
-
-
-def commutant_unitary_stack(la, lb, rngs) -> np.ndarray:
-    """Haar unitaries from the commutants of la (x) lb, one per stream, (k, D, D), from the
-    factors' eigensystems: ``FactoredCommutant`` assembled."""
-    return FactoredCommutant(la, lb, rngs).assembled()
 
 
 class _Chart:

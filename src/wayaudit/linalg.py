@@ -67,7 +67,6 @@ __all__ = [
     "commutator",
     "commutator_stack",
     "dagger",
-    "frobenius_norm",
     "frobenius_norm_stack",
     "ginibre",
     "ginibre_stack",
@@ -209,10 +208,6 @@ def require_unit_norm(v: np.ndarray, name: str) -> None:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a (..., m, n) stack."""
     return a.conj().mT
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def frobenius_norm_stack(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ sweep samplers call on whole stacks. A failure raises a ``PreconditionError``
 named after the dataclass field. The pointer analysis runs on (k, n1, n1, n2)
 stacks of pointer blocks (``pointer_stack``): the counterexample sweep reads its
 blocks in factor space (``commutant.FactoredCommutant``), and
-``pointer_analysis`` takes one model's from its U (``_joint_blocks``).
+``check_nondestructive`` takes one model's from its U (``_joint_blocks``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "conservation_residual_stack",
     "conserved_operator",
     "observable_in_basis",
-    "pointer_analysis",
     "pointer_stack",
     "require_conserved",
     "synthesize_unitary",
@@ -161,7 +160,7 @@ def pointer_stack(blocks: np.ndarray, degenerate_tol: float) -> dict:
     diag = norms[:, diag_index, diag_index]
     off = norms.copy()
     off[:, diag_index, diag_index] = 0.0
-    leakage = off.max(axis=(1, 2)) if n1 > 1 else np.zeros(len(blocks))
+    leakage = off.max(axis=(1, 2))
     found = diag > degenerate_tol
     pointers = np.zeros(blocks.shape[:2] + blocks.shape[3:], dtype=complex)
     np.divide(blocks[:, diag_index, diag_index], diag[..., None], out=pointers, where=found[..., None])
@@ -170,8 +169,13 @@ def pointer_stack(blocks: np.ndarray, degenerate_tol: float) -> dict:
     return dict(leakage=leakage, pointers=pointers, degenerate=~found, gram=gram, deficit=deficit)
 
 
-def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -> PointerReport:
-    """``pointer_stack`` for one model; ``tol`` is both the degeneracy and the leakage threshold."""
+def check_nondestructive(m: MeasurementModel, tol: float = VERDICT_TOL) -> PointerReport:
+    """Does every measured basis state survive the interaction? ``pointer_stack`` for one model.
+
+    ``leakage`` is the largest norm among the cross-index blocks w(i, j), i != j; the verdict
+    holds when it is at most ``tol``, which is also the degeneracy threshold: a diagonal block
+    with norm at most ``tol`` is reported as a degenerate pointer rather than raising.
+    """
     blocks = _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])
     a = {k: v[0] for k, v in pointer_stack(blocks, tol).items()}
     leakage = float(a["leakage"])
@@ -185,17 +189,6 @@ def pointer_analysis(m: MeasurementModel, tol: float = POINTER_DEGENERACY_TOL) -
         gram=a["gram"],
         deficit=float(a["deficit"]),
     )
-
-
-def check_nondestructive(m: MeasurementModel, tol: float = VERDICT_TOL) -> PointerReport:
-    """Does every measured basis state survive the interaction?
-
-    ``leakage`` is the largest norm among the cross-index blocks w(i, j),
-    i != j; the verdict holds when it stays below ``tol``. A diagonal block
-    with norm at most ``tol`` is reported as a degenerate pointer rather than
-    raising.
-    """
-    return pointer_analysis(m, tol)
 
 
 @dataclass(frozen=True)

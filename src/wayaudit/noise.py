@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .commutant import commutant_unitary  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
-from .commutant import commutant_unitary_stack
+from .commutant import FactoredCommutant
 from .errors import PreconditionError
 from .linalg import (
     FACTOR_SPECTRUM,
@@ -59,11 +59,9 @@ from .linalg import (
     run_sweep,
     sized,
     spectral_operator_stack,
-    tensor_product,
     tensor_product_stack,
     uniform_draws,
     variance,
-    variance_stack,
 )
 from .model import (
     VERDICT_TOL,
@@ -99,12 +97,6 @@ YANASE_COMMUTATOR_TOL = 1e-10
 ZERO_EXPECTATION_TOL = 1e-10
 
 
-def _require_conserved(m: MeasurementModel, q: ConservedQuantity, tol: float) -> None:
-    if q.kind != "multiplicative":
-        raise PreconditionError("kind", "noise bounds require a multiplicative quantity")
-    require_conserved(check_conserved(m, q, tol).residual, tol)
-
-
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
@@ -121,13 +113,14 @@ class _Stack:
         probed = (evolved @ probe.mT).reshape(k, -1)
         self.noise_state = _adjoint_matvec(u, probed) - product_state(matvec_stack(observable, psi), ready)
         self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
-        self.conserved_state = product_state(matvec_stack(la, psi), matvec_stack(lb, ready))  # L (psi (x) v)
+        la_psi, lb_ready = matvec_stack(la, psi), matvec_stack(lb, ready)
+        self.conserved_state = product_state(la_psi, lb_ready)  # L (psi (x) v)
         self.var_conserved = image_variance_stack(joint_state, self.conserved_state)
-        self.var_la = variance_stack(la, psi)
-        self.var_lb = variance_stack(lb, ready)
+        self.var_la = image_variance_stack(psi, la_psi)
+        self.var_lb = image_variance_stack(ready, lb_ready)
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
         self.probe_commutator = commutator_stack(probe, lb)
-        self.ready_mean = _expectations(lb, ready)  # <v|lb|v>
+        self.ready_mean = np.vecdot(ready, lb_ready)  # <v|lb|v>
         self.commutator_mean = _expectations(commutator_stack(observable, la), psi)  # <psi|[observable, la]|psi>
         self.product_mean = self.commutator_mean * self.ready_mean  # of [observable, la] (x) lb on psi (x) v
         # <phi|(la (x) [probe, lb]) phi>: (la (x) C) phi is la Phi C^T
@@ -145,7 +138,9 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
 
     The checks run in one order: conservation, psi, the observable, then the probe.
     """
-    _require_conserved(m, q, tol)
+    if q.kind != "multiplicative":
+        raise PreconditionError("kind", "noise bounds require a multiplicative quantity")
+    require_conserved(check_conserved(m, q, tol).residual, tol)
     psi = sized(as_state(psi), m.n1, "psi")
     observable = as_hermitian(observable, m.n1, "observable")
     probe = as_hermitian(probe, m.n2, "probe")
@@ -318,11 +313,13 @@ def variance_identity_audit(a, b, psi_a, psi_b, tol: float) -> VarianceAudit:
     """Each claim holds when it misses ``lhs`` by at most ``tol * max(1, |lhs|)``."""
     psi_a, psi_b = as_state(psi_a), as_state(psi_b)
     a, b = as_hermitian(a, len(psi_a), "a"), as_hermitian(b, len(psi_b), "b")
-    lhs = variance(tensor_product(a, b), product_state(psi_a, psi_b))
+    a_psi, b_psi = a @ psi_a, b @ psi_b
+    # Var(a (x) b) read off the product state and its image (a psi_a) (x) (b psi_b), as ``_Stack.var_conserved``
+    lhs = float(image_variance_stack(product_state(psi_a, psi_b)[None], product_state(a_psi, b_psi)[None])[0])
     var_a = variance(a, psi_a)
     var_b = variance(b, psi_b)
-    mean_a = float(np.vdot(psi_a, a @ psi_a).real)
-    mean_b = float(np.vdot(psi_b, b @ psi_b).real)
+    mean_a = float(np.vdot(psi_a, a_psi).real)
+    mean_b = float(np.vdot(psi_b, b_psi).real)
     paper_rhs = var_a * var_b
     corrected_rhs = var_a * var_b + var_a * mean_b**2 + mean_a**2 * var_b
     slack = tol * max(1.0, abs(lhs))
@@ -501,7 +498,7 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     lb, (lb_values, lb_vectors) = spectral_operator_stack(_apparatus_spectra(lb_spectrum, zero_mode), lb_normals)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction = commutant_unitary_stack(la_eigensystem, (lb_values, lb_vectors), rngs)
+    interaction = FactoredCommutant(la_eigensystem, (lb_values, lb_vectors), rngs).assembled()
     ready = _ready_states(lb_values, lb_vectors, phase, ready_normals, zero_mode)
     require_unit_norm(ready, "ready_state")
     require_unitary(interaction, "interaction")

@@ -25,7 +25,7 @@ it applies instead of U; its chunks are sized by those (n1, n1, n2) pointer
 blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` checks the sweep's inputs,
 ``SweepTrial``'s fields are the CSV schema, and ``CounterexampleSummary`` holds
 the tallies. ``sample_conserving_instance`` is a batch of one of the sampler,
-with its U assembled; ``pointer_analysis`` shares the chunk's pointer analysis.
+with its U assembled; ``model.check_nondestructive`` shares the chunk's pointer analysis.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .linalg import (
     as_operator,
     commutator,
     commutator_stack,
-    frobenius_norm,
     frobenius_norm_stack,
     normal_draws,
     numerical_rank,
@@ -65,7 +64,6 @@ from .model import (
     check_conserved,
     check_nondestructive,
     observable_in_basis,
-    pointer_analysis,
     pointer_stack,
     require_conserved,
 )
@@ -139,7 +137,7 @@ def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = VERD
     rank = numerical_rank(lb, RANK_TOL)
     la_min = float(np.linalg.eigvalsh(la)[0])
     lb_min = float(np.linalg.eigvalsh(lb)[0])
-    analysis = pointer_analysis(m)
+    analysis = check_nondestructive(m, POINTER_DEGENERACY_TOL)
 
     checks = (
         AssumptionCheck("conservation", conserved.residual, conserved.verdict),
@@ -150,7 +148,7 @@ def theorem_verdict(m: MeasurementModel, q: ConservedQuantity, tol: float = VERD
         AssumptionCheck("nondestructive", analysis.leakage, analysis.leakage <= tol),
         AssumptionCheck("exact", analysis.deficit, analysis.deficit <= tol),
     )
-    commutator_norm = frobenius_norm(commutator(observable_in_basis(m.system_basis), la))
+    commutator_norm = float(frobenius_norm_stack(commutator(observable_in_basis(m.system_basis), la)))
     if all(c.passed for c in checks):
         outcome = "consistent" if commutator_norm <= tol else "contradiction"
     else:

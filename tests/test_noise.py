@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import E0, I2, LA_DIAG, PLUS, X, Z, chunk_sizes
 from wayaudit import noise
+from wayaudit.cli import load_model
 from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
@@ -25,6 +28,7 @@ from wayaudit.noise import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def conserving_instance(n1, n2, seed):
@@ -416,6 +420,18 @@ class TestVarianceAudit:
             a, b, random_state_vector(2, rng), random_state_vector(3, rng), tol=1e-10
         )
         assert audit.corrected_holds
+
+    # the fixtures with an observable and a probe whose interaction conserves their quantity
+    @pytest.mark.parametrize("name", ["cnot", "identity", "rotated_2x3", "geometric_5x9"])
+    @pytest.mark.parametrize("state", ["plus", "random"])
+    def test_lhs_is_the_bound_variance(self, name, state):
+        loaded = load_model(str(FIXTURES / f"{name}.json"))
+        m, q = loaded.model, loaded.quantity
+        rng = np.random.default_rng(3)
+        psi = np.full(m.n1, m.n1**-0.5, dtype=complex) if state == "plus" else random_state_vector(m.n1, rng)
+        audit = variance_identity_audit(q.system_op, q.apparatus_op, psi, m.ready_state, tol=1e-10)
+        report = noise_report(m, q, loaded.observable, loaded.probe, psi)
+        assert audit.lhs == report.var_conserved_exact
 
     def test_tolerance_scales_with_lhs(self):
         # factors up to 2**8 give lhs up to about 4e5, where one ulp is above 1e-10:

@@ -19,9 +19,9 @@ KEEP = {
     "sample_conserving_instance": "acceptance criterion 1 samples its instances with it",
     "random_hermitian": "the tests' sampler; moving it into tests/ would not reduce code",
 }
-# unitary_completion, IdentityResidualTable, pointer_analysis and its alias
-# check_nondestructive need no entry: synthesize_unitary,
-# matrix_element_identity, theorem_verdict and the CLI call them.
+# unitary_completion, IdentityResidualTable and check_nondestructive need no
+# entry: synthesize_unitary, matrix_element_identity, theorem_verdict and the
+# CLI call them.
 
 # Imports bound in a module that does not use them, so that bench/spans.py can
 # rebind its wrapper there; bench/test_bench.py checks these bindings.

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import CNOT, E0, E1, I2, LA_DIAG, X, Z, make_conforming_model
 from wayaudit.errors import PreconditionError
 from wayaudit.model import (
+    POINTER_DEGENERACY_TOL,
+    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -157,6 +159,25 @@ class TestTheoremVerdict:
         v2 = theorem_verdict(m, q)
         assert v2.assumption("dimension_bound").passed
         assert not v2.strict_dimension_ok
+
+    def test_pointer_degeneracy_threshold(self):
+        # U|00> = d|00> + c|10>: pointer 0 has norm d, between POINTER_DEGENERACY_TOL and VERDICT_TOL
+        d = 1e-10
+        assert POINTER_DEGENERACY_TOL < d < VERDICT_TOL
+        c = np.sqrt(1.0 - d * d)
+        u = np.zeros((4, 4), dtype=complex)
+        u[[0, 2], 0] = d, c
+        u[1, 1] = u[3, 2] = 1.0  # |01> -> |01>, |10> -> |11>
+        u[[0, 2], 3] = c, -d
+        m = MeasurementModel(2, 2, I2, E0, u)
+        q = ConservedQuantity("multiplicative", I2, I2)
+        loose, strict = check_nondestructive(m), check_nondestructive(m, POINTER_DEGENERACY_TOL)
+        assert loose.degenerate == (0,) and loose.deficit == 1.0
+        assert strict.degenerate == () and strict.deficit <= 1e-15
+        verdict = theorem_verdict(m, q)
+        assert verdict.assumption("nondestructive").residual == strict.leakage
+        assert verdict.assumption("exact").residual == strict.deficit
+        assert verdict.assumption("exact").passed
 
     def test_dimension_mismatch_names_the_dimensions(self, cnot_model):
         q = ConservedQuantity("multiplicative", np.diag([1.0, 2.0, 3.0]), I2)
