@@ -46,15 +46,7 @@ from .model import (
 from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep, noise_report, variance_identity_audit
 from .theorem import CounterexampleConfig, SweepTrial, counterexample_sweep, pointer_gram_rank, theorem_verdict
 
-__all__ = ["LoadedModel", "ModelFileError", "load_model", "main"]
-
-class ModelFileError(ValueError):
-    """Invalid model file; ``field`` names the offending entry."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
-
+__all__ = ["LoadedModel", "load_model", "main"]
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -204,7 +196,7 @@ def _staged_out(path: str):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
     except OSError as exc:
-        raise ModelFileError("out", f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise PreconditionError("out", f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _new_file_mode() -> int:
@@ -246,20 +238,20 @@ def _check_entries(obj, shape: tuple[int, ...], field: str) -> None:
     """Raise for the first bad row or entry of a vector or matrix field, in reading order."""
     if not shape:  # one entry
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise ModelFileError(field, f"complex entries must be [re, im] pairs, got {_echo(obj)}")
+            raise PreconditionError(field, f"complex entries must be [re, im] pairs, got {_echo(obj)}")
         # JSON numbers only: booleans are ints to Python but not numbers in a model file
         if not {type(obj[0]), type(obj[1])} <= {int, float}:
-            raise ModelFileError(field, f"complex entries must be numeric, got {_echo(obj)}")
+            raise PreconditionError(field, f"complex entries must be numeric, got {_echo(obj)}")
         try:
             finite = math.isfinite(obj[0]) and math.isfinite(obj[1])
         except OverflowError:  # an int literal beyond float range
             finite = False
         if not finite:
-            raise ModelFileError(field, "complex entries must be finite")
+            raise PreconditionError(field, "complex entries must be finite")
         return
     if not isinstance(obj, list) or len(obj) != shape[0]:
         expected = f"{shape[0]} rows" if len(shape) == 2 else f"a vector of {shape[0]} complex entries"
-        raise ModelFileError(field, f"expected {expected}")
+        raise PreconditionError(field, f"expected {expected}")
     for item in obj:
         _check_entries(item, shape[1:], field)
 
@@ -327,24 +319,24 @@ def _checked(build, *args):
         return build(*args)
     except PreconditionError as exc:
         detail = str(exc).removeprefix(f"{exc.check}: ")
-        raise ModelFileError(_FILE_FIELDS.get(exc.check, exc.check), detail) from exc
+        raise PreconditionError(_FILE_FIELDS.get(exc.check, exc.check), detail) from exc
 
 
 def _load_document(doc: dict) -> LoadedModel:
     if not isinstance(doc, dict):
-        raise ModelFileError("file", "top level must be an object")
+        raise PreconditionError("file", "top level must be an object")
     for key in ("n1", "n2"):
         value = doc.get(key)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ModelFileError(key, "must be a positive integer")
+            raise PreconditionError(key, "must be a positive integer")
     n1, n2 = doc["n1"], doc["n2"]
 
     basis = _complex_array(doc["system_basis"], (n1, n1), "system_basis") if "system_basis" in doc else None
     if "ready_state" not in doc:
-        raise ModelFileError("ready_state", "missing")
+        raise PreconditionError("ready_state", "missing")
     ready = _complex_array(doc["ready_state"], (n2,), "ready_state")
     if "unitary" not in doc:
-        raise ModelFileError("unitary", "missing")
+        raise PreconditionError("unitary", "missing")
     interaction = _complex_array(doc["unitary"], (n1 * n2, n1 * n2), "unitary")
     if basis is None:  # built only now that the unitary has bounded n1
         basis = np.eye(n1, dtype=complex)
@@ -352,7 +344,7 @@ def _load_document(doc: dict) -> LoadedModel:
 
     conserved = doc.get("conserved")
     if not isinstance(conserved, dict):
-        raise ModelFileError("conserved", "missing or not an object")
+        raise PreconditionError("conserved", "missing or not an object")
     la = _complex_array(conserved.get("LA"), (n1, n1), "conserved.LA")
     lb = _complex_array(conserved.get("LB"), (n2, n2), "conserved.LB")
     quantity = _checked(ConservedQuantity, conserved.get("kind"), la, lb)
@@ -370,9 +362,9 @@ def load_model(path: str) -> LoadedModel:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ModelFileError("model", f"cannot read {path}: {exc}") from exc
+        raise PreconditionError("model", f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise ModelFileError("model", f"parse error in {path}: {exc}") from exc
+        raise PreconditionError("model", f"parse error in {path}: {exc}") from exc
     return _load_document(doc)
 
 
@@ -385,7 +377,7 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
         # an index with more digits than dim is out of range, and int() refuses over 4300 digits
         if len(digits) > len(str(dim)) or int(digits) >= dim:
             shown = digits if len(digits) <= len(str(dim)) else f"of {len(digits)} digits"
-            raise ModelFileError("state", f"basis index {shown} out of range for dimension {dim}")
+            raise PreconditionError("state", f"basis index {shown} out of range for dimension {dim}")
         v = np.zeros(dim, dtype=complex)
         v[int(digits)] = 1.0
         return v
@@ -393,9 +385,9 @@ def _parse_state(spec: str, dim: int) -> np.ndarray:
         try:
             literal = json.loads(spec)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelFileError("state", f"parse error: {exc}") from exc
-        return _checked(as_state, _complex_array(literal, (dim,), "state"))
-    raise ModelFileError("state", f"unknown state {_echo(spec)}")
+            raise PreconditionError("state", f"parse error: {exc}") from exc
+        return _checked(as_state, _complex_array(literal, (dim,), "state"), "state")
+    raise PreconditionError("state", f"unknown state {_echo(spec)}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +458,9 @@ def _cmd_verdict(args) -> int:
 def _cmd_bound(args) -> int:
     loaded = load_model(args.model)
     if loaded.observable is None:
-        raise ModelFileError("observable", "bound requires an observable in the model file")
+        raise PreconditionError("observable", "bound requires an observable in the model file")
     if loaded.probe is None:
-        raise ModelFileError("probe", "bound requires a probe in the model file")
+        raise PreconditionError("probe", "bound requires a probe in the model file")
     psi = _parse_state(args.state, loaded.model.n1)
     with _report(args, loaded) as (report, _):
         nr = _checked(noise_report, loaded.model, loaded.quantity, loaded.observable, loaded.probe, psi, args.tol)
@@ -481,7 +473,7 @@ def _cmd_rank(args) -> int:
     with _report(args, loaded) as (report, _):
         nd = check_nondestructive(loaded.model, args.tol)
         if nd.error is not None:
-            raise ModelFileError("model", nd.error)
+            raise PreconditionError("model", nd.error)
         report["results"] = pointer_gram_rank(loaded.quantity.apparatus_op, nd.pointers, args.tol)
     return 0
 
@@ -498,9 +490,9 @@ def _cmd_audit_variance(args) -> int:
 
 def _require_seed(args) -> int:
     if args.seed is None:
-        raise ModelFileError("seed", "--seed is required for randomized commands")
+        raise PreconditionError("seed", "--seed is required for randomized commands")
     if args.seed < 0:
-        raise ModelFileError("seed", "--seed must be nonnegative")
+        raise PreconditionError("seed", "--seed must be nonnegative")
     return args.seed
 
 
@@ -520,7 +512,7 @@ def _audit_summary_row(config: AuditConfig, s) -> dict[str, list]:
 def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
-        raise ModelFileError("usage", "sweep requires --n1, --n2 and --count")
+        raise PreconditionError("usage", "sweep requires --n1, --n2 and --count")
     # Per kind: config, sweep, record, CSV summary row. Built per call, so a sweep rebound here is the one run.
     make_config, sweep, record, summary_row = {
         "counterexample": (CounterexampleConfig, counterexample_sweep, SweepTrial, None),
@@ -528,7 +520,7 @@ def _cmd_sweep(args) -> int:
     }[args.kind]
     config = make_config(args.n1, args.n2, args.count, seed, args.tol)
     if args.out is None and args.format == "csv":
-        raise ModelFileError("out", "--out is required for csv output")
+        raise PreconditionError("out", "--out is required for csv output")
     with _report(args, seed=seed) as (report, csv):
         sink = _csv_sink(csv, record)
         summary = sweep(config, sink).summary
@@ -544,9 +536,9 @@ def _cmd_optimize(args) -> int:
     seed = _require_seed(args)
     loaded = load_model(args.model)
     if loaded.observable is None:
-        raise ModelFileError("observable", "optimize requires an observable in the model file")
+        raise PreconditionError("observable", "optimize requires an observable in the model file")
     if args.kind == "epsilon" and loaded.probe is None:
-        raise ModelFileError("probe", "optimize --kind epsilon requires a probe in the model file")
+        raise PreconditionError("probe", "optimize --kind epsilon requires a probe in the model file")
     config = SearchConfig(seed=seed, restarts=SearchConfig.restarts if args.count is None else args.count)
     with _report(args, loaded, seed) as (report, _):
         if args.kind == "feasibility":
@@ -593,14 +585,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="seeded randomized sweeps (CSV records)")
-    p.add_argument("--kind", choices=("counterexample", "bound-audit"), required=True)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=VERDICT_TOL)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument("--kind", choices=("counterexample", "bound-audit"), required=True, help="sweep to run")
+    p.add_argument("--n1", type=int, help="system dimension (required)")
+    p.add_argument("--n2", type=int, help="apparatus dimension (required)")
+    p.add_argument("--count", type=int, help="number of trials (required)")
+    p.add_argument("--seed", type=int, default=None, help="nonnegative sweep seed (required)")
+    p.add_argument("--tol", type=float, default=VERDICT_TOL, help=f"verdict tolerance (default {tol})")
+    p.add_argument("--out", default=None, help="write the per-trial records (csv) or the report (json) to this path")
+    p.add_argument("--format", choices=("json", "csv"), default="csv", help="--out format (default csv)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="search the commutant for low-noise or exact schemes")
@@ -632,9 +624,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ModelFileError("tol", f"must be nonnegative and finite, got {args.tol!r}")
+            raise PreconditionError("tol", f"must be nonnegative and finite, got {args.tol!r}")
         return args.func(args)
-    except ValueError as exc:  # ModelFileError and PreconditionError included
+    except ValueError as exc:  # PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -32,10 +32,10 @@ regular where that of G - I is not (``_Feasibility.leak``, see ``_descend``).
 The conserved operators are products, L = LA (x) LB (LA (x) 1 + 1 (x) LB for an
 additive quantity), so their eigenvectors are the products u_a (x) v_b of the
 factors' eigenvectors, with eigenvalues lambda_a mu_b (lambda_a + mu_b).
-``_joint_eigensystem`` builds the decomposition from the factors' eigensystems,
-never from L: ``_joint_spectrum`` sorts the products of their eigenvalues, and
-each sorted eigenvector column is formed directly as the product of its two
-factor columns. ``conserved_eigenspaces`` takes them from one
+The decomposition is built from the factors' eigensystems, never from L:
+``_joint_spectrum`` sorts the products of their eigenvalues, and
+``_joint_vectors`` forms each sorted eigenvector column directly as the product
+of its two factor columns. ``conserved_eigenspaces`` takes them from one
 ``eigh`` per factor; the sweeps take them from their draws, which build each
 factor from its spectrum and Haar eigenvectors (``linalg.sorted_eigensystem``),
 so a sweep chunk runs no ``eigh``.
@@ -126,12 +126,13 @@ class BlockDecomposition:
 
 def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
     """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``), from one
-    ``eigh`` per factor: a batch of one of ``_joint_eigensystem``."""
+    ``eigh`` per factor: a batch of one of ``_joint_spectrum``, then ``_joint_vectors``."""
     combine = np.multiply if q.kind == "multiplicative" else np.add
-    la, lb = (np.linalg.eigh(op[None]) for op in (q.system_op, q.apparatus_op))
-    values, vectors = _joint_eigensystem(la, lb, combine)
+    la_values, la_vectors = np.linalg.eigh(q.system_op[None])
+    lb_values, lb_vectors = np.linalg.eigh(q.apparatus_op[None])
+    values, order = _joint_spectrum(la_values, lb_values, combine)
     (dims,), _ = block_sizes(values)
-    return BlockDecomposition(values[0], vectors[0], dims)
+    return BlockDecomposition(values[0], _joint_vectors(la_vectors, lb_vectors, order)[0], dims)
 
 
 def _joint_spectrum(la_values: np.ndarray, lb_values: np.ndarray, combine=np.multiply):
@@ -152,16 +153,6 @@ def _joint_vectors(la_vectors: np.ndarray, lb_vectors: np.ndarray, order: np.nda
     wa = np.take_along_axis(la_vectors, a[:, None, :], axis=-1)  # (k, n1, D)
     wb = np.take_along_axis(lb_vectors, b[:, None, :], axis=-1)  # (k, n2, D)
     return (wa[:, :, None, :] * wb[:, None, :, :]).reshape(order.shape + order.shape[-1:])
-
-
-def _joint_eigensystem(la, lb, combine=np.multiply) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (k, D) and eigenvector columns (k, D, D) of the joint operators of
-    two stacks of factors, from each factor's eigensystem: ascending values and eigenvector
-    columns in that order, ((k, n1), (k, n1, n1)) for la and ((k, n2), (k, n2, n2)) for lb
-    (``_joint_spectrum``, then ``_joint_vectors``)."""
-    (la_values, la_vectors), (lb_values, lb_vectors) = la, lb
-    values, order = _joint_spectrum(la_values, lb_values, combine)
-    return values, _joint_vectors(la_vectors, lb_vectors, order)
 
 
 def block_sizes(values: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -243,9 +234,10 @@ def _moved(y: np.ndarray, order: np.ndarray, indices: dict[int, np.ndarray], uni
 
 class FactoredCommutant:
     """Haar unitaries from the commutants of la (x) lb, one per stream, kept in factor space: the
-    factors' eigensystems (see ``_joint_eigensystem``), taken as valid, the order of their sorted
-    products, and the block unitaries of each block structure among the trials. Trials with equal
-    block sizes draw together, each from its own stream, as ``commutant_unitary`` would."""
+    factors' eigensystems, taken as valid, the order of their sorted products (``_joint_spectrum``;
+    ``_joint_vectors`` builds V from them), and the block unitaries of each block structure among
+    the trials. Trials with equal block sizes draw together, each from its own stream, as
+    ``commutant_unitary`` would."""
 
     def __init__(self, la, lb, rngs):
         self.la, self.lb = la, lb
@@ -621,7 +613,7 @@ def minimize_epsilon(
     n1, n2 = q.system_op.shape[0], q.apparatus_op.shape[0]
     observable = as_hermitian(observable, n1, "observable")
     probe = as_hermitian(probe, n2, "probe")
-    ready = sized(as_state(ready_state), n2, "ready_state")
+    ready = sized(as_state(ready_state, "ready_state"), n2, "ready_state")
     probe_joint, obs_joint = tensor_product(np.eye(n1), probe), tensor_product(observable, np.eye(n2))
     problem = _Epsilon(conserved_eigenspaces(q), probe_joint, obs_joint, ready, default_probe_states(q.system_op))
     return _search(problem, config)

@@ -98,7 +98,6 @@ __all__ = [
     "uniform_draws",
     "unitary_completion",
     "variance",
-    "variance_stack",
 ]
 
 # A variance below -(VARIANCE_CLAMP + 2 * STATE_NORM_TOL) * max(1, <a^2>)
@@ -139,24 +138,24 @@ SWEEP_CHUNK_TRIALS = 512
 SEED_BATCH = 1024
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def as_operator(a, name: str = "operator") -> np.ndarray:
+    """Coerce to a square complex matrix with finite entries; errors name it ``name``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator must be a square matrix, got shape {a.shape}")
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("operator entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return a
 
 
-def as_state(v) -> np.ndarray:
-    """Coerce to a finite complex vector of unit Euclidean norm."""
+def as_state(v, name: str) -> np.ndarray:
+    """Coerce to a finite complex vector of unit Euclidean norm; errors name it ``name``."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"state must be a nonempty vector, got shape {v.shape}")
+        raise ValueError(f"{name} must be a nonempty vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("state amplitudes must be finite")
-    require_unit_norm(v, "state")
+        raise ValueError(f"{name} amplitudes must be finite")
+    require_unit_norm(v, name)
     return v
 
 
@@ -169,7 +168,7 @@ def sized(a: np.ndarray, dim: int, name: str) -> np.ndarray:
 
 def as_hermitian(a, dim: int, name: str) -> np.ndarray:
     """Coerce to a square complex matrix (``as_operator``), then check its dimension, then that it is Hermitian."""
-    a = sized(as_operator(a), dim, name)
+    a = sized(as_operator(a, name), dim, name)
     require_hermitian(a, name)
     return a
 
@@ -264,16 +263,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def variance(a: np.ndarray, s: np.ndarray) -> float:
     """<a^2> - <a>^2 for Hermitian ``a``; tiny negative rounding is clamped to 0."""
-    a, s = as_operator(a), as_state(s)
+    a, s = as_operator(a), as_state(s, "state")
     if a.shape[0] != s.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {s.shape[0]}")
     require_hermitian(a, "operator")
-    return float(variance_stack(a[None], s[None])[0])
-
-
-def variance_stack(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``variance`` for each Hermitian matrix and state of (k, n, n) and (k, n) stacks, unvalidated."""
-    return image_variance_stack(s, matvec_stack(a, s))
+    return float(image_variance_stack(s[None], matvec_stack(a[None], s[None]))[0])
 
 
 def image_variance_stack(s: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -262,7 +262,7 @@ def synthesize_unitary(system_basis, ready_state, pointers) -> MeasurementModel:
         raise ValueError("system_basis must be a square array with one basis vector per row")
     n1 = basis.shape[0]
     require_orthonormal_rows(basis, "system_basis")
-    ready = as_state(ready_state)
+    ready = as_state(ready_state, "ready_state")
     n2 = ready.shape[0]
     ptrs = np.asarray(pointers, dtype=complex)
     if ptrs.shape != (n1, n2):

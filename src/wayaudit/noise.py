@@ -61,7 +61,6 @@ from .linalg import (
     spectral_operator_stack,
     tensor_product_stack,
     uniform_draws,
-    variance,
 )
 from .model import (
     VERDICT_TOL,
@@ -121,7 +120,8 @@ class _Stack:
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
         self.probe_commutator = commutator_stack(probe, lb)
         self.ready_mean = np.vecdot(ready, lb_ready)  # <v|lb|v>
-        self.commutator_mean = _expectations(commutator_stack(observable, la), psi)  # <psi|[observable, la]|psi>
+        # <psi|[observable, la]|psi>
+        self.commutator_mean = np.vecdot(psi, matvec_stack(commutator_stack(observable, la), psi))
         self.product_mean = self.commutator_mean * self.ready_mean  # of [observable, la] (x) lb on psi (x) v
         # <phi|(la (x) [probe, lb]) phi>: (la (x) C) phi is la Phi C^T
         moved = la @ evolved @ self.probe_commutator.mT
@@ -141,7 +141,7 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     if q.kind != "multiplicative":
         raise PreconditionError("kind", "noise bounds require a multiplicative quantity")
     require_conserved(check_conserved(m, q, tol).residual, tol)
-    psi = sized(as_state(psi), m.n1, "psi")
+    psi = sized(as_state(psi, "psi"), m.n1, "psi")
     observable = as_hermitian(observable, m.n1, "observable")
     probe = as_hermitian(probe, m.n2, "probe")
     return _Stack(
@@ -179,11 +179,6 @@ def _abs_squares(z: np.ndarray) -> np.ndarray:
     """abs(z) ** 2 per entry: libm ``hypot``, as for a Python complex, then its square."""
     magnitude = np.hypot(z.real, z.imag)
     return magnitude * magnitude
-
-
-def _expectations(op: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """<s|op|s> for each operator and state of a stack."""
-    return np.vecdot(state, matvec_stack(op, state))
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray, defined: np.ndarray) -> np.ndarray:
@@ -311,13 +306,12 @@ class VarianceAudit:
 
 def variance_identity_audit(a, b, psi_a, psi_b, tol: float) -> VarianceAudit:
     """Each claim holds when it misses ``lhs`` by at most ``tol * max(1, |lhs|)``."""
-    psi_a, psi_b = as_state(psi_a), as_state(psi_b)
+    psi_a, psi_b = as_state(psi_a, "psi_a"), as_state(psi_b, "psi_b")
     a, b = as_hermitian(a, len(psi_a), "a"), as_hermitian(b, len(psi_b), "b")
     a_psi, b_psi = a @ psi_a, b @ psi_b
-    # Var(a (x) b) read off the product state and its image (a psi_a) (x) (b psi_b), as ``_Stack.var_conserved``
-    lhs = float(image_variance_stack(product_state(psi_a, psi_b)[None], product_state(a_psi, b_psi)[None])[0])
-    var_a = variance(a, psi_a)
-    var_b = variance(b, psi_b)
+    # each variance read off a state and its image, as ``_Stack``'s; Var(a (x) b) off (a psi_a) (x) (b psi_b)
+    pairs = ((product_state(psi_a, psi_b), product_state(a_psi, b_psi)), (psi_a, a_psi), (psi_b, b_psi))
+    lhs, var_a, var_b = (float(image_variance_stack(state[None], image[None])[0]) for state, image in pairs)
     mean_a = float(np.vdot(psi_a, a_psi).real)
     mean_b = float(np.vdot(psi_b, b_psi).real)
     paper_rhs = var_a * var_b

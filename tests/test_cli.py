@@ -17,8 +17,9 @@ from hypothesis.extra import numpy as hnp
 import wayaudit.cli as cli
 from conftest import chunk_size, chunk_sizes, sweep_stack
 from wayaudit import commutant, linalg, noise, theorem
-from wayaudit.cli import ModelFileError, _parse_state, canonical_json, load_model, main
+from wayaudit.cli import _parse_state, canonical_json, load_model, main
 from wayaudit.commutant import SearchConfig, feasibility_search
+from wayaudit.errors import PreconditionError
 from wayaudit.linalg import HERMITICITY_TOL, STATE_NORM_TOL, UNITARITY_TOL, variance
 from wayaudit.model import ConservedQuantity, MeasurementModel, check_conserved, check_exact, check_nondestructive
 from wayaudit.noise import noise_report, variance_identity_audit
@@ -49,7 +50,7 @@ class TestLoadModel:
         assert loaded.observable is not None and loaded.probe is not None
 
     def test_missing_file(self):
-        with pytest.raises(ModelFileError, match="model"):
+        with pytest.raises(PreconditionError, match="model"):
             load_model("does_not_exist.json")
 
     def test_non_unitary_interaction(self, tmp_path):
@@ -57,7 +58,7 @@ class TestLoadModel:
         doc["unitary"][0][0] = [2.0, 0.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError, match="unitary"):
+        with pytest.raises(PreconditionError, match="unitary"):
             load_model(str(path))
 
     def test_single_element_complex(self, tmp_path):
@@ -65,7 +66,7 @@ class TestLoadModel:
         doc["ready_state"][0] = [1.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError, match=r"\[re, im\]"):
+        with pytest.raises(PreconditionError, match=r"\[re, im\]"):
             load_model(str(path))
 
     def test_boolean_dimension_rejected(self, capsys, tmp_path):
@@ -345,7 +346,7 @@ class TestStateParsing:
         np.testing.assert_allclose(v, [s, 1j * s])
 
     def test_out_of_range_index(self):
-        with pytest.raises(ModelFileError, match="state"):
+        with pytest.raises(PreconditionError, match="state"):
             _parse_state("5", 2)
 
     def test_long_basis_indices(self, capsys):
@@ -365,8 +366,59 @@ class TestStateParsing:
             assert (code, out, err) == (2, "", f"error: state: unknown state {spec!r}\n")
 
     def test_unnormalized_literal(self):
-        with pytest.raises(ModelFileError, match="norm"):
+        with pytest.raises(PreconditionError, match="norm"):
             _parse_state("[[1,0],[1,0]]", 2)
+
+
+def _without(*keys) -> dict:
+    """cnot.json without the top-level ``keys``."""
+    doc = _cnot_doc()
+    for key in keys:
+        del doc[key]
+    return doc
+
+
+def _swap_doc() -> dict:
+    """cnot.json with SWAP for U: it moves u(1) (x) e0 to e0 (x) u(1), so pointer 1 is zero."""
+    doc = _cnot_doc()
+    doc["unitary"] = _pairs(np.eye(4)[[0, 2, 1, 3]])
+    return doc
+
+
+# One case per input the CLI refuses that no other test gives it: the model document (None for
+# no --model), the command line after it, and the error line.
+REFUSED_INPUTS = {
+    "top_level": ([], ["check"], "file: top level must be an object"),
+    "ready_state_missing": (_without("ready_state"), ["check"], "ready_state: missing"),
+    "unitary_missing": (_without("unitary"), ["check"], "unitary: missing"),
+    "conserved_missing": (_without("conserved"), ["check"], "conserved: missing or not an object"),
+    "bound_observable": (
+        _without("observable"),
+        ["bound", "--state", "plus"],
+        "observable: bound requires an observable in the model file",
+    ),
+    "rank_degenerate_pointer": (_swap_doc(), ["rank"], "model: degenerate_pointer: indices [1]"),
+    "sweep_usage": (
+        None,
+        ["sweep", "--kind", "counterexample", "--seed", "1", "--n1", "2"],
+        "usage: sweep requires --n1, --n2 and --count",
+    ),
+    "optimize_observable": (
+        _without("observable"),
+        ["optimize", "--seed", "0"],
+        "observable: optimize requires an observable in the model file",
+    ),
+}
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("doc, argv, message", REFUSED_INPUTS.values(), ids=list(REFUSED_INPUTS))
+    def test_exits_2_with_its_error(self, capsys, tmp_path, doc, argv, message):
+        if doc is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+            argv = [argv[0], "--model", str(path), *argv[1:]]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestExitCodes:
@@ -1329,6 +1381,10 @@ class TestEncoderProperties:
         with pytest.raises(TypeError, match="mixed types"):
             cli._csv_rows([values])
 
+    def test_csv_column_of_another_type_raises(self):
+        with pytest.raises(TypeError, match="^cannot write <class 'complex'> to csv$"):
+            cli._csv_rows([[1j, None]])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_csv_non_finite_raises(self, bad):
         with pytest.raises(ValueError, match="^non-finite value in report$"):
@@ -1351,13 +1407,13 @@ class TestEncoderProperties:
         value, shape = case
         try:
             cli._check_entries(value, shape, "field")
-        except ModelFileError as exc:
-            expected = (exc.field, str(exc))
+        except PreconditionError as exc:
+            expected = (exc.check, str(exc))
         else:
             reject()  # two mutations undid each other
-        with pytest.raises(ModelFileError) as bulk:
+        with pytest.raises(PreconditionError) as bulk:
             cli._complex_array(value, shape, "field")
-        assert (bulk.value.field, str(bulk.value)) == expected
+        assert (bulk.value.check, str(bulk.value)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(_block_diagonal_arrays())

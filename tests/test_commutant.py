@@ -46,6 +46,14 @@ def quantity(la, lb, kind="multiplicative"):
     return ConservedQuantity(kind, np.asarray(la, dtype=complex), np.asarray(lb, dtype=complex))
 
 
+def joint_eigensystem(la, lb):
+    """Joint eigenvalues and eigenvector columns of stacked factor eigensystems, as the package
+    builds them: ``_joint_spectrum``, then ``_joint_vectors``."""
+    (la_values, la_vectors), (lb_values, lb_vectors) = la, lb
+    values, order = commutant._joint_spectrum(la_values, lb_values)
+    return values, commutant._joint_vectors(la_vectors, lb_vectors, order)
+
+
 def rotated(spectrum, rng):
     """A Hermitian matrix with the given spectrum in a Haar-random eigenbasis."""
     w = haar_unitary(len(spectrum), rng)
@@ -142,7 +150,7 @@ class TestFactorEigensystem:
         # the sorted columns of wa (x) wb, gathered from the full Kronecker stack, bit for bit
         la = np.stack([FACTOR_CASES[name].system_op for name in names])
         lb = np.stack([FACTOR_CASES[name].apparatus_op for name in names])
-        vectors = commutant._joint_eigensystem(np.linalg.eigh(la), np.linalg.eigh(lb))[1]
+        vectors = joint_eigensystem(np.linalg.eigh(la), np.linalg.eigh(lb))[1]
         assert vectors.tobytes() == _reference_columns(la, lb).tobytes()
 
     def test_sampled_unitaries_conserve_at_5x9(self):
@@ -235,7 +243,6 @@ class TestDrawnEigensystems:
             raise AssertionError("a (chunk, D, D) stack on the counterexample path")
 
         monkeypatch.setattr(commutant, "_assembled", refuse)
-        monkeypatch.setattr(commutant, "_joint_eigensystem", refuse)
         monkeypatch.setattr(commutant, "_joint_vectors", refuse)
         report = counterexample_sweep(CounterexampleConfig(n1=n1, n2=n2, count=count, seed=7))
         assert len(report.columns["trial"]) == count
@@ -254,7 +261,7 @@ class TestDrawnEigensystems:
     def test_block_sizes_match_conserved_eigenspaces(self, n1, n2, mode):
         zero = None if mode == "positive" else np.ones(40, dtype=bool)
         (la, la_eigensystem), (lb, lb_eigensystem) = self.factors(n1, n2, self.streams(40), zero)
-        values, _ = commutant._joint_eigensystem(la_eigensystem, lb_eigensystem)
+        values, _ = joint_eigensystem(la_eigensystem, lb_eigensystem)
         structures, which = block_sizes(values)
         for i, structure in enumerate(which):
             assert structures[structure] == conserved_eigenspaces(quantity(la[i], lb[i])).dims
@@ -431,7 +438,7 @@ class TestFactoredPointers:
         names = ["generic", "triple", "geometric", "mixed", "generic"]
         la, lb = self.eigensystems(names, np.random.default_rng(28))
         factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((29, i)) for i in range(len(names))])
-        _, vectors = commutant._joint_eigensystem(la, lb)
+        _, vectors = joint_eigensystem(la, lb)
         expected = factored._by_structure(vectors, lambda v, _, index, blocks: commutant._assembled(v, index, blocks))
 
         def refuse(*args, **kwargs):
@@ -547,6 +554,12 @@ class TestMinimizeEpsilon:
         np.testing.assert_array_equal(a.best_unitary, b.best_unitary)
         assert a.objective_trace == b.objective_trace
         assert a.restart_objectives == b.restart_objectives
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iter"])
+def test_search_config_rejects_a_zero_budget(field):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+        SearchConfig(seed=0, **{field: 0})
 
 
 class TestSearchInvariants:

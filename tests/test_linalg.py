@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E0, I2, PLUS, X, Z, chunk_size
+from conftest import CNOT, E0, E1, I2, LA_DIAG, PLUS, X, Z, chunk_size
 from wayaudit import linalg
-from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
+from wayaudit.commutant import SearchConfig, commutant_unitary, conserved_eigenspaces, minimize_epsilon
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
     ORTHONORMAL_TOL,
@@ -18,6 +18,8 @@ from wayaudit.linalg import (
     haar_from_ginibre,
     haar_unitary,
     hermitian_eigensystem,
+    image_variance_stack,
+    matvec_stack,
     numerical_rank,
     product_state,
     random_hermitian,
@@ -29,10 +31,9 @@ from wayaudit.linalg import (
     tensor_product,
     unitary_completion,
     variance,
-    variance_stack,
 )
-from wayaudit.model import ConservedQuantity, MeasurementModel
-from wayaudit.noise import _expectations
+from wayaudit.model import ConservedQuantity, MeasurementModel, synthesize_unitary
+from wayaudit.noise import noise_report, variance_identity_audit
 from wayaudit.theorem import CounterexampleConfig, counterexample_sweep, theorem_verdict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -99,8 +100,9 @@ class TestCommutator:
 
 
 def expectation(a, s):
-    """<s|a|s> from the stacked kernel the noise bounds read."""
-    return complex(_expectations(np.asarray(a, dtype=complex)[None], np.asarray(s, dtype=complex)[None])[0])
+    """<s|a|s> as the noise bounds read it: ``np.vecdot`` of s and its image under a."""
+    s = np.asarray(s, dtype=complex)[None]
+    return complex(np.vecdot(s, matvec_stack(np.asarray(a, dtype=complex)[None], s))[0])
 
 
 class TestExpectationVariance:
@@ -136,7 +138,7 @@ class TestExpectationVariance:
         # 3e-10 off unit norm is past the norm tolerance: -6e-4 for <a^2> = 1e6 is no rounding
         s = np.array([1.0 + 3e-10, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="negative variance"):
-            variance_stack((1e3 * np.eye(2, dtype=complex))[None], s[None])
+            image_variance_stack(s[None], (1e3 * s)[None])
         with pytest.raises(ValueError, match="norm"):
             variance(1e3 * np.eye(2), s)
 
@@ -146,10 +148,11 @@ class TestExpectationVariance:
         # the deficit scales with <a^2>: 4e-11 off unit norm gives -8e-5 for <a^2> = 1e6
         assert variance(1e3 * np.eye(2), np.array([1.0 + 4e-11, 0.0], dtype=complex)) == 0.0
 
-    def test_variance_stack_rejects_an_inconsistent_state(self):
+    def test_image_variance_stack_rejects_an_inconsistent_state(self):
         # the unvalidated kernel takes a state of norm 1.1: -0.2541 is no rounding
+        s = np.array([[1.1, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="negative variance"):
-            variance_stack(np.diag([1.0, -1.0]).astype(complex)[None], np.array([[1.1, 0.0]], dtype=complex))
+            image_variance_stack(s, matvec_stack(np.diag([1.0, -1.0]).astype(complex)[None], s))
 
     def test_variance_clamps_rounding_relative_to_scale(self):
         # eigenstates of a large operator round to about -1e-8; that is noise, not a bug
@@ -739,3 +742,58 @@ def test_random_positive_operator_spectrum():
     (op,), _ = linalg.spectral_operator_stack(spectrum, normals)
     values = np.linalg.eigvalsh(op)
     assert values[0] >= 0.5 - 1e-9 and values[-1] <= 2.0 + 1e-9
+
+
+# One case per input check of the coercions, ``variance`` and ``unitary_completion``: the call and its message.
+INPUT_ERRORS = {
+    "operator_not_square": (lambda: linalg.as_operator(np.ones(3)), r"^operator must be a square matrix, got shape"),
+    "operator_not_finite": (lambda: linalg.as_operator([[np.nan]]), "^operator entries must be finite$"),
+    "state_not_a_vector": (lambda: linalg.as_state(np.ones((1, 1)), "v"), r"^v must be a nonempty vector, got shape"),
+    "state_not_finite": (lambda: linalg.as_state([np.inf, 0.0], "v"), "^v amplitudes must be finite$"),
+    "variance_dimensions": (lambda: variance(Z, np.ones(3) / np.sqrt(3.0)), "^dimension mismatch: 2 vs 3$"),
+    "completion_no_columns": (lambda: unitary_completion([]), "^at least one column is required$"),
+    "completion_ragged": (lambda: unitary_completion([E0, np.eye(3)[0]]), "^columns must be vectors of a common"),
+    "completion_too_many": (lambda: unitary_completion([E0, E1, E0]), "^3 columns cannot fit in dimension 2$"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_ERRORS.values(), ids=list(INPUT_ERRORS))
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _cnot():
+    return MeasurementModel(2, 2, I2, E0, CNOT), ConservedQuantity("multiplicative", LA_DIAG, I2)
+
+
+UNNORMALIZED = np.array([2.0, 0.0])
+NON_SQUARE = np.ones(2)
+# Each library entry point that checks a state or operator argument, called with that argument bad:
+# the error names the argument, not "state" or "operator".
+NAMED_ARGUMENTS = {
+    "noise_report_psi": (lambda: noise_report(*_cnot(), X, Z, UNNORMALIZED), "^psi: norm 2.0 is not 1$"),
+    "noise_report_psi_shape": (lambda: noise_report(*_cnot(), X, Z, [E0]), "^psi must be a nonempty vector"),
+    "noise_report_observable": (lambda: noise_report(*_cnot(), NON_SQUARE, Z, E0), "^observable must be a square"),
+    "minimize_epsilon_ready_state": (
+        lambda: minimize_epsilon(_cnot()[1], X, Z, UNNORMALIZED, SearchConfig(seed=0)),
+        "^ready_state: norm 2.0 is not 1$",
+    ),
+    "minimize_epsilon_probe": (
+        lambda: minimize_epsilon(_cnot()[1], X, np.full((2, 2), np.nan), E0, SearchConfig(seed=0)),
+        "^probe entries must be finite$",
+    ),
+    "variance_audit_psi_a": (lambda: variance_identity_audit(Z, Z, UNNORMALIZED, E0, 1e-9), "^psi_a: norm 2.0 is"),
+    "variance_audit_psi_b": (lambda: variance_identity_audit(Z, Z, E0, UNNORMALIZED, 1e-9), "^psi_b: norm 2.0 is"),
+    "variance_audit_psi_b_finite": (lambda: variance_identity_audit(Z, Z, E0, [np.nan, 0], 1e-9), "^psi_b amplitudes"),
+    "variance_audit_a": (lambda: variance_identity_audit(NON_SQUARE, Z, E0, E0, 1e-9), "^a must be a square matrix"),
+    "synthesize_unitary_ready_state": (
+        lambda: synthesize_unitary(I2, UNNORMALIZED, np.stack([E0, E1])), "^ready_state: norm 2.0 is not 1$"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", NAMED_ARGUMENTS.values(), ids=list(NAMED_ARGUMENTS))
+def test_each_argument_check_names_its_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -228,6 +228,31 @@ class TestSynthesize:
             assert abs(overlap - 1.0) <= 1e-10
 
 
+H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+# One case per input check of the model constructors and check_exact: the call and its message.
+INPUT_ERRORS = {
+    "dimensions": (lambda: MeasurementModel(0, 2, I2, E0, CNOT), "^n1 and n2 must be positive$"),
+    "basis_shape": (lambda: MeasurementModel(2, 2, np.eye(3), E0, CNOT), r"^system_basis must have shape \(2, 2\)$"),
+    "ready_dimension": (lambda: MeasurementModel(2, 2, I2, np.eye(3)[0], CNOT), "^ready_state must have dimension 2$"),
+    # H (x) 1 leaks every outcome into the other, and no pointer is degenerate
+    "exact_needs_nondestructive": (
+        lambda: check_exact(MeasurementModel(2, 2, I2, E0, np.kron(H, I2))),
+        "^check_nondestructive: leakage .* exceeds 1.000e-09$",
+    ),
+    "synthesize_basis": (
+        lambda: synthesize_unitary(np.ones(2), E0, np.stack([E0, E1])),
+        "^system_basis must be a square array with one basis vector per row$",
+    ),
+    "synthesize_pointers": (lambda: synthesize_unitary(I2, E0, E0), r"^pointers must have shape \(2, 2\)$"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_ERRORS.values(), ids=list(INPUT_ERRORS))
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestMeasuredObservable:
     def test_computational_basis(self, cnot_model):
         np.testing.assert_allclose(observable_in_basis(cnot_model.system_basis), np.diag([1.0, 2.0]))

@@ -13,11 +13,12 @@ from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
     commutator,
     dagger,
+    image_variance_stack,
+    matvec_stack,
     random_hermitian,
     random_state_vector,
     tensor_product,
     variance,
-    variance_stack,
 )
 from wayaudit.model import ConservedQuantity, MeasurementModel, conserved_operator
 from wayaudit.noise import (
@@ -68,7 +69,8 @@ def reference_kernels(u, ready, observable, psi, probe, la, lb):
     epsilon_sq = float(np.vdot(noise_state, noise_state).real)
 
     def var(a, state):
-        return float(variance_stack(a[None], state[None])[0]), float(np.linalg.norm(a @ state) ** 2)
+        value = image_variance_stack(state[None], matvec_stack(a[None], state[None]))[0]
+        return float(value), float(np.linalg.norm(a @ state) ** 2)
 
     def ratio(numerator, numerator_scale, denominator, denominator_scale):
         value = numerator / denominator
@@ -491,6 +493,24 @@ class TestBoundAuditSweep:
         bound_audit_sweep(AuditConfig(2, 3, 40, seed=7))  # one chunk
         ((la, lb),), ((*_, stacked_la, stacked_lb),) = products, stacks
         assert la is stacked_la and lb is stacked_lb and la.shape == (40, 2, 2) and lb.shape == (40, 3, 3)
+
+    @pytest.mark.parametrize(
+        "n1, n2, seed, message",
+        [(0, 2, 1, "^n1 must be at least 1$"), (1, 1, 1, "^n2 must be at least 2: "), (1, 2, -1, "^seed must be")],
+        ids=["n1", "n2", "seed"],
+    )
+    def test_rejects_bad_config(self, n1, n2, seed, message):
+        with pytest.raises(ValueError, match=message):
+            AuditConfig(n1, n2, 1, seed)
+
+    def test_constant_apparatus_spectrum_is_made_indefinite(self):
+        # a constant spectrum centres to zero; where the zero-expectation regime needs a traceless,
+        # sign-indefinite factor, it is spread, and every other row is as it would be without it
+        d = np.array([[1.5, 1.5, 1.5], [1.5, 1.5, 1.5], [0.5, 1.0, 2.25], [0.5, 1.0, 2.25]])
+        spectra = noise._apparatus_spectra(d, np.array([True, False, True, False]))
+        assert abs(spectra[0].sum()) <= 1e-15 and spectra[0].min() < 0.0 < spectra[0].max()
+        np.testing.assert_array_equal(spectra[1:], [d[1], d[2] - d[2].mean(), d[3]])
+        assert d[0].tolist() == [1.5, 1.5, 1.5]  # the draws are not written to
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):

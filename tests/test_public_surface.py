@@ -18,6 +18,7 @@ KEEP = {
     "matrix_element_identity": "acceptance criterion 5 checks the matrix-element identity with it",
     "sample_conserving_instance": "acceptance criterion 1 samples its instances with it",
     "random_hermitian": "the tests' sampler; moving it into tests/ would not reduce code",
+    "variance": "wayaudit exports it as the public scalar variance; the package reads images it already holds",
 }
 # unitary_completion, IdentityResidualTable and check_nondestructive need no
 # entry: synthesize_unitary, matrix_element_identity, theorem_verdict and the

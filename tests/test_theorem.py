@@ -30,6 +30,24 @@ from wayaudit.theorem import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+# One case per input check no other test reaches: the call, the error it raises and its message.
+INPUT_ERRORS = {
+    "unknown_assumption": (
+        lambda: theorem_verdict(MeasurementModel(2, 2, I2, E0, CNOT), ConservedQuantity("multiplicative", LA_DIAG, I2))
+        .assumption("bogus"),
+        KeyError,
+        "bogus",
+    ),
+    "negative_seed": (lambda: CounterexampleConfig(2, 3, 1, -1), ValueError, "^seed must be nonnegative$"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_ERRORS.values(), ids=list(INPUT_ERRORS))
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMatrixElementIdentity:
     def test_cnot(self, cnot_model, cnot_quantity):
         table = matrix_element_identity(cnot_model, cnot_quantity)
