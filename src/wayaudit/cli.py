@@ -3,6 +3,7 @@
 Every command checks its inputs, opens ``--out`` (``_staged_out``, the one
 writer), calls the library, serializes its report once, commits ``--out``, then
 prints (``_report``). An unwritable ``--out`` exits 2 before any work is done.
+A command imports ``theorem`` or ``noise`` itself, so a process loads only the modules its command runs.
 
 Exit codes: 0 on success, 1 when a falsifiable scientific assertion fails (a
 theorem contradiction or a Robertson-bound violation), 2 on usage or input
@@ -26,7 +27,6 @@ import shutil
 import stat
 import sys
 import tempfile
-import traceback
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -43,8 +43,6 @@ from .model import (
     check_exact,
     check_nondestructive,
 )
-from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep, noise_report, variance_identity_audit
-from .theorem import CounterexampleConfig, SweepTrial, counterexample_sweep, pointer_gram_rank, theorem_verdict
 
 __all__ = ["LoadedModel", "load_model", "main"]
 
@@ -449,6 +447,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
+    from .theorem import theorem_verdict
+
     loaded = load_model(args.model)
     with _report(args, loaded) as (report, _):
         report["results"] = verdict = _checked(theorem_verdict, loaded.model, loaded.quantity, args.tol)
@@ -456,6 +456,8 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .noise import noise_report
+
     loaded = load_model(args.model)
     if loaded.observable is None:
         raise PreconditionError("observable", "bound requires an observable in the model file")
@@ -469,6 +471,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .theorem import pointer_gram_rank
+
     loaded = load_model(args.model)
     with _report(args, loaded) as (report, _):
         nd = check_nondestructive(loaded.model, args.tol)
@@ -479,6 +483,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_audit_variance(args) -> int:
+    from .noise import variance_identity_audit
+
     loaded = load_model(args.model)
     psi = _parse_state(args.state, loaded.model.n1)
     with _report(args, loaded) as (report, _):
@@ -496,7 +502,7 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _audit_summary_row(config: AuditConfig, s) -> dict[str, list]:
+def _audit_summary_row(config, s) -> dict[str, list]:
     """The bound-audit CSV's last row, in the record's schema: each *_bound column holds its
     bound's violation fraction, each *_valid column its violation count, and paper_defined
     and the *_applicable columns their counts."""
@@ -513,11 +519,16 @@ def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
         raise PreconditionError("usage", "sweep requires --n1, --n2 and --count")
-    # Per kind: config, sweep, record, CSV summary row. Built per call, so a sweep rebound here is the one run.
-    make_config, sweep, record, summary_row = {
-        "counterexample": (CounterexampleConfig, counterexample_sweep, SweepTrial, None),
-        "bound-audit": (AuditConfig, bound_audit_sweep, BoundAuditRecord, _audit_summary_row),
-    }[args.kind]
+    # Per kind: config, sweep, record, CSV summary row. Imported per call from the kind's module,
+    # so a sweep rebound there is the one run.
+    if args.kind == "counterexample":
+        from .theorem import CounterexampleConfig, SweepTrial, counterexample_sweep
+
+        make_config, sweep, record, summary_row = CounterexampleConfig, counterexample_sweep, SweepTrial, None
+    else:
+        from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep
+
+        make_config, sweep, record, summary_row = AuditConfig, bound_audit_sweep, BoundAuditRecord, _audit_summary_row
     config = make_config(args.n1, args.n2, args.count, seed, args.tol)
     if args.out is None and args.format == "csv":
         raise PreconditionError("out", "--out is required for csv output")
@@ -630,6 +641,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(
             f"internal error: {type(exc).__name__}: {exc} "

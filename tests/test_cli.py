@@ -503,7 +503,7 @@ class TestExitCodes:
             outcome="contradiction",
             strict_dimension_ok=True,
         )
-        monkeypatch.setattr(cli, "theorem_verdict", lambda *a, **k: fake)
+        monkeypatch.setattr(theorem, "theorem_verdict", lambda *a, **k: fake)  # cli imports it per call
         code, out, _ = run(capsys, "verdict", "--model", "tests/fixtures/cnot.json")
         assert code == 1
         assert '"outcome":"contradiction"' in out
@@ -612,8 +612,9 @@ class TestSweepUsageFirst:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep ran before its usage was checked")
 
-        monkeypatch.setattr(cli, "bound_audit_sweep", refuse)
-        monkeypatch.setattr(cli, "counterexample_sweep", refuse)
+        # cli imports each sweep per call, from the module that defines it
+        monkeypatch.setattr(noise, "bound_audit_sweep", refuse)
+        monkeypatch.setattr(theorem, "counterexample_sweep", refuse)
 
     @staticmethod
     def sweep(capsys, kind, n1, n2, seed, out):
@@ -870,7 +871,10 @@ class TestOutFirst:
         def refused(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, entry, refused)
+        # cli binds its model and commutant entry points at import, and imports a theorem or
+        # noise one inside the command that calls it: that one is patched where it is defined
+        owner = cli if hasattr(cli, entry) else next(m for m in (theorem, noise) if hasattr(m, entry))
+        monkeypatch.setattr(owner, entry, refused)
 
     @pytest.mark.parametrize("argv, entry", OUT_COMMANDS)
     def test_unwritable_out_comes_before_the_library(self, capsys, monkeypatch, tmp_path, argv, entry):
