@@ -34,9 +34,8 @@ import numpy as np
 from . import __version__
 from .commutant import SearchConfig, feasibility_search, minimize_epsilon
 from .errors import PreconditionError
-from .linalg import GROUPING_TOL, HERMITICITY_TOL, RANK_TOL, UNITARITY_TOL, as_state, require_hermitian
+from .linalg import GROUPING_TOL, HERMITICITY_TOL, RANK_TOL, UNITARITY_TOL, VERDICT_TOL, as_state, require_hermitian
 from .model import (
-    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -502,19 +501,6 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _audit_summary_row(config, s) -> dict[str, list]:
-    """The bound-audit CSV's last row, in the record's schema: each *_bound column holds its
-    bound's violation fraction, each *_valid column its violation count, and paper_defined
-    and the *_applicable columns their counts."""
-    row = {"trial": "summary", "n1": config.n1, "n2": config.n2, "epsilon_sq": None}
-    for kind in ("robertson", "paper", "yanase", "simplified"):
-        row[f"{kind}_bound"] = getattr(s, f"{kind}_violation_fraction")
-        row[f"{kind}_valid"] = getattr(s, f"{kind}_violations")
-    for name in ("paper_defined", "yanase_applicable", "simplified_applicable"):
-        row[name] = getattr(s, name)
-    return {name: [value] for name, value in row.items()}
-
-
 def _cmd_sweep(args) -> int:
     seed = _require_seed(args)
     if args.n1 is None or args.n2 is None or args.count is None:
@@ -526,9 +512,9 @@ def _cmd_sweep(args) -> int:
 
         make_config, sweep, record, summary_row = CounterexampleConfig, counterexample_sweep, SweepTrial, None
     else:
-        from .noise import AuditConfig, BoundAuditRecord, bound_audit_sweep
+        from .noise import AuditConfig, BoundAuditRecord, audit_summary_row, bound_audit_sweep
 
-        make_config, sweep, record, summary_row = AuditConfig, bound_audit_sweep, BoundAuditRecord, _audit_summary_row
+        make_config, sweep, record, summary_row = AuditConfig, bound_audit_sweep, BoundAuditRecord, audit_summary_row
     config = make_config(args.n1, args.n2, args.count, seed, args.tol)
     if args.out is None and args.format == "csv":
         raise PreconditionError("out", "--out is required for csv output")

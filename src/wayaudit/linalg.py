@@ -40,9 +40,11 @@ segments its draw sites read (``uniform_draws``, ``normal_draws``); each
 segment holds the values of the stream's own ``uniform`` or
 ``standard_normal`` call at that point, ``uniform`` being
 ``low + (high - low) * random``, and ``TestDrawKernels`` pins both. No
-record depends on the chunk size. Both sweeps run one chunk loop,
-``run_sweep``: it hands each chunk's columns to a sink or collects them,
-totals the chunks' tallies, and returns one ``SweepReport``.
+record depends on the chunk size. Both sweeps take a ``SweepConfig``, which
+checks the inputs they share when built (each sweep kind adds only its rule on
+``n2``), and run one chunk loop, ``run_sweep``: it hands each chunk's columns
+to a sink or collects them, totals the chunks' tallies, and returns one
+``SweepReport``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ import numpy as np
 from .errors import PreconditionError
 
 __all__ = [
+    "VERDICT_TOL",
+    "SweepConfig",
     "SweepReport",
     "anti_hermitian_exp_stack",
     "as_hermitian",
@@ -117,6 +121,9 @@ RANK_TOL = 1e-9
 GROUPING_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
+# The default verdict tolerance of every check and sweep, and of the CLI's
+# --tol: conservation, leakage and exactness residuals at or below it pass.
+VERDICT_TOL = 1e-9
 # Range of the uniform spectrum of the random positive factors.
 FACTOR_SPECTRUM = (0.5, 2.0)
 # A sweep chunk holds as many trials as fit the largest per-trial complex stack
@@ -485,11 +492,37 @@ def sweep_chunks(seed: int, count: int, stack: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class SweepReport:
-    """A sweep's config, its summary and, unless a sink took them, its trials as
-    ``columns``, a list per field of its ``record`` dataclass, which ``records`` reads."""
+class SweepConfig:
+    """A sweep's inputs, checked on construction in field order: ``n1``, the rule on ``n2``
+    (``check_n2``, which each sweep kind's subclass sets), ``count``, ``seed``, then ``tol``."""
 
-    config: object
+    n1: int
+    n2: int
+    count: int
+    seed: int
+    tol: float = VERDICT_TOL
+
+    def __post_init__(self):
+        if self.n1 < 1:
+            raise ValueError("n1 must be at least 1")
+        self.check_n2()
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not 0.0 <= self.tol < np.inf:  # NaN fails too
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
+
+    def check_n2(self) -> None:
+        if self.n2 < 1:
+            raise ValueError("n2 must be at least 1")
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """A sweep's summary and, unless a sink took them, its trials as ``columns``, a
+    list per field of its ``record`` dataclass, which ``records`` reads."""
+
     summary: object
     record: type
     columns: dict[str, list] = field(hash=False)
@@ -500,16 +533,17 @@ class SweepReport:
 
 
 def run_sweep(
-    config, chunk: Callable, stack: tuple[int, ...], record: type, summarize: Callable,
+    config: SweepConfig, chunk: Callable, stack: tuple[int, ...], record: type, summarize: Callable,
     sink: Callable[[dict], object] | None = None,
-):
+) -> SweepReport:
     """Run ``chunk(config, trials, streams)`` on each chunk of the sweep ``config`` sets (its
     ``count`` and ``seed``), chunks sized by ``stack``, the shape of the largest per-trial stack
     ``chunk`` forms (see ``sweep_chunks``), and report the sweep.
 
-    Each chunk's columns, a list per ``record`` field, go to ``sink`` as they come, or,
-    with no sink, are collected. Its tallies are totalled (a ``max_*`` tally keeps its
-    largest value, any other is summed) into the summary ``summarize(**totals)``.
+    Each chunk's columns, a list per ``record`` field, go to ``sink(columns)`` as the chunk
+    finishes, and the report then keeps none; with no sink, the report collects them. Its
+    tallies are totalled (a ``max_*`` tally keeps its largest value, any other is summed)
+    into the summary ``summarize(**totals)``.
     """
     columns: dict[str, list] = {}
     tallies: dict = {}
@@ -523,7 +557,7 @@ def run_sweep(
         for name, value in chunk_tallies.items():
             total = max if name.startswith("max_") else operator.add
             tallies[name] = total(tallies[name], value) if name in tallies else value
-    return SweepReport(config, summarize(**tallies), record, columns)
+    return SweepReport(summarize(**tallies), record, columns)
 
 
 def _segments(rows: np.ndarray, shapes) -> list[np.ndarray]:

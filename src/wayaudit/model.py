@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DegeneratePointerError, PreconditionError
 from .linalg import (
+    VERDICT_TOL,
     as_operator,
     as_state,
     dagger,
@@ -58,9 +59,6 @@ __all__ = [
     "synthesize_unitary",
 ]
 
-# The default verdict tolerance of every check and sweep, and of the CLI's
-# --tol: conservation, leakage and exactness residuals at or below it pass.
-VERDICT_TOL = 1e-9
 # A pointer whose diagonal block norm is at or below this is degenerate: it
 # cannot be normalized.
 POINTER_DEGENERACY_TOL = 1e-12

@@ -22,12 +22,15 @@ eigensystems from their draws (no ``eigh``), for the commutant draw, the ready
 states and the probes, assembles one U per trial for the bounds, U^dag U and
 the conservation residual, builds la (x) lb once, for that residual, and names
 its columns after the bound kernels' outputs; ``BoundAuditRecord``'s fields
-are the CSV schema.
+are the CSV schema. ``AuditConfig`` is the sweeps' ``linalg.SweepConfig`` with
+n2 >= 2. One table, ``_KERNELS``, lists the bound kinds in record order and
+drives each chunk's columns and tallies, the summary, where each bound's
+violation fraction is its violations over the trials it judged (those whose
+``*_valid`` cell is not empty), and the CSV summary row (``audit_summary_row``).
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -39,6 +42,8 @@ from .commutant import FactoredCommutant
 from .errors import PreconditionError
 from .linalg import (
     FACTOR_SPECTRUM,
+    VERDICT_TOL,
+    SweepConfig,
     SweepReport,
     as_hermitian,
     as_state,
@@ -63,7 +68,6 @@ from .linalg import (
     uniform_draws,
 )
 from .model import (
-    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -80,6 +84,7 @@ __all__ = [
     "PaperBoundReport",
     "RobertsonReport",
     "VarianceAudit",
+    "audit_summary_row",
     "bound_audit_sweep",
     "noise_report",
     "variance_identity_audit",
@@ -289,6 +294,10 @@ def _simplified(x: _Stack) -> dict:
     return _conditional(x, applicable, _abs_squares(x.commutator_mean), 4.0 * x.var_la)
 
 
+# Each audited bound's kernel, by kind, in record order.
+_KERNELS = {"robertson": _robertson, "paper": _paper, "yanase": _yanase, "simplified": _simplified}
+
+
 @dataclass(frozen=True)
 class VarianceAudit:
     """Product-state variance of a product operator versus the factored claim.
@@ -355,27 +364,12 @@ def noise_report(
     )
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    """A bound audit's inputs, checked on construction in field order."""
+class AuditConfig(SweepConfig):
+    """A bound audit's inputs: a ``SweepConfig`` whose ``n2`` is at least 2."""
 
-    n1: int
-    n2: int
-    count: int
-    seed: int
-    tol: float = VERDICT_TOL
-
-    def __post_init__(self):
-        if self.n1 < 1:
-            raise ValueError("n1 must be at least 1")
+    def check_n2(self) -> None:
         if self.n2 < 2:
             raise ValueError("n2 must be at least 2: the zero-expectation regime needs two eigenvalues")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not 0.0 <= self.tol < np.inf:  # NaN fails too
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -501,13 +495,14 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     psi = random_state_vector_stack(psi_normals)
     require_conserved(conservation_residual_stack(interaction, tensor_product_stack(la, lb)), config.tol)
     x = _Stack(interaction, ready, observable, psi, probe, la, lb)
-    kernels = {"robertson": _robertson(x), "paper": _paper(x), "yanase": _yanase(x), "simplified": _simplified(x)}
-    columns = {f"{kind}_{name}": column for kind, kernel in kernels.items() for name, column in kernel.items()}
-    # a flag is False only where its bound applies and is defined
-    tallies = {f"{kind}_violations": _tally(columns[f"{kind}_valid"], False) for kind in kernels}
+    columns = {f"{kind}_{name}": column for kind, kernel in _KERNELS.items() for name, column in kernel(x).items()}
+    # a bound judges the trials whose *_valid cell is not empty, and is False only where violated
+    tallies = {f"{kind}_violations": _tally(columns[f"{kind}_valid"], False) for kind in _KERNELS}
+    tallies.update({f"{kind}_judged": int(np.count_nonzero(columns[f"{kind}_valid"].keep)) for kind in _KERNELS})
     tallies.update(
         robertson_degenerate=_tally(columns["robertson_degenerate"], True),
         paper_defined=_tally(columns["paper_defined"], True),
+        paper_undefined=_tally(columns["paper_defined"], False),
         yanase_applicable=_tally(columns["yanase_applicable"], True),
         yanase_degenerate=_tally(columns["yanase_defined"], False),
         simplified_applicable=_tally(columns["simplified_applicable"], True),
@@ -517,20 +512,25 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     return {name: _column(columns[name]) for name in _RECORD_FIELDS}, tallies
 
 
-def _audit_summary(count: int, **t: int) -> BoundAuditSummary:
-    def fraction(kind: str, denominator: int) -> float:
-        return t[f"{kind}_violations"] / denominator if denominator else 0.0
+def _audit_summary(**t: int) -> BoundAuditSummary:
+    """The summary of the sweep's tallies: each bound's violation fraction is its violations
+    over the trials it judged, or 0.0 when it judged none."""
+    judged = {kind: t.pop(f"{kind}_judged") for kind in _KERNELS}
+    fractions = {f"{k}_violation_fraction": t[f"{k}_violations"] / n if n else 0.0 for k, n in judged.items()}
+    return BoundAuditSummary(**t, **fractions)
 
-    return BoundAuditSummary(
-        **t,
-        paper_undefined=count - t["paper_defined"],
-        robertson_violation_fraction=fraction("robertson", count),
-        paper_violation_fraction=fraction("paper", t["paper_defined"]),
-        yanase_violation_fraction=fraction("yanase", t["yanase_applicable"] - t["yanase_degenerate"]),
-        simplified_violation_fraction=fraction(
-            "simplified", t["simplified_applicable"] - t["simplified_degenerate"]
-        ),
-    )
+
+def audit_summary_row(config: AuditConfig, summary: BoundAuditSummary) -> dict[str, list]:
+    """The bound-audit CSV's last row, in the record's schema: each *_bound column holds its
+    bound's violation fraction, each *_valid column its violation count, and paper_defined
+    and the *_applicable columns their counts."""
+    row = {"trial": "summary", "n1": config.n1, "n2": config.n2, "epsilon_sq": None}
+    for kind in _KERNELS:
+        row[f"{kind}_bound"] = getattr(summary, f"{kind}_violation_fraction")
+        row[f"{kind}_valid"] = getattr(summary, f"{kind}_violations")
+    for name in ("paper_defined", "yanase_applicable", "simplified_applicable"):
+        row[name] = getattr(summary, name)
+    return {name: [value] for name, value in row.items()}
 
 
 def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None = None) -> SweepReport:
@@ -543,12 +543,8 @@ def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None
     expectation (the simplified regime; positivity is not required here).
     Each trial derives its stream from (seed, index); trials run in chunks,
     as stacks (see ``_audit_chunk``), so a record does not depend on the
-    chunk it falls in.
-
-    The summary is tallied chunk by chunk. Each chunk's columns go to
-    ``sink(columns)`` as the chunk finishes, if a sink is given, and the
-    report then keeps none; otherwise the report collects them.
+    chunk it falls in. The summary is tallied chunk by chunk; ``sink`` takes each
+    chunk's columns as ``linalg.run_sweep`` says.
     """
-    summarize = functools.partial(_audit_summary, config.count)
     dim = config.n1 * config.n2
-    return run_sweep(config, _audit_chunk, (dim, dim), BoundAuditRecord, summarize, sink)
+    return run_sweep(config, _audit_chunk, (dim, dim), BoundAuditRecord, _audit_summary, sink)

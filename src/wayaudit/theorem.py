@@ -22,10 +22,10 @@ audit's trials begin with the same draws. The chunk reads its pointer blocks
 in factor space (``commutant.FactoredCommutant``) and forms no (chunk, D, D)
 stack: no eigenvector matrix, no U and no U^dag U, and it checks the unitaries
 it applies instead of U; its chunks are sized by those (n1, n1, n2) pointer
-blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` checks the sweep's inputs,
-``SweepTrial``'s fields are the CSV schema, and ``CounterexampleSummary`` holds
-the tallies. ``sample_conserving_instance`` is a batch of one of the sampler,
-with its U assembled; ``model.check_nondestructive`` shares the chunk's pointer analysis.
+blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` adds the hypothesis
+n2 < 2 n1 to the sweeps' ``linalg.SweepConfig``, ``SweepTrial``'s fields are the CSV
+schema, and ``CounterexampleSummary`` holds the tallies. ``sample_conserving_instance``
+is a batch of one of the sampler, with its U assembled; ``model.check_nondestructive`` shares the chunk's pointer analysis.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .errors import PreconditionError
 from .linalg import (
     FACTOR_SPECTRUM,
     RANK_TOL,
+    VERDICT_TOL,
+    SweepConfig,
     SweepReport,
     as_operator,
     commutator,
@@ -58,7 +60,6 @@ from .linalg import (
 )
 from .model import (
     POINTER_DEGENERACY_TOL,
-    VERDICT_TOL,
     ConservedQuantity,
     MeasurementModel,
     check_conserved,
@@ -272,29 +273,13 @@ class SweepTrial:
 _TRIAL_FIELDS = tuple(f.name for f in fields(SweepTrial))
 
 
-@dataclass(frozen=True)
-class CounterexampleConfig:
-    """A counterexample sweep's inputs, checked on construction in field order."""
+class CounterexampleConfig(SweepConfig):
+    """A counterexample sweep's inputs; ``n2`` must also meet the dimension hypothesis n2 < 2 n1."""
 
-    n1: int
-    n2: int
-    count: int
-    seed: int
-    tol: float = VERDICT_TOL
-
-    def __post_init__(self):
-        if self.n1 < 1:
-            raise ValueError("n1 must be at least 1")
-        if self.n2 < 1:
-            raise ValueError("n2 must be at least 1")
+    def check_n2(self) -> None:
+        super().check_n2()
         if not self.n2 < 2 * self.n1:
             raise ValueError(f"dimension precondition violated: n2 = {self.n2} must be < 2*n1 = {2 * self.n1}")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not 0.0 <= self.tol < np.inf:  # NaN fails too
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -341,11 +326,8 @@ def counterexample_sweep(config: CounterexampleConfig, sink: Callable[[dict], ob
     simultaneously nondestructive and exact within ``config.tol`` yet has
     commutator norm above ``COUNTEREXAMPLE_COMMUTATOR_TOL``. Trials derive
     independent streams from (seed, index), so the report is reproducible and
-    order-independent.
-
-    The tallies are taken chunk by chunk. Each chunk's columns go to
-    ``sink(columns)`` as the chunk finishes, if a sink is given, and the report
-    then keeps none; otherwise the report collects them.
+    order-independent. The tallies are taken chunk by chunk; ``sink`` takes each
+    chunk's columns as ``linalg.run_sweep`` says.
     """
     stack = (config.n1, config.n1, config.n2)  # the pointer blocks
     return run_sweep(config, _sweep_chunk, stack, SweepTrial, CounterexampleSummary, sink)

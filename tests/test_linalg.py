@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from wayaudit.commutant import SearchConfig, commutant_unitary, conserved_eigens
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
     ORTHONORMAL_TOL,
+    SweepConfig,
     anti_hermitian_exp_stack,
     commutator,
     dagger,
@@ -33,7 +35,7 @@ from wayaudit.linalg import (
     variance,
 )
 from wayaudit.model import ConservedQuantity, MeasurementModel, synthesize_unitary
-from wayaudit.noise import noise_report, variance_identity_audit
+from wayaudit.noise import AuditConfig, noise_report, variance_identity_audit
 from wayaudit.theorem import CounterexampleConfig, counterexample_sweep, theorem_verdict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -534,6 +536,52 @@ class TestStreamSeeding:
         words = linalg._seed_words_type()(np.zeros(4, dtype=np.uint64))
         with pytest.raises(ValueError, match="4 uint64 words"):
             words.generate_state(n_words, dtype)
+
+
+# Each sweep config with a bad n2 for its rule, and the message that rule gives.
+N2_RULES = {
+    "base": (SweepConfig, 0, "n2 must be at least 1"),
+    "counterexample_positive": (CounterexampleConfig, 0, "n2 must be at least 1"),
+    "counterexample_dimension": (CounterexampleConfig, 4, "dimension precondition violated: n2 = 4 must be < 2*n1 = 4"),
+    "bound_audit": (AuditConfig, 1, "n2 must be at least 2: the zero-expectation regime needs two eigenvalues"),
+}
+
+
+class TestSweepConfig:
+    """Both sweeps' configs are one checked ``SweepConfig``; each kind sets only its rule on n2."""
+
+    FIELDS = ("n1", "n2", "count", "seed", "tol")
+    GOOD = {"n1": 2, "n2": 3, "count": 5, "seed": 1, "tol": 1e-9}
+    BAD = {"n1": 0, "count": 0, "seed": -1, "tol": float("nan")}
+    MESSAGES = {
+        "n1": "n1 must be at least 1",
+        "count": "count must be at least 1",
+        "seed": "seed must be nonnegative",
+        "tol": "tol must be nonnegative and finite, got nan",
+    }
+
+    @pytest.mark.parametrize("rule", N2_RULES.values(), ids=list(N2_RULES))
+    @pytest.mark.parametrize("first", FIELDS)
+    def test_first_bad_field_in_field_order_is_reported(self, rule, first):
+        # every field from ``first`` on is bad at once; the error names ``first`` alone
+        config, bad_n2, n2_message = rule
+        bad = {**self.BAD, "n2": bad_n2}
+        start = self.FIELDS.index(first)
+        values = {name: (bad if i >= start else self.GOOD)[name] for i, name in enumerate(self.FIELDS)}
+        message = n2_message if first == "n2" else self.MESSAGES[first]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config(**values)
+
+    @pytest.mark.parametrize("config", [SweepConfig, CounterexampleConfig, AuditConfig])
+    def test_kinds_are_dataclasses_of_the_shared_fields(self, config):
+        made = config(2, 3, 5, 1)
+        assert [f.name for f in dataclasses.fields(made)] == list(self.FIELDS)
+        assert repr(made) == f"{config.__name__}(n1=2, n2=3, count=5, seed=1, tol=1e-09)"
+        assert made == config(2, 3, 5, 1) and hash(made) == hash(config(2, 3, 5, 1))
+        assert made != config(2, 3, 5, 2)
+        assert all(made != other(2, 3, 5, 1) for other in {SweepConfig, CounterexampleConfig, AuditConfig} - {config})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.seed = 2
 
 
 class TestDrawKernels:

@@ -540,6 +540,24 @@ class TestBoundAuditSweep:
         assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
         assert len(collected.records) == 40
 
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (2, 3), (3, 5), (5, 9)])
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_violation_fraction_is_violations_over_judged_trials(self, n1, n2, seed):
+        # one rule for every bound: the False cells of its *_valid column over its non-empty cells
+        report = bound_audit_sweep(AuditConfig(n1, n2, 24, seed))
+        s, judged = report.summary, {}
+        for kind in ("robertson", "paper", "yanase", "simplified"):
+            valid = report.columns[f"{kind}_valid"]
+            judged[kind] = sum(cell is not None for cell in valid)
+            violations = valid.count(False)
+            assert getattr(s, f"{kind}_violations") == violations
+            fraction = getattr(s, f"{kind}_violation_fraction")
+            assert type(fraction) is float
+            assert fraction == (violations / judged[kind] if judged[kind] else 0.0)
+        if n1 == 1:
+            # a one-dimensional system has no variance: only the Robertson bound judges a trial
+            assert judged == {"robertson": 24, "paper": 0, "yanase": 0, "simplified": 0}
+
     def test_multi_chunk_golden_spans_chunks(self):
         # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
         # golden that crosses chunk boundaries
