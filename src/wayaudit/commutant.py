@@ -49,20 +49,23 @@ first two calls have drawn its factors, the factor eigensystems give its block
 sizes, and it draws its blocks from its own stream, in ascending-eigenvalue
 order. The chunk's trials are grouped by block structure in one pass
 (``block_sizes``). A ``FactoredCommutant`` keeps its unitaries in factor space:
-the eigensystems, the order of the sorted products, kept from the one sort
-(``_joint_spectrum``) for the assembly too, and the block unitaries. The
-counterexample sweep needs U only on the n1 product inputs u_j (x) v, so it
-applies U there without forming it
-(``FactoredCommutant.pointer_blocks``): V^dag (u_j (x) v) is the outer product
-(wa^dag u_j)(wb^dag v)^T, the block unitaries move its entries in sorted-product
-order, and V takes the result Y_j back as wa Y_j wb^T (the Kronecker
-mixed-product rule), O(n1 n2 (n1 + n2)) per input and no (D, D) matrix. Where U
-itself is needed, one assembly serves: ``_assembled`` forms V blockdiag(U_k)
-V^dag as V's column blocks times their unitaries, then one product with V^dag,
-for the bound audit (``FactoredCommutant.assembled``), ``commutant_unitary`` (its
-batch of one), ``theorem.sample_conserving_instance`` and the optimizer's best
-point; every optimizer restart starts from the same draw, placed in one
-block-diagonal matrix (``_random_point``).
+the eigensystems, the sorted products and their order, kept from the one sort
+(``_joint_spectrum``) for the assembly too, and the block unitaries. Both sweeps
+need U only on product inputs, so they apply it there without forming it
+(``FactoredCommutant.images``): V^dag (a_j (x) b_j) is the outer product
+(wa^dag a_j)(wb^dag b_j)^T, the block unitaries move its entries in
+sorted-product order, and V takes the result Y_j back as wa Y_j wb^T (the
+Kronecker mixed-product rule), O(n1 n2 (n1 + n2)) per input and no (D, D)
+matrix. One check stands in for U^dag U and the conservation residual
+(``FactoredCommutant.require_valid``): wa, wb and the block unitaries are
+unitary, and the block residual ||[B, Lambda]||_F, B the block unitaries and
+Lambda the sorted joint spectrum, is within tolerance. Where U itself is needed,
+one assembly serves: ``_assembled`` forms V blockdiag(U_k) V^dag as V's column
+blocks times their unitaries, then one product with V^dag, for
+``FactoredCommutant.assembled``, ``commutant_unitary`` (its batch of one),
+``theorem.sample_conserving_instance`` and the optimizer's best point; every
+optimizer restart starts from the same draw, placed in one block-diagonal
+matrix (``_random_point``).
 """
 
 from __future__ import annotations
@@ -84,10 +87,11 @@ from .linalg import (
     normal_draws,
     product_state,
     random_state_vector,
+    require_unitary,
     sized,
     tensor_product,
 )
-from .model import POINTER_DEGENERACY_TOL, ConservedQuantity
+from .model import POINTER_DEGENERACY_TOL, ConservedQuantity, require_conserved
 
 __all__ = [
     "BlockDecomposition",
@@ -234,28 +238,36 @@ def _moved(y: np.ndarray, order: np.ndarray, indices: dict[int, np.ndarray], uni
 
 class FactoredCommutant:
     """Haar unitaries from the commutants of la (x) lb, one per stream, kept in factor space: the
-    factors' eigensystems, taken as valid, the order of their sorted products (``_joint_spectrum``;
-    ``_joint_vectors`` builds V from them), and the block unitaries of each block structure among
-    the trials. Trials with equal block sizes draw together, each from its own stream, as
-    ``commutant_unitary`` would."""
+    factors' eigensystems (checked by ``require_valid``), their sorted products and the order of these
+    (``_joint_spectrum``; ``_joint_vectors`` builds V from them), and the block unitaries of each block
+    structure among the trials. Trials with equal block sizes draw together, each from its own stream,
+    as ``commutant_unitary`` would."""
 
     def __init__(self, la, lb, rngs):
         self.la, self.lb = la, lb
-        values, self.order = _joint_spectrum(la[0], lb[0])
-        structures, which = block_sizes(values)
+        self.values, self.order = _joint_spectrum(la[0], lb[0])
+        structures, which = block_sizes(self.values)
         groups = ((dims, np.flatnonzero(which == s)) for s, dims in enumerate(structures))
         self.groups = tuple(  # (trials, block indices, block unitaries) per block structure
             (trials, _block_indices(dims), _block_unitaries(dims, [rngs[i] for i in trials]))
             for dims, trials in groups
         )
 
-    def unitaries(self):
-        """Every unitary ``pointer_blocks`` applies: wa, wb and each block-unitary stack of size above 1
-        (a size-1 block is a phase z / |z|)."""
-        yield self.la[1]
-        yield self.lb[1]
-        for _, _, unitaries in self.groups:
-            yield from (u for size, u in unitaries.items() if size > 1)
+    def require_valid(self, tol: float) -> None:
+        """wa, wb and each block-unitary stack of size above 1 are unitary, and each trial's block residual
+        ||[B, Lambda]||_F is at most ``tol``; the first failure raises. The residual equals ||U^dag L U - L||_F
+        when V is unitary, so it measures the grouping error alone, and is exactly 0 on size-1 blocks."""
+        require_unitary(self.la[1], "interaction")
+        require_unitary(self.lb[1], "interaction")
+        squares = np.zeros(len(self.order))
+        for trials, indices, unitaries in self.groups:
+            for size, index in indices.items():
+                if size > 1:
+                    require_unitary(unitaries[size], "interaction")
+                    values = self.values[trials][:, index]  # (t, blocks, size)
+                    gaps = values[..., None, :] - values[..., :, None]  # [B, Lambda](i, j) = B(i, j) gaps(i, j)
+                    squares[trials] += np.square(np.abs(unitaries[size] * gaps)).sum(axis=(1, 2, 3))
+        require_conserved(np.sqrt(squares), tol)
 
     def _by_structure(self, stack: np.ndarray, apply) -> np.ndarray:
         """``apply(stack, order, indices, unitaries)`` on the trials of each block structure, as one (k, ...) stack."""
@@ -272,17 +284,15 @@ class FactoredCommutant:
         vectors = _joint_vectors(self.la[1], self.lb[1], self.order)
         return self._by_structure(vectors, lambda v, _, indices, unitaries: _assembled(v, indices, unitaries))
 
-    def pointer_blocks(self, basis: np.ndarray, ready: np.ndarray) -> np.ndarray:
-        """``model._joint_blocks`` of the assembled unitaries, (k, n1, n1, n2), with no (k, D, D) stack: with
-        P = basis^* wa and c = wb^dag v, V^dag (u(j) (x) v) holds conj(P[j, a]) c[b] at product (a, b), the
-        block unitaries move it to Y_j (``_moved``), and w(i, j) = P[i] Y_j wb^T."""
+    def images(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """U (a_j (x) b_j) for (k, m, n1) rows a and (k, m, n2) rows b, broadcastable, as (k, m, n1, n2) n1 x n2
+        reshapes, with no (k, D, D) stack: V^dag (a_j (x) b_j) is (wa^dag a_j) (x) (wb^dag b_j) in product
+        order, the block unitaries move it to Y_j (``_moved``), and V takes Y_j back as wa Y_j wb^T."""
         (_, wa), (_, wb) = self.la, self.lb
-        left = basis.conj() @ wa  # (k, n1, n1): <u(i)|wa[:, a]>
-        y = product_state(left.conj(), (dagger(wb) @ ready[..., None])[:, None, :, 0])  # (k, n1, D)
-        y = self._by_structure(y, _moved)
-        n1, n2 = basis.shape[0], wb.shape[-1]
-        right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), n1, n1, n2)  # (k, j, a, n2): Y_j wb^T
-        return (left[:, None] @ right).swapaxes(1, 2)
+        y = self._by_structure(product_state(a @ wa.conj(), b @ wb.conj()), _moved)
+        n1, n2 = wa.shape[-1], wb.shape[-1]
+        right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), -1, n1, n2)  # Y_j wb^T
+        return wa[:, None] @ right
 
 
 class _Chart:

@@ -127,21 +127,21 @@ VERDICT_TOL = 1e-9
 # Range of the uniform spectrum of the random positive factors.
 FACTOR_SPECTRUM = (0.5, 2.0)
 # A sweep chunk holds as many trials as fit the largest per-trial complex stack
-# its sweep forms in SWEEP_CHUNK_BYTES, and at most SWEEP_CHUNK_TRIALS. The
-# bound audit's is its (D, D) unitaries: 512 trials at 2x3, 291 at 3x5, 83 at
-# 4x7 and 32 at 5x9. The counterexample sweep's is its (n1, n1, n2) pointer
-# blocks: 512 trials up to 4x7, 291 at 5x9. A chunk's fixed cost is about
-# 0.3-0.4 ms (time per chunk against its trials), so 1 MiB runs sweeps at 3x5
-# to 5x9 9-22 % faster than 256 KiB (fresh processes, one BLAS thread) at a
-# peak RSS of at most 48 MB; 2 MiB gains 3-5 % more but peaks at 55 MB. The
-# cap keeps 2x3 near the 455 trials of 256 KiB: there 1 MiB alone (1820
-# trials) gains at most 5 % and adds 10 MB of peak RSS.
+# its sweep forms in SWEEP_CHUNK_BYTES, and at most SWEEP_CHUNK_TRIALS: for the
+# bound audit its standard normals (512 trials up to 3x5, 464 at 4x7, 289 at
+# 5x9, where a 10^6-trial audit peaks at 45 MB), for the counterexample sweep
+# its (n1, n1, n2) pointer blocks (512 trials up to 4x7, 291 at 5x9). A chunk's
+# fixed cost is about 0.3-0.4 ms (time per chunk against its trials), so 1 MiB
+# runs sweeps at 3x5 to 5x9 9-22 % faster than 256 KiB (fresh processes, one
+# BLAS thread) at a peak RSS of at most 48 MB; 2 MiB gains 3-5 % more but peaks
+# at 55 MB. The cap keeps 2x3 near the 455 trials of 256 KiB: there 1 MiB alone
+# (over 1800 trials) gains at most 5 % and adds 10 MB of peak RSS.
 SWEEP_CHUNK_BYTES = 1 << 20
 SWEEP_CHUNK_TRIALS = 512
 # Trials whose stream seed words one ``_seed_words`` pass computes. A pass
 # costs about 100 us, as much as 6 to 8 per-trial SeedSequence seedings,
-# plus about 0.1 us a trial, so the batch is not tied to the chunk (32 trials
-# at 5x9). Its words take 32 KiB.
+# plus about 0.1 us a trial, so the batch is not tied to the chunk (289 and
+# 291 trials at 5x9). Its words take 32 KiB.
 SEED_BATCH = 1024
 
 

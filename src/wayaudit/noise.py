@@ -11,22 +11,24 @@ are reported rather than asserted.
 
 One engine evaluates instances as (k, ...) stacks: ``_Stack`` computes every
 intermediate once for k instances and the four bound kernels read from it.
-Every figure is read off the product state psi (x) v and its image under U,
-so no operator on the joint space but U is formed (see ``_Stack``).
+Every figure is read off the product state psi (x) v and U applied to three
+product states, in the evolved frame, so nothing applies U^dag (see ``_Stack``).
 ``noise_report`` checks its inputs in one order (``_instance``) and runs it on
-a stack of one. The bound audit runs it on chunks of trials through the
-sweeps' chunk loop (``linalg.run_sweep``). Each trial calls its stream three
-times, whatever its regime (see ``_audit_chunk``), so every record is the one
-a trial-by-trial loop would give, bit for bit. Each chunk takes la's and lb's
-eigensystems from their draws (no ``eigh``), for the commutant draw, the ready
-states and the probes, assembles one U per trial for the bounds, U^dag U and
-the conservation residual, builds la (x) lb once, for that residual, and names
-its columns after the bound kernels' outputs; ``BoundAuditRecord``'s fields
-are the CSV schema. ``AuditConfig`` is the sweeps' ``linalg.SweepConfig`` with
-n2 >= 2. One table, ``_KERNELS``, lists the bound kinds in record order and
-drives each chunk's columns and tallies, the summary, where each bound's
-violation fraction is its violations over the trials it judged (those whose
-``*_valid`` cell is not empty), and the CSV summary row (``audit_summary_row``).
+a stack of one, with its U applied as dense matvecs. The bound audit runs it on
+chunks of trials through the sweeps' chunk loop (``linalg.run_sweep``). Each
+trial calls its stream three times, whatever its regime (see ``_audit_chunk``),
+so every record is the one a trial-by-trial loop would give, bit for bit. Each
+chunk takes la's and lb's eigensystems from their draws (no ``eigh``), for the
+commutant draw, the ready states and the probes, applies each U in factor
+space and checks it there (``commutant.FactoredCommutant``), so it forms no
+(D, D) stack, and names its columns after the bound kernels' outputs; its
+chunks are sized by its standard normals, its largest per-trial stack.
+``BoundAuditRecord``'s fields are the CSV schema. ``AuditConfig`` is the
+sweeps' ``linalg.SweepConfig`` with n2 >= 2. One table, ``_KERNELS``, lists
+the bound kinds in record order and drives each chunk's columns and tallies,
+the summary, where each bound's violation fraction is its violations over the
+trials it judged (those whose ``*_valid`` cell is not empty), and the CSV
+summary row (``audit_summary_row``).
 """
 
 from __future__ import annotations
@@ -60,20 +62,12 @@ from .linalg import (
     random_state_vector_stack,
     require_hermitian,
     require_unit_norm,
-    require_unitary,
     run_sweep,
     sized,
     spectral_operator_stack,
-    tensor_product_stack,
     uniform_draws,
 )
-from .model import (
-    ConservedQuantity,
-    MeasurementModel,
-    check_conserved,
-    conservation_residual_stack,
-    require_conserved,
-)
+from .model import ConservedQuantity, MeasurementModel, check_conserved, require_conserved
 
 __all__ = [
     "AuditConfig",
@@ -104,22 +98,21 @@ ZERO_EXPECTATION_TOL = 1e-10
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
-    Every figure is read off the product state psi (x) v and its image phi = U (psi (x) v):
-    no joint-space operator but U is formed. Inputs are taken as valid: ``_instance``
+    Every figure is read off s = psi (x) v and ``images``, U applied to three product states, in the
+    evolved frame: with Phi the n1 x n2 reshape of U s, U N s = Phi probe^T - U ((observable psi) (x) v)
+    and U L s = U ((la psi) (x) (lb v)), exact for a unitary U. Inputs are taken as valid: ``_instance``
     checks them for one instance, and the audit sampler builds them valid.
     """
 
-    def __init__(self, u, ready, observable, psi, probe, la, lb):
-        k, n1, n2 = len(u), psi.shape[-1], ready.shape[-1]
-        joint_state = product_state(psi, ready)
-        evolved = matvec_stack(u, joint_state).reshape(k, n1, n2)  # phi, as its n1 x n2 reshape Phi
-        # N (psi (x) v) = U^dag (1 (x) probe) phi - (observable psi) (x) v; (1 (x) probe) phi is Phi probe^T
-        probed = (evolved @ probe.mT).reshape(k, -1)
-        self.noise_state = _adjoint_matvec(u, probed) - product_state(matvec_stack(observable, psi), ready)
-        self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
+    def __init__(self, images, ready, observable, psi, probe, la, lb):
+        k, n1, n2 = len(psi), psi.shape[-1], ready.shape[-1]
         la_psi, lb_ready = matvec_stack(la, psi), matvec_stack(lb, ready)
-        self.conserved_state = product_state(la_psi, lb_ready)  # L (psi (x) v)
-        self.var_conserved = image_variance_stack(joint_state, self.conserved_state)
+        inputs = np.stack((psi, matvec_stack(observable, psi), la_psi), axis=1), np.stack((ready, ready, lb_ready), axis=1)
+        evolved, observed, conserved = images(*inputs).reshape(k, 3, n1, n2).swapaxes(0, 1)
+        self.noise_state = (evolved @ probe.mT - observed).reshape(k, -1)  # U N s
+        self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
+        self.conserved_state = conserved.reshape(k, -1)  # U L s
+        self.var_conserved = image_variance_stack(product_state(psi, ready), product_state(la_psi, lb_ready))
         self.var_la = image_variance_stack(psi, la_psi)
         self.var_lb = image_variance_stack(ready, lb_ready)
         self.factored_denominator = 4.0 * self.var_la * self.var_lb
@@ -133,11 +126,6 @@ class _Stack:
         self.evolved_mean = np.vecdot(evolved.reshape(k, -1), moved.reshape(k, -1))
 
 
-def _adjoint_matvec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """U^dag v for each matrix and vector of (k, D, D) and (k, D) stacks, with no conjugate copy of U."""
-    return (v.conj()[:, None, :] @ u)[:, 0].conj()
-
-
 def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     """One instance as a stack of one, after its input checks; the first failure raises.
 
@@ -149,9 +137,10 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     psi = sized(as_state(psi, "psi"), m.n1, "psi")
     observable = as_hermitian(observable, m.n1, "observable")
     probe = as_hermitian(probe, m.n2, "probe")
+    u = m.interaction[None, None]
     return _Stack(
-        m.interaction[None], m.ready_state[None], observable[None], psi[None], probe[None],
-        q.system_op[None], q.apparatus_op[None],
+        lambda a, b: matvec_stack(u, product_state(a, b)), m.ready_state[None], observable[None], psi[None],
+        probe[None], q.system_op[None], q.apparatus_op[None],
     )
 
 
@@ -211,7 +200,7 @@ class RobertsonReport:
 
 
 def _robertson(x: _Stack) -> dict:
-    # <[N, L]> = <N s|L s> - <L s|N s> = -2i Im z for z = <L s|N s>, s = psi (x) v
+    # <[N, L]> = <N s|L s> - <L s|N s> = -2i Im z for z = <L s|N s> = <U L s|U N s>, s = psi (x) v
     z = np.vecdot(x.conserved_state, x.noise_state).imag
     numerator = z * z
     degenerate = x.var_conserved <= DEGENERACY_TOL
@@ -486,15 +475,14 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     lb, (lb_values, lb_vectors) = spectral_operator_stack(_apparatus_spectra(lb_spectrum, zero_mode), lb_normals)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction = FactoredCommutant(la_eigensystem, (lb_values, lb_vectors), rngs).assembled()
+    interaction = FactoredCommutant(la_eigensystem, (lb_values, lb_vectors), rngs)
     ready = _ready_states(lb_values, lb_vectors, phase, ready_normals, zero_mode)
     require_unit_norm(ready, "ready_state")
-    require_unitary(interaction, "interaction")
+    interaction.require_valid(config.tol)
     observable = random_hermitian_stack(observable_normals)
     probe = _probes(lb_vectors, probe_spectrum, probe_normals, yanase_mode)
     psi = random_state_vector_stack(psi_normals)
-    require_conserved(conservation_residual_stack(interaction, tensor_product_stack(la, lb)), config.tol)
-    x = _Stack(interaction, ready, observable, psi, probe, la, lb)
+    x = _Stack(interaction.images, ready, observable, psi, probe, la, lb)
     columns = {f"{kind}_{name}": column for kind, kernel in _KERNELS.items() for name, column in kernel(x).items()}
     # a bound judges the trials whose *_valid cell is not empty, and is False only where violated
     tallies = {f"{kind}_violations": _tally(columns[f"{kind}_valid"], False) for kind in _KERNELS}
@@ -546,5 +534,7 @@ def bound_audit_sweep(config: AuditConfig, sink: Callable[[dict], object] | None
     chunk it falls in. The summary is tallied chunk by chunk; ``sink`` takes each
     chunk's columns as ``linalg.run_sweep`` says.
     """
-    dim = config.n1 * config.n2
-    return run_sweep(config, _audit_chunk, (dim, dim), BoundAuditRecord, _audit_summary, sink)
+    n1, n2 = config.n1, config.n2
+    # its largest per-trial stack: its standard normals, as complex entries (2 n1^2 + 2 n2^2 >= 4 n1 n2 > 3 n1 n2)
+    stack = (2 * n1 * n1 + 2 * n2 * n2 + n1 + n2,)
+    return run_sweep(config, _audit_chunk, stack, BoundAuditRecord, _audit_summary, sink)

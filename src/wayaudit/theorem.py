@@ -19,13 +19,14 @@ the factors' eigensystems, known from their draws, have fixed its block sizes
 (see ``commutant``), ``standard_normal`` for its commutant blocks; so each
 record is the one a trial-by-trial loop would give, bit for bit. The bound
 audit's trials begin with the same draws. The chunk reads its pointer blocks
-in factor space (``commutant.FactoredCommutant``) and forms no (chunk, D, D)
-stack: no eigenvector matrix, no U and no U^dag U, and it checks the unitaries
-it applies instead of U; its chunks are sized by those (n1, n1, n2) pointer
-blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` adds the hypothesis
-n2 < 2 n1 to the sweeps' ``linalg.SweepConfig``, ``SweepTrial``'s fields are the CSV
-schema, and ``CounterexampleSummary`` holds the tallies. ``sample_conserving_instance``
-is a batch of one of the sampler, with its U assembled; ``model.check_nondestructive`` shares the chunk's pointer analysis.
+off U's images of the inputs u(j) (x) v, with U applied and checked in factor
+space (``commutant.FactoredCommutant``), so it forms no (chunk, D, D) stack: no
+eigenvector matrix, no U and no U^dag U. Its chunks are sized by those (n1, n1,
+n2) pointer blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` adds the
+hypothesis n2 < 2 n1 to the sweeps' ``linalg.SweepConfig``, ``SweepTrial``'s
+fields are the CSV schema, and ``CounterexampleSummary`` holds the tallies.
+``sample_conserving_instance`` is a batch of one of the sampler, with its U
+assembled; ``model.check_nondestructive`` shares the chunk's pointer analysis.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .linalg import (
     random_state_vector_stack,
     require_hermitian,
     require_unit_norm,
-    require_unitary,
     run_sweep,
     spectral_operator_stack,
     uniform_draws,
@@ -242,8 +242,6 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple:
     interaction = FactoredCommutant(la_eigensystem, lb_eigensystem, rngs)
     ready = random_state_vector_stack(ready_normals)
     require_unit_norm(ready, "ready_state")
-    for u in interaction.unitaries():
-        require_unitary(u, "interaction")
     return la, lb, interaction, ready
 
 
@@ -303,7 +301,9 @@ def _sweep_chunk(config: CounterexampleConfig, trials: range, rngs) -> tuple[dic
     """One chunk of trials as stacks: its ``SweepTrial`` columns, as lists, and its tallies."""
     basis = np.eye(config.n1, dtype=complex)
     la, _, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
-    a = pointer_stack(interaction.pointer_blocks(basis, ready), POINTER_DEGENERACY_TOL)
+    interaction.require_valid(config.tol)
+    # the measured basis is the identity, so w(i, j) is row i of the image of u(j) (x) v
+    a = pointer_stack(interaction.images(basis[None], ready[:, None]).swapaxes(1, 2), POINTER_DEGENERACY_TOL)
     comm = frobenius_norm_stack(commutator_stack(observable_in_basis(basis), la))
     conforming = (a["leakage"] <= config.tol) & (a["deficit"] <= config.tol)
     counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)

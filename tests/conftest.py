@@ -25,9 +25,10 @@ def block_bases(d):
 
 
 def sweep_stack(kind, n1, n2):
-    """The shape of the largest per-trial stack a sweep of ``kind`` forms, which sizes its chunks:
-    the bound audit's (D, D) unitaries, the counterexample sweep's (n1, n1, n2) pointer blocks."""
-    return (n1 * n2, n1 * n2) if kind == "bound-audit" else (n1, n1, n2)
+    """The shape of the largest per-trial stack a sweep of ``kind`` forms, which sizes its chunks: the
+    bound audit's standard normals, as complex entries, the counterexample sweep's (n1, n1, n2) pointer
+    blocks."""
+    return (2 * n1 * n1 + 2 * n2 * n2 + n1 + n2,) if kind == "bound-audit" else (n1, n1, n2)
 
 
 def chunk_sizes(count, stack):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -544,14 +545,24 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {field} must be at least 1\n"
 
-    def test_bound_audit_reports_first_failing_conservation(self, capsys):
-        # with --tol 0 the rounding residual of trial 0 fails the precondition
+    @pytest.mark.parametrize("kind", ["bound-audit", "counterexample"])
+    def test_sweep_reports_first_failing_conservation(self, capsys, monkeypatch, kind):
+        # blocks grouped within 0.5 hold eigenvalues far apart, so the block residual fails the precondition
+        monkeypatch.setattr(commutant, "GROUPING_TOL", 0.5)
         code, out, err = run(
-            capsys, "sweep", "--kind", "bound-audit", "--n1", "2", "--n2", "3",
-            "--count", "5", "--seed", "1", "--tol", "0", "--format", "json",
+            capsys, "sweep", "--kind", kind, "--n1", "2", "--n2", "3", "--count", "5", "--seed", "1", "--format", "json",
         )
         assert (code, out) == (2, "")
-        assert err == "error: check_conserved: residual 3.410e-15 exceeds 0.000e+00\n"
+        assert re.fullmatch(r"error: check_conserved: residual \d\.\d{3}e[+-]\d{2} exceeds 1\.000e-09\n", err)
+
+    @pytest.mark.parametrize("kind", ["bound-audit", "counterexample"])
+    def test_sweep_accepts_zero_tolerance(self, capsys, kind):
+        # every sampled trial has size-1 blocks only, whose block residual is exactly 0
+        code, out, err = run(
+            capsys, "sweep", "--kind", kind, "--n1", "2", "--n2", "3",
+            "--count", "5", "--seed", "1", "--tol", "0", "--format", "json",
+        )
+        assert (code, err) == (0, "") and json.loads(out)["results"]
 
     def test_zero_tolerance_accepted(self, capsys):
         code, _, _ = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "0")
@@ -739,10 +750,10 @@ class TestSweepGoldens:
         ("counterexample", 3, 5, 7),
         ("bound-audit", 1, 2, 7),
         ("bound-audit", 3, 5, 7),
-        ("bound-audit", 5, 9, 7),  # 40 trials of dimension 45: more than one chunk
+        ("bound-audit", 5, 9, 7),  # 40 trials of dimension 45
         ("counterexample", 2, 2, 7),
         ("counterexample", 2, 3, 7),
-        ("counterexample", 5, 9, 7),  # 40 trials of dimension 45: chunks of 32 and 8
+        ("counterexample", 5, 9, 7),  # 40 trials of dimension 45
         # seeds of 2 and 4 words: 3 entropy words, which the seed pool pads with
         # zeros, and 5, which mix in after the pool
         ("counterexample", 3, 5, 2**32 + 5),
@@ -786,15 +797,15 @@ class TestSweepGoldens:
     @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 5), (5, 9)])
     def test_chunk_invariant(self, capsys, monkeypatch, tmp_path, kind, n1, n2):
         # a chunk per trial writes the bytes of the default chunk rule, which
-        # puts the trials in one chunk, or in two at 5x9: 40 bound-audit
-        # trials in chunks of 32 and 8, 300 counterexample trials in 291 and 9
-        count = 300 if (kind, n1) == ("counterexample", 5) else 40
+        # puts the trials in one chunk, or in two at 5x9: 298 bound-audit
+        # trials in chunks of 289 and 9, 300 counterexample trials in 291 and 9
+        stack = sweep_stack(kind, n1, n2)
+        count = chunk_size(stack) + 9 if n1 == 5 else 40
         monkeypatch.chdir(tmp_path)  # the report echoes the relative --out path
         argv = ["sweep", "--kind", kind, "--n1", str(n1), "--n2", str(n2), "--count", str(count), "--seed", "7",
                 "--format", "csv", "--out", "sweep.csv"]
         code, default_out, _ = run(capsys, *argv)
         default_csv = (tmp_path / "sweep.csv").read_bytes()
-        stack = sweep_stack(kind, n1, n2)
         assert len(chunk_sizes(count, stack)) == (2 if n1 == 5 else 1)
         monkeypatch.setattr(linalg, "SWEEP_CHUNK_BYTES", 1)
         assert chunk_sizes(count, stack) == [1] * count

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -386,9 +387,9 @@ class TestRandomCommutantUnitary:
             assert stacked[i].tobytes() == expected.tobytes()
 
 
-class TestFactoredPointers:
-    """``FactoredCommutant.pointer_blocks`` reads the pointer blocks w(i, j) in factor space; the
-    reference assembles U (``FactoredCommutant.assembled``) and applies it (``model._joint_blocks``)."""
+class TestFactoredImages:
+    """``FactoredCommutant.images`` applies U to product inputs in factor space, and ``require_valid`` checks
+    what it applies; the reference assembles U (``FactoredCommutant.assembled``) and applies it densely."""
 
     # 3x5 factor spectra: generic, one block of size 3 per apparatus level, and sizes 1, 2 and 3 mixed
     SPECTRA = {
@@ -397,41 +398,74 @@ class TestFactoredPointers:
         "geometric": ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0]),
         "mixed": ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 5.0, 7.0]),
     }
+    NAMES = ["generic", "triple", "generic", "geometric", "mixed", "triple", "generic", "mixed"]
 
     @staticmethod
     def eigensystems(names, rng):
         """Stacks of (ascending values, Haar eigenvector columns) for la and lb, one trial per name."""
         factors = []
         for part in (0, 1):
-            values = np.array([TestFactoredPointers.SPECTRA[name][part] for name in names])
+            values = np.array([TestFactoredImages.SPECTRA[name][part] for name in names])
             vectors = np.stack([haar_unitary(values.shape[1], rng) for _ in names])
             factors.append((values, vectors))
         return factors
 
-    @pytest.mark.parametrize("basis", ["computational", "rotated"])
-    def test_blocks_match_the_assembled_unitary(self, basis):
-        names = ["generic", "triple", "generic", "geometric", "mixed", "triple", "generic", "mixed"]
-        rng = np.random.default_rng(23)
-        la, lb = self.eigensystems(names, rng)
-        rows = np.eye(3, dtype=complex) if basis == "computational" else haar_unitary(3, rng).T
-        (normals,) = linalg.normal_draws([np.random.default_rng((24, i)) for i in range(len(names))], (2, 5))
-        ready = random_state_vector_stack(normals)
-        factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((25, i)) for i in range(len(names))])
+    def factored(self, names, seed):
+        la, lb = self.eigensystems(names, np.random.default_rng(seed))
+        return commutant.FactoredCommutant(la, lb, [np.random.default_rng((seed, i)) for i in range(len(names))])
+
+    def test_images_match_the_assembled_unitary(self):
+        factored = self.factored(self.NAMES, 23)
         assert len(factored.groups) == 4  # four block structures, blocks of sizes 1 to 3
         assert {size for _, indices, _ in factored.groups for size in indices} == {1, 2, 3}
-        ours, reference = factored.pointer_blocks(rows, ready), _joint_blocks(rows, ready, factored.assembled())
-        assert ours.shape == reference.shape == (len(names), 3, 3, 5)
-        assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+        (a, b) = (random_state_vector_stack(normals) for normals in linalg.normal_draws(
+            [np.random.default_rng((24, i)) for i in range(len(self.NAMES))], (2, 4, 3), (2, 4, 5)
+        ))
+        ours = factored.images(a, b)
+        reference = linalg.matvec_stack(factored.assembled()[:, None], linalg.product_state(a, b))
+        assert ours.shape == (len(self.NAMES), 4, 3, 5)
+        assert np.abs(ours.reshape(reference.shape) - reference).max() <= 1e-12
 
-    def test_applies_only_checked_unitaries(self):
+    @pytest.mark.parametrize("basis", ["computational", "rotated"])
+    def test_broadcast_rows_give_the_pointer_blocks(self, basis):
+        # the measured basis against every trial's ready state: row i of image j is w(i, j) for the identity basis
+        factored = self.factored(self.NAMES, 25)
+        rng = np.random.default_rng(26)
+        rows = np.eye(3, dtype=complex) if basis == "computational" else haar_unitary(3, rng).T
+        ready = np.stack([random_state_vector(5, rng) for _ in self.NAMES])
+        images = factored.images(rows[None], ready[:, None])
+        ours = (rows.conj() @ images).swapaxes(1, 2)  # <u(i)| (x) 1 on each image
+        reference = _joint_blocks(rows, ready, factored.assembled())
+        assert ours.shape == reference.shape == (len(self.NAMES), 3, 3, 5)
+        assert np.abs(ours - reference).max() <= 1e-12
+
+    def test_require_valid_checks_the_applied_unitaries(self):
         # the factors' eigenvector matrices and each block-unitary stack of size above 1
-        names = ["generic", "mixed", "triple"]
-        la, lb = self.eigensystems(names, np.random.default_rng(26))
-        factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((27, i)) for i in range(len(names))])
-        sizes = sorted(u.shape[-1] for u in factored.unitaries())
-        assert sizes == [2, 3, 3, 3, 5]  # "mixed": sizes 2 and 3; "triple": 3; wa and wb
-        for u in factored.unitaries():
-            linalg.require_unitary(u, "interaction")
+        factored = self.factored(["generic", "mixed", "triple"], 27)
+        factored.require_valid(0.0)  # size-1 and exactly degenerate blocks: a block residual of exactly 0
+        _, mixed, triple = (unitaries for trials, _, unitaries in sorted(factored.groups, key=lambda g: g[0][0]))
+        assert sorted(mixed) == [1, 2, 3] and sorted(triple) == [3]
+        for unitaries, size in ((mixed, 2), (triple, 3)):
+            unitaries[size] = 1.001 * unitaries[size]
+            with pytest.raises(PreconditionError, match="^interaction: not unitary"):
+                factored.require_valid(linalg.VERDICT_TOL)
+            unitaries[size] = unitaries[size] / 1.001
+        factored.la = (factored.la[0], 1.001 * factored.la[1])
+        with pytest.raises(PreconditionError, match="^interaction: not unitary"):
+            factored.require_valid(linalg.VERDICT_TOL)
+
+    def test_require_valid_refuses_a_grouping_chain_wider_than_tol(self, monkeypatch):
+        # grouped within 0.5, each block spans eigenvalues far apart: its residual ||[B, Lambda]||_F is
+        # ||U^dag L U - L||_F of the assembled U, which does not conserve L
+        monkeypatch.setattr(commutant, "GROUPING_TOL", 0.5)
+        la, lb = self.eigensystems(["generic"] * 4, np.random.default_rng(30))
+        factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((31, i)) for i in range(4)])
+        assert max(size for _, indices, _ in factored.groups for size in indices) > 1
+        dense = conservation_residual_stack(factored.assembled(), tensor_product_stack(
+            *(vectors * values[:, None, :] @ dagger(vectors) for values, vectors in (la, lb))
+        ))
+        with pytest.raises(PreconditionError, match=re.escape(f"check_conserved: residual {dense[0]:.3e} exceeds 1.000e-09")):
+            factored.require_valid(linalg.VERDICT_TOL)
 
     def test_assembly_sorts_the_products_once(self, monkeypatch):
         # assembled() builds V's columns from the order kept at construction, with the bytes a second sort gave
@@ -461,7 +495,7 @@ class TestBlockSizes:
         "names", [["generic"] * 3, ["generic", "triple", "geometric", "mixed", "triple", "generic"]]
     )
     def test_one_pass_matches_per_row_grouping(self, names):
-        spectra = TestFactoredPointers.SPECTRA
+        spectra = TestFactoredImages.SPECTRA
         values, _ = commutant._joint_spectrum(*(np.array([spectra[name][part] for name in names]) for part in (0, 1)))
         structures, which = block_sizes(values)
         assert len(set(structures)) == len(structures) == len(set(names))

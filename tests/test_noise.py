@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E0, I2, LA_DIAG, PLUS, X, Z, chunk_sizes
-from wayaudit import noise
-from wayaudit.cli import load_model
-from wayaudit.commutant import commutant_unitary, conserved_eigenspaces
+from conftest import E0, I2, LA_DIAG, PLUS, X, Z, chunk_size, chunk_sizes, sweep_stack
+from wayaudit import commutant, linalg, noise
+from wayaudit.cli import load_model, main
+from wayaudit.commutant import FactoredCommutant, commutant_unitary, conserved_eigenspaces
 from wayaudit.errors import PreconditionError
 from wayaudit.linalg import (
     commutator,
     dagger,
     image_variance_stack,
     matvec_stack,
+    product_state,
     random_hermitian,
     random_state_vector,
     tensor_product,
@@ -30,6 +31,7 @@ from wayaudit.noise import (
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def conserving_instance(n1, n2, seed):
@@ -130,10 +132,16 @@ def reference_kernels(u, ready, observable, psi, probe, la, lb):
     return cells
 
 
-def assert_kernels_match_reference(u, ready, observable, psi, probe, la, lb):
-    """The engine's product-state kernels on a (k, ...) stack agree with ``reference_kernels`` on each
-    instance: every flag equal, and every figure of at least 1e-20 within 1e-12 of its scale."""
-    x = noise._Stack(u, ready, observable, psi, probe, la, lb)
+def dense_images(u):
+    """``_Stack``'s ``images`` of a (k, D, D) stack of unitaries, applied as dense matvecs (as ``noise_report`` does)."""
+    return lambda a, b: matvec_stack(u[:, None], product_state(a, b))
+
+
+def assert_kernels_match_reference(u, images, ready, observable, psi, probe, la, lb):
+    """The engine's product-state kernels on a (k, ...) stack, whose ``images`` apply the (k, D, D) unitaries
+    ``u``, agree with ``reference_kernels`` on each instance: every flag equal, and every figure of at least
+    1e-20 within 1e-12 of its scale."""
+    x = noise._Stack(images, ready, observable, psi, probe, la, lb)
     kernels = {"robertson": noise._robertson, "paper": noise._paper, "yanase": noise._yanase,
                "simplified": noise._simplified}
     ours = {"epsilon_sq": x.epsilon_sq.tolist()}
@@ -154,7 +162,7 @@ def assert_kernels_match_reference(u, ready, observable, psi, probe, la, lb):
 
 
 class TestProductStateKernels:
-    """Every figure read off U (psi (x) v) equals the one the (D, D) noise operator gives."""
+    """Every figure read off U applied to product states equals the one the (D, D) noise operator gives."""
 
     @pytest.mark.parametrize("n1, n2", [(1, 2), (2, 2), (2, 3), (3, 5), (4, 7), (5, 9)])
     def test_audit_instances(self, monkeypatch, n1, n2):
@@ -169,8 +177,8 @@ class TestProductStateKernels:
         monkeypatch.setattr(noise, "_Stack", recorded)
         bound_audit_sweep(AuditConfig(n1, n2, 40, seed=3))
         monkeypatch.undo()
-        for args in stacks:
-            assert_kernels_match_reference(*args)
+        for images, *args in stacks:  # a chunk's images are its FactoredCommutant's, checked on the assembled U
+            assert_kernels_match_reference(images.__self__.assembled(), images, *args)
 
     @pytest.mark.parametrize(
         "la_values, lb_values",
@@ -185,9 +193,10 @@ class TestProductStateKernels:
         rng = np.random.default_rng(len(la_values) * 10 + len(lb_values))
         la, lb = np.diag(la_values).astype(complex), np.diag(lb_values).astype(complex)
         n1, n2 = len(la), len(lb)
-        decomposition = conserved_eigenspaces(ConservedQuantity("multiplicative", la, lb))
         k = 8
-        u = np.stack([commutant_unitary(decomposition, rng) for _ in range(k)])
+        factored = FactoredCommutant(np.linalg.eigh(np.stack([la] * k)), np.linalg.eigh(np.stack([lb] * k)),
+                                     [np.random.default_rng((n1, n2, i)) for i in range(k)])
+        u = factored.assembled()
         ready = np.stack([random_state_vector(n2, rng) for _ in range(k)])
         ready[::2] = np.eye(n2)[0] + np.eye(n2)[-1]
         ready[::2] /= np.sqrt(2.0)  # <v|lb|v> = 0 for the traceless lb
@@ -196,7 +205,8 @@ class TestProductStateKernels:
         observable = np.stack([random_hermitian(n1, rng) for _ in range(k)])
         observable[3] = la  # commutes with la
         psi = np.stack([random_state_vector(n1, rng) for _ in range(k)])
-        assert_kernels_match_reference(u, ready, observable, psi, probe, np.stack([la] * k), np.stack([lb] * k))
+        for images in (factored.images, dense_images(u)):
+            assert_kernels_match_reference(u, images, ready, observable, psi, probe, np.stack([la] * k), np.stack([lb] * k))
 
 
 class TestNoiseOperator:
@@ -475,24 +485,17 @@ class TestBoundAuditSweep:
         b = bound_audit_sweep(AuditConfig(2, 2, 60, seed=4))
         assert a.records == b.records
 
-    def test_chunk_forms_one_kronecker_product(self, monkeypatch):
-        # la (x) lb, for the conservation residual, is the only joint operator a chunk builds
-        products, stacks = [], []
-        product, stack = noise.tensor_product_stack, noise._Stack
+    @pytest.mark.parametrize("n1, n2", [(2, 3), (5, 9)])
+    def test_chunk_forms_no_joint_operator(self, monkeypatch, n1, n2):
+        # U is applied in factor space and checked through its factors and blocks: no la (x) lb, no V and no U
+        def refuse(*args, **kwargs):
+            raise AssertionError("a joint operator on the bound-audit path")
 
-        def recorded_product(a, b):
-            products.append((a, b))
-            return product(a, b)
-
-        def recorded_stack(*args):
-            stacks.append(args)
-            return stack(*args)
-
-        monkeypatch.setattr(noise, "tensor_product_stack", recorded_product)
-        monkeypatch.setattr(noise, "_Stack", recorded_stack)
-        bound_audit_sweep(AuditConfig(2, 3, 40, seed=7))  # one chunk
-        ((la, lb),), ((*_, stacked_la, stacked_lb),) = products, stacks
-        assert la is stacked_la and lb is stacked_lb and la.shape == (40, 2, 2) and lb.shape == (40, 3, 3)
+        monkeypatch.setattr(linalg, "tensor_product_stack", refuse)
+        monkeypatch.setattr(commutant, "_joint_vectors", refuse)
+        monkeypatch.setattr(commutant.FactoredCommutant, "assembled", refuse)
+        report = bound_audit_sweep(AuditConfig(n1, n2, 40, seed=7))
+        assert report.summary.robertson_violations == 0 and len(report.records) == 40
 
     @pytest.mark.parametrize(
         "n1, n2, seed, message",
@@ -530,15 +533,17 @@ class TestBoundAuditSweep:
         assert repr(long[:prefix]) == repr(short)
 
     def test_sink_takes_the_columns(self):
-        # 40 trials at D = 45 are several chunks; streamed, they add up to the collected columns
-        config = AuditConfig(5, 9, 40, 5)
+        # at D = 45 a chunk is 289 trials (1 MiB of standard normals), so 297 trials are two chunks;
+        # streamed, they add up to the collected columns
+        count = 297
+        config = AuditConfig(5, 9, count, 5)
         chunks = []
         streamed, collected = bound_audit_sweep(config, chunks.append), bound_audit_sweep(config)
-        assert len(chunks) > 1
+        assert [len(c["trial"]) for c in chunks] == [289, 8]
         assert (streamed.columns, streamed.records) == ({}, ())
         assert streamed.summary == collected.summary
         assert {name: sum((c[name] for c in chunks), []) for name in chunks[0]} == collected.columns
-        assert len(collected.records) == 40
+        assert len(collected.records) == count
 
     @pytest.mark.parametrize("n1, n2", [(1, 2), (2, 3), (3, 5), (5, 9)])
     @pytest.mark.parametrize("seed", [3, 8, 21])
@@ -558,7 +563,15 @@ class TestBoundAuditSweep:
             # a one-dimensional system has no variance: only the Robertson bound judges a trial
             assert judged == {"robertson": 24, "paper": 0, "yanase": 0, "simplified": 0}
 
-    def test_multi_chunk_golden_spans_chunks(self):
-        # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) is the
-        # golden that crosses chunk boundaries
-        assert len(chunk_sizes(40, (45, 45))) > 1
+    def test_multi_chunk_sweep_starts_with_the_golden(self, capsys, tmp_path):
+        # tests/golden/sweep_bound_audit_5x9.csv (40 trials, D = 45) fits one chunk; a sweep of two chunks
+        # writes its header and its 40 rows first, byte for byte
+        stack = sweep_stack("bound-audit", 5, 9)
+        count = chunk_size(stack) + 8
+        assert len(chunk_sizes(40, stack)) == 1 and len(chunk_sizes(count, stack)) == 2
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--kind", "bound-audit", "--n1", "5", "--n2", "9", "--count", str(count), "--seed", "7"]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows, golden = out.read_text().splitlines(), (GOLDEN / "sweep_bound_audit_5x9.csv").read_text().splitlines()
+        assert len(rows) == count + 2 and rows[:41] == golden[:41]

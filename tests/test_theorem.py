@@ -302,8 +302,9 @@ class TestCounterexampleSweep:
             assert abs(record.deficit - nd.deficit) <= 1e-12 * nd.deficit
             assert record.degenerate_pointer == bool(nd.degenerate)
 
-    def test_sampler_checks_the_applied_unitaries(self, monkeypatch):
-        # the unitarity check covers the factors' eigenvector matrices, not an assembled U
+    def test_chunk_checks_the_applied_unitaries(self, monkeypatch):
+        # the chunk's check (FactoredCommutant.require_valid) covers the factors' eigenvector matrices,
+        # not an assembled U
         drawn = theorem.spectral_operator_stack
 
         def skewed(spectra, normals):
@@ -311,8 +312,9 @@ class TestCounterexampleSweep:
             return op, (values, 1.001 * vectors)
 
         monkeypatch.setattr(theorem, "spectral_operator_stack", skewed)
+        sample_instance_stack(3, 5, [np.random.default_rng(0)])  # the sampler takes its draws as valid
         with pytest.raises(PreconditionError, match="^interaction: not unitary"):
-            sample_instance_stack(3, 5, [np.random.default_rng(0)])
+            counterexample_sweep(CounterexampleConfig(3, 5, 4, 0))
 
     @pytest.mark.parametrize("n1, n2, chunks", [(2, 3, [512, 88]), (3, 5, [512, 88]), (5, 9, [291, 291, 18])])
     def test_chunks_sized_by_the_pointer_blocks(self, n1, n2, chunks):
