@@ -40,15 +40,20 @@ of its two factor columns. ``conserved_eigenspaces`` takes them from one
 factor from its spectrum and Haar eigenvectors (``linalg.sorted_eigensystem``),
 so a sweep chunk runs no ``eigh``.
 
-One draw path serves every caller: ``_block_unitaries`` draws the Haar block
-unitaries of each block size, one stream per decomposition (or per member of a
-stack of them), a size-1 block as a phase z / |z| with no QR
-(``linalg.haar_from_ginibre``). Sweeps draw a chunk of trials at once
-(``FactoredCommutant``), with each trial's third and last stream call: once its
-first two calls have drawn its factors, the factor eigensystems give its block
-sizes, and it draws its blocks from its own stream, in ascending-eigenvalue
-order. The chunk's trials are grouped by block structure in one pass
-(``block_sizes``). A ``FactoredCommutant`` keeps its unitaries in factor space:
+The commutant of L is the direct sum of U(d_k) over its eigenvalue blocks, and
+its Haar measure is the product of theirs. One block list serves every caller:
+``_blocks`` lays out the blocks of a stack of sorted spectra, flattened over
+its rows, as each block's first position and its size (a block never spans two
+rows), and ``_block_unitaries`` draws the Haar unitaries of all of them, one
+stream per row, and returns them by block size with their positions: one draw
+per block size, a size-1 block as a phase z / |z| with no QR
+(``linalg.haar_from_ginibre``), whatever mix of block structures the rows hold.
+Sweeps draw a chunk of trials at once (``FactoredCommutant``), with each
+trial's third and last stream call: once its first two calls have drawn its
+factors, the factor eigensystems give its blocks, and it draws them from its
+own stream, in ascending-eigenvalue order. The optimizer's chart and
+``commutant_unitary`` draw the blocks of one decomposition, a batch of one
+row. A ``FactoredCommutant`` keeps its unitaries in factor space:
 the eigensystems, the sorted products and their order, kept from the one sort
 (``_joint_spectrum``) for the assembly too, and the block unitaries. Both sweeps
 need U only on product inputs, so they apply it there without forming it
@@ -84,7 +89,6 @@ from .linalg import (
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_eigensystem,
-    normal_draws,
     product_state,
     random_state_vector,
     require_unitary,
@@ -98,7 +102,6 @@ __all__ = [
     "FactoredCommutant",
     "SearchConfig",
     "SearchResult",
-    "block_sizes",
     "conserved_eigenspaces",
     "default_probe_states",
     "feasibility_search",
@@ -129,14 +132,14 @@ class BlockDecomposition:
 
 
 def conserved_eigenspaces(q: ConservedQuantity) -> BlockDecomposition:
-    """Eigenvalue blocks of the joint conserved operator (see ``block_sizes``), from one
+    """Eigenvalue blocks of the joint conserved operator (see ``_blocks``), from one
     ``eigh`` per factor: a batch of one of ``_joint_spectrum``, then ``_joint_vectors``."""
     combine = np.multiply if q.kind == "multiplicative" else np.add
     la_values, la_vectors = np.linalg.eigh(q.system_op[None])
     lb_values, lb_vectors = np.linalg.eigh(q.apparatus_op[None])
     values, order = _joint_spectrum(la_values, lb_values, combine)
-    (dims,), _ = block_sizes(values)
-    return BlockDecomposition(values[0], _joint_vectors(la_vectors, lb_vectors, order)[0], dims)
+    _, sizes = _blocks(values)
+    return BlockDecomposition(values[0], _joint_vectors(la_vectors, lb_vectors, order)[0], tuple(sizes.tolist()))
 
 
 def _joint_spectrum(la_values: np.ndarray, lb_values: np.ndarray, combine=np.multiply):
@@ -159,99 +162,95 @@ def _joint_vectors(la_vectors: np.ndarray, lb_vectors: np.ndarray, order: np.nda
     return (wa[:, :, None, :] * wb[:, None, :, :]).reshape(order.shape + order.shape[-1:])
 
 
-def block_sizes(values: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The distinct block structures among the rows of a (k, D) stack of ascending eigenvalues, as
-    tuples of block sizes, and the (k,) index of each row's structure among them.
-
-    A block starts at the first eigenvalue and wherever the next eigenvalue lies more than
-    ``GROUPING_TOL`` above the last, so eigenvalues inside a block are closer than the gap between
-    blocks. The rows are grouped in one ``np.unique`` pass over their block starts, packed into bytes.
-    """
+def _blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue blocks of a (k, D) stack of ascending eigenvalues, as each block's first position in
+    the flattened (k * D) stack and its size. A block starts at each row's first eigenvalue and wherever
+    the next eigenvalue lies more than ``GROUPING_TOL`` above the last, so eigenvalues inside a block are
+    closer than the gap between blocks, and no block spans two rows."""
     starts = np.ones(values.shape, dtype=bool)
     starts[:, 1:] = np.diff(values, axis=-1) > GROUPING_TOL
-    keys = np.packbits(starts, axis=-1)
-    keys = keys.view(np.dtype((np.void, keys.shape[-1])))[:, 0]
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    structures = [tuple(np.diff([*np.flatnonzero(row), values.shape[-1]]).tolist()) for row in starts[first]]
-    return structures, which
+    first = np.flatnonzero(starts)
+    return first, np.diff(first, append=values.size)
 
 
-def _block_unitaries(dims: tuple[int, ...], rngs) -> dict[int, np.ndarray]:
-    """Haar unitaries of blocks of sizes ``dims``, (len(rngs), m, size, size) per size.
+def _positions(first: np.ndarray, sizes: np.ndarray) -> dict[int, np.ndarray]:
+    """Block size -> the (m, size) positions of its m blocks (see ``_blocks``), in order; sizes ascending,
+    the nonzero counts of ``np.bincount`` (``np.unique`` would import ``numpy.ma``)."""
+    distinct = np.flatnonzero(np.bincount(sizes)).tolist()
+    return {size: first[sizes == size][:, None] + np.arange(size) for size in distinct}
 
-    Each stream draws its blocks' Ginibre matrices in block order, real parts
-    before imaginary ones, as one ``ginibre`` call per block would; one gather
-    per block size then splits the draws into that size's blocks, and
-    ``haar_from_ginibre`` makes their unitaries: the phases z / |z| for size 1,
-    one stacked QR for each larger size.
+
+def _block_unitaries(first: np.ndarray, sizes: np.ndarray, rngs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Haar unitaries of the blocks of ``_blocks``, one stream per row: block size -> the (m, size)
+    positions of its blocks (``_positions``) and their unitaries (m, size, size).
+
+    Each stream draws its row's Ginibre matrices in block order, real parts before imaginary ones, as
+    one ``ginibre`` call per block would, with one ``standard_normal`` call into its row's slice of one
+    buffer; one gather per block size then splits the draws into that size's blocks, and
+    ``haar_from_ginibre`` makes their unitaries: the phases z / |z| for size 1, one stacked QR for each
+    larger size, whatever rows the blocks lie in.
     """
-    sizes = np.array(dims)
     widths = 2 * sizes * sizes  # a block's real parts, then its imaginary parts
     starts = np.cumsum(widths) - widths
-    (raw,) = normal_draws(rngs, (widths.sum(),))
-    unitaries = {}
-    for size in sorted(set(dims)):
-        block = raw[:, starts[sizes == size][:, None] + np.arange(2 * size * size)]
-        block = block.reshape(len(rngs), -1, 2, size, size)
-        unitaries[size] = haar_from_ginibre((block[:, :, 0] + 1j * block[:, :, 1]) / np.sqrt(2.0))
-    return unitaries
+    raw = np.empty(widths.sum())
+    dim = (first[-1] + sizes[-1]) // len(rngs)
+    bounds = [*starts[np.searchsorted(first, dim * np.arange(len(rngs)))].tolist(), raw.size]  # each row's slice
+    for rng, low, high in zip(rngs, bounds, bounds[1:]):
+        rng.standard_normal(out=raw[low:high])
+    blocks = {}
+    for size, positions in _positions(first, sizes).items():
+        block = raw[starts[sizes == size][:, None] + np.arange(2 * size * size)].reshape(-1, 2, size, size)
+        blocks[size] = positions, haar_from_ginibre((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0))
+    return blocks
 
 
-def _block_indices(dims: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Block size -> the (m, size) joint indices of its m blocks, in block order; sizes ascending."""
-    starts = np.cumsum((0, *dims))[:-1]
-    return {size: starts[np.equal(dims, size)][:, None] + np.arange(size) for size in sorted(set(dims))}
-
-
-def _assembled(vectors: np.ndarray, indices: dict[int, np.ndarray], unitaries: dict[int, np.ndarray]) -> np.ndarray:
-    """V blockdiag(U_k) V^dag for (k, D, D) eigenvector matrices V and block unitaries
-    (k, m, size, size) per block size, placed at ``indices``: V's columns scaled by the
-    phases of the size-1 blocks, the column blocks of larger ones times their unitaries,
-    then one product with V^dag."""
-    phases = np.ones(vectors.shape[:-1], dtype=complex)  # (k, D)
-    if 1 in indices:
-        phases[:, indices[1][:, 0]] = unitaries[1][..., 0, 0]
-    scaled = vectors * phases[:, None, :]
-    for size, index in indices.items():
+def _assembled(vectors: np.ndarray, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """V blockdiag(U_k) V^dag for (k, D, D) eigenvector matrices V and the block unitaries of
+    ``_block_unitaries``, placed at their positions among the (k * D) columns: V's columns scaled by
+    the phases of the size-1 blocks, the column blocks of larger ones times their unitaries, then one
+    product with V^dag."""
+    k, dim = vectors.shape[0], vectors.shape[-1]
+    phases = np.ones(k * dim, dtype=complex)
+    if 1 in blocks:
+        positions, unitaries = blocks[1]
+        phases[positions[:, 0]] = unitaries[:, 0, 0]
+    scaled = vectors * phases.reshape(k, 1, dim)
+    for size, (positions, unitaries) in blocks.items():
         if size > 1:
-            columns = vectors[..., index].swapaxes(1, 2)  # (k, m, D, size)
-            scaled[..., index] = (columns @ unitaries[size]).swapaxes(1, 2)
+            trial, column = np.divmod(positions, dim)  # (m, size)
+            scaled[trial, :, column] = (vectors[trial, :, column].mT @ unitaries).mT
     return scaled @ dagger(vectors)
 
 
-def _moved(y: np.ndarray, order: np.ndarray, indices: dict[int, np.ndarray], unitaries: dict[int, np.ndarray]) -> np.ndarray:
+def _moved(y: np.ndarray, order: np.ndarray, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """blockdiag(U_k) y for (k, m, D) rows y of eigenvector coefficients indexed by product a * n2 + b,
-    where sorted position c is product ``order[:, c]``, and block unitaries (k, blocks, size, size) per
-    block size placed at ``indices`` (sorted positions), as in ``_assembled``."""
-    phases = np.ones(order.shape, dtype=complex)  # (k, D)
-    if 1 in indices:
-        np.put_along_axis(phases, order[:, indices[1][:, 0]], unitaries[1][..., 0, 0], axis=-1)
-    moved = y * phases[:, None, :]
-    for size, index in indices.items():
+    where sorted position c of row t is product ``order[t, c]``, and the block unitaries of
+    ``_block_unitaries`` at their sorted positions, as in ``_assembled``."""
+    k, dim = order.shape
+    products = (order + dim * np.arange(k)[:, None]).ravel()  # flat sorted position -> flat product
+    phases = np.ones(k * dim, dtype=complex)
+    if 1 in blocks:
+        positions, unitaries = blocks[1]
+        phases[products[positions[:, 0]]] = unitaries[:, 0, 0]
+    moved = y * phases.reshape(k, 1, dim)
+    for size, (positions, unitaries) in blocks.items():
         if size > 1:
-            at = order[:, index].reshape(len(y), 1, -1)  # (k, 1, blocks * size)
-            columns = np.take_along_axis(y, at, axis=-1).reshape(*y.shape[:2], -1, size).transpose(0, 2, 3, 1)
-            rows = (unitaries[size] @ columns).transpose(0, 3, 1, 2).reshape(*y.shape[:2], -1)
-            np.put_along_axis(moved, at, rows, axis=-1)
+            trial, product = np.divmod(products[positions], dim)  # (m, size)
+            moved[trial, :, product] = unitaries @ y[trial, :, product]
     return moved
 
 
 class FactoredCommutant:
     """Haar unitaries from the commutants of la (x) lb, one per stream, kept in factor space: the
     factors' eigensystems (checked by ``require_valid``), their sorted products and the order of these
-    (``_joint_spectrum``; ``_joint_vectors`` builds V from them), and the block unitaries of each block
-    structure among the trials. Trials with equal block sizes draw together, each from its own stream,
-    as ``commutant_unitary`` would."""
+    (``_joint_spectrum``; ``_joint_vectors`` builds V from them), and the block unitaries of all trials
+    (``_block_unitaries``), whatever their block structures: each trial draws its blocks from its own
+    stream, as ``commutant_unitary`` would."""
 
     def __init__(self, la, lb, rngs):
         self.la, self.lb = la, lb
         self.values, self.order = _joint_spectrum(la[0], lb[0])
-        structures, which = block_sizes(self.values)
-        groups = ((dims, np.flatnonzero(which == s)) for s, dims in enumerate(structures))
-        self.groups = tuple(  # (trials, block indices, block unitaries) per block structure
-            (trials, _block_indices(dims), _block_unitaries(dims, [rngs[i] for i in trials]))
-            for dims, trials in groups
-        )
+        self.blocks = _block_unitaries(*_blocks(self.values), rngs)
 
     def require_valid(self, tol: float) -> None:
         """wa, wb and each block-unitary stack of size above 1 are unitary, and each trial's block residual
@@ -259,50 +258,43 @@ class FactoredCommutant:
         when V is unitary, so it measures the grouping error alone, and is exactly 0 on size-1 blocks."""
         require_unitary(self.la[1], "interaction")
         require_unitary(self.lb[1], "interaction")
-        squares = np.zeros(len(self.order))
-        for trials, indices, unitaries in self.groups:
-            for size, index in indices.items():
-                if size > 1:
-                    require_unitary(unitaries[size], "interaction")
-                    values = self.values[trials][:, index]  # (t, blocks, size)
-                    gaps = values[..., None, :] - values[..., :, None]  # [B, Lambda](i, j) = B(i, j) gaps(i, j)
-                    squares[trials] += np.square(np.abs(unitaries[size] * gaps)).sum(axis=(1, 2, 3))
+        k, dim = self.values.shape
+        squares = np.zeros(k)
+        for size, (positions, unitaries) in self.blocks.items():
+            if size > 1:
+                require_unitary(unitaries, "interaction")
+                values = self.values.ravel()[positions]  # (m, size)
+                gaps = values[:, None, :] - values[:, :, None]  # [B, Lambda](i, j) = B(i, j) gaps(i, j)
+                block_squares = np.square(np.abs(unitaries * gaps)).sum(axis=(1, 2))
+                squares += np.bincount(positions[:, 0] // dim, block_squares, k)  # each block into its trial
         require_conserved(np.sqrt(squares), tol)
-
-    def _by_structure(self, stack: np.ndarray, apply) -> np.ndarray:
-        """``apply(stack, order, indices, unitaries)`` on the trials of each block structure, as one (k, ...) stack."""
-        if len(self.groups) == 1:  # the usual chunk: one block structure, no gather and scatter of trials
-            _, indices, unitaries = self.groups[0]
-            return apply(stack, self.order, indices, unitaries)
-        out = np.empty_like(stack)
-        for trials, indices, unitaries in self.groups:
-            out[trials] = apply(stack[trials], self.order[trials], indices, unitaries)
-        return out
 
     def assembled(self) -> np.ndarray:
         """The unitaries V blockdiag(U_k) V^dag, (k, D, D) (see ``_assembled``)."""
-        vectors = _joint_vectors(self.la[1], self.lb[1], self.order)
-        return self._by_structure(vectors, lambda v, _, indices, unitaries: _assembled(v, indices, unitaries))
+        return _assembled(_joint_vectors(self.la[1], self.lb[1], self.order), self.blocks)
 
     def images(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """U (a_j (x) b_j) for (k, m, n1) rows a and (k, m, n2) rows b, broadcastable, as (k, m, n1, n2) n1 x n2
         reshapes, with no (k, D, D) stack: V^dag (a_j (x) b_j) is (wa^dag a_j) (x) (wb^dag b_j) in product
         order, the block unitaries move it to Y_j (``_moved``), and V takes Y_j back as wa Y_j wb^T."""
         (_, wa), (_, wb) = self.la, self.lb
-        y = self._by_structure(product_state(a @ wa.conj(), b @ wb.conj()), _moved)
+        y = _moved(product_state(a @ wa.conj(), b @ wb.conj()), self.order, self.blocks)
         n1, n2 = wa.shape[-1], wb.shape[-1]
         right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), -1, n1, n2)  # Y_j wb^T
         return wa[:, None] @ right
 
 
 class _Chart:
-    """The optimizer's chart of the commutant for block sizes ``dims``: the joint indices of the
-    blocks of each size, and the canonical generators G_p of every block in parameter order (sizes
-    ascending, blocks in order, then per block of size d its d diagonal phases and the real and
-    imaginary part of its (a, b) entry for each a < b in row-major order)."""
+    """The optimizer's chart of the commutant for block sizes ``dims``: the blocks' layout (``_blocks``
+    of one row) and the joint indices of the blocks of each size (``_positions``), and the canonical
+    generators G_p of every block in parameter order (sizes ascending, blocks in order, then per block
+    of size d its d diagonal phases and the real and imaginary part of its (a, b) entry for each a < b
+    in row-major order)."""
 
     def __init__(self, dims: tuple[int, ...]):
-        self.dims, self.dim, self.indices = dims, sum(dims), _block_indices(dims)
+        sizes = np.array(dims)
+        self.dims, self.dim, self.layout = dims, sum(dims), (np.cumsum(sizes) - sizes, sizes)
+        self.indices = _positions(*self.layout)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
@@ -371,9 +363,8 @@ class _BlockPoint:
     @property
     def joint(self) -> np.ndarray:
         """V blockdiag(U_k) V^dag from the diagonal blocks of ``blocks`` (see ``_assembled``)."""
-        indices = self.chart.indices
-        unitaries = {size: self.blocks[None, index[:, :, None], index[:, None, :]] for size, index in indices.items()}
-        return _assembled(self.vectors[None], indices, unitaries)[0]
+        blocks = {size: (at, self.blocks[at[:, :, None], at[:, None, :]]) for size, at in self.chart.indices.items()}
+        return _assembled(self.vectors[None], blocks)[0]
 
     def stepped(self, theta: np.ndarray, ready: np.ndarray | None) -> "_BlockPoint":
         """The point with the ready state ``ready``, moved by blocks <- blocks exp(K) for the generator K of the
@@ -385,10 +376,9 @@ class _BlockPoint:
 def _random_point(vectors: np.ndarray, chart: _Chart, rngs, ready: np.ndarray | None = None) -> _BlockPoint:
     """An optimizer restart's start on a search's chart: Haar block unitaries drawn from the one
     stream of ``rngs`` (see ``_block_unitaries``), scattered into the block-diagonal ``blocks``."""
-    unitaries = _block_unitaries(chart.dims, rngs)
     blocks = np.zeros_like(vectors)
-    for size, indices in chart.indices.items():
-        blocks[indices[:, :, None], indices[:, None, :]] = unitaries[size][0]
+    for at, unitaries in _block_unitaries(*chart.layout, rngs).values():
+        blocks[at[:, :, None], at[:, None, :]] = unitaries
     return _BlockPoint(vectors, chart, blocks, ready)
 
 
@@ -399,8 +389,7 @@ def commutant_unitary(d: BlockDecomposition, rng: np.random.Generator) -> np.nda
     block unitaries are those of a per-block loop of ``haar_unitary`` draws,
     in block order, bit for bit.
     """
-    indices = _block_indices(d.dims)
-    return _assembled(d.vectors[None], indices, _block_unitaries(d.dims, [rng]))[0]
+    return _assembled(d.vectors[None], _block_unitaries(*_Chart(d.dims).layout, [rng]))[0]
 
 
 @dataclass(frozen=True)

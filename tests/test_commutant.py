@@ -16,7 +16,6 @@ from wayaudit.commutant import (
     BlockDecomposition,
     SearchConfig,
     SearchResult,
-    block_sizes,
     commutant_unitary,
     conserved_eigenspaces,
     default_probe_states,
@@ -131,7 +130,7 @@ class TestFactorEigensystem:
         joint = conserved_operator(q)
         scale = np.linalg.norm(joint, 2)
         values, vectors = np.linalg.eigh(joint)
-        (dims,), _ = block_sizes(values[None])
+        dims = tuple(commutant._blocks(values[None])[1].tolist())
         d = conserved_eigenspaces(q)
         assert np.abs(d.values - values).max() <= 1e-13 * scale
         assert d.dims == dims
@@ -171,12 +170,11 @@ class TestAssembly:
     @staticmethod
     def pair(vectors, dims, rng):
         """(assembled, dense) for one draw of block unitaries."""
-        unitaries = commutant._block_unitaries(dims, [rng])
+        blocks = commutant._block_unitaries(*_layout([dims]), [rng])
         m = np.zeros(vectors.shape, dtype=complex)
-        for size, index in commutant._block_indices(dims).items():
-            m[index[:, :, None], index[:, None, :]] = unitaries[size][0]
-        assembled = commutant._assembled(vectors[None], commutant._block_indices(dims), unitaries)[0]
-        return assembled, vectors @ m @ dagger(vectors)
+        for at, unitaries in blocks.values():
+            m[at[:, :, None], at[:, None, :]] = unitaries
+        return commutant._assembled(vectors[None], blocks)[0], vectors @ m @ dagger(vectors)
 
     @pytest.mark.parametrize("dims", REPEATED_SPECTRA)
     def test_matches_dense_product_in_rotated_factors(self, dims):
@@ -263,9 +261,8 @@ class TestDrawnEigensystems:
         zero = None if mode == "positive" else np.ones(40, dtype=bool)
         (la, la_eigensystem), (lb, lb_eigensystem) = self.factors(n1, n2, self.streams(40), zero)
         values, _ = joint_eigensystem(la_eigensystem, lb_eigensystem)
-        structures, which = block_sizes(values)
-        for i, structure in enumerate(which):
-            assert structures[structure] == conserved_eigenspaces(quantity(la[i], lb[i])).dims
+        for i, dims in enumerate(_row_sizes(*commutant._blocks(values), values.shape)):
+            assert dims == conserved_eigenspaces(quantity(la[i], lb[i])).dims
 
     @pytest.mark.parametrize("n1, n2", SIZES)
     @pytest.mark.parametrize("mode", ["positive", "zero"])
@@ -331,18 +328,71 @@ def _reference_block_unitaries(dims, rngs):
     }
 
 
+def _reference_positions(dims, size):
+    """The (m, size) positions of the m blocks of size ``size`` in one row of block sizes ``dims``."""
+    return np.array([range(start, start + d) for start, d in zip(np.cumsum((0, *dims)), dims) if d == size])
+
+
+def _layout(rows):
+    """The layout ``_blocks`` gives a stack whose rows have the block sizes ``rows``, one tuple per row."""
+    sizes = np.array([size for dims in rows for size in dims])
+    return np.cumsum(sizes) - sizes, sizes
+
+
+def _row_sizes(first, sizes, shape):
+    """The block sizes of each row of a (k, D) stack, as tuples, from its layout (``_blocks``)."""
+    row = first // shape[1]
+    return [tuple(sizes[row == i].tolist()) for i in range(shape[0])]
+
+
 class TestBlockDraws:
-    """One gather per block size splits each stream's draw as a per-block loop does."""
+    """One gather per block size splits each stream's draw as a per-block loop does, whatever the
+    block structure of each stream's row."""
 
     @pytest.mark.parametrize("dims", [(1, 2, 2, 1), (2, 2, 2), (3, 1, 1, 1, 1, 1, 1), (1,) * 15])
     @pytest.mark.parametrize("streams", [1, 4])
     def test_gather_matches_per_block_split(self, dims, streams):
-        ours = commutant._block_unitaries(dims, [np.random.default_rng((12, i)) for i in range(streams)])
+        rngs = [np.random.default_rng((12, i)) for i in range(streams)]
+        ours = commutant._block_unitaries(*_layout([dims] * streams), rngs)
         reference = _reference_block_unitaries(dims, [np.random.default_rng((12, i)) for i in range(streams)])
         assert list(ours) == list(reference)
         for size, stack in reference.items():
-            assert ours[size].shape == stack.shape == (streams, dims.count(size), size, size)
-            assert ours[size].tobytes() == stack.tobytes()
+            positions, unitaries = ours[size]
+            assert unitaries.shape == (streams * dims.count(size), size, size) and stack.shape[0] == streams
+            assert unitaries.tobytes() == stack.tobytes()
+            expected = [at + i * sum(dims) for i in range(streams) for at in _reference_positions(dims, size)]
+            assert positions.tolist() == np.array(expected).tolist()
+
+    def test_mixed_structures_match_each_streams_own_split(self):
+        # each stream draws its own row's blocks, as a chunk of that stream alone would
+        rows = [(1, 2, 2, 1), (2, 2, 2), (1,) * 6, (3, 3), (2, 2, 2), (1, 2, 2, 1), (6,)]
+        ours = commutant._block_unitaries(*_layout(rows), [np.random.default_rng((13, i)) for i in range(len(rows))])
+        assert list(ours) == sorted({size for dims in rows for size in dims})
+        for i, dims in enumerate(rows):
+            reference = _reference_block_unitaries(dims, [np.random.default_rng((13, i))])
+            for size, stack in reference.items():
+                positions, unitaries = ours[size]
+                mine = positions[:, 0] // 6 == i
+                assert unitaries[mine].tobytes() == stack.tobytes()
+                assert (positions[mine] - 6 * i).tolist() == _reference_positions(dims, size).tolist()
+
+    def test_one_haar_call_per_block_size(self, monkeypatch):
+        # a chunk of lattice spectra 2^k, k in {0, 1, 2}, at 3x5: many block structures, one draw per block size
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape[-1])
+            return haar_from_ginibre(z)
+
+        monkeypatch.setattr(commutant, "haar_from_ginibre", counted)
+        rng = np.random.default_rng(14)
+        spectra = (np.sort(2.0 ** rng.integers(0, 3, (64, n)), axis=-1) for n in (3, 5))
+        la, lb = ((values, np.tile(np.eye(values.shape[1]), (64, 1, 1))) for values in spectra)
+        commutant.FactoredCommutant(la, lb, [np.random.default_rng((14, i)) for i in range(64)])
+        values, _ = commutant._joint_spectrum(la[0], lb[0])
+        structures = [_reference_block_sizes(row) for row in values]
+        assert len(set(structures)) > 10
+        assert sorted(calls) == sorted({size for dims in structures for size in dims})
 
 
 class TestRandomCommutantUnitary:
@@ -416,8 +466,8 @@ class TestFactoredImages:
 
     def test_images_match_the_assembled_unitary(self):
         factored = self.factored(self.NAMES, 23)
-        assert len(factored.groups) == 4  # four block structures, blocks of sizes 1 to 3
-        assert {size for _, indices, _ in factored.groups for size in indices} == {1, 2, 3}
+        assert len({_reference_block_sizes(row) for row in factored.values}) == 4  # four block structures
+        assert list(factored.blocks) == [1, 2, 3]  # blocks of sizes 1 to 3
         (a, b) = (random_state_vector_stack(normals) for normals in linalg.normal_draws(
             [np.random.default_rng((24, i)) for i in range(len(self.NAMES))], (2, 4, 3), (2, 4, 5)
         ))
@@ -425,6 +475,18 @@ class TestFactoredImages:
         reference = linalg.matvec_stack(factored.assembled()[:, None], linalg.product_state(a, b))
         assert ours.shape == (len(self.NAMES), 4, 3, 5)
         assert np.abs(ours.reshape(reference.shape) - reference).max() <= 1e-12
+
+    def test_images_match_batches_of_one(self):
+        # the chunk's four block structures apply, trial by trial, the bytes of a chunk of that trial alone
+        trials = range(len(self.NAMES))
+        la, lb = self.eigensystems(self.NAMES, np.random.default_rng(32))
+        normals = linalg.normal_draws([np.random.default_rng((33, i)) for i in trials], (2, 4, 3), (2, 4, 5))
+        a, b = (random_state_vector_stack(rows) for rows in normals)
+        chunk = commutant.FactoredCommutant(la, lb, [np.random.default_rng((34, i)) for i in trials]).images(a, b)
+        for i in trials:
+            one = [(values[i : i + 1], vectors[i : i + 1]) for values, vectors in (la, lb)]
+            alone = commutant.FactoredCommutant(*one, [np.random.default_rng((34, i))])
+            assert chunk[i].tobytes() == alone.images(a[i : i + 1], b[i : i + 1])[0].tobytes()
 
     @pytest.mark.parametrize("basis", ["computational", "rotated"])
     def test_broadcast_rows_give_the_pointer_blocks(self, basis):
@@ -443,13 +505,15 @@ class TestFactoredImages:
         # the factors' eigenvector matrices and each block-unitary stack of size above 1
         factored = self.factored(["generic", "mixed", "triple"], 27)
         factored.require_valid(0.0)  # size-1 and exactly degenerate blocks: a block residual of exactly 0
-        _, mixed, triple = (unitaries for trials, _, unitaries in sorted(factored.groups, key=lambda g: g[0][0]))
-        assert sorted(mixed) == [1, 2, 3] and sorted(triple) == [3]
-        for unitaries, size in ((mixed, 2), (triple, 3)):
-            unitaries[size] = 1.001 * unitaries[size]
+        _, mixed, triple = _row_sizes(*commutant._blocks(factored.values), factored.values.shape)
+        assert sorted(set(mixed)) == [1, 2, 3] and set(triple) == {3}
+        for size, trial in ((2, 1), (3, 2)):  # a block of the mixed trial, then one of the triple trial
+            positions, unitaries = factored.blocks[size]
+            (block,) = np.flatnonzero(positions[:, 0] // 15 == trial)[:1]
+            unitaries[block] *= 1.001
             with pytest.raises(PreconditionError, match="^interaction: not unitary"):
                 factored.require_valid(linalg.VERDICT_TOL)
-            unitaries[size] = unitaries[size] / 1.001
+            unitaries[block] /= 1.001
         factored.la = (factored.la[0], 1.001 * factored.la[1])
         with pytest.raises(PreconditionError, match="^interaction: not unitary"):
             factored.require_valid(linalg.VERDICT_TOL)
@@ -460,7 +524,7 @@ class TestFactoredImages:
         monkeypatch.setattr(commutant, "GROUPING_TOL", 0.5)
         la, lb = self.eigensystems(["generic"] * 4, np.random.default_rng(30))
         factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((31, i)) for i in range(4)])
-        assert max(size for _, indices, _ in factored.groups for size in indices) > 1
+        assert max(factored.blocks) > 1
         dense = conservation_residual_stack(factored.assembled(), tensor_product_stack(
             *(vectors * values[:, None, :] @ dagger(vectors) for values, vectors in (la, lb))
         ))
@@ -473,7 +537,7 @@ class TestFactoredImages:
         la, lb = self.eigensystems(names, np.random.default_rng(28))
         factored = commutant.FactoredCommutant(la, lb, [np.random.default_rng((29, i)) for i in range(len(names))])
         _, vectors = joint_eigensystem(la, lb)
-        expected = factored._by_structure(vectors, lambda v, _, index, blocks: commutant._assembled(v, index, blocks))
+        expected = commutant._assembled(vectors, factored.blocks)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second sort of the joint spectrum")
@@ -489,7 +553,7 @@ def _reference_block_sizes(row):
 
 
 class TestBlockSizes:
-    """``block_sizes`` groups a stack's rows by their block structure in one pass."""
+    """``_blocks`` lays out a stack's blocks in one pass over its flattened rows."""
 
     @pytest.mark.parametrize(
         "names", [["generic"] * 3, ["generic", "triple", "geometric", "mixed", "triple", "generic"]]
@@ -497,14 +561,16 @@ class TestBlockSizes:
     def test_one_pass_matches_per_row_grouping(self, names):
         spectra = TestFactoredImages.SPECTRA
         values, _ = commutant._joint_spectrum(*(np.array([spectra[name][part] for name in names]) for part in (0, 1)))
-        structures, which = block_sizes(values)
-        assert len(set(structures)) == len(structures) == len(set(names))
-        assert [structures[s] for s in which] == [_reference_block_sizes(row) for row in values]
+        first, sizes = commutant._blocks(values)
+        structures = _row_sizes(first, sizes, values.shape)
+        assert len(set(structures)) == len(set(names))
+        assert structures == [_reference_block_sizes(row) for row in values]
+        assert first.tolist() == [at for i, dims in enumerate(structures) for at in np.cumsum((15 * i, *dims))[:-1]]
 
     def test_single_level(self):
         # D = 1: one block, for every row
-        structures, which = block_sizes(np.ones((4, 1)))
-        assert structures == [(1,)] and which.tolist() == [0, 0, 0, 0]
+        first, sizes = commutant._blocks(np.ones((4, 1)))
+        assert first.tolist() == [0, 1, 2, 3] and sizes.tolist() == [1, 1, 1, 1]
 
 
 class TestProjectGenerator:

@@ -182,7 +182,8 @@ def test_a_command_loads_only_the_modules_it_runs(argv, extra):
         "from wayaudit import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(code, *sorted(name for name in sys.modules if name.split('.')[0] == 'wayaudit'))\n"
+        "print(code, 'numpy.ma' in sys.modules,\n"
+        "      *sorted(name for name in sys.modules if name.split('.')[0] == 'wayaudit'))\n"
     )
     # a fresh interpreter, importing the package from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
@@ -190,6 +191,7 @@ def test_a_command_loads_only_the_modules_it_runs(argv, extra):
         [sys.executable, "-c", code, *argv], cwd=ROOT, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    status, *modules = done.stdout.split()
+    status, masked, *modules = done.stdout.split()
     assert status == "0"
+    assert masked == "False"  # numpy.ma is not loaded: np.unique, for one, imports it
     assert set(modules) == CLI_MODULES | {f"wayaudit.{name}" for name in extra}
