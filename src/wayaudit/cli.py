@@ -531,6 +531,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     seed = _require_seed(args)
+    if args.count is not None and args.count < 1:
+        raise ValueError("count must be at least 1")  # sweep's wording, from its config
     loaded = load_model(args.model)
     if loaded.observable is None:
         raise PreconditionError("observable", "optimize requires an observable in the model file")
@@ -592,12 +594,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv", help="--out format (default csv)")
     p.set_defaults(func=_cmd_sweep)
 
+    # no search reads a tolerance: optimize takes no --tol, and its report echoes the default
     p = sub.add_parser("optimize", help="search the commutant for low-noise or exact schemes")
-    common(p)
-    p.add_argument("--kind", choices=("epsilon", "feasibility"), default="epsilon")
+    p.add_argument("--model", required=True, help="model file (JSON)")
+    p.add_argument(
+        "--kind", choices=("epsilon", "feasibility"), default="epsilon",
+        help="search to run: epsilon minimizes the mean squared noise, feasibility looks for an exact "
+        "nondestructive scheme (default epsilon)",
+    )
     p.add_argument("--count", type=int, default=None, help=f"number of restarts (default {SearchConfig.restarts})")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_optimize)
+    p.add_argument("--seed", type=int, default=None, help="nonnegative restart seed (required)")
+    p.add_argument("--out", default=None, help="write the report to this path")
+    p.set_defaults(func=_cmd_optimize, tol=VERDICT_TOL)
 
     return parser
 

@@ -36,9 +36,10 @@ The decomposition is built from the factors' eigensystems, never from L:
 ``_joint_spectrum`` sorts the products of their eigenvalues, and
 ``_joint_vectors`` forms each sorted eigenvector column directly as the product
 of its two factor columns. ``conserved_eigenspaces`` takes them from one
-``eigh`` per factor; the sweeps take them from their draws, which build each
-factor from its spectrum and Haar eigenvectors (``linalg.sorted_eigensystem``),
-so a sweep chunk runs no ``eigh``.
+``eigh`` per factor; the sweeps take them from their draws, a spectrum and Haar
+eigenvectors per factor (``linalg.sorted_eigensystem``), so a sweep chunk runs no
+``eigh``, and a counterexample chunk never forms lb: its ``FactoredCommutant``
+takes lb's drawn eigensystem as it stands, and ``require_valid`` checks it.
 
 The commutant of L is the direct sum of U(d_k) over its eigenvalue blocks, and
 its Haar measure is the product of theirs. One block list serves every caller:
@@ -148,7 +149,7 @@ def _joint_spectrum(la_values: np.ndarray, lb_values: np.ndarray, combine=np.mul
     n2), by a stable sort."""
     products = combine(la_values[:, :, None], lb_values[:, None, :]).reshape(len(la_values), -1)
     order = np.argsort(products, axis=-1, kind="stable")
-    return np.take_along_axis(products, order, axis=-1), order
+    return products[np.arange(len(products))[:, None], order], order
 
 
 def _joint_vectors(la_vectors: np.ndarray, lb_vectors: np.ndarray, order: np.ndarray) -> np.ndarray:

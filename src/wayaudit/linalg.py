@@ -131,7 +131,9 @@ FACTOR_SPECTRUM = (0.5, 2.0)
 # bound audit its standard normals (512 trials up to 3x5, 464 at 4x7, 289 at
 # 5x9, where a 10^6-trial audit peaks at 45 MB), for the counterexample sweep
 # its (n1, n1, n2) pointer blocks (512 trials up to 4x7, 291 at 5x9). A chunk's
-# fixed cost is about 0.3-0.4 ms (time per chunk against its trials), so 1 MiB
+# fixed cost, the intercept of time per chunk against its trials, is about 0.35 ms
+# for the counterexample sweep at 3x5 and 0.55 ms for the bound audit at 2x3
+# (2-core host, one BLAS thread), so 1 MiB
 # runs sweeps at 3x5 to 5x9 9-22 % faster than 256 KiB (fresh processes, one
 # BLAS thread) at a peak RSS of at most 48 MB; 2 MiB gains 3-5 % more but peaks
 # at 55 MB. The cap keeps 2x3 near the 455 trials of 256 KiB: there 1 MiB alone
@@ -139,8 +141,8 @@ FACTOR_SPECTRUM = (0.5, 2.0)
 SWEEP_CHUNK_BYTES = 1 << 20
 SWEEP_CHUNK_TRIALS = 512
 # Trials whose stream seed words one ``_seed_words`` pass computes. A pass
-# costs about 100 us, as much as 6 to 8 per-trial SeedSequence seedings,
-# plus about 0.1 us a trial, so the batch is not tied to the chunk (289 and
+# costs about 55 us, as much as 6 per-trial SeedSequence seedings (9 us each),
+# plus about 0.06 us a trial, so the batch is not tied to the chunk (289 and
 # 291 trials at 5x9). Its words take 32 KiB.
 SEED_BATCH = 1024
 
@@ -362,12 +364,16 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i < n + 1, as a (n + 1, 1) uint32 column."""
+    """init * mult**i mod 2**32 for i < n + 1, as a read-only (n + 1, 1) uint32 column, computed once
+    per (init, mult, n)."""
     constants = [init]
     for _ in range(n):
         constants.append(constants[-1] * mult & 0xFFFFFFFF)
-    return np.array(constants, dtype=np.uint32)[:, None]
+    column = np.array(constants, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
@@ -434,7 +440,7 @@ def _stream_words(seed: int, trials: range) -> np.ndarray:
             carry = total >> 32
         parts.append(_seed_words(entropy))
         start = stop
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @functools.cache
@@ -630,7 +636,7 @@ def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
 def _phases(z: np.ndarray) -> np.ndarray:
     """z / |z| for each entry of ``z``, and 1 for a zero entry."""
     absz = np.abs(z)
-    return np.where(absz > 0, z / np.where(absz > 0, absz, 1.0), 1.0)
+    return np.divide(z, absz, out=np.ones_like(z), where=absz > 0)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -674,7 +680,8 @@ def sorted_eigensystem(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     """The eigensystem of ``hermitian_from_spectrum(d, w)`` as the draw gives it: each row of
     (k, n) spectra in ascending order, and the columns of the (k, n, n) unitaries in that order."""
     order = np.argsort(d, axis=-1, kind="stable")
-    return np.take_along_axis(d, order, axis=-1), np.take_along_axis(w, order[..., None, :], axis=-1)
+    rows = np.arange(len(d))[:, None]
+    return d[rows, order], w[rows[..., None], np.arange(w.shape[-2])[:, None], order[:, None, :]]
 
 
 def spectral_operator_stack(d: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -11,8 +11,11 @@ none).
 
 The counterexample sweep evaluates its trials through the sweeps' chunk
 loop (``linalg.run_sweep``), as (chunk, ...) stacks: sampling
-(``sample_instance_stack``), the model checks, the pointer analysis and the
-commutator run once per chunk (``_sweep_chunk``). Every trial keeps its own
+(``sample_instance_stack``), the checks, the pointer analysis and the
+commutator run once per chunk (``_sweep_chunk``), which forms only what its
+records read: la, for the commutator, read off la entry by entry since the
+observable is diagonal, and no lb, whose drawn eigensystem the commutant takes
+and checks. Every trial keeps its own
 stream and calls it three times: ``random`` for its factors' spectra,
 ``standard_normal`` for their Ginibre matrices and its ready state, and, once
 the factors' eigensystems, known from their draws, have fixed its block sizes
@@ -26,7 +29,8 @@ n2) pointer blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` adds the
 hypothesis n2 < 2 n1 to the sweeps' ``linalg.SweepConfig``, ``SweepTrial``'s
 fields are the CSV schema, and ``CounterexampleSummary`` holds the tallies.
 ``sample_conserving_instance`` is a batch of one of the sampler, with its U
-assembled; ``model.check_nondestructive`` shares the chunk's pointer analysis.
+assembled and its lb formed; ``model.check_nondestructive`` shares the chunk's
+pointer analysis.
 """
 
 from __future__ import annotations
@@ -47,14 +51,17 @@ from .linalg import (
     SweepReport,
     as_operator,
     commutator,
-    commutator_stack,
     frobenius_norm_stack,
+    ginibre_stack,
+    haar_from_ginibre,
+    hermitian_from_spectrum,
     normal_draws,
     numerical_rank,
     random_state_vector_stack,
     require_hermitian,
     require_unit_norm,
     run_sweep,
+    sorted_eigensystem,
     spectral_operator_stack,
     uniform_draws,
 )
@@ -225,33 +232,35 @@ def pointer_gram_rank(lb: np.ndarray, pointers: np.ndarray, tol: float = VERDICT
 
 
 def sample_instance_stack(n1: int, n2: int, rngs) -> tuple:
-    """Random sweep instances, one per stream: (la, lb) stacks, their conserving unitaries in
+    """Random sweep instances, one per stream: the (k, n1, n1) la stack, the conserving unitaries in
     factor space (``FactoredCommutant``) and the (k, n2) ready states.
 
     Each stream is called three times: ``random`` for la's spectrum, then lb's;
     ``standard_normal`` for la's Ginibre matrix, lb's, then the ready state; and, once the
     factors' drawn eigensystems have fixed its block sizes, ``standard_normal`` for its
-    commutant blocks. These are the bound audit's first draws too.
+    commutant blocks. These are the bound audit's first draws too. Only la is formed, and checked
+    Hermitian: lb enters through its drawn eigensystem alone, whose eigenvectors
+    ``FactoredCommutant.require_valid`` checks.
     """
     la_spectrum, lb_spectrum = uniform_draws(rngs, (*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2))
     la_normals, lb_normals, ready_normals = normal_draws(rngs, (2, n1, n1), (2, n2, n2), (2, n2))
     la, la_eigensystem = spectral_operator_stack(la_spectrum, la_normals)
-    lb, lb_eigensystem = spectral_operator_stack(lb_spectrum, lb_normals)
     require_hermitian(la, "system_op")
-    require_hermitian(lb, "apparatus_op")
+    lb_eigensystem = sorted_eigensystem(lb_spectrum, haar_from_ginibre(ginibre_stack(lb_normals)))
     interaction = FactoredCommutant(la_eigensystem, lb_eigensystem, rngs)
     ready = random_state_vector_stack(ready_normals)
     require_unit_norm(ready, "ready_state")
-    return la, lb, interaction, ready
+    return la, interaction, ready
 
 
 def sample_conserving_instance(
     n1: int, n2: int, rng: np.random.Generator
 ) -> tuple[MeasurementModel, ConservedQuantity]:
     """One random sweep instance: positive factors, a unitary from their
-    commutant, a random ready state, and the computational measured basis."""
-    la, lb, interaction, ready = sample_instance_stack(n1, n2, [rng])
-    q = ConservedQuantity("multiplicative", la[0], lb[0])
+    commutant, a random ready state, and the computational measured basis.
+    lb is formed from its drawn eigensystem, in ascending-eigenvalue order."""
+    la, interaction, ready = sample_instance_stack(n1, n2, [rng])
+    q = ConservedQuantity("multiplicative", la[0], hermitian_from_spectrum(*interaction.lb)[0])
     return MeasurementModel(n1, n2, np.eye(n1, dtype=complex), ready[0], interaction.assembled()[0]), q
 
 
@@ -300,11 +309,14 @@ class CounterexampleSummary:
 def _sweep_chunk(config: CounterexampleConfig, trials: range, rngs) -> tuple[dict[str, list], dict]:
     """One chunk of trials as stacks: its ``SweepTrial`` columns, as lists, and its tallies."""
     basis = np.eye(config.n1, dtype=complex)
-    la, _, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
+    la, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
     interaction.require_valid(config.tol)
     # the measured basis is the identity, so w(i, j) is row i of the image of u(j) (x) v
     a = pointer_stack(interaction.images(basis[None], ready[:, None]).swapaxes(1, 2), POINTER_DEGENERACY_TOL)
-    comm = frobenius_norm_stack(commutator_stack(observable_in_basis(basis), la))
+    # and the observable (``observable_in_basis``) is diag(o), o = 1..n1: [O, la](i, j) = o_i la(i, j) - la(i, j) o_j,
+    # the products and differences the two matrix products would form
+    o = np.arange(1.0, config.n1 + 1.0)
+    comm = frobenius_norm_stack(o[:, None] * la - la * o)
     conforming = (a["leakage"] <= config.tol) & (a["deficit"] <= config.tol)
     counterexample = conforming & (comm > COUNTEREXAMPLE_COMMUTATOR_TOL)
     tallies = {

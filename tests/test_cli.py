@@ -409,6 +409,12 @@ REFUSED_INPUTS = {
         ["optimize", "--seed", "0"],
         "observable: optimize requires an observable in the model file",
     ),
+    # sweep's wording, checked before the model file, which does not exist, is read
+    "optimize_count": (
+        None,
+        ["optimize", "--model", "tests/fixtures/missing.json", "--seed", "0", "--count", "0"],
+        "count must be at least 1",
+    ),
 }
 
 
@@ -1156,6 +1162,19 @@ class TestOptimizeCommand:
         code, _, err = run(capsys, "optimize", "--model", str(path), "--seed", "1")
         assert code == 2
         assert "probe" in err
+
+    def test_takes_no_tolerance(self, capsys):
+        # no search reads a tolerance: --tol is refused, and the report echoes the default
+        argv = ("optimize", "--model", "tests/fixtures/cnot.json", "--kind", "feasibility", "--count", "1", "--seed", "0")
+        code, out, err = run(capsys, *argv, "--tol", "1e-3")
+        assert (code, out) == (2, "") and "--tol" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["tolerances"]["tol"] == linalg.VERDICT_TOL
+
+    def test_help_describes_every_option(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--help")
+        assert code == 0 and "--tol" not in out
+        assert "search to run" in out and "restart seed" in out
 
 
 class TestParserCache:

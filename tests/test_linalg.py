@@ -386,6 +386,17 @@ class TestHaar:
         assert u[nonzero].tobytes() == (z[nonzero] / np.abs(z[nonzero])).tobytes()
         assert np.all(u[~nonzero] == 1.0) and (~nonzero).sum() == 2
 
+    def test_phases_match_the_guarded_division(self):
+        # one masked division, bit for bit the two-``where`` form, zeros of either sign and tiny entries included
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((512, 6)) + 1j * rng.standard_normal((512, 6))
+        z[rng.random(z.shape) < 0.2] = 0.0
+        z[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(1e-300, -3e-301)]
+        absz = np.abs(z)
+        guarded = np.where(absz > 0, z / np.where(absz > 0, absz, 1.0), 1.0)
+        assert (z == 0).sum() > 500
+        assert linalg._phases(z).tobytes() == guarded.tobytes()
+
     def test_size_one_matches_the_qr_path(self):
         z = self._phase_stack()
         assert np.abs(haar_from_ginibre(z) - _haar_by_qr(z)).max() <= 1e-15

@@ -15,8 +15,10 @@ from wayaudit.model import (
     MeasurementModel,
     check_conserved,
     check_nondestructive,
+    observable_in_basis,
 )
-from wayaudit import theorem
+from wayaudit import linalg, theorem
+from wayaudit.linalg import commutator_stack, frobenius_norm_stack
 from wayaudit.theorem import (
     CounterexampleConfig,
     counterexample_sweep,
@@ -315,6 +317,35 @@ class TestCounterexampleSweep:
         sample_instance_stack(3, 5, [np.random.default_rng(0)])  # the sampler takes its draws as valid
         with pytest.raises(PreconditionError, match="^interaction: not unitary"):
             counterexample_sweep(CounterexampleConfig(3, 5, 4, 0))
+
+    def test_chunk_forms_la_only(self, monkeypatch):
+        # lb enters the chunk through its drawn eigensystem alone: one operator stack is formed, la's
+        formed, drawn = [], linalg.hermitian_from_spectrum
+
+        def counted(d, w):
+            formed.append(w.shape)
+            return drawn(d, w)
+
+        monkeypatch.setattr(linalg, "hermitian_from_spectrum", counted)
+        assert len(counterexample_sweep(CounterexampleConfig(3, 5, 40, 7)).records) == 40  # one chunk
+        assert formed == [(40, 3, 3)]
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (2, 3), (3, 5), (4, 7), (5, 9)])
+    def test_commutator_norm_is_the_observables(self, monkeypatch, n1, n2):
+        # the chunk reads ||[O, la]||_F off O's diagonal; it has the bits of the two matrix products, 2000
+        # trials of each size (10^4 in all)
+        drawn, sampled = theorem.sample_instance_stack, []
+
+        def kept(*args):
+            instances = drawn(*args)
+            sampled.append(instances[0])
+            return instances
+
+        monkeypatch.setattr(theorem, "sample_instance_stack", kept)
+        norms = counterexample_sweep(CounterexampleConfig(n1, n2, 2000, 3)).columns["commutator_norm"]
+        la = np.concatenate(sampled)
+        expected = frobenius_norm_stack(commutator_stack(observable_in_basis(np.eye(n1, dtype=complex)), la))
+        assert np.array(norms).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n1, n2, chunks", [(2, 3, [512, 88]), (3, 5, [512, 88]), (5, 9, [291, 291, 18])])
     def test_chunks_sized_by_the_pointer_blocks(self, n1, n2, chunks):
