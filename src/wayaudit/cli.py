@@ -611,12 +611,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bind_tol(argv: list[str]) -> list[str]:
-    """Join "--tol VALUE" into "--tol=VALUE": argparse would take a value such as
-    -inf, -nan or -1e-3 for an option and reject it before it is validated."""
+    """Join "--tol VALUE" into "--tol=VALUE" for every command but optimize, which takes no --tol and so
+    refuses it as typed: argparse would take a value such as -inf or -1e-3 for an option and reject it unvalidated."""
     out = []
     args = iter(argv)
     for arg in args:
-        value = next(args, None) if arg == "--tol" else None
+        value = next(args, None) if arg == "--tol" and argv[0] != "optimize" else None
         out.append(arg if value is None else f"--tol={value}")
     return out
 

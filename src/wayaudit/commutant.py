@@ -58,16 +58,18 @@ row. A ``FactoredCommutant`` keeps its unitaries in factor space:
 the eigensystems, the sorted products and their order, kept from the one sort
 (``_joint_spectrum``) for the assembly too, and the block unitaries. Both sweeps
 need U only on product inputs, so they apply it there without forming it
-(``FactoredCommutant.images``): V^dag (a_j (x) b_j) is the outer product
-(wa^dag a_j)(wb^dag b_j)^T, the block unitaries move its entries in
-sorted-product order, and V takes the result Y_j back as wa Y_j wb^T (the
-Kronecker mixed-product rule), O(n1 n2 (n1 + n2)) per input and no (D, D)
-matrix. One check stands in for U^dag U and the conservation residual
-(``FactoredCommutant.require_valid``): wa, wb and the block unitaries are
-unitary, and the block residual ||[B, Lambda]||_F, B the block unitaries and
-Lambda the sorted joint spectrum, is within tolerance. Where U itself is needed,
-one assembly serves: ``_assembled`` forms V blockdiag(U_k) V^dag as V's column
-blocks times their unitaries, then one product with V^dag, for
+(``FactoredCommutant.images``, the twin of ``model.MeasurementModel.images``):
+V^dag (a_j (x) b_j) is the outer product (wa^dag a_j)(wb^dag b_j)^T, the block
+unitaries move its entries in sorted-product order, and V takes the result Y_j
+back as wa Y_j wb^T (the Kronecker mixed-product rule), O(n1 n2 (n1 + n2)) per
+input and no (D, D) matrix. One check stands in for U^dag U and the
+conservation residual (``FactoredCommutant.require_valid``): wa, wb and the
+block unitaries are unitary, and the block residual ||[B, Lambda]||_F, B the
+block unitaries and Lambda the sorted joint spectrum, is within tolerance.
+One kernel applies block unitaries, ``_moved``: it right-multiplies rows by
+blockdiag(U_k), a size-1 block as its phase. ``images`` hands it the
+transposed unitaries (B x = x B^T); where U itself is needed, ``_assembled``
+moves V's rows, V blockdiag(U_k), then takes one product with V^dag, for
 ``FactoredCommutant.assembled``, ``commutant_unitary`` (its batch of one),
 ``theorem.sample_conserving_instance`` and the optimizer's best point; every
 optimizer restart starts from the same draw, placed in one block-diagonal
@@ -207,27 +209,17 @@ def _block_unitaries(first: np.ndarray, sizes: np.ndarray, rngs) -> dict[int, tu
 
 def _assembled(vectors: np.ndarray, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """V blockdiag(U_k) V^dag for (k, D, D) eigenvector matrices V and the block unitaries of
-    ``_block_unitaries``, placed at their positions among the (k * D) columns: V's columns scaled by
-    the phases of the size-1 blocks, the column blocks of larger ones times their unitaries, then one
-    product with V^dag."""
-    k, dim = vectors.shape[0], vectors.shape[-1]
-    phases = np.ones(k * dim, dtype=complex)
-    if 1 in blocks:
-        positions, unitaries = blocks[1]
-        phases[positions[:, 0]] = unitaries[:, 0, 0]
-    scaled = vectors * phases.reshape(k, 1, dim)
-    for size, (positions, unitaries) in blocks.items():
-        if size > 1:
-            trial, column = np.divmod(positions, dim)  # (m, size)
-            scaled[trial, :, column] = (vectors[trial, :, column].mT @ unitaries).mT
-    return scaled @ dagger(vectors)
+    ``_block_unitaries``, placed at their positions among the (k * D) columns: V's rows moved by the
+    blocks (``_moved``, in sorted order), then one product with V^dag."""
+    return _moved(vectors, np.arange(vectors.shape[-1]), blocks) @ dagger(vectors)
 
 
 def _moved(y: np.ndarray, order: np.ndarray, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """blockdiag(U_k) y for (k, m, D) rows y of eigenvector coefficients indexed by product a * n2 + b,
-    where sorted position c of row t is product ``order[t, c]``, and the block unitaries of
-    ``_block_unitaries`` at their sorted positions, as in ``_assembled``."""
-    k, dim = order.shape
+    """y blockdiag(U_k) for (k, m, D) rows y of eigenvector coefficients indexed by product a * n2 + b,
+    where sorted position c of row t is product ``order[t, c]`` (or ``order[c]`` for every row), and the
+    block unitaries of ``_block_unitaries`` at their sorted positions: the entries of a size-1 block
+    scaled by its phase, the column block of a larger one times its unitary."""
+    k, dim = len(y), y.shape[-1]
     products = (order + dim * np.arange(k)[:, None]).ravel()  # flat sorted position -> flat product
     phases = np.ones(k * dim, dtype=complex)
     if 1 in blocks:
@@ -237,7 +229,7 @@ def _moved(y: np.ndarray, order: np.ndarray, blocks: dict[int, tuple[np.ndarray,
     for size, (positions, unitaries) in blocks.items():
         if size > 1:
             trial, product = np.divmod(products[positions], dim)  # (m, size)
-            moved[trial, :, product] = unitaries @ y[trial, :, product]
+            moved[trial, :, product] = (y[trial, :, product].mT @ unitaries).mT
     return moved
 
 
@@ -277,9 +269,11 @@ class FactoredCommutant:
     def images(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """U (a_j (x) b_j) for (k, m, n1) rows a and (k, m, n2) rows b, broadcastable, as (k, m, n1, n2) n1 x n2
         reshapes, with no (k, D, D) stack: V^dag (a_j (x) b_j) is (wa^dag a_j) (x) (wb^dag b_j) in product
-        order, the block unitaries move it to Y_j (``_moved``), and V takes Y_j back as wa Y_j wb^T."""
+        order, the block unitaries move it to Y_j (``_moved``, on the rows with each U_k^T, since B x = x B^T),
+        and V takes Y_j back as wa Y_j wb^T. The twin of ``model.MeasurementModel.images``."""
         (_, wa), (_, wb) = self.la, self.lb
-        y = _moved(product_state(a @ wa.conj(), b @ wb.conj()), self.order, self.blocks)
+        transposed = {size: (positions, unitaries.mT) for size, (positions, unitaries) in self.blocks.items()}
+        y = _moved(product_state(a @ wa.conj(), b @ wb.conj()), self.order, transposed)
         n1, n2 = wa.shape[-1], wb.shape[-1]
         right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), -1, n1, n2)  # Y_j wb^T
         return wa[:, None] @ right

@@ -12,10 +12,11 @@ unit-norm ready state, unitary interaction, Hermitian factors) through the
 shared stack-aware checks of ``linalg`` (``require_orthonormal_rows``,
 ``require_unit_norm``, ``require_unitary``, ``require_hermitian``), which the
 sweep samplers call on whole stacks. A failure raises a ``PreconditionError``
-named after the dataclass field. The pointer analysis runs on (k, n1, n1, n2)
-stacks of pointer blocks (``pointer_stack``): the counterexample sweep reads its
-blocks in factor space (``commutant.FactoredCommutant``), and
-``check_nondestructive`` takes one model's from its U (``_joint_blocks``).
+named after the dataclass field. A U is applied to product states as n1 x n2
+reshapes of its images (``MeasurementModel.images``, or in factor space
+``commutant.FactoredCommutant.images``), and the pointer analysis
+(``pointer_stack``) reads those of u(j) (x) v in the measured basis, row i of
+image j the block w(i, j), for ``check_nondestructive`` and the sweep alike.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ class MeasurementModel:
         object.__setattr__(self, "ready_state", ready)
         object.__setattr__(self, "interaction", u)
 
+    def images(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """U (a_j (x) b_j) for (..., n1) rows a and (..., n2) rows b, broadcastable, as (..., n1, n2)
+        reshapes; one gemv per input. The dense twin of ``commutant.FactoredCommutant.images``."""
+        state = matvec_stack(self.interaction, product_state(a, b))
+        return state.reshape(*state.shape[:-1], self.n1, self.n2)
+
 
 @dataclass(frozen=True)
 class ConservedQuantity:
@@ -140,28 +147,20 @@ class PointerReport:
     deficit: float              # ||gram - I||_F
 
 
-def _joint_blocks(basis: np.ndarray, ready: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) for (k, n2) ready states and (k, D, D)
-    interactions, as a (k, n1, n1, n2) array; one gemv per column."""
-    n1, n2 = basis.shape[0], ready.shape[-1]
-    inputs = product_state(basis, ready[:, None, :])  # (k, n1, D): u(j) (x) v
-    cols = matvec_stack(u[:, None], inputs).reshape(-1, n1, n1, n2)
-    return np.ascontiguousarray((basis.conj() @ cols).swapaxes(1, 2))
-
-
-def pointer_stack(blocks: np.ndarray, degenerate_tol: float) -> dict:
-    """Leakage, pointers, gram and deficit of (k, n1, n1, n2) pointer blocks w(i, j) (see
-    ``_joint_blocks``), as (k, ...) arrays; ``degenerate`` is a (k, n1) mask."""
-    n1 = blocks.shape[1]
-    norms = np.linalg.norm(blocks, axis=-1)
+def pointer_stack(images: np.ndarray, degenerate_tol: float) -> dict:
+    """Leakage, pointers, gram and deficit of (k, n1, n1, n2) images of u(j) (x) v in the measured
+    basis, as (k, ...) arrays: row i of image j is the pointer block w(i, j) = (<u(i)| (x) 1) U (u(j) (x) v).
+    ``degenerate`` is a (k, n1) mask."""
+    n1 = images.shape[1]
+    norms = np.linalg.norm(images, axis=-1)
     diag_index = np.arange(n1)
     diag = norms[:, diag_index, diag_index]
     off = norms.copy()
     off[:, diag_index, diag_index] = 0.0
     leakage = off.max(axis=(1, 2))
     found = diag > degenerate_tol
-    pointers = np.zeros(blocks.shape[:2] + blocks.shape[3:], dtype=complex)
-    np.divide(blocks[:, diag_index, diag_index], diag[..., None], out=pointers, where=found[..., None])
+    pointers = np.zeros(images.shape[:2] + images.shape[3:], dtype=complex)
+    np.divide(images[:, diag_index, diag_index], diag[..., None], out=pointers, where=found[..., None])
     gram = pointers.conj() @ pointers.mT
     deficit = frobenius_norm_stack(gram - np.eye(n1))
     return dict(leakage=leakage, pointers=pointers, degenerate=~found, gram=gram, deficit=deficit)
@@ -174,8 +173,8 @@ def check_nondestructive(m: MeasurementModel, tol: float = VERDICT_TOL) -> Point
     holds when it is at most ``tol``, which is also the degeneracy threshold: a diagonal block
     with norm at most ``tol`` is reported as a degenerate pointer rather than raising.
     """
-    blocks = _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])
-    a = {k: v[0] for k, v in pointer_stack(blocks, tol).items()}
+    images = m.system_basis.conj() @ m.images(m.system_basis, m.ready_state)  # <u(i)| (x) 1 on each image
+    a = {k: v[0] for k, v in pointer_stack(images[None], tol).items()}
     leakage = float(a["leakage"])
     degenerate = tuple(np.flatnonzero(a["degenerate"]).tolist())
     return PointerReport(

@@ -14,8 +14,8 @@ intermediate once for k instances and the four bound kernels read from it.
 Every figure is read off the product state psi (x) v and U applied to three
 product states, in the evolved frame, so nothing applies U^dag (see ``_Stack``).
 ``noise_report`` checks its inputs in one order (``_instance``) and runs it on
-a stack of one, with its U applied as dense matvecs. The bound audit runs it on
-chunks of trials through the sweeps' chunk loop (``linalg.run_sweep``). Each
+a stack of one, its U applied by ``MeasurementModel.images``. The bound audit
+runs it on chunks through the sweeps' chunk loop (``linalg.run_sweep``). Each
 trial calls its stream three times, whatever its regime (see ``_audit_chunk``),
 so every record is the one a trial-by-trial loop would give, bit for bit. Each
 chunk takes la's and lb's eigensystems from their draws (no ``eigh``), for the
@@ -98,17 +98,18 @@ ZERO_EXPECTATION_TOL = 1e-10
 class _Stack:
     """A stack of k instances: each intermediate computed once, as a (k, ...) array.
 
-    Every figure is read off s = psi (x) v and ``images``, U applied to three product states, in the
-    evolved frame: with Phi the n1 x n2 reshape of U s, U N s = Phi probe^T - U ((observable psi) (x) v)
-    and U L s = U ((la psi) (x) (lb v)), exact for a unitary U. Inputs are taken as valid: ``_instance``
-    checks them for one instance, and the audit sampler builds them valid.
+    Every figure is read off s = psi (x) v and ``images``, U applied to three product states as (k, 3, n1, n2)
+    reshapes (``MeasurementModel.images`` or ``FactoredCommutant.images``), in the evolved frame: with Phi
+    the n1 x n2 reshape of U s, U N s = Phi probe^T - U ((observable psi) (x) v) and U L s = U ((la psi) (x)
+    (lb v)), exact for a unitary U. Inputs are taken as valid: ``_instance`` checks them for one instance,
+    and the audit sampler builds them valid.
     """
 
     def __init__(self, images, ready, observable, psi, probe, la, lb):
-        k, n1, n2 = len(psi), psi.shape[-1], ready.shape[-1]
+        k = len(psi)
         la_psi, lb_ready = matvec_stack(la, psi), matvec_stack(lb, ready)
         inputs = np.stack((psi, matvec_stack(observable, psi), la_psi), axis=1), np.stack((ready, ready, lb_ready), axis=1)
-        evolved, observed, conserved = images(*inputs).reshape(k, 3, n1, n2).swapaxes(0, 1)
+        evolved, observed, conserved = images(*inputs).swapaxes(0, 1)
         self.noise_state = (evolved @ probe.mT - observed).reshape(k, -1)  # U N s
         self.epsilon_sq = np.vecdot(self.noise_state, self.noise_state).real
         self.conserved_state = conserved.reshape(k, -1)  # U L s
@@ -137,10 +138,8 @@ def _instance(m, q, observable, probe, psi, tol) -> _Stack:
     psi = sized(as_state(psi, "psi"), m.n1, "psi")
     observable = as_hermitian(observable, m.n1, "observable")
     probe = as_hermitian(probe, m.n2, "probe")
-    u = m.interaction[None, None]
     return _Stack(
-        lambda a, b: matvec_stack(u, product_state(a, b)), m.ready_state[None], observable[None], psi[None],
-        probe[None], q.system_op[None], q.apparatus_op[None],
+        m.images, m.ready_state[None], observable[None], psi[None], probe[None], q.system_op[None], q.apparatus_op[None]
     )
 
 

@@ -29,8 +29,8 @@ n2) pointer blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` adds the
 hypothesis n2 < 2 n1 to the sweeps' ``linalg.SweepConfig``, ``SweepTrial``'s
 fields are the CSV schema, and ``CounterexampleSummary`` holds the tallies.
 ``sample_conserving_instance`` is a batch of one of the sampler, with its U
-assembled and its lb formed; ``model.check_nondestructive`` shares the chunk's
-pointer analysis.
+assembled and its lb formed; ``model.check_nondestructive`` hands the chunk's
+pointer analysis the same layout, its U's ``images`` in the measured basis.
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ def _sweep_chunk(config: CounterexampleConfig, trials: range, rngs) -> tuple[dic
     basis = np.eye(config.n1, dtype=complex)
     la, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
     interaction.require_valid(config.tol)
-    # the measured basis is the identity, so w(i, j) is row i of the image of u(j) (x) v
-    a = pointer_stack(interaction.images(basis[None], ready[:, None]).swapaxes(1, 2), POINTER_DEGENERACY_TOL)
+    # the measured basis is the identity, so the images of u(j) (x) v are already in it
+    a = pointer_stack(interaction.images(basis[None], ready[:, None]), POINTER_DEGENERACY_TOL)
     # and the observable (``observable_in_basis``) is diag(o), o = 1..n1: [O, la](i, j) = o_i la(i, j) - la(i, j) o_j,
     # the products and differences the two matrix products would form
     o = np.arange(1.0, config.n1 + 1.0)

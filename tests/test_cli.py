@@ -536,6 +536,16 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: tol:") and err.count("\n") == 1
 
+    def test_separate_negative_infinite_tolerance_reaches_the_check(self, capsys):
+        code, out, err = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol", "-inf")
+        assert (code, out, err) == (2, "", "error: tol: must be nonnegative and finite, got -inf\n")
+
+    def test_refused_tolerance_is_echoed_as_typed(self, capsys):
+        # optimize takes no --tol, so "--tol 5" is not joined into "--tol=5" before argparse refuses it
+        code, out, err = run(capsys, "optimize", "--model", "tests/fixtures/cnot.json", "--seed", "0", "--tol", "5")
+        assert (code, out) == (2, "")
+        assert err == cli._build_parser().format_usage() + "wayaudit: error: unrecognized arguments: --tol 5\n"
+
     def test_tolerance_flag_without_value_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "check", "--model", "tests/fixtures/cnot.json", "--tol")
         assert code == 2

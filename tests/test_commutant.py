@@ -34,7 +34,7 @@ from wayaudit.linalg import (
     random_state_vector_stack,
     tensor_product_stack,
 )
-from wayaudit.model import ConservedQuantity, _joint_blocks, conservation_residual_stack, conserved_operator
+from wayaudit.model import ConservedQuantity, conservation_residual_stack, conserved_operator
 from wayaudit.theorem import CounterexampleConfig, counterexample_sweep
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -175,6 +175,27 @@ class TestAssembly:
         for at, unitaries in blocks.values():
             m[at[:, :, None], at[:, None, :]] = unitaries
         return commutant._assembled(vectors[None], blocks)[0], vectors @ m @ dagger(vectors)
+
+    def test_one_block_kernel(self, monkeypatch):
+        # every U is moved by its blocks in ``_moved``: once per assembly, and once per images call
+        calls = []
+        moved = commutant._moved
+
+        def counted(*args):
+            calls.append(args)
+            return moved(*args)
+
+        monkeypatch.setattr(commutant, "_moved", counted)
+        rng = np.random.default_rng(33)
+        d = conserved_eigenspaces(quantity(*(rotated(spectrum, rng) for spectrum in REPEATED_SPECTRA[(2, 2, 2)])))
+        commutant_unitary(d, rng)
+        assert len(calls) == 1
+        la, lb = (np.linalg.eigh(rotated(spectrum, rng)[None]) for spectrum in REPEATED_SPECTRA[(2, 2, 2)])
+        factored = commutant.FactoredCommutant(la, lb, [rng])
+        factored.assembled()
+        assert len(calls) == 2
+        factored.images(np.eye(2)[None], np.eye(3)[None, :1])
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("dims", REPEATED_SPECTRA)
     def test_matches_dense_product_in_rotated_factors(self, dims):
@@ -496,8 +517,12 @@ class TestFactoredImages:
         rows = np.eye(3, dtype=complex) if basis == "computational" else haar_unitary(3, rng).T
         ready = np.stack([random_state_vector(5, rng) for _ in self.NAMES])
         images = factored.images(rows[None], ready[:, None])
-        ours = (rows.conj() @ images).swapaxes(1, 2)  # <u(i)| (x) 1 on each image
-        reference = _joint_blocks(rows, ready, factored.assembled())
+        ours = rows.conj() @ images  # <u(i)| (x) 1 on each image: w(i, j) at [t, j, i]
+        # w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>), one block at a time from the assembled U
+        reference = np.array([
+            [[np.kron(rows[i].conj()[None], np.eye(5)) @ u @ np.kron(rows[j], v) for i in range(3)] for j in range(3)]
+            for u, v in zip(factored.assembled(), ready)
+        ])
         assert ours.shape == reference.shape == (len(self.NAMES), 3, 3, 5)
         assert np.abs(ours - reference).max() <= 1e-12
 

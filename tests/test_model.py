@@ -1,20 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CNOT, E0, E1, I2, LA_DIAG, PLUS, X, Z
+from wayaudit.cli import load_model
 from wayaudit.errors import DegeneratePointerError
-from wayaudit.linalg import dagger, haar_unitary, random_state_vector
+from wayaudit.linalg import VERDICT_TOL, dagger, haar_unitary, matvec_stack, product_state, random_state_vector
 from wayaudit.model import (
     ConservedQuantity,
     MeasurementModel,
-    _joint_blocks,
     check_conserved,
     check_exact,
     check_nondestructive,
     conserved_operator,
     observable_in_basis,
+    pointer_stack,
     synthesize_unitary,
 )
 
@@ -22,15 +25,23 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def joint_blocks(m):
-    """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) of one model, (n1, n1, n2), from the pointer kernel."""
-    return _joint_blocks(m.system_basis, m.ready_state[None], m.interaction[None])[0]
+    """w(i, j) = (<u(i)| (x) 1) U (|u(j)> (x) |v>) of one model, (n1, n1, n2), from the images that
+    ``check_nondestructive`` hands the pointer kernel: row i of image j is w(i, j)."""
+    return (m.system_basis.conj() @ m.images(m.system_basis, m.ready_state)).swapaxes(0, 1)
 
 
-def haar_model(n1, n2, seed):
+def haar_model(n1, n2, seed, rotated=False):
+    """A model with a Haar interaction and ready state, measured in the computational basis or, if
+    ``rotated``, in the rows of a Haar unitary."""
     rng = np.random.default_rng(seed)
-    return MeasurementModel(
-        n1, n2, np.eye(n1, dtype=complex), random_state_vector(n2, rng), haar_unitary(n1 * n2, rng)
-    )
+    basis = haar_unitary(n1, rng).T if rotated else np.eye(n1, dtype=complex)
+    return MeasurementModel(n1, n2, basis, random_state_vector(n2, rng), haar_unitary(n1 * n2, rng))
+
+
+FIXTURE_MODELS = sorted((Path(__file__).resolve().parent / "fixtures").glob("*.json"))
+# 50 Haar models: five sizes, five seeds each, in the computational and in a rotated basis
+HAAR_MODELS = [(n1, n2, seed, rotated) for n1, n2 in ((1, 2), (2, 2), (2, 3), (3, 5), (5, 9))
+               for seed in range(5) for rotated in (False, True)]
 
 
 class TestModelInvariants:
@@ -84,7 +95,49 @@ class TestJointBlocks:
             assert abs(total - 1.0) <= 1e-10
 
 
+class TestImages:
+    """``MeasurementModel.images`` is U applied densely to product states, reshaped n1 x n2."""
+
+    @pytest.mark.parametrize("n1, n2, seed, rotated", HAAR_MODELS[::5])
+    def test_matches_the_dense_matvec(self, n1, n2, seed, rotated):
+        m = haar_model(n1, n2, seed, rotated)
+        rng = np.random.default_rng(seed + 100)
+        a, b = (rng.standard_normal((1, 3, n)) + 1j * rng.standard_normal((1, 3, n)) for n in (n1, n2))
+        cases = (
+            (m.system_basis, m.ready_state, m.interaction),  # check_nondestructive's: (n1, n1) rows, one (n2,) state
+            (a, b, m.interaction),  # noise_report's: (1, 3, n1) and (1, 3, n2) rows
+            (a, b, m.interaction[None, None]),  # and a stack of one U, broadcast over them
+        )
+        for rows, states, u in cases:
+            images = m.images(rows, states)
+            dense = matvec_stack(u, product_state(rows, states))
+            assert images.shape == dense.shape[:-1] + (n1, n2)
+            assert images.tobytes() == dense.tobytes()
+
+
+def blocks_figures(m, tol):
+    """The pointer figures of one model from its blocks w(i, j) laid out at [i, j] by a formula of their own:
+    the inputs u(j) (x) v, one gemv each with a stack of one U, <u(i)| (x) 1 on each image, then the axes
+    swapped and copied. Every figure of ``pointer_stack`` reads a diagonal block or the largest off-diagonal
+    norm, so it takes either layout."""
+    basis, ready, u = m.system_basis, m.ready_state[None], m.interaction[None]
+    n1, n2 = basis.shape[0], ready.shape[-1]
+    cols = matvec_stack(u[:, None], product_state(basis, ready[:, None, :])).reshape(-1, n1, n1, n2)
+    blocks = np.ascontiguousarray((basis.conj() @ cols).swapaxes(1, 2))
+    return {k: v[0] for k, v in pointer_stack(blocks, tol).items()}
+
+
 class TestNondestructive:
+    @pytest.mark.parametrize("model", [*FIXTURE_MODELS, *HAAR_MODELS],
+                             ids=lambda m: m.stem if isinstance(m, Path) else "haar-{}x{}-{}-{}".format(*m))
+    def test_matches_the_blocks_formula_bit_for_bit(self, model):
+        m = load_model(str(model)).model if isinstance(model, Path) else haar_model(*model)
+        report, expected = check_nondestructive(m), blocks_figures(m, VERDICT_TOL)
+        assert report.leakage == float(expected["leakage"]) and report.deficit == float(expected["deficit"])
+        assert report.degenerate == tuple(np.flatnonzero(expected["degenerate"]).tolist())
+        assert report.pointers.tobytes() == expected["pointers"].tobytes()
+        assert report.gram.tobytes() == expected["gram"].tobytes()
+
     def test_cnot(self, cnot_model):
         report = check_nondestructive(cnot_model)
         assert report.verdict and report.leakage == 0.0

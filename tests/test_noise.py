@@ -133,8 +133,9 @@ def reference_kernels(u, ready, observable, psi, probe, la, lb):
 
 
 def dense_images(u):
-    """``_Stack``'s ``images`` of a (k, D, D) stack of unitaries, applied as dense matvecs (as ``noise_report`` does)."""
-    return lambda a, b: matvec_stack(u[:, None], product_state(a, b))
+    """``_Stack``'s ``images`` of a (k, D, D) stack of unitaries, applied as dense matvecs (as
+    ``MeasurementModel.images`` applies one), as (k, m, n1, n2) reshapes."""
+    return lambda a, b: matvec_stack(u[:, None], product_state(a, b)).reshape(len(u), -1, a.shape[-1], b.shape[-1])
 
 
 def assert_kernels_match_reference(u, images, ready, observable, psi, probe, la, lb):
