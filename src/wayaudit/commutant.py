@@ -49,13 +49,17 @@ rows), and ``_block_unitaries`` draws the Haar unitaries of all of them, one
 stream per row, and returns them by block size with their positions: one draw
 per block size, a size-1 block as a phase z / |z| with no QR
 (``linalg.haar_from_ginibre``), whatever mix of block structures the rows hold.
-Sweeps draw a chunk of trials at once (``FactoredCommutant``), with each
-trial's third and last stream call: once its first two calls have drawn its
-factors, the factor eigensystems give its blocks, and it draws them from its
-own stream, in ascending-eigenvalue order. The optimizer's chart and
-``commutant_unitary`` draw the blocks of one decomposition, a batch of one
-row. A ``FactoredCommutant`` keeps its unitaries in factor space:
-the eigensystems, the sorted products and their order, kept from the one sort
+A row's block normals are one run of 2 sum d_k**2 >= 2 D values, in
+ascending-eigenvalue order: sweeps draw a chunk of trials at once
+(``FactoredCommutant``), and each trial's first 2 D come with its factors'
+normals, in the ``standard_normal`` call of ``linalg.stream_draws``; once the
+factor eigensystems give its blocks, a trial with a block above size 1 draws
+the rest in one more call. When every block has size 1, as in every sweep of
+uniform spectra, those 2 D values are its blocks' (re, im), read in place.
+The optimizer's chart and ``commutant_unitary`` draw the blocks of one
+decomposition through the same path, a batch of one row. A
+``FactoredCommutant`` keeps its unitaries in factor space: the eigensystems,
+the sorted products and their order, kept from the one sort
 (``_joint_spectrum``) for the assembly too, and the block unitaries. Both sweeps
 need U only on product inputs, so they apply it there without forming it
 (``FactoredCommutant.images``, the twin of ``model.MeasurementModel.images``):
@@ -92,6 +96,7 @@ from .linalg import (
     haar_from_ginibre,
     haar_unitary,  # noqa: F401  (kept bound here: bench/spans.py wraps it per namespace)
     hermitian_eigensystem,
+    normal_draws,
     product_state,
     random_state_vector,
     require_unitary,
@@ -183,26 +188,39 @@ def _positions(first: np.ndarray, sizes: np.ndarray) -> dict[int, np.ndarray]:
     return {size: first[sizes == size][:, None] + np.arange(size) for size in distinct}
 
 
-def _block_unitaries(first: np.ndarray, sizes: np.ndarray, rngs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _block_unitaries(first: np.ndarray, sizes: np.ndarray, rngs, head=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Haar unitaries of the blocks of ``_blocks``, one stream per row: block size -> the (m, size)
     positions of its blocks (``_positions``) and their unitaries (m, size, size).
 
-    Each stream draws its row's Ginibre matrices in block order, real parts before imaginary ones, as
-    one ``ginibre`` call per block would, with one ``standard_normal`` call into its row's slice of one
-    buffer; one gather per block size then splits the draws into that size's blocks, and
-    ``haar_from_ginibre`` makes their unitaries: the phases z / |z| for size 1, one stacked QR for each
-    larger size, whatever rows the blocks lie in.
+    Each row's Ginibre matrices come in block order, real parts before imaginary ones, as one ``ginibre``
+    call per block would give them: its first 2 D values are ``head`` (k, D, 2), drawn by its sweep with
+    its other normals (``linalg.stream_draws``) or else here, and a row with a block above size 1 draws
+    the other sum 2 d**2 - 2 D in one more call. When every block has size 1, head[t, c] is the (re, im)
+    of row t's block c, read in place; otherwise one gather per size above 1 and one mask for size 1
+    split the rows' values. ``haar_from_ginibre`` makes the unitaries: the phases z / |z| for size 1,
+    one stacked QR per larger size, whatever rows the blocks lie in.
     """
+    k = len(rngs)
+    dim = (first[-1] + sizes[-1]) // k
+    if head is None:
+        (head,) = normal_draws(rngs, (dim, 2))
+    if len(sizes) == k * dim:
+        z = (head[..., 0] + 1j * head[..., 1]).reshape(-1) / np.sqrt(2.0)
+        return {1: (first[:, None], haar_from_ginibre(z[:, None, None]))}
     widths = 2 * sizes * sizes  # a block's real parts, then its imaginary parts
     starts = np.cumsum(widths) - widths
     raw = np.empty(widths.sum())
-    dim = (first[-1] + sizes[-1]) // len(rngs)
-    bounds = [*starts[np.searchsorted(first, dim * np.arange(len(rngs)))].tolist(), raw.size]  # each row's slice
-    for rng, low, high in zip(rngs, bounds, bounds[1:]):
-        rng.standard_normal(out=raw[low:high])
+    rows = [*starts[np.searchsorted(first, dim * np.arange(k))].tolist(), raw.size]  # each row's slice
+    raw[np.add.outer(rows[:-1], np.arange(2 * dim))] = head.reshape(k, -1)
+    for rng, low, high in zip(rngs, rows, rows[1:]):
+        if high > low + 2 * dim:
+            rng.standard_normal(out=raw[low + 2 * dim : high])
     blocks = {}
     for size, positions in _positions(first, sizes).items():
-        block = raw[starts[sizes == size][:, None] + np.arange(2 * size * size)].reshape(-1, 2, size, size)
+        if size == 1:
+            block = raw.reshape(-1, 2)[np.repeat(sizes == 1, sizes * sizes)].reshape(-1, 2, 1, 1)
+        else:
+            block = raw[starts[sizes == size][:, None] + np.arange(2 * size * size)].reshape(-1, 2, size, size)
         blocks[size] = positions, haar_from_ginibre((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0))
     return blocks
 
@@ -238,12 +256,13 @@ class FactoredCommutant:
     factors' eigensystems (checked by ``require_valid``), their sorted products and the order of these
     (``_joint_spectrum``; ``_joint_vectors`` builds V from them), and the block unitaries of all trials
     (``_block_unitaries``), whatever their block structures: each trial draws its blocks from its own
-    stream, as ``commutant_unitary`` would."""
+    stream, as ``commutant_unitary`` would, starting from ``head``, its first 2 D block normals, when its
+    sweep drew them with its other normals."""
 
-    def __init__(self, la, lb, rngs):
+    def __init__(self, la, lb, rngs, head=None):
         self.la, self.lb = la, lb
         self.values, self.order = _joint_spectrum(la[0], lb[0])
-        self.blocks = _block_unitaries(*_blocks(self.values), rngs)
+        self.blocks = _block_unitaries(*_blocks(self.values), rngs, head)
 
     def require_valid(self, tol: float) -> None:
         """wa, wb and each block-unitary stack of size above 1 are unitary, and each trial's block residual
@@ -266,14 +285,16 @@ class FactoredCommutant:
         """The unitaries V blockdiag(U_k) V^dag, (k, D, D) (see ``_assembled``)."""
         return _assembled(_joint_vectors(self.la[1], self.lb[1], self.order), self.blocks)
 
-    def images(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def images(self, a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
         """U (a_j (x) b_j) for (k, m, n1) rows a and (k, m, n2) rows b, broadcastable, as (k, m, n1, n2) n1 x n2
         reshapes, with no (k, D, D) stack: V^dag (a_j (x) b_j) is (wa^dag a_j) (x) (wb^dag b_j) in product
         order, the block unitaries move it to Y_j (``_moved``, on the rows with each U_k^T, since B x = x B^T),
-        and V takes Y_j back as wa Y_j wb^T. The twin of ``model.MeasurementModel.images``."""
+        and V takes Y_j back as wa Y_j wb^T. ``a=None`` stands for the n1 computational basis rows, whose
+        wa^dag e_j are the rows of conj(wa) as they stand. The twin of ``model.MeasurementModel.images``."""
         (_, wa), (_, wb) = self.la, self.lb
         transposed = {size: (positions, unitaries.mT) for size, (positions, unitaries) in self.blocks.items()}
-        y = _moved(product_state(a @ wa.conj(), b @ wb.conj()), self.order, transposed)
+        left = wa.conj() if a is None else a @ wa.conj()
+        y = _moved(product_state(left, b @ wb.conj()), self.order, transposed)
         n1, n2 = wa.shape[-1], wb.shape[-1]
         right = (y.reshape(len(y), -1, n2) @ wb.mT).reshape(len(y), -1, n1, n2)  # Y_j wb^T
         return wa[:, None] @ right

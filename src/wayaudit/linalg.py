@@ -33,12 +33,15 @@ The streams' PCG64 seed words are computed ``SEED_BATCH`` trials at a time,
 by numpy's SeedSequence hash run over the trial axis (``_seed_words``); this
 relies on numpy keeping that algorithm frozen (its stream-compatibility
 policy, NEP 19), and ``tests/test_linalg.py::TestStreamSeeding`` fails if
-it changes. Each trial calls its stream three times: one ``random`` call,
-one ``standard_normal`` call, then the commutant blocks. Each call fills one
-(streams, n) buffer in place, a row per stream, and is split into the
-segments its draw sites read (``uniform_draws``, ``normal_draws``); each
-segment holds the values of the stream's own ``uniform`` or
-``standard_normal`` call at that point, ``uniform`` being
+it changes. A chunk walks its streams once (``stream_draws``): one
+``random`` call, then one ``standard_normal`` call whose row ends with the
+first 2 D commutant block normals, and a trial with a block above size 1
+makes a third call for the rest (``commutant``). Consecutive float64
+``standard_normal`` calls give the values of one call of their total length,
+so each trial's stream consumption is unchanged. Each call fills one
+(streams, n) buffer in place, a row per stream, split into the segments its
+draw sites read; each segment holds the values of the stream's own
+``uniform`` or ``standard_normal`` call at that point, ``uniform`` being
 ``low + (high - low) * random``, and ``TestDrawKernels`` pins both. No
 record depends on the chunk size. Both sweeps take a ``SweepConfig``, which
 checks the inputs they share when built (each sweep kind adds only its rule on
@@ -96,10 +99,10 @@ __all__ = [
     "sized",
     "sorted_eigensystem",
     "spectral_operator_stack",
+    "stream_draws",
     "sweep_chunks",
     "tensor_product",
     "tensor_product_stack",
-    "uniform_draws",
     "unitary_completion",
     "variance",
 ]
@@ -459,7 +462,7 @@ def _seed_words_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(f"only the 4 uint64 words of a PCG64 seed are stored, not {n_words} of {dtype}")
             return self.words
 
@@ -576,25 +579,26 @@ def _segments(rows: np.ndarray, shapes) -> list[np.ndarray]:
     return segments
 
 
+def stream_draws(rngs, uniforms, normals) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One pass over the streams: ``rng.random``, then ``rng.standard_normal``, per stream, each
+    filling the stream's row of one buffer in place. The uniform row is split into a (len(rngs), n)
+    segment per (low, high, n) of ``uniforms``, scaled as numpy's ``uniform(low, high, n)``:
+    ``low + (high - low) * random``; the normal row into a (len(rngs), *shape) segment per shape of
+    ``normals``. Each segment holds what the stream's own ``uniform`` or ``standard_normal`` call would
+    give at that point, bit for bit. An empty row draws nothing."""
+    drawn = np.empty((len(rngs), sum(n for _, _, n in uniforms)))
+    out = np.empty((len(rngs), sum(math.prod(shape) for shape in normals)))
+    for rng, uniform, normal in zip(rngs, drawn, out):
+        rng.random(out=uniform)
+        rng.standard_normal(out=normal)
+    parts = _segments(drawn, [(n,) for _, _, n in uniforms])
+    return [low + (high - low) * part for (low, high, _), part in zip(uniforms, parts)], _segments(out, normals)
+
+
 def normal_draws(rngs, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """One ``rng.standard_normal`` call per stream, filling its row of one buffer in place, split into
-    (len(rngs), *shape) segments in order: each segment holds what the stream's own
-    ``standard_normal(shape)`` call would give at that point."""
-    out = np.empty((len(rngs), sum(math.prod(shape) for shape in shapes)))
-    for rng, row in zip(rngs, out):
-        rng.standard_normal(out=row)
-    return _segments(out, shapes)
-
-
-def uniform_draws(rngs, *segments: tuple[float, float, int]) -> list[np.ndarray]:
-    """One ``rng.random`` call per stream, filling its row of one buffer in place, split into a
-    (len(rngs), n) segment per (low, high, n) in order, scaled as numpy's ``uniform(low, high, n)``:
-    ``low + (high - low) * random``, so each value has the bits of the stream's own call."""
-    out = np.empty((len(rngs), sum(n for _, _, n in segments)))
-    for rng, row in zip(rngs, out):
-        rng.random(out=row)
-    parts = _segments(out, [(n,) for _, _, n in segments])
-    return [low + (high - low) * part for (low, high, _), part in zip(segments, parts)]
+    """``stream_draws`` with normals alone: one ``rng.standard_normal`` call per stream, split into
+    (len(rngs), *shape) segments in order."""
+    return stream_draws(rngs, (), shapes)[1]
 
 
 def _complex(normals: np.ndarray) -> np.ndarray:

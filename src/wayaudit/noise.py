@@ -16,8 +16,9 @@ product states, in the evolved frame, so nothing applies U^dag (see ``_Stack``).
 ``noise_report`` checks its inputs in one order (``_instance``) and runs it on
 a stack of one, its U applied by ``MeasurementModel.images``. The bound audit
 runs it on chunks through the sweeps' chunk loop (``linalg.run_sweep``). Each
-trial calls its stream three times, whatever its regime (see ``_audit_chunk``),
-so every record is the one a trial-by-trial loop would give, bit for bit. Each
+trial's stream is walked once, by the counterexample sweep's draw kernel
+(``linalg.stream_draws``), whatever its regime (see ``_audit_chunk``), so every
+record is the one a trial-by-trial loop would give, bit for bit. Each
 chunk takes la's and lb's eigensystems from their draws (no ``eigh``), for the
 commutant draw, the ready states and the probes, applies each U in factor
 space and checks it there (``commutant.FactoredCommutant``), so it forms no
@@ -55,7 +56,6 @@ from .linalg import (
     hermitian_from_spectrum,
     image_variance_stack,
     matvec_stack,
-    normal_draws,
     normalized_stack,
     product_state,
     random_hermitian_stack,
@@ -65,7 +65,7 @@ from .linalg import (
     run_sweep,
     sized,
     spectral_operator_stack,
-    uniform_draws,
+    stream_draws,
 )
 from .model import ConservedQuantity, MeasurementModel, check_conserved, require_conserved
 
@@ -454,27 +454,29 @@ def _audit_chunk(config: AuditConfig, trials: range, rngs) -> tuple[dict[str, li
     """One chunk of trials, drawn and evaluated as stacks: its ``BoundAuditRecord``
     columns, as lists, and its counts of the summary's tallies.
 
-    Each trial's stream is called three times, whatever its regime, which only chooses the
-    values it reads: ``random`` for la's spectrum, lb's, the ready state's phase and the Yanase
+    Each trial's stream is walked once (``stream_draws``), whatever its regime, which only chooses
+    the values it reads: ``random`` for la's spectrum, lb's, the ready state's phase and the Yanase
     probe's spectrum; ``standard_normal`` for la's Ginibre matrix, lb's, the ready state, the
-    observable, the probe and psi; and, once the factors' drawn eigensystems have fixed its
-    block sizes, ``standard_normal`` for its commutant blocks. So each record is the one a
-    trial-by-trial loop would give, bit for bit.
+    observable, the probe, psi, then its first 2 D commutant block normals; and, once the factors'
+    drawn eigensystems have fixed its block sizes, a third call for the rest of its blocks' normals
+    if it has a block above size 1. Its stream consumption is unchanged, so each record is the one
+    a trial-by-trial loop would give, bit for bit.
     """
     n1, n2 = config.n1, config.n2
     index = np.asarray(trials)
     zero_mode, yanase_mode = index % 4 >= 2, index % 2 == 1
-    la_spectrum, lb_spectrum, phase, probe_spectrum = uniform_draws(
-        rngs, (*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2), (0.0, 2.0 * np.pi, 1), (-1.0, 1.0, n2)
+    uniforms, normals = stream_draws(
+        rngs,
+        ((*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2), (0.0, 2.0 * np.pi, 1), (-1.0, 1.0, n2)),
+        ((2, n1, n1), (2, n2, n2), (2, n2), (2, n1, n1), (2, n2, n2), (2, n1), (n1 * n2, 2)),
     )
-    la_normals, lb_normals, ready_normals, observable_normals, probe_normals, psi_normals = normal_draws(
-        rngs, (2, n1, n1), (2, n2, n2), (2, n2), (2, n1, n1), (2, n2, n2), (2, n1)
-    )
+    la_spectrum, lb_spectrum, phase, probe_spectrum = uniforms
+    la_normals, lb_normals, ready_normals, observable_normals, probe_normals, psi_normals, block_normals = normals
     la, la_eigensystem = spectral_operator_stack(la_spectrum, la_normals)
     lb, (lb_values, lb_vectors) = spectral_operator_stack(_apparatus_spectra(lb_spectrum, zero_mode), lb_normals)
     require_hermitian(la, "system_op")
     require_hermitian(lb, "apparatus_op")
-    interaction = FactoredCommutant(la_eigensystem, (lb_values, lb_vectors), rngs)
+    interaction = FactoredCommutant(la_eigensystem, (lb_values, lb_vectors), rngs, block_normals)
     ready = _ready_states(lb_values, lb_vectors, phase, ready_normals, zero_mode)
     require_unit_norm(ready, "ready_state")
     interaction.require_valid(config.tol)

@@ -16,15 +16,17 @@ commutator run once per chunk (``_sweep_chunk``), which forms only what its
 records read: la, for the commutator, read off la entry by entry since the
 observable is diagonal, and no lb, whose drawn eigensystem the commutant takes
 and checks. Every trial keeps its own
-stream and calls it three times: ``random`` for its factors' spectra,
-``standard_normal`` for their Ginibre matrices and its ready state, and, once
-the factors' eigensystems, known from their draws, have fixed its block sizes
-(see ``commutant``), ``standard_normal`` for its commutant blocks; so each
-record is the one a trial-by-trial loop would give, bit for bit. The bound
-audit's trials begin with the same draws. The chunk reads its pointer blocks
-off U's images of the inputs u(j) (x) v, with U applied and checked in factor
-space (``commutant.FactoredCommutant``), so it forms no (chunk, D, D) stack: no
-eigenvector matrix, no U and no U^dag U. Its chunks are sized by those (n1, n1,
+stream, walked once per chunk (``linalg.stream_draws``): one ``random`` call
+for its factors' spectra, one ``standard_normal`` call for their Ginibre
+matrices, its ready state and its first 2 D commutant block normals, and,
+only where the factors' eigensystems, known from their draws, give it a block
+above size 1 (see ``commutant``), a third call for the rest of its blocks'
+normals. Its stream consumption is unchanged, so each record is the one a
+trial-by-trial loop would give, bit for bit. The bound audit's trials begin
+with the same draws. The chunk reads its pointer blocks off U's images of the
+inputs e(j) (x) v, the measured basis being the identity, with U applied and
+checked in factor space (``commutant.FactoredCommutant``), so it forms no
+(chunk, D, D) stack: no eigenvector matrix, no U and no U^dag U. Its chunks are sized by those (n1, n1,
 n2) pointer blocks (``linalg.sweep_chunks``). ``CounterexampleConfig`` adds the
 hypothesis n2 < 2 n1 to the sweeps' ``linalg.SweepConfig``, ``SweepTrial``'s
 fields are the CSV schema, and ``CounterexampleSummary`` holds the tallies.
@@ -55,7 +57,6 @@ from .linalg import (
     ginibre_stack,
     haar_from_ginibre,
     hermitian_from_spectrum,
-    normal_draws,
     numerical_rank,
     random_state_vector_stack,
     require_hermitian,
@@ -63,7 +64,7 @@ from .linalg import (
     run_sweep,
     sorted_eigensystem,
     spectral_operator_stack,
-    uniform_draws,
+    stream_draws,
 )
 from .model import (
     POINTER_DEGENERACY_TOL,
@@ -235,19 +236,20 @@ def sample_instance_stack(n1: int, n2: int, rngs) -> tuple:
     """Random sweep instances, one per stream: the (k, n1, n1) la stack, the conserving unitaries in
     factor space (``FactoredCommutant``) and the (k, n2) ready states.
 
-    Each stream is called three times: ``random`` for la's spectrum, then lb's;
-    ``standard_normal`` for la's Ginibre matrix, lb's, then the ready state; and, once the
-    factors' drawn eigensystems have fixed its block sizes, ``standard_normal`` for its
-    commutant blocks. These are the bound audit's first draws too. Only la is formed, and checked
-    Hermitian: lb enters through its drawn eigensystem alone, whose eigenvectors
-    ``FactoredCommutant.require_valid`` checks.
+    Each stream is walked once (``stream_draws``): ``random`` for la's spectrum, then lb's;
+    ``standard_normal`` for la's Ginibre matrix, lb's, the ready state, then its first 2 D commutant
+    block normals; and, once the factors' drawn eigensystems have fixed its block sizes, a third call
+    for the rest of its blocks' normals if it has a block above size 1. These are the bound audit's
+    first draws too. Only la is formed, and checked Hermitian: lb enters through its drawn
+    eigensystem alone, whose eigenvectors ``FactoredCommutant.require_valid`` checks.
     """
-    la_spectrum, lb_spectrum = uniform_draws(rngs, (*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2))
-    la_normals, lb_normals, ready_normals = normal_draws(rngs, (2, n1, n1), (2, n2, n2), (2, n2))
+    (la_spectrum, lb_spectrum), (la_normals, lb_normals, ready_normals, block_normals) = stream_draws(
+        rngs, ((*FACTOR_SPECTRUM, n1), (*FACTOR_SPECTRUM, n2)), ((2, n1, n1), (2, n2, n2), (2, n2), (n1 * n2, 2))
+    )
     la, la_eigensystem = spectral_operator_stack(la_spectrum, la_normals)
     require_hermitian(la, "system_op")
     lb_eigensystem = sorted_eigensystem(lb_spectrum, haar_from_ginibre(ginibre_stack(lb_normals)))
-    interaction = FactoredCommutant(la_eigensystem, lb_eigensystem, rngs)
+    interaction = FactoredCommutant(la_eigensystem, lb_eigensystem, rngs, block_normals)
     ready = random_state_vector_stack(ready_normals)
     require_unit_norm(ready, "ready_state")
     return la, interaction, ready
@@ -308,11 +310,10 @@ class CounterexampleSummary:
 
 def _sweep_chunk(config: CounterexampleConfig, trials: range, rngs) -> tuple[dict[str, list], dict]:
     """One chunk of trials as stacks: its ``SweepTrial`` columns, as lists, and its tallies."""
-    basis = np.eye(config.n1, dtype=complex)
     la, interaction, ready = sample_instance_stack(config.n1, config.n2, rngs)
     interaction.require_valid(config.tol)
-    # the measured basis is the identity, so the images of u(j) (x) v are already in it
-    a = pointer_stack(interaction.images(basis[None], ready[:, None]), POINTER_DEGENERACY_TOL)
+    # the measured basis is the identity: the images of e(j) (x) v, already in it
+    a = pointer_stack(interaction.images(None, ready[:, None]), POINTER_DEGENERACY_TOL)
     # and the observable (``observable_in_basis``) is diag(o), o = 1..n1: [O, la](i, j) = o_i la(i, j) - la(i, j) o_j,
     # the products and differences the two matrix products would form
     o = np.arange(1.0, config.n1 + 1.0)

@@ -231,10 +231,9 @@ class TestDrawnEigensystems:
     def factors(n1, n2, rngs, zero=None):
         """A chunk's factors from the leading values of its first two stream calls, which both sweeps
         share: la, then lb (the audit's, traceless where ``zero`` holds), with their eigensystems."""
-        la_spectrum, lb_spectrum = linalg.uniform_draws(
-            rngs, (*linalg.FACTOR_SPECTRUM, n1), (*linalg.FACTOR_SPECTRUM, n2)
+        (la_spectrum, lb_spectrum), (la_normals, lb_normals) = linalg.stream_draws(
+            rngs, ((*linalg.FACTOR_SPECTRUM, n1), (*linalg.FACTOR_SPECTRUM, n2)), ((2, n1, n1), (2, n2, n2))
         )
-        la_normals, lb_normals = linalg.normal_draws(rngs, (2, n1, n1), (2, n2, n2))
         if zero is not None:
             lb_spectrum = noise._apparatus_spectra(lb_spectrum, zero)
         return (
@@ -324,6 +323,44 @@ class TestDrawnEigensystems:
             dims = conserved_eigenspaces(quantity(la[trial], lb[trial])).dims
             expected = self.replayed(trial, n1, n2, dims, audit)
             assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("n1, n2", [(3, 5), (5, 9)])
+    @pytest.mark.parametrize("audit", [False, True], ids=["counterexample", "bound-audit"])
+    def test_mixed_block_structures_draw_their_remainder(self, monkeypatch, n1, n2, audit):
+        # lattice spectra 2^k, k in {0, 1, 2}, patched over the drawn ones, give blocks above size 1, whose
+        # normals past the first 2 D come from a third call: each stream ends where its three-call replay
+        # ends, and each block unitary has the bits of that replay's third call, split block by block
+        module, made = noise if audit else theorem, []
+        drawn, lattice = module.stream_draws, np.random.default_rng(14)
+
+        def patched(rngs, uniforms, normals):
+            spectra, rest = drawn(rngs, uniforms, normals)
+            for spectrum in spectra[:2]:  # la's, then lb's
+                spectrum[:] = 2.0 ** lattice.integers(0, 3, spectrum.shape)
+            return spectra, rest
+
+        class Kept(commutant.FactoredCommutant):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(module, "stream_draws", patched)
+        monkeypatch.setattr(module, "FactoredCommutant", Kept)
+        count = 24
+        trials, rngs = range(count), self.streams(count)
+        if audit:
+            noise._audit_chunk(noise.AuditConfig(n1=n1, n2=n2, count=count, seed=7), trials, rngs)
+        else:
+            theorem._sweep_chunk(CounterexampleConfig(n1=n1, n2=n2, count=count, seed=7), trials, rngs)
+        (factored,) = made
+        rows = _row_sizes(*commutant._blocks(factored.values), factored.values.shape)
+        assert len(set(rows)) > 10 and max(max(dims) for dims in rows) > 2
+        for trial, (rng, dims) in enumerate(zip(rngs, rows)):
+            assert rng.bit_generator.state == self.replayed(trial, n1, n2, dims, audit).bit_generator.state
+            replay = self.replayed(trial, n1, n2, (), audit)  # its first two calls; a third of no values draws none
+            for size, stack in _reference_block_unitaries(dims, [replay]).items():
+                positions, unitaries = factored.blocks[size]
+                assert unitaries[positions[:, 0] // (n1 * n2) == trial].tobytes() == stack.tobytes()
 
 
 def _reference_columns(la, lb):

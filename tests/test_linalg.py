@@ -596,10 +596,11 @@ class TestSweepConfig:
 
 
 class TestDrawKernels:
-    """normal_draws and uniform_draws make one call per stream, filling its row of one buffer, and split
-    it into segments, each holding what the stream's own standard_normal(shape) or uniform(low, high, n)
-    call would give at that point, bit for bit; the streams end where those calls would leave them.
-    uniform_draws relies on numpy's uniform being low + (high - low) * random; these fail if it changes."""
+    """stream_draws makes one random and one standard_normal call per stream, each filling its row of one
+    buffer, and splits the rows into segments, each holding what the stream's own uniform(low, high, n) or
+    standard_normal(shape) call would give at that point, bit for bit; the streams end where those calls
+    would leave them. normal_draws is its normals alone. The uniform segments rely on numpy's uniform being
+    low + (high - low) * random; these fail if it changes."""
 
     # the segment shapes of one call: one segment, or the second call of a bound-audit trial at 3x5
     SHAPES = [((1,),), ((9,),), ((2, 3, 3), (2, 5, 5), (2, 5), (2, 3, 3), (2, 5, 5), (2, 3))]
@@ -638,7 +639,7 @@ class TestDrawKernels:
         segments = [(a, b, int(np.prod(segment))) for (a, b), segment in zip(ranges, shape)]
         streams, references = self._streams(count), self._streams(count)
         calls = [[rng.uniform(a, b, n) for a, b, n in segments] for rng in references]
-        draws = linalg.uniform_draws(streams, *segments)
+        draws, _ = linalg.stream_draws(streams, segments, ())
         assert [d.shape for d in draws] == [(count, n) for _, _, n in segments]
         self._check(draws, streams, calls, references)
 
@@ -647,8 +648,22 @@ class TestDrawKernels:
         # a ready state's phase: one scalar uniform(low, high) call per stream
         streams, references = self._streams(200), self._streams(200)
         calls = [[rng.uniform(low, high)] for rng in references]
-        (draws,) = linalg.uniform_draws(streams, (low, high, 1))
+        (draws,), _ = linalg.stream_draws(streams, ((low, high, 1),), ())
         self._check([draws[:, 0]], streams, calls, references)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_pass_matches_uniform_then_standard_normal(self, count):
+        # a bound-audit trial at 3x5: its uniforms, then its normals with the 2 D block head, stream by stream
+        uniforms = ((*linalg.FACTOR_SPECTRUM, 3), (*linalg.FACTOR_SPECTRUM, 5), (0.0, 2.0 * np.pi, 1), (-1.0, 1.0, 5))
+        normals = (*self.SHAPES[2], (15, 2))
+        streams, references = self._streams(count), self._streams(count)
+        calls = [
+            [*(rng.uniform(a, b, n) for a, b, n in uniforms), *(rng.standard_normal(shape) for shape in normals)]
+            for rng in references
+        ]
+        drawn, normal = linalg.stream_draws(streams, uniforms, normals)
+        assert [d.shape for d in normal] == [(count, *shape) for shape in normals]
+        self._check([*drawn, *normal], streams, calls, references)
 
 
 class TestBitIdentity:
@@ -796,8 +811,7 @@ class TestAntiHermitianExp:
 
 def test_random_positive_operator_spectrum():
     rngs = [np.random.default_rng(21)]
-    (spectrum,) = linalg.uniform_draws(rngs, (*linalg.FACTOR_SPECTRUM, 4))
-    (normals,) = linalg.normal_draws(rngs, (2, 4, 4))
+    (spectrum,), (normals,) = linalg.stream_draws(rngs, ((*linalg.FACTOR_SPECTRUM, 4),), ((2, 4, 4),))
     (op,), _ = linalg.spectral_operator_stack(spectrum, normals)
     values = np.linalg.eigvalsh(op)
     assert values[0] >= 0.5 - 1e-9 and values[-1] <= 2.0 + 1e-9

@@ -347,6 +347,32 @@ class TestCounterexampleSweep:
         expected = frobenius_norm_stack(commutator_stack(observable_in_basis(np.eye(n1, dtype=complex)), la))
         assert np.array(norms).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (2, 3), (3, 5), (5, 9)])
+    def test_basis_images_have_the_identity_basis_bits(self, monkeypatch, n1, n2):
+        # the chunk takes wa^dag e(j) as the rows of conj(wa), with no product by the identity basis: over 50
+        # chunks its images have the bits of images(eye, ...), signed zeros included
+        drawn, read, seen = theorem.sample_instance_stack, theorem.pointer_stack, []
+
+        def kept(*args):
+            instances = drawn(*args)
+            seen.append(instances)
+            return instances
+
+        def analysed(images, tol):
+            seen.append(images)
+            return read(images, tol)
+
+        monkeypatch.setattr(theorem, "sample_instance_stack", kept)
+        monkeypatch.setattr(theorem, "pointer_stack", analysed)
+        config, trials = CounterexampleConfig(n1, n2, 6, 0), range(6)
+        for chunk in range(50):
+            seen.clear()
+            theorem._sweep_chunk(config, trials, [np.random.default_rng((chunk, trial)) for trial in trials])
+            (_, interaction, ready), images = seen
+            expected = interaction.images(np.eye(n1, dtype=complex)[None], ready[:, None])
+            assert images.shape == expected.shape == (6, n1, n1, n2)
+            assert np.array_equal(images.view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("n1, n2, chunks", [(2, 3, [512, 88]), (3, 5, [512, 88]), (5, 9, [291, 291, 18])])
     def test_chunks_sized_by_the_pointer_blocks(self, n1, n2, chunks):
         # 1 MiB of (n1, n1, n2) pointer blocks per chunk, at most 512 trials: no (chunk, D, D) stack sizes them
